@@ -18,7 +18,7 @@ use crate::listener::{Delivery, Dispatcher, I2oListener, TimerId, UtilOutcome};
 use crate::pta::{PeerAddr, PeerTransport, Pta, RetryPolicy};
 use crate::queue::{ClaimTable, OverloadPolicy, PushOutcome, SchedQueue};
 use crate::registry::{DeviceMeta, DeviceUnit, LctEntry, Registry};
-use crate::route::{Route, RouteTable};
+use crate::route::{Hop, Route, RouteTable};
 use crate::supervisor::{LinkState, LinkSupervisor, SupervisionConfig};
 use crate::timer::TimerWheel;
 use crate::xfn;
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdaq_i2o::{
     DeviceClass, DeviceState, ExecFn, FunctionCode, Message, MsgFlags, MsgHeader, Priority,
-    ReplyStatus, Tid, TidAllocator, UtilFn, HEADER_LEN, NUM_PRIORITIES, ORG_XDAQ,
+    PrivateHeader, ReplyStatus, Tid, TidAllocator, UtilFn, HEADER_LEN, NUM_PRIORITIES, ORG_XDAQ,
 };
 use xdaq_mempool::{FrameAllocator, FrameBuf, SimplePool, TablePool};
 use xdaq_mon::{Counter, FrameTracer, Gauge, Histogram, TraceEvent};
@@ -194,7 +194,6 @@ pub struct ExecCore {
     timers: TimerWheel,
     registry: Registry,
     tids: Mutex<TidAllocator>,
-    proxy_index: Mutex<HashMap<(PeerAddr, Tid), Tid>>,
     factories: Mutex<HashMap<String, ModuleFactory>>,
     mon: ExecMonitors,
     probes: Option<Arc<DispatchProbes>>,
@@ -358,6 +357,14 @@ impl ExecCore {
     /// Routes a delivery to its target: local queue, peer transport, or
     /// broadcast fan-out.
     pub fn route(&self, d: Delivery) -> Result<(), ExecError> {
+        let hop = self.routes.resolve(d.header.target);
+        self.route_via(d, hop)
+    }
+
+    /// [`ExecCore::route`] with the target's route already resolved
+    /// (ingest learns it in the same lookup that finds the sender's
+    /// proxy).
+    fn route_via(&self, d: Delivery, hop: Option<Hop>) -> Result<(), ExecError> {
         // Tenant admission: private data frames from an over-rate
         // class are shed here, before they cost a scheduler slot or a
         // peer-link credit. Control frames and replies are exempt —
@@ -384,16 +391,16 @@ impl ExecCore {
             self.mon.sent_local.inc();
             return Ok(());
         }
-        match self.routes.lookup(target) {
-            Some(Route::Local) => {
+        match hop {
+            Some(Hop::Local) => {
                 self.enqueue(d);
                 self.mon.sent_local.inc();
                 Ok(())
             }
-            Some(Route::Peer {
+            Some(Hop::Peer {
                 peer,
                 remote_tid,
-                alternates,
+                has_alternates,
             }) => {
                 let mut buf = d.into_buf();
                 MsgHeader::patch_target(&mut buf, remote_tid);
@@ -402,20 +409,19 @@ impl ExecCore {
                     remote_tid.raw() as u32,
                     buf.len() as u32,
                 );
-                if alternates.is_empty() {
-                    self.pta.send(&peer, buf)?;
-                } else {
-                    let mut chain = Route::Peer {
-                        peer,
-                        remote_tid,
-                        alternates,
-                    }
-                    .failover_chain();
+                if has_alternates {
+                    let mut chain = match self.routes.lookup(target) {
+                        Some(route @ Route::Peer { .. }) => route.failover_chain(),
+                        // Evicted since it was resolved.
+                        _ => vec![peer],
+                    };
                     // Same-host fast path: when a shm transport is
                     // registered, try the zero-copy address first and
                     // keep the network addresses as failover.
                     self.pta.reorder_for_locality(&mut chain);
                     self.pta.send_failover(&chain, buf)?;
+                } else {
+                    self.pta.send(&peer, buf)?;
                 }
                 self.mon.sent_peer.inc();
                 Ok(())
@@ -452,15 +458,8 @@ impl ExecCore {
     /// `peer` (paper §3.4: the executive "creates a local TiD for the
     /// target device along with information how to reach this device").
     pub fn proxy_for(&self, peer: PeerAddr, remote_tid: Tid) -> Result<Tid, ExecError> {
-        let key = (peer.clone(), remote_tid);
-        let mut index = self.proxy_index.lock();
-        if let Some(tid) = index.get(&key) {
-            return Ok(*tid);
-        }
-        let tid = self.tids.lock().allocate()?;
-        self.routes.add_peer(tid, peer, remote_tid);
-        index.insert(key, tid);
-        Ok(tid)
+        self.routes
+            .proxy_for(peer, remote_tid, || Ok(self.tids.lock().allocate()?))
     }
 
     /// Ingest path for frames arriving from a peer transport.
@@ -477,7 +476,7 @@ impl ExecCore {
             // never Down — see supervisor.rs).
             let _ = sup.touch(&src);
         }
-        let header = match MsgHeader::decode(&buf) {
+        let mut header = match MsgHeader::decode(&buf) {
             Ok(h) => h,
             Err(_) => {
                 self.mon.dropped.inc();
@@ -516,30 +515,41 @@ impl ExecCore {
                 _ => {}
             }
         }
+        // One table read answers both questions: which local proxy
+        // stands for the sender, and where the target leads.
+        let (proxy, mut hop) = self
+            .routes
+            .resolve_inbound(&src, header.initiator, header.target);
         if header.initiator.is_addressable() {
-            match self.proxy_for(src, header.initiator) {
-                Ok(proxy) => MsgHeader::patch_initiator(&mut buf, proxy),
-                Err(_) => {
-                    self.mon.dropped.inc();
-                    return;
-                }
-            }
+            let proxy = match proxy {
+                Some(proxy) => proxy,
+                // First frame from this device: make its proxy. The
+                // new TiD may be the very one the frame targets.
+                None => match self.proxy_for(src, header.initiator) {
+                    Ok(proxy) => {
+                        hop = self.routes.resolve(header.target);
+                        proxy
+                    }
+                    Err(_) => {
+                        self.mon.dropped.inc();
+                        return;
+                    }
+                },
+            };
+            MsgHeader::patch_initiator(&mut buf, proxy);
+            header.initiator = proxy;
         }
-        let d = match Delivery::from_buf(buf) {
+        let d = match Delivery::with_header(buf, header) {
             Ok(d) => d,
             Err(_) => {
                 self.mon.dropped.inc();
                 return;
             }
         };
-        let is_forward = matches!(
-            self.routes.lookup(d.header.target),
-            Some(Route::Peer { .. })
-        );
-        if is_forward {
+        if matches!(hop, Some(Hop::Peer { .. })) {
             self.mon.forwarded.inc();
         }
-        let _ = self.route(d);
+        let _ = self.route_via(d, hop);
     }
 
     /// Emits one credit-protocol frame (grant or sync) straight to the
@@ -741,7 +751,6 @@ impl Executive {
             timers: TimerWheel::with_clock(config.clock.clone()),
             registry: Registry::new(),
             tids: Mutex::new(TidAllocator::new()),
-            proxy_index: Mutex::new(HashMap::new()),
             factories: Mutex::new(HashMap::new()),
             mon,
             probes,
@@ -1108,11 +1117,13 @@ impl Executive {
                 core.flow_tick();
                 return;
             }
-            let msg = Message::build_private(owner, Tid::EXECUTIVE, ORG_XDAQ, xfn::XFN_TIMER)
-                .priority(Priority::MAX)
-                .payload(id.0.to_le_bytes().to_vec())
-                .finish();
-            if let Ok(d) = Delivery::from_message(&msg, core.allocator()) {
+            let mut header = MsgHeader::new(owner, Tid::EXECUTIVE, FunctionCode::Private);
+            header.flags = header.flags.with_priority(Priority::MAX);
+            let private = PrivateHeader::new(ORG_XDAQ, xfn::XFN_TIMER);
+            let tick = Delivery::private_in_place(core.allocator(), header, private, 8, |p| {
+                p.copy_from_slice(&id.0.to_le_bytes())
+            });
+            if let Ok(d) = tick {
                 core.enqueue(d);
             }
         });
@@ -1414,20 +1425,26 @@ impl Executive {
             self.error_reply(&d, ReplyStatus::Busy);
             return;
         }
-        let probes = core.probes.clone();
-        let t_upcall = probes.as_ref().map(|_| Instant::now());
         let mut ctx = Dispatcher {
             core,
             meta: &mut unit.meta,
         };
+        // The upcall is timed only for someone who reads the result: a
+        // watchdog budget or the whitebox probes.
+        let probes = core.probes.as_deref();
+        if probes.is_none() && core.watchdog.is_none() {
+            unit.listener.on_private(&mut ctx, d);
+            return;
+        }
+        let t_upcall = probes.map(|_| Instant::now());
         let t_app = Instant::now();
-        if let (Some(p), Some(t0)) = (&probes, t_upcall) {
+        if let (Some(p), Some(t0)) = (probes, t_upcall) {
             p.upcall.record(t0.elapsed().as_nanos() as u64);
         }
         unit.listener.on_private(&mut ctx, d);
         let app_elapsed = t_app.elapsed();
         let t_release = Instant::now();
-        if let Some(p) = &probes {
+        if let Some(p) = probes {
             p.app.record(app_elapsed.as_nanos() as u64);
         }
         // Watchdog (paper §4: detect handlers that monopolize the CPU).
@@ -1441,7 +1458,7 @@ impl Executive {
                 self.notify_fault(unit.meta.tid, app_elapsed);
             }
         }
-        if let Some(p) = &probes {
+        if let Some(p) = probes {
             p.release.record(t_release.elapsed().as_nanos() as u64);
         }
     }
@@ -1570,7 +1587,7 @@ impl Executive {
                     .unwrap_or(0);
                 // The pong arrives with a proxied initiator; the route
                 // for that proxy names the peer the pong came from.
-                if let Some(Route::Peer { peer, .. }) = core.routes.lookup(d.header.initiator) {
+                if let Some(Hop::Peer { peer, .. }) = core.routes.resolve(d.header.initiator) {
                     if let Some(sup) = &core.supervisor {
                         let _ = sup.on_pong(&peer, seq);
                     }
@@ -1929,7 +1946,6 @@ impl Executive {
             mgr.on_link_down(peer);
         }
         let ev = core.routes.evict_peer(peer);
-        core.proxy_index.lock().retain(|(p, _), _| p != peer);
         for tid in &ev.evicted {
             core.purge_tid(*tid);
             core.registry.remove(*tid);

@@ -63,6 +63,6 @@ pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, RetryPolicy, Sen
 pub use queue::{ClaimTable, OverloadPolicy, PushOutcome, SchedQueue};
 pub use registry::{DeviceMeta, Registry};
 pub use rmi::{ArgReader, ArgWriter, MarshalError, Skeleton, Stub};
-pub use route::{Eviction, Route, RouteTable};
+pub use route::{Eviction, Hop, Route, RouteTable};
 pub use supervisor::{LinkState, LinkSupervisor, SupervisionConfig, TickOutcome};
 pub use timer::TimerWheel;

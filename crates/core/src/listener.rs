@@ -11,9 +11,10 @@
 use crate::error::ExecError;
 use crate::executive::ExecCore;
 use crate::registry::DeviceMeta;
+use xdaq_i2o::frame::MAX_PAYLOAD_LEN;
 use xdaq_i2o::{
-    DeviceClass, DeviceState, FrameError, Message, MsgHeader, Priority, PrivateHeader, ReplyStatus,
-    Tid, UtilFn, HEADER_LEN, PRIVATE_HEADER_LEN,
+    DeviceClass, DeviceState, FrameError, FunctionCode, Message, MsgHeader, OrgId, Priority,
+    PrivateHeader, ReplyStatus, Tid, UtilFn, HEADER_LEN, PRIVATE_HEADER_LEN,
 };
 use xdaq_mempool::FrameBuf;
 
@@ -43,6 +44,13 @@ impl Delivery {
     /// Decodes an encoded frame held in a pooled buffer.
     pub fn from_buf(buf: FrameBuf) -> Result<Delivery, FrameError> {
         let header = MsgHeader::decode(&buf)?;
+        Delivery::with_header(buf, header)
+    }
+
+    /// [`Delivery::from_buf`] for a caller that already decoded the
+    /// standard header of `buf` (ingest patches the initiator between
+    /// the two steps and need not decode twice).
+    pub(crate) fn with_header(buf: FrameBuf, header: MsgHeader) -> Result<Delivery, FrameError> {
         let private = if header.is_private() {
             if (header.payload_len as usize) < 4 {
                 return Err(FrameError::PrivateTooShort(buf.len()));
@@ -68,6 +76,37 @@ impl Delivery {
         let mut buf = alloc.alloc(len)?;
         msg.encode(&mut buf)?;
         Delivery::from_buf(buf).map_err(ExecError::Frame)
+    }
+
+    /// Builds a private frame in the pool block that will carry it:
+    /// allocates the block, encodes both headers (`header.payload_len`
+    /// is set here) and lets `fill` write the `payload_len` payload
+    /// bytes in place. Nothing is decoded back. The slice handed to
+    /// `fill` holds whatever the block's previous user left there.
+    pub(crate) fn private_in_place(
+        alloc: &dyn xdaq_mempool::FrameAllocator,
+        mut header: MsgHeader,
+        private: PrivateHeader,
+        payload_len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<Delivery, ExecError> {
+        // Refused before a block is taken: an oversized request is the
+        // caller's bug, not pool exhaustion.
+        let framed = payload_len.saturating_add(PRIVATE_HEADER_LEN - HEADER_LEN);
+        if framed > MAX_PAYLOAD_LEN {
+            return Err(FrameError::PayloadTooLong(payload_len).into());
+        }
+        header.payload_len = framed as u32;
+        let mut buf = alloc.alloc(header.frame_len())?;
+        header.encode(&mut buf)?;
+        private.encode(&mut buf)?;
+        fill(&mut buf[PRIVATE_HEADER_LEN..PRIVATE_HEADER_LEN + payload_len]);
+        Ok(Delivery {
+            header,
+            private: Some(private),
+            enqueued_at: None,
+            buf,
+        })
     }
 
     /// Application payload bytes (after the private extension if any).
@@ -228,6 +267,28 @@ impl<'a> Dispatcher<'a> {
     pub fn send(&mut self, mut msg: Message) -> Result<(), ExecError> {
         msg.header.initiator = self.meta.tid;
         let d = Delivery::from_message(&msg, self.core.allocator())?;
+        self.core.route(d)
+    }
+
+    /// In-place `frameSend` of a private frame: allocates the pool
+    /// block, encodes the I2O and private headers with this device as
+    /// initiator, has `fill` write the `payload_len` payload bytes
+    /// straight into the block, and routes it. One pool allocation, no
+    /// intermediate `Vec`/`Bytes`, no encode-then-decode; on `Err` the
+    /// block has already gone back to the pool. `fill` must write
+    /// every byte — the slice is not zeroed.
+    pub fn send_private_with(
+        &mut self,
+        target: Tid,
+        org: OrgId,
+        x_function: u16,
+        payload_len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<(), ExecError> {
+        let header = MsgHeader::new(target, self.meta.tid, FunctionCode::Private);
+        let private = PrivateHeader::new(org, x_function);
+        let d =
+            Delivery::private_in_place(self.core.allocator(), header, private, payload_len, fill)?;
         self.core.route(d)
     }
 

@@ -37,29 +37,45 @@ use xdaq_mon::{Counter, Registry};
 /// format (paper §3.4's answer to the "Babylonic confusion" of address
 /// formats — applications only ever see TiDs, addresses appear solely
 /// in configuration data).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PeerAddr {
-    scheme: String,
-    rest: String,
+///
+/// Cloning is one reference-count bump: every frame carries its
+/// sender's address from the transport to ingest, so the strings are
+/// shared, never copied.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct PeerAddr(Arc<AddrParts>);
+
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct AddrParts {
+    scheme: Box<str>,
+    rest: Box<str>,
 }
 
 impl PeerAddr {
     /// Builds an address from parts.
     pub fn new(scheme: &str, rest: &str) -> PeerAddr {
-        PeerAddr {
-            scheme: scheme.to_ascii_lowercase(),
-            rest: rest.to_string(),
-        }
+        PeerAddr(Arc::new(AddrParts {
+            scheme: scheme.to_ascii_lowercase().into(),
+            rest: rest.into(),
+        }))
     }
 
     /// The transport selector.
     pub fn scheme(&self) -> &str {
-        &self.scheme
+        &self.0.scheme
     }
 
     /// The transport-specific part.
     pub fn rest(&self) -> &str {
-        &self.rest
+        &self.0.rest
+    }
+}
+
+impl fmt::Debug for PeerAddr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PeerAddr")
+            .field("scheme", &self.scheme())
+            .field("rest", &self.rest())
+            .finish()
     }
 }
 
@@ -79,7 +95,7 @@ impl FromStr for PeerAddr {
 
 impl fmt::Display for PeerAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}://{}", self.scheme, self.rest)
+        write!(f, "{}://{}", self.scheme(), self.rest())
     }
 }
 
@@ -167,7 +183,7 @@ impl fmt::Display for SendFailure {
 ///
 /// The default (`max_attempts = 1`, zero backoff, no deadline) is
 /// exactly the historical fire-and-forget behaviour.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Send attempts per transport in the failover chain (≥ 1).
     pub max_attempts: u32,
@@ -331,13 +347,20 @@ impl Default for PtaMetrics {
     }
 }
 
+/// Per-scheme retry policies plus the fallback for every other scheme,
+/// under one lock so a send reads its policy in one acquisition.
+#[derive(Default)]
+struct RetryPolicies {
+    by_scheme: HashMap<String, RetryPolicy>,
+    fallback: RetryPolicy,
+}
+
 /// The Peer Transport Agent: owns all registered PTs, fans frames out
 /// to them by address scheme, and runs the retry/failover machinery.
 #[derive(Default)]
 pub struct Pta {
     entries: RwLock<Vec<PtEntry>>,
-    policies: RwLock<HashMap<String, RetryPolicy>>,
-    default_policy: RwLock<RetryPolicy>,
+    policies: RwLock<RetryPolicies>,
     metrics: RwLock<PtaMetrics>,
     /// Link-level flow control, when the executive enabled it. The
     /// gate sits here — above every transport — so `tcp://`, `shm://`,
@@ -408,21 +431,23 @@ impl Pta {
     /// Installs the retry policy for one scheme (`Some`) or the
     /// default for all schemes (`None`).
     pub fn set_retry_policy(&self, scheme: Option<&str>, policy: RetryPolicy) {
+        let mut policies = self.policies.write();
         match scheme {
             Some(s) => {
-                self.policies.write().insert(s.to_ascii_lowercase(), policy);
+                policies.by_scheme.insert(s.to_ascii_lowercase(), policy);
             }
-            None => *self.default_policy.write() = policy,
+            None => policies.fallback = policy,
         }
     }
 
     /// Effective retry policy for a scheme.
     pub fn retry_policy(&self, scheme: &str) -> RetryPolicy {
-        self.policies
-            .read()
+        let policies = self.policies.read();
+        policies
+            .by_scheme
             .get(scheme)
-            .cloned()
-            .unwrap_or_else(|| self.default_policy.read().clone())
+            .copied()
+            .unwrap_or(policies.fallback)
     }
 
     /// Registers a transport under the TiD the executive assigned to
@@ -521,20 +546,23 @@ impl Pta {
     /// link has its own credit lane). Credits refund whenever the
     /// frame provably never reached the wire, so failed sends cannot
     /// leak window.
+    ///
+    /// Steady-state cost: the first hop's policy is read once and the
+    /// clock only when that policy sets a deadline (a credit wait
+    /// times itself).
     pub fn send_failover_returning(
         &self,
         chain: &[PeerAddr],
         frame: FrameBuf,
     ) -> Result<(), SendFailure> {
-        let started = self.clock.now();
-        let overall_deadline = chain
-            .first()
-            .and_then(|d| self.retry_policy(d.scheme()).deadline);
-        let expired = |last: &PtError| -> Option<PtError> {
-            match overall_deadline {
-                Some(d) if self.clock.since(started) >= d => Some(last.clone()),
-                _ => None,
-            }
+        let first_policy = chain.first().map(|d| self.retry_policy(d.scheme()));
+        // `(started, budget)` of the whole frame, when bounded.
+        let overall_deadline = first_policy
+            .and_then(|p| p.deadline)
+            .map(|budget| (self.clock.now(), budget));
+        let expired = || match overall_deadline {
+            Some((started, d)) => self.clock.since(started) >= d,
+            None => false,
         };
         let meter = match self.flow.read().clone() {
             Some(mgr) if credit::is_data_frame(&frame) => {
@@ -544,11 +572,16 @@ impl Pta {
             _ => None,
         };
         let mut frame = Some(frame);
-        let mut last = PtError::Unreachable("empty failover chain".to_string());
+        // The most recent failure; `None` until a hop has been tried,
+        // so a send that succeeds builds no error value at all.
+        let mut last: Option<PtError> = None;
+        let give_up = |last: Option<PtError>| {
+            last.unwrap_or_else(|| PtError::Unreachable("empty failover chain".to_string()))
+        };
         let mut tried = 0usize;
-        for dest in chain {
+        for (hop, dest) in chain.iter().enumerate() {
             let Some(pt) = self.transport_for(dest.scheme()) else {
-                last = PtError::Unreachable(dest.to_string());
+                last = Some(PtError::Unreachable(dest.to_string()));
                 continue;
             };
             tried += 1;
@@ -557,8 +590,8 @@ impl Pta {
             }
             let held = match &meter {
                 Some((mgr, pri)) => {
-                    if !self.acquire_credit(mgr, dest, *pri, started, overall_deadline) {
-                        last = PtError::CreditExhausted(dest.to_string());
+                    if !self.acquire_credit(mgr, dest, *pri, overall_deadline) {
+                        last = Some(PtError::CreditExhausted(dest.to_string()));
                         continue; // an alternate hop has its own lane
                     }
                     true
@@ -572,16 +605,19 @@ impl Pta {
                     }
                 }
             };
-            let policy = self.retry_policy(dest.scheme());
+            let policy = match (hop, first_policy) {
+                (0, Some(p)) => p,
+                _ => self.retry_policy(dest.scheme()),
+            };
             for attempt in 1..=policy.max_attempts {
                 let Some(f) = frame.take() else {
-                    return Err(SendFailure::consumed(last));
+                    return Err(SendFailure::consumed(give_up(last)));
                 };
                 match pt.send(dest, f) {
                     Ok(()) => return Ok(()),
                     Err(fail) => {
                         self.metrics.read().send_failures.inc();
-                        last = fail.error;
+                        last = Some(fail.error);
                         frame = fail.frame;
                         if frame.is_none() {
                             // The transport consumed the frame; there
@@ -589,12 +625,12 @@ impl Pta {
                             // The credit stays spent: the frame may
                             // have reached the wire, and a lost one is
                             // reconciled by the next CreditSync.
-                            return Err(SendFailure::consumed(last));
+                            return Err(SendFailure::consumed(give_up(last)));
                         }
-                        if let Some(e) = expired(&last) {
+                        if expired() {
                             refund();
                             return Err(SendFailure {
-                                error: e,
+                                error: give_up(last),
                                 frame: frame.take(),
                             });
                         }
@@ -611,15 +647,15 @@ impl Pta {
             // Leaving this hop with the frame still in hand: nothing
             // reached the wire, so the hop's credit must not leak.
             refund();
-            if let Some(e) = expired(&last) {
+            if expired() {
                 return Err(SendFailure {
-                    error: e,
+                    error: give_up(last),
                     frame: frame.take(),
                 });
             }
         }
         Err(SendFailure {
-            error: last,
+            error: give_up(last),
             frame: frame.take(),
         })
     }
@@ -633,8 +669,7 @@ impl Pta {
         mgr: &CreditManager,
         dest: &PeerAddr,
         priority: u8,
-        started: Instant,
-        overall_deadline: Option<Duration>,
+        overall_deadline: Option<(Instant, Duration)>,
     ) -> bool {
         if mgr.try_acquire(dest, priority) {
             return true;
@@ -656,7 +691,7 @@ impl Pta {
             if self.clock.since(wait_started) >= deadline {
                 break;
             }
-            if let Some(d) = overall_deadline {
+            if let Some((started, d)) = overall_deadline {
                 if self.clock.since(started) >= d {
                     break;
                 }

@@ -101,7 +101,10 @@ pub enum PushOutcome {
 
 #[derive(Default)]
 struct Level {
-    /// Per-device FIFO.
+    /// Per-device FIFO. A FIFO that drains stays in the map, empty, so
+    /// a device in steady traffic reuses one ring instead of freeing
+    /// and reallocating it per burst; [`SchedQueue::purge`] (device
+    /// destroyed) is what removes it.
     queues: HashMap<Tid, VecDeque<Delivery>>,
     /// Round-robin rotation of devices with pending messages.
     rotation: VecDeque<Tid>,
@@ -245,7 +248,6 @@ impl SchedQueue {
                 (v, q.is_empty())
             };
             if now_empty {
-                lv.queues.remove(&tid);
                 lv.rotation.retain(|t| *t != tid);
             }
             self.pending.fetch_sub(1, Ordering::Release);
@@ -273,8 +275,6 @@ impl SchedQueue {
                 };
                 if more {
                     lv.rotation.push_back(tid);
-                } else {
-                    lv.queues.remove(&tid);
                 }
                 self.pending.fetch_sub(1, Ordering::Release);
                 if let Some(g) = &self.depth {
@@ -315,8 +315,6 @@ impl SchedQueue {
                 };
                 if more {
                     lv.rotation.push_back(tid);
-                } else {
-                    lv.queues.remove(&tid);
                 }
                 self.pending.fetch_sub(1, Ordering::Release);
                 if let Some(g) = &self.depth {

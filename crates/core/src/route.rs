@@ -12,6 +12,12 @@
 //! The PTA's failover chain walks them in order on a hard send
 //! failure, and [`RouteTable::evict_peer`] promotes an alternate to
 //! primary when the link supervisor declares a peer down.
+//!
+//! The frame path never clones a [`Route`]: sends copy out a [`Hop`]
+//! ([`RouteTable::resolve`]), and ingest answers "which proxy TiD
+//! stands for this sender, and where does the target lead" under one
+//! read lock ([`RouteTable::resolve_inbound`]) — the table keeps the
+//! reverse index of proxies for that.
 
 use crate::pta::PeerAddr;
 use parking_lot::RwLock;
@@ -59,6 +65,41 @@ impl Route {
     }
 }
 
+/// What the frame path needs to know about a TiD — copied out of the
+/// table under its read lock, so no [`Route`] is cloned per frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Hop {
+    /// A device registered on this executive.
+    Local,
+    /// A proxy: send to `peer`, readdressed to `remote_tid`.
+    Peer {
+        /// Primary peer address.
+        peer: PeerAddr,
+        /// The device's TiD on the remote node.
+        remote_tid: Tid,
+        /// The route has alternates: the sender walks the full
+        /// [`Route::failover_chain`] instead of the primary alone.
+        has_alternates: bool,
+    },
+}
+
+impl Hop {
+    fn of(route: &Route) -> Hop {
+        match route {
+            Route::Local => Hop::Local,
+            Route::Peer {
+                peer,
+                remote_tid,
+                alternates,
+            } => Hop::Peer {
+                peer: peer.clone(),
+                remote_tid: *remote_tid,
+                has_alternates: !alternates.is_empty(),
+            },
+        }
+    }
+}
+
 /// Outcome of evicting a peer address from the table.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Eviction {
@@ -69,10 +110,18 @@ pub struct Eviction {
     pub promoted: Vec<Tid>,
 }
 
+#[derive(Default)]
+struct Tables {
+    routes: HashMap<Tid, Route>,
+    /// Reverse index of the proxies made by [`RouteTable::proxy_for`]:
+    /// sender address → TiD on that sender → local proxy TiD.
+    proxies: HashMap<PeerAddr, HashMap<Tid, Tid>>,
+}
+
 /// The per-executive routing table.
 #[derive(Default)]
 pub struct RouteTable {
-    routes: RwLock<HashMap<Tid, Route>>,
+    tables: RwLock<Tables>,
 }
 
 impl RouteTable {
@@ -83,7 +132,7 @@ impl RouteTable {
 
     /// Registers a local device TiD.
     pub fn add_local(&self, tid: Tid) {
-        self.routes.write().insert(tid, Route::Local);
+        self.tables.write().routes.insert(tid, Route::Local);
     }
 
     /// Registers a proxy TiD with a single address.
@@ -100,7 +149,7 @@ impl RouteTable {
         remote_tid: Tid,
         alternates: Vec<PeerAddr>,
     ) {
-        self.routes.write().insert(
+        self.tables.write().routes.insert(
             local_proxy,
             Route::Peer {
                 peer,
@@ -113,8 +162,7 @@ impl RouteTable {
     /// Appends an alternate address to an existing peer route; returns
     /// false when the TiD is absent or local.
     pub fn add_alternate(&self, local_proxy: Tid, alt: PeerAddr) -> bool {
-        let mut routes = self.routes.write();
-        match routes.get_mut(&local_proxy) {
+        match self.tables.write().routes.get_mut(&local_proxy) {
             Some(Route::Peer {
                 peer, alternates, ..
             }) => {
@@ -127,26 +175,83 @@ impl RouteTable {
         }
     }
 
-    /// Looks up a TiD.
+    /// Finds the proxy TiD standing for device `remote_tid` of `peer`,
+    /// or makes one: `allocate` supplies the fresh TiD, which gets a
+    /// single-address peer route (paper §3.4: the executive "creates a
+    /// local TiD for the target device along with information how to
+    /// reach this device").
+    pub fn proxy_for<E>(
+        &self,
+        peer: PeerAddr,
+        remote_tid: Tid,
+        allocate: impl FnOnce() -> Result<Tid, E>,
+    ) -> Result<Tid, E> {
+        let mut tables = self.tables.write();
+        if let Some(tid) = tables.proxies.get(&peer).and_then(|m| m.get(&remote_tid)) {
+            return Ok(*tid);
+        }
+        let tid = allocate()?;
+        tables.routes.insert(
+            tid,
+            Route::Peer {
+                peer: peer.clone(),
+                remote_tid,
+                alternates: Vec::new(),
+            },
+        );
+        tables
+            .proxies
+            .entry(peer)
+            .or_default()
+            .insert(remote_tid, tid);
+        Ok(tid)
+    }
+
+    /// Looks up a TiD, cloning its route (configuration and test
+    /// surface; the frame path uses [`RouteTable::resolve`]).
     pub fn lookup(&self, tid: Tid) -> Option<Route> {
-        self.routes.read().get(&tid).cloned()
+        self.tables.read().routes.get(&tid).cloned()
+    }
+
+    /// Where a TiD leads, for sending.
+    pub fn resolve(&self, tid: Tid) -> Option<Hop> {
+        self.tables.read().routes.get(&tid).map(Hop::of)
+    }
+
+    /// Ingest's one lookup: the local proxy standing for `initiator`
+    /// at sender `src` (`None` until [`RouteTable::proxy_for`] made
+    /// one), and where `target` leads.
+    pub fn resolve_inbound(
+        &self,
+        src: &PeerAddr,
+        initiator: Tid,
+        target: Tid,
+    ) -> (Option<Tid>, Option<Hop>) {
+        let tables = self.tables.read();
+        let proxy = tables
+            .proxies
+            .get(src)
+            .and_then(|m| m.get(&initiator))
+            .copied();
+        (proxy, tables.routes.get(&target).map(Hop::of))
     }
 
     /// True when the TiD routes locally.
     pub fn is_local(&self, tid: Tid) -> bool {
-        matches!(self.routes.read().get(&tid), Some(Route::Local))
+        matches!(self.tables.read().routes.get(&tid), Some(Route::Local))
     }
 
     /// Removes a TiD (device destroyed / peer disconnected).
     pub fn remove(&self, tid: Tid) -> Option<Route> {
-        self.routes.write().remove(&tid)
+        self.tables.write().routes.remove(&tid)
     }
 
     /// All proxy TiDs whose **primary** address is the given peer
     /// (used when a peer goes away).
     pub fn proxies_via(&self, peer: &PeerAddr) -> Vec<Tid> {
-        self.routes
+        self.tables
             .read()
+            .routes
             .iter()
             .filter_map(|(tid, r)| match r {
                 Route::Peer { peer: p, .. } if p == peer => Some(*tid),
@@ -159,9 +264,12 @@ impl RouteTable {
     /// either promotes its first alternate (the dead address becomes
     /// the last-resort alternate, so the route can fail back if the
     /// peer returns) or, with no alternates, is removed from the
-    /// table.
+    /// table. Proxies indexed under `peer` are forgotten either way:
+    /// the next frame from a returning peer gets a fresh proxy.
     pub fn evict_peer(&self, peer: &PeerAddr) -> Eviction {
-        let mut routes = self.routes.write();
+        let mut tables = self.tables.write();
+        tables.proxies.remove(peer);
+        let routes = &mut tables.routes;
         let mut out = Eviction::default();
         let affected: Vec<Tid> = routes
             .iter()
@@ -194,7 +302,7 @@ impl RouteTable {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.routes.read().len()
+        self.tables.read().routes.len()
     }
 
     /// True when no routes exist.
@@ -235,6 +343,49 @@ mod tests {
             _ => panic!("expected peer route"),
         }
         assert_eq!(rt.lookup(t(0x99)), None);
+    }
+
+    #[test]
+    fn proxy_for_is_find_or_create_and_feeds_the_inbound_lookup() {
+        let rt = RouteTable::new();
+        rt.add_local(t(0x10));
+        let peer = addr("loop://b");
+        let fresh = |v: u16| move || Ok::<Tid, ()>(t(v));
+        assert_eq!(rt.resolve_inbound(&peer, t(0x20), t(0x10)).0, None);
+        assert_eq!(
+            rt.proxy_for(peer.clone(), t(0x20), fresh(0x30)),
+            Ok(t(0x30))
+        );
+        let reuse = rt.proxy_for(peer.clone(), t(0x20), || -> Result<Tid, ()> {
+            panic!("an indexed proxy allocates nothing")
+        });
+        assert_eq!(reuse, Ok(t(0x30)));
+        assert_eq!(rt.proxy_for(peer.clone(), t(0x21), || Err(())), Err(()));
+        // One read answers both of ingest's questions.
+        assert_eq!(
+            rt.resolve_inbound(&peer, t(0x20), t(0x10)),
+            (Some(t(0x30)), Some(Hop::Local))
+        );
+        assert_eq!(
+            rt.resolve(t(0x30)),
+            Some(Hop::Peer {
+                peer: peer.clone(),
+                remote_tid: t(0x20),
+                has_alternates: false,
+            })
+        );
+        assert!(rt.add_alternate(t(0x30), addr("tcp://b:1")));
+        assert!(matches!(
+            rt.resolve(t(0x30)),
+            Some(Hop::Peer {
+                has_alternates: true,
+                ..
+            })
+        ));
+        // Eviction forgets the peer's proxies even where an alternate
+        // keeps the route alive.
+        assert_eq!(rt.evict_peer(&peer).promoted, vec![t(0x30)]);
+        assert_eq!(rt.resolve_inbound(&peer, t(0x20), t(0x99)), (None, None));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::clock::Clock;
 use crate::listener::TimerId;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::time::{Duration, Instant};
 use xdaq_i2o::Tid;
 
@@ -42,10 +42,26 @@ impl PartialOrd for Entry {
 
 #[derive(Default)]
 struct Inner {
+    /// Deadline order. Cancelling leaves the entry here, dead; it is
+    /// skipped when it surfaces, or swept by [`Inner::compact`].
     heap: BinaryHeap<Reverse<Entry>>,
-    cancelled: HashSet<TimerId>,
+    /// Every armed timer and its owner. An entry of `heap` is live iff
+    /// its id is in here, which makes `cancel` O(1).
+    armed: HashMap<TimerId, Tid>,
     next_id: u64,
-    live: usize,
+}
+
+impl Inner {
+    /// Sweeps dead entries once they outnumber the live ones, so the
+    /// heap stays within twice the armed count however long the
+    /// cancelled deadlines are. A sweep is paid for by the cancels
+    /// that made it necessary: amortized O(1) each.
+    fn compact(&mut self) {
+        if self.heap.len() > 2 * self.armed.len() {
+            let armed = &self.armed;
+            self.heap.retain(|Reverse(e)| armed.contains_key(&e.id));
+        }
+    }
 }
 
 /// Deadline tracker for device timers.
@@ -93,27 +109,20 @@ impl TimerWheel {
             owner,
             period: periodic.then_some(delay),
         }));
-        inner.live += 1;
+        inner.armed.insert(id, owner);
         id
     }
 
-    /// Cancels a timer. Returns `false` for unknown/already-fired ids.
+    /// Cancels a timer. Returns `false` for unknown/already-fired ids:
+    /// a stale cancel (a handler, invoked for timer X, tidying up
+    /// state that still references X) changes nothing.
     pub fn cancel(&self, id: TimerId) -> bool {
         let mut inner = self.inner.lock();
-        // Only an id still sitting in the heap may be cancelled: a
-        // stale cancel (the id fired already — e.g. a handler, invoked
-        // for timer X, tidying up state that still references X) must
-        // not touch `live`, or the count drifts and a later legitimate
-        // fire underflows it.
-        let armed =
-            !inner.cancelled.contains(&id) && inner.heap.iter().any(|Reverse(e)| e.id == id);
-        if !armed {
-            return false;
+        let was_armed = inner.armed.remove(&id).is_some();
+        if was_armed {
+            inner.compact();
         }
-        // Lazy deletion: mark and skip at fire time.
-        inner.cancelled.insert(id);
-        inner.live -= 1;
-        true
+        was_armed
     }
 
     /// Pops every timer expired at `now`, invoking `f(owner, id)` per
@@ -125,30 +134,27 @@ impl TimerWheel {
     pub fn fire_due(&self, now: Instant, mut f: impl FnMut(Tid, TimerId)) -> usize {
         let mut fired = 0;
         loop {
-            let (owner, id, period) = {
+            let (owner, id) = {
                 let mut inner = self.inner.lock();
                 match inner.heap.peek() {
                     Some(Reverse(e)) if e.deadline <= now => {
                         let Reverse(e) = inner.heap.pop().expect("peeked");
-                        if inner.cancelled.remove(&e.id) {
-                            continue;
+                        if !inner.armed.contains_key(&e.id) {
+                            continue; // cancelled
                         }
                         if let Some(p) = e.period {
                             inner.heap.push(Reverse(Entry {
                                 deadline: now + p,
-                                id: e.id,
-                                owner: e.owner,
-                                period: e.period,
+                                ..e
                             }));
                         } else {
-                            inner.live -= 1;
+                            inner.armed.remove(&e.id);
                         }
-                        (e.owner, e.id, e.period)
+                        (e.owner, e.id)
                     }
                     _ => break,
                 }
             };
-            let _ = period;
             f(owner, id);
             fired += 1;
         }
@@ -157,18 +163,20 @@ impl TimerWheel {
 
     /// Deadline of the next armed timer (for idle sleeping).
     pub fn next_deadline(&self) -> Option<Instant> {
-        let inner = self.inner.lock();
-        inner
-            .heap
-            .iter()
-            .filter(|Reverse(e)| !inner.cancelled.contains(&e.id))
-            .map(|Reverse(e)| e.deadline)
-            .min()
+        let mut inner = self.inner.lock();
+        // Dead entries on top are dropped on the way to the answer.
+        while let Some(Reverse(e)) = inner.heap.peek() {
+            if inner.armed.contains_key(&e.id) {
+                return Some(e.deadline);
+            }
+            inner.heap.pop();
+        }
+        None
     }
 
     /// Number of armed (non-cancelled) timers.
     pub fn len(&self) -> usize {
-        self.inner.lock().live
+        self.inner.lock().armed.len()
     }
 
     /// True when no timers are armed.
@@ -180,18 +188,10 @@ impl TimerWheel {
     /// number cancelled.
     pub fn cancel_owned(&self, tid: Tid) -> usize {
         let mut inner = self.inner.lock();
-        let ids: Vec<TimerId> = inner
-            .heap
-            .iter()
-            .filter(|Reverse(e)| e.owner == tid && !inner.cancelled.contains(&e.id))
-            .map(|Reverse(e)| e.id)
-            .collect();
-        let n = ids.len();
-        for id in ids {
-            inner.cancelled.insert(id);
-        }
-        inner.live -= n;
-        n
+        let before = inner.armed.len();
+        inner.armed.retain(|_, owner| *owner != tid);
+        inner.compact();
+        before - inner.armed.len()
     }
 }
 
@@ -309,6 +309,28 @@ mod tests {
         assert_eq!(w.fire_due(v.now(), |_, _| {}), 1, "no underflow");
         assert_eq!(w.len(), 0);
         let _ = armed;
+    }
+
+    #[test]
+    fn cancelled_timers_do_not_pile_up_in_the_heap() {
+        // A builder arms a 50 ms timeout per event and cancels it
+        // microseconds later: none of these deadlines ever comes due.
+        let (w, _v) = wheel();
+        let keeper = w.register(t(2), Duration::from_secs(60), false);
+        let mut last = keeper;
+        for _ in 0..10_000 {
+            last = w.register(t(1), Duration::from_millis(50), false);
+            assert!(w.cancel(last));
+            let inner = w.inner.lock();
+            assert!(inner.heap.len() <= 2 * inner.armed.len() + 1);
+        }
+        assert!(w.cancel(keeper));
+        assert_eq!(w.len(), 0);
+        assert!(w.inner.lock().heap.len() <= 1, "dead entries swept");
+        assert!(!w.cancel(last), "stale cancel");
+        assert!(!w.cancel(keeper), "stale cancel");
+        assert_eq!(w.next_deadline(), None);
+        assert!(w.inner.lock().heap.is_empty());
     }
 
     #[test]

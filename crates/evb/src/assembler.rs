@@ -4,8 +4,8 @@
 //! unit: a slot per source, filled as fragments arrive in any order.
 //! The table owns the fragments' pool buffers zero-copy — the block a
 //! peer transport received into is the block the assembler holds — so
-//! dropping a [`Completed`] event or a discarded partial recycles every
-//! block back to its pool. Duplicated fragments are rejected without
+//! dropping (or [`Assembler::recycle`]-ing) a [`Completed`] event or a
+//! discarded partial recycles every block back to its pool. Duplicated fragments are rejected without
 //! replacing the slot already held; an event completes exactly once,
 //! when the last missing source arrives.
 
@@ -55,14 +55,19 @@ pub struct Completed {
     pub retries: u32,
     /// The timeout timer armed for the event, if any (cancel it).
     pub timer: Option<TimerId>,
-    /// One `(buffer, payload_len)` per source, in source order.
-    pub fragments: Vec<Slot>,
+    /// The partial's slot table, every slot filled.
+    slots: Vec<Option<Slot>>,
 }
 
 impl Completed {
+    /// One `(buffer, payload_len)` per source, in source order.
+    pub fn fragments(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.iter().flatten()
+    }
+
     /// Total payload bytes across all fragments (headers included).
     pub fn bytes(&self) -> usize {
-        self.fragments.iter().map(|(_, len)| len).sum()
+        self.fragments().map(|(_, len)| len).sum()
     }
 }
 
@@ -70,6 +75,10 @@ impl Completed {
 #[derive(Default)]
 pub struct Assembler {
     pending: HashMap<u64, Partial>,
+    /// Slot tables of recycled events, reused by `begin` so a builder
+    /// in steady state allocates nothing per event. Never holds more
+    /// tables than events were open at once.
+    spare: Vec<Vec<Option<Slot>>>,
 }
 
 impl Assembler {
@@ -84,10 +93,12 @@ impl Assembler {
         if self.pending.contains_key(&event_id) {
             return false;
         }
+        let mut slots = self.spare.pop().unwrap_or_default();
+        slots.resize_with(sources.max(1), || None);
         self.pending.insert(
             event_id,
             Partial {
-                slots: (0..sources.max(1)).map(|_| None).collect(),
+                slots,
                 got: 0,
                 started: now,
                 retries: 0,
@@ -121,8 +132,16 @@ impl Assembler {
             started: p.started,
             retries: p.retries,
             timer: p.timer,
-            fragments: p.slots.into_iter().map(|s| s.expect("full")).collect(),
+            slots: p.slots,
         })
+    }
+
+    /// Takes a finished event back: its fragment buffers recycle to
+    /// their pools here, and its slot table serves a later `begin`.
+    pub fn recycle(&mut self, done: Completed) {
+        let mut slots = done.slots;
+        slots.clear();
+        self.spare.push(slots);
     }
 
     /// Drops a partial event, returning its timer (to cancel). The
@@ -215,11 +234,14 @@ mod tests {
             panic!("expected completion");
         };
         assert_eq!(done.event_id, 7);
-        assert_eq!(done.fragments.len(), 3);
+        assert_eq!(done.fragments().count(), 3);
         assert_eq!(done.bytes(), 192);
         assert!(matches!(a.offer(7, 1, slot(&pool, 64)), Offer::Unknown));
-        drop(done);
+        a.recycle(done);
         assert_eq!(pool.stats().live_blocks, 0, "all blocks recycled");
+        // The recycled slot table serves the next event, emptied.
+        assert!(a.begin(8, 2, Instant::now()));
+        assert_eq!(a.missing(8), vec![0, 1]);
     }
 
     #[test]

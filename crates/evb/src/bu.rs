@@ -14,13 +14,12 @@
 use crate::assembler::{Assembler, Offer};
 use crate::fragment::FragmentHeader;
 use crate::{u64_at, xfn, DONE_BUILT, DONE_DISCARDED, ORG_DAQ};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xdaq_core::{Delivery, Dispatcher, I2oListener, TimerId};
-use xdaq_i2o::{DeviceClass, Message, Tid};
+use xdaq_i2o::{DeviceClass, Tid};
 use xdaq_mon::{Counter, Gauge, Histogram};
 
 /// Shared observable counters of one builder unit.
@@ -38,8 +37,6 @@ pub struct BuilderStats {
     pub corrupt: AtomicU64,
     /// Fragments rejected because the slot was already filled.
     pub duplicates: AtomicU64,
-    /// Event ids in completion order.
-    pub built_ids: Mutex<Vec<u64>>,
 }
 
 /// One builder unit.
@@ -132,26 +129,28 @@ impl BuilderUnit {
         self.timers.insert(id, event);
     }
 
-    fn pull(&mut self, ctx: &mut Dispatcher<'_>, event: u64, sources: &[usize]) {
-        for &s in sources {
+    fn pull(
+        &mut self,
+        ctx: &mut Dispatcher<'_>,
+        event: u64,
+        sources: impl IntoIterator<Item = usize>,
+    ) {
+        for s in sources {
             let Some(&ru) = self.rus.get(s) else { continue };
-            let msg = Message::build_private(ru, ctx.own_tid(), ORG_DAQ, xfn::PULL)
-                .payload(event.to_le_bytes().to_vec())
-                .finish();
-            let _ = ctx.send(msg);
+            let _ = ctx.send_private_with(ru, ORG_DAQ, xfn::PULL, 8, |p| {
+                p.copy_from_slice(&event.to_le_bytes())
+            });
         }
     }
 
     fn send_done(&mut self, ctx: &mut Dispatcher<'_>, event: u64, status: u8) {
         let Some(evm) = self.evm else { return };
-        let mut p = Vec::with_capacity(17);
-        p.extend_from_slice(&self.run.to_le_bytes());
-        p.extend_from_slice(&event.to_le_bytes());
-        p.push(status);
-        let msg = Message::build_private(evm, ctx.own_tid(), ORG_DAQ, xfn::DONE)
-            .payload(p)
-            .finish();
-        let _ = ctx.send(msg);
+        let run = self.run;
+        let _ = ctx.send_private_with(evm, ORG_DAQ, xfn::DONE, 17, |p| {
+            p[..8].copy_from_slice(&run.to_le_bytes());
+            p[8..16].copy_from_slice(&event.to_le_bytes());
+            p[16] = status;
+        });
     }
 
     fn on_invite(&mut self, ctx: &mut Dispatcher<'_>, run: u64, evm: Tid) {
@@ -165,13 +164,11 @@ impl BuilderUnit {
         if let Some(m) = &self.metrics {
             m.open.set(0);
         }
-        let mut p = Vec::with_capacity(12);
-        p.extend_from_slice(&run.to_le_bytes());
-        p.extend_from_slice(&self.credits.to_le_bytes());
-        let msg = Message::build_private(evm, ctx.own_tid(), ORG_DAQ, xfn::CREDIT)
-            .payload(p)
-            .finish();
-        let _ = ctx.send(msg);
+        let credits = self.credits;
+        let _ = ctx.send_private_with(evm, ORG_DAQ, xfn::CREDIT, 12, |p| {
+            p[..8].copy_from_slice(&run.to_le_bytes());
+            p[8..].copy_from_slice(&credits.to_le_bytes());
+        });
     }
 
     fn on_assign(&mut self, ctx: &mut Dispatcher<'_>, run: u64, event: u64) {
@@ -189,8 +186,7 @@ impl BuilderUnit {
             m.assigned.inc();
             m.open.set(self.assembler.len() as i64);
         }
-        let all: Vec<usize> = (0..sources).collect();
-        self.pull(ctx, event, &all);
+        self.pull(ctx, event, 0..sources);
         self.arm_timer(ctx, event);
     }
 
@@ -250,21 +246,17 @@ impl BuilderUnit {
                     let took = ctx.now().saturating_duration_since(done.started);
                     m.latency.record(took.as_nanos() as u64);
                 }
-                // `done` drops here: every fragment block recycles.
-                drop(done);
+                // Every fragment block goes back to its pool here.
+                self.assembler.recycle(done);
                 if let Some(filter) = self.filter {
-                    let mut p = Vec::with_capacity(16);
-                    p.extend_from_slice(&event.to_le_bytes());
-                    p.extend_from_slice(&bytes.to_le_bytes());
-                    let m = Message::build_private(filter, ctx.own_tid(), ORG_DAQ, xfn::EVENT)
-                        .payload(p)
-                        .finish();
-                    let _ = ctx.send(m);
+                    let _ = ctx.send_private_with(filter, ORG_DAQ, xfn::EVENT, 16, |p| {
+                        p[..8].copy_from_slice(&event.to_le_bytes());
+                        p[8..].copy_from_slice(&bytes.to_le_bytes());
+                    });
                 }
                 self.send_done(ctx, event, DONE_BUILT);
                 self.stats.events_built.fetch_add(1, Ordering::Relaxed);
                 self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
-                self.stats.built_ids.lock().push(event);
             }
         }
     }
@@ -346,7 +338,7 @@ impl I2oListener for BuilderUnit {
         if let Some(m) = &self.metrics {
             m.repulls.add(missing.len() as u64);
         }
-        self.pull(ctx, event, &missing);
+        self.pull(ctx, event, missing);
         self.arm_timer(ctx, event);
     }
 }
@@ -355,8 +347,10 @@ impl I2oListener for BuilderUnit {
 mod tests {
     use super::*;
     use crate::ru::ReadoutUnit;
+    use parking_lot::Mutex;
     use std::time::Instant;
     use xdaq_core::{Executive, ExecutiveConfig};
+    use xdaq_i2o::Message;
 
     /// Records EVENT (at a filter tid) and DONE (at an evm tid) frames.
     #[derive(Default)]

@@ -30,8 +30,8 @@ use std::time::Duration;
 use xdaq_core::config::parse_kv;
 use xdaq_core::listener::UtilOutcome;
 use xdaq_core::xfn::XFN_PEER_DOWN;
-use xdaq_core::{Delivery, Dispatcher, I2oListener, TimerId};
-use xdaq_i2o::{DeviceClass, Message, ReplyStatus, Tid, UtilFn, ORG_XDAQ};
+use xdaq_core::{Delivery, Dispatcher, ExecError, I2oListener, TimerId};
+use xdaq_i2o::{DeviceClass, ReplyStatus, Tid, UtilFn, ORG_XDAQ};
 use xdaq_mon::{Counter, Gauge};
 
 /// Shared observable counters of one event manager.
@@ -194,10 +194,9 @@ impl EventManager {
 
     fn broadcast_rus(&mut self, ctx: &mut Dispatcher<'_>, f: u16, event: u64) {
         for &ru in &self.rus {
-            let msg = Message::build_private(ru, ctx.own_tid(), ORG_DAQ, f)
-                .payload(event.to_le_bytes().to_vec())
-                .finish();
-            let _ = ctx.send(msg);
+            let _ = ctx.send_private_with(ru, ORG_DAQ, f, 8, |p| {
+                p.copy_from_slice(&event.to_le_bytes())
+            });
         }
     }
 
@@ -228,13 +227,17 @@ impl EventManager {
         self.gauge_sync();
         for i in 0..self.bus.len() {
             let bu = self.bus[i];
-            let msg = Message::build_private(bu, ctx.own_tid(), ORG_DAQ, xfn::INVITE)
-                .payload(self.run.to_le_bytes().to_vec())
-                .finish();
-            if ctx.send(msg).is_err() {
+            if self.invite(ctx, bu).is_err() {
                 self.mark_dead(ctx, bu);
             }
         }
+    }
+
+    fn invite(&self, ctx: &mut Dispatcher<'_>, bu: Tid) -> Result<(), ExecError> {
+        let run = self.run;
+        ctx.send_private_with(bu, ORG_DAQ, xfn::INVITE, 8, |p| {
+            p.copy_from_slice(&run.to_le_bytes())
+        })
     }
 
     /// Assigns queued and fresh events while any builder has credits.
@@ -272,13 +275,12 @@ impl EventManager {
             }
             *self.credits.get_mut(&bu).expect("picked with credit") -= 1;
             self.assigned.insert(event, bu);
-            let mut p = Vec::with_capacity(16);
-            p.extend_from_slice(&self.run.to_le_bytes());
-            p.extend_from_slice(&event.to_le_bytes());
-            let msg = Message::build_private(bu, ctx.own_tid(), ORG_DAQ, xfn::ASSIGN)
-                .payload(p)
-                .finish();
-            if ctx.send(msg).is_err() {
+            let run = self.run;
+            let assign = ctx.send_private_with(bu, ORG_DAQ, xfn::ASSIGN, 16, |p| {
+                p[..8].copy_from_slice(&run.to_le_bytes());
+                p[8..].copy_from_slice(&event.to_le_bytes());
+            });
+            if assign.is_err() {
                 // The builder's link is gone: reclaim and re-queue.
                 self.mark_dead(ctx, bu);
                 continue;
@@ -445,10 +447,7 @@ impl EventManager {
                 if self.credits.contains_key(&bu) {
                     continue;
                 }
-                let msg = Message::build_private(bu, ctx.own_tid(), ORG_DAQ, xfn::INVITE)
-                    .payload(self.run.to_le_bytes().to_vec())
-                    .finish();
-                if ctx.send(msg).is_err() {
+                if self.invite(ctx, bu).is_err() {
                     self.mark_dead(ctx, bu);
                 }
             }
@@ -631,6 +630,7 @@ mod tests {
     use crate::ru::ReadoutUnit;
     use std::time::{Duration, Instant};
     use xdaq_core::{Executive, ExecutiveConfig};
+    use xdaq_i2o::Message;
 
     /// Full single-executive mesh: 3 RU × 2 BU × 1 EVM + filter sink.
     struct Mesh {

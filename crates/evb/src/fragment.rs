@@ -44,18 +44,35 @@ impl FragmentHeader {
         })
     }
 
+    /// Seed of the pattern bytes: byte `i` of the data is
+    /// `seed.wrapping_add(i) % 251`, so builders can verify integrity
+    /// from the header alone.
+    fn pattern_seed(&self) -> u32 {
+        (self.event_id as u32)
+            .wrapping_mul(31)
+            .wrapping_add(self.source_id as u32)
+    }
+
+    /// Writes a complete fragment payload — header plus `len` pattern
+    /// bytes — into `out`, which must be exactly
+    /// `FRAGMENT_HEADER_LEN + len` long. This is what a readout unit
+    /// hands [`xdaq_core::Dispatcher::send_private_with`], so the
+    /// fragment is produced once, in the pool block that travels.
+    pub fn fill_payload(&self, out: &mut [u8]) {
+        assert_eq!(out.len(), FRAGMENT_HEADER_LEN + self.len as usize);
+        self.encode(out);
+        let data = &mut out[FRAGMENT_HEADER_LEN..];
+        for (range, ramp) in PatternRuns::new(self.pattern_seed(), data.len()) {
+            data[range].copy_from_slice(ramp);
+        }
+    }
+
     /// Builds a complete fragment payload: header + `len` bytes of
     /// deterministic pattern data (seeded by event and source so
     /// builders can verify integrity).
     pub fn build_payload(&self) -> Vec<u8> {
         let mut out = vec![0u8; FRAGMENT_HEADER_LEN + self.len as usize];
-        self.encode(&mut out);
-        let seed = (self.event_id as u32)
-            .wrapping_mul(31)
-            .wrapping_add(self.source_id as u32);
-        for (i, b) in out[FRAGMENT_HEADER_LEN..].iter_mut().enumerate() {
-            *b = (seed.wrapping_add(i as u32) % 251) as u8;
-        }
+        self.fill_payload(&mut out);
         out
     }
 
@@ -64,13 +81,57 @@ impl FragmentHeader {
         if payload.len() != FRAGMENT_HEADER_LEN + self.len as usize {
             return false;
         }
-        let seed = (self.event_id as u32)
-            .wrapping_mul(31)
-            .wrapping_add(self.source_id as u32);
-        payload[FRAGMENT_HEADER_LEN..]
-            .iter()
-            .enumerate()
-            .all(|(i, &b)| b == (seed.wrapping_add(i as u32) % 251) as u8)
+        let data = &payload[FRAGMENT_HEADER_LEN..];
+        PatternRuns::new(self.pattern_seed(), data.len()).all(|(range, ramp)| data[range] == *ramp)
+    }
+}
+
+/// Period of the pattern: a ramp 0, 1, …, 250, 0, 1, …
+const PERIOD: usize = 251;
+/// The ramp repeated a whole number of periods, so a run that ends at
+/// the table's end continues at its start.
+const RAMP_LEN: usize = PERIOD * 16;
+static RAMP: [u8; RAMP_LEN] = {
+    let mut t = [0u8; RAMP_LEN];
+    let mut i = 0;
+    while i < RAMP_LEN {
+        t[i] = (i % PERIOD) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Cuts `len` pattern bytes into runs that each equal one contiguous
+/// slice of [`RAMP`], so fill is `memcpy` and verify is `memcmp`. A run
+/// ends at the end of the table or where `seed + i` wraps past 2³² —
+/// there the ramp restarts at 0 out of phase, because 2³² is not a
+/// multiple of 251.
+struct PatternRuns {
+    seed: u32,
+    pos: usize,
+    len: usize,
+}
+
+impl PatternRuns {
+    fn new(seed: u32, len: usize) -> PatternRuns {
+        PatternRuns { seed, pos: 0, len }
+    }
+}
+
+impl Iterator for PatternRuns {
+    type Item = (std::ops::Range<usize>, &'static [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos == self.len {
+            return None;
+        }
+        let x = self.seed.wrapping_add(self.pos as u32);
+        let phase = x as usize % PERIOD;
+        let until_wrap = (u32::MAX - x) as usize + 1;
+        let n = (self.len - self.pos).min(RAMP_LEN - phase).min(until_wrap);
+        let start = self.pos;
+        self.pos += n;
+        Some((start..self.pos, &RAMP[phase..phase + n]))
     }
 }
 
@@ -111,6 +172,23 @@ mod tests {
         corrupted[50] ^= 0xFF;
         assert!(!h.verify_payload(&corrupted));
         assert!(!h.verify_payload(&p[..100]));
+    }
+
+    #[test]
+    fn runs_reproduce_the_scalar_definition_across_the_u32_wrap() {
+        // 2^32 % 251 == 123: the ramp jumps from 122 to 0 at the wrap.
+        for seed in [0, 250, 251, u32::MAX - 5000, u32::MAX - 100, u32::MAX] {
+            for len in [0usize, 1, 100, 101, 251, RAMP_LEN - 1, RAMP_LEN + 7, 10_000] {
+                let mut got = vec![0xEEu8; len];
+                for (range, ramp) in PatternRuns::new(seed, len) {
+                    got[range].copy_from_slice(ramp);
+                }
+                let want: Vec<u8> = (0..len)
+                    .map(|i| (seed.wrapping_add(i as u32) % 251) as u8)
+                    .collect();
+                assert_eq!(got, want, "seed {seed} len {len}");
+            }
+        }
     }
 
     #[test]

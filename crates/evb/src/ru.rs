@@ -8,11 +8,11 @@
 //! of its `TRIGGER` (the two ride different links) is parked and served
 //! the moment the trigger lands.
 
-use crate::fragment::FragmentHeader;
+use crate::fragment::{FragmentHeader, FRAGMENT_HEADER_LEN};
 use crate::{u64_at, xfn, ORG_DAQ};
 use std::collections::{HashMap, HashSet};
 use xdaq_core::{Delivery, Dispatcher, I2oListener};
-use xdaq_i2o::{DeviceClass, Message, Tid};
+use xdaq_i2o::{DeviceClass, Tid};
 use xdaq_mon::{Counter, Gauge};
 
 /// One readout unit.
@@ -88,10 +88,11 @@ impl ReadoutUnit {
             total_sources: self.total_sources,
             len: self.size,
         };
-        let frag = Message::build_private(dest, ctx.own_tid(), ORG_DAQ, xfn::FRAGMENT)
-            .payload(header.build_payload())
-            .finish();
-        let _ = ctx.send(frag);
+        // The fragment is produced once, in the block that travels.
+        let len = FRAGMENT_HEADER_LEN + self.size as usize;
+        let _ = ctx.send_private_with(dest, ORG_DAQ, xfn::FRAGMENT, len, |payload| {
+            header.fill_payload(payload)
+        });
         self.produced += 1;
         if let Some(m) = &self.metrics {
             m.fragments.inc();
@@ -180,6 +181,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use xdaq_core::{Executive, ExecutiveConfig};
+    use xdaq_i2o::Message;
 
     struct Collector(Arc<AtomicU64>, Arc<parking_lot::Mutex<Vec<u64>>>);
     impl I2oListener for Collector {

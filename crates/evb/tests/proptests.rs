@@ -38,7 +38,7 @@ proptest! {
                 Offer::Complete(c) => {
                     prop_assert!(!completed.contains(&e), "double completion of {e}");
                     prop_assert!(s < sources);
-                    prop_assert_eq!(c.fragments.len(), sources);
+                    prop_assert_eq!(c.fragments().count(), sources);
                     prop_assert_eq!(prior.len(), sources - 1, "completed early");
                     completed.insert(e);
                     built.push(c);

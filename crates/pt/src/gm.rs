@@ -14,6 +14,7 @@
 //! `frameAlloc` but excludes the GM library itself).
 
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,6 +63,10 @@ pub struct GmPt {
     panics: AtomicU64,
     /// Shared with the task-mode receive thread.
     counters: Arc<PtCounters>,
+    /// Address handles of the senders seen so far, so a received frame
+    /// costs a map lookup and a reference-count bump, not a formatted
+    /// string. Shared with the task-mode receive thread.
+    peers: Arc<Mutex<HashMap<GmAddr, PeerAddr>>>,
 }
 
 impl GmPt {
@@ -86,6 +91,7 @@ impl GmPt {
             task: Mutex::new(None),
             panics: AtomicU64::new(0),
             counters: Arc::new(PtCounters::new()),
+            peers: Arc::default(),
         }))
     }
 
@@ -99,17 +105,22 @@ impl GmPt {
     fn process_received(
         alloc: &DynAllocator,
         probes: &Option<Arc<DispatchProbes>>,
+        peers: &Mutex<HashMap<GmAddr, PeerAddr>>,
         src: GmAddr,
         data: Box<[u8]>,
     ) -> Option<(FrameBuf, PeerAddr)> {
-        let t0 = Instant::now();
+        let t0 = probes.as_ref().map(|_| Instant::now());
         let mut buf = alloc.alloc(data.len()).ok()?;
         buf.copy_from_slice(&data);
-        let out = (buf, to_peer_addr(src));
-        if let Some(p) = probes {
+        let peer = peers
+            .lock()
+            .entry(src)
+            .or_insert_with(|| to_peer_addr(src))
+            .clone();
+        if let (Some(p), Some(t0)) = (probes, t0) {
             p.pt_processing.record(t0.elapsed().as_nanos() as u64);
         }
-        Some(out)
+        Some((buf, peer))
     }
 }
 
@@ -158,7 +169,8 @@ impl PeerTransport for GmPt {
         loop {
             match self.port.poll()? {
                 GmEvent::Received { src, data } => {
-                    let got = Self::process_received(&self.alloc, &self.probes, src, data);
+                    let got =
+                        Self::process_received(&self.alloc, &self.probes, &self.peers, src, data);
                     if let Some((f, _)) = &got {
                         self.counters.on_recv(f.len());
                     }
@@ -178,6 +190,7 @@ impl PeerTransport for GmPt {
         let probes = self.probes.clone();
         let stopped = self.stopped.clone();
         let counters = self.counters.clone();
+        let peers = self.peers.clone();
         let handle = std::thread::Builder::new()
             .name(format!("gm-pt-{}", self.port.addr()))
             .spawn(move || {
@@ -185,7 +198,7 @@ impl PeerTransport for GmPt {
                     match port.blocking_poll(Duration::from_millis(50)) {
                         Some(GmEvent::Received { src, data }) => {
                             if let Some((buf, peer)) =
-                                GmPt::process_received(&alloc, &probes, src, data)
+                                GmPt::process_received(&alloc, &probes, &peers, src, data)
                             {
                                 counters.on_recv(buf.len());
                                 sink(buf, peer);

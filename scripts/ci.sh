@@ -97,6 +97,16 @@ cargo test -q -p xdaq-pt --lib xpt::
 cargo test -q -p xdaq-pt --test xpt_wire
 cargo test -q --test flow xpt_slow_consumer_soak -- --exact
 
+echo "== benchmark: self-test + smoke of every workload =="
+# The one measurement spine (benchmark/README.md) must keep building
+# against the product: its own unit tests (checkers, spec vs
+# BENCHMARK.json), then every workload for 0.5 s traced and untraced —
+# any failed operation fails the stage. No bounds are judged here;
+# performance claims are made with `benchmark/run.sh`, paired against
+# the parent commit.
+bash benchmark/run.sh --selftest
+bash benchmark/run.sh --smoke
+
 echo "== loom model of the shm SPSC ring =="
 RUSTFLAGS="--cfg loom" cargo test -q -p xdaq-shm --test loom --release
 
