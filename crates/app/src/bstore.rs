@@ -421,7 +421,7 @@ mod tests {
                 .register("bsa0", Box::new(BlockStorage::new()), params)
                 .unwrap();
             let log = drive(&exec, store, vec![Op::Write(3, vec![0xC4; 64])]);
-            if !xdaq_rec::sys::supported() {
+            if !xdaq_sys::supported() {
                 return; // no raw-syscall backend: nothing durable to check
             }
             assert!(log.lock()[0].1.is_ok());

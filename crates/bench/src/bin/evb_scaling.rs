@@ -310,7 +310,7 @@ fn run_point(n: usize, m: usize, stragglers: usize, events: u64, drop: u16) -> P
 
 fn main() {
     assert!(
-        xdaq_shm::sys::supported(),
+        xdaq_sys::supported(),
         "evb_scaling needs shared-memory support"
     );
     let args = Args::parse();

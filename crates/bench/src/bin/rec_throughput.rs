@@ -89,7 +89,7 @@ fn main() {
     let bytes_target: usize = args.get("bytes", 64 * 1024 * 1024);
     let json_path = args.get_str("json", "results/BENCH_pr5.json");
 
-    if !xdaq_rec::sys::supported() {
+    if !xdaq_sys::supported() {
         println!("rec_throughput: raw syscall layer unsupported on this target; skipping");
         return;
     }

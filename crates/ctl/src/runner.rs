@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xdaq_core::{Executive, ExecutiveConfig, FlowConfig, PeerTransport, SupervisionConfig};
 use xdaq_mempool::TablePool;
-use xdaq_pt::{TcpPt, XptBackend, XptPt};
+use xdaq_pt::{TcpPt, XptPt};
 
 /// Environment handed to a managed child, decoded.
 #[derive(Debug, Clone)]
@@ -90,18 +90,22 @@ pub fn node_config(topo: &Topology, node: &str) -> Result<ExecutiveConfig, Strin
 }
 
 /// Binds the peer transport a declaration asks for, on an ephemeral
-/// port. Params:
-///
-/// * `transport` — `tcp` (default) or `xpt`, the batched
-///   submission/completion transport (DESIGN.md §15).
-/// * `xpt.backend` — `auto` (default: io_uring where the kernel
-///   grants rings, epoll otherwise), `uring` (fail if refused) or
-///   `epoll`.
+/// port: `transport` is `tcp` (default) or `xpt`, the batched
+/// submission/completion transport (DESIGN.md §15). The key that once
+/// chose between two xpt drivers is refused rather than ignored, so a
+/// stale topology fails loudly instead of running a driver it did not
+/// name.
 ///
 /// Returns the registration key and the canonical url to publish.
 pub fn bind_transport(
     decl: &crate::decl::NodeDecl,
 ) -> Result<(&'static str, Arc<dyn PeerTransport>, String), String> {
+    if decl.params.contains_key("xpt.backend") {
+        return Err(
+            "node param 'xpt.backend' was removed: xpt has one driver (epoll); delete the key"
+                .into(),
+        );
+    }
     let transport = decl.params.get("transport").map_or("tcp", String::as_str);
     match transport {
         "tcp" => {
@@ -111,18 +115,8 @@ pub fn bind_transport(
             Ok(("tcp", pt, url))
         }
         "xpt" => {
-            let backend = match decl
-                .params
-                .get("xpt.backend")
-                .map_or("auto", String::as_str)
-            {
-                "auto" => XptBackend::Auto,
-                "uring" => XptBackend::Uring,
-                "epoll" => XptBackend::Epoll,
-                other => return Err(format!("unknown xpt.backend '{other}'")),
-            };
-            let pt = XptPt::bind_with("127.0.0.1:0", TablePool::with_defaults(), backend)
-                .map_err(|e| format!("bind xpt ({backend:?}): {e:?}"))?;
+            let pt = XptPt::bind("127.0.0.1:0", TablePool::with_defaults())
+                .map_err(|e| format!("bind xpt: {e:?}"))?;
             let url = pt.addr().to_string();
             Ok(("xpt", pt, url))
         }
@@ -179,6 +173,8 @@ mod tests {
         workers = 1
         [node.c]
         transport = "xpt"
+        [node.stale]
+        transport = "xpt"
         xpt.backend = "epoll"
         [node.bad]
         transport = "carrier-pigeon"
@@ -219,6 +215,14 @@ mod tests {
         assert_eq!((key, pt.scheme()), ("xpt", "xpt"));
         assert!(url.starts_with("xpt://127.0.0.1:"), "got {url}");
         pt.stop();
+
+        let Err(err) = bind_transport(topo.node("stale").unwrap()) else {
+            panic!("the removed xpt.backend key must be rejected");
+        };
+        assert!(
+            err.contains("'xpt.backend' was removed"),
+            "error must name the removed key, got {err}"
+        );
 
         let Err(err) = bind_transport(topo.node("bad").unwrap()) else {
             panic!("carrier-pigeon transport must be rejected");

@@ -11,7 +11,7 @@
 //! | [`LoopbackPt`] | `loop` | `loop://<node>` | polling or task |
 //! | [`GmPt`] | `gm` | `gm://<node>:<port>` | polling or task (paper: thread) |
 //! | [`TcpPt`] | `tcp` | `tcp://<ip>:<port>` | task (blocking sockets) |
-//! | [`XptPt`] | `xpt` | `xpt://<ip>:<port>` | task (batched submission/completion rings, io_uring or epoll) |
+//! | [`XptPt`] | `xpt` | `xpt://<ip>:<port>` | task (batched submission/completion rings over epoll) |
 //! | [`PciPt`] | `pci` | `pci://<segment>/<slot>` | polling (hardware FIFOs) |
 //! | `ShmPt` (crate `xdaq-shm`) | `shm` | `shm://<region-path>@a\|b` | polling or task |
 //! | [`ChaosPt`] | (inner's) | (inner's) | (inner's) |
@@ -36,4 +36,4 @@ pub use gm::GmPt;
 pub use loopback::{LoopbackHub, LoopbackPt};
 pub use pcisim::{FifoKind, PciBus, PciPt};
 pub use tcp::TcpPt;
-pub use xpt::{XptBackend, XptPt};
+pub use xpt::XptPt;

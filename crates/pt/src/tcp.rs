@@ -16,10 +16,9 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use xdaq_core::{IngestSink, PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
 use xdaq_i2o::HEADER_LEN;
 use xdaq_mempool::{DynAllocator, FrameBuf};
@@ -63,7 +62,6 @@ impl TcpPt {
     /// port (the canonical address reflects the actual one).
     pub fn bind(listen: &str, alloc: DynAllocator) -> Result<Arc<TcpPt>, PtError> {
         let listener = TcpListener::bind(listen)?;
-        listener.set_nonblocking(true)?;
         let actual = listener.local_addr()?;
         Ok(Arc::new(TcpPt {
             listener,
@@ -91,6 +89,19 @@ impl TcpPt {
         let mut s = stream.try_clone()?;
         s.write_all(format!("{HELLO_PREFIX}{}\n", self.self_addr).as_bytes())?;
         Ok(stream)
+    }
+
+    /// Connects to this transport's own listener. A wildcard listen
+    /// address is dialed over loopback.
+    fn wake_listener(&self) -> std::io::Result<TcpStream> {
+        let mut addr = self.listener.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        TcpStream::connect(addr)
     }
 
     /// Reads frames off one accepted connection until EOF/stop.
@@ -261,43 +272,46 @@ impl PeerTransport for TcpPt {
         let accept = std::thread::Builder::new()
             .name(format!("tcp-pt-accept-{}", self.self_addr.rest()))
             .spawn(move || {
-                while !stopped.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let alloc = alloc.clone();
-                            let sink = sink.clone();
-                            let stopped = stopped.clone();
-                            let counters = counters.clone();
-                            let down = down.clone();
-                            let sock = stream.try_clone().ok();
-                            let h = std::thread::Builder::new()
-                                .name("tcp-pt-reader".into())
-                                .spawn(move || {
-                                    TcpPt::reader_loop(stream, alloc, sink, stopped, counters, down)
-                                })
-                                .expect("spawn reader");
-                            // Reap finished readers so reconnect churn
-                            // cannot grow the handle list without bound,
-                            // harvesting any panics on the way.
-                            let mut readers = threads_in.lock();
-                            let mut i = 0;
-                            while i < readers.len() {
-                                if readers[i].1.is_finished() {
-                                    let (_, done) = readers.swap_remove(i);
-                                    if done.join().is_err() {
-                                        panics.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                } else {
-                                    i += 1;
-                                }
-                            }
-                            readers.push((sock, h));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        Err(_) => break,
+                // Blocking accept: a fresh link is served the moment it
+                // arrives and an idle listener costs nothing. `stop`
+                // wakes it with a connection to itself.
+                while let Ok((stream, _)) = listener.accept() {
+                    // Held from the `stopped` check until the reader is
+                    // registered: `stop` sets the flag and then shuts the
+                    // registered readers' sockets down under this lock, so
+                    // a reader is either registered in time to be woken or
+                    // never started.
+                    let mut readers = threads_in.lock();
+                    if stopped.load(Ordering::Acquire) {
+                        break;
                     }
+                    let alloc = alloc.clone();
+                    let sink = sink.clone();
+                    let stopped = stopped.clone();
+                    let counters = counters.clone();
+                    let down = down.clone();
+                    let sock = stream.try_clone().ok();
+                    let h = std::thread::Builder::new()
+                        .name("tcp-pt-reader".into())
+                        .spawn(move || {
+                            TcpPt::reader_loop(stream, alloc, sink, stopped, counters, down)
+                        })
+                        .expect("spawn reader");
+                    // Reap finished readers so reconnect churn cannot grow
+                    // the handle list without bound, harvesting any panics
+                    // on the way.
+                    let mut i = 0;
+                    while i < readers.len() {
+                        if readers[i].1.is_finished() {
+                            let (_, done) = readers.swap_remove(i);
+                            if done.join().is_err() {
+                                panics.fetch_add(1, Ordering::Relaxed);
+                            }
+                        } else {
+                            i += 1;
+                        }
+                    }
+                    readers.push((sock, h));
                 }
             })
             .map_err(|e| PtError::Io(e.to_string()))?;
@@ -315,8 +329,14 @@ impl PeerTransport for TcpPt {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
         }
-        for t in self.threads.lock().drain(..) {
-            if t.join().is_err() {
+        // The accept thread blocks in `accept`; a connection to our own
+        // listener is what unblocks it (it sees `stopped` and exits).
+        let accept: Vec<_> = self.threads.lock().drain(..).collect();
+        let woken = accept.is_empty() || self.wake_listener().is_ok();
+        for t in accept {
+            // Not woken (no socket to be had): leave the thread parked
+            // in `accept` rather than hang `stop` on it.
+            if woken && t.join().is_err() {
                 self.panics.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -343,7 +363,7 @@ impl PeerTransport for TcpPt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
     use xdaq_i2o::{Message, Tid};
     use xdaq_mempool::TablePool;
 
@@ -433,6 +453,58 @@ mod tests {
             .send(&"tcp://127.0.0.1:9".parse().unwrap(), frame(b"x"))
             .unwrap_err();
         assert!(matches!(err.error, PtError::Closed));
+    }
+
+    /// Regression (issue 13): the accept thread used to poll a
+    /// non-blocking listener and sleep 20 ms between polls, so the
+    /// first frame on every fresh inbound link waited ~10 ms on average
+    /// (200–400 ms over this loop). A blocking accept serves the link
+    /// at once, and `stop` must still get an idle listener to exit.
+    #[test]
+    fn fresh_inbound_links_deliver_their_first_frame_at_once() {
+        let b = TcpPt::bind("127.0.0.1:0", pool()).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        b.start(Arc::new(move |f, _| tx.send(f.len()).unwrap()))
+            .unwrap();
+
+        let senders: Vec<_> = (0..20)
+            .map(|_| TcpPt::bind("127.0.0.1:0", pool()).unwrap())
+            .collect();
+        let t0 = Instant::now();
+        for a in &senders {
+            a.send(&b.addr(), frame(b"first")).unwrap();
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("first frame on a fresh link");
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "20 fresh links took {took:?}"
+        );
+
+        let idle = TcpPt::bind("127.0.0.1:0", pool()).unwrap();
+        idle.start(Arc::new(|_, _| {})).unwrap();
+        let t0 = Instant::now();
+        idle.stop();
+        assert!(t0.elapsed() < Duration::from_secs(1), "stop hung on accept");
+        b.stop();
+    }
+
+    /// `stop` racing a link that connects at that very moment: the
+    /// accept thread must either register the link's reader before
+    /// `stop` shuts the readers' sockets down, or not start it at all —
+    /// a reader started in between would never be woken and `stop`
+    /// would hang joining it.
+    #[test]
+    fn stop_racing_a_fresh_inbound_link_does_not_hang() {
+        for _ in 0..5000 {
+            let a = TcpPt::bind("127.0.0.1:0", pool()).unwrap();
+            let b = TcpPt::bind("127.0.0.1:0", pool()).unwrap();
+            a.start(Arc::new(|_, _| {})).unwrap();
+            b.send(&a.addr(), frame(b"hello")).unwrap();
+            a.stop();
+            b.stop();
+        }
     }
 
     /// Regression (issue 9): a stalled peer must not head-of-line

@@ -1,4 +1,4 @@
-//! Portable completion driver: `epoll_wait` + batched `readv`/`writev`.
+//! The completion driver: `epoll_wait` + batched `readv`/`writev`.
 //!
 //! One thread owns every link. Each wakeup it (1) adopts freshly
 //! dialed links, (2) moves submission rings into per-link egress
@@ -8,7 +8,7 @@
 //! that land large frame bodies directly in donated pool blocks.
 
 use super::wire::{Event, OutQueue, RecvAssembler};
-use super::{sys, Conn, Metrics, Shared};
+use super::{Conn, Metrics, Shared};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::os::fd::AsRawFd;
@@ -39,7 +39,7 @@ enum ReadOutcome {
 }
 
 pub(super) fn run(shared: Arc<Shared>, sink: IngestSink) -> Result<(), String> {
-    let ep = sys::epoll_create().map_err(|e| format!("epoll_create: errno {e}"))?;
+    let ep = xdaq_sys::epoll_create().map_err(|e| format!("epoll_create: errno {e}"))?;
     use std::os::fd::FromRawFd;
     // SAFETY: fresh epoll fd owned by this driver; closed on drop.
     let _ep_owner = unsafe { std::fs::File::from_raw_fd(ep) };
@@ -47,14 +47,14 @@ pub(super) fn run(shared: Arc<Shared>, sink: IngestSink) -> Result<(), String> {
         (shared.listener.as_raw_fd(), TOKEN_LISTENER),
         (shared.doorbell.as_raw_fd(), TOKEN_DOORBELL),
     ] {
-        sys::epoll_ctl(ep, sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN, token)
+        xdaq_sys::epoll_ctl(ep, xdaq_sys::EPOLL_CTL_ADD, fd, xdaq_sys::EPOLLIN, token)
             .map_err(|e| format!("epoll_ctl add: errno {e}"))?;
     }
 
     let mut conns: HashMap<u64, EConn> = HashMap::new();
     let mut next_token: u64 = 2;
     let mut scratch = vec![0u8; SCRATCH];
-    let mut events = [sys::EpollEvent::default(); 64];
+    let mut events = [xdaq_sys::EpollEvent::default(); 64];
 
     loop {
         for conn in shared.pending.lock().drain(..) {
@@ -83,7 +83,8 @@ pub(super) fn run(shared: Arc<Shared>, sink: IngestSink) -> Result<(), String> {
             shared.sleeping.store(false, Ordering::SeqCst);
             continue;
         }
-        let n = sys::epoll_wait(ep, &mut events, 100).map_err(|e| format!("epoll_wait: {e}"))?;
+        let n =
+            xdaq_sys::epoll_wait(ep, &mut events, 100).map_err(|e| format!("epoll_wait: {e}"))?;
         shared.sleeping.store(false, Ordering::SeqCst);
 
         for ev in events.iter().take(n) {
@@ -99,11 +100,13 @@ pub(super) fn run(shared: Arc<Shared>, sink: IngestSink) -> Result<(), String> {
                         continue;
                     };
                     let mut outcome = ReadOutcome::Open;
-                    if ev.events & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0 {
+                    if ev.events & (xdaq_sys::EPOLLIN | xdaq_sys::EPOLLERR | xdaq_sys::EPOLLHUP)
+                        != 0
+                    {
                         outcome = read_all(ec, &shared, &sink, &mut scratch, &metrics);
                     }
                     let write_dead = matches!(outcome, ReadOutcome::Open)
-                        && ev.events & sys::EPOLLOUT != 0
+                        && ev.events & xdaq_sys::EPOLLOUT != 0
                         && flush(ep, token, ec, &shared, &metrics).is_err();
                     match (outcome, write_dead) {
                         (ReadOutcome::Open, false) => {}
@@ -132,11 +135,11 @@ fn adopt(
 ) {
     let token = *next_token;
     *next_token += 1;
-    if sys::epoll_ctl(
+    if xdaq_sys::epoll_ctl(
         ep,
-        sys::EPOLL_CTL_ADD,
+        xdaq_sys::EPOLL_CTL_ADD,
         conn.stream.as_raw_fd(),
-        sys::EPOLLIN,
+        xdaq_sys::EPOLLIN,
         token,
     )
     .is_err()
@@ -212,10 +215,10 @@ fn flush(
     }
     let want = !ec.out.is_empty();
     if want != ec.want_write {
-        let evs = sys::EPOLLIN | if want { sys::EPOLLOUT } else { 0 };
-        let _ = sys::epoll_ctl(
+        let evs = xdaq_sys::EPOLLIN | if want { xdaq_sys::EPOLLOUT } else { 0 };
+        let _ = xdaq_sys::epoll_ctl(
             ep,
-            sys::EPOLL_CTL_MOD,
+            xdaq_sys::EPOLL_CTL_MOD,
             ec.conn.stream.as_raw_fd(),
             evs,
             token,
@@ -294,7 +297,13 @@ fn deliver(evq: &mut Vec<Event>, ec: &mut EConn, shared: &Arc<Shared>, sink: &In
 }
 
 fn teardown(ep: i32, shared: &Arc<Shared>, ec: EConn, abnormal: bool) {
-    let _ = sys::epoll_ctl(ep, sys::EPOLL_CTL_DEL, ec.conn.stream.as_raw_fd(), 0, 0);
+    let _ = xdaq_sys::epoll_ctl(
+        ep,
+        xdaq_sys::EPOLL_CTL_DEL,
+        ec.conn.stream.as_raw_fd(),
+        0,
+        0,
+    );
     shared.teardown(&ec.conn, abnormal);
     // EConn drop recycles every frame still in `out` and the
     // assembler's in-flight frame back to their pools.

@@ -18,42 +18,27 @@
 //!   advertised it is about to sleep, so back-to-back sends coalesce
 //!   into zero wakeups (the `pt.xpt.doorbells` counter measures this).
 //!
-//! Two interchangeable drivers implement the completion loop: an
-//! [`io_uring`-backed one](uring) (runtime-probed; kernels that lack
-//! it or refuse rings fall back transparently) and a portable
-//! [`epoll`-batch one](epoll). Both speak the exact `tcp://` wire
-//! protocol (`XDAQPT1` hello + self-delimiting I2O frames), so the
-//! transport drops into the existing retry/failover/credit machinery
-//! through `Pta::send_failover_returning` unchanged.
+//! One [`epoll`-batch driver](epoll) implements the completion loop.
+//! It speaks the exact `tcp://` wire protocol (`XDAQPT1` hello +
+//! self-delimiting I2O frames), so the transport drops into the
+//! existing retry/failover/credit machinery through
+//! `Pta::send_failover_returning` unchanged.
 
-pub mod sys;
 pub mod wire;
 
 mod epoll;
-mod uring;
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use xdaq_core::{IngestSink, PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
 use xdaq_mempool::{DynAllocator, FrameBuf};
 use xdaq_mon::{Counter, Histogram, PtCounters, Registry};
 
 use wire::{SubQueue, HELLO_PREFIX};
-
-/// Which completion driver backs an [`XptPt`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum XptBackend {
-    /// Probe io_uring at bind time; fall back to epoll.
-    Auto,
-    /// Require io_uring (bind fails where the kernel refuses rings).
-    Uring,
-    /// Force the portable epoll-batch driver.
-    Epoll,
-}
 
 /// One link (outbound: cached per destination; inbound: per accept).
 pub(crate) struct Conn {
@@ -80,9 +65,6 @@ pub(crate) struct Metrics {
     pub(crate) donations: Option<Counter>,
 }
 
-const BACKEND_URING: u8 = 0;
-const BACKEND_EPOLL: u8 = 1;
-
 /// State shared between senders and the driver thread.
 pub(crate) struct Shared {
     pub(crate) listener: TcpListener,
@@ -102,8 +84,6 @@ pub(crate) struct Shared {
     pub(crate) down: Mutex<Vec<PeerAddr>>,
     pub(crate) counters: PtCounters,
     pub(crate) metrics: Mutex<Metrics>,
-    /// Which driver actually runs (uring may fall back at start).
-    pub(crate) active_backend: AtomicU8,
 }
 
 impl Shared {
@@ -149,42 +129,20 @@ pub struct XptPt {
 }
 
 impl XptPt {
-    /// Binds a listener with automatic backend selection. `listen` is
-    /// `ip:port`; port 0 picks a free port.
+    /// Binds a listener. `listen` is `ip:port`; port 0 picks a free
+    /// port.
     pub fn bind(listen: &str, alloc: DynAllocator) -> Result<Arc<XptPt>, PtError> {
-        XptPt::bind_with(listen, alloc, XptBackend::Auto)
-    }
-
-    /// Binds a listener on an explicit backend. `XptBackend::Uring`
-    /// fails where the kernel refuses rings (use `Auto` to fall back).
-    pub fn bind_with(
-        listen: &str,
-        alloc: DynAllocator,
-        backend: XptBackend,
-    ) -> Result<Arc<XptPt>, PtError> {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return Err(PtError::Io("xpt: no raw-syscall backend here".into()));
         }
         let listener = TcpListener::bind(listen)?;
         listener.set_nonblocking(true)?;
         let actual = listener.local_addr()?;
-        let doorbell =
-            sys::eventfd().map_err(|e| PtError::Io(format!("xpt: eventfd failed (errno {e})")))?;
+        let doorbell = xdaq_sys::eventfd()
+            .map_err(|e| PtError::Io(format!("xpt: eventfd failed (errno {e})")))?;
         use std::os::fd::FromRawFd;
         // SAFETY: fresh eventfd owned solely by this transport.
         let doorbell = unsafe { std::fs::File::from_raw_fd(doorbell) };
-
-        let resolved = match backend {
-            XptBackend::Epoll => BACKEND_EPOLL,
-            XptBackend::Uring if uring::probe() => BACKEND_URING,
-            XptBackend::Uring => {
-                return Err(PtError::Io(
-                    "xpt: io_uring unavailable on this kernel".into(),
-                ))
-            }
-            XptBackend::Auto if uring::probe() => BACKEND_URING,
-            XptBackend::Auto => BACKEND_EPOLL,
-        };
 
         Ok(Arc::new(XptPt {
             shared: Arc::new(Shared {
@@ -199,7 +157,6 @@ impl XptPt {
                 down: Mutex::new(Vec::new()),
                 counters: PtCounters::new(),
                 metrics: Mutex::new(Metrics::default()),
-                active_backend: AtomicU8::new(resolved),
             }),
             threads: Mutex::new(Vec::new()),
             panics: AtomicU64::new(0),
@@ -209,14 +166,6 @@ impl XptPt {
     /// This PT's canonical address.
     pub fn addr(&self) -> PeerAddr {
         self.shared.self_addr.clone()
-    }
-
-    /// The driver actually in use: `"uring"` or `"epoll"`.
-    pub fn backend(&self) -> &'static str {
-        match self.shared.active_backend.load(Ordering::Acquire) {
-            BACKEND_URING => "uring",
-            _ => "epoll",
-        }
     }
 
     /// Registers the transport's instruments: `pt.xpt.batch_frames`
@@ -327,20 +276,8 @@ impl PeerTransport for XptPt {
         let driver = std::thread::Builder::new()
             .name(format!("xpt-driver-{}", self.shared.self_addr.rest()))
             .spawn(move || {
-                if shared.active_backend.load(Ordering::Acquire) == BACKEND_URING {
-                    match uring::run(shared.clone(), sink.clone()) {
-                        Ok(()) => return,
-                        Err(_) => {
-                            // Ring refused at start despite the probe;
-                            // fall back to the portable driver.
-                            shared
-                                .active_backend
-                                .store(BACKEND_EPOLL, Ordering::Release);
-                        }
-                    }
-                }
-                if let Err(e) = epoll::run(shared.clone(), sink) {
-                    // Nothing to fall back to; surface via stop/panics.
+                if let Err(e) = epoll::run(shared, sink) {
+                    // Surfaces through `stop` → `take_panics`.
                     panic!("xpt epoll driver failed: {e}");
                 }
             })

@@ -1,8 +1,3 @@
-//! Backend-parametric tests: every correctness case runs on the epoll
-//! driver unconditionally and on the uring driver wherever the kernel
-//! grants rings (skipping gracefully where it refuses — the same gate
-//! `XptPt::bind` probes at runtime).
-
 use super::*;
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
@@ -28,20 +23,14 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
-/// Binds on `backend`; `None` means the kernel refused uring (skip).
-fn bind(backend: XptBackend) -> Option<Arc<XptPt>> {
-    match XptPt::bind_with("127.0.0.1:0", pool(), backend) {
-        Ok(pt) => Some(pt),
-        Err(_) if backend == XptBackend::Uring => None,
-        Err(e) => panic!("bind failed: {e:?}"),
-    }
+fn bind() -> Arc<XptPt> {
+    XptPt::bind("127.0.0.1:0", pool()).expect("bind")
 }
 
-fn echo_suite(backend: XptBackend) {
-    let (Some(a), Some(b)) = (bind(backend), bind(backend)) else {
-        eprintln!("skipping: io_uring unavailable on this kernel");
-        return;
-    };
+#[test]
+fn echo_suite() {
+    let (a, b) = (bind(), bind());
+    assert_eq!(a.scheme(), "xpt");
     let got_b: Arc<Mutex<Vec<(usize, String)>>> = Arc::new(Mutex::new(Vec::new()));
     let gb = got_b.clone();
     b.start(Arc::new(move |f, src| {
@@ -85,30 +74,8 @@ fn echo_suite(backend: XptBackend) {
 }
 
 #[test]
-fn echo_suite_epoll() {
-    echo_suite(XptBackend::Epoll);
-}
-
-#[test]
-fn echo_suite_uring() {
-    echo_suite(XptBackend::Uring);
-}
-
-#[test]
-fn backend_reporting_and_auto_resolution() {
-    let a = bind(XptBackend::Epoll).unwrap();
-    assert_eq!(a.backend(), "epoll");
-    assert_eq!(a.scheme(), "xpt");
-    let auto = XptPt::bind("127.0.0.1:0", pool()).unwrap();
-    assert!(matches!(auto.backend(), "uring" | "epoll"));
-    if let Some(u) = bind(XptBackend::Uring) {
-        assert_eq!(u.backend(), "uring");
-    }
-}
-
-#[test]
 fn unreachable_and_closed() {
-    let a = bind(XptBackend::Epoll).unwrap();
+    let a = bind();
     let dest: PeerAddr = "xpt://127.0.0.1:1".parse().unwrap();
     let err = a.send(&dest, frame(8)).unwrap_err();
     assert!(matches!(err.error, PtError::Unreachable(_)));
@@ -123,8 +90,8 @@ fn unreachable_and_closed() {
 
 #[test]
 fn dead_peer_surfaces_via_take_down_peers() {
-    let a = bind(XptBackend::Epoll).unwrap();
-    let b = bind(XptBackend::Epoll).unwrap();
+    let a = bind();
+    let b = bind();
     let got: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
     let g = got.clone();
     b.start(Arc::new(move |f, _| g.lock().push(f.len())))
@@ -149,8 +116,8 @@ fn dead_peer_surfaces_via_take_down_peers() {
 #[test]
 fn metrics_flow_through_bound_registry() {
     let reg = xdaq_mon::Registry::new();
-    let a = bind(XptBackend::Epoll).unwrap();
-    let b = bind(XptBackend::Epoll).unwrap();
+    let a = bind();
+    let b = bind();
     a.bind_registry(&reg);
     b.bind_registry(&reg);
     let got: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));

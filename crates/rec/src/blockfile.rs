@@ -7,7 +7,6 @@
 //! restarts. Writes go through the same raw `pwritev` as the recorder
 //! (gathered, positional, no libc); reads use `std`'s positional read.
 
-use crate::sys;
 use std::io::IoSlice;
 use std::os::fd::FromRawFd;
 use std::os::unix::fs::FileExt;
@@ -30,17 +29,17 @@ impl BlockFile {
     /// bytes. An existing file keeps its contents up to `len`; a fresh
     /// one reads as zeros.
     pub fn open(path: &Path, len: u64) -> std::io::Result<BlockFile> {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
                 "xdaq-rec raw-syscall backend unavailable on this target",
             ));
         }
-        let fd =
-            sys::openat(path, sys::OPEN_RDWR, sys::MODE_0644).map_err(|e| errno_io("openat", e))?;
+        let fd = xdaq_sys::openat(path, xdaq_sys::OPEN_RDWR, xdaq_sys::MODE_0644)
+            .map_err(|e| errno_io("openat", e))?;
         // SAFETY: fd was just returned by openat and is owned here alone.
         let file = unsafe { std::fs::File::from_raw_fd(fd) };
-        sys::ftruncate(fd, len).map_err(|e| errno_io("ftruncate", e))?;
+        xdaq_sys::ftruncate(fd, len).map_err(|e| errno_io("ftruncate", e))?;
         Ok(BlockFile { file, fd, len })
     }
 
@@ -68,9 +67,9 @@ impl BlockFile {
                 ),
             ));
         }
-        let mut raw: Vec<sys::IoVec> = parts
+        let mut raw: Vec<xdaq_sys::IoVec> = parts
             .iter()
-            .map(|s| sys::IoVec {
+            .map(|s| xdaq_sys::IoVec {
                 base: s.as_ptr(),
                 len: s.len(),
             })
@@ -80,7 +79,7 @@ impl BlockFile {
         while written < total {
             // SAFETY: every iovec derives from a live `IoSlice` borrow
             // held by `parts` for the duration of this call.
-            let n = unsafe { sys::pwritev(self.fd, &raw[first..], offset + written) }
+            let n = unsafe { xdaq_sys::pwritev(self.fd, &raw[first..], offset + written) }
                 .map_err(|e| errno_io("pwritev", e))?;
             if n == 0 {
                 return Err(std::io::Error::new(
@@ -123,7 +122,7 @@ impl BlockFile {
 
     /// Flushes file data to stable storage.
     pub fn sync(&self) -> std::io::Result<()> {
-        sys::fdatasync(self.fd).map_err(|e| errno_io("fdatasync", e))
+        xdaq_sys::fdatasync(self.fd).map_err(|e| errno_io("fdatasync", e))
     }
 }
 
@@ -140,7 +139,7 @@ mod tests {
 
     #[test]
     fn write_read_roundtrip_survives_reopen() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let path = tmp_file("rt");
@@ -162,7 +161,7 @@ mod tests {
 
     #[test]
     fn out_of_range_io_rejected() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let path = tmp_file("oob");

@@ -8,7 +8,7 @@
 //!
 //! * **The store** ([`RecWriter`] / [`RecReader`]) is an append-only
 //!   directory of segments ([`segment`]) with per-record length+CRC
-//!   framing, written through raw syscalls ([`sys`], no libc) with one
+//!   framing, written through raw syscalls (`xdaq-sys`, no libc) with one
 //!   gathered `pwritev` per record — the SGL of a chained event turned
 //!   into an iovec list, zero payload copies. Durability is batched
 //!   (`fdatasync` every N bytes / T ms) and crash recovery
@@ -30,7 +30,6 @@ pub mod reader;
 pub mod recorder;
 pub mod replay;
 pub mod segment;
-pub mod sys;
 pub mod writer;
 
 pub use blockfile::BlockFile;

@@ -14,7 +14,6 @@
 use crate::segment::{
     decode_header, list_segments, MAX_RECORD_LEN, REC_FRAMING_LEN, SEG_HEADER_LEN,
 };
-use crate::sys;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
@@ -230,7 +229,7 @@ pub fn recover(dir: &Path) -> std::io::Result<ScanReport> {
     let Some(torn) = &report.torn else {
         return Ok(report);
     };
-    if !sys::supported() {
+    if !xdaq_sys::supported() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
             "cannot truncate torn tail without the raw-syscall backend",
@@ -240,12 +239,12 @@ pub fn recover(dir: &Path) -> std::io::Result<ScanReport> {
         // Nothing valid in this segment at all: drop the whole file.
         std::fs::remove_file(&torn.path)?;
     } else {
-        let fd = sys::openat(&torn.path, sys::OPEN_RDWR, sys::MODE_0644)
+        let fd = xdaq_sys::openat(&torn.path, xdaq_sys::OPEN_RDWR, xdaq_sys::MODE_0644)
             .map_err(std::io::Error::from_raw_os_error)?;
         // SAFETY: fd freshly opened, owned only here.
         let file = unsafe { <std::fs::File as std::os::fd::FromRawFd>::from_raw_fd(fd) };
-        sys::ftruncate(fd, torn.valid_len).map_err(std::io::Error::from_raw_os_error)?;
-        sys::fdatasync(fd).map_err(std::io::Error::from_raw_os_error)?;
+        xdaq_sys::ftruncate(fd, torn.valid_len).map_err(std::io::Error::from_raw_os_error)?;
+        xdaq_sys::fdatasync(fd).map_err(std::io::Error::from_raw_os_error)?;
         drop(file);
     }
     for (seq, path) in list_segments(dir)? {
@@ -284,7 +283,7 @@ mod tests {
 
     #[test]
     fn clean_roundtrip_across_segments() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let dir = tmp_dir("clean");
@@ -305,7 +304,7 @@ mod tests {
 
     #[test]
     fn torn_tail_detected_and_recovered() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let dir = tmp_dir("torn");
@@ -339,7 +338,7 @@ mod tests {
 
     #[test]
     fn crc_corruption_detected() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let dir = tmp_dir("crc");

@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn records_chains_and_counts() {
-        if !crate::sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let dir = tmp_dir("chains");

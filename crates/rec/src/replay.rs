@@ -231,7 +231,6 @@ fn inject(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sys;
     use crate::writer::{RecConfig, RecWriter};
     use std::io::IoSlice;
     use xdaq_i2o::Message;
@@ -258,7 +257,7 @@ mod tests {
 
     #[test]
     fn injects_records_in_order_with_retarget() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let dir = tmp_dir("order");
@@ -299,7 +298,7 @@ mod tests {
 
     #[test]
     fn limit_stops_early() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let dir = tmp_dir("limit");

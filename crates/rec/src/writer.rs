@@ -15,7 +15,6 @@
 
 use crate::crc::Crc32;
 use crate::segment::{encode_header, list_segments, segment_path, SEG_HEADER_LEN};
-use crate::sys;
 use std::io::IoSlice;
 use std::os::fd::FromRawFd;
 use std::path::{Path, PathBuf};
@@ -71,7 +70,7 @@ impl RecWriter {
     /// Opens a writer on `cfg.dir`, starting a fresh segment after any
     /// existing ones (an existing recording is never overwritten).
     pub fn create(cfg: RecConfig) -> std::io::Result<RecWriter> {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
                 "xdaq-rec raw-syscall backend unavailable on this target",
@@ -138,9 +137,9 @@ impl RecWriter {
         // IoSlice is ABI-compatible with struct iovec; view it as the
         // raw form so short-write continuation can adjust base/len
         // without touching lifetimes.
-        let mut raw: Vec<sys::IoVec> = iov
+        let mut raw: Vec<xdaq_sys::IoVec> = iov
             .iter()
-            .map(|s| sys::IoVec {
+            .map(|s| xdaq_sys::IoVec {
                 base: s.as_ptr(),
                 len: s.len(),
             })
@@ -150,7 +149,7 @@ impl RecWriter {
         while written < total {
             // SAFETY: every iovec derives from a live `IoSlice` borrow
             // held by `iov` for the duration of this call.
-            let n = unsafe { sys::pwritev(self.fd, &raw[first..], self.offset + written) }
+            let n = unsafe { xdaq_sys::pwritev(self.fd, &raw[first..], self.offset + written) }
                 .map_err(|e| errno_io("pwritev", e))?;
             if n == 0 {
                 return Err(std::io::Error::new(
@@ -199,7 +198,7 @@ impl RecWriter {
             return Ok(None);
         }
         let started = Instant::now();
-        sys::fdatasync(self.fd).map_err(|e| errno_io("fdatasync", e))?;
+        xdaq_sys::fdatasync(self.fd).map_err(|e| errno_io("fdatasync", e))?;
         self.dirty_bytes = 0;
         self.dirty_since = None;
         Ok(Some(started.elapsed()))
@@ -259,7 +258,7 @@ impl Drop for RecWriter {
 
 fn open_segment(dir: &Path, seq: u64) -> std::io::Result<(std::fs::File, i32)> {
     let path = segment_path(dir, seq);
-    let fd = sys::openat(&path, sys::OPEN_APPENDABLE, sys::MODE_0644)
+    let fd = xdaq_sys::openat(&path, xdaq_sys::OPEN_APPENDABLE, xdaq_sys::MODE_0644)
         .map_err(|e| errno_io("openat", e))?;
     // SAFETY: fd was just returned by openat and is owned here alone.
     let file = unsafe { std::fs::File::from_raw_fd(fd) };
@@ -278,7 +277,7 @@ mod tests {
 
     #[test]
     fn append_writes_framed_records() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let dir = tmp_dir("framed");
@@ -302,7 +301,7 @@ mod tests {
 
     #[test]
     fn rotation_by_size() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let dir = tmp_dir("rotate");
@@ -319,7 +318,7 @@ mod tests {
 
     #[test]
     fn create_appends_after_existing_segments() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let dir = tmp_dir("resume");
@@ -334,7 +333,7 @@ mod tests {
 
     #[test]
     fn sync_batching_tracks_dirty_bytes() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let dir = tmp_dir("dirty");

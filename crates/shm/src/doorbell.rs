@@ -13,7 +13,6 @@
 //! a short timeout, which doubles as the liveness-check cadence should
 //! both wake paths ever fail.
 
-use crate::sys;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -42,7 +41,7 @@ pub struct Doorbell {
 impl Doorbell {
     /// Creates a fresh eventfd doorbell (no FIFO fallback).
     pub fn new() -> Result<Doorbell, String> {
-        let fd = sys::eventfd().map_err(|e| format!("eventfd: errno {e}"))?;
+        let fd = xdaq_sys::eventfd().map_err(|e| format!("eventfd: errno {e}"))?;
         // SAFETY: fd is a fresh eventfd owned exclusively by this File.
         let file = unsafe {
             use std::os::fd::FromRawFd;
@@ -61,7 +60,7 @@ impl Doorbell {
     pub fn for_region(region_path: &Path, side: usize) -> Result<Doorbell, String> {
         let mut bell = Doorbell::new()?;
         let path = bell_path(region_path, side);
-        sys::mkfifo(&path).map_err(|e| format!("mkfifo {}: errno {e}", path.display()))?;
+        xdaq_sys::mkfifo(&path).map_err(|e| format!("mkfifo {}: errno {e}", path.display()))?;
         use std::os::unix::fs::OpenOptionsExt;
         let fifo = std::fs::OpenOptions::new()
             .read(true)
@@ -110,7 +109,7 @@ impl Doorbell {
     pub fn wait(&self, timeout: Duration) -> bool {
         let mut fds = Vec::with_capacity(2);
         self.poll_fds(&mut fds);
-        match sys::ppoll_readable_many(&fds, timeout) {
+        match xdaq_sys::ppoll_readable_many(&fds, timeout) {
             Ok(true) => {
                 self.drain();
                 true
@@ -207,7 +206,7 @@ mod tests {
 
     #[test]
     fn self_ring_wakes_wait() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let bell = Doorbell::new().unwrap();
@@ -219,7 +218,7 @@ mod tests {
 
     #[test]
     fn peer_bell_reaches_a_live_receiver() {
-        if !sys::supported() {
+        if !xdaq_sys::supported() {
             return;
         }
         let region = std::env::temp_dir().join(format!("xdaq-shm-bell-{}", std::process::id()));

@@ -41,7 +41,6 @@ pub mod doorbell;
 pub mod pool;
 pub mod region;
 pub mod ring;
-pub mod sys;
 
 mod pt;
 

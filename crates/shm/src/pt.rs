@@ -731,7 +731,7 @@ fn task_loop(shared: &ShmShared, sink: IngestSink) {
             for l in &links {
                 l.bell.poll_fds(&mut fds);
             }
-            let _ = crate::sys::ppoll_readable_many(&fds, SLEEP_SLICE);
+            let _ = xdaq_sys::ppoll_readable_many(&fds, SLEEP_SLICE);
         } else if links.is_empty() {
             std::thread::sleep(SLEEP_SLICE);
         }

@@ -21,7 +21,6 @@
 //! The tag makes pop immune to ABA when both sides allocate and
 //! recycle concurrently.
 
-use crate::sys;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, Ordering};
@@ -198,7 +197,8 @@ impl Region {
         if len < HEADER_BYTES {
             return Err(format!("{}: too small for a region", path.display()));
         }
-        let base = sys::mmap_shared(raw_fd(&file), len).map_err(|e| format!("mmap: errno {e}"))?;
+        let base =
+            xdaq_sys::mmap_shared(raw_fd(&file), len).map_err(|e| format!("mmap: errno {e}"))?;
         let region = Region {
             base,
             map_len: len,
@@ -232,7 +232,8 @@ impl Region {
         let len = Region::total_bytes(&cfg);
         file.set_len(len as u64)
             .map_err(|e| format!("truncate {}: {e}", path.display()))?;
-        let base = sys::mmap_shared(raw_fd(&file), len).map_err(|e| format!("mmap: errno {e}"))?;
+        let base =
+            xdaq_sys::mmap_shared(raw_fd(&file), len).map_err(|e| format!("mmap: errno {e}"))?;
         Ok(Region {
             base,
             map_len: len,
@@ -405,7 +406,7 @@ impl Drop for Region {
         // SAFETY: exact mapping recorded at construction; callers keep
         // the Region in an Arc that outlives every block/ring view.
         unsafe {
-            let _ = sys::munmap(self.base, self.map_len);
+            let _ = xdaq_sys::munmap(self.base, self.map_len);
         }
         if self.owner {
             let _ = std::fs::remove_file(&self.path);

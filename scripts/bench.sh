@@ -4,35 +4,11 @@
 #
 #   scripts/bench.sh                # shm transport comparison only (fast)
 #   scripts/bench.sh --all          # also regenerate the paper harnesses
-#   scripts/bench.sh --consolidate  # only re-fold results/BENCH_pr*.json
-#                                   # into BENCH_trajectory.json (no runs)
+#
+# Socket-transport and end-to-end numbers come from benchmark/run.sh
+# (BENCHMARK.json), not from here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-consolidate() {
-    echo "== consolidated benchmark trajectory =="
-    # Merge every per-PR benchmark document into one array, ordered by
-    # PR, so a single file tracks the performance trajectory across the
-    # stack.
-    {
-        echo "["
-        first=1
-        for f in $(ls results/BENCH_pr*.json 2>/dev/null | sort -V); do
-            [[ $first -eq 1 ]] || echo ","
-            first=0
-            cat "$f"
-        done
-        echo "]"
-    } > results/BENCH_trajectory.json
-    python3 -c "import json; json.load(open('results/BENCH_trajectory.json'))" \
-        2>/dev/null || echo "warning: BENCH_trajectory.json failed validation"
-    echo "wrote results/BENCH_trajectory.json"
-}
-
-if [[ "${1:-}" == "--consolidate" ]]; then
-    consolidate
-    exit 0
-fi
 
 echo "== build (release) =="
 cargo build --release -p xdaq-bench
@@ -69,14 +45,6 @@ echo "== qos fairness (two tenants, one credit-metered link) =="
 cargo run -p xdaq-bench --release --bin qos_fairness -- \
     --json results/BENCH_pr7.json
 
-echo "== net batching (tcp vs xpt-uring vs xpt-epoll vs shm) =="
-# Asserts the PR acceptance floor internally: the batched xpt://
-# transport must beat plain tcp-localhost by >=3x at 4 KiB frames.
-# Falls back to the epoll driver where the kernel refuses io_uring
-# (the JSON records which backends ran).
-cargo run -p xdaq-bench --release --bin net_batching -- \
-    --json results/BENCH_pr9.json
-
 echo "== deterministic simulation (100-seed fault-sweep throughput) =="
 # Asserts the PR acceptance floor internally: 100 seeded fault
 # schedules over the simulated 5-node evb mesh in < 10 s wall, zero
@@ -90,7 +58,5 @@ if [[ "${1:-}" == "--all" ]]; then
     cargo run -p xdaq-bench --release --bin table1
     cargo run -p xdaq-bench --release --bin ptmode
 fi
-
-consolidate
 
 echo "bench: done (see results/)"

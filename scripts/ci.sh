@@ -10,6 +10,14 @@ cargo fmt --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one raw-syscall layer: no asm! outside crates/sys =="
+# shm, rec and pt each grew a private copy of the same syscall stubs
+# once; xdaq-sys is the audited one, and a fourth must not grow back.
+if grep -rl 'asm!' crates --include='*.rs' | grep -v '^crates/sys/'; then
+    echo "asm! outside crates/sys (listed above): call xdaq-sys instead" >&2
+    exit 1
+fi
+
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
@@ -83,15 +91,16 @@ cargo test -q -p xdaq-core credit
 cargo test -q -p xdaq-core admission
 cargo test -q -p xdaq-core --test proptests credit
 
-echo "== network transports: tcp regressions + xpt on both backends =="
-# The issue-9 tcp regressions (per-connection locking so a stalled
-# peer cannot head-of-line block others, fully blocking reads with
-# zero idle CPU, reader reaping + down-peer surfacing) plus the xpt
-# submission/completion suite. The epoll driver always runs; the
-# uring tests probe the kernel and skip themselves gracefully where
-# rings are refused, so this stage passes on uring-less kernels with
-# the same correctness coverage via the fallback. The proptest model
-# pins the wire layer (chunking/donation/completion equivalence).
+echo "== network transports: raw-syscall layer, tcp regressions, xpt suite =="
+# xdaq-sys round trips (eventfd seen by epoll and ppoll, mmap, mkfifo,
+# pwritev/fdatasync/ftruncate) and kernel-ABI layout asserts; the tcp
+# regressions (per-connection locking so a stalled peer cannot
+# head-of-line block others, fully blocking reads and accept with zero
+# idle CPU, first frame on a fresh link served at once, reader reaping
+# + down-peer surfacing); the xpt submission/completion suite on its
+# one driver. The proptest model pins the wire layer
+# (chunking/donation/completion equivalence).
+cargo test -q -p xdaq-sys
 cargo test -q -p xdaq-pt --lib tcp::
 cargo test -q -p xdaq-pt --lib xpt::
 cargo test -q -p xdaq-pt --test xpt_wire

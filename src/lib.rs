@@ -71,3 +71,7 @@ pub use xdaq_evb as evb;
 /// Deterministic cluster simulation: virtual clock, in-memory fabric,
 /// seeded fault-schedule sweeps and golden-trace regression.
 pub use xdaq_sim as sim;
+
+/// The one raw-syscall layer under `shm`, `rec` and `pt::xpt`;
+/// `sys::supported()` says whether this target has one.
+pub use xdaq_sys as sys;

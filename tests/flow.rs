@@ -476,7 +476,7 @@ fn tcp_slow_consumer_soak() {
 /// (in-process creator/attacher pair — the transport does not care).
 #[test]
 fn shm_slow_consumer_soak() {
-    if !xdaq::shm::sys::supported() {
+    if !xdaq::sys::supported() {
         return;
     }
     const COUNT: u64 = 400;

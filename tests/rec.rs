@@ -59,7 +59,7 @@ fn event_msg(target: Tid, event_id: u64) -> Message {
 /// the persistence path never copies payload bytes.
 #[test]
 fn ten_thousand_chained_events_round_trip_byte_identical() {
-    if !xdaq::rec::sys::supported() {
+    if !xdaq::sys::supported() {
         return;
     }
     const EVENTS: usize = 10_000;
@@ -119,7 +119,7 @@ fn ten_thousand_chained_events_round_trip_byte_identical() {
 /// exactly.
 #[test]
 fn executive_record_then_replay_reproduces_filter_decisions() {
-    if !xdaq::rec::sys::supported() {
+    if !xdaq::sys::supported() {
         return;
     }
     const N: u64 = 500;
@@ -211,7 +211,7 @@ fn executive_record_then_replay_reproduces_filter_decisions() {
 /// run.
 #[test]
 fn recording_over_a_chaotic_link_is_lossless_and_replayable() {
-    if !xdaq::rec::sys::supported() {
+    if !xdaq::sys::supported() {
         return;
     }
     const N: u64 = 300;
@@ -338,7 +338,7 @@ fn spawn_child(test_fn: &str, dir: &std::path::Path) -> Child {
 /// checked) and truncate the torn tail so the store scans clean.
 #[test]
 fn sigkilled_recorder_leaves_a_recoverable_store() {
-    if !xdaq::rec::sys::supported() || !heavy_enabled() {
+    if !xdaq::sys::supported() || !heavy_enabled() {
         return;
     }
     let dir = tmp("crash");
