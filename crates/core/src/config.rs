@@ -57,16 +57,6 @@ pub struct ExecutiveConfig {
     pub queue_capacity: Option<usize>,
     /// Reaction when the bounded queue is full.
     pub overload: OverloadPolicy,
-    /// Dispatch workers. `1` (the default) is the paper's single
-    /// scheduler thread, bit-for-bit. `n > 1` shards registered TiDs
-    /// across `n` seven-priority queues; each shard is pumped by its
-    /// own worker thread and idle workers steal whole device FIFOs.
-    /// Timers, heartbeats and polling-mode PTs stay on worker 0.
-    ///
-    /// When left at `1`, the `XDAQ_WORKERS` environment variable (if
-    /// set to a positive integer) overrides it — the CI multi-worker
-    /// sweep uses this to re-run unmodified tests at `workers=4`.
-    pub workers: usize,
     /// The executive's time source. [`Clock::Wall`] (the default) is
     /// the real monotonic clock — bit-for-bit the historical
     /// behaviour. Simulations pass a shared [`Clock::Virtual`] so
@@ -90,7 +80,6 @@ impl Default for ExecutiveConfig {
             flow: None,
             queue_capacity: None,
             overload: OverloadPolicy::DropNewest,
-            workers: 1,
             clock: Clock::Wall,
         }
     }

@@ -16,7 +16,7 @@ use crate::dispatch::{DispatchProbes, ProbedAllocator};
 use crate::error::{ExecError, PtError};
 use crate::listener::{Delivery, Dispatcher, I2oListener, TimerId, UtilOutcome};
 use crate::pta::{PeerAddr, PeerTransport, Pta, RetryPolicy};
-use crate::queue::{ClaimTable, OverloadPolicy, PushOutcome, SchedQueue};
+use crate::queue::{OverloadPolicy, PushOutcome, SchedQueue};
 use crate::registry::{DeviceMeta, DeviceUnit, LctEntry, Registry};
 use crate::route::{Hop, Route, RouteTable};
 use crate::supervisor::{LinkState, LinkSupervisor, SupervisionConfig};
@@ -49,12 +49,6 @@ pub struct ExecMonitors {
     /// Frame lifecycle tracer (starts disabled).
     pub(crate) tracer: FrameTracer,
     dispatch_latency: Histogram,
-    /// FIFO-steal counter — created only when `workers > 1`, so the
-    /// single-worker scrape surface is unchanged.
-    steals: Option<Counter>,
-    /// Per-worker dispatch-latency histograms
-    /// (`exec.w{w}.dispatch_latency_ns`); empty when `workers == 1`.
-    worker_latency: Vec<Histogram>,
     dispatched: Counter,
     sent_local: Counter,
     sent_peer: Counter,
@@ -75,34 +69,12 @@ pub struct ExecMonitors {
 }
 
 impl ExecMonitors {
-    fn new(trace_capacity: usize, workers: usize) -> (ExecMonitors, Vec<[Gauge; NUM_PRIORITIES]>) {
+    fn new(trace_capacity: usize) -> (ExecMonitors, [Gauge; NUM_PRIORITIES]) {
         let registry = xdaq_mon::Registry::new();
-        // Shard 0 keeps the historical `queue.depth.p{i}` names so a
-        // single-worker scrape is byte-identical to pre-shard builds
-        // (and multi-worker scrapes still satisfy every old assertion);
-        // further shards get `queue.w{w}.depth.p{i}`.
-        let mut depth_gauges: Vec<[Gauge; NUM_PRIORITIES]> = Vec::with_capacity(workers);
-        depth_gauges.push(std::array::from_fn(|i| {
-            registry.gauge(&format!("queue.depth.p{i}"))
-        }));
-        for w in 1..workers {
-            depth_gauges.push(std::array::from_fn(|i| {
-                registry.gauge(&format!("queue.w{w}.depth.p{i}"))
-            }));
-        }
-        let steals = (workers > 1).then(|| registry.counter("exec.steals"));
-        let worker_latency = if workers > 1 {
-            (0..workers)
-                .map(|w| registry.histogram(&format!("exec.w{w}.dispatch_latency_ns")))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let depth_gauges = std::array::from_fn(|i| registry.gauge(&format!("queue.depth.p{i}")));
         let mon = ExecMonitors {
             tracer: FrameTracer::new(trace_capacity),
             dispatch_latency: registry.histogram("exec.dispatch_latency_ns"),
-            steals,
-            worker_latency,
             dispatched: registry.counter("exec.dispatched"),
             sent_local: registry.counter("exec.sent_local"),
             sent_peer: registry.counter("exec.sent_peer"),
@@ -141,11 +113,6 @@ impl ExecMonitors {
     pub fn dispatch_latency(&self) -> &Histogram {
         &self.dispatch_latency
     }
-
-    /// FIFO-steal counter; `None` on a single-worker executive.
-    pub fn steals(&self) -> Option<&Counter> {
-        self.steals.as_ref()
-    }
 }
 
 /// Snapshot of executive counters.
@@ -181,14 +148,7 @@ pub struct ExecStats {
 pub struct ExecCore {
     node: String,
     alloc: Arc<dyn FrameAllocator>,
-    /// One seven-priority queue per dispatch worker; a TiD always maps
-    /// to the same shard (`shard_of`), so per-device FIFO order is a
-    /// property of the shard alone. Single-worker: exactly one shard.
-    shards: Vec<SchedQueue>,
-    /// Per-TiD dispatch claims coordinating shard owners and stealers.
-    claims: ClaimTable,
-    /// Dispatch worker count (resolved, ≥ 1).
-    workers: usize,
+    queue: SchedQueue,
     routes: RouteTable,
     pta: Pta,
     timers: TimerWheel,
@@ -284,45 +244,27 @@ impl ExecCore {
         *self.fault_listener.lock() = Some(tid);
     }
 
-    /// Dispatch worker count (≥ 1).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The shard a TiD's frames are enqueued on. Fibonacci-hash of the
-    /// raw TiD so consecutive TiDs (the allocator hands them out
-    /// sequentially) spread across shards instead of clustering.
-    pub fn shard_of(&self, tid: Tid) -> usize {
-        if self.workers <= 1 {
-            return 0;
-        }
-        (((tid.raw() as u32).wrapping_mul(0x9E37_79B9) >> 16) as usize) % self.shards.len()
-    }
-
-    /// Total pending messages across all shards.
+    /// Total pending messages.
     pub fn queued(&self) -> usize {
-        self.shards.iter().map(|q| q.len()).sum()
+        self.queue.len()
     }
 
-    /// Retunes every shard's overload valve at runtime. Used by
+    /// Retunes the queue's overload valve at runtime. Used by
     /// devices that apply backpressure — the event recorder tightens
     /// the queue to `Block` while its store is behind on durability,
     /// then restores the previous limits.
     pub fn set_overload(&self, capacity: Option<usize>, policy: crate::queue::OverloadPolicy) {
-        for shard in &self.shards {
-            shard.set_limits(capacity, policy.clone());
-        }
+        self.queue.set_limits(capacity, policy);
     }
 
-    /// Current overload limits (all shards share them; shard 0 is
-    /// authoritative).
+    /// Current overload limits.
     pub fn overload(&self) -> (Option<usize>, crate::queue::OverloadPolicy) {
-        self.shards[0].limits()
+        self.queue.limits()
     }
 
-    /// Purges a TiD's pending frames from its home shard.
+    /// Purges a TiD's pending frames from the queue.
     pub(crate) fn purge_tid(&self, tid: Tid) -> usize {
-        self.shards[self.shard_of(tid)].purge(tid)
+        self.queue.purge(tid)
     }
 
     /// Enqueues locally, stamping the frame for latency measurement
@@ -338,8 +280,7 @@ impl ExecCore {
                 d.priority().level() as u32,
             );
         }
-        let shard = self.shard_of(d.header.target);
-        match self.shards[shard].push(d) {
+        match self.queue.push(d) {
             PushOutcome::Accepted => {}
             PushOutcome::Rejected(victim) | PushOutcome::Displaced(victim) => {
                 self.mon.overload_drops.inc();
@@ -485,7 +426,7 @@ impl ExecCore {
         };
         // Credit protocol: grants and syncs are consumed right here at
         // ingest, never queued — the reserved control lane. A blocked
-        // dispatch worker or a saturated scheduler queue can therefore
+        // dispatch loop or a saturated scheduler queue can therefore
         // never delay, shed or deadlock credit replenishment. Inbound
         // private data frames account against the receiver lane and
         // may trigger a replenishing grant back to the sender.
@@ -652,14 +593,7 @@ impl ExecCore {
                 "recorded": self.mon.tracer.recorded(),
             },
         });
-        // Only surfaced on multi-worker nodes so single-worker
-        // snapshots stay byte-identical to historical output.
-        if self.workers > 1 {
-            if let serde_json::Value::Object(m) = &mut doc {
-                m.insert("workers".to_string(), json!(self.workers as u64));
-            }
-        }
-        // Likewise: flow/qos sections only appear once configured, so
+        // The flow/qos sections only appear once configured, so
         // nodes without them scrape identically to historical output.
         if let serde_json::Value::Object(m) = &mut doc {
             if let Some(mgr) = &self.flow {
@@ -712,29 +646,9 @@ impl Executive {
             state: DeviceState::Enabled,
             params: HashMap::new(),
         };
-        // `workers(1)` left at its default can be overridden from the
-        // environment; an explicit `workers(n > 1)` always wins. This
-        // lets CI re-run unmodified tests under a multi-worker
-        // executive (`XDAQ_WORKERS=4 cargo test`).
-        let workers = if config.workers == 1 {
-            std::env::var("XDAQ_WORKERS")
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1)
-        } else {
-            config.workers.max(1)
-        };
-        let (mon, depth_gauges) = ExecMonitors::new(config.trace_capacity, workers);
-        // `queue_capacity` bounds each shard independently: the policy
-        // protects a worker's dispatch lag, which is per-shard state.
-        let shards: Vec<SchedQueue> = depth_gauges
-            .into_iter()
-            .map(|g| {
-                SchedQueue::with_gauges(g)
-                    .with_limits(config.queue_capacity, config.overload.clone())
-            })
-            .collect();
+        let (mon, depth_gauges) = ExecMonitors::new(config.trace_capacity);
+        let queue = SchedQueue::with_gauges(depth_gauges)
+            .with_limits(config.queue_capacity, config.overload);
         let supervisor = config.supervision.clone().map(LinkSupervisor::new);
         let flow = config
             .flow
@@ -743,9 +657,7 @@ impl Executive {
         let core = Arc::new(ExecCore {
             node: config.node,
             alloc,
-            shards,
-            claims: ClaimTable::new(),
-            workers,
+            queue,
             routes: RouteTable::new(),
             pta: Pta::with_clock(config.clock.clone()),
             timers: TimerWheel::with_clock(config.clock.clone()),
@@ -786,7 +698,7 @@ impl Executive {
         Executive { core }
     }
 
-    /// Fluent construction: `Executive::builder("node").workers(4).build()`.
+    /// Fluent construction: `Executive::builder("node").build()`.
     pub fn builder(node: &str) -> ExecutiveBuilder {
         ExecutiveBuilder::new(node)
     }
@@ -1094,12 +1006,12 @@ impl Executive {
         self.core.registry.lct()
     }
 
-    /// Pending message count (summed across all shards).
+    /// Pending message count.
     pub fn queue_len(&self) -> usize {
         self.core.queued()
     }
 
-    /// Services the control plane owned by worker 0: timer wheel
+    /// Services the control plane: timer wheel
     /// (including the `LinkSupervisor` heartbeat tick) and polling-mode
     /// PTs. Returns the number of work items performed.
     fn service_control(&self) -> usize {
@@ -1138,120 +1050,28 @@ impl Executive {
         work + polled
     }
 
-    /// Dispatches up to `dispatch_batch` messages from shard `w`,
-    /// attributing latency to `worker`. Single-worker executives take
-    /// the historical claim-free pop; multi-worker executives claim
-    /// each target TiD under the shard lock so a concurrent stealer
-    /// can never interleave frames of the same device.
-    fn pump_shard(&self, w: usize, worker: usize) -> usize {
-        let core = &self.core;
-        let shard = &core.shards[w];
-        let mut n = 0usize;
-        if core.workers <= 1 {
-            for _ in 0..core.dispatch_batch {
-                match shard.pop() {
-                    Some(d) => {
-                        self.dispatch_on(d, worker);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-        } else {
-            for _ in 0..core.dispatch_batch {
-                match shard.pop_claimed(&core.claims) {
-                    Some(d) => {
-                        let tid = d.header.target;
-                        self.dispatch_on(d, worker);
-                        core.claims.release(tid);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        n
-    }
-
-    /// Work stealing for an idle worker: take one whole device FIFO
-    /// (never individual frames — ordering) from the highest-priority
-    /// non-empty level of another shard and dispatch it to completion.
-    /// Returns the number of frames dispatched.
-    fn steal_into(&self, thief: usize) -> usize {
-        let core = &self.core;
-        let n_shards = core.shards.len();
-        for off in 1..n_shards {
-            let victim = (thief + off) % n_shards;
-            if let Some((tid, fifo)) = core.shards[victim].steal_fifo(&core.claims) {
-                if let Some(c) = &core.mon.steals {
-                    c.inc();
-                }
-                let n = fifo.len();
-                for d in fifo {
-                    self.dispatch_on(d, thief);
-                }
-                core.claims.release(tid);
-                return n;
-            }
-        }
-        0
-    }
-
     /// One scheduler iteration: fire timers, poll polling-mode PTs,
-    /// dispatch up to `dispatch_batch` messages per shard. Returns the
-    /// number of work items performed (0 ⇒ idle). Manual pumping
-    /// drains every shard regardless of the worker count, so
-    /// single-threaded tests behave identically at any `workers(n)`.
+    /// dispatch up to `dispatch_batch` messages. Returns the number of
+    /// work items performed (0 ⇒ idle).
     pub fn run_once(&self) -> usize {
         let mut work = self.service_control();
-        for w in 0..self.core.shards.len() {
-            work += self.pump_shard(w, 0);
+        for _ in 0..self.core.dispatch_batch {
+            match self.core.queue.pop() {
+                Some(d) => {
+                    self.dispatch(d);
+                    work += 1;
+                }
+                None => break,
+            }
         }
         work
     }
 
     /// Runs the dispatch loop until [`Executive::stop`] is called.
-    ///
-    /// With `workers(n > 1)` this spawns `n - 1` auxiliary dispatch
-    /// threads, each pumping its own shard and stealing device FIFOs
-    /// when idle, while the calling thread acts as worker 0 (control
-    /// plane + shard 0). All auxiliary workers are joined before the
-    /// PTs are stopped.
     pub fn run(&self) {
-        if self.core.workers <= 1 {
-            let mut idle = 0u32;
-            while self.core.running.load(Ordering::Acquire) {
-                if self.run_once() > 0 {
-                    idle = 0;
-                } else {
-                    idle += 1;
-                    if idle < self.core.idle_spins {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            self.core.pta.stop_all();
-            return;
-        }
-        let aux: Vec<_> = (1..self.core.workers)
-            .map(|w| {
-                let me = self.clone();
-                std::thread::Builder::new()
-                    .name(format!("xdaq-{}-w{w}", self.node()))
-                    .spawn(move || me.run_worker(w))
-                    .expect("spawn dispatch worker")
-            })
-            .collect();
         let mut idle = 0u32;
         while self.core.running.load(Ordering::Acquire) {
-            let mut work = self.service_control();
-            work += self.pump_shard(0, 0);
-            if work == 0 {
-                work = self.steal_into(0);
-            }
-            if work > 0 {
+            if self.run_once() > 0 {
                 idle = 0;
             } else {
                 idle += 1;
@@ -1261,33 +1081,8 @@ impl Executive {
                     std::thread::yield_now();
                 }
             }
-        }
-        for t in aux {
-            let _ = t.join();
         }
         self.core.pta.stop_all();
-    }
-
-    /// Auxiliary dispatch worker `w ≥ 1`: pump own shard, steal when
-    /// idle. Timers, heartbeats and PT polling stay on worker 0.
-    fn run_worker(&self, w: usize) {
-        let mut idle = 0u32;
-        while self.core.running.load(Ordering::Acquire) {
-            let mut work = self.pump_shard(w, w);
-            if work == 0 {
-                work = self.steal_into(w);
-            }
-            if work > 0 {
-                idle = 0;
-            } else {
-                idle += 1;
-                if idle < self.core.idle_spins {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
     }
 
     /// Requests loop termination.
@@ -1319,7 +1114,7 @@ impl Executive {
     // Dispatch internals
     // ------------------------------------------------------------------
 
-    fn dispatch_on(&self, d: Delivery, worker: usize) {
+    fn dispatch(&self, d: Delivery) {
         let core = &self.core;
         core.mon.dispatched.inc();
         let target = d.header.target;
@@ -1328,9 +1123,6 @@ impl Executive {
         if let Some(t0) = d.enqueued_at {
             let ns = t0.elapsed().as_nanos() as u64;
             core.mon.dispatch_latency.record(ns);
-            if let Some(h) = core.mon.worker_latency.get(worker) {
-                h.record(ns);
-            }
             core.mon.tracer.record(
                 TraceEvent::Dispatch,
                 target.raw() as u32,
@@ -1986,8 +1778,8 @@ impl Executive {
 ///
 /// ```
 /// use xdaq_core::Executive;
-/// let exec = Executive::builder("ru0").workers(4).build();
-/// assert_eq!(exec.core().workers(), 4);
+/// let exec = Executive::builder("ru0").trace_capacity(1024).build();
+/// assert_eq!(exec.node(), "ru0");
 /// ```
 pub struct ExecutiveBuilder {
     config: ExecutiveConfig,
@@ -2004,14 +1796,6 @@ impl ExecutiveBuilder {
     /// Starts from an existing configuration.
     pub fn from_config(config: ExecutiveConfig) -> ExecutiveBuilder {
         ExecutiveBuilder { config }
-    }
-
-    /// Dispatch worker count. `1` (default) is the paper's single
-    /// scheduler thread; `n > 1` shards TiDs across `n` workers with
-    /// whole-FIFO work stealing. Clamped to at least 1.
-    pub fn workers(mut self, n: usize) -> ExecutiveBuilder {
-        self.config.workers = n.max(1);
-        self
     }
 
     /// Buffer-pool scheme.
@@ -2052,7 +1836,7 @@ impl ExecutiveBuilder {
         self
     }
 
-    /// Bounds each scheduling shard at `cap` pending frames with the
+    /// Bounds the scheduling queue at `cap` pending frames with the
     /// given overload reaction.
     pub fn queue_capacity(mut self, cap: usize, overload: OverloadPolicy) -> ExecutiveBuilder {
         self.config.queue_capacity = Some(cap);

@@ -60,7 +60,7 @@ pub use executive::{ExecMonitors, ExecStats, Executive, ExecutiveBuilder, Execut
 pub use listener::{Delivery, Dispatcher, I2oListener, TimerId};
 pub use monitor::MonitorAgent;
 pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, RetryPolicy, SendFailure};
-pub use queue::{ClaimTable, OverloadPolicy, PushOutcome, SchedQueue};
+pub use queue::{OverloadPolicy, PushOutcome, SchedQueue};
 pub use registry::{DeviceMeta, Registry};
 pub use rmi::{ArgReader, ArgWriter, MarshalError, Skeleton, Stub};
 pub use route::{Eviction, Hop, Route, RouteTable};

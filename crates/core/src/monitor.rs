@@ -13,11 +13,7 @@
 //! * `MonSnapshot` (0x30) — replies with the node's full monitoring
 //!   document as JSON: registry metrics (counters, per-priority queue
 //!   gauges, dispatch-latency histogram), pool accounting, per-PT
-//!   frame/byte counters and tracer state. Multi-worker executives
-//!   (DESIGN.md §10) add a top-level `workers` field plus per-shard
-//!   `queue.w<w>.depth.p*` gauges, `exec.w<w>.dispatch_latency_ns`
-//!   histograms and the `exec.steals` counter; at the single-worker
-//!   default the document is unchanged.
+//!   frame/byte counters and tracer state.
 //! * `MonReset` (0x31) — zeroes all registry metrics, PT counters and
 //!   the trace ring.
 //! * `MonTraceDump` (0x32) — replies with the frame-lifecycle trace

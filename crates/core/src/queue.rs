@@ -15,56 +15,10 @@
 use crate::listener::Delivery;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use xdaq_i2o::{Priority, Tid, NUM_PRIORITIES};
 use xdaq_mon::Gauge;
-
-/// Per-TiD dispatch claims for the multi-worker executive.
-///
-/// TiDs are 12-bit, so one flag per possible TiD is collision-free.
-/// A worker must hold the target's claim while dispatching any of its
-/// frames; a thief stealing a device FIFO holds the claim across the
-/// *whole* stolen batch, so frames that arrive at the home shard in the
-/// meantime cannot be dispatched concurrently — this is what keeps
-/// per-device FIFO order intact under work stealing. Claims are only
-/// ever acquired under a shard's level lock (see
-/// [`SchedQueue::pop_claimed`] / [`SchedQueue::steal_fifo`]), which
-/// makes claim acquisition atomic with queue removal.
-pub struct ClaimTable {
-    claims: Box<[AtomicBool]>,
-}
-
-impl Default for ClaimTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ClaimTable {
-    /// One released claim per possible TiD (4096 entries).
-    pub fn new() -> ClaimTable {
-        ClaimTable {
-            claims: (0..=0xFFFusize).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    /// Attempts to acquire the dispatch claim for `tid`.
-    pub fn try_claim(&self, tid: Tid) -> bool {
-        !self.claims[tid.raw() as usize].swap(true, Ordering::Acquire)
-    }
-
-    /// Releases a claim previously acquired with
-    /// [`ClaimTable::try_claim`].
-    pub fn release(&self, tid: Tid) {
-        self.claims[tid.raw() as usize].store(false, Ordering::Release);
-    }
-
-    /// True while some worker holds the claim for `tid`.
-    pub fn is_claimed(&self, tid: Tid) -> bool {
-        self.claims[tid.raw() as usize].load(Ordering::Acquire)
-    }
-}
 
 /// What to do when the scheduling queue hits its capacity limit
 /// (paper §3.2's fault-tolerant behaviour applied to overload: the
@@ -281,79 +235,6 @@ impl SchedQueue {
                     g[p.level() as usize].add(-1);
                 }
                 return Some(d);
-            }
-        }
-        None
-    }
-
-    /// Multi-worker pop: like [`SchedQueue::pop`], but only returns a
-    /// delivery whose target's claim could be acquired — the claim is
-    /// returned *held* and the caller must [`ClaimTable::release`] it
-    /// after dispatching. Devices whose claim is currently held by a
-    /// thief are rotated past (their frames stay queued, in order,
-    /// until the claim frees up), so a steal in progress never blocks
-    /// the level and never reorders the victim device.
-    pub fn pop_claimed(&self, claims: &ClaimTable) -> Option<Delivery> {
-        if self.pending.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        for p in Priority::descending() {
-            let level = p.level() as usize;
-            let mut lv = self.levels[level].lock();
-            for _ in 0..lv.rotation.len() {
-                let tid = *lv.rotation.front().expect("iterating rotation");
-                if !claims.try_claim(tid) {
-                    // Claim held elsewhere: skip this device this round.
-                    lv.rotation.rotate_left(1);
-                    continue;
-                }
-                lv.rotation.pop_front();
-                let (d, more) = {
-                    let q = lv.queues.get_mut(&tid).expect("rotation implies queue");
-                    let d = q.pop_front().expect("rotation implies non-empty");
-                    (d, !q.is_empty())
-                };
-                if more {
-                    lv.rotation.push_back(tid);
-                }
-                self.pending.fetch_sub(1, Ordering::Release);
-                if let Some(g) = &self.depth {
-                    g[level].add(-1);
-                }
-                return Some(d);
-            }
-        }
-        None
-    }
-
-    /// Steals one device's *entire* FIFO from the highest-priority
-    /// occupied level whose claim can be acquired (whole-FIFO transfer
-    /// is what preserves per-device order — individual frames are
-    /// never stolen). The claim is returned held; the thief must
-    /// dispatch every returned delivery in order and only then
-    /// [`ClaimTable::release`] the TiD. Frames for the stolen device
-    /// that arrive while the claim is held queue up behind it and wait.
-    pub fn steal_fifo(&self, claims: &ClaimTable) -> Option<(Tid, VecDeque<Delivery>)> {
-        if self.pending.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        for p in Priority::descending() {
-            let level = p.level() as usize;
-            let mut lv = self.levels[level].lock();
-            let candidates = lv.rotation.len();
-            for i in 0..candidates {
-                let tid = lv.rotation[i];
-                if !claims.try_claim(tid) {
-                    continue;
-                }
-                lv.rotation.remove(i);
-                let fifo = lv.queues.remove(&tid).expect("rotation implies queue");
-                debug_assert!(!fifo.is_empty(), "rotation implies non-empty");
-                self.pending.fetch_sub(fifo.len(), Ordering::Release);
-                if let Some(g) = &self.depth {
-                    g[level].add(-(fifo.len() as i64));
-                }
-                return Some((tid, fifo));
             }
         }
         None
@@ -576,94 +457,6 @@ mod tests {
         // Blocks until the consumer makes room, then succeeds.
         push_ok(&q, mk(0x10, 3, 2));
         assert_eq!(consumer.join().unwrap().unwrap().payload()[0], 1);
-    }
-
-    #[test]
-    fn claim_table_is_exclusive() {
-        let c = ClaimTable::new();
-        assert!(c.try_claim(t(0x10)));
-        assert!(!c.try_claim(t(0x10)), "second claim refused");
-        assert!(c.is_claimed(t(0x10)));
-        assert!(c.try_claim(t(0x11)), "other TiDs unaffected");
-        c.release(t(0x10));
-        assert!(!c.is_claimed(t(0x10)));
-        assert!(c.try_claim(t(0x10)), "released claim reacquirable");
-    }
-
-    #[test]
-    fn pop_claimed_matches_pop_when_uncontended() {
-        let q = SchedQueue::new();
-        let c = ClaimTable::new();
-        push_ok(&q, mk(0x10, 1, 1));
-        push_ok(&q, mk(0x10, 6, 2));
-        push_ok(&q, mk(0x20, 3, 3));
-        let mut tags = Vec::new();
-        while let Some(d) = q.pop_claimed(&c) {
-            let tid = d.header.target;
-            tags.push(d.payload()[0]);
-            c.release(tid);
-        }
-        assert_eq!(tags, vec![2, 3, 1], "priority order preserved");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_claimed_skips_claimed_device() {
-        let q = SchedQueue::new();
-        let c = ClaimTable::new();
-        push_ok(&q, mk(0x10, 3, 1));
-        push_ok(&q, mk(0x20, 3, 2));
-        // A thief holds 0x10: pop must serve 0x20 instead, leaving
-        // 0x10's frame queued in place.
-        assert!(c.try_claim(t(0x10)));
-        let d = q.pop_claimed(&c).unwrap();
-        assert_eq!(d.header.target, t(0x20));
-        c.release(t(0x20));
-        assert!(q.pop_claimed(&c).is_none(), "0x10 still claimed");
-        assert_eq!(q.len(), 1);
-        c.release(t(0x10));
-        assert_eq!(q.pop_claimed(&c).unwrap().payload()[0], 1);
-    }
-
-    #[test]
-    fn steal_fifo_takes_whole_device_queue() {
-        let q = SchedQueue::new();
-        let c = ClaimTable::new();
-        for tag in 1..=3 {
-            push_ok(&q, mk(0x10, 3, tag));
-        }
-        push_ok(&q, mk(0x20, 5, 9));
-        // Highest-priority occupied level wins: 0x20 at priority 5.
-        let (tid, fifo) = q.steal_fifo(&c).unwrap();
-        assert_eq!(tid, t(0x20));
-        assert_eq!(fifo.len(), 1);
-        c.release(tid);
-        // Next steal drains 0x10's whole FIFO, in order.
-        let (tid, fifo) = q.steal_fifo(&c).unwrap();
-        assert_eq!(tid, t(0x10));
-        let tags: Vec<u8> = fifo.iter().map(|d| d.payload()[0]).collect();
-        assert_eq!(tags, vec![1, 2, 3]);
-        assert!(c.is_claimed(t(0x10)), "claim returned held");
-        assert!(q.is_empty());
-        assert!(q.steal_fifo(&c).is_none());
-    }
-
-    #[test]
-    fn steal_fifo_accounts_depth_gauges() {
-        let reg = xdaq_mon::Registry::new();
-        let gauges: [Gauge; NUM_PRIORITIES] =
-            std::array::from_fn(|i| reg.gauge(&format!("queue.depth.p{i}")));
-        let q = SchedQueue::with_gauges(gauges);
-        let c = ClaimTable::new();
-        for tag in 0..4 {
-            push_ok(&q, mk(0x10, 2, tag));
-        }
-        assert_eq!(reg.gauge("queue.depth.p2").get(), 4);
-        let (tid, fifo) = q.steal_fifo(&c).unwrap();
-        assert_eq!(fifo.len(), 4);
-        assert_eq!(reg.gauge("queue.depth.p2").get(), 0);
-        assert_eq!(q.len(), 0);
-        c.release(tid);
     }
 
     #[test]

@@ -4,21 +4,14 @@
 //! class instances, but the executive performs the dispatching."*
 //! The registry owns every listener; during a dispatch the unit is
 //! *checked out* (moved off the table), the upcall runs without any
-//! registry lock held, and the unit is checked back in. Under the
-//! multi-worker executive the per-TiD dispatch claims guarantee at
-//! most one worker ever checks out a given device; the checkout
-//! protocol itself stays race-free because a slot is `None` while its
-//! unit is out. The slot table is striped by TiD so concurrent
-//! workers' checkout/checkin traffic rarely shares a lock.
+//! registry lock held, and the unit is checked back in — the single
+//! dispatch thread makes this race-free while keeping handlers free to
+//! call back into the executive.
 
 use crate::listener::I2oListener;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use xdaq_i2o::{DeviceClass, DeviceState, Tid};
-
-/// Slot-table stripes. Eight is comfortably above any sane worker
-/// count; striping is by `tid % STRIPES`.
-const STRIPES: usize = 8;
 
 /// Metadata of a registered device instance.
 #[derive(Debug, Clone)]
@@ -44,29 +37,15 @@ pub struct DeviceUnit {
     pub meta: DeviceMeta,
 }
 
-/// One stripe of the slot table: TiD → checked-in unit (`None` while
-/// checked out).
-#[derive(Default)]
-struct Stripe {
-    slots: HashMap<Tid, Option<DeviceUnit>>,
-}
-
-/// The registry. All methods are cheap map operations under a stripe
+/// The registry. All methods are cheap map operations under the slot
 /// mutex (or the name mutex); no registry lock is ever held across an
 /// upcall, and no method holds two locks at once.
+#[derive(Default)]
 pub struct Registry {
-    stripes: [Mutex<Stripe>; STRIPES],
+    /// TiD → checked-in unit (`None` while checked out).
+    slots: Mutex<HashMap<Tid, Option<DeviceUnit>>>,
     /// Instance name → TiD.
     names: Mutex<HashMap<String, Tid>>,
-}
-
-impl Default for Registry {
-    fn default() -> Registry {
-        Registry {
-            stripes: std::array::from_fn(|_| Mutex::new(Stripe::default())),
-            names: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 /// Row of the Logical Configuration Table (`ExecLctNotify` payload).
@@ -88,10 +67,6 @@ impl Registry {
         Registry::default()
     }
 
-    fn stripe(&self, tid: Tid) -> &Mutex<Stripe> {
-        &self.stripes[(tid.raw() as usize) % STRIPES]
-    }
-
     /// Inserts a new unit. The name must be unique.
     pub fn insert(&self, unit: DeviceUnit) -> Result<(), crate::error::ExecError> {
         {
@@ -104,23 +79,23 @@ impl Registry {
             names.insert(unit.meta.name.clone(), unit.meta.tid);
         }
         let tid = unit.meta.tid;
-        self.stripe(tid).lock().slots.insert(tid, Some(unit));
+        self.slots.lock().insert(tid, Some(unit));
         Ok(())
     }
 
     /// Checks a unit out for dispatch. Returns `None` for unknown TiDs
     /// or units already checked out.
     pub fn checkout(&self, tid: Tid) -> Option<DeviceUnit> {
-        self.stripe(tid).lock().slots.get_mut(&tid)?.take()
+        self.slots.lock().get_mut(&tid)?.take()
     }
 
     /// Returns a unit after dispatch.
     pub fn checkin(&self, unit: DeviceUnit) {
         let tid = unit.meta.tid;
-        let mut stripe = self.stripe(tid).lock();
+        let mut slots = self.slots.lock();
         // If the device was destroyed while checked out, the slot is
         // gone or occupied and the unit is simply dropped.
-        if let Some(slot @ None) = stripe.slots.get_mut(&tid) {
+        if let Some(slot @ None) = slots.get_mut(&tid) {
             *slot = Some(unit);
         }
     }
@@ -131,7 +106,7 @@ impl Registry {
     /// eviction must leave the alias free for the peer's next
     /// incarnation.
     pub fn remove(&self, tid: Tid) -> Option<DeviceUnit> {
-        let unit = self.stripe(tid).lock().slots.remove(&tid);
+        let unit = self.slots.lock().remove(&tid);
         let mut names = self.names.lock();
         match &unit {
             Some(Some(u)) => {
@@ -162,54 +137,44 @@ impl Registry {
 
     /// Current state of a device, if present and checked in.
     pub fn state(&self, tid: Tid) -> Option<DeviceState> {
-        self.stripe(tid)
+        self.slots
             .lock()
-            .slots
             .get(&tid)
             .and_then(|s| s.as_ref())
             .map(|u| u.meta.state)
     }
 
     /// Applies `f` to every checked-in unit's metadata (run-control
-    /// sweeps). Stripes are visited one at a time; units checked out
-    /// by a concurrently dispatching worker are skipped, exactly as
-    /// they always were for the unit under dispatch.
+    /// sweeps). The unit under dispatch is checked out and skipped.
     pub fn for_each_meta(&self, mut f: impl FnMut(&mut DeviceMeta)) {
-        for stripe in &self.stripes {
-            let mut stripe = stripe.lock();
-            for slot in stripe.slots.values_mut() {
-                if let Some(u) = slot.as_mut() {
-                    f(&mut u.meta);
-                }
+        for slot in self.slots.lock().values_mut() {
+            if let Some(u) = slot.as_mut() {
+                f(&mut u.meta);
             }
         }
     }
 
     /// The Logical Configuration Table.
     pub fn lct(&self) -> Vec<LctEntry> {
-        let mut rows: Vec<LctEntry> = Vec::new();
-        for stripe in &self.stripes {
-            let stripe = stripe.lock();
-            rows.extend(
-                stripe
-                    .slots
-                    .values()
-                    .filter_map(|s| s.as_ref())
-                    .map(|u| LctEntry {
-                        tid: u.meta.tid,
-                        name: u.meta.name.clone(),
-                        class: u.meta.class,
-                        state: u.meta.state,
-                    }),
-            );
-        }
+        let mut rows: Vec<LctEntry> = self
+            .slots
+            .lock()
+            .values()
+            .filter_map(|s| s.as_ref())
+            .map(|u| LctEntry {
+                tid: u.meta.tid,
+                name: u.meta.name.clone(),
+                class: u.meta.class,
+                state: u.meta.state,
+            })
+            .collect();
         rows.sort_by_key(|r| r.tid);
         rows
     }
 
     /// Number of registered devices (including checked-out ones).
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().slots.len()).sum()
+        self.slots.lock().len()
     }
 
     /// True when no devices are registered.
@@ -219,11 +184,7 @@ impl Registry {
 
     /// All registered TiDs.
     pub fn tids(&self) -> Vec<Tid> {
-        let mut out = Vec::new();
-        for stripe in &self.stripes {
-            out.extend(stripe.lock().slots.keys().copied());
-        }
-        out
+        self.slots.lock().keys().copied().collect()
     }
 }
 

@@ -12,7 +12,6 @@
 //! rundir = "/tmp/xdaq-evb"          # url files + scratch
 //!
 //! [defaults]                        # node params unless overridden
-//! workers = 1
 //! supervision.interval_ms = 50
 //!
 //! [node.bu0]                        # a managed executive
@@ -81,7 +80,7 @@ pub struct NodeDecl {
     pub external: bool,
     /// Static URL for external nodes.
     pub url: Option<String>,
-    /// Node-level parameters (merged over `[defaults]`): `workers`,
+    /// Node-level parameters (merged over `[defaults]`):
     /// `supervision.*` consumed by the runner; `flow.*` / `qos.*`
     /// pushed to the live executive at bring-up.
     pub params: HashMap<String, String>,
@@ -389,7 +388,6 @@ mod tests {
         rundir = "/tmp/xdaq-mini"
 
         [defaults]
-        workers = 1
         supervision.interval_ms = 50
 
         [node.ru0]
@@ -442,8 +440,10 @@ mod tests {
             Some("64")
         );
         assert_eq!(
-            mgr.params.get("workers").map(String::as_str),
-            Some("1"),
+            mgr.params
+                .get("supervision.interval_ms")
+                .map(String::as_str),
+            Some("50"),
             "defaults merge in"
         );
         let evm = &mgr.modules[0];

@@ -5,8 +5,8 @@
 //! child calls [`run_managed_node`] with a closure that registers the
 //! application's module factories, and the runner does the rest:
 //! locate its own [`NodeDecl`] via the `XDAQ_CTL_*` environment,
-//! build the executive (workers, supervision, flow control from node
-//! params), bind a TCP peer transport on an ephemeral port, publish
+//! build the executive (supervision, flow control from node params),
+//! bind a TCP peer transport on an ephemeral port, publish
 //! the generation-stamped url file, and run until told to stop.
 //!
 //! The runner deliberately loads **no modules**: module load, routes
@@ -61,7 +61,6 @@ fn param_u64(decl: &crate::decl::NodeDecl, key: &str, default: u64) -> u64 {
 
 /// Builds the [`ExecutiveConfig`] a declaration implies for `node`.
 ///
-/// * `workers` — worker threads (default 1).
 /// * `supervision.interval_ms` / `.suspect_after` / `.down_after` —
 ///   link supervision cadence. Supervision is **always** on for
 ///   managed nodes (default 50 ms / 3 / 6): convergence depends on
@@ -69,6 +68,9 @@ fn param_u64(decl: &crate::decl::NodeDecl, key: &str, default: u64) -> u64 {
 ///   alias for the respawned incarnation.
 /// * any `flow.*` key — enables credit-based flow control so those
 ///   keys are settable at bring-up ([`FlowConfig::default`] base).
+///
+/// The `workers` key that once sharded dispatch across threads is
+/// refused rather than ignored, so a stale topology fails loudly.
 pub fn node_config(topo: &Topology, node: &str) -> Result<ExecutiveConfig, String> {
     let decl = topo
         .node(node)
@@ -76,8 +78,13 @@ pub fn node_config(topo: &Topology, node: &str) -> Result<ExecutiveConfig, Strin
     if decl.external {
         return Err(format!("node '{node}' is external, not runnable"));
     }
+    if decl.params.contains_key("workers") {
+        return Err(
+            "node param 'workers' was removed: the executive has one dispatch loop; delete the key"
+                .into(),
+        );
+    }
     let mut config = ExecutiveConfig::named(node);
-    config.workers = param_u64(decl, "workers", 1) as usize;
     config.supervision = Some(SupervisionConfig {
         interval: Duration::from_millis(param_u64(decl, "supervision.interval_ms", 50)),
         suspect_after: param_u64(decl, "supervision.suspect_after", 3) as u32,
@@ -165,12 +172,11 @@ mod tests {
         name   = "t"
         rundir = "/tmp/xdaq-ctl-runner-test"
         [defaults]
-        workers = 2
+        supervision.interval_ms = 30
         [node.a]
         flow.window = 8
         supervision.interval_ms = 20
         [node.b]
-        workers = 1
         [node.c]
         transport = "xpt"
         [node.stale]
@@ -187,21 +193,34 @@ mod tests {
         let topo = Topology::parse(TOPO).unwrap();
         let a = node_config(&topo, "a").unwrap();
         assert_eq!(a.node, "a");
-        assert_eq!(a.workers, 2, "defaults apply");
         let sup = a.supervision.unwrap();
-        assert_eq!(sup.interval, Duration::from_millis(20));
+        assert_eq!(
+            sup.interval,
+            Duration::from_millis(20),
+            "node overrides defaults"
+        );
         assert_eq!((sup.suspect_after, sup.down_after), (3, 6));
         assert!(a.flow.is_some(), "flow.* params enable flow control");
 
         let b = node_config(&topo, "b").unwrap();
-        assert_eq!(b.workers, 1, "node overrides defaults");
         assert!(b.flow.is_none());
-        assert!(b.supervision.is_some(), "supervision always on");
+        let sup = b.supervision.expect("supervision always on");
+        assert_eq!(sup.interval, Duration::from_millis(30), "defaults apply");
 
         assert!(node_config(&topo, "x").unwrap_err().contains("external"));
         assert!(node_config(&topo, "nope")
             .unwrap_err()
             .contains("not in topology"));
+    }
+
+    #[test]
+    fn removed_workers_key_is_refused() {
+        for stale in ["[defaults]\nworkers = 1\n[node.a]", "[node.a]\nworkers = 4"] {
+            let text = format!("[cluster]\nname = \"t\"\nrundir = \"/tmp/x\"\n{stale}\n");
+            let topo = Topology::parse(&text).unwrap();
+            let err = node_config(&topo, "a").unwrap_err();
+            assert!(err.contains("'workers' was removed"), "got {err}");
+        }
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl SimCluster {
 
     /// Adds a node: builds its executive on the shared clock, attaches
     /// it to the fabric under `name` (transport `"pt"`), and hands the
-    /// builder to `f` for extra configuration (supervision, workers…).
+    /// builder to `f` for extra configuration (supervision…).
     pub fn add_node_with(
         &mut self,
         name: &str,

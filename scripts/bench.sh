@@ -19,12 +19,6 @@ echo "== shm vs loopback vs tcp throughput (64 B .. 256 KiB) =="
 cargo run -p xdaq-bench --release --bin shm_throughput -- \
     --json results/BENCH_pr3.json
 
-echo "== multi-worker executive dispatch scaling (1/2/4 workers) =="
-# Asserts the PR acceptance floor internally when the host has >=4
-# CPUs: >=2x aggregate dispatch throughput at 4 workers vs 1.
-cargo run -p xdaq-bench --release --bin exec_scaling -- \
-    --json results/BENCH_pr4.json
-
 echo "== event-store append/scan throughput (1 KiB .. 256 KiB) =="
 # Verifies internally that every append iovec aliases its pool block
 # (zero payload copies) and that the store scans back clean.

@@ -24,20 +24,6 @@ cargo test --workspace -q
 echo "== chaos smoke (fixed seed, must be deterministic) =="
 cargo test --test faults fixed_seed_chaos_run_is_deterministic -- --exact
 
-echo "== multi-worker variant (XDAQ_WORKERS=4) =="
-# Re-runs the ordering-sensitive suites with every default-configured
-# executive spawning 4 dispatch workers (the env override applies only
-# to configs left at workers=1, so explicit workers(n) tests keep
-# their own counts). The fixed-seed determinism smoke above stays
-# single-worker on purpose: cross-device completion order is not a
-# multi-worker invariant, per-device order is.
-XDAQ_WORKERS=4 cargo test -q --test cluster
-XDAQ_WORKERS=4 cargo test -q -p xdaq-core --test executive
-XDAQ_WORKERS=4 cargo test -q --test faults \
-    chaos_rejects_thirty_percent_yet_all_replies_arrive -- --exact
-XDAQ_WORKERS=4 cargo test -q --test faults \
-    primary_killed_mid_run_fails_over_with_zero_loss -- --exact
-
 # The multi-process/chaos tiers below are capability-gated: the heavy
 # tests early-return unless XDAQ_TEST_HEAVY=1, so a plain `cargo test`
 # stays fast while CI opts in to the full fault-injection surface.
@@ -119,9 +105,6 @@ bash benchmark/run.sh --smoke
 echo "== loom model of the shm SPSC ring =="
 RUSTFLAGS="--cfg loom" cargo test -q -p xdaq-shm --test loom --release
 
-echo "== loom model of the multi-worker FIFO-steal handoff =="
-RUSTFLAGS="--cfg loom" cargo test -q -p xdaq-core --test loom --release
-
 echo "== failure injection under ThreadSanitizer (advisory) =="
 # Needs a nightly toolchain with -Z sanitizer support; results are
 # advisory — TSan findings are reported but do not fail the gate.
@@ -131,9 +114,7 @@ if rustup toolchain list 2>/dev/null | grep -q nightly; then
     # positives); without it, instrument only the workspace and allow
     # the sanitizer ABI mismatch against the prebuilt std. In that
     # degraded mode std's futex-based Mutex is invisible to TSan, so
-    # data that is in fact lock-protected (e.g. SchedQueue level maps
-    # during steal_fifo) is reported as racing — the loom models above
-    # are the authoritative check for those protocols.
+    # data that is in fact lock-protected is reported as racing.
     build_std=()
     flags="-Zsanitizer=thread"
     if rustup component list --toolchain nightly 2>/dev/null \
@@ -146,8 +127,7 @@ if rustup toolchain list 2>/dev/null | grep -q nightly; then
         RUSTFLAGS="$flags" RUSTDOCFLAGS="$flags" \
             cargo +nightly test "${build_std[@]}" --target "$host_triple" "$@"
     }
-    if tsan -p xdaq --test faults && tsan -p xdaq-core --test failures \
-        && tsan -p xdaq --test cluster multi_worker_dispatch_preserves_per_device_ordering; then
+    if tsan -p xdaq --test faults && tsan -p xdaq-core --test failures; then
         echo "tsan: clean"
     else
         echo "tsan: findings above are ADVISORY, not blocking"

@@ -103,7 +103,7 @@ fn write_topology(name: &str) -> (String, PathBuf) {
     std::fs::create_dir_all(&base).unwrap();
     let mut text = format!(
         "[cluster]\nname = \"{name}\"\nrundir = \"{}\"\n\n\
-         [defaults]\nworkers = 1\nsupervision.interval_ms = 50\n\n",
+         [defaults]\nsupervision.interval_ms = 50\n\n",
         base.display()
     );
     for i in 0..N_RU {
