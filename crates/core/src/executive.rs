@@ -15,11 +15,11 @@ use crate::credit::{self, CreditManager, FlowCmd};
 use crate::dispatch::{DispatchProbes, ProbedAllocator};
 use crate::error::{ExecError, PtError};
 use crate::listener::{Delivery, Dispatcher, I2oListener, TimerId, UtilOutcome};
-use crate::pta::{PeerAddr, PeerTransport, Pta, RetryPolicy};
-use crate::queue::{OverloadPolicy, PushOutcome, SchedQueue};
+use crate::pta::{PeerAddr, PeerTransport, Pta};
+use crate::queue::{PushOutcome, SchedQueue};
 use crate::registry::{DeviceMeta, DeviceUnit, LctEntry, Registry};
 use crate::route::{Hop, Route, RouteTable};
-use crate::supervisor::{LinkState, LinkSupervisor, SupervisionConfig};
+use crate::supervisor::{LinkState, LinkSupervisor};
 use crate::timer::TimerWheel;
 use crate::xfn;
 use parking_lot::Mutex;
@@ -696,11 +696,6 @@ impl Executive {
             core.timers.register(Tid::PTA, mgr.config().tick, true);
         }
         Executive { core }
-    }
-
-    /// Fluent construction: `Executive::builder("node").build()`.
-    pub fn builder(node: &str) -> ExecutiveBuilder {
-        ExecutiveBuilder::new(node)
     }
 
     /// Shared internals (dispatch context, tests, benches).
@@ -1771,94 +1766,6 @@ impl Executive {
             .payload(body)
             .finish();
         let _ = self.post(msg);
-    }
-}
-
-/// Fluent [`Executive`] constructor over [`ExecutiveConfig`].
-///
-/// ```
-/// use xdaq_core::Executive;
-/// let exec = Executive::builder("ru0").trace_capacity(1024).build();
-/// assert_eq!(exec.node(), "ru0");
-/// ```
-pub struct ExecutiveBuilder {
-    config: ExecutiveConfig,
-}
-
-impl ExecutiveBuilder {
-    /// Starts from the defaults of [`ExecutiveConfig::named`].
-    pub fn new(node: &str) -> ExecutiveBuilder {
-        ExecutiveBuilder {
-            config: ExecutiveConfig::named(node),
-        }
-    }
-
-    /// Starts from an existing configuration.
-    pub fn from_config(config: ExecutiveConfig) -> ExecutiveBuilder {
-        ExecutiveBuilder { config }
-    }
-
-    /// Buffer-pool scheme.
-    pub fn allocator(mut self, kind: AllocatorKind) -> ExecutiveBuilder {
-        self.config.allocator = kind;
-        self
-    }
-
-    /// Per-handler CPU budget (watchdog).
-    pub fn watchdog(mut self, budget: Duration) -> ExecutiveBuilder {
-        self.config.watchdog = Some(budget);
-        self
-    }
-
-    /// Enables heartbeat link supervision.
-    pub fn supervision(mut self, cfg: SupervisionConfig) -> ExecutiveBuilder {
-        self.config.supervision = Some(cfg);
-        self
-    }
-
-    /// Enables link-level credit-based flow control (DESIGN.md §13).
-    pub fn flow(mut self, cfg: crate::credit::FlowConfig) -> ExecutiveBuilder {
-        self.config.flow = Some(cfg);
-        self
-    }
-
-    /// Default PTA retry policy.
-    pub fn retry(mut self, policy: RetryPolicy) -> ExecutiveBuilder {
-        self.config.retry = policy;
-        self
-    }
-
-    /// Time source for timers, heartbeats, retry backoff and flow
-    /// ticks. Defaults to [`Clock::Wall`]; simulations pass a shared
-    /// virtual clock (DESIGN.md §16).
-    pub fn clock(mut self, clock: Clock) -> ExecutiveBuilder {
-        self.config.clock = clock;
-        self
-    }
-
-    /// Bounds the scheduling queue at `cap` pending frames with the
-    /// given overload reaction.
-    pub fn queue_capacity(mut self, cap: usize, overload: OverloadPolicy) -> ExecutiveBuilder {
-        self.config.queue_capacity = Some(cap);
-        self.config.overload = overload;
-        self
-    }
-
-    /// Attaches whitebox dispatch probes with `n`-sample rings.
-    pub fn probes(mut self, n: usize) -> ExecutiveBuilder {
-        self.config.probe_capacity = Some(n);
-        self
-    }
-
-    /// Slots in the frame-lifecycle trace ring.
-    pub fn trace_capacity(mut self, n: usize) -> ExecutiveBuilder {
-        self.config.trace_capacity = n;
-        self
-    }
-
-    /// Builds the executive.
-    pub fn build(self) -> Executive {
-        Executive::new(self.config)
     }
 }
 

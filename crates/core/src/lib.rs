@@ -56,7 +56,7 @@ pub use config::{AllocatorKind, ExecutiveConfig};
 pub use credit::{CreditManager, FlowCmd, FlowConfig, FlowPolicy};
 pub use dispatch::{DispatchProbes, ProbedAllocator};
 pub use error::{ExecError, PtError};
-pub use executive::{ExecMonitors, ExecStats, Executive, ExecutiveBuilder, ExecutiveHandle};
+pub use executive::{ExecMonitors, ExecStats, Executive, ExecutiveHandle};
 pub use listener::{Delivery, Dispatcher, I2oListener, TimerId};
 pub use monitor::MonitorAgent;
 pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, RetryPolicy, SendFailure};

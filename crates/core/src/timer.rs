@@ -97,7 +97,9 @@ impl TimerWheel {
     }
 
     /// Registers a timer owned by `owner`; periodic timers re-arm on
-    /// fire.
+    /// fire. A periodic period is at least 1 ns: `fire_due` re-arms at
+    /// `now + period`, so a zero period would stay due forever and
+    /// spin the dispatch thread inside one `fire_due` call.
     pub fn register(&self, owner: Tid, delay: Duration, periodic: bool) -> TimerId {
         let now = self.clock.now();
         let mut inner = self.inner.lock();
@@ -107,7 +109,7 @@ impl TimerWheel {
             deadline: now + delay,
             id,
             owner,
-            period: periodic.then_some(delay),
+            period: periodic.then(|| delay.max(Duration::from_nanos(1))),
         }));
         inner.armed.insert(id, owner);
         id
@@ -255,6 +257,24 @@ mod tests {
         assert_eq!(w.fire_due(v.now(), |_, _| {}), 1);
         assert!(w.cancel(id));
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn zero_period_fires_once_per_call() {
+        // Reachable from `.xtop` `supervision.interval_ms = 0` and the
+        // Recorder's `fsync_interval_ms=0`.
+        let (w, v) = wheel();
+        w.register(t(1), Duration::ZERO, true);
+        let mut calls = 0;
+        let mut count = |_: Tid, _: TimerId| {
+            calls += 1;
+            assert!(calls <= 1_000, "zero-period timer livelocks fire_due");
+        };
+        assert_eq!(w.fire_due(v.now(), &mut count), 1);
+        assert_eq!(w.fire_due(v.now(), &mut count), 0, "same instant: not due");
+        v.advance(Duration::from_millis(1));
+        assert_eq!(w.fire_due(v.now(), &mut count), 1);
+        assert_eq!(w.len(), 1, "still armed");
     }
 
     #[test]

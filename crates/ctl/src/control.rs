@@ -24,9 +24,17 @@ pub enum ControlError {
     /// The executive rejected or could not route the request.
     Exec(ExecError),
     /// No reply arrived within the timeout.
-    Timeout { context: u32 },
+    Timeout {
+        /// Initiator context of the unanswered request.
+        context: u32,
+    },
     /// The node replied with a non-success status.
-    Failed { status: ReplyStatus, body: String },
+    Failed {
+        /// Status byte of the reply.
+        status: ReplyStatus,
+        /// Reply payload as text.
+        body: String,
+    },
     /// Reply payload was not parseable as key=value.
     BadReply(String),
 }

@@ -27,11 +27,11 @@
 //!   plane's own retry/failover paths, stop the node cleanly
 //!   (`exec.stop=1`), and re-converge.
 //!
-//! The controller implements [`ControlPlane`], so an
-//! [`XclInterpreter`](xdaq_host::XclInterpreter) with the plane
+//! An [`XclInterpreter`](crate::XclInterpreter) with the controller
 //! attached drives all of this from script: `apply`, `plan`,
 //! `registry`, `drain <node>`.
 
+use crate::control::ControlHost;
 use crate::decl::{ModuleDecl, RouteDecl, Topology};
 use crate::launch::{read_url, LaunchSpec, Launcher};
 use crate::registry::{Health, ServiceRegistry, Subscription};
@@ -44,7 +44,6 @@ use std::time::Duration;
 use xdaq_core::config::{kv, parse_kv};
 use xdaq_core::xfn::XFN_PEER_DOWN;
 use xdaq_core::{Clock, ExecutiveConfig, SupervisionConfig};
-use xdaq_host::{ControlHost, ControlPlane, RegistryRow};
 use xdaq_i2o::{ExecFn, Tid};
 use xdaq_mempool::TablePool;
 use xdaq_pt::TcpPt;
@@ -104,7 +103,7 @@ struct NodeState {
 
 /// The declarative controller. Create with [`Controller::new`], start
 /// the background tick with [`Controller::start`], then converge via
-/// [`ControlPlane::apply`] (directly or through xcl).
+/// [`Controller::apply`] (directly or through xcl).
 pub struct Controller {
     topo: Topology,
     topo_path: String,
@@ -647,7 +646,12 @@ impl Controller {
         }
     }
 
-    fn plan_locked(&self) -> Vec<String> {
+    // ---- operator verbs (each holds `ops`) ---------------------------
+
+    /// Diffs desired vs actual without changing anything; returns one
+    /// human-readable pending action per line (empty = converged).
+    pub fn plan(&self) -> Vec<String> {
+        let _g = self.ops.lock();
         let mut actions = Vec::new();
         let st = self.state.lock();
         for n in self.topo.managed() {
@@ -684,7 +688,11 @@ impl Controller {
         actions
     }
 
-    fn drain_locked(&self, node: &str) -> Result<String, String> {
+    /// Rolling restart of one node: drain it through the data-plane
+    /// failover paths, stop it, respawn it, restore routes. Returns a
+    /// summary line, or an error message.
+    pub fn drain(&self, node: &str) -> Result<String, String> {
+        let _g = self.ops.lock();
         if self.topo.node(node).map(|n| n.external).unwrap_or(true) {
             return Err(format!("'{node}' is not a managed node"));
         }
@@ -783,40 +791,12 @@ impl Controller {
         self.converge_locked()?;
         Ok(format!("drained and restarted '{node}' (now gen {gen})"))
     }
-}
 
-impl ControlPlane for Controller {
-    fn plan(&self) -> Vec<String> {
-        let _g = self.ops.lock();
-        self.plan_locked()
-    }
-
-    fn apply(&self) -> Result<String, String> {
+    /// Converges the fleet to the declaration (spawn, configure,
+    /// route, enable). Returns a summary line, or an error message.
+    pub fn apply(&self) -> Result<String, String> {
         let _g = self.ops.lock();
         self.converge_locked()
-    }
-
-    fn registry(&self) -> Vec<RegistryRow> {
-        self.registry
-            .rows()
-            .into_iter()
-            .map(|r| RegistryRow {
-                node: r.node,
-                desired: r.desired.as_str().to_string(),
-                actual: r.health.as_str().to_string(),
-                generation: r.generation,
-                url: r.url,
-            })
-            .collect()
-    }
-
-    fn drain(&self, node: &str) -> Result<String, String> {
-        let _g = self.ops.lock();
-        self.drain_locked(node)
-    }
-
-    fn status_json(&self) -> serde_json::Value {
-        self.registry.status_json()
     }
 }
 
@@ -908,7 +888,7 @@ mod tests {
         let host = control_host("unit-plan-host").unwrap();
         let ctl =
             Controller::new(&path, host, Box::new(NoLaunch), ControllerConfig::default()).unwrap();
-        let plan = ControlPlane::plan(&*ctl);
+        let plan = ctl.plan();
         assert!(
             plan.iter().any(|l| l.contains("spawn a (gen 1)")),
             "{plan:?}"
@@ -916,12 +896,15 @@ mod tests {
         assert!(plan.iter().any(|l| l.contains("spawn b")), "{plan:?}");
         assert!(plan.iter().any(|l| l.contains("load a/m")), "{plan:?}");
         assert!(plan.iter().any(|l| l.contains("route a-b")), "{plan:?}");
-        let rows = ControlPlane::registry(&*ctl);
+        let rows = ctl.service_registry().rows();
         assert_eq!(rows.len(), 2);
         assert!(rows
             .iter()
-            .all(|r| r.actual == "pending" && r.desired == "up"));
-        assert_eq!(ctl.status_json()["converged"], serde_json::json!(false));
+            .all(|r| r.health == Health::Pending && r.desired == Health::Up));
+        assert_eq!(
+            ctl.service_registry().status_json()["converged"],
+            serde_json::json!(false)
+        );
     }
 
     #[test]
@@ -930,7 +913,7 @@ mod tests {
         let host = control_host("unit-fail-host").unwrap();
         let ctl =
             Controller::new(&path, host, Box::new(NoLaunch), ControllerConfig::default()).unwrap();
-        let err = ControlPlane::apply(&*ctl).unwrap_err();
+        let err = ctl.apply().unwrap_err();
         assert!(err.contains("spawn"), "{err}");
         assert!(ctl
             .drain("ghost")

@@ -52,11 +52,18 @@ impl ManagedEnv {
     }
 }
 
-fn param_u64(decl: &crate::decl::NodeDecl, key: &str, default: u64) -> u64 {
-    decl.params
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// A `supervision.*` count or millisecond value: `default` when the
+/// key is absent, otherwise a positive integer or a refusal naming it.
+fn param_u32(decl: &crate::decl::NodeDecl, key: &str, default: u32) -> Result<u32, String> {
+    let Some(v) = decl.params.get(key) else {
+        return Ok(default);
+    };
+    v.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
+        format!(
+            "node '{}': param '{key}' = '{v}' is not a positive integer",
+            decl.name
+        )
+    })
 }
 
 /// Builds the [`ExecutiveConfig`] a declaration implies for `node`.
@@ -70,7 +77,8 @@ fn param_u64(decl: &crate::decl::NodeDecl, key: &str, default: u64) -> u64 {
 ///   keys are settable at bring-up ([`FlowConfig::default`] base).
 ///
 /// The `workers` key that once sharded dispatch across threads is
-/// refused rather than ignored, so a stale topology fails loudly.
+/// refused rather than ignored, so a stale topology fails loudly; so
+/// is a `supervision.*` value that is not a positive integer.
 pub fn node_config(topo: &Topology, node: &str) -> Result<ExecutiveConfig, String> {
     let decl = topo
         .node(node)
@@ -86,9 +94,9 @@ pub fn node_config(topo: &Topology, node: &str) -> Result<ExecutiveConfig, Strin
     }
     let mut config = ExecutiveConfig::named(node);
     config.supervision = Some(SupervisionConfig {
-        interval: Duration::from_millis(param_u64(decl, "supervision.interval_ms", 50)),
-        suspect_after: param_u64(decl, "supervision.suspect_after", 3) as u32,
-        down_after: param_u64(decl, "supervision.down_after", 6) as u32,
+        interval: Duration::from_millis(param_u32(decl, "supervision.interval_ms", 50)?.into()),
+        suspect_after: param_u32(decl, "supervision.suspect_after", 3)?,
+        down_after: param_u32(decl, "supervision.down_after", 6)?,
     });
     if decl.params.keys().any(|k| k.starts_with("flow.")) {
         config.flow = Some(FlowConfig::default());
@@ -184,6 +192,12 @@ mod tests {
         xpt.backend = "epoll"
         [node.bad]
         transport = "carrier-pigeon"
+        [node.zero]
+        supervision.interval_ms = 0
+        [node.typo]
+        supervision.interval_ms = "5O"
+        [node.huge]
+        supervision.down_after = 4294967296
         [node.x]
         external = true
     "#;
@@ -207,6 +221,16 @@ mod tests {
         let sup = b.supervision.expect("supervision always on");
         assert_eq!(sup.interval, Duration::from_millis(30), "defaults apply");
 
+        for (node, key, v) in [
+            ("zero", "supervision.interval_ms", "0"),
+            ("typo", "supervision.interval_ms", "5O"),
+            ("huge", "supervision.down_after", "4294967296"),
+        ] {
+            assert_eq!(
+                node_config(&topo, node).unwrap_err(),
+                format!("node '{node}': param '{key}' = '{v}' is not a positive integer")
+            );
+        }
         assert!(node_config(&topo, "x").unwrap_err().contains("external"));
         assert!(node_config(&topo, "nope")
             .unwrap_err()

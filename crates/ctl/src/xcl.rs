@@ -38,12 +38,12 @@
 //! echo   text...
 //! ```
 //!
-//! The four control-plane verbs need a [`ControlPlane`] attached via
-//! [`XclInterpreter::with_plane`] (the `xdaq-ctl` controller
-//! implements it); without one they fail with a pointed message.
+//! The four control-plane verbs need a [`Controller`] attached via
+//! [`XclInterpreter::with_controller`]; without one they fail with a
+//! pointed message.
 
 use crate::control::{ControlError, ControlHost};
-use crate::plane::ControlPlane;
+use crate::controller::Controller;
 use std::collections::HashMap;
 use xdaq_i2o::Tid;
 
@@ -88,7 +88,7 @@ pub struct XclInterpreter<'a> {
     /// the executives the `mon` command scrapes.
     nodes: Vec<String>,
     /// Declarative controller behind `plan`/`apply`/`registry`/`drain`.
-    plane: Option<&'a dyn ControlPlane>,
+    plane: Option<&'a Controller>,
 }
 
 impl<'a> XclInterpreter<'a> {
@@ -104,7 +104,7 @@ impl<'a> XclInterpreter<'a> {
 
     /// Attaches a control plane, enabling the `plan` / `apply` /
     /// `registry` / `drain` verbs and the `ctl_status` mon section.
-    pub fn with_plane(mut self, plane: &'a dyn ControlPlane) -> XclInterpreter<'a> {
+    pub fn with_controller(mut self, plane: &'a Controller) -> XclInterpreter<'a> {
         self.plane = Some(plane);
         self
     }
@@ -128,10 +128,10 @@ impl<'a> XclInterpreter<'a> {
         })
     }
 
-    fn plane(&self, line: usize) -> Result<&'a dyn ControlPlane, XclError> {
+    fn plane(&self, line: usize) -> Result<&'a Controller, XclError> {
         self.plane.ok_or_else(|| XclError {
             line,
-            message: "no control plane attached (XclInterpreter::with_plane)".to_string(),
+            message: "no control plane attached (XclInterpreter::with_controller)".to_string(),
         })
     }
 
@@ -471,7 +471,10 @@ impl<'a> XclInterpreter<'a> {
                     cluster.insert(name, snap);
                 }
                 if let Some(plane) = self.plane {
-                    cluster.insert("ctl_status".to_string(), plane.status_json());
+                    cluster.insert(
+                        "ctl_status".to_string(),
+                        plane.service_registry().status_json(),
+                    );
                 }
                 let doc = serde_json::Value::Object(cluster);
                 let path = rest.first().copied().unwrap_or("results/mon.json");
@@ -525,14 +528,14 @@ impl<'a> XclInterpreter<'a> {
             }
             ["registry"] => {
                 let plane = self.plane(line)?;
-                let rows = plane.registry();
+                let rows = plane.service_registry().rows();
                 let mut log = format!("registry: {} nodes", rows.len());
                 for r in rows {
                     log.push_str(&format!(
                         "\n  {} desired={} actual={} gen={} url={}",
                         r.node,
                         r.desired,
-                        r.actual,
+                        r.health,
                         r.generation,
                         if r.url.is_empty() { "-" } else { &r.url },
                     ));

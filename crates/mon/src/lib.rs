@@ -15,7 +15,7 @@
 //!
 //! Everything here is plain data; shipping snapshots over I2O frames
 //! is done by the `MonitorAgent` device class in `xdaq-core`, and
-//! cluster-wide aggregation by `xdaq-host`.
+//! cluster-wide aggregation by `xdaq-ctl`.
 
 mod histogram;
 mod registry;

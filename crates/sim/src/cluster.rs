@@ -30,7 +30,7 @@ use crate::net::{SimNet, SimPt};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xdaq_core::{Clock, Executive, ExecutiveBuilder, VirtualClock};
+use xdaq_core::{Clock, Executive, ExecutiveConfig, VirtualClock};
 
 /// Why a simulation run stopped early.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,14 +117,12 @@ impl SimCluster {
 
     /// Adds a node: builds its executive on the shared clock, attaches
     /// it to the fabric under `name` (transport `"pt"`), and hands the
-    /// builder to `f` for extra configuration (supervision…).
-    pub fn add_node_with(
-        &mut self,
-        name: &str,
-        f: impl FnOnce(ExecutiveBuilder) -> ExecutiveBuilder,
-    ) -> Executive {
-        let builder = f(Executive::builder(name).clock(self.clock.clone()));
-        let exec = builder.build();
+    /// configuration to `f` for extra settings (supervision…).
+    pub fn add_node_with(&mut self, name: &str, f: impl FnOnce(&mut ExecutiveConfig)) -> Executive {
+        let mut config = ExecutiveConfig::named(name);
+        config.clock = self.clock.clone();
+        f(&mut config);
+        let exec = Executive::new(config);
         let pt: Arc<SimPt> = self.net.attach(name);
         exec.register_pt("pt", pt).expect("attach sim transport");
         self.nodes.push(Node {
@@ -136,7 +134,7 @@ impl SimCluster {
 
     /// Adds a node with default executive configuration.
     pub fn add_node(&mut self, name: &str) -> Executive {
-        self.add_node_with(name, |b| b)
+        self.add_node_with(name, |_| {})
     }
 
     /// The executive of a node added earlier.
@@ -267,8 +265,8 @@ mod tests {
         use xdaq_core::SupervisionConfig;
 
         let mut c = SimCluster::new();
-        let a = c.add_node_with("a", |b| {
-            b.supervision(SupervisionConfig {
+        let a = c.add_node_with("a", |cfg| {
+            cfg.supervision = Some(SupervisionConfig {
                 interval: Duration::from_millis(100),
                 suspect_after: 2,
                 down_after: 5,

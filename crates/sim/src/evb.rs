@@ -136,7 +136,7 @@ impl SimEvb {
         let mut cluster = SimCluster::new();
         let log = TraceLog::new();
         let sup = opts.supervision.clone();
-        let host = cluster.add_node_with("host", |b| b.supervision(sup));
+        let host = cluster.add_node_with("host", |c| c.supervision = Some(sup));
         let ru_execs: Vec<Executive> = (0..opts.n_ru)
             .map(|i| cluster.add_node(&format!("ru{i}")))
             .collect();

@@ -9,7 +9,7 @@
 
 use xdaq::app::{PingState, Pinger, Ponger};
 use xdaq::core::{Executive, ExecutiveConfig, I2oListener};
-use xdaq::host::{ControlHost, XclInterpreter};
+use xdaq::ctl::{ControlHost, XclInterpreter};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 
 fn worker(hub: &std::sync::Arc<LoopbackHub>, name: &str) -> Executive {

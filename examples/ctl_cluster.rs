@@ -20,9 +20,8 @@ use std::time::{Duration, Instant};
 use xdaq::app::{xfn, ORG_DAQ};
 use xdaq::core::listener::UtilOutcome;
 use xdaq::core::{Delivery, Dispatcher, I2oListener};
-use xdaq::ctl::{control_host, Controller, ControllerConfig, ManagedEnv, SelfExec};
+use xdaq::ctl::{control_host, Controller, ControllerConfig, ManagedEnv, SelfExec, XclInterpreter};
 use xdaq::evb::{BuilderUnit, EventManager, ReadoutUnit};
-use xdaq::host::XclInterpreter;
 use xdaq::i2o::{DeviceClass, Message, Tid, UtilFn};
 
 /// Filter-side sink: counts EVENT frames, dedups ids, and mirrors
@@ -85,7 +84,7 @@ fn managed() {
     .expect("managed node runs");
 }
 
-fn evm_param(host: &xdaq::host::ControlHost, evm: Tid, key: &str) -> String {
+fn evm_param(host: &xdaq::ctl::ControlHost, evm: Tid, key: &str) -> String {
     host.params_get(evm)
         .ok()
         .and_then(|m| m.get(key).cloned())
@@ -125,7 +124,7 @@ fn main() {
     let events = ctl.subscribe();
 
     // Drive bring-up exactly as an operator would: through xcl.
-    let mut xcl = XclInterpreter::new(&host).with_plane(&*ctl);
+    let mut xcl = XclInterpreter::new(&host).with_controller(&ctl);
     let out = xcl.run("plan\napply\nregistry").expect("apply converges");
     for line in &out.log {
         println!("{line}");

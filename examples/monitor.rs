@@ -14,7 +14,7 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use xdaq::app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
 use xdaq::core::{Executive, ExecutiveConfig, MonitorAgent};
-use xdaq::host::ControlHost;
+use xdaq::ctl::ControlHost;
 use xdaq::i2o::{Message, Tid};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 

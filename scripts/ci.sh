@@ -18,6 +18,42 @@ if grep -rl 'asm!' crates --include='*.rs' | grep -v '^crates/sys/'; then
     exit 1
 fi
 
+echo "== crate layering: xdaq-* dependencies point strictly down =="
+# DESIGN.md §2 states this order, one layer per line, lowest first. A
+# crate may depend only on crates of an earlier line, and the merged
+# control plane must not grow its second crate back.
+layers="sys i2o mon probe gm
+mempool
+core
+pt shm rec
+evb
+ctl
+sim app
+bench"
+layer_of() { { echo "$layers" | grep -nw -- "$1" || true; } | cut -d: -f1; }
+bad=0
+for manifest in crates/*/Cargo.toml; do
+    crate=$(basename "$(dirname "$manifest")")
+    own=$(layer_of "$crate")
+    if [ -z "$own" ]; then
+        echo "crates/$crate is missing from the layering order" >&2
+        bad=1
+        continue
+    fi
+    for dep in $(grep -oE '^xdaq-[a-z0-9]+' "$manifest" | sed 's/^xdaq-//'); do
+        below=$(layer_of "$dep")
+        if [ -z "$below" ] || [ "$below" -ge "$own" ]; then
+            echo "crates/$crate depends on xdaq-$dep, which is not a lower layer" >&2
+            bad=1
+        fi
+    done
+done
+if grep -rn 'xdaq-host' Cargo.toml crates src tests examples; then
+    echo "xdaq-host (listed above) was folded into xdaq-ctl" >&2
+    bad=1
+fi
+[ "$bad" -eq 0 ] || exit 1
+
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 

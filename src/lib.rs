@@ -51,11 +51,9 @@ pub use xdaq_shm as shm;
 /// replay (`replay://` peer transport).
 pub use xdaq_rec as rec;
 
-/// Control hosts and the xcl configuration language.
-pub use xdaq_host as host;
-
-/// Declarative control plane: topology declarations, the live
-/// service registry, and convergence loops.
+/// The control plane: control hosts, the xcl configuration language,
+/// topology declarations, the live service registry, and convergence
+/// loops.
 pub use xdaq_ctl as ctl;
 
 /// Time probes and measurement statistics.

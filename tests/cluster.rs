@@ -6,7 +6,7 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use xdaq::app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
 use xdaq::core::{Executive, ExecutiveConfig, PtMode};
-use xdaq::host::{ClusterInventory, ControlHost, ModuleSpec, NodeSpec, RouteSpec, XclInterpreter};
+use xdaq::ctl::{ControlHost, XclInterpreter};
 use xdaq::i2o::{Message, Tid};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 
@@ -199,7 +199,7 @@ fn xcl_script_drives_cluster() {
 }
 
 #[test]
-fn inventory_apply_builds_distributed_pingpong() {
+fn host_wires_distributed_pingpong() {
     let hub = LoopbackHub::new();
     // Two worker nodes with factories.
     let state = PingState::new();
@@ -223,46 +223,30 @@ fn inventory_apply_builds_distributed_pingpong() {
         .unwrap();
     host.start();
 
-    let inv = ClusterInventory {
-        nodes: vec![
-            NodeSpec {
-                name: "na".into(),
-                url: "loop://na".into(),
-                modules: vec![ModuleSpec {
-                    factory: "pinger".into(),
-                    instance: "ping0".into(),
-                    params: [
-                        ("payload".to_string(), "128".to_string()),
-                        ("count".to_string(), "100".to_string()),
-                    ]
-                    .into(),
-                }],
-            },
-            NodeSpec {
-                name: "nb".into(),
-                url: "loop://nb".into(),
-                modules: vec![ModuleSpec {
-                    factory: "ponger".into(),
-                    instance: "pong0".into(),
-                    params: Default::default(),
-                }],
-            },
-        ],
-        routes: vec![RouteSpec {
-            on: "na".into(),
-            target_node: "nb".into(),
-            target_instance: "pong0".into(),
-            set_param: Some(("ping0".into(), "peer".into())),
-        }],
-    };
-    let applied = inv.apply(&host).unwrap();
-    let na = applied.node_tids["na"];
-    host.enable(na).unwrap();
-    host.enable(applied.node_tids["nb"]).unwrap();
-
-    // Kick the pinger through a host-side device proxy.
-    let ping_remote = applied.module_tids[&("na".to_string(), "ping0".to_string())];
+    // The primary host's script, call by call: attach both executives,
+    // download the device classes, give na a proxy for nb's ponger and
+    // point the pinger at it.
+    let na = host.connect_node("loop://na", Some("node.na")).unwrap();
+    let nb = host.connect_node("loop://nb", Some("node.nb")).unwrap();
+    let ping_remote = host
+        .load(
+            na,
+            "pinger",
+            "ping0",
+            &[("payload", "128"), ("count", "100")],
+        )
+        .unwrap();
+    let pong_remote = host.load(nb, "ponger", "pong0", &[]).unwrap();
+    let pong_proxy = host
+        .connect(na, "loop://nb", pong_remote, Some("nb.pong0"))
+        .unwrap();
+    // Parameters and the kick go through a host-side device proxy.
     let ping_dev = host.device_proxy("loop://na", ping_remote).unwrap();
+    host.params_set(ping_dev, &[("peer", &pong_proxy.raw().to_string())])
+        .unwrap();
+    host.enable(na).unwrap();
+    host.enable(nb).unwrap();
+
     host.executive()
         .post(Message::build_private(ping_dev, host.agent_tid(), ORG_DAQ, xfn::PING_START).finish())
         .unwrap();
@@ -788,7 +772,7 @@ fn flood_preserves_per_device_ordering() {
         }
     }
 
-    let exec = xdaq::core::Executive::builder("flood").build();
+    let exec = Executive::new(ExecutiveConfig::named("flood"));
     let seen_a = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
     let seen_b = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
     let tid_a = exec

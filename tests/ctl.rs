@@ -25,9 +25,11 @@ use std::time::{Duration, Instant};
 use xdaq::app::{xfn, ORG_DAQ};
 use xdaq::core::listener::UtilOutcome;
 use xdaq::core::{Delivery, Dispatcher, I2oListener};
-use xdaq::ctl::{control_host, Controller, ControllerConfig, EventKind, ManagedEnv, SelfExec};
+use xdaq::ctl::{
+    control_host, ControlHost, Controller, ControllerConfig, EventKind, ManagedEnv, SelfExec,
+    XclInterpreter,
+};
 use xdaq::evb::{BuilderUnit, EventManager, ReadoutUnit};
-use xdaq::host::{ControlHost, XclInterpreter};
 use xdaq::i2o::{DeviceClass, Message, Tid, UtilFn};
 
 const N_RU: usize = 2;
@@ -178,7 +180,7 @@ fn bring_up(name: &str) -> Cluster {
     )
     .unwrap();
     ctl.start();
-    let mut xcl = XclInterpreter::new(&host).with_plane(&*ctl);
+    let mut xcl = XclInterpreter::new(&host).with_controller(&ctl);
     let out = xcl.run("apply\nregistry").expect("apply converges");
     assert!(
         out.log[0].contains("converged"),
@@ -327,7 +329,7 @@ fn rolling_drain_restart_loses_no_events() {
     // Rolling restart of bu0 through xcl while the run is hot: the
     // event manager drains it through the normal data path, the
     // controller stops and respawns it, routes restored.
-    let mut xcl = XclInterpreter::new(&cluster.host).with_plane(&*cluster.ctl);
+    let mut xcl = XclInterpreter::new(&cluster.host).with_controller(&cluster.ctl);
     let out = xcl.run("drain bu0").expect("drain succeeds");
     assert!(
         out.log[0].contains("drained and restarted 'bu0'"),

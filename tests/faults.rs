@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdaq::app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
 use xdaq::core::{Executive, ExecutiveConfig, LinkState, RetryPolicy, SupervisionConfig};
-use xdaq::host::{ControlHost, XclInterpreter};
+use xdaq::ctl::{ControlHost, XclInterpreter};
 use xdaq::i2o::{Message, Tid};
 use xdaq::mempool::TablePool;
 use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt, TcpPt};

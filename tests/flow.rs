@@ -612,7 +612,7 @@ fn xcl_qos_command_programs_and_reports() {
     node.register_pt("worker.tcp", w_tcp).unwrap();
     let nh = node.spawn();
 
-    let host = xdaq::host::ControlHost::new("ctl");
+    let host = xdaq::ctl::ControlHost::new("ctl");
     host.executive()
         .register_pt(
             "ctl.pt",
@@ -621,7 +621,7 @@ fn xcl_qos_command_programs_and_reports() {
         .unwrap();
     host.start();
 
-    let mut interp = xdaq::host::XclInterpreter::new(&host);
+    let mut interp = xdaq::ctl::XclInterpreter::new(&host);
     let script = format!(
         "node w {w_url}\n\
          claim w\n\
