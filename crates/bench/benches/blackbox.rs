@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::atomic::Ordering;
-use xdaq_app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
+use xdaq::app::{xfn, PingState, Pinger, Ponger};
 use xdaq_core::{Executive, ExecutiveConfig, PtMode};
+use xdaq_evb::ORG_DAQ;
 use xdaq_gm::{Fabric, GmAddr, GmEvent, NodeId, PortConfig, PortId};
 use xdaq_i2o::{Message, Tid};
 use xdaq_mempool::TablePool;

@@ -83,8 +83,9 @@ fn bench_registry_primitives(c: &mut Criterion) {
 }
 
 fn bench_dispatch_roundtrip(c: &mut Criterion) {
-    use xdaq_app::{Ponger, ORG_DAQ};
+    use xdaq::app::Ponger;
     use xdaq_core::{Executive, ExecutiveConfig};
+    use xdaq_evb::ORG_DAQ;
 
     // run_available drains what post enqueued; one iteration is a full
     // route→queue→dispatch cycle through the executive.

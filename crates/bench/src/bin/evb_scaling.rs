@@ -25,7 +25,7 @@ use std::time::Instant;
 use xdaq_bench::Args;
 use xdaq_core::pta::PtMode;
 use xdaq_core::{Executive, ExecutiveConfig};
-use xdaq_evb::{xfn, BuilderUnit, EventManager, ReadoutUnit, ORG_DAQ};
+use xdaq_evb::{xfn, BuilderUnit, EventManager, FilterStats, FilterUnit, ReadoutUnit, ORG_DAQ};
 use xdaq_i2o::{Message, Tid};
 use xdaq_mempool::TablePool;
 use xdaq_mon::HistogramSnapshot;
@@ -198,11 +198,11 @@ fn run_point(n: usize, m: usize, stragglers: usize, events: u64, drop: u16) -> P
         )
         .unwrap();
     }
-    let f_stats = xdaq_app::FilterStats::new();
+    let f_stats = FilterStats::new();
     let flt_tid = mgr
         .register(
             "flt",
-            Box::new(xdaq_app::FilterUnit::new(f_stats)),
+            Box::new(FilterUnit::new(f_stats)),
             &[("accept_percent", "100")],
         )
         .unwrap();

@@ -13,9 +13,10 @@
 //! ```
 
 use std::sync::atomic::Ordering;
-use xdaq_app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
+use xdaq::app::{xfn, PingState, Pinger, Ponger};
 use xdaq_bench::{median_us, steady_state, Args};
 use xdaq_core::{Executive, ExecutiveConfig};
+use xdaq_evb::ORG_DAQ;
 use xdaq_i2o::{Message, Tid};
 use xdaq_pt::{FifoKind, PciBus, PciPt};
 

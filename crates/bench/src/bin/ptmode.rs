@@ -18,9 +18,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-use xdaq_app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
+use xdaq::app::{xfn, PingState, Pinger, Ponger};
 use xdaq_bench::{median_us, steady_state, Args};
 use xdaq_core::{Executive, ExecutiveConfig, PeerAddr, PeerTransport, PtMode, SendFailure};
+use xdaq_evb::ORG_DAQ;
 use xdaq_i2o::{Message, Tid};
 use xdaq_mempool::{DynAllocator, FrameBuf, TablePool};
 use xdaq_pt::{LoopbackHub, LoopbackPt};

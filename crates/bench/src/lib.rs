@@ -11,8 +11,9 @@
 
 use std::sync::atomic::Ordering;
 
-use xdaq_app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
+use xdaq::app::{xfn, PingState, Pinger, Ponger};
 use xdaq_core::{AllocatorKind, Executive, ExecutiveConfig, PtMode};
+use xdaq_evb::ORG_DAQ;
 use xdaq_gm::{Fabric, GmAddr, GmEvent, LatencyModel, NodeId, PortConfig, PortId};
 use xdaq_i2o::{Message, Tid};
 use xdaq_mempool::{SimplePool, TablePool};

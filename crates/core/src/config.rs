@@ -3,7 +3,6 @@
 use crate::clock::Clock;
 use crate::credit::FlowConfig;
 use crate::pta::RetryPolicy;
-use crate::queue::OverloadPolicy;
 use crate::supervisor::SupervisionConfig;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -32,15 +31,6 @@ pub struct ExecutiveConfig {
     /// Handler budget; exceeding it faults the device and notifies the
     /// fault listener (§4's misbehaving-handler discussion).
     pub watchdog: Option<Duration>,
-    /// Messages dispatched per loop iteration before PTs are polled
-    /// again.
-    pub dispatch_batch: usize,
-    /// Spin iterations before the idle loop yields the CPU.
-    pub idle_spins: u32,
-    /// Slots in the frame-lifecycle trace ring (rounded up to a power
-    /// of two). The tracer starts disabled; `UtilMonTraceDump` turns it
-    /// on and off at runtime.
-    pub trace_capacity: usize,
     /// When `Some`, a `LinkSupervisor` heartbeats supervised peers on
     /// the timer wheel and evicts routes of peers that go Down.
     pub supervision: Option<SupervisionConfig>,
@@ -53,10 +43,6 @@ pub struct ExecutiveConfig {
     /// receive path (DESIGN.md §13). `None` (the default) keeps the
     /// historical unmetered behaviour, bit-for-bit.
     pub flow: Option<FlowConfig>,
-    /// Scheduling-queue capacity; `None` = unbounded (historical).
-    pub queue_capacity: Option<usize>,
-    /// Reaction when the bounded queue is full.
-    pub overload: OverloadPolicy,
     /// The executive's time source. [`Clock::Wall`] (the default) is
     /// the real monotonic clock — bit-for-bit the historical
     /// behaviour. Simulations pass a shared [`Clock::Virtual`] so
@@ -72,14 +58,9 @@ impl Default for ExecutiveConfig {
             allocator: AllocatorKind::Table,
             probe_capacity: None,
             watchdog: None,
-            dispatch_batch: 16,
-            idle_spins: 200,
-            trace_capacity: 1024,
             supervision: None,
             retry: RetryPolicy::default(),
             flow: None,
-            queue_capacity: None,
-            overload: OverloadPolicy::DropNewest,
             clock: Clock::Wall,
         }
     }
@@ -179,7 +160,6 @@ mod tests {
         let c = ExecutiveConfig::default();
         assert_eq!(c.allocator, AllocatorKind::Table);
         assert!(c.probe_capacity.is_none());
-        assert!(c.dispatch_batch > 0);
         let n = ExecutiveConfig::named("ru0");
         assert_eq!(n.node, "ru0");
     }

@@ -40,6 +40,14 @@ use xdaq_mon::{Counter, FrameTracer, Gauge, Histogram, TraceEvent};
 pub type ModuleFactory =
     Box<dyn Fn(&HashMap<String, String>) -> Box<dyn I2oListener> + Send + Sync>;
 
+/// Messages dispatched per loop iteration before PTs are polled again.
+const DISPATCH_BATCH: usize = 16;
+/// Spin iterations before the idle loop yields the CPU.
+const IDLE_SPINS: u32 = 200;
+/// Slots in the frame-lifecycle trace ring. The tracer starts disabled;
+/// `UtilMonTraceDump` turns it on and off at runtime.
+const TRACE_CAPACITY: usize = 1024;
+
 /// The executive's monitoring surface: every hot-path counter is a
 /// handle into one [`xdaq_mon::Registry`], so a `UtilMonSnapshot`
 /// serializes the complete node state without extra plumbing, and the
@@ -69,11 +77,11 @@ pub struct ExecMonitors {
 }
 
 impl ExecMonitors {
-    fn new(trace_capacity: usize) -> (ExecMonitors, [Gauge; NUM_PRIORITIES]) {
+    fn new() -> (ExecMonitors, [Gauge; NUM_PRIORITIES]) {
         let registry = xdaq_mon::Registry::new();
         let depth_gauges = std::array::from_fn(|i| registry.gauge(&format!("queue.depth.p{i}")));
         let mon = ExecMonitors {
-            tracer: FrameTracer::new(trace_capacity),
+            tracer: FrameTracer::new(TRACE_CAPACITY),
             dispatch_latency: registry.histogram("exec.dispatch_latency_ns"),
             dispatched: registry.counter("exec.dispatched"),
             sent_local: registry.counter("exec.sent_local"),
@@ -170,8 +178,6 @@ pub struct ExecCore {
     /// simulations share one virtual clock across a whole cluster.
     clock: Clock,
     started_at: Instant,
-    dispatch_batch: usize,
-    idle_spins: u32,
     exec_meta: Mutex<DeviceMeta>,
 }
 
@@ -646,9 +652,8 @@ impl Executive {
             state: DeviceState::Enabled,
             params: HashMap::new(),
         };
-        let (mon, depth_gauges) = ExecMonitors::new(config.trace_capacity);
-        let queue = SchedQueue::with_gauges(depth_gauges)
-            .with_limits(config.queue_capacity, config.overload);
+        let (mon, depth_gauges) = ExecMonitors::new();
+        let queue = SchedQueue::with_gauges(depth_gauges);
         let supervisor = config.supervision.clone().map(LinkSupervisor::new);
         let flow = config
             .flow
@@ -674,8 +679,6 @@ impl Executive {
             running: AtomicBool::new(true),
             clock: config.clock,
             started_at: Instant::now(),
-            dispatch_batch: config.dispatch_batch.max(1),
-            idle_spins: config.idle_spins,
             exec_meta: Mutex::new(exec_meta),
         });
         core.routes.add_local(Tid::EXECUTIVE);
@@ -1046,11 +1049,11 @@ impl Executive {
     }
 
     /// One scheduler iteration: fire timers, poll polling-mode PTs,
-    /// dispatch up to `dispatch_batch` messages. Returns the number of
+    /// dispatch up to `DISPATCH_BATCH` messages. Returns the number of
     /// work items performed (0 ⇒ idle).
     pub fn run_once(&self) -> usize {
         let mut work = self.service_control();
-        for _ in 0..self.core.dispatch_batch {
+        for _ in 0..DISPATCH_BATCH {
             match self.core.queue.pop() {
                 Some(d) => {
                     self.dispatch(d);
@@ -1070,7 +1073,7 @@ impl Executive {
                 idle = 0;
             } else {
                 idle += 1;
-                if idle < self.core.idle_spins {
+                if idle < IDLE_SPINS {
                     std::hint::spin_loop();
                 } else {
                     std::thread::yield_now();
@@ -1083,11 +1086,6 @@ impl Executive {
     /// Requests loop termination.
     pub fn stop(&self) {
         self.core.running.store(false, Ordering::Release);
-    }
-
-    /// True until [`Executive::stop`].
-    pub fn is_running(&self) -> bool {
-        self.core.running.load(Ordering::Acquire)
     }
 
     /// Spawns the dispatch loop on its own thread (starting task-mode

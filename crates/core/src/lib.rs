@@ -43,7 +43,6 @@ pub mod monitor;
 pub mod pta;
 pub mod queue;
 pub mod registry;
-pub mod rmi;
 pub mod route;
 pub mod supervisor;
 pub mod timer;
@@ -62,7 +61,6 @@ pub use monitor::MonitorAgent;
 pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, RetryPolicy, SendFailure};
 pub use queue::{OverloadPolicy, PushOutcome, SchedQueue};
 pub use registry::{DeviceMeta, Registry};
-pub use rmi::{ArgReader, ArgWriter, MarshalError, Skeleton, Stub};
 pub use route::{Eviction, Hop, Route, RouteTable};
 pub use supervisor::{LinkState, LinkSupervisor, SupervisionConfig, TickOutcome};
 pub use timer::TimerWheel;

@@ -224,11 +224,6 @@ impl<'a> Dispatcher<'a> {
         self.meta.tid
     }
 
-    /// The current device's instance name.
-    pub fn own_name(&self) -> &str {
-        &self.meta.name
-    }
-
     /// Node (IOP) name of this executive.
     pub fn node(&self) -> &str {
         self.core.node_name()

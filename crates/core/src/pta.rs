@@ -219,12 +219,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Same policy with a per-frame deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> RetryPolicy {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Nominal (pre-jitter) pause before retry number `retry` (1-based).
     ///
     /// Clamped end to end: the shift exponent is capped, and the
@@ -512,14 +506,6 @@ impl Pta {
     /// scheme's [`RetryPolicy`].
     pub fn send(&self, dest: &PeerAddr, frame: FrameBuf) -> Result<(), PtError> {
         self.send_failover(std::slice::from_ref(dest), frame)
-    }
-
-    /// Like [`Pta::send`], but on failure the untouched frame rides
-    /// back in the [`SendFailure`] — the zero-copy path a sender
-    /// needs to keep its pool block across credit exhaustion instead
-    /// of recycling and re-encoding.
-    pub fn send_returning(&self, dest: &PeerAddr, frame: FrameBuf) -> Result<(), SendFailure> {
-        self.send_failover_returning(std::slice::from_ref(dest), frame)
     }
 
     /// Sends a frame down a failover chain: the first address is the

@@ -207,11 +207,6 @@ impl ControlHost {
         self.agent_tid
     }
 
-    /// Sets the per-request reply timeout.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
     /// Starts the host's dispatch loop.
     pub fn start(&self) {
         let mut h = self.handle.lock();

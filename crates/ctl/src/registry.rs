@@ -132,13 +132,11 @@ impl Subscription {
 }
 
 const SUBSCRIBER_DEPTH: usize = 1024;
-const LOG_DEPTH: usize = 256;
 
 #[derive(Default)]
 struct Inner {
     rows: BTreeMap<String, NodeStatus>,
     subscribers: Vec<Arc<Mutex<VecDeque<Event>>>>,
-    log: VecDeque<Event>,
     seq: u64,
 }
 
@@ -185,10 +183,6 @@ impl ServiceRegistry {
             kind,
             detail,
         };
-        if g.log.len() == LOG_DEPTH {
-            g.log.pop_front();
-        }
-        g.log.push_back(ev.clone());
         for sub in &g.subscribers {
             let mut q = sub.lock();
             if q.len() == SUBSCRIBER_DEPTH {
@@ -285,11 +279,6 @@ impl ServiceRegistry {
     /// One row.
     pub fn row(&self, node: &str) -> Option<NodeStatus> {
         self.inner.lock().rows.get(node).cloned()
-    }
-
-    /// The retained event tail (up to the last 256), oldest first.
-    pub fn recent_events(&self) -> Vec<Event> {
-        self.inner.lock().log.iter().cloned().collect()
     }
 
     /// JSON for the `ctl_status` monitoring section.

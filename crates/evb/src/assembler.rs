@@ -205,11 +205,6 @@ impl Assembler {
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
-
-    /// Ids of the open partial events (diagnostics, run reset).
-    pub fn open_events(&self) -> Vec<u64> {
-        self.pending.keys().copied().collect()
-    }
 }
 
 #[cfg(test)]

@@ -145,32 +145,38 @@ impl EventManager {
         self.stats.clone()
     }
 
+    /// Resolves `readouts`, `bus` and `bu_urls`. Builder names are
+    /// paired with their URLs *before* lookup: a name that does not
+    /// resolve drops out together with its own URL instead of shifting
+    /// every later URL onto the wrong builder.
+    fn resolve_mesh(&mut self, ctx: &Dispatcher<'_>) {
+        fn split(list: &str) -> impl Iterator<Item = &str> {
+            list.split(',').map(str::trim).filter(|n| !n.is_empty())
+        }
+        if let Some(names) = ctx.param("readouts") {
+            self.rus = split(names).filter_map(|n| ctx.lookup(n)).collect();
+        }
+        if let Some(names) = ctx.param("bus") {
+            let mut urls = split(ctx.param("bu_urls").unwrap_or(""));
+            self.bus.clear();
+            self.bu_by_url.clear();
+            for name in split(names) {
+                let url = urls.next();
+                let Some(bu) = ctx.lookup(name) else { continue };
+                self.bus.push(bu);
+                if let Some(url) = url {
+                    self.bu_by_url.insert(url.to_string(), bu);
+                }
+            }
+        }
+        self.configured = true;
+    }
+
     fn configure(&mut self, ctx: &Dispatcher<'_>) {
         if self.configured {
             return;
         }
-        let resolve = |names: &str| -> Vec<Tid> {
-            names
-                .split(',')
-                .filter(|n| !n.is_empty())
-                .filter_map(|n| ctx.lookup(n.trim()))
-                .collect()
-        };
-        if let Some(names) = ctx.param("readouts") {
-            self.rus = resolve(names);
-        }
-        if let Some(names) = ctx.param("bus") {
-            self.bus = resolve(names);
-        }
-        if let Some(urls) = ctx.param("bu_urls") {
-            for (url, &bu) in urls
-                .split(',')
-                .filter(|u| !u.is_empty())
-                .zip(self.bus.iter())
-            {
-                self.bu_by_url.insert(url.trim().to_string(), bu);
-            }
-        }
+        self.resolve_mesh(ctx);
         if let Some(v) = ctx.param("max_reassign").and_then(|s| s.parse().ok()) {
             self.max_reassign = v;
         }
@@ -180,7 +186,6 @@ impl EventManager {
         {
             self.trigger_interval = Duration::from_micros(v);
         }
-        self.configured = true;
     }
 
     fn gauge_sync(&self) {
@@ -413,30 +418,7 @@ impl EventManager {
     /// the respawned builder's fresh proxy in particular — gets an
     /// INVITE for the current run.
     fn rescan(&mut self, ctx: &mut Dispatcher<'_>) {
-        let resolve = |names: &str| -> Vec<Tid> {
-            names
-                .split(',')
-                .filter(|n| !n.is_empty())
-                .filter_map(|n| ctx.lookup(n.trim()))
-                .collect()
-        };
-        if let Some(names) = ctx.param("readouts") {
-            self.rus = resolve(names);
-        }
-        if let Some(names) = ctx.param("bus") {
-            self.bus = resolve(names);
-        }
-        self.bu_by_url.clear();
-        if let Some(urls) = ctx.param("bu_urls") {
-            for (url, &bu) in urls
-                .split(',')
-                .filter(|u| !u.is_empty())
-                .zip(self.bus.iter())
-            {
-                self.bu_by_url.insert(url.trim().to_string(), bu);
-            }
-        }
-        self.configured = true;
+        self.resolve_mesh(ctx);
         self.dead.clear();
         self.draining.clear();
         let live: HashSet<Tid> = self.bus.iter().copied().collect();
@@ -760,5 +742,42 @@ mod tests {
             "second run reuses event ids"
         );
         assert_eq!(m.evm.completed.load(Ordering::SeqCst), 20);
+    }
+
+    /// `bu_urls` pairs with `bus` by position in the parameter, not in
+    /// the resolved list: a builder name that does not resolve must not
+    /// shift bu1's URL onto nothing (or bu0's credits onto bu1).
+    #[test]
+    fn unresolved_builder_keeps_later_urls_aligned() {
+        let exec = Executive::new(ExecutiveConfig::named("mesh"));
+        for (name, credits) in [("bu0", "4"), ("bu1", "2")] {
+            exec.register(name, Box::new(BuilderUnit::new()), &[("credits", credits)])
+                .unwrap();
+        }
+        let evm_tid = exec
+            .register(
+                "evm",
+                Box::new(EventManager::new()),
+                &[("bus", "bu0,ghost,bu1"), ("bu_urls", "u0,ug,u1")],
+            )
+            .unwrap();
+        exec.enable_all();
+        let post = |org, f, payload: Vec<u8>| {
+            exec.post(
+                Message::build_private(evm_tid, Tid::HOST, org, f)
+                    .payload(payload)
+                    .finish(),
+            )
+            .unwrap();
+            while exec.run_once() > 0 {}
+        };
+        // An empty run still invites the builders and collects credits.
+        post(ORG_DAQ, xfn::RUN, 0u64.to_le_bytes().to_vec());
+        let reg = exec.core().monitors().registry();
+        let credits = reg.gauge("evb.evm.credits");
+        assert_eq!(credits.get(), 6);
+        post(ORG_XDAQ, XFN_PEER_DOWN, b"peer=u1\n".to_vec());
+        assert_eq!(reg.counter("evb.evm.bu_down").get(), 1);
+        assert_eq!(credits.get(), 4, "bu1's credits reclaimed, bu0's kept");
     }
 }

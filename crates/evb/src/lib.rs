@@ -5,8 +5,9 @@
 //! channels that cross over"*), built as a first-class subsystem: many
 //! [`ReadoutUnit`]s feed many [`BuilderUnit`]s through an
 //! [`EventManager`] that allocates event ids and throttles the fabric
-//! with credit-based flow control — the CMS dataflow of *"Using XDAQ in
-//! Application Scenarios of the CMS Experiment"*.
+//! with credit-based flow control, and built events end at a
+//! [`FilterUnit`] — the CMS dataflow of *"Using XDAQ in Application
+//! Scenarios of the CMS Experiment"*.
 //!
 //! ## Protocol
 //!
@@ -45,12 +46,14 @@
 pub mod assembler;
 pub mod bu;
 pub mod evm;
+pub mod filter;
 pub mod fragment;
 pub mod ru;
 
 pub use assembler::{Assembler, Completed, Offer};
 pub use bu::{BuilderStats, BuilderUnit};
 pub use evm::{EventManager, EvmStats};
+pub use filter::{FilterStats, FilterUnit};
 pub use fragment::{FragmentHeader, FRAGMENT_HEADER_LEN};
 pub use ru::ReadoutUnit;
 

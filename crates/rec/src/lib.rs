@@ -21,10 +21,7 @@
 //!   executive's normal peer-ingest path, in original order, paced or
 //!   as fast as possible — so a recorded run can be reproduced against
 //!   a fresh topology, chaos transport and all.
-//! * [`BlockFile`] reuses the same syscall layer to give the classic
-//!   block-storage DDM a durable backing file.
 
-pub mod blockfile;
 pub mod crc;
 pub mod reader;
 pub mod recorder;
@@ -32,7 +29,6 @@ pub mod replay;
 pub mod segment;
 pub mod writer;
 
-pub use blockfile::BlockFile;
 pub use crc::{crc32, Crc32};
 pub use reader::{recover, scan, RecReader, ScanReport, TornTail};
 pub use recorder::Recorder;

@@ -239,11 +239,6 @@ impl RecWriter {
         self.seq
     }
 
-    /// Byte offset within the current segment.
-    pub fn segment_offset(&self) -> u64 {
-        self.offset
-    }
-
     /// The recording directory.
     pub fn dir(&self) -> &Path {
         &self.cfg.dir

@@ -29,9 +29,8 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xdaq::app::{xfn, FilterStats, FilterUnit, ORG_DAQ};
 use xdaq::core::{Executive, ExecutiveConfig};
-use xdaq::evb::{BuilderUnit, EventManager, ReadoutUnit};
+use xdaq::evb::{xfn, BuilderUnit, EventManager, FilterStats, FilterUnit, ReadoutUnit, ORG_DAQ};
 use xdaq::i2o::{Message, Tid};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 use xdaq::rec::{scan, Recorder, ReplayPt};

@@ -17,8 +17,9 @@
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-use xdaq::app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
+use xdaq::app::{xfn, PingState, Pinger, Ponger};
 use xdaq::core::{Executive, ExecutiveConfig, RetryPolicy, SupervisionConfig};
+use xdaq::evb::ORG_DAQ;
 use xdaq::i2o::{Message, Tid};
 use xdaq::mempool::TablePool;
 use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt, TcpPt};

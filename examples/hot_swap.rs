@@ -14,8 +14,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-use xdaq::app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
+use xdaq::app::{xfn, PingState, Pinger, Ponger};
 use xdaq::core::{Executive, ExecutiveConfig, PeerTransport, PtMode};
+use xdaq::evb::ORG_DAQ;
 use xdaq::gm::Fabric;
 use xdaq::i2o::{Message, Tid};
 use xdaq::mempool::TablePool;

@@ -12,9 +12,10 @@
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-use xdaq::app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
+use xdaq::app::{xfn, PingState, Pinger, Ponger};
 use xdaq::core::{Executive, ExecutiveConfig, MonitorAgent};
 use xdaq::ctl::ControlHost;
+use xdaq::evb::ORG_DAQ;
 use xdaq::i2o::{Message, Tid};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 

@@ -11,8 +11,9 @@
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
-use xdaq::app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
+use xdaq::app::{xfn, PingState, Pinger, Ponger};
 use xdaq::core::{Executive, ExecutiveConfig};
+use xdaq::evb::ORG_DAQ;
 use xdaq::i2o::{Message, Tid};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 

@@ -20,15 +20,15 @@ fi
 
 echo "== crate layering: xdaq-* dependencies point strictly down =="
 # DESIGN.md §2 states this order, one layer per line, lowest first. A
-# crate may depend only on crates of an earlier line, and the merged
-# control plane must not grow its second crate back.
+# crate may depend only on crates of an earlier line, and a crate that
+# was folded away must not grow back.
 layers="sys i2o mon probe gm
 mempool
 core
 pt shm rec
 evb
 ctl
-sim app
+sim
 bench"
 layer_of() { { echo "$layers" | grep -nw -- "$1" || true; } | cut -d: -f1; }
 bad=0
@@ -48,17 +48,45 @@ for manifest in crates/*/Cargo.toml; do
         fi
     done
 done
-if grep -rn 'xdaq-host' Cargo.toml crates src tests examples; then
-    echo "xdaq-host (listed above) was folded into xdaq-ctl" >&2
-    bad=1
-fi
+for gone in host app; do
+    if grep -rn "xdaq-$gone" Cargo.toml crates src tests examples; then
+        echo "xdaq-$gone (listed above) was removed; DESIGN.md §2 says where its code lives" >&2
+        bad=1
+    fi
+done
 [ "$bad" -eq 0 ] || exit 1
 
 echo "== cargo test (workspace) =="
+# Every always-on suite runs here, once. What the ones an operator
+# would look for cover:
+# - `--test faults`: the fixed-seed chaos run must be deterministic.
+# - `-p xdaq-sim`: 100 full-cluster kill/partition/delay/corrupt
+#   experiments on the virtual clock (~1 s of wall time), each asserting
+#   zero event loss, plus the fixed-seed byte-for-byte golden-trace
+#   replay and the shrink-to-minimal-repro test.
+# - `--test ctl`, `-p xdaq-ctl`: an RU/BU/EVM topology booted purely
+#   from a declaration file, a builder SIGKILLed mid-run (the
+#   convergence loop must respawn it, restore routes and finish with
+#   zero loss), and a rolling drain+restart of the other builder.
+# - `--test flow`, `-p xdaq-core` credit/admission unit tests and
+#   proptests (DESIGN.md §13): a saturated link must never
+#   false-Suspect a live peer (heartbeats ride the reserved lane), the
+#   Block policy must hand frames back without leaking pool blocks, the
+#   grant protocol must converge under fixed-seed grant drop/dup chaos,
+#   and the slow-consumer soaks (loopback, shm, tcp, xpt) must finish
+#   with zero loss while a rate-limited bulk tenant is shed, not
+#   serviced.
+# - `-p xdaq-sys`: raw-syscall round trips (eventfd seen by epoll and
+#   ppoll, mmap, mkfifo, pwritev/fdatasync/ftruncate) and kernel-ABI
+#   layout asserts.
+# - `-p xdaq-pt`: the tcp regressions (per-connection locking so a
+#   stalled peer cannot head-of-line block others, fully blocking reads
+#   and accept with zero idle CPU, first frame on a fresh link served at
+#   once, reader reaping + down-peer surfacing), the xpt
+#   submission/completion suite on its one driver, and the `xpt_wire`
+#   proptest model of the wire layer (chunking/donation/completion
+#   equivalence).
 cargo test --workspace -q
-
-echo "== chaos smoke (fixed seed, must be deterministic) =="
-cargo test --test faults fixed_seed_chaos_run_is_deterministic -- --exact
 
 # The multi-process/chaos tiers below are capability-gated: the heavy
 # tests early-return unless XDAQ_TEST_HEAVY=1, so a plain `cargo test`
@@ -82,51 +110,6 @@ echo "== event builder: chaos mesh + builder kill (multi-process, heavy) =="
 # zero loss; the kill run SIGKILLs a builder mid-run and the event
 # manager must reclaim its credits and reassign its events.
 XDAQ_TEST_HEAVY=1 cargo test -q --test evb
-cargo test -q -p xdaq-evb
-
-echo "== deterministic simulation: 100-seed fault sweeps, golden replay =="
-# Always on — no XDAQ_TEST_HEAVY gate: the whole point of the virtual
-# clock is that 100 full-cluster kill/partition/delay/corrupt
-# experiments (each asserting zero event loss) cost ~1 s of wall
-# time. Includes the fixed-seed byte-for-byte golden-trace replay and
-# the shrink-to-minimal-repro test.
-cargo test -q -p xdaq-sim
-
-echo "== control plane: declarative apply, SIGKILL respawn, rolling drain =="
-# The registry-managed event builder: an RU/BU/EVM topology booted
-# purely from a declaration file, a builder SIGKILLed mid-run (the
-# convergence loop must respawn it, restore routes and finish with
-# zero loss), and a rolling drain+restart of the other builder. These
-# are the PR acceptance tests, so they run in the always-on tier.
-cargo test -q --test ctl
-cargo test -q -p xdaq-ctl
-
-echo "== overload: credit backpressure, reserved lane, two-tenant QoS =="
-# End-to-end flow control (DESIGN.md §13): a saturated link must never
-# false-Suspect a live peer (heartbeats ride the reserved lane), the
-# Block policy must hand frames back without leaking pool blocks, the
-# grant protocol must converge under fixed-seed grant drop/dup chaos,
-# and the slow-consumer soaks (loopback, shm, tcp) must finish with
-# zero loss while a rate-limited bulk tenant is shed, not serviced.
-cargo test -q --test flow
-cargo test -q -p xdaq-core credit
-cargo test -q -p xdaq-core admission
-cargo test -q -p xdaq-core --test proptests credit
-
-echo "== network transports: raw-syscall layer, tcp regressions, xpt suite =="
-# xdaq-sys round trips (eventfd seen by epoll and ppoll, mmap, mkfifo,
-# pwritev/fdatasync/ftruncate) and kernel-ABI layout asserts; the tcp
-# regressions (per-connection locking so a stalled peer cannot
-# head-of-line block others, fully blocking reads and accept with zero
-# idle CPU, first frame on a fresh link served at once, reader reaping
-# + down-peer surfacing); the xpt submission/completion suite on its
-# one driver. The proptest model pins the wire layer
-# (chunking/donation/completion equivalence).
-cargo test -q -p xdaq-sys
-cargo test -q -p xdaq-pt --lib tcp::
-cargo test -q -p xdaq-pt --lib xpt::
-cargo test -q -p xdaq-pt --test xpt_wire
-cargo test -q --test flow xpt_slow_consumer_soak -- --exact
 
 echo "== benchmark: self-test + smoke of every workload =="
 # The one measurement spine (benchmark/README.md) must keep building

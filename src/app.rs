@@ -6,13 +6,22 @@
 //! replying to each received message with exactly the same content. We
 //! carried out this round-trip test with increasing payload sizes."*
 
-use crate::{xfn, ORG_DAQ};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use xdaq_core::{Delivery, Dispatcher, I2oListener};
+use xdaq_evb::ORG_DAQ;
 use xdaq_i2o::{DeviceClass, Message, Priority, Tid};
+
+/// Private x-function codes of the flood/echo pair, under
+/// [`xdaq_evb::ORG_DAQ`].
+pub mod xfn {
+    /// Ping payload (pinger → ponger and echoed back).
+    pub const PING: u16 = 0x0010;
+    /// Kick a pinger into its flood loop.
+    pub const PING_START: u16 = 0x0011;
+}
 
 /// Shared observation window into a running [`Pinger`].
 #[derive(Debug, Default)]

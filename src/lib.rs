@@ -8,7 +8,8 @@
 //! driver architecture.
 //!
 //! This crate is the facade: it re-exports the workspace crates under
-//! stable module names.
+//! stable module names, and holds the paper's §5 flood/echo device pair
+//! in [`app`].
 //!
 //! ```
 //! use xdaq::core::{Executive, ExecutiveConfig};
@@ -59,8 +60,7 @@ pub use xdaq_ctl as ctl;
 /// Time probes and measurement statistics.
 pub use xdaq_probe as probe;
 
-/// DAQ application device classes.
-pub use xdaq_app as app;
+pub mod app;
 
 /// The N×M event builder: readout/builder/event-manager device
 /// classes with credit-based flow control.

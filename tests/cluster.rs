@@ -4,9 +4,10 @@
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-use xdaq::app::{xfn, PingState, Pinger, Ponger, ORG_DAQ};
+use xdaq::app::{xfn, PingState, Pinger, Ponger};
 use xdaq::core::{Executive, ExecutiveConfig, PtMode};
 use xdaq::ctl::{ControlHost, XclInterpreter};
+use xdaq::evb::ORG_DAQ;
 use xdaq::i2o::{Message, Tid};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 
@@ -634,8 +635,7 @@ fn chained_bulk_transfer_across_nodes() {
 /// percentiles through mon scrapes of the defined nodes.
 #[test]
 fn xcl_evb_command_reports_builder_state() {
-    use xdaq::app::{FilterStats, FilterUnit};
-    use xdaq::evb::{BuilderUnit, EventManager, ReadoutUnit};
+    use xdaq::evb::{BuilderUnit, EventManager, FilterStats, FilterUnit, ReadoutUnit};
 
     const EVENTS: u64 = 200;
     let hub = LoopbackHub::new();

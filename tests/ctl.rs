@@ -22,14 +22,13 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use xdaq::app::{xfn, ORG_DAQ};
 use xdaq::core::listener::UtilOutcome;
 use xdaq::core::{Delivery, Dispatcher, I2oListener};
 use xdaq::ctl::{
     control_host, ControlHost, Controller, ControllerConfig, EventKind, ManagedEnv, SelfExec,
     XclInterpreter,
 };
-use xdaq::evb::{BuilderUnit, EventManager, ReadoutUnit};
+use xdaq::evb::{xfn, BuilderUnit, EventManager, ReadoutUnit, ORG_DAQ};
 use xdaq::i2o::{DeviceClass, Message, Tid, UtilFn};
 
 const N_RU: usize = 2;

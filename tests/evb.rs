@@ -27,12 +27,11 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xdaq::app::{xfn, ORG_DAQ};
 use xdaq::core::pta::PtMode;
 use xdaq::core::{
     Delivery, Dispatcher, Executive, ExecutiveConfig, I2oListener, SupervisionConfig,
 };
-use xdaq::evb::{BuilderUnit, EventManager, EvmStats, ReadoutUnit};
+use xdaq::evb::{xfn, BuilderUnit, EventManager, EvmStats, ReadoutUnit, ORG_DAQ};
 use xdaq::i2o::{DeviceClass, Message, Tid};
 use xdaq::pt::{ChaosPt, FaultPlan};
 use xdaq::shm::{ShmConfig, ShmLink, ShmPt};

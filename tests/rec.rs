@@ -12,8 +12,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xdaq::app::{xfn, FilterStats, FilterUnit, ORG_DAQ};
 use xdaq::core::{Executive, ExecutiveConfig, RetryPolicy};
+use xdaq::evb::{xfn, FilterStats, FilterUnit, ORG_DAQ};
 use xdaq::i2o::{Message, Tid, UtilFn};
 use xdaq::mempool::{FrameAllocator, TablePool};
 use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt};
