@@ -10,14 +10,15 @@
 //! and a rotation cursor walks the devices that have pending messages —
 //! so one chatty device cannot starve its neighbours at equal priority,
 //! while higher priorities always preempt lower ones at dispatch
-//! granularity.
+//! granularity. An occupancy mask names the non-empty levels, so a pop
+//! locks the one level it serves instead of scanning from the top.
 
 use crate::listener::Delivery;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use xdaq_i2o::{Priority, Tid, NUM_PRIORITIES};
+use xdaq_i2o::{Tid, NUM_PRIORITIES};
 use xdaq_mon::Gauge;
 
 /// What to do when the scheduling queue hits its capacity limit
@@ -67,6 +68,11 @@ struct Level {
 /// The executive's inbound scheduling queue.
 pub struct SchedQueue {
     levels: [Mutex<Level>; NUM_PRIORITIES],
+    /// Bit `l` is set exactly while level `l` has queued deliveries.
+    /// Only written under level `l`'s lock, when its rotation turns
+    /// empty or non-empty; the deliveries themselves are published by
+    /// that lock, so the mask only says which level to lock.
+    occupied: AtomicU8,
     pending: AtomicUsize,
     /// Per-priority depth gauges (level + high-water), when the owner
     /// wired the queue into a metric registry.
@@ -92,6 +98,7 @@ impl SchedQueue {
     pub fn new() -> SchedQueue {
         SchedQueue {
             levels: std::array::from_fn(|_| Mutex::new(Level::default())),
+            occupied: AtomicU8::new(0),
             pending: AtomicUsize::new(0),
             depth: None,
             capacity: AtomicUsize::new(usize::MAX),
@@ -180,6 +187,9 @@ impl SchedQueue {
             was
         };
         if was_empty {
+            if lv.rotation.is_empty() {
+                self.occupied.fetch_or(1 << level, Ordering::Release);
+            }
             lv.rotation.push_back(tid);
         }
         self.pending.fetch_add(1, Ordering::Release);
@@ -203,6 +213,7 @@ impl SchedQueue {
             };
             if now_empty {
                 lv.rotation.retain(|t| *t != tid);
+                self.note_if_drained(&lv, l);
             }
             self.pending.fetch_sub(1, Ordering::Release);
             if let Some(g) = &self.depth {
@@ -213,31 +224,52 @@ impl SchedQueue {
         None
     }
 
+    /// Clears level `l`'s occupancy bit once its rotation is empty;
+    /// the caller holds that level's lock.
+    fn note_if_drained(&self, lv: &Level, l: usize) {
+        if lv.rotation.is_empty() {
+            self.occupied.fetch_and(!(1 << l), Ordering::Release);
+        }
+    }
+
     /// Pops the next delivery: highest priority first, round-robin over
-    /// devices within a priority.
+    /// devices within a priority. Takes one level lock: the highest bit
+    /// of the occupancy mask names the level to serve.
     pub fn pop(&self) -> Option<Delivery> {
-        if self.pending.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        for p in Priority::descending() {
-            let mut lv = self.levels[p.level() as usize].lock();
-            if let Some(tid) = lv.rotation.pop_front() {
-                let (d, more) = {
-                    let q = lv.queues.get_mut(&tid).expect("rotation implies queue");
-                    let d = q.pop_front().expect("rotation implies non-empty");
-                    (d, !q.is_empty())
-                };
-                if more {
-                    lv.rotation.push_back(tid);
-                }
-                self.pending.fetch_sub(1, Ordering::Release);
-                if let Some(g) = &self.depth {
-                    g[p.level() as usize].add(-1);
-                }
-                return Some(d);
+        loop {
+            let occupied = self.occupied.load(Ordering::Acquire);
+            if occupied == 0 {
+                return None;
             }
+            let l = (u8::BITS - 1 - occupied.leading_zeros()) as usize;
+            let mut lv = self.levels[l].lock();
+            // Empty only if another consumer drained the level between
+            // the mask load and the lock; it cleared the bit, so retry.
+            let Some(tid) = lv.rotation.pop_front() else {
+                continue;
+            };
+            let (d, more) = {
+                let q = lv.queues.get_mut(&tid).expect("rotation implies queue");
+                let d = q.pop_front().expect("rotation implies non-empty");
+                (d, !q.is_empty())
+            };
+            if more {
+                lv.rotation.push_back(tid);
+            } else {
+                self.note_if_drained(&lv, l);
+            }
+            self.pending.fetch_sub(1, Ordering::Release);
+            if let Some(g) = &self.depth {
+                g[l].add(-1);
+            }
+            return Some(d);
         }
-        None
+    }
+
+    /// The occupancy mask: bit `l` set iff priority level `l` has
+    /// queued deliveries (as of the last push or pop on that level).
+    pub fn occupancy(&self) -> u8 {
+        self.occupied.load(Ordering::Acquire)
     }
 
     /// Number of queued deliveries across all levels.
@@ -260,6 +292,7 @@ impl SchedQueue {
                 let n = q.len();
                 dropped += n;
                 lv.rotation.retain(|t| *t != tid);
+                self.note_if_drained(&lv, i);
                 if let Some(g) = &self.depth {
                     g[i].add(-(n as i64));
                 }
@@ -273,7 +306,7 @@ impl SchedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xdaq_i2o::Message;
+    use xdaq_i2o::{Message, Priority};
     use xdaq_mempool::TablePool;
 
     fn t(v: u16) -> Tid {

@@ -373,3 +373,151 @@ proptest! {
         prop_assert_eq!(tx.available(&peer), baseline);
     }
 }
+
+// ---- scheduler occupancy mask against a reference model ---------------
+
+use std::collections::{HashMap, VecDeque};
+use xdaq_core::{OverloadPolicy, PushOutcome};
+use xdaq_i2o::NUM_PRIORITIES;
+
+/// One priority level of the model: per-target FIFOs of tags and the
+/// round-robin rotation of targets with queued tags.
+#[derive(Default)]
+struct ModelLevel {
+    queues: HashMap<u16, VecDeque<u32>>,
+    rotation: VecDeque<u16>,
+}
+
+/// Reference scheduler: the same FIFO / round-robin / eviction rules,
+/// but `pop` scans every level from the top, the way the queue did
+/// before it kept an occupancy mask.
+#[derive(Default)]
+struct ModelQueue {
+    levels: [ModelLevel; NUM_PRIORITIES],
+    len: usize,
+}
+
+impl ModelQueue {
+    fn insert(&mut self, target: u16, pri: u8, tag: u32) {
+        let lv = &mut self.levels[pri as usize];
+        let q = lv.queues.entry(target).or_default();
+        if q.is_empty() {
+            lv.rotation.push_back(target);
+        }
+        q.push_back(tag);
+        self.len += 1;
+    }
+
+    /// `None` = accepted, `Some(None)` = rejected, `Some(Some(tag))` =
+    /// accepted by evicting `tag`.
+    fn push(&mut self, cap: usize, target: u16, pri: u8, tag: u32) -> Option<Option<u32>> {
+        if self.len < cap {
+            self.insert(target, pri, tag);
+            return None;
+        }
+        for lv in self.levels[..pri as usize].iter_mut() {
+            let Some(&victim_target) = lv.rotation.back() else {
+                continue;
+            };
+            let q = lv.queues.get_mut(&victim_target).unwrap();
+            let victim = q.pop_back().unwrap();
+            if q.is_empty() {
+                lv.rotation.retain(|t| *t != victim_target);
+            }
+            self.len -= 1;
+            self.insert(target, pri, tag);
+            return Some(Some(victim));
+        }
+        Some(None)
+    }
+
+    fn pop(&mut self) -> Option<(u16, u8, u32)> {
+        for pri in (0..NUM_PRIORITIES).rev() {
+            let lv = &mut self.levels[pri];
+            let Some(target) = lv.rotation.pop_front() else {
+                continue;
+            };
+            let q = lv.queues.get_mut(&target).unwrap();
+            let tag = q.pop_front().unwrap();
+            if !q.is_empty() {
+                lv.rotation.push_back(target);
+            }
+            self.len -= 1;
+            return Some((target, pri as u8, tag));
+        }
+        None
+    }
+
+    fn purge(&mut self, target: u16) -> usize {
+        let mut dropped = 0;
+        for lv in &mut self.levels {
+            if let Some(q) = lv.queues.remove(&target) {
+                dropped += q.len();
+                lv.rotation.retain(|t| *t != target);
+            }
+        }
+        self.len -= dropped;
+        dropped
+    }
+
+    fn occupancy(&self) -> u8 {
+        (0..NUM_PRIORITIES)
+            .filter(|&l| !self.levels[l].rotation.is_empty())
+            .fold(0, |mask, l| mask | 1 << l)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random push / pop / purge sequences, with `DropLowestPriority`
+    /// evicting at a random capacity: every outcome, every popped
+    /// delivery and `len()` match the reference model, and after every
+    /// operation the occupancy mask is exactly the set of non-empty
+    /// priority levels.
+    #[test]
+    fn occupancy_mask_matches_the_reference_scheduler(
+        ops in proptest::collection::vec((0u8..4, 0x10u16..0x14, 0u8..7), 1..300),
+        cap in 1usize..24,
+    ) {
+        let q = SchedQueue::new().with_limits(Some(cap), OverloadPolicy::DropLowestPriority);
+        let mut model = ModelQueue::default();
+        for (i, (op, target, pri)) in ops.into_iter().enumerate() {
+            let tag = i as u32;
+            match op {
+                // Pushes outnumber pops so the queue fills and evicts.
+                0 | 1 => {
+                    let got = match q.push(mk(target, pri, tag)) {
+                        PushOutcome::Accepted => None,
+                        PushOutcome::Rejected(_) => Some(None),
+                        PushOutcome::Displaced(v) => Some(Some(v.header.transaction_context)),
+                    };
+                    prop_assert_eq!(got, model.push(cap, target, pri, tag));
+                }
+                2 => {
+                    let got = q.pop().map(|d| {
+                        (d.header.target.raw(), d.priority().level(), d.header.transaction_context)
+                    });
+                    prop_assert_eq!(got, model.pop());
+                }
+                _ => {
+                    let got = q.purge(Tid::new(target).unwrap());
+                    prop_assert_eq!(got, model.purge(target));
+                }
+            }
+            prop_assert_eq!(q.len(), model.len);
+            prop_assert_eq!(q.occupancy(), model.occupancy());
+        }
+        // Draining pops the model's sequence to the end.
+        loop {
+            let got = q.pop().map(|d| {
+                (d.header.target.raw(), d.priority().level(), d.header.transaction_context)
+            });
+            prop_assert_eq!(got, model.pop());
+            prop_assert_eq!(q.occupancy(), model.occupancy());
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+}

@@ -43,13 +43,17 @@ pub struct BuilderStats {
 ///
 /// Parameters:
 /// * `rus` — comma-separated device names of the readout units (proxy
-///   aliases work),
+///   aliases work); position in the list is the source index,
 /// * `filter` — device name to ship `EVENT` summaries to (optional),
 /// * `credits` — buffer credits granted per `INVITE` (default 8),
 /// * `timeout_ms` — per-event reassembly timeout (default 50),
 /// * `max_retries` — re-pull rounds before discarding (default 10).
 pub struct BuilderUnit {
-    rus: Vec<Tid>,
+    /// Readout units by source index, each resolved when first pulled:
+    /// a name not registered yet (a proxy added after this unit) is
+    /// looked up again at the next pull rather than dropped, which
+    /// would shift every later source onto the wrong unit.
+    rus: Vec<(String, Option<Tid>)>,
     filter: Option<Tid>,
     credits: u32,
     timeout: Duration,
@@ -106,8 +110,9 @@ impl BuilderUnit {
         if let Some(names) = ctx.param("rus") {
             self.rus = names
                 .split(',')
+                .map(str::trim)
                 .filter(|n| !n.is_empty())
-                .filter_map(|n| ctx.lookup(n.trim()))
+                .map(|n| (n.to_string(), ctx.lookup(n)))
                 .collect();
         }
         self.filter = ctx.param("filter").and_then(|n| ctx.lookup(n));
@@ -136,7 +141,13 @@ impl BuilderUnit {
         sources: impl IntoIterator<Item = usize>,
     ) {
         for s in sources {
-            let Some(&ru) = self.rus.get(s) else { continue };
+            let Some((name, tid)) = self.rus.get_mut(s) else {
+                continue;
+            };
+            if tid.is_none() {
+                *tid = ctx.lookup(name);
+            }
+            let Some(ru) = *tid else { continue };
             let _ = ctx.send_private_with(ru, ORG_DAQ, xfn::PULL, 8, |p| {
                 p.copy_from_slice(&event.to_le_bytes())
             });
@@ -499,6 +510,61 @@ mod tests {
         }
         assert_eq!(r.dones.lock().as_slice(), &[(7, 4, DONE_DISCARDED)]);
         assert!(r.events.lock().is_empty());
+    }
+
+    /// A readout name that does not resolve when the builder configures
+    /// keeps its source index: the builder waits for that source instead
+    /// of shipping a one-fragment "event" for a two-source one.
+    #[test]
+    fn late_readout_keeps_its_source_index() {
+        let exec = Executive::new(ExecutiveConfig::named("n"));
+        let sink = Sink::default();
+        let (events, dones) = (sink.events.clone(), sink.dones.clone());
+        let evm = exec.register("evm", Box::new(sink), &[]).unwrap();
+        let readout = |exec: &Executive, i: u16| {
+            exec.register(
+                &format!("ru{i}"),
+                Box::new(ReadoutUnit::new()),
+                &[
+                    ("source_id", &i.to_string()),
+                    ("sources", "2"),
+                    ("size", "64"),
+                ],
+            )
+            .unwrap()
+        };
+        let ru0 = readout(&exec, 0);
+        let bu = exec
+            .register(
+                "bu",
+                Box::new(BuilderUnit::new()),
+                &[
+                    ("rus", "ru0,ru1"),
+                    ("filter", "evm"),
+                    ("timeout_ms", "1000"),
+                ],
+            )
+            .unwrap();
+        exec.enable_all();
+        let r = Rig {
+            exec,
+            bu,
+            evm,
+            events,
+            dones,
+        };
+        // The builder configures on INVITE, before ru1 exists.
+        post(&r, r.bu, r.evm, xfn::INVITE, 1u64.to_le_bytes().to_vec());
+        while r.exec.run_once() > 0 {}
+        let ru1 = readout(&r.exec, 1);
+        r.exec.enable_all();
+        for ru in [ru0, ru1] {
+            post(&r, ru, r.evm, xfn::TRIGGER, 1u64.to_le_bytes().to_vec());
+        }
+        post(&r, r.bu, r.evm, xfn::ASSIGN, assign(1, 1));
+        while r.exec.run_once() > 0 {}
+        assert_eq!(r.events.lock().as_slice(), &[(1, 2 * (16 + 64))]);
+        assert_eq!(r.dones.lock().as_slice(), &[(1, 1, DONE_BUILT)]);
     }
 
     #[test]

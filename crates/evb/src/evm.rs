@@ -6,10 +6,17 @@
 //! `CREDIT` grants, and then drives the fabric — each credit buys one
 //! `ASSIGN`, and an assignment is preceded by a `TRIGGER` to every
 //! readout unit so the sources digitize the event before the builder
-//! pulls. Builders return credits with `DONE`; a built event earns a
-//! `CLEAR` broadcast so the sources drop their stored fragments, a
+//! pulls. Builders return credits with `DONE`; a finished event is
+//! cleared at the sources so they drop their stored fragments, a
 //! discarded one is re-queued (bounded by `max_reassign`) or counted
 //! lost.
+//!
+//! The clear rides the next `TRIGGER`: the `DONE` that returns a credit
+//! usually launches the next event in the same handler, and that
+//! broadcast carries the finished id as a second `u64`. Only when no
+//! `TRIGGER` leaves before the handler returns (run end, drain, no
+//! credit) does the id go out as a `CLEAR` broadcast of its own, so no
+//! clear is ever held between handler calls.
 //!
 //! Backpressure is structural: the EVM never has more events in flight
 //! than the builders granted credits for, so a slow or stalled builder
@@ -20,7 +27,8 @@
 //! ([`xdaq_core::Dispatcher::watch_faults`]). When a builder's node
 //! dies (`XFN_PEER_DOWN`), its credits are reclaimed and its in-flight
 //! events re-queued for the survivors; the readout units still hold
-//! those fragments (they clear only on `CLEAR`), so nothing is lost.
+//! those fragments (only a finished event is cleared), so nothing is
+//! lost.
 
 use crate::{u32_at, u64_at, xfn, DONE_BUILT, ORG_DAQ};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -86,6 +94,9 @@ pub struct EventManager {
     /// Events awaiting (re)assignment. Re-queued events are already
     /// digitized at the sources; fresh ones get a TRIGGER first.
     queue: VecDeque<u64>,
+    /// The event finished by the `DONE` being handled, cleared by the
+    /// next `TRIGGER` broadcast or by a `CLEAR` when the handler ends.
+    clear: Option<u64>,
     assigned: HashMap<u64, Tid>,
     attempts: HashMap<u64, u32>,
     /// Trigger pacing (zero = free-running): fresh launches are capped
@@ -129,6 +140,7 @@ impl EventManager {
             draining: HashSet::new(),
             rr: 0,
             queue: VecDeque::new(),
+            clear: None,
             assigned: HashMap::new(),
             attempts: HashMap::new(),
             trigger_interval: Duration::ZERO,
@@ -197,11 +209,25 @@ impl EventManager {
         }
     }
 
-    fn broadcast_rus(&mut self, ctx: &mut Dispatcher<'_>, f: u16, event: u64) {
+    /// Sends `f(event)` to every readout unit, with `clear` as a
+    /// second `u64` when given (`TRIGGER` only).
+    fn broadcast_rus(&self, ctx: &mut Dispatcher<'_>, f: u16, event: u64, clear: Option<u64>) {
+        let len = if clear.is_some() { 16 } else { 8 };
         for &ru in &self.rus {
-            let _ = ctx.send_private_with(ru, ORG_DAQ, f, 8, |p| {
-                p.copy_from_slice(&event.to_le_bytes())
+            let _ = ctx.send_private_with(ru, ORG_DAQ, f, len, |p| {
+                p[..8].copy_from_slice(&event.to_le_bytes());
+                if let Some(c) = clear {
+                    p[8..].copy_from_slice(&c.to_le_bytes());
+                }
             });
+        }
+    }
+
+    /// Sends the clear still pending at the end of a handler as a
+    /// `CLEAR` frame of its own.
+    fn flush_clear(&mut self, ctx: &mut Dispatcher<'_>) {
+        if let Some(event) = self.clear.take() {
+            self.broadcast_rus(ctx, xfn::CLEAR, event, None);
         }
     }
 
@@ -270,8 +296,9 @@ impl EventManager {
             // that hole: `TRIGGER` is idempotent at the readout (the
             // store is a set, parked pulls are served on arrival), and
             // an event is only ever re-queued while unfinished, so no
-            // source can have `CLEAR`ed it yet.
-            self.broadcast_rus(ctx, xfn::TRIGGER, event);
+            // source can have cleared it yet.
+            let clear = self.clear.take();
+            self.broadcast_rus(ctx, xfn::TRIGGER, event, clear);
             if fresh {
                 self.stats.triggered.fetch_add(1, Ordering::Relaxed);
             }
@@ -338,7 +365,7 @@ impl EventManager {
             *self.credits.entry(bu).or_insert(0) += 1;
         }
         if status == DONE_BUILT {
-            self.finish(ctx, event, true);
+            self.finish(event, true);
         } else {
             let tries = self.attempts.entry(event).or_insert(0);
             *tries += 1;
@@ -349,16 +376,18 @@ impl EventManager {
                     m.reassigned.inc();
                 }
             } else {
-                self.finish(ctx, event, false);
+                self.finish(event, false);
             }
         }
         self.pump(ctx);
+        self.flush_clear(ctx);
     }
 
-    /// Terminal accounting for one event: clear the sources, count it,
-    /// and flip `run_done` when the run drains.
-    fn finish(&mut self, ctx: &mut Dispatcher<'_>, event: u64, built: bool) {
-        self.broadcast_rus(ctx, xfn::CLEAR, event);
+    /// Terminal accounting for one event: mark it for clearing at the
+    /// sources, count it, and flip `run_done` when the run drains.
+    fn finish(&mut self, event: u64, built: bool) {
+        debug_assert!(self.clear.is_none(), "one DONE finishes one event");
+        self.clear = Some(event);
         self.attempts.remove(&event);
         self.finished += 1;
         if built {
@@ -726,6 +755,12 @@ mod tests {
         for s in &m.bu_stats {
             assert!(s.events_built.load(Ordering::SeqCst) > 0);
         }
+        // Every event was cleared at the sources: the early ones on the
+        // next TRIGGER, the run's last ones by plain CLEAR frames.
+        while m.exec.run_once() > 0 {}
+        let reg = m.exec.core().monitors().registry();
+        assert_eq!(reg.gauge("evb.ru.store").get(), 0);
+        assert!(reg.gauge("evb.ru.store").high_water() > 0);
     }
 
     #[test]

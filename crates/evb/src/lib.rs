@@ -20,16 +20,23 @@
 //!  host ──RUN──▶ EVM                      start a run of N events
 //!  EVM ──INVITE──▶ BU                     solicit credits (run epoch)
 //!  BU ──CREDIT──▶ EVM                     grant buffer credits
-//!  EVM ──TRIGGER──▶ RU (each)             event id: digitize fragment
+//!  EVM ──TRIGGER──▶ RU (each)             event id: digitize fragment,
+//!                                         [+ finished id: drop it]
 //!  EVM ──ASSIGN──▶ BU                     event allocation (1 credit)
 //!  BU ──PULL──▶ RU (each)                 request fragment of event
 //!  RU ──FRAGMENT──▶ BU                    fragment data (zero-copy)
 //!  BU ──EVENT──▶ filter                   built-event summary
 //!  BU ──DONE──▶ EVM                       built (or discarded): credit
-//!  EVM ──CLEAR──▶ RU (each)               drop stored fragment
+//!  EVM ──CLEAR──▶ RU (each)               drop stored fragment, only if
+//!                                         no TRIGGER carried the id
 //! ```
 //!
-//! Readout units keep each fragment until the EVM broadcasts `CLEAR`,
+//! Per built event that is 3R + 3 frames for R readout units: the
+//! finished id rides the `TRIGGER` that the returned credit launches,
+//! as a second `u64` after the event id, so `CLEAR` goes out only at
+//! run end, while draining, or when no credit is left.
+//!
+//! Readout units keep each fragment until the EVM clears the event,
 //! so an event assigned to a builder that dies can be reassigned and
 //! rebuilt from the sources. Builder units tolerate out-of-order and
 //! duplicated fragments ([`Assembler`]), re-pull missing fragments on a
@@ -62,7 +69,8 @@ pub const ORG_DAQ: u16 = 0x0da0;
 
 /// Private x-function codes of the event-builder protocol.
 pub mod xfn {
-    /// Trigger: "digitize your fragment of event N" (EVM → RU).
+    /// Trigger: "digitize your fragment of event N" (EVM → RU); an
+    /// optional second `u64` names a finished event to drop.
     pub const TRIGGER: u16 = 0x0020;
     /// A detector fragment (RU → BU).
     pub const FRAGMENT: u16 = 0x0021;
@@ -80,7 +88,8 @@ pub mod xfn {
     pub const PULL: u16 = 0x0033;
     /// Event terminated at the builder: built or discarded (BU → EVM).
     pub const DONE: u16 = 0x0034;
-    /// Drop the stored fragment of a finished event (EVM → RU).
+    /// Drop the stored fragment of a finished event no `TRIGGER`
+    /// carried (EVM → RU).
     pub const CLEAR: u16 = 0x0035;
 }
 

@@ -3,10 +3,11 @@
 //! A `TRIGGER` from the event manager "digitizes" one fragment of the
 //! event into the unit's local store. Builders *pull*: a `PULL` request
 //! answers with the fragment; the store entry survives until the EVM
-//! broadcasts `CLEAR`, so a builder that dies mid-event can be replaced
-//! and the survivor re-pulls the same fragments. A `PULL` racing ahead
-//! of its `TRIGGER` (the two ride different links) is parked and served
-//! the moment the trigger lands.
+//! clears the event — as the second `u64` of a later `TRIGGER`, or as a
+//! `CLEAR` when no trigger followed — so a builder that dies mid-event
+//! can be replaced and the survivor re-pulls the same fragments. A
+//! `PULL` racing ahead of its `TRIGGER` (the two ride different links)
+//! is parked and served the moment the trigger lands.
 
 use crate::fragment::{FragmentHeader, FRAGMENT_HEADER_LEN};
 use crate::{u64_at, xfn, ORG_DAQ};
@@ -98,6 +99,15 @@ impl ReadoutUnit {
             m.fragments.inc();
         }
     }
+
+    /// Drops a finished event's stored fragment and any parked pulls.
+    fn clear(&mut self, event: u64) {
+        self.store.remove(&event);
+        self.parked.remove(&event);
+        if let Some(m) = &self.metrics {
+            m.store.set(self.store.len() as i64);
+        }
+    }
 }
 
 impl Default for ReadoutUnit {
@@ -144,6 +154,9 @@ impl I2oListener for ReadoutUnit {
                         self.send_fragment(ctx, event, dest);
                     }
                 }
+                if let Some(finished) = u64_at(msg.payload(), 8) {
+                    self.clear(finished);
+                }
             }
             xfn::PULL => {
                 let requester = msg.header.initiator;
@@ -163,13 +176,7 @@ impl I2oListener for ReadoutUnit {
                     }
                 }
             }
-            xfn::CLEAR => {
-                self.store.remove(&event);
-                self.parked.remove(&event);
-                if let Some(m) = &self.metrics {
-                    m.store.set(self.store.len() as i64);
-                }
-            }
+            xfn::CLEAR => self.clear(event),
             _ => {}
         }
     }
@@ -243,6 +250,29 @@ mod tests {
         send(&exec, ru, bu, xfn::PULL, 5);
         while exec.run_once() > 0 {}
         assert_eq!(count.load(Ordering::SeqCst), 2, "stale pull unanswered");
+    }
+
+    #[test]
+    fn trigger_carries_the_clear_of_a_finished_event() {
+        let (exec, ru, bu, count, ids) = harness();
+        send(&exec, ru, bu, xfn::TRIGGER, 5);
+        // TRIGGER(6) with 5 in its second word: 6 stored, 5 dropped.
+        let payload = [6u64.to_le_bytes(), 5u64.to_le_bytes()].concat();
+        exec.post(
+            Message::build_private(ru, bu, ORG_DAQ, xfn::TRIGGER)
+                .payload(payload)
+                .finish(),
+        )
+        .unwrap();
+        send(&exec, ru, bu, xfn::PULL, 5);
+        send(&exec, ru, bu, xfn::PULL, 6);
+        while exec.run_once() > 0 {}
+        assert_eq!(
+            count.load(Ordering::SeqCst),
+            1,
+            "stale pull of 5 unanswered"
+        );
+        assert_eq!(*ids.lock(), vec![6]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::frame_buf::FrameBuf;
 use crate::stats::AtomicStats;
 use crate::{AllocError, FrameAllocator, PoolStats, MAX_BLOCK_LEN};
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Default pool-size ladder: from tiny control frames up to the 256 KB
 /// maximum, mirroring typical DAQ fragment sizes.
@@ -52,7 +52,7 @@ pub struct SimplePool {
     stats: AtomicStats,
     max_blocks: usize,
     /// Set once at construction so recycled blocks find their way home.
-    self_ref: Mutex<Option<std::sync::Weak<SimplePool>>>,
+    self_ref: Weak<SimplePool>,
 }
 
 impl SimplePool {
@@ -89,7 +89,7 @@ impl SimplePool {
                     .fetch_add(cap as u64, std::sync::atomic::Ordering::Relaxed);
             }
         }
-        let pool = Arc::new(SimplePool {
+        Arc::new_cyclic(|weak| SimplePool {
             inner: Mutex::new(Inner {
                 free,
                 created,
@@ -97,18 +97,12 @@ impl SimplePool {
             }),
             stats,
             max_blocks,
-            self_ref: Mutex::new(None),
-        });
-        *pool.self_ref.lock() = Some(Arc::downgrade(&pool));
-        pool
+            self_ref: weak.clone(),
+        })
     }
 
     fn recycler(&self) -> Arc<dyn BlockRecycler> {
-        self.self_ref
-            .lock()
-            .as_ref()
-            .and_then(|w| w.upgrade())
-            .expect("pool alive") as Arc<dyn BlockRecycler>
+        self.self_ref.upgrade().expect("pool alive") as Arc<dyn BlockRecycler>
     }
 }
 

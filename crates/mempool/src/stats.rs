@@ -71,7 +71,11 @@ impl AtomicStats {
                 .fetch_add(created_bytes as u64, Ordering::Relaxed);
         }
         let live = self.live_blocks.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water_blocks.fetch_max(live, Ordering::Relaxed);
+        // The mark never falls, so the locked read-modify-write is
+        // needed only when it actually rises.
+        if live > self.high_water_blocks.load(Ordering::Relaxed) {
+            self.high_water_blocks.fetch_max(live, Ordering::Relaxed);
+        }
     }
 
     pub fn on_free(&self) {

@@ -24,9 +24,8 @@ use crate::frame_buf::FrameBuf;
 use crate::stats::AtomicStats;
 use crate::{AllocError, FrameAllocator, PoolStats, MAX_BLOCK_LEN};
 use crossbeam::queue::SegQueue;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Smallest size class: one cache line pair, enough for control frames.
 pub const MIN_CLASS: usize = 64;
@@ -58,7 +57,9 @@ pub struct TablePool {
     stats: AtomicStats,
     created: AtomicUsize,
     max_blocks: usize,
-    self_ref: Mutex<Option<std::sync::Weak<TablePool>>>,
+    /// For minting `Arc<dyn BlockRecycler>` handles to ourselves; set
+    /// once by `Arc::new_cyclic`, so an alloc only upgrades it.
+    self_ref: Weak<TablePool>,
 }
 
 impl TablePool {
@@ -70,23 +71,17 @@ impl TablePool {
     /// Pool bounded to `max_blocks` total block creations.
     pub fn new(max_blocks: usize) -> Arc<TablePool> {
         let classes = (0..NUM_CLASSES).map(|_| SegQueue::new()).collect();
-        let pool = Arc::new(TablePool {
+        Arc::new_cyclic(|weak| TablePool {
             classes,
             stats: AtomicStats::default(),
             created: AtomicUsize::new(0),
             max_blocks,
-            self_ref: Mutex::new(None),
-        });
-        *pool.self_ref.lock() = Some(Arc::downgrade(&pool));
-        pool
+            self_ref: weak.clone(),
+        })
     }
 
     fn recycler(&self) -> Arc<dyn BlockRecycler> {
-        self.self_ref
-            .lock()
-            .as_ref()
-            .and_then(|w| w.upgrade())
-            .expect("pool alive") as Arc<dyn BlockRecycler>
+        self.self_ref.upgrade().expect("pool alive") as Arc<dyn BlockRecycler>
     }
 
     /// Pre-warms `count` blocks in the class serving `len`-byte

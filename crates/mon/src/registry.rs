@@ -68,14 +68,24 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.value.level.store(v, Ordering::Relaxed);
-        self.value.high_water.fetch_max(v, Ordering::Relaxed);
+        self.raise_high_water(v);
     }
 
     /// Adjusts the level by `delta`, updating the high-water mark.
     #[inline]
     pub fn add(&self, delta: i64) {
         let now = self.value.level.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.value.high_water.fetch_max(now, Ordering::Relaxed);
+        self.raise_high_water(now);
+    }
+
+    /// The mark never falls between resets, so the locked
+    /// read-modify-write runs only when `v` actually raises it — not on
+    /// every decrement of a queue-depth gauge.
+    #[inline]
+    fn raise_high_water(&self, v: i64) {
+        if v > self.value.high_water.load(Ordering::Relaxed) {
+            self.value.high_water.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Current level.

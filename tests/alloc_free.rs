@@ -12,10 +12,15 @@
 //!   5 000 round trips, and
 //! * a built event of a 4×2 event builder over `loop://` (EVM, 4
 //!   readout units, 2 builder units and a filter on seven executives:
-//!   19 frames per event, a re-pull timer armed and cancelled,
+//!   15 frames per event, a re-pull timer armed and cancelled,
 //!   fragments held until the event completes) performs **zero** heap
 //!   allocations, listeners included — measured one event at a time
 //!   over 1 000 consecutive events.
+//!
+//! The same mesh also pins the event builder's message economy: the
+//! transports send at most 15 frames per built event (TRIGGER×4 with
+//! the previous event's clear riding along, ASSIGN, PULL×4, FRAGMENT×4,
+//! EVENT, DONE).
 //!
 //! No vendored shim forces an allocation: the `crossbeam` stand-in's
 //! queues are rings that stop growing once warm. The one thing that
@@ -33,8 +38,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xdaq::core::{Delivery, Dispatcher, Executive, ExecutiveConfig, I2oListener};
-use xdaq::evb::{xfn, BuilderUnit, EventManager, ReadoutUnit, ORG_DAQ};
+use xdaq::core::{Delivery, Dispatcher, Executive, ExecutiveConfig, I2oListener, PeerTransport};
+use xdaq::evb::{xfn, BuilderUnit, EventManager, EvmStats, ReadoutUnit, ORG_DAQ};
 use xdaq::i2o::{DeviceClass, Message, Tid};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 
@@ -115,16 +120,17 @@ impl I2oListener for Echo {
     }
 }
 
-fn loop_node(hub: &Arc<LoopbackHub>, name: &str) -> Executive {
+fn loop_node(hub: &Arc<LoopbackHub>, name: &str) -> (Executive, Arc<LoopbackPt>) {
     let exec = Executive::new(ExecutiveConfig::named(name));
-    exec.register_pt("pt", LoopbackPt::new(hub, name)).unwrap();
-    exec
+    let pt = LoopbackPt::new(hub, name);
+    exec.register_pt("pt", pt.clone()).unwrap();
+    (exec, pt)
 }
 
 #[test]
 fn echo_over_loopback_allocates_nothing_once_warm() {
     let hub = LoopbackHub::new();
-    let (a, b) = (loop_node(&hub, "a"), loop_node(&hub, "b"));
+    let (a, b) = (loop_node(&hub, "a").0, loop_node(&hub, "b").0);
     let seen = Arc::new(AtomicU64::new(0));
     let echo = |exec: &Executive| {
         exec.register("echo", Box::new(Echo { seen: seen.clone() }), &[])
@@ -168,116 +174,147 @@ impl I2oListener for Filter {
     }
 }
 
-#[test]
-fn event_builder_4x2_allocates_nothing_once_warm() {
-    const RUS: usize = 4;
-    const BUS: usize = 2;
-    let hub = LoopbackHub::new();
-    let mgr = loop_node(&hub, "mgr");
-    let rus: Vec<Executive> = (0..RUS)
-        .map(|i| loop_node(&hub, &format!("ru{i}")))
-        .collect();
-    let bus: Vec<Executive> = (0..BUS)
-        .map(|j| loop_node(&hub, &format!("bu{j}")))
-        .collect();
-    let ru_names: Vec<String> = (0..RUS).map(|i| format!("ru{i}")).collect();
-    let bu_names: Vec<String> = (0..BUS).map(|j| format!("bu{j}")).collect();
+/// A 4×2 event builder over `loop://`: the manager (with the filter)
+/// first, then four readout units and two builder units, one executive
+/// each, in a free-running run.
+struct EvbMesh {
+    nodes: Vec<Executive>,
+    pts: Vec<Arc<LoopbackPt>>,
+    events: Arc<AtomicU64>,
+    stats: Arc<EvmStats>,
+}
 
-    let ru_tids: Vec<Tid> = rus
-        .iter()
-        .enumerate()
-        .map(|(i, exec)| {
-            exec.register(
-                "readout",
-                Box::new(ReadoutUnit::new()),
+impl EvbMesh {
+    fn new() -> EvbMesh {
+        const RUS: usize = 4;
+        const BUS: usize = 2;
+        let hub = LoopbackHub::new();
+        let ru_names: Vec<String> = (0..RUS).map(|i| format!("ru{i}")).collect();
+        let bu_names: Vec<String> = (0..BUS).map(|j| format!("bu{j}")).collect();
+        let (nodes, pts): (Vec<Executive>, Vec<Arc<LoopbackPt>>) = std::iter::once("mgr")
+            .chain(ru_names.iter().map(String::as_str))
+            .chain(bu_names.iter().map(String::as_str))
+            .map(|name| loop_node(&hub, name))
+            .unzip();
+        let (mgr, rus, bus) = (&nodes[0], &nodes[1..=RUS], &nodes[RUS + 1..]);
+
+        let ru_tids: Vec<Tid> = rus
+            .iter()
+            .enumerate()
+            .map(|(i, exec)| {
+                exec.register(
+                    "readout",
+                    Box::new(ReadoutUnit::new()),
+                    &[
+                        ("source_id", &i.to_string()),
+                        ("sources", &RUS.to_string()),
+                        ("size", "2048"),
+                    ],
+                )
+                .unwrap()
+            })
+            .collect();
+        let events = Arc::new(AtomicU64::new(0));
+        let filter = mgr
+            .register(
+                "filter",
+                Box::new(Filter {
+                    events: events.clone(),
+                }),
+                &[],
+            )
+            .unwrap();
+        let bu_tids: Vec<Tid> = bus
+            .iter()
+            .enumerate()
+            .map(|(j, exec)| {
+                for (i, name) in ru_names.iter().enumerate() {
+                    exec.proxy(&format!("loop://{name}"), ru_tids[i], Some(name))
+                        .unwrap();
+                }
+                exec.proxy("loop://mgr", filter, Some("filter")).unwrap();
+                exec.register(
+                    &format!("builder{j}"),
+                    Box::new(BuilderUnit::new()),
+                    &[
+                        ("rus", &ru_names.join(",")),
+                        ("filter", "filter"),
+                        ("credits", "8"),
+                        // Nothing is lost here, so the re-pull timer must
+                        // never fire: the run is then the same sequence of
+                        // operations however the test thread is scheduled
+                        // (a 50 ms stall under a loaded `cargo test` would
+                        // otherwise fire timers and re-pull).
+                        ("timeout_ms", "600000"),
+                    ],
+                )
+                .unwrap()
+            })
+            .collect();
+        for (i, name) in ru_names.iter().enumerate() {
+            mgr.proxy(&format!("loop://{name}"), ru_tids[i], Some(name))
+                .unwrap();
+        }
+        for (j, name) in bu_names.iter().enumerate() {
+            mgr.proxy(&format!("loop://{name}"), bu_tids[j], Some(name))
+                .unwrap();
+        }
+        let manager = EventManager::new();
+        let stats = manager.stats();
+        let evm = mgr
+            .register(
+                "evm",
+                Box::new(manager),
                 &[
-                    ("source_id", &i.to_string()),
-                    ("sources", &RUS.to_string()),
-                    ("size", "2048"),
+                    ("readouts", &ru_names.join(",")),
+                    ("bus", &bu_names.join(",")),
                 ],
             )
-            .unwrap()
-        })
-        .collect();
-    let events = Arc::new(AtomicU64::new(0));
-    let filter = mgr
-        .register(
-            "filter",
-            Box::new(Filter {
-                events: events.clone(),
-            }),
-            &[],
+            .unwrap();
+        for exec in &nodes {
+            exec.enable_all();
+        }
+        // Free-running trigger: a run longer than the test.
+        mgr.post(
+            Message::build_private(evm, Tid::HOST, ORG_DAQ, xfn::RUN)
+                .payload(u64::MAX.to_le_bytes().to_vec())
+                .finish(),
         )
         .unwrap();
-    let bu_tids: Vec<Tid> = bus
-        .iter()
-        .enumerate()
-        .map(|(j, exec)| {
-            for (i, name) in ru_names.iter().enumerate() {
-                exec.proxy(&format!("loop://{name}"), ru_tids[i], Some(name))
-                    .unwrap();
-            }
-            exec.proxy("loop://mgr", filter, Some("filter")).unwrap();
-            exec.register(
-                &format!("builder{j}"),
-                Box::new(BuilderUnit::new()),
-                &[
-                    ("rus", &ru_names.join(",")),
-                    ("filter", "filter"),
-                    ("credits", "8"),
-                    // Nothing is lost here, so the re-pull timer must
-                    // never fire: the run is then the same sequence of
-                    // operations however the test thread is scheduled
-                    // (a 50 ms stall under a loaded `cargo test` would
-                    // otherwise fire timers and re-pull).
-                    ("timeout_ms", "600000"),
-                ],
-            )
-            .unwrap()
-        })
-        .collect();
-    for (i, name) in ru_names.iter().enumerate() {
-        mgr.proxy(&format!("loop://{name}"), ru_tids[i], Some(name))
-            .unwrap();
+        EvbMesh {
+            nodes,
+            pts,
+            events,
+            stats,
+        }
     }
-    for (j, name) in bu_names.iter().enumerate() {
-        mgr.proxy(&format!("loop://{name}"), bu_tids[j], Some(name))
-            .unwrap();
-    }
-    let manager = EventManager::new();
-    let stats = manager.stats();
-    let evm = mgr
-        .register(
-            "evm",
-            Box::new(manager),
-            &[
-                ("readouts", &ru_names.join(",")),
-                ("bus", &bu_names.join(",")),
-            ],
-        )
-        .unwrap();
-    let nodes: Vec<&Executive> = std::iter::once(&mgr).chain(&rus).chain(&bus).collect();
-    for exec in &nodes {
-        exec.enable_all();
-    }
-    // Free-running trigger: a run longer than the test.
-    mgr.post(
-        Message::build_private(evm, Tid::HOST, ORG_DAQ, xfn::RUN)
-            .payload(u64::MAX.to_le_bytes().to_vec())
-            .finish(),
-    )
-    .unwrap();
-    let pump_until = |built: u64| {
-        while events.load(Ordering::Relaxed) < built {
-            for exec in &nodes {
+
+    /// Pumps every executive in turn until `built` events reached the
+    /// filter.
+    fn pump_until(&self, built: u64) {
+        while self.events.load(Ordering::Relaxed) < built {
+            for exec in &self.nodes {
                 exec.run_once();
             }
         }
-    };
-    pump_until(3_000);
+    }
+
+    /// Frames all seven transports have sent so far.
+    fn frames_sent(&self) -> u64 {
+        self.pts
+            .iter()
+            .map(|pt| pt.counters().unwrap().sent_frames.load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
+#[test]
+fn event_builder_4x2_allocates_nothing_once_warm() {
+    let mesh = EvbMesh::new();
+    mesh.pump_until(3_000);
     // One window per built event.
     let per_event: Vec<u64> = (1..=1_000)
-        .map(|k| allocations_during(|| pump_until(3_000 + k)))
+        .map(|k| allocations_during(|| mesh.pump_until(3_000 + k)))
         .collect();
     let total: u64 = per_event.iter().sum();
     let dirty = per_event.iter().filter(|n| **n > 0).count();
@@ -286,5 +323,19 @@ fn event_builder_4x2_allocates_nothing_once_warm() {
         total <= 22 && dirty <= 22,
         "{total} heap allocations in {dirty} of 1 000 built events"
     );
-    assert_eq!(stats.lost.load(Ordering::Relaxed), 0);
+    assert_eq!(mesh.stats.lost.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn event_builder_4x2_sends_at_most_15_frames_per_event() {
+    let mesh = EvbMesh::new();
+    mesh.pump_until(100);
+    let before = mesh.frames_sent();
+    mesh.pump_until(1_100);
+    let per_event = (mesh.frames_sent() - before) as f64 / 1_000.0;
+    assert!(
+        per_event <= 15.0,
+        "{per_event} transport frames per built event"
+    );
+    assert_eq!(mesh.stats.lost.load(Ordering::Relaxed), 0);
 }

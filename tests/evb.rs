@@ -17,7 +17,7 @@
 //!   executive's supervisor forces the link Down, and the event
 //!   manager (fault listener) reclaims the dead builder's credits and
 //!   reassigns its in-flight events. The readout units still hold
-//!   those fragments (cleared only on `CLEAR`), so the surviving
+//!   those fragments (cleared only once an event finished), so the surviving
 //!   builder rebuilds them: zero loss.
 
 use parking_lot::Mutex;
