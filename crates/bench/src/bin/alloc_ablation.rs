@@ -17,7 +17,7 @@
 //! ```
 
 use xdaq_bench::{
-    median_us, raw_gm_pingpong, steady_state, xdaq_gm_pingpong, Args, BlackboxConfig, Summary,
+    median_us, quantile, raw_gm_pingpong, steady_state, xdaq_gm_pingpong, Args, BlackboxConfig,
 };
 use xdaq_core::AllocatorKind;
 use xdaq_gm::LatencyModel;
@@ -29,7 +29,6 @@ fn end_to_end_overhead(allocator: AllocatorKind, calls: u64) -> f64 {
         calls,
         wire: LatencyModel::ZERO,
         allocator,
-        probes: None,
     });
     let xdaq = median_us(steady_state(&run.one_way_ns));
     let gm = median_us(steady_state(&raw_gm_pingpong(
@@ -63,8 +62,8 @@ fn microbench(
             window.pop_front(); // frees the oldest buffer
         }
     }
-    let s = Summary::from_samples(&samples);
-    (s.median_ns, s.p90_ns)
+    samples.sort_unstable();
+    (quantile(&samples, 0.5), quantile(&samples, 0.9))
 }
 
 fn main() {

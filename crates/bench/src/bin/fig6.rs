@@ -67,7 +67,6 @@ fn main() {
             calls,
             wire,
             allocator,
-            probes: None,
         });
         let xdaq_us = median_us(steady_state(&run.one_way_ns));
         // Baseline series on an identical fabric.

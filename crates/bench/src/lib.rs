@@ -23,7 +23,7 @@ use xdaq_pt::GmPt;
 pub struct PingRun {
     /// One-way latencies (RTT/2) in nanoseconds, one per call.
     pub one_way_ns: Vec<u64>,
-    /// The pinger-side executive (for probe/stat readout).
+    /// The pinger-side executive (for stat readout).
     pub exec_a: Executive,
     /// The ponger-side executive.
     pub exec_b: Executive,
@@ -40,8 +40,6 @@ pub struct BlackboxConfig {
     pub wire: LatencyModel,
     /// Buffer-pool scheme on both executives.
     pub allocator: AllocatorKind,
-    /// Whitebox probe ring capacity (None = probes off).
-    pub probes: Option<usize>,
 }
 
 impl Default for BlackboxConfig {
@@ -51,7 +49,6 @@ impl Default for BlackboxConfig {
             calls: 10_000,
             wire: LatencyModel::ZERO,
             allocator: AllocatorKind::Table,
-            probes: None,
         }
     }
 }
@@ -63,10 +60,8 @@ pub fn xdaq_gm_pingpong(cfg: BlackboxConfig) -> PingRun {
     let fabric = Fabric::with_latency(cfg.wire);
     let mut exec_cfg_a = ExecutiveConfig::named("bench-a");
     exec_cfg_a.allocator = cfg.allocator;
-    exec_cfg_a.probe_capacity = cfg.probes;
     let mut exec_cfg_b = ExecutiveConfig::named("bench-b");
     exec_cfg_b.allocator = cfg.allocator;
-    exec_cfg_b.probe_capacity = cfg.probes;
     let a = Executive::new(exec_cfg_a);
     let b = Executive::new(exec_cfg_b);
 
@@ -80,10 +75,8 @@ pub fn xdaq_gm_pingpong(cfg: BlackboxConfig) -> PingRun {
     };
     // Polling-mode GM PTs: the executive loop itself scans the port
     // (paper §4 polling mode, one PT ⇒ the efficient configuration).
-    let pt_a = GmPt::open(&fabric, 1, 0, PtMode::Polling, pool_a, a.probes().cloned())
-        .expect("open GM port a");
-    let pt_b = GmPt::open(&fabric, 2, 0, PtMode::Polling, pool_b, b.probes().cloned())
-        .expect("open GM port b");
+    let pt_a = GmPt::open(&fabric, 1, 0, PtMode::Polling, pool_a, None).expect("open GM port a");
+    let pt_b = GmPt::open(&fabric, 2, 0, PtMode::Polling, pool_b, None).expect("open GM port b");
     a.register_pt("a.gm", pt_a).unwrap();
     b.register_pt("b.gm", pt_b).unwrap();
 
@@ -212,7 +205,22 @@ pub fn mean_us(ns: &[u64]) -> f64 {
 
 /// Median of a sample slice, in microseconds.
 pub fn median_us(ns: &[u64]) -> f64 {
-    Summary::from_samples(ns).median_us()
+    let mut sorted = ns.to_vec();
+    sorted.sort_unstable();
+    quantile(&sorted, 0.5) / 1000.0
+}
+
+/// Linear-interpolated `q`-quantile (`q` in 0..=1) of a **sorted**
+/// sample slice; 0 for an empty one.
+pub fn quantile(sorted: &[u64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = q * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    sorted[lo] as f64 * (1.0 - frac) + sorted[hi] as f64 * frac
 }
 
 /// Drops the warm-up prefix (first 10 %, at least 50 samples when the
@@ -226,8 +234,64 @@ pub fn steady_state(ns: &[u64]) -> &[u64] {
     &ns[skip..]
 }
 
-/// Re-export for harness binaries.
-pub use xdaq_probe::{linear_fit, LinearFit, Summary};
+/// Result of fitting `y = slope * x + intercept` — Figure 6 of the
+/// paper annotates its latency series with such fits ("Linear fit to
+/// XDAQ overhead ... y = -7E-05x + 9.105").
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinearFit {
+    /// Slope (units of y per unit of x).
+    pub slope: f64,
+    /// Intercept (units of y).
+    pub intercept: f64,
+    /// Coefficient of determination in [0, 1].
+    pub r2: f64,
+}
+
+impl LinearFit {
+    /// Formats like the paper's chart annotation, e.g.
+    /// `y = -7.0E-5x + 9.105`.
+    pub fn equation(&self) -> String {
+        format!("y = {:.3e}x + {:.3}", self.slope, self.intercept)
+    }
+}
+
+/// Least-squares line through `(x, y)` pairs; `None` for fewer than two
+/// points or a degenerate (all-equal-x) input.
+pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
+    assert_eq!(xs.len(), ys.len(), "x/y length mismatch");
+    let n = xs.len();
+    if n < 2 {
+        return None;
+    }
+    let nf = n as f64;
+    let mean_x = xs.iter().sum::<f64>() / nf;
+    let mean_y = ys.iter().sum::<f64>() / nf;
+    let mut sxx = 0.0;
+    let mut sxy = 0.0;
+    let mut syy = 0.0;
+    for i in 0..n {
+        let dx = xs[i] - mean_x;
+        let dy = ys[i] - mean_y;
+        sxx += dx * dx;
+        sxy += dx * dy;
+        syy += dy * dy;
+    }
+    if sxx == 0.0 {
+        return None;
+    }
+    let slope = sxy / sxx;
+    let intercept = mean_y - slope * mean_x;
+    let r2 = if syy == 0.0 {
+        1.0
+    } else {
+        (sxy * sxy) / (sxx * syy)
+    };
+    Some(LinearFit {
+        slope,
+        intercept,
+        r2,
+    })
+}
 
 #[cfg(test)]
 mod tests {
@@ -270,17 +334,71 @@ mod tests {
     }
 
     #[test]
-    fn probes_populated_when_enabled() {
-        let run = xdaq_gm_pingpong(BlackboxConfig {
-            payload: 64,
-            calls: 50,
-            probes: Some(1024),
-            allocator: AllocatorKind::Simple,
-            ..Default::default()
-        });
-        let p = run.exec_b.probes().unwrap();
-        assert!(p.pt_processing.len() >= 50);
-        assert!(p.app.len() >= 50);
-        assert!(p.frame_alloc.len() >= 50);
+    fn exact_line_recovered() {
+        let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| 2.5 * x - 7.0).collect();
+        let f = linear_fit(&xs, &ys).unwrap();
+        assert!((f.slope - 2.5).abs() < 1e-12);
+        assert!((f.intercept + 7.0).abs() < 1e-9);
+        assert!((f.r2 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn constant_series_has_zero_slope() {
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        let ys = [9.105; 4];
+        let f = linear_fit(&xs, &ys).unwrap();
+        assert_eq!(f.slope, 0.0);
+        assert!((f.intercept - 9.105).abs() < 1e-12);
+        assert_eq!(f.r2, 1.0);
+    }
+
+    #[test]
+    fn noisy_line_r2_reasonable() {
+        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
+        // Deterministic "noise".
+        let ys: Vec<f64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| 3.0 * x + 1.0 + if i % 2 == 0 { 0.5 } else { -0.5 })
+            .collect();
+        let f = linear_fit(&xs, &ys).unwrap();
+        assert!((f.slope - 3.0).abs() < 0.01);
+        assert!(f.r2 > 0.99);
+    }
+
+    #[test]
+    fn degenerate_inputs() {
+        assert!(linear_fit(&[], &[]).is_none());
+        assert!(linear_fit(&[1.0], &[2.0]).is_none());
+        assert!(linear_fit(&[5.0, 5.0], &[1.0, 2.0]).is_none());
+    }
+
+    #[test]
+    fn equation_format() {
+        let f = LinearFit {
+            slope: -7e-5,
+            intercept: 9.105,
+            r2: 1.0,
+        };
+        assert_eq!(f.equation(), "y = -7.000e-5x + 9.105");
+    }
+
+    #[test]
+    fn quantiles_interpolate_over_sorted_samples() {
+        assert_eq!(quantile(&[], 0.5), 0.0);
+        assert_eq!(quantile(&[1000], 0.9), 1000.0);
+        assert_eq!(quantile(&[1, 2, 3, 4], 0.5), 2.5);
+        let v: Vec<u64> = (0..1000).collect();
+        assert!((quantile(&v, 0.1) - 99.9).abs() < 0.2);
+        assert!((quantile(&v, 0.9) - 899.1).abs() < 0.2);
+    }
+
+    #[test]
+    fn median_sorts_and_ignores_outliers() {
+        assert!((median_us(&[9000, 1000, 5000, 3000, 7000]) - 5.0).abs() < 1e-9);
+        let mut v = vec![100u64; 99];
+        v.push(1_000_000);
+        assert!((median_us(&v) - 0.1).abs() < 1e-12);
     }
 }

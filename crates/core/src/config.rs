@@ -25,9 +25,6 @@ pub struct ExecutiveConfig {
     pub node: String,
     /// Buffer-pool scheme.
     pub allocator: AllocatorKind,
-    /// When `Some(n)`, whitebox probes with `n`-sample rings are
-    /// attached (Table 1 instrumentation).
-    pub probe_capacity: Option<usize>,
     /// Handler budget; exceeding it faults the device and notifies the
     /// fault listener (§4's misbehaving-handler discussion).
     pub watchdog: Option<Duration>,
@@ -56,7 +53,6 @@ impl Default for ExecutiveConfig {
         ExecutiveConfig {
             node: "node".to_string(),
             allocator: AllocatorKind::Table,
-            probe_capacity: None,
             watchdog: None,
             supervision: None,
             retry: RetryPolicy::default(),
@@ -159,7 +155,6 @@ mod tests {
     fn default_config() {
         let c = ExecutiveConfig::default();
         assert_eq!(c.allocator, AllocatorKind::Table);
-        assert!(c.probe_capacity.is_none());
         let n = ExecutiveConfig::named("ru0");
         assert_eq!(n.node, "ru0");
     }

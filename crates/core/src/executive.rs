@@ -12,7 +12,6 @@ use crate::admission::AdmissionControl;
 use crate::clock::Clock;
 use crate::config::{encode_kv, kv, parse_kv, AllocatorKind, ExecutiveConfig};
 use crate::credit::{self, CreditManager, FlowCmd};
-use crate::dispatch::{DispatchProbes, ProbedAllocator};
 use crate::error::{ExecError, PtError};
 use crate::listener::{Delivery, Dispatcher, I2oListener, TimerId, UtilOutcome};
 use crate::pta::{PeerAddr, PeerTransport, Pta};
@@ -164,7 +163,6 @@ pub struct ExecCore {
     tids: Mutex<TidAllocator>,
     factories: Mutex<HashMap<String, ModuleFactory>>,
     mon: ExecMonitors,
-    probes: Option<Arc<DispatchProbes>>,
     watchdog: Option<Duration>,
     supervisor: Option<LinkSupervisor>,
     /// Link-level credit flow control, when configured (DESIGN.md §13).
@@ -187,7 +185,7 @@ impl ExecCore {
         &self.node
     }
 
-    /// The frame allocator (probed when probes are enabled).
+    /// The frame allocator.
     pub fn allocator(&self) -> &dyn FrameAllocator {
         &*self.alloc
     }
@@ -632,18 +630,9 @@ pub struct Executive {
 impl Executive {
     /// Builds an executive from configuration.
     pub fn new(config: ExecutiveConfig) -> Executive {
-        let probes = config.probe_capacity.map(DispatchProbes::new);
-        let alloc: Arc<dyn FrameAllocator> = match (config.allocator, &probes) {
-            (AllocatorKind::Simple, None) => SimplePool::with_defaults(),
-            (AllocatorKind::Table, None) => TablePool::with_defaults(),
-            (AllocatorKind::Simple, Some(p)) => {
-                let pool = SimplePool::with_defaults();
-                ProbedAllocator::new(pool.clone(), pool, p.clone())
-            }
-            (AllocatorKind::Table, Some(p)) => {
-                let pool = TablePool::with_defaults();
-                ProbedAllocator::new(pool.clone(), pool, p.clone())
-            }
+        let alloc: Arc<dyn FrameAllocator> = match config.allocator {
+            AllocatorKind::Simple => SimplePool::with_defaults(),
+            AllocatorKind::Table => TablePool::with_defaults(),
         };
         let exec_meta = DeviceMeta {
             tid: Tid::EXECUTIVE,
@@ -670,7 +659,6 @@ impl Executive {
             tids: Mutex::new(TidAllocator::new()),
             factories: Mutex::new(HashMap::new()),
             mon,
-            probes,
             watchdog: config.watchdog,
             supervisor,
             flow,
@@ -714,11 +702,6 @@ impl Executive {
     /// Counter snapshot.
     pub fn stats(&self) -> ExecStats {
         self.core.snapshot()
-    }
-
-    /// Whitebox probes, when enabled in the config.
-    pub fn probes(&self) -> Option<&Arc<DispatchProbes>> {
-        self.core.probes.as_ref()
     }
 
     /// Pool statistics.
@@ -1127,12 +1110,8 @@ impl Executive {
             return;
         }
 
-        let t_demux = core.probes.as_ref().map(|_| Instant::now());
         let unit = core.registry.checkout(target);
         let function = d.header.function_code();
-        if let (Some(p), Some(t0)) = (&core.probes, t_demux) {
-            p.demux.record(t0.elapsed().as_nanos() as u64);
-        }
         let Some(mut unit) = unit else {
             core.mon.dropped.inc();
             core.mon
@@ -1214,37 +1193,23 @@ impl Executive {
             core,
             meta: &mut unit.meta,
         };
-        // The upcall is timed only for someone who reads the result: a
-        // watchdog budget or the whitebox probes.
-        let probes = core.probes.as_deref();
-        if probes.is_none() && core.watchdog.is_none() {
+        // The upcall is timed only for a watchdog budget, the one
+        // reader of the result.
+        let Some(budget) = core.watchdog else {
             unit.listener.on_private(&mut ctx, d);
             return;
-        }
-        let t_upcall = probes.map(|_| Instant::now());
+        };
         let t_app = Instant::now();
-        if let (Some(p), Some(t0)) = (probes, t_upcall) {
-            p.upcall.record(t0.elapsed().as_nanos() as u64);
-        }
         unit.listener.on_private(&mut ctx, d);
         let app_elapsed = t_app.elapsed();
-        let t_release = Instant::now();
-        if let Some(p) = probes {
-            p.app.record(app_elapsed.as_nanos() as u64);
-        }
         // Watchdog (paper §4: detect handlers that monopolize the CPU).
-        if let Some(budget) = core.watchdog {
-            if app_elapsed > budget {
-                core.mon.watchdog_trips.inc();
-                if unit.meta.state.can_transition(DeviceState::Faulted) {
-                    unit.meta.state = DeviceState::Faulted;
-                    core.mon.faults.inc();
-                }
-                self.notify_fault(unit.meta.tid, app_elapsed);
+        if app_elapsed > budget {
+            core.mon.watchdog_trips.inc();
+            if unit.meta.state.can_transition(DeviceState::Faulted) {
+                unit.meta.state = DeviceState::Faulted;
+                core.mon.faults.inc();
             }
-        }
-        if let Some(p) = probes {
-            p.release.record(t_release.elapsed().as_nanos() as u64);
+            self.notify_fault(unit.meta.tid, app_elapsed);
         }
     }
 

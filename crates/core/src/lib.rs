@@ -28,18 +28,15 @@
 //! * [`PeerTransport`] — the transport DDM interface; concrete
 //!   transports (TCP, GM, PCI, loopback) live in `xdaq-pt` and
 //!   register here like any other device.
-//! * [`DispatchProbes`] — the whitebox probe points of Table 1.
 
 pub mod admission;
 pub mod chainio;
 pub mod clock;
 pub mod config;
 pub mod credit;
-pub mod dispatch;
 pub mod error;
 pub mod executive;
 pub mod listener;
-pub mod monitor;
 pub mod pta;
 pub mod queue;
 pub mod registry;
@@ -53,11 +50,9 @@ pub use chainio::ChainCollector;
 pub use clock::{Clock, VirtualClock};
 pub use config::{AllocatorKind, ExecutiveConfig};
 pub use credit::{CreditManager, FlowCmd, FlowConfig, FlowPolicy};
-pub use dispatch::{DispatchProbes, ProbedAllocator};
 pub use error::{ExecError, PtError};
 pub use executive::{ExecMonitors, ExecStats, Executive, ExecutiveHandle};
 pub use listener::{Delivery, Dispatcher, I2oListener, TimerId};
-pub use monitor::MonitorAgent;
 pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, RetryPolicy, SendFailure};
 pub use queue::{OverloadPolicy, PushOutcome, SchedQueue};
 pub use registry::{DeviceMeta, Registry};

@@ -535,36 +535,6 @@ fn spawned_executive_processes_posts() {
 }
 
 #[test]
-fn probes_capture_dispatch_activities() {
-    let mut cfg = ExecutiveConfig::named("n1");
-    cfg.probe_capacity = Some(1024);
-    let exec = Executive::new(cfg);
-    let tid = exec
-        .register(
-            "echo",
-            Box::new(Echo {
-                seen: Default::default(),
-                last_payload: Default::default(),
-            }),
-            &[],
-        )
-        .unwrap();
-    exec.enable_all();
-    for _ in 0..10 {
-        exec.post(Message::build_private(tid, Tid::HOST, ORG_USER, XFN_SINK).finish())
-            .unwrap();
-    }
-    drain(&exec);
-    let p = exec.probes().unwrap();
-    assert_eq!(p.demux.len(), 10);
-    assert_eq!(p.upcall.len(), 10);
-    assert_eq!(p.app.len(), 10);
-    assert_eq!(p.release.len(), 10);
-    assert!(p.frame_alloc.len() >= 10, "post() allocations recorded");
-    assert!(p.frame_free.len() >= 10, "frame drops recorded");
-}
-
-#[test]
 fn simple_allocator_configuration_works_end_to_end() {
     let mut cfg = ExecutiveConfig::named("n1");
     cfg.allocator = AllocatorKind::Simple;

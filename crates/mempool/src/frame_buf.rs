@@ -74,14 +74,6 @@ impl FrameBuf {
         self.block_mut().raw_mut()
     }
 
-    /// Replaces the recycler, returning the previous one.
-    ///
-    /// Lets instrumentation wrap the pool's recycler with a timing shim
-    /// (the whitebox `frameFree` probe) without the pool knowing.
-    pub fn replace_recycler(&mut self, recycler: Arc<dyn BlockRecycler>) -> Arc<dyn BlockRecycler> {
-        std::mem::replace(&mut self.recycler, recycler)
-    }
-
     /// Pool-assigned identity of the backing block when it lives in an
     /// external region (see [`Block::external_token`]); `None` for
     /// heap-backed frames. Zero-copy transports branch on this.

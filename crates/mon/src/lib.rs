@@ -14,8 +14,8 @@
 //!   peer transports.
 //!
 //! Everything here is plain data; shipping snapshots over I2O frames
-//! is done by the `MonitorAgent` device class in `xdaq-core`, and
-//! cluster-wide aggregation by `xdaq-ctl`.
+//! is done by the executive's default utility procedures in
+//! `xdaq-core`, and cluster-wide aggregation by `xdaq-ctl`.
 
 mod histogram;
 mod registry;
@@ -41,7 +41,8 @@ pub struct PtCounters {
     pub recv_bytes: AtomicU64,
     /// Failed sends.
     pub send_errors: AtomicU64,
-    /// Inbound frames discarded as truncated or corrupt.
+    /// Inbound frames discarded as truncated or corrupt, or refused by
+    /// the receiving pool.
     pub recv_errors: AtomicU64,
 }
 

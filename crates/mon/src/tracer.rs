@@ -9,8 +9,8 @@
 //!
 //! A slot is three atomics written without synchronization between
 //! them; a reader racing a writer may observe a torn record. Dumps are
-//! taken from quiesced or slow-path contexts (the `MonitorAgent`
-//! answering a trace-dump request), where this is acceptable — the
+//! taken from quiesced or slow-path contexts (the executive answering
+//! a trace-dump request), where this is acceptable — the
 //! sequence number lets readers discard records that changed under
 //! them.
 

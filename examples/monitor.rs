@@ -2,8 +2,7 @@
 //!
 //! Brings up two executives connected over the loopback PT, runs a
 //! ping-pong between them, then scrapes both nodes with `MonSnapshot`
-//! utility frames — once directly through each executive (TiD 1) and
-//! once through a registered `MonitorAgent` device — and prints the
+//! utility frames addressed to each executive (TiD 1) — and prints the
 //! aggregated JSON document: per-priority queue depths with high-water
 //! marks, dispatch-latency histogram, pool watermarks and per-PT
 //! frame/byte counters.
@@ -13,7 +12,7 @@
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use xdaq::app::{xfn, PingState, Pinger, Ponger};
-use xdaq::core::{Executive, ExecutiveConfig, MonitorAgent};
+use xdaq::core::{Executive, ExecutiveConfig};
 use xdaq::ctl::ControlHost;
 use xdaq::evb::ORG_DAQ;
 use xdaq::i2o::{Message, Tid};
@@ -28,11 +27,6 @@ fn main() {
         .unwrap();
     let bu0 = Executive::new(ExecutiveConfig::named("bu0"));
     bu0.register_pt("bu0.pt", LoopbackPt::new(&hub, "bu0"))
-        .unwrap();
-
-    // A dedicated monitor device on ru0 (bu0 answers via TiD 1).
-    let mon_tid = ru0
-        .register("mon0", Box::new(MonitorAgent::new()), &[])
         .unwrap();
 
     // -- ping-pong workload ---------------------------------------------
@@ -85,14 +79,6 @@ fn main() {
     println!(
         "cluster snapshot:\n{}",
         serde_json::to_string_pretty(&doc).unwrap()
-    );
-
-    // The same answer through the dedicated monitor device on ru0.
-    let mon_proxy = host.device_proxy("loop://ru0", mon_tid).unwrap();
-    let via_agent = host.scrape(mon_proxy).unwrap();
-    println!(
-        "\nvia MonitorAgent device: node={} dispatched={}",
-        via_agent["node"], via_agent["metrics"]["counters"]["exec.dispatched"]
     );
 
     // Last 5 frame-lifecycle trace records from ru0.

@@ -49,7 +49,6 @@ cargo run -p xdaq-bench --release --bin sim_sweeps -- \
 if [[ "${1:-}" == "--all" ]]; then
     echo "== paper harnesses =="
     cargo run -p xdaq-bench --release --bin fig6
-    cargo run -p xdaq-bench --release --bin table1
     cargo run -p xdaq-bench --release --bin ptmode
 fi
 

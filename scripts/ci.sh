@@ -22,7 +22,7 @@ echo "== crate layering: xdaq-* dependencies point strictly down =="
 # DESIGN.md §2 states this order, one layer per line, lowest first. A
 # crate may depend only on crates of an earlier line, and a crate that
 # was folded away must not grow back.
-layers="sys i2o mon probe gm
+layers="sys i2o mon gm
 mempool
 core
 pt shm rec
@@ -48,7 +48,7 @@ for manifest in crates/*/Cargo.toml; do
         fi
     done
 done
-for gone in host app; do
+for gone in host app probe; do
     if grep -rn "xdaq-$gone" Cargo.toml crates src tests examples; then
         echo "xdaq-$gone (listed above) was removed; DESIGN.md §2 says where its code lives" >&2
         bad=1

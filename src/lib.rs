@@ -57,9 +57,6 @@ pub use xdaq_rec as rec;
 /// loops.
 pub use xdaq_ctl as ctl;
 
-/// Time probes and measurement statistics.
-pub use xdaq_probe as probe;
-
 pub mod app;
 
 /// The N×M event builder: readout/builder/event-manager device

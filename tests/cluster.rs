@@ -431,11 +431,6 @@ fn host_scrapes_monitoring_from_two_executives() {
     let hub = LoopbackHub::new();
     let node_a = node_on(&hub, "ma");
     let node_b = node_on(&hub, "mb");
-    // One node also carries a dedicated MonitorAgent device; the other
-    // answers through the executive's default utility procedure.
-    let mon_tid = node_a
-        .register("mon0", Box::new(xdaq::core::MonitorAgent::new()), &[])
-        .unwrap();
 
     // Drive real traffic so the counters have something to show.
     let state = PingState::new();
@@ -521,10 +516,12 @@ fn host_scrapes_monitoring_from_two_executives() {
     let dump = host.trace_dump(a).unwrap();
     assert!(!dump["records"].as_array().unwrap().is_empty(), "{dump}");
 
-    // The dedicated MonitorAgent answers the same functions on its TiD.
-    let mon_proxy = host.device_proxy("loop://ma", mon_tid).unwrap();
-    let via_agent = host.scrape(mon_proxy).unwrap();
-    assert_eq!(via_agent["node"].as_str(), Some("ma"));
+    // Every device answers the same functions through its default
+    // utility procedure, so a scrape addressed to the ping device's TiD
+    // returns its node's snapshot.
+    let ping_proxy = host.device_proxy("loop://ma", ping_tid).unwrap();
+    let via_device = host.scrape(ping_proxy).unwrap();
+    assert_eq!(via_device["node"].as_str(), Some("ma"));
 
     // Reset zeroes the counters.
     host.mon_reset(b).unwrap();
