@@ -37,6 +37,8 @@ pub struct Delivery {
     /// dispatcher can record queue latency without paying for a clock
     /// read on the disabled path.
     pub(crate) enqueued_at: Option<std::time::Instant>,
+    /// Set by the scheduling queue's `pop`; see [`Delivery::more_queued`].
+    pub(crate) more_queued: bool,
     buf: FrameBuf,
 }
 
@@ -63,6 +65,7 @@ impl Delivery {
             header,
             private,
             enqueued_at: None,
+            more_queued: false,
             buf,
         })
     }
@@ -105,6 +108,7 @@ impl Delivery {
             header,
             private: Some(private),
             enqueued_at: None,
+            more_queued: false,
             buf,
         })
     }
@@ -128,6 +132,16 @@ impl Delivery {
     /// Scheduling priority.
     pub fn priority(&self) -> Priority {
         self.header.flags.priority()
+    }
+
+    /// True when, as the scheduler popped this delivery, its target's
+    /// FIFO at this priority level still held deliveries: the device is
+    /// about to be dispatched again. A listener may defer work that a
+    /// burst of frames can share to the upcall whose delivery reads
+    /// `false` (the event manager batches its `ASSIGN`s that way). A
+    /// delivery that never passed through the queue reads `false`.
+    pub fn more_queued(&self) -> bool {
+        self.more_queued
     }
 
     /// Converts to an owned [`Message`] (copies the payload).

@@ -234,7 +234,9 @@ impl SchedQueue {
 
     /// Pops the next delivery: highest priority first, round-robin over
     /// devices within a priority. Takes one level lock: the highest bit
-    /// of the occupancy mask names the level to serve.
+    /// of the occupancy mask names the level to serve. The delivery
+    /// records whether its device's FIFO at that level is still
+    /// non-empty ([`Delivery::more_queued`]).
     pub fn pop(&self) -> Option<Delivery> {
         loop {
             let occupied = self.occupied.load(Ordering::Acquire);
@@ -248,11 +250,12 @@ impl SchedQueue {
             let Some(tid) = lv.rotation.pop_front() else {
                 continue;
             };
-            let (d, more) = {
+            let (mut d, more) = {
                 let q = lv.queues.get_mut(&tid).expect("rotation implies queue");
                 let d = q.pop_front().expect("rotation implies non-empty");
                 (d, !q.is_empty())
             };
+            d.more_queued = more;
             if more {
                 lv.rotation.push_back(tid);
             } else {

@@ -431,7 +431,9 @@ impl ModelQueue {
         Some(None)
     }
 
-    fn pop(&mut self) -> Option<(u16, u8, u32)> {
+    /// The popped delivery as (target, priority, tag, more queued for
+    /// that target at that priority).
+    fn pop(&mut self) -> Option<(u16, u8, u32, bool)> {
         for pri in (0..NUM_PRIORITIES).rev() {
             let lv = &mut self.levels[pri];
             let Some(target) = lv.rotation.pop_front() else {
@@ -439,11 +441,12 @@ impl ModelQueue {
             };
             let q = lv.queues.get_mut(&target).unwrap();
             let tag = q.pop_front().unwrap();
-            if !q.is_empty() {
+            let more = !q.is_empty();
+            if more {
                 lv.rotation.push_back(target);
             }
             self.len -= 1;
-            return Some((target, pri as u8, tag));
+            return Some((target, pri as u8, tag, more));
         }
         None
     }
@@ -467,14 +470,25 @@ impl ModelQueue {
     }
 }
 
+/// What the model's `pop` reports of a popped delivery.
+fn popped(d: Delivery) -> (u16, u8, u32, bool) {
+    (
+        d.header.target.raw(),
+        d.priority().level(),
+        d.header.transaction_context,
+        d.more_queued(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random push / pop / purge sequences, with `DropLowestPriority`
     /// evicting at a random capacity: every outcome, every popped
-    /// delivery and `len()` match the reference model, and after every
-    /// operation the occupancy mask is exactly the set of non-empty
-    /// priority levels.
+    /// delivery (including whether its device's FIFO at that level
+    /// still holds deliveries) and `len()` match the reference model,
+    /// and after every operation the occupancy mask is exactly the set
+    /// of non-empty priority levels.
     #[test]
     fn occupancy_mask_matches_the_reference_scheduler(
         ops in proptest::collection::vec((0u8..4, 0x10u16..0x14, 0u8..7), 1..300),
@@ -494,12 +508,7 @@ proptest! {
                     };
                     prop_assert_eq!(got, model.push(cap, target, pri, tag));
                 }
-                2 => {
-                    let got = q.pop().map(|d| {
-                        (d.header.target.raw(), d.priority().level(), d.header.transaction_context)
-                    });
-                    prop_assert_eq!(got, model.pop());
-                }
+                2 => prop_assert_eq!(q.pop().map(popped), model.pop()),
                 _ => {
                     let got = q.purge(Tid::new(target).unwrap());
                     prop_assert_eq!(got, model.purge(target));
@@ -510,9 +519,7 @@ proptest! {
         }
         // Draining pops the model's sequence to the end.
         loop {
-            let got = q.pop().map(|d| {
-                (d.header.target.raw(), d.priority().level(), d.header.transaction_context)
-            });
+            let got = q.pop().map(popped);
             prop_assert_eq!(got, model.pop());
             prop_assert_eq!(q.occupancy(), model.occupancy());
             if got.is_none() {

@@ -1,19 +1,21 @@
 //! Builder units: the event assemblers.
 //!
 //! A builder grants buffer credits to the event manager (`CREDIT` in
-//! answer to `INVITE`), receives one `ASSIGN` per credit, and *pulls*
-//! the event's fragments from every readout unit. Fragments land in the
-//! [`Assembler`] zero-copy and in any order; when the last source
-//! arrives the unit ships an `EVENT` summary to its filter and returns
-//! the credit with `DONE`. Missing fragments are re-pulled when the
-//! per-event timeout (riding the executive's timer wheel) expires;
-//! after `max_retries` fruitless rounds the partial event is discarded
-//! — every pool block recycles — and reported `DONE_DISCARDED` so the
-//! event manager can reassign it.
+//! answer to `INVITE`), receives `ASSIGN`s naming one event per credit
+//! spent, and *pulls* the events' fragments from every readout unit:
+//! one `PULL` per readout names every event of the `ASSIGN`. Fragments
+//! land in the [`Assembler`] zero-copy and in any order; when the last
+//! source of an event arrives the unit ships an `EVENT` summary to its
+//! filter and returns the credit with `DONE`. Each event has its own
+//! timeout riding the executive's timer wheel: when it expires, that
+//! event's missing fragments are re-pulled (a one-id `PULL` per missing
+//! source); after `max_retries` fruitless rounds the partial event is
+//! discarded — every pool block recycles — and reported
+//! `DONE_DISCARDED` so the event manager can reassign it.
 
 use crate::assembler::{Assembler, Offer};
 use crate::fragment::FragmentHeader;
-use crate::{u64_at, xfn, DONE_BUILT, DONE_DISCARDED, ORG_DAQ};
+use crate::{ids, send_ids, u64_at, xfn, DONE_BUILT, DONE_DISCARDED, ORG_DAQ};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,6 +64,8 @@ pub struct BuilderUnit {
     run: u64,
     assembler: Assembler,
     timers: HashMap<TimerId, u64>,
+    /// The events one `ASSIGN` opened, reused from frame to frame.
+    opened: Vec<u64>,
     stats: Arc<BuilderStats>,
     configured: bool,
     metrics: Option<BuMetrics>,
@@ -92,6 +96,7 @@ impl BuilderUnit {
             run: 0,
             assembler: Assembler::new(),
             timers: HashMap::new(),
+            opened: Vec::new(),
             stats: Arc::new(BuilderStats::default()),
             configured: false,
             metrics: None,
@@ -134,10 +139,11 @@ impl BuilderUnit {
         self.timers.insert(id, event);
     }
 
+    /// Sends one `PULL` naming `events` to each readout of `sources`.
     fn pull(
         &mut self,
         ctx: &mut Dispatcher<'_>,
-        event: u64,
+        events: &[u64],
         sources: impl IntoIterator<Item = usize>,
     ) {
         for s in sources {
@@ -148,9 +154,7 @@ impl BuilderUnit {
                 *tid = ctx.lookup(name);
             }
             let Some(ru) = *tid else { continue };
-            let _ = ctx.send_private_with(ru, ORG_DAQ, xfn::PULL, 8, |p| {
-                p.copy_from_slice(&event.to_le_bytes())
-            });
+            let _ = send_ids(ctx, ru, xfn::PULL, None, events);
         }
     }
 
@@ -182,7 +186,7 @@ impl BuilderUnit {
         });
     }
 
-    fn on_assign(&mut self, ctx: &mut Dispatcher<'_>, run: u64, event: u64) {
+    fn on_assign(&mut self, ctx: &mut Dispatcher<'_>, run: u64, events: impl Iterator<Item = u64>) {
         if run != self.run {
             if let Some(m) = &self.metrics {
                 m.stale.inc();
@@ -190,15 +194,22 @@ impl BuilderUnit {
             return;
         }
         let sources = self.rus.len().max(1);
-        if !self.assembler.begin(event, sources, ctx.now()) {
-            return;
+        let mut opened = std::mem::take(&mut self.opened);
+        for event in events {
+            if self.assembler.begin(event, sources, ctx.now()) {
+                opened.push(event);
+            }
         }
         if let Some(m) = &self.metrics {
-            m.assigned.inc();
+            m.assigned.add(opened.len() as u64);
             m.open.set(self.assembler.len() as i64);
         }
-        self.pull(ctx, event, 0..sources);
-        self.arm_timer(ctx, event);
+        self.pull(ctx, &opened, 0..sources);
+        for &event in &opened {
+            self.arm_timer(ctx, event);
+        }
+        opened.clear();
+        self.opened = opened;
     }
 
     fn on_fragment(&mut self, ctx: &mut Dispatcher<'_>, msg: Delivery) {
@@ -313,10 +324,9 @@ impl I2oListener for BuilderUnit {
                 }
             }
             xfn::ASSIGN => {
-                if let (Some(run), Some(event)) =
-                    (u64_at(msg.payload(), 0), u64_at(msg.payload(), 8))
-                {
-                    self.on_assign(ctx, run, event);
+                let payload = msg.payload();
+                if let Some(run) = u64_at(payload, 0) {
+                    self.on_assign(ctx, run, ids(&payload[8..]));
                 }
             }
             xfn::FRAGMENT => self.on_fragment(ctx, msg),
@@ -349,7 +359,7 @@ impl I2oListener for BuilderUnit {
         if let Some(m) = &self.metrics {
             m.repulls.add(missing.len() as u64);
         }
-        self.pull(ctx, event, missing);
+        self.pull(ctx, &[event], missing);
         self.arm_timer(ctx, event);
     }
 }
@@ -565,6 +575,78 @@ mod tests {
         while r.exec.run_once() > 0 {}
         assert_eq!(r.events.lock().as_slice(), &[(1, 2 * (16 + 64))]);
         assert_eq!(r.dones.lock().as_slice(), &[(1, 1, DONE_BUILT)]);
+    }
+
+    /// One `ASSIGN` of three events while a readout name does not
+    /// resolve yet: that readout gets no `PULL` vector at all, and each
+    /// event still builds through its own timer's re-pull once the
+    /// readout exists.
+    #[test]
+    fn every_event_of_an_assign_repulls_on_its_own_timer() {
+        let exec = Executive::new(ExecutiveConfig::named("n"));
+        let sink = Sink::default();
+        let (events, dones) = (sink.events.clone(), sink.dones.clone());
+        let evm = exec.register("evm", Box::new(sink), &[]).unwrap();
+        let readout = |exec: &Executive, i: u16| {
+            exec.register(
+                &format!("ru{i}"),
+                Box::new(ReadoutUnit::new()),
+                &[
+                    ("source_id", &i.to_string()),
+                    ("sources", "2"),
+                    ("size", "64"),
+                ],
+            )
+            .unwrap()
+        };
+        let ru0 = readout(&exec, 0);
+        let bu = exec
+            .register(
+                "bu",
+                Box::new(BuilderUnit::new()),
+                &[
+                    ("rus", "ru0,ru1"),
+                    ("filter", "evm"),
+                    ("timeout_ms", "5"),
+                    ("max_retries", "100"),
+                ],
+            )
+            .unwrap();
+        exec.enable_all();
+        let r = Rig {
+            exec,
+            bu,
+            evm,
+            events,
+            dones,
+        };
+        post(&r, r.bu, r.evm, xfn::INVITE, 1u64.to_le_bytes().to_vec());
+        for event in 1..=3u64 {
+            post(&r, ru0, r.evm, xfn::TRIGGER, event.to_le_bytes().to_vec());
+        }
+        let assign: Vec<u8> = [1u64, 1, 2, 3]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        post(&r, r.bu, r.evm, xfn::ASSIGN, assign);
+        while r.exec.run_once() > 0 {}
+        assert!(r.dones.lock().is_empty(), "ru1's fragments are missing");
+        let ru1 = readout(&r.exec, 1);
+        r.exec.enable_all();
+        for event in 1..=3u64 {
+            post(&r, ru1, r.evm, xfn::TRIGGER, event.to_le_bytes().to_vec());
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while r.dones.lock().len() < 3 && Instant::now() < deadline {
+            r.exec.run_once();
+        }
+        let mut dones = r.dones.lock().clone();
+        dones.sort_unstable();
+        assert_eq!(
+            dones,
+            [(1, 1, DONE_BUILT), (1, 2, DONE_BUILT), (1, 3, DONE_BUILT)]
+        );
+        assert_eq!(r.events.lock().len(), 3);
     }
 
     #[test]

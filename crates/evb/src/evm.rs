@@ -4,19 +4,33 @@
 //! One EVM runs per event-builder mesh. A `RUN` frame opens a run
 //! epoch: the EVM `INVITE`s every builder unit, collects their
 //! `CREDIT` grants, and then drives the fabric — each credit buys one
-//! `ASSIGN`, and an assignment is preceded by a `TRIGGER` to every
-//! readout unit so the sources digitize the event before the builder
-//! pulls. Builders return credits with `DONE`; a finished event is
-//! cleared at the sources so they drop their stored fragments, a
-//! discarded one is re-queued (bounded by `max_reassign`) or counted
-//! lost.
+//! assignment, and an event is preceded by a `TRIGGER` to every readout
+//! unit so the sources digitize it before the builder pulls. Builders
+//! return credits with `DONE`; a finished event is cleared at the
+//! sources so they drop their stored fragments, a discarded one is
+//! re-queued (bounded by `max_reassign`) or counted lost.
 //!
-//! The clear rides the next `TRIGGER`: the `DONE` that returns a credit
-//! usually launches the next event in the same handler, and that
-//! broadcast carries the finished id as a second `u64`. Only when no
-//! `TRIGGER` leaves before the handler returns (run end, drain, no
-//! credit) does the id go out as a `CLEAR` broadcast of its own, so no
-//! clear is ever held between handler calls.
+//! **Natural batching.** `on_private` and `on_util` only do their
+//! accounting while their delivery reports [`Delivery::more_queued`] —
+//! more frames for the EVM wait behind it. The delivery that drains the
+//! EVM's FIFO, and every `on_timer`, then runs one `pump`: it
+//! launches every event the available credits buy, sending a `TRIGGER`
+//! per event and readout, collects the events per builder, and ends
+//! with one `ASSIGN` per builder naming all of them. A burst of k
+//! `DONE`s therefore costs one `ASSIGN`, not k; an idle system, where
+//! every `DONE` arrives alone, sends exactly one frame per verb and
+//! loses no latency. The deferral is bounded by the credits granted: no
+//! `DONE` can arrive for an event that was never assigned. A delivery
+//! that reaches none of these upcalls (a frame refused while the EVM is
+//! suspended, an executive-class function or a standard reply addressed
+//! to it) settles nothing; the next frame or timer does.
+//!
+//! A finished id waits in the pending-clear queue and rides the next
+//! `TRIGGER` as its second `u64`; the ids no `TRIGGER` carried by the
+//! end of the pump (run end, drain, no credit) go out as one `CLEAR`
+//! vector per readout, so no clear is held between pumps. A `RUN` that
+//! supersedes an unfinished one clears that run's triggered, unfinished
+//! events the same way before it resets.
 //!
 //! Backpressure is structural: the EVM never has more events in flight
 //! than the builders granted credits for, so a slow or stalled builder
@@ -30,7 +44,7 @@
 //! those fragments (only a finished event is cleared), so nothing is
 //! lost.
 
-use crate::{u32_at, u64_at, xfn, DONE_BUILT, ORG_DAQ};
+use crate::{send_ids, u32_at, u64_at, xfn, DONE_BUILT, ORG_DAQ};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -94,9 +108,13 @@ pub struct EventManager {
     /// Events awaiting (re)assignment. Re-queued events are already
     /// digitized at the sources; fresh ones get a TRIGGER first.
     queue: VecDeque<u64>,
-    /// The event finished by the `DONE` being handled, cleared by the
-    /// next `TRIGGER` broadcast or by a `CLEAR` when the handler ends.
-    clear: Option<u64>,
+    /// Finished events not yet cleared at the sources: each rides one
+    /// `TRIGGER`, and the pump sends what is left as `CLEAR` vectors.
+    clears: VecDeque<u64>,
+    /// Per builder (aligned with `bus`), the events the running pump
+    /// assigned to it: one `ASSIGN` each. Empty between pumps; the
+    /// vectors are reused.
+    batches: Vec<Vec<u64>>,
     assigned: HashMap<u64, Tid>,
     attempts: HashMap<u64, u32>,
     /// Trigger pacing (zero = free-running): fresh launches are capped
@@ -140,7 +158,8 @@ impl EventManager {
             draining: HashSet::new(),
             rr: 0,
             queue: VecDeque::new(),
-            clear: None,
+            clears: VecDeque::new(),
+            batches: Vec::new(),
             assigned: HashMap::new(),
             attempts: HashMap::new(),
             trigger_interval: Duration::ZERO,
@@ -209,12 +228,12 @@ impl EventManager {
         }
     }
 
-    /// Sends `f(event)` to every readout unit, with `clear` as a
-    /// second `u64` when given (`TRIGGER` only).
-    fn broadcast_rus(&self, ctx: &mut Dispatcher<'_>, f: u16, event: u64, clear: Option<u64>) {
+    /// Sends `TRIGGER(event)` to every readout unit, with `clear` as a
+    /// second `u64` when given.
+    fn trigger(&self, ctx: &mut Dispatcher<'_>, event: u64, clear: Option<u64>) {
         let len = if clear.is_some() { 16 } else { 8 };
         for &ru in &self.rus {
-            let _ = ctx.send_private_with(ru, ORG_DAQ, f, len, |p| {
+            let _ = ctx.send_private_with(ru, ORG_DAQ, xfn::TRIGGER, len, |p| {
                 p[..8].copy_from_slice(&event.to_le_bytes());
                 if let Some(c) = clear {
                     p[8..].copy_from_slice(&c.to_le_bytes());
@@ -223,16 +242,21 @@ impl EventManager {
         }
     }
 
-    /// Sends the clear still pending at the end of a handler as a
-    /// `CLEAR` frame of its own.
-    fn flush_clear(&mut self, ctx: &mut Dispatcher<'_>) {
-        if let Some(event) = self.clear.take() {
-            self.broadcast_rus(ctx, xfn::CLEAR, event, None);
-        }
-    }
-
     fn on_run(&mut self, ctx: &mut Dispatcher<'_>, target: u64) {
         self.configure(ctx);
+        // The superseded run's triggered, unfinished events would stay
+        // stored at every source for good: nothing else names them
+        // once the tables below are reset.
+        let mut unfinished: Vec<u64> = self
+            .assigned
+            .keys()
+            .chain(&self.queue)
+            .chain(&self.clears)
+            .copied()
+            .collect();
+        unfinished.sort_unstable();
+        clear_at_sources(ctx, &self.rus, &unfinished);
+        self.clears.clear();
         self.run += 1;
         self.target = target;
         self.launched = 0;
@@ -255,11 +279,10 @@ impl EventManager {
         } else {
             self.trigger_budget = target;
         }
-        self.gauge_sync();
         for i in 0..self.bus.len() {
             let bu = self.bus[i];
             if self.invite(ctx, bu).is_err() {
-                self.mark_dead(ctx, bu);
+                self.mark_dead(bu);
             }
         }
     }
@@ -271,86 +294,121 @@ impl EventManager {
         })
     }
 
-    /// Assigns queued and fresh events while any builder has credits.
+    /// Settles what the handled deliveries left pending: assigns queued
+    /// and fresh events while any builder has credits — a `TRIGGER` per
+    /// event and readout as it is picked, then one `ASSIGN` per builder
+    /// naming all of its events — and clears at the sources the
+    /// finished ids no `TRIGGER` carried.
     fn pump(&mut self, ctx: &mut Dispatcher<'_>) {
+        self.batches.resize_with(self.bus.len(), Vec::new);
         loop {
-            if self.queue.is_empty()
-                && (self.launched >= self.target || self.launched >= self.trigger_budget)
-            {
+            while let Some((i, event)) = self.launch(ctx) {
+                self.batches[i].push(event);
+            }
+            // A builder whose link refused its ASSIGN was declared dead
+            // and its events re-queued: offer them to the survivors.
+            if !self.send_assigns(ctx) {
                 break;
             }
-            let Some(bu) = self.pick_bu() else { break };
-            let (event, fresh) = match self.queue.pop_front() {
-                Some(e) => (e, false),
-                None => {
-                    let e = self.next_event;
-                    self.next_event += 1;
-                    self.launched += 1;
-                    (e, true)
-                }
-            };
-            // Triggers are broadcast fire-and-forget, so a source that
-            // was dead or partitioned when a fresh event launched never
-            // digitized it — and no amount of re-pulling can conjure the
-            // fragment. Re-broadcasting on every reassignment closes
-            // that hole: `TRIGGER` is idempotent at the readout (the
-            // store is a set, parked pulls are served on arrival), and
-            // an event is only ever re-queued while unfinished, so no
-            // source can have cleared it yet.
-            let clear = self.clear.take();
-            self.broadcast_rus(ctx, xfn::TRIGGER, event, clear);
-            if fresh {
-                self.stats.triggered.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(m) = &self.metrics {
-                m.triggers.inc();
-            }
-            *self.credits.get_mut(&bu).expect("picked with credit") -= 1;
-            self.assigned.insert(event, bu);
-            let run = self.run;
-            let assign = ctx.send_private_with(bu, ORG_DAQ, xfn::ASSIGN, 16, |p| {
-                p[..8].copy_from_slice(&run.to_le_bytes());
-                p[8..].copy_from_slice(&event.to_le_bytes());
-            });
-            if assign.is_err() {
-                // The builder's link is gone: reclaim and re-queue.
-                self.mark_dead(ctx, bu);
-                continue;
-            }
-            if let Some(m) = &self.metrics {
-                m.assigns.inc();
-            }
         }
+        clear_at_sources(ctx, &self.rus, self.clears.make_contiguous());
+        self.clears.clear();
         self.gauge_sync();
     }
 
-    /// Round-robin over builders holding at least one credit.
-    fn pick_bu(&mut self) -> Option<Tid> {
+    /// Picks the next queued or fresh event and a builder with credit
+    /// for it, triggers it at every readout and books the assignment;
+    /// returns the builder's index in `bus` and the event.
+    fn launch(&mut self, ctx: &mut Dispatcher<'_>) -> Option<(usize, u64)> {
+        if self.queue.is_empty()
+            && (self.launched >= self.target || self.launched >= self.trigger_budget)
+        {
+            return None;
+        }
+        let i = self.pick_bu()?;
+        let bu = self.bus[i];
+        let (event, fresh) = match self.queue.pop_front() {
+            Some(e) => (e, false),
+            None => {
+                let e = self.next_event;
+                self.next_event += 1;
+                self.launched += 1;
+                (e, true)
+            }
+        };
+        // Triggers are broadcast fire-and-forget, so a source that was
+        // dead or partitioned when a fresh event launched never
+        // digitized it — and no amount of re-pulling can conjure the
+        // fragment. Re-broadcasting on every reassignment closes that
+        // hole: `TRIGGER` is idempotent at the readout (the store is a
+        // set, parked pulls are served on arrival), and an event is
+        // only ever re-queued while unfinished, so no source can have
+        // cleared it yet.
+        let clear = self.clears.pop_front();
+        self.trigger(ctx, event, clear);
+        if fresh {
+            self.stats.triggered.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(m) = &self.metrics {
+            m.triggers.inc();
+        }
+        *self.credits.get_mut(&bu).expect("picked with credit") -= 1;
+        self.assigned.insert(event, bu);
+        Some((i, event))
+    }
+
+    /// Sends each builder's batch as one `ASSIGN` (split only past the
+    /// frame limit). Returns whether a builder was declared dead on the
+    /// way, its events re-queued.
+    fn send_assigns(&mut self, ctx: &mut Dispatcher<'_>) -> bool {
+        let mut died = false;
+        for i in 0..self.batches.len() {
+            if self.batches[i].is_empty() {
+                continue;
+            }
+            let bu = self.bus[i];
+            let sent = send_ids(ctx, bu, xfn::ASSIGN, Some(self.run), &self.batches[i]).is_ok();
+            let events = self.batches[i].len() as u64;
+            self.batches[i].clear();
+            if !sent {
+                // The builder's link is gone: reclaim and re-queue.
+                self.mark_dead(bu);
+                died = true;
+            } else if let Some(m) = &self.metrics {
+                m.assigns.add(events);
+            }
+        }
+        died
+    }
+
+    /// Round-robin over builders holding at least one credit; returns
+    /// the builder's index in `bus`.
+    fn pick_bu(&mut self) -> Option<usize> {
         if self.bus.is_empty() {
             return None;
         }
         for step in 0..self.bus.len() {
-            let bu = self.bus[(self.rr + step) % self.bus.len()];
+            let i = (self.rr + step) % self.bus.len();
+            let bu = self.bus[i];
             if self.dead.contains(&bu) || self.draining.contains(&bu) {
                 continue;
             }
             if self.credits.get(&bu).copied().unwrap_or(0) > 0 {
-                self.rr = (self.rr + step + 1) % self.bus.len();
-                return Some(bu);
+                self.rr = (i + 1) % self.bus.len();
+                return Some(i);
             }
         }
         None
     }
 
-    fn on_credit(&mut self, ctx: &mut Dispatcher<'_>, run: u64, count: u32, bu: Tid) {
+    fn on_credit(&mut self, run: u64, count: u32, bu: Tid) {
         if run != self.run || self.dead.contains(&bu) {
             return;
         }
         *self.credits.entry(bu).or_insert(0) += count;
-        self.pump(ctx);
     }
 
-    fn on_done(&mut self, ctx: &mut Dispatcher<'_>, run: u64, event: u64, status: u8, bu: Tid) {
+    fn on_done(&mut self, run: u64, event: u64, status: u8, bu: Tid) {
         if run != self.run {
             return;
         }
@@ -379,15 +437,12 @@ impl EventManager {
                 self.finish(event, false);
             }
         }
-        self.pump(ctx);
-        self.flush_clear(ctx);
     }
 
-    /// Terminal accounting for one event: mark it for clearing at the
+    /// Terminal accounting for one event: queue it for clearing at the
     /// sources, count it, and flip `run_done` when the run drains.
     fn finish(&mut self, event: u64, built: bool) {
-        debug_assert!(self.clear.is_none(), "one DONE finishes one event");
-        self.clear = Some(event);
+        self.clears.push_back(event);
         self.attempts.remove(&event);
         self.finished += 1;
         if built {
@@ -407,8 +462,8 @@ impl EventManager {
     }
 
     /// Declares a builder dead: reclaims its credits and re-queues its
-    /// in-flight events for the survivors.
-    fn mark_dead(&mut self, ctx: &mut Dispatcher<'_>, bu: Tid) {
+    /// in-flight events for the survivors (the next pump assigns them).
+    fn mark_dead(&mut self, bu: Tid) {
         if !self.dead.insert(bu) {
             return;
         }
@@ -435,7 +490,6 @@ impl EventManager {
                 m.reassigned.inc();
             }
         }
-        self.pump(ctx);
     }
 
     /// Re-resolves the mesh from the (freshly updated) parameters —
@@ -459,19 +513,138 @@ impl EventManager {
                     continue;
                 }
                 if self.invite(ctx, bu).is_err() {
-                    self.mark_dead(ctx, bu);
+                    self.mark_dead(bu);
                 }
             }
         }
-        self.pump(ctx);
     }
 
-    fn on_peer_down(&mut self, ctx: &mut Dispatcher<'_>, payload: &[u8]) {
+    fn on_peer_down(&mut self, payload: &[u8]) {
         let Ok(kv) = parse_kv(payload) else { return };
         let Some(url) = kv.get("peer") else { return };
         if let Some(&bu) = self.bu_by_url.get(url.as_str()) {
-            self.mark_dead(ctx, bu);
+            self.mark_dead(bu);
         }
+    }
+
+    /// The accounting half of a private frame; [`I2oListener::on_private`]
+    /// settles afterwards.
+    fn handle_private(&mut self, ctx: &mut Dispatcher<'_>, msg: &Delivery) {
+        let Some(p) = msg.private else { return };
+        let payload = msg.payload();
+        if p.org_id == ORG_XDAQ {
+            if p.x_function == XFN_PEER_DOWN {
+                self.on_peer_down(payload);
+            }
+            return;
+        }
+        if p.org_id != ORG_DAQ {
+            return;
+        }
+        let from = msg.header.initiator;
+        match p.x_function {
+            xfn::RUN => {
+                if let Some(target) = u64_at(payload, 0) {
+                    self.on_run(ctx, target);
+                }
+            }
+            xfn::CREDIT => {
+                if let (Some(run), Some(count)) = (u64_at(payload, 0), u32_at(payload, 8)) {
+                    self.on_credit(run, count, from);
+                }
+            }
+            xfn::DONE => {
+                if let (Some(run), Some(event), Some(&status)) =
+                    (u64_at(payload, 0), u64_at(payload, 8), payload.get(16))
+                {
+                    self.on_done(run, event, status, from);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Control verbs riding on `ParamsSet`:
+    ///   `evb.drain=<name>`  stop assigning to that builder,
+    ///   `evb.rescan=1`      re-resolve the mesh and invite builders
+    ///                       that have no credit entry.
+    /// Frames without control keys fall through to the default handler
+    /// (plain parameter stores).
+    fn control(&mut self, ctx: &mut Dispatcher<'_>, msg: &Delivery) -> UtilOutcome {
+        let Ok(map) = parse_kv(msg.payload()) else {
+            return UtilOutcome::Default;
+        };
+        if !map.contains_key("evb.drain") && !map.contains_key("evb.rescan") {
+            return UtilOutcome::Default;
+        }
+        // Store every key first: a rescan in the same frame must
+        // resolve against the freshly pushed `bus`/`bu_urls`.
+        for (k, v) in &map {
+            ctx.set_param(k, v);
+        }
+        if let Some(name) = map.get("evb.drain") {
+            let Some(tid) = ctx.lookup(name) else {
+                let _ = ctx.reply(msg, ReplyStatus::DeviceError, b"unknown builder");
+                return UtilOutcome::Handled;
+            };
+            self.draining.insert(tid);
+        }
+        if map.get("evb.rescan").map(String::as_str) == Some("1") {
+            self.rescan(ctx);
+        }
+        let _ = ctx.reply(msg, ReplyStatus::Success, &[]);
+        UtilOutcome::Handled
+    }
+
+    /// Mirrors live state into the parameter map so the default
+    /// `ParamsGet` reply carries it (the `xcl` `evb` command).
+    fn mirror(&self, ctx: &mut Dispatcher<'_>) {
+        ctx.set_param("evb.run", &self.run.to_string());
+        ctx.set_param("evb.next_event", &self.next_event.to_string());
+        ctx.set_param("evb.target", &self.target.to_string());
+        ctx.set_param("evb.launched", &self.launched.to_string());
+        ctx.set_param("evb.finished", &self.finished.to_string());
+        ctx.set_param(
+            "evb.completed",
+            &self.stats.completed.load(Ordering::Relaxed).to_string(),
+        );
+        ctx.set_param(
+            "evb.lost",
+            &self.stats.lost.load(Ordering::Relaxed).to_string(),
+        );
+        ctx.set_param(
+            "evb.reassigned",
+            &self.stats.reassigned.load(Ordering::Relaxed).to_string(),
+        );
+        let total: u32 = self.credits.values().sum();
+        ctx.set_param("evb.credits", &total.to_string());
+        ctx.set_param("evb.inflight", &self.assigned.len().to_string());
+        ctx.set_param("evb.queued", &self.queue.len().to_string());
+        ctx.set_param("evb.bus", &self.bus.len().to_string());
+        ctx.set_param("evb.bus_dead", &self.dead.len().to_string());
+        ctx.set_param("evb.draining", &self.draining.len().to_string());
+        let drain_inflight = self
+            .assigned
+            .values()
+            .filter(|bu| self.draining.contains(bu))
+            .count();
+        ctx.set_param("evb.drain_inflight", &drain_inflight.to_string());
+        ctx.set_param(
+            "evb.run_done",
+            if self.stats.run_done.load(Ordering::SeqCst) {
+                "1"
+            } else {
+                "0"
+            },
+        );
+    }
+}
+
+/// Sends `events` to every readout unit as one `CLEAR` vector (no frame
+/// when there are none).
+fn clear_at_sources(ctx: &mut Dispatcher<'_>, rus: &[Tid], events: &[u64]) {
+    for &ru in rus {
+        let _ = send_ids(ctx, ru, xfn::CLEAR, None, events);
     }
 }
 
@@ -502,135 +675,41 @@ impl I2oListener for EventManager {
         });
     }
 
+    /// Timer upcalls cannot see their delivery's queue state, so every
+    /// one of them settles (at worst a batch leaves a turn early).
     fn on_timer(&mut self, ctx: &mut Dispatcher<'_>, id: TimerId) {
-        if Some(id) != self.trigger_timer {
-            return;
-        }
-        self.trigger_budget += 1;
-        if self.trigger_budget >= self.target {
-            // Every event of the run has been paced out; stop ticking
-            // so an idle manager arms no deadlines.
-            ctx.cancel_timer(id);
-            self.trigger_timer = None;
+        if Some(id) == self.trigger_timer {
+            self.trigger_budget += 1;
+            if self.trigger_budget >= self.target {
+                // Every event of the run has been paced out; stop
+                // ticking so an idle manager arms no deadlines.
+                ctx.cancel_timer(id);
+                self.trigger_timer = None;
+            }
         }
         self.pump(ctx);
     }
 
     fn on_private(&mut self, ctx: &mut Dispatcher<'_>, msg: Delivery) {
-        let Some(p) = msg.private else { return };
-        if p.org_id == ORG_XDAQ {
-            if p.x_function == XFN_PEER_DOWN {
-                let payload = msg.payload().to_vec();
-                self.on_peer_down(ctx, &payload);
-            }
-            return;
-        }
-        if p.org_id != ORG_DAQ {
-            return;
-        }
-        match p.x_function {
-            xfn::RUN => {
-                if let Some(target) = u64_at(msg.payload(), 0) {
-                    self.on_run(ctx, target);
-                }
-            }
-            xfn::CREDIT => {
-                if let (Some(run), Some(count)) =
-                    (u64_at(msg.payload(), 0), u32_at(msg.payload(), 8))
-                {
-                    let bu = msg.header.initiator;
-                    self.on_credit(ctx, run, count, bu);
-                }
-            }
-            xfn::DONE => {
-                if let (Some(run), Some(event), Some(&status)) = (
-                    u64_at(msg.payload(), 0),
-                    u64_at(msg.payload(), 8),
-                    msg.payload().get(16),
-                ) {
-                    let bu = msg.header.initiator;
-                    self.on_done(ctx, run, event, status, bu);
-                }
-            }
-            _ => {}
+        self.handle_private(ctx, &msg);
+        if !msg.more_queued() {
+            self.pump(ctx);
         }
     }
 
     fn on_util(&mut self, ctx: &mut Dispatcher<'_>, f: UtilFn, msg: &Delivery) -> UtilOutcome {
-        if f == UtilFn::ParamsSet {
-            // Control-plane verbs ride on ParamsSet:
-            //   evb.drain=<name>  stop assigning to that builder,
-            //   evb.rescan=1      re-resolve the mesh and invite
-            //                     builders that have no credit entry.
-            // Frames without control keys fall through to the default
-            // handler (plain parameter stores).
-            let Ok(map) = parse_kv(msg.payload()) else {
-                return UtilOutcome::Default;
-            };
-            if !map.contains_key("evb.drain") && !map.contains_key("evb.rescan") {
-                return UtilOutcome::Default;
-            }
-            // Store every key first: a rescan in the same frame must
-            // resolve against the freshly pushed `bus`/`bu_urls`.
-            for (k, v) in &map {
-                ctx.set_param(k, v);
-            }
-            if let Some(name) = map.get("evb.drain") {
-                let Some(tid) = ctx.lookup(name) else {
-                    let _ = ctx.reply(msg, ReplyStatus::DeviceError, b"unknown builder");
-                    return UtilOutcome::Handled;
-                };
-                self.draining.insert(tid);
-            }
-            if map.get("evb.rescan").map(String::as_str) == Some("1") {
-                self.rescan(ctx);
-            }
-            let _ = ctx.reply(msg, ReplyStatus::Success, &[]);
-            return UtilOutcome::Handled;
+        let outcome = if f == UtilFn::ParamsSet {
+            self.control(ctx, msg)
+        } else {
+            UtilOutcome::Default
+        };
+        if !msg.more_queued() {
+            self.pump(ctx);
         }
         if f == UtilFn::ParamsGet {
-            // Mirror live state into the parameter map so the default
-            // ParamsGet reply carries it (the `xcl` `evb` command).
-            ctx.set_param("evb.run", &self.run.to_string());
-            ctx.set_param("evb.next_event", &self.next_event.to_string());
-            ctx.set_param("evb.target", &self.target.to_string());
-            ctx.set_param("evb.launched", &self.launched.to_string());
-            ctx.set_param("evb.finished", &self.finished.to_string());
-            ctx.set_param(
-                "evb.completed",
-                &self.stats.completed.load(Ordering::Relaxed).to_string(),
-            );
-            ctx.set_param(
-                "evb.lost",
-                &self.stats.lost.load(Ordering::Relaxed).to_string(),
-            );
-            ctx.set_param(
-                "evb.reassigned",
-                &self.stats.reassigned.load(Ordering::Relaxed).to_string(),
-            );
-            let total: u32 = self.credits.values().sum();
-            ctx.set_param("evb.credits", &total.to_string());
-            ctx.set_param("evb.inflight", &self.assigned.len().to_string());
-            ctx.set_param("evb.queued", &self.queue.len().to_string());
-            ctx.set_param("evb.bus", &self.bus.len().to_string());
-            ctx.set_param("evb.bus_dead", &self.dead.len().to_string());
-            ctx.set_param("evb.draining", &self.draining.len().to_string());
-            let drain_inflight = self
-                .assigned
-                .values()
-                .filter(|bu| self.draining.contains(bu))
-                .count();
-            ctx.set_param("evb.drain_inflight", &drain_inflight.to_string());
-            ctx.set_param(
-                "evb.run_done",
-                if self.stats.run_done.load(Ordering::SeqCst) {
-                    "1"
-                } else {
-                    "0"
-                },
-            );
+            self.mirror(ctx);
         }
-        UtilOutcome::Default
+        outcome
     }
 }
 
@@ -777,6 +856,117 @@ mod tests {
             "second run reuses event ids"
         );
         assert_eq!(m.evm.completed.load(Ordering::SeqCst), 20);
+    }
+
+    /// The fragments one readout still stores: a `CLEAR` of an id no
+    /// run uses makes that readout publish its store size, so the
+    /// shared `evb.ru.store` gauge reads that readout alone.
+    fn store_of(m: &Mesh, readout: &str) -> i64 {
+        let ru = m.exec.core().lookup_name(readout).unwrap();
+        m.exec
+            .post(
+                Message::build_private(ru, Tid::HOST, ORG_DAQ, xfn::CLEAR)
+                    .payload(0u64.to_le_bytes().to_vec())
+                    .finish(),
+            )
+            .unwrap();
+        while m.exec.run_once() > 0 {}
+        m.exec
+            .core()
+            .monitors()
+            .registry()
+            .gauge("evb.ru.store")
+            .get()
+    }
+
+    /// A `RUN` that supersedes an unfinished one resets the manager's
+    /// tables; the events the old run triggered and did not finish must
+    /// be cleared at every source first, or their fragments stay stored
+    /// for good.
+    #[test]
+    fn superseding_run_clears_the_old_runs_fragments() {
+        let m = mesh(2, 1);
+        m.exec
+            .post(
+                Message::build_private(m.evm_tid, Tid::HOST, ORG_DAQ, xfn::RUN)
+                    .payload(1000u64.to_le_bytes().to_vec())
+                    .finish(),
+            )
+            .unwrap();
+        for _ in 0..3 {
+            m.exec.run_once();
+        }
+        run_to_completion(&m, 10);
+        while m.exec.run_once() > 0 {}
+        for readout in ["ru0", "ru1"] {
+            assert_eq!(store_of(&m, readout), 0, "{readout} leaks fragments");
+        }
+    }
+
+    /// Records the event ids of every `ASSIGN` it receives.
+    struct AssignSink(Arc<parking_lot::Mutex<Vec<u64>>>);
+    impl I2oListener for AssignSink {
+        fn class(&self) -> DeviceClass {
+            DeviceClass::Application(ORG_DAQ)
+        }
+        fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, msg: Delivery) {
+            if msg.private.map(|p| p.x_function) == Some(xfn::ASSIGN) {
+                self.0.lock().extend(crate::ids(&msg.payload()[8..]));
+            }
+        }
+    }
+
+    /// A `DONE` with a utility frame queued behind it for the manager
+    /// only does its accounting; the utility upcall, which drains the
+    /// manager's FIFO, must then assign the next event — or the run
+    /// stalls with the credit back and nothing in flight.
+    #[test]
+    fn utility_frame_behind_a_done_settles_the_pending_pump() {
+        let exec = Executive::new(ExecutiveConfig::named("mesh"));
+        let assigned = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let bu = exec
+            .register("bu", Box::new(AssignSink(assigned.clone())), &[])
+            .unwrap();
+        let evm = EventManager::new();
+        let stats = evm.stats();
+        let evm = exec
+            .register("evm", Box::new(evm), &[("bus", "bu")])
+            .unwrap();
+        exec.enable_all();
+        let private = |f, payload: Vec<u8>| {
+            Message::build_private(evm, bu, ORG_DAQ, f)
+                .payload(payload)
+                .finish()
+        };
+        let done = |event: u64| {
+            let mut p = [1u64.to_le_bytes(), event.to_le_bytes()].concat();
+            p.push(DONE_BUILT);
+            private(xfn::DONE, p)
+        };
+        exec.post(private(xfn::RUN, 3u64.to_le_bytes().to_vec()))
+            .unwrap();
+        let credit = [1u64.to_le_bytes().as_slice(), &1u32.to_le_bytes()].concat();
+        exec.post(private(xfn::CREDIT, credit)).unwrap();
+        while exec.run_once() > 0 {}
+        assert_eq!(*assigned.lock(), [1]);
+        let utils = [
+            Message::util(evm, Tid::HOST, UtilFn::ParamsGet).finish(),
+            Message::util(evm, Tid::HOST, UtilFn::ParamsSet)
+                .payload(b"note=1\n".to_vec())
+                .finish(),
+        ];
+        for (event, util) in (1..).zip(utils) {
+            let f = util.header.function_code();
+            exec.post(done(event)).unwrap();
+            exec.post(util).unwrap();
+            while exec.run_once() > 0 {}
+            assert_eq!(assigned.lock().len() as u64, event + 1, "{f:?} settled");
+        }
+        exec.post(done(3)).unwrap();
+        while exec.run_once() > 0 {}
+        assert_eq!(*assigned.lock(), [1, 2, 3]);
+        assert!(stats.run_done.load(Ordering::SeqCst));
+        assert_eq!(stats.completed.load(Ordering::SeqCst), 3);
     }
 
     /// `bu_urls` pairs with `bus` by position in the parameter, not in

@@ -1,16 +1,18 @@
 //! Readout units: the data sources of the event builder.
 //!
 //! A `TRIGGER` from the event manager "digitizes" one fragment of the
-//! event into the unit's local store. Builders *pull*: a `PULL` request
-//! answers with the fragment; the store entry survives until the EVM
-//! clears the event — as the second `u64` of a later `TRIGGER`, or as a
-//! `CLEAR` when no trigger followed — so a builder that dies mid-event
-//! can be replaced and the survivor re-pulls the same fragments. A
-//! `PULL` racing ahead of its `TRIGGER` (the two ride different links)
-//! is parked and served the moment the trigger lands.
+//! event into the unit's local store. Builders *pull*: a `PULL` names
+//! one or more events and each stored one is answered with its own
+//! `FRAGMENT`; the store entry survives until the EVM clears the event —
+//! as the second `u64` of a later `TRIGGER`, or in a `CLEAR` vector when
+//! no trigger carried it — so a builder that dies mid-event can be
+//! replaced and the survivor re-pulls the same fragments. A pulled
+//! event whose `TRIGGER` has not landed yet (the two ride different
+//! links) is parked and served the moment the trigger lands; one that
+//! was already cleared is a stale re-pull and dropped.
 
 use crate::fragment::{FragmentHeader, FRAGMENT_HEADER_LEN};
-use crate::{u64_at, xfn, ORG_DAQ};
+use crate::{ids, u64_at, xfn, ORG_DAQ};
 use std::collections::{HashMap, HashSet};
 use xdaq_core::{Delivery, Dispatcher, I2oListener};
 use xdaq_i2o::{DeviceClass, Tid};
@@ -100,10 +102,32 @@ impl ReadoutUnit {
         }
     }
 
+    /// Answers one pulled event: serve it, drop a stale re-pull, or
+    /// park a pull that overtook its trigger.
+    fn serve(&mut self, ctx: &mut Dispatcher<'_>, event: u64, requester: Tid) {
+        if self.store.contains(&event) {
+            self.send_fragment(ctx, event, requester);
+        } else if self.highest.is_some_and(|h| event <= h) {
+            // Already cleared: the event finished elsewhere and this is
+            // a stale re-pull crossing its completion.
+            if let Some(m) = &self.metrics {
+                m.stale_pulls.inc();
+            }
+        } else {
+            self.parked.entry(event).or_default().push(requester);
+            if let Some(m) = &self.metrics {
+                m.parked.inc();
+            }
+        }
+    }
+
     /// Drops a finished event's stored fragment and any parked pulls.
     fn clear(&mut self, event: u64) {
         self.store.remove(&event);
         self.parked.remove(&event);
+    }
+
+    fn store_changed(&self) {
         if let Some(m) = &self.metrics {
             m.store.set(self.store.len() as i64);
         }
@@ -138,45 +162,39 @@ impl I2oListener for ReadoutUnit {
             return;
         }
         self.configure(ctx);
-        let Some(event) = u64_at(msg.payload(), 0) else {
-            return;
-        };
+        let payload = msg.payload();
         match p.x_function {
             xfn::TRIGGER => {
+                let Some(event) = u64_at(payload, 0) else {
+                    return;
+                };
                 self.store.insert(event);
                 self.highest = Some(self.highest.map_or(event, |h| h.max(event)));
                 if let Some(m) = &self.metrics {
                     m.triggers.inc();
-                    m.store.set(self.store.len() as i64);
                 }
                 if let Some(waiters) = self.parked.remove(&event) {
                     for dest in waiters {
                         self.send_fragment(ctx, event, dest);
                     }
                 }
-                if let Some(finished) = u64_at(msg.payload(), 8) {
+                if let Some(finished) = u64_at(payload, 8) {
                     self.clear(finished);
                 }
+                self.store_changed();
             }
             xfn::PULL => {
                 let requester = msg.header.initiator;
-                if self.store.contains(&event) {
-                    self.send_fragment(ctx, event, requester);
-                } else if self.highest.is_some_and(|h| event <= h) {
-                    // Already cleared: the event finished elsewhere and
-                    // this is a stale re-pull crossing its completion.
-                    if let Some(m) = &self.metrics {
-                        m.stale_pulls.inc();
-                    }
-                } else {
-                    // Pull overtook the trigger: park the requester.
-                    self.parked.entry(event).or_default().push(requester);
-                    if let Some(m) = &self.metrics {
-                        m.parked.inc();
-                    }
+                for event in ids(payload) {
+                    self.serve(ctx, event, requester);
                 }
             }
-            xfn::CLEAR => self.clear(event),
+            xfn::CLEAR => {
+                for event in ids(payload) {
+                    self.clear(event);
+                }
+                self.store_changed();
+            }
             _ => {}
         }
     }
@@ -273,6 +291,34 @@ mod tests {
             "stale pull of 5 unanswered"
         );
         assert_eq!(*ids.lock(), vec![6]);
+    }
+
+    /// One `PULL` vector is answered id by id: stored ids are served,
+    /// a cleared one is a stale re-pull, a not-yet-triggered one parks.
+    #[test]
+    fn pull_vector_serves_drops_or_parks_each_id() {
+        let (exec, ru, bu, count, ids) = harness();
+        send(&exec, ru, bu, xfn::TRIGGER, 5);
+        send(&exec, ru, bu, xfn::TRIGGER, 6);
+        let vector = |f, events: &[u64]| {
+            let payload: Vec<u8> = events.iter().flat_map(|e| e.to_le_bytes()).collect();
+            exec.post(
+                Message::build_private(ru, bu, ORG_DAQ, f)
+                    .payload(payload)
+                    .finish(),
+            )
+            .unwrap();
+        };
+        vector(xfn::CLEAR, &[5]);
+        vector(xfn::PULL, &[5, 6, 9]);
+        while exec.run_once() > 0 {}
+        assert_eq!(*ids.lock(), vec![6]);
+        send(&exec, ru, bu, xfn::TRIGGER, 9);
+        vector(xfn::CLEAR, &[6, 9]);
+        vector(xfn::PULL, &[6, 9]);
+        while exec.run_once() > 0 {}
+        assert_eq!(count.load(Ordering::SeqCst), 2, "cleared ids unanswered");
+        assert_eq!(*ids.lock(), vec![6, 9]);
     }
 
     #[test]

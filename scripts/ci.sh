@@ -118,6 +118,11 @@ echo "== benchmark: self-test + smoke of every workload =="
 # any failed operation fails the stage. No bounds are judged here;
 # performance claims are made with `benchmark/run.sh`, paired against
 # the parent commit.
+# Building the benchmark package rewrites its lock file; the committed
+# copy goes back on exit, green or red, so CI leaves the tree clean.
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
 bash benchmark/run.sh --selftest
 bash benchmark/run.sh --smoke
 

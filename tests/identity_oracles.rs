@@ -37,7 +37,7 @@ fn golden_traces_of_101_seeds_hash_unchanged() {
     }
     assert_eq!(
         (format!("{hash:016x}"), bytes),
-        ("e1244adb66140ea3".to_string(), 154_825)
+        ("e630cbd65eba0c81".to_string(), 154_825)
     );
 }
 
