@@ -692,7 +692,8 @@ impl Pta {
     ///
     /// Paper §4 advises at most one polling-mode PT when low latency
     /// matters; the round-robin scan here is what makes a slow PT
-    /// poison the loop — measurable with the `ptmode` bench.
+    /// poison the loop — asserted by the PTMODE shape test in
+    /// `tests/paper.rs` (`ptmode_slow_poller_poisons_loop_until_destroyed`).
     pub fn poll_all(&self, mut f: impl FnMut(FrameBuf, PeerAddr)) -> usize {
         let entries = self.entries.read();
         let mut n = 0;

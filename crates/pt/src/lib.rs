@@ -8,7 +8,7 @@
 //!
 //! | transport | scheme | address format | mode |
 //! |-----------|--------|----------------------|------|
-//! | [`LoopbackPt`] | `loop` | `loop://<node>` | polling or task |
+//! | [`LoopbackPt`] | `loop` | `loop://<node>` | polling |
 //! | [`GmPt`] | `gm` | `gm://<node>:<port>` | polling or task (paper: thread) |
 //! | [`TcpPt`] | `tcp` | `tcp://<ip>:<port>` | task (blocking sockets) |
 //! | [`XptPt`] | `xpt` | `xpt://<ip>:<port>` | task (batched submission/completion rings over epoll) |

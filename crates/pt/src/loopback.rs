@@ -1,17 +1,14 @@
 //! The loopback transport: in-process "network" connecting executives
 //! through plain queues.
 //!
-//! This is the reference PT: no wire format, no latency, no copies
-//! beyond the mandatory frame hand-off. It exists to (a) run whole
-//! multi-node topologies inside one process for tests and examples,
-//! and (b) serve as the zero-cost baseline that isolates executive
-//! overhead from transport overhead in the benches.
+//! This is the reference PT: no wire format, no latency and no copy —
+//! a send hands the pooled frame itself to the receiver's mailbox. It
+//! exists to (a) run whole multi-node topologies inside one process for
+//! tests and examples, and (b) serve as the zero-cost baseline that
+//! isolates executive overhead from transport overhead.
 //!
 //! A [`LoopbackHub`] plays the role of the fabric; each executive
-//! attaches one [`LoopbackPt`] under a node name. With
-//! `copy_frames = true` the PT clones every frame into a fresh pool
-//! buffer — the feature-flagged copy path that quantifies the paper's
-//! zero-copy claim (DESIGN.md §5).
+//! attaches one polling-mode [`LoopbackPt`] under a node name.
 
 use crossbeam::queue::SegQueue;
 use parking_lot::RwLock;
@@ -19,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use xdaq_core::{PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
-use xdaq_mempool::{DynAllocator, FrameBuf};
+use xdaq_mempool::FrameBuf;
 use xdaq_mon::PtCounters;
 
 struct Mailbox {
@@ -70,11 +67,7 @@ pub struct LoopbackPt {
     hub: Arc<LoopbackHub>,
     mailbox: Arc<Mailbox>,
     self_addr: PeerAddr,
-    mode: PtMode,
     stopped: AtomicBool,
-    /// When set, frames are copied into buffers from this pool instead
-    /// of handed off zero-copy (the copy-path ablation).
-    copy_pool: Option<DynAllocator>,
     /// Outbound refusal threshold: a send toward a mailbox already
     /// holding this many frames is refused with the frame handed back
     /// (`0` = unbounded, the historical behaviour). Models a receiver
@@ -88,24 +81,11 @@ pub struct LoopbackPt {
 impl LoopbackPt {
     /// Attaches a polling-mode loopback PT for `node`.
     pub fn new(hub: &Arc<LoopbackHub>, node: &str) -> Arc<LoopbackPt> {
-        Self::with_options(hub, node, PtMode::Polling, None)
-    }
-
-    /// Full-control constructor.
-    pub fn with_options(
-        hub: &Arc<LoopbackHub>,
-        node: &str,
-        mode: PtMode,
-        copy_pool: Option<DynAllocator>,
-    ) -> Arc<LoopbackPt> {
-        let mailbox = hub.attach(node);
         Arc::new(LoopbackPt {
             hub: hub.clone(),
-            mailbox,
+            mailbox: hub.attach(node),
             self_addr: PeerAddr::new("loop", node),
-            mode,
             stopped: AtomicBool::new(false),
-            copy_pool,
             capacity: AtomicUsize::new(0),
             counters: PtCounters::new(),
         })
@@ -123,7 +103,7 @@ impl PeerTransport for LoopbackPt {
     }
 
     fn mode(&self) -> PtMode {
-        self.mode
+        PtMode::Polling
     }
 
     fn send(&self, dest: &PeerAddr, frame: FrameBuf) -> Result<(), SendFailure> {
@@ -149,22 +129,6 @@ impl PeerTransport for LoopbackPt {
                 frame,
             ));
         }
-        let frame = match &self.copy_pool {
-            None => frame,
-            Some(pool) => {
-                // Deliberate copy path for the zero-copy ablation.
-                let mut copy = match pool.alloc(frame.len()) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        self.counters.on_send_error();
-                        // The original frame is untouched: hand it back.
-                        return Err(SendFailure::with_frame(PtError::Io(e.to_string()), frame));
-                    }
-                };
-                copy.copy_from_slice(&frame);
-                copy
-            }
-        };
         self.counters.on_send(frame.len());
         target.queue.push((frame, self.self_addr.clone()));
         Ok(())
@@ -205,7 +169,6 @@ impl PeerTransport for LoopbackPt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xdaq_mempool::{FrameAllocator, TablePool};
 
     fn frame(n: usize) -> FrameBuf {
         FrameBuf::from_bytes(&vec![0xABu8; n])
@@ -242,23 +205,6 @@ mod tests {
         a.stop();
         let err = a.send(&"loop://b".parse().unwrap(), frame(1)).unwrap_err();
         assert!(matches!(err.error, PtError::Closed));
-    }
-
-    #[test]
-    fn copy_path_allocates_from_pool() {
-        let hub = LoopbackHub::new();
-        let pool = TablePool::with_defaults();
-        let a = LoopbackPt::with_options(
-            &hub,
-            "a",
-            PtMode::Polling,
-            Some(pool.clone() as DynAllocator),
-        );
-        let b = LoopbackPt::new(&hub, "b");
-        a.send(&"loop://b".parse().unwrap(), frame(100)).unwrap();
-        assert_eq!(pool.stats().allocs, 1, "copy went through the pool");
-        let (f, _) = b.poll().unwrap();
-        assert_eq!(&f[..], &vec![0xABu8; 100][..]);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   modelling the plain shared-memory mailbox a board without I2O
 //!   FIFO support would use.
 //!
-//! The `hwfifo` bench drives a ping-pong over both modes.
+//! The HWFIFO shape test in `tests/paper.rs` drives a ping-pong over
+//! both modes.
 
 use crossbeam::queue::ArrayQueue;
 use parking_lot::{Mutex, RwLock};
@@ -102,11 +103,6 @@ impl PciBus {
     /// Segment name.
     pub fn segment(&self) -> &str {
         &self.segment
-    }
-
-    /// FIFO flavour of this bus.
-    pub fn kind(&self) -> FifoKind {
-        self.kind
     }
 }
 
@@ -209,6 +205,10 @@ impl PeerTransport for PciPt {
 
     fn stop(&self) {
         self.stopped.store(true, Ordering::Release);
+        // Drain undelivered frames so their pool blocks recycle, as
+        // `LoopbackPt::stop` does: frames parked in a dead slot FIFO
+        // would otherwise keep pool occupancy nonzero forever.
+        while self.inbound.pop().is_some() {}
     }
 
     fn counters(&self) -> Option<&PtCounters> {
@@ -257,6 +257,23 @@ mod tests {
         assert!(err.frame.is_some(), "full FIFO hands the frame back");
         let _ = b.poll().unwrap();
         a.send(&b.addr(), frame(1)).unwrap();
+    }
+
+    #[test]
+    fn stop_recycles_frames_parked_in_the_slot_fifo() {
+        use xdaq_mempool::{FrameAllocator, TablePool};
+        for kind in [FifoKind::Hardware { depth: 8 }, FifoKind::Software] {
+            let pool = TablePool::with_defaults();
+            let bus = PciBus::new("seg0", kind);
+            let a = PciPt::attach(&bus, 0);
+            let b = PciPt::attach(&bus, 1);
+            for _ in 0..4 {
+                a.send(&b.addr(), pool.alloc(64).unwrap()).unwrap();
+            }
+            assert_eq!(pool.stats().live_blocks, 4);
+            b.stop();
+            assert_eq!(pool.stats().live_blocks, 0, "{kind:?}: blocks leaked");
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl ShmPool {
     }
 
     /// Send-path payload copies recorded against this region (both
-    /// sides): the zero-copy miss counter the benches assert on.
+    /// sides): the zero-copy miss counter the transport tests assert on.
     pub fn copies(&self) -> u64 {
         self.region.hdr().copies.load(Ordering::Relaxed)
     }

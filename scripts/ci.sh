@@ -28,8 +28,7 @@ core
 pt shm rec
 evb
 ctl
-sim
-bench"
+sim"
 layer_of() { { echo "$layers" | grep -nw -- "$1" || true; } | cut -d: -f1; }
 bad=0
 for manifest in crates/*/Cargo.toml; do
@@ -48,7 +47,7 @@ for manifest in crates/*/Cargo.toml; do
         fi
     done
 done
-for gone in host app probe; do
+for gone in host app probe bench; do
     if grep -rn "xdaq-$gone" Cargo.toml crates src tests examples; then
         echo "xdaq-$gone (listed above) was removed; DESIGN.md §2 says where its code lives" >&2
         bad=1
@@ -110,6 +109,11 @@ echo "== event builder: chaos mesh + builder kill (multi-process, heavy) =="
 # zero loss; the kill run SIGKILLs a builder mid-run and the event
 # manager must reclaim its credits and reassign its events.
 XDAQ_TEST_HEAVY=1 cargo test -q --test evb
+
+echo "== the paper's evaluation shapes (release, heavy) =="
+# FIG6, ALLOC, PTMODE and HWFIFO as orderings and ratios with wide
+# margin (tests/paper.rs); timing only means something optimised.
+XDAQ_TEST_HEAVY=1 cargo test --release -q --test paper
 
 echo "== benchmark: self-test + smoke of every workload =="
 # The one measurement spine (benchmark/README.md) must keep building
