@@ -12,10 +12,9 @@
 //! milliseconds of wall time and is bit-for-bit reproducible.
 //!
 //! What deliberately stays on wall time (and why) is inventoried in
-//! DESIGN.md §16: cross-thread blocking waits (`SchedQueue`'s Block
-//! overload policy parks real threads), transport I/O (tcp/shm/xpt
-//! talk to real kernels), child-process management in `xdaq-ctl`, and
-//! observability timestamps (tracer, uptime) that never feed back
+//! DESIGN.md §16: transport I/O (tcp/shm/xpt talk to real kernels),
+//! child-process management in `xdaq-ctl`, the admission token bucket,
+//! and observability timestamps (tracer, uptime) that never feed back
 //! into control flow.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,13 +1,14 @@
 //! Link-level credit-based flow control.
 //!
-//! The per-queue [`OverloadPolicy`](crate::OverloadPolicy) sheds load
-//! *after* a frame has already crossed the fabric and consumed a pool
-//! block on the receiving node. This module moves backpressure
-//! source-ward, the way Steinbeck's data-transport framework and the
-//! evb credit loop (DESIGN.md §12) do, but one layer down — on the
-//! peer link itself, uniformly for `tcp://`, `shm://`, `loop://` and
-//! anything wrapped in `ChaosPt`, because the gate sits in
-//! [`Pta::send_failover`](crate::Pta) above every transport.
+//! Shedding load at the receiver's scheduling queue would come too
+//! late: the frame has already crossed the fabric and taken a pool
+//! block on the receiving node. So the queue is unbounded, and a node
+//! bounds its inbound work source-ward, the way Steinbeck's
+//! data-transport framework and the evb credit loop (DESIGN.md §12) do,
+//! but one layer down — on the peer link itself, uniformly for
+//! `tcp://`, `shm://`, `loop://` and anything wrapped in `ChaosPt`,
+//! because the gate sits in [`Pta::send_failover`](crate::Pta) above
+//! every transport.
 //!
 //! ## Protocol
 //!
@@ -65,7 +66,7 @@ pub enum FlowPolicy {
     /// Grants arrive on ingest threads, so blocking an application
     /// thread is safe; blocking the dispatch thread of a single-worker
     /// executive whose only transport is polling-mode will simply
-    /// burn the deadline — same hazard as `OverloadPolicy::Block`.
+    /// burn the deadline.
     Block {
         /// How long to wait for credit before giving up.
         deadline: Duration,

@@ -15,7 +15,7 @@ use crate::credit::{self, CreditManager, FlowCmd};
 use crate::error::{ExecError, PtError};
 use crate::listener::{Delivery, Dispatcher, I2oListener, TimerId, UtilOutcome};
 use crate::pta::{PeerAddr, PeerTransport, Pta};
-use crate::queue::{PushOutcome, SchedQueue};
+use crate::queue::SchedQueue;
 use crate::registry::{DeviceMeta, DeviceUnit, LctEntry, Registry};
 use crate::route::{Hop, Route, RouteTable};
 use crate::supervisor::{LinkState, LinkSupervisor};
@@ -68,7 +68,6 @@ pub struct ExecMonitors {
     watchdog_trips: Counter,
     faults: Counter,
     polled_frames: Counter,
-    overload_drops: Counter,
     peer_down: Counter,
     peer_suspect: Counter,
     hb_pings: Counter,
@@ -94,7 +93,6 @@ impl ExecMonitors {
             watchdog_trips: registry.counter("exec.watchdog_trips"),
             faults: registry.counter("exec.faults"),
             polled_frames: registry.counter("pta.polled_frames"),
-            overload_drops: registry.counter("exec.overload_drops"),
             peer_down: registry.counter("link.peer_down"),
             peer_suspect: registry.counter("link.peer_suspect"),
             hb_pings: registry.counter("link.hb_pings"),
@@ -253,28 +251,13 @@ impl ExecCore {
         self.queue.len()
     }
 
-    /// Retunes the queue's overload valve at runtime. Used by
-    /// devices that apply backpressure — the event recorder tightens
-    /// the queue to `Block` while its store is behind on durability,
-    /// then restores the previous limits.
-    pub fn set_overload(&self, capacity: Option<usize>, policy: crate::queue::OverloadPolicy) {
-        self.queue.set_limits(capacity, policy);
-    }
-
-    /// Current overload limits.
-    pub fn overload(&self) -> (Option<usize>, crate::queue::OverloadPolicy) {
-        self.queue.limits()
-    }
-
     /// Purges a TiD's pending frames from the queue.
     pub(crate) fn purge_tid(&self, tid: Tid) -> usize {
         self.queue.purge(tid)
     }
 
     /// Enqueues locally, stamping the frame for latency measurement
-    /// when tracing is on (one branch on the disabled path). A
-    /// delivery refused by the overload policy is counted and
-    /// recycled here.
+    /// when tracing is on (one branch on the disabled path).
     fn enqueue(&self, mut d: Delivery) {
         if self.mon.tracer.is_enabled() {
             d.enqueued_at = Some(Instant::now());
@@ -284,19 +267,7 @@ impl ExecCore {
                 d.priority().level() as u32,
             );
         }
-        match self.queue.push(d) {
-            PushOutcome::Accepted => {}
-            PushOutcome::Rejected(victim) | PushOutcome::Displaced(victim) => {
-                self.mon.overload_drops.inc();
-                self.mon
-                    .tracer
-                    .record(TraceEvent::Drop, victim.header.target.raw() as u32, 2);
-                // The victim's FrameBuf must go back to its pool, not
-                // leak: recycle it explicitly (this is the eviction
-                // path's counterpart of dispatch's Recycle point).
-                drop(victim.into_buf());
-            }
-        }
+        self.queue.push(d);
     }
 
     /// Routes a delivery to its target: local queue, peer transport, or

@@ -54,7 +54,7 @@ pub use error::{ExecError, PtError};
 pub use executive::{ExecMonitors, ExecStats, Executive, ExecutiveHandle};
 pub use listener::{Delivery, Dispatcher, I2oListener, TimerId};
 pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, RetryPolicy, SendFailure};
-pub use queue::{OverloadPolicy, PushOutcome, SchedQueue};
+pub use queue::SchedQueue;
 pub use registry::{DeviceMeta, Registry};
 pub use route::{Eviction, Hop, Route, RouteTable};
 pub use supervisor::{LinkState, LinkSupervisor, SupervisionConfig, TickOutcome};

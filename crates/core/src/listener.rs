@@ -377,19 +377,6 @@ impl<'a> Dispatcher<'a> {
     pub fn watch_faults(&self) {
         self.core.set_fault_listener(self.meta.tid);
     }
-
-    /// Current scheduler overload limits (capacity, policy).
-    pub fn overload(&self) -> (Option<usize>, crate::queue::OverloadPolicy) {
-        self.core.overload()
-    }
-
-    /// Retunes the scheduler's overload valve — the backpressure hook.
-    /// A device that falls behind (a recorder with too many unsynced
-    /// bytes) can tighten the policy to `Block`, making producers wait
-    /// instead of growing the queue, then restore the previous limits.
-    pub fn set_overload(&self, capacity: Option<usize>, policy: crate::queue::OverloadPolicy) {
-        self.core.set_overload(capacity, policy);
-    }
 }
 
 #[cfg(test)]

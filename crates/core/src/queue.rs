@@ -14,45 +14,11 @@
 //! locks the one level it serves instead of scanning from the top.
 
 use crate::listener::Delivery;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 use xdaq_i2o::{Tid, NUM_PRIORITIES};
 use xdaq_mon::Gauge;
-
-/// What to do when the scheduling queue hits its capacity limit
-/// (paper §3.2's fault-tolerant behaviour applied to overload: the
-/// reaction to pressure is *policy*, not an accident of the
-/// implementation).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Reject the incoming delivery (classic tail drop).
-    DropNewest,
-    /// Evict a queued delivery of strictly lower priority to make
-    /// room; reject the incoming one when nothing cheaper is queued.
-    DropLowestPriority,
-    /// Producers wait for the dispatcher to drain the queue, up to
-    /// `deadline`, then tail-drop. Only safe from threads other than
-    /// the dispatch loop itself (a dispatcher blocking on its own
-    /// queue cannot drain it).
-    Block {
-        /// Longest a producer may wait for space.
-        deadline: Duration,
-    },
-}
-
-/// Result of a bounded push.
-#[derive(Debug)]
-#[must_use = "a rejected or displaced delivery must be accounted (it recycles on drop)"]
-pub enum PushOutcome {
-    /// The delivery was queued.
-    Accepted,
-    /// The queue was full; the incoming delivery comes back.
-    Rejected(Delivery),
-    /// The incoming delivery was queued by evicting this cheaper one.
-    Displaced(Delivery),
-}
 
 #[derive(Default)]
 struct Level {
@@ -77,14 +43,6 @@ pub struct SchedQueue {
     /// Per-priority depth gauges (level + high-water), when the owner
     /// wired the queue into a metric registry.
     depth: Option<[Gauge; NUM_PRIORITIES]>,
-    /// Total queued-delivery limit; `usize::MAX` = unbounded
-    /// (historical behaviour). The check is approximate under
-    /// concurrency — a racing producer can overshoot by a few entries,
-    /// which is fine for an overload valve. Atomic so overload control
-    /// can be retuned at runtime (the recorder's backpressure hook
-    /// tightens it while the store is behind on fsync).
-    capacity: AtomicUsize,
-    policy: RwLock<OverloadPolicy>,
 }
 
 impl Default for SchedQueue {
@@ -101,8 +59,6 @@ impl SchedQueue {
             occupied: AtomicU8::new(0),
             pending: AtomicUsize::new(0),
             depth: None,
-            capacity: AtomicUsize::new(usize::MAX),
-            policy: RwLock::new(OverloadPolicy::DropNewest),
         }
     }
 
@@ -116,67 +72,10 @@ impl SchedQueue {
         }
     }
 
-    /// Caps the queue at `capacity` deliveries, handled per `policy`.
-    pub fn with_limits(self, capacity: Option<usize>, policy: OverloadPolicy) -> SchedQueue {
-        self.set_limits(capacity, policy);
-        self
-    }
-
-    /// Retunes the overload valve at runtime. Producers mid-`push`
-    /// observe the new limits on their next capacity check.
-    pub fn set_limits(&self, capacity: Option<usize>, policy: OverloadPolicy) {
-        self.capacity
-            .store(capacity.unwrap_or(usize::MAX), Ordering::Release);
-        *self.policy.write() = policy;
-    }
-
-    /// Current capacity (`None` = unbounded) and overload policy.
-    pub fn limits(&self) -> (Option<usize>, OverloadPolicy) {
-        let cap = self.capacity.load(Ordering::Acquire);
-        let cap = (cap != usize::MAX).then_some(cap);
-        (cap, self.policy.read().clone())
-    }
-
-    /// Enqueues a delivery according to its frame priority and target,
-    /// applying the overload policy when the queue is at capacity.
-    pub fn push(&self, d: Delivery) -> PushOutcome {
-        let cap = self.capacity.load(Ordering::Acquire);
-        if self.pending.load(Ordering::Acquire) < cap {
-            self.insert(d);
-            return PushOutcome::Accepted;
-        }
-        match self.policy.read().clone() {
-            OverloadPolicy::DropNewest => PushOutcome::Rejected(d),
-            OverloadPolicy::DropLowestPriority => {
-                match self.steal_lowest_below(d.priority().level()) {
-                    Some(victim) => {
-                        self.insert(d);
-                        PushOutcome::Displaced(victim)
-                    }
-                    None => PushOutcome::Rejected(d),
-                }
-            }
-            OverloadPolicy::Block { deadline } => {
-                let until = Instant::now() + deadline;
-                loop {
-                    // Reload the limit: a runtime retune releases
-                    // blocked producers immediately.
-                    let cap = self.capacity.load(Ordering::Acquire);
-                    if self.pending.load(Ordering::Acquire) < cap {
-                        self.insert(d);
-                        return PushOutcome::Accepted;
-                    }
-                    if Instant::now() >= until {
-                        return PushOutcome::Rejected(d);
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-        }
-    }
-
-    /// Unconditional enqueue.
-    fn insert(&self, d: Delivery) {
+    /// Enqueues a delivery according to its frame priority and target.
+    /// The queue is unbounded: a node bounds its inbound work
+    /// source-ward, with link credits (DESIGN.md §13).
+    pub fn push(&self, d: Delivery) {
         let level = d.priority().level() as usize;
         let tid = d.header.target;
         let mut lv = self.levels[level].lock();
@@ -196,32 +95,6 @@ impl SchedQueue {
         if let Some(g) = &self.depth {
             g[level].add(1);
         }
-    }
-
-    /// Evicts the newest queued delivery from the lowest occupied
-    /// priority level strictly below `level`, if any.
-    fn steal_lowest_below(&self, level: u8) -> Option<Delivery> {
-        for l in 0..level as usize {
-            let mut lv = self.levels[l].lock();
-            let Some(tid) = lv.rotation.back().copied() else {
-                continue;
-            };
-            let (victim, now_empty) = {
-                let q = lv.queues.get_mut(&tid).expect("rotation implies queue");
-                let v = q.pop_back().expect("rotation implies non-empty");
-                (v, q.is_empty())
-            };
-            if now_empty {
-                lv.rotation.retain(|t| *t != tid);
-                self.note_if_drained(&lv, l);
-            }
-            self.pending.fetch_sub(1, Ordering::Release);
-            if let Some(g) = &self.depth {
-                g[l].add(-1);
-            }
-            return Some(victim);
-        }
-        None
     }
 
     /// Clears level `l`'s occupancy bit once its rotation is empty;
@@ -325,16 +198,12 @@ mod tests {
         Delivery::from_message(&m, &*pool).unwrap()
     }
 
-    fn push_ok(q: &SchedQueue, d: Delivery) {
-        assert!(matches!(q.push(d), PushOutcome::Accepted));
-    }
-
     #[test]
     fn fifo_within_device() {
         let q = SchedQueue::new();
-        push_ok(&q, mk(0x10, 3, 1));
-        push_ok(&q, mk(0x10, 3, 2));
-        push_ok(&q, mk(0x10, 3, 3));
+        q.push(mk(0x10, 3, 1));
+        q.push(mk(0x10, 3, 2));
+        q.push(mk(0x10, 3, 3));
         let tags: Vec<u8> = (0..3).map(|_| q.pop().unwrap().payload()[0]).collect();
         assert_eq!(tags, vec![1, 2, 3]);
         assert!(q.pop().is_none());
@@ -343,9 +212,9 @@ mod tests {
     #[test]
     fn higher_priority_preempts() {
         let q = SchedQueue::new();
-        push_ok(&q, mk(0x10, 1, 1));
-        push_ok(&q, mk(0x10, 6, 2));
-        push_ok(&q, mk(0x10, 3, 3));
+        q.push(mk(0x10, 1, 1));
+        q.push(mk(0x10, 6, 2));
+        q.push(mk(0x10, 3, 3));
         let tags: Vec<u8> = (0..3).map(|_| q.pop().unwrap().payload()[0]).collect();
         assert_eq!(tags, vec![2, 3, 1]);
     }
@@ -355,9 +224,9 @@ mod tests {
         let q = SchedQueue::new();
         // Device A floods; device B sends one message at equal priority.
         for i in 0..3 {
-            push_ok(&q, mk(0xA0, 3, 10 + i));
+            q.push(mk(0xA0, 3, 10 + i));
         }
-        push_ok(&q, mk(0xB0, 3, 99));
+        q.push(mk(0xB0, 3, 99));
         let order: Vec<(u16, u8)> = (0..4)
             .map(|_| {
                 let d = q.pop().unwrap();
@@ -377,8 +246,8 @@ mod tests {
     fn len_tracks() {
         let q = SchedQueue::new();
         assert!(q.is_empty());
-        push_ok(&q, mk(1, 0, 0));
-        push_ok(&q, mk(2, 6, 0));
+        q.push(mk(1, 0, 0));
+        q.push(mk(2, 6, 0));
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
@@ -387,9 +256,9 @@ mod tests {
     #[test]
     fn purge_removes_device_messages() {
         let q = SchedQueue::new();
-        push_ok(&q, mk(0x10, 3, 1));
-        push_ok(&q, mk(0x10, 5, 2));
-        push_ok(&q, mk(0x20, 3, 3));
+        q.push(mk(0x10, 3, 1));
+        q.push(mk(0x10, 5, 2));
+        q.push(mk(0x20, 3, 3));
         assert_eq!(q.purge(t(0x10)), 2);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().header.target, t(0x20));
@@ -399,7 +268,7 @@ mod tests {
     #[test]
     fn empty_priority_levels_skipped() {
         let q = SchedQueue::new();
-        push_ok(&q, mk(0x10, 0, 7));
+        q.push(mk(0x10, 0, 7));
         assert_eq!(q.pop().unwrap().payload()[0], 7);
     }
 
@@ -409,9 +278,9 @@ mod tests {
         let gauges: [Gauge; NUM_PRIORITIES] =
             std::array::from_fn(|i| reg.gauge(&format!("queue.depth.p{i}")));
         let q = SchedQueue::with_gauges(gauges);
-        push_ok(&q, mk(0x10, 3, 1));
-        push_ok(&q, mk(0x10, 3, 2));
-        push_ok(&q, mk(0x20, 5, 3));
+        q.push(mk(0x10, 3, 1));
+        q.push(mk(0x10, 3, 2));
+        q.push(mk(0x20, 5, 3));
         assert_eq!(reg.gauge("queue.depth.p3").get(), 2);
         assert_eq!(reg.gauge("queue.depth.p5").get(), 1);
         q.pop(); // priority 5 first
@@ -430,7 +299,7 @@ mod tests {
                 let q = q.clone();
                 s.spawn(move || {
                     for i in 0..250u8 {
-                        push_ok(&q, mk(0x100 + th, i % 7, i));
+                        q.push(mk(0x100 + th, i % 7, i));
                     }
                 });
             }
@@ -440,93 +309,5 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 1000);
-    }
-
-    #[test]
-    fn drop_newest_rejects_at_capacity() {
-        let q = SchedQueue::new().with_limits(Some(2), OverloadPolicy::DropNewest);
-        push_ok(&q, mk(0x10, 3, 1));
-        push_ok(&q, mk(0x10, 3, 2));
-        match q.push(mk(0x10, 3, 3)) {
-            PushOutcome::Rejected(d) => assert_eq!(d.payload()[0], 3),
-            other => panic!("expected rejection, got {other:?}"),
-        }
-        assert_eq!(q.len(), 2);
-        q.pop();
-        push_ok(&q, mk(0x10, 3, 4));
-    }
-
-    #[test]
-    fn drop_lowest_priority_evicts_cheaper_work() {
-        let q = SchedQueue::new().with_limits(Some(2), OverloadPolicy::DropLowestPriority);
-        push_ok(&q, mk(0x10, 1, 1));
-        push_ok(&q, mk(0x10, 3, 2));
-        // Higher-priority arrival displaces the priority-1 delivery.
-        match q.push(mk(0x20, 6, 3)) {
-            PushOutcome::Displaced(victim) => assert_eq!(victim.payload()[0], 1),
-            other => panic!("expected displacement, got {other:?}"),
-        }
-        assert_eq!(q.len(), 2);
-        // Equal/lower-priority arrival finds nothing cheaper: rejected.
-        match q.push(mk(0x20, 3, 4)) {
-            PushOutcome::Rejected(d) => assert_eq!(d.payload()[0], 4),
-            other => panic!("expected rejection, got {other:?}"),
-        }
-        let tags: Vec<u8> = (0..2).map(|_| q.pop().unwrap().payload()[0]).collect();
-        assert_eq!(tags, vec![3, 2]);
-    }
-
-    #[test]
-    fn block_policy_waits_for_drain() {
-        let q = std::sync::Arc::new(SchedQueue::new().with_limits(
-            Some(1),
-            OverloadPolicy::Block {
-                deadline: Duration::from_secs(5),
-            },
-        ));
-        push_ok(&q, mk(0x10, 3, 1));
-        let q2 = q.clone();
-        let consumer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            q2.pop()
-        });
-        // Blocks until the consumer makes room, then succeeds.
-        push_ok(&q, mk(0x10, 3, 2));
-        assert_eq!(consumer.join().unwrap().unwrap().payload()[0], 1);
-    }
-
-    #[test]
-    fn limits_retunable_at_runtime() {
-        let q = SchedQueue::new();
-        assert_eq!(q.limits(), (None, OverloadPolicy::DropNewest));
-        push_ok(&q, mk(0x10, 3, 1));
-        push_ok(&q, mk(0x10, 3, 2));
-        // Tighten below the current depth: the next push is rejected.
-        q.set_limits(Some(1), OverloadPolicy::DropNewest);
-        assert_eq!(q.limits(), (Some(1), OverloadPolicy::DropNewest));
-        match q.push(mk(0x10, 3, 3)) {
-            PushOutcome::Rejected(d) => assert_eq!(d.payload()[0], 3),
-            other => panic!("expected rejection, got {other:?}"),
-        }
-        // Relax again: pushes flow.
-        q.set_limits(None, OverloadPolicy::DropNewest);
-        push_ok(&q, mk(0x10, 3, 4));
-        assert_eq!(q.len(), 3);
-    }
-
-    #[test]
-    fn block_policy_times_out_to_tail_drop() {
-        let q = SchedQueue::new().with_limits(
-            Some(1),
-            OverloadPolicy::Block {
-                deadline: Duration::from_millis(5),
-            },
-        );
-        push_ok(&q, mk(0x10, 3, 1));
-        match q.push(mk(0x10, 3, 2)) {
-            PushOutcome::Rejected(d) => assert_eq!(d.payload()[0], 2),
-            other => panic!("expected timeout rejection, got {other:?}"),
-        }
-        assert_eq!(q.len(), 1);
     }
 }

@@ -25,7 +25,7 @@ proptest! {
     ) {
         let q = SchedQueue::new();
         for (i, (tid, pri)) in msgs.iter().enumerate() {
-            let _ = q.push(mk(*tid, *pri, i as u32));
+            q.push(mk(*tid, *pri, i as u32));
         }
         prop_assert_eq!(q.len(), msgs.len());
         let mut out = Vec::new();
@@ -58,18 +58,16 @@ proptest! {
         }
     }
 
-    /// Overload eviction leaks nothing: churning a bounded queue under
-    /// `DropLowestPriority` (displaced victims handed back to the
-    /// caller, exactly as the executive's enqueue path treats them)
-    /// and then draining it returns the shared pool to its baseline
-    /// live-block watermark, with every per-priority depth gauge back
-    /// to zero and always in step with the queue length.
+    /// Purge, the one path that drops queued deliveries, leaks
+    /// nothing: pushing deliveries from one pool, purging a device and
+    /// draining the rest returns the pool to its baseline live-block
+    /// count, with every per-priority depth gauge back to zero and
+    /// always in step with the queue length.
     #[test]
-    fn eviction_recycles_frames_and_balances_gauges(
+    fn purge_recycles_frames_and_balances_gauges(
         msgs in proptest::collection::vec((0x10u16..0x18, 0u8..7), 1..200),
-        cap in 1usize..16,
+        victim in 0x10u16..0x18,
     ) {
-        use xdaq_core::{OverloadPolicy, PushOutcome};
         use xdaq_i2o::NUM_PRIORITIES;
         use xdaq_mempool::FrameAllocator;
 
@@ -77,33 +75,30 @@ proptest! {
         let reg = xdaq_mon::Registry::new();
         let gauges: [xdaq_mon::Gauge; NUM_PRIORITIES] =
             std::array::from_fn(|i| reg.gauge(&format!("queue.depth.p{i}")));
-        let q = SchedQueue::with_gauges(gauges)
-            .with_limits(Some(cap), OverloadPolicy::DropLowestPriority);
+        let q = SchedQueue::with_gauges(gauges);
         let baseline = pool.stats().live_blocks;
+        let depth = || -> i64 {
+            (0..NUM_PRIORITIES)
+                .map(|p| reg.gauge(&format!("queue.depth.p{p}")).get())
+                .sum()
+        };
 
         for (i, (tid, pri)) in msgs.iter().enumerate() {
             let m = Message::build_private(Tid::new(*tid).unwrap(), Tid::HOST, 1, 1)
                 .priority(Priority::new(*pri).unwrap())
                 .transaction(i as u32)
                 .finish();
-            let d = Delivery::from_message(&m, &*pool).unwrap();
-            match q.push(d) {
-                PushOutcome::Accepted => {}
-                PushOutcome::Rejected(victim) | PushOutcome::Displaced(victim) => {
-                    drop(victim.into_buf());
-                }
-            }
-            prop_assert!(q.len() <= cap, "capacity respected");
-            let depth: i64 = (0..NUM_PRIORITIES)
-                .map(|p| reg.gauge(&format!("queue.depth.p{p}")).get())
-                .sum();
-            prop_assert_eq!(depth as usize, q.len(), "gauges track evictions");
+            q.push(Delivery::from_message(&m, &*pool).unwrap());
+            prop_assert_eq!(depth() as usize, q.len(), "gauges track pushes");
         }
-
-        while q.pop().is_some() {}
+        q.purge(Tid::new(victim).unwrap());
+        prop_assert_eq!(depth() as usize, q.len(), "gauges track the purge");
+        while q.pop().is_some() {
+            prop_assert_eq!(depth() as usize, q.len(), "gauges track pops");
+        }
         prop_assert_eq!(
             pool.stats().live_blocks, baseline,
-            "every frame — dispatched or evicted — recycled to the pool"
+            "every frame — dispatched or purged — recycled to the pool"
         );
         for p in 0..NUM_PRIORITIES {
             prop_assert_eq!(reg.gauge(&format!("queue.depth.p{p}")).get(), 0);
@@ -118,7 +113,7 @@ proptest! {
     ) {
         let q = SchedQueue::new();
         for (i, (tid, pri)) in msgs.iter().enumerate() {
-            let _ = q.push(mk(*tid, *pri, i as u32));
+            q.push(mk(*tid, *pri, i as u32));
         }
         let victim_count = msgs.iter().filter(|(t, _)| *t == victim).count();
         let purged = q.purge(Tid::new(victim).unwrap());
@@ -377,7 +372,6 @@ proptest! {
 // ---- scheduler occupancy mask against a reference model ---------------
 
 use std::collections::{HashMap, VecDeque};
-use xdaq_core::{OverloadPolicy, PushOutcome};
 use xdaq_i2o::NUM_PRIORITIES;
 
 /// One priority level of the model: per-target FIFOs of tags and the
@@ -388,7 +382,7 @@ struct ModelLevel {
     rotation: VecDeque<u16>,
 }
 
-/// Reference scheduler: the same FIFO / round-robin / eviction rules,
+/// Reference scheduler: the same FIFO / round-robin rules,
 /// but `pop` scans every level from the top, the way the queue did
 /// before it kept an occupancy mask.
 #[derive(Default)]
@@ -398,7 +392,7 @@ struct ModelQueue {
 }
 
 impl ModelQueue {
-    fn insert(&mut self, target: u16, pri: u8, tag: u32) {
+    fn push(&mut self, target: u16, pri: u8, tag: u32) {
         let lv = &mut self.levels[pri as usize];
         let q = lv.queues.entry(target).or_default();
         if q.is_empty() {
@@ -406,29 +400,6 @@ impl ModelQueue {
         }
         q.push_back(tag);
         self.len += 1;
-    }
-
-    /// `None` = accepted, `Some(None)` = rejected, `Some(Some(tag))` =
-    /// accepted by evicting `tag`.
-    fn push(&mut self, cap: usize, target: u16, pri: u8, tag: u32) -> Option<Option<u32>> {
-        if self.len < cap {
-            self.insert(target, pri, tag);
-            return None;
-        }
-        for lv in self.levels[..pri as usize].iter_mut() {
-            let Some(&victim_target) = lv.rotation.back() else {
-                continue;
-            };
-            let q = lv.queues.get_mut(&victim_target).unwrap();
-            let victim = q.pop_back().unwrap();
-            if q.is_empty() {
-                lv.rotation.retain(|t| *t != victim_target);
-            }
-            self.len -= 1;
-            self.insert(target, pri, tag);
-            return Some(Some(victim));
-        }
-        Some(None)
     }
 
     /// The popped delivery as (target, priority, tag, more queued for
@@ -483,30 +454,24 @@ fn popped(d: Delivery) -> (u16, u8, u32, bool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random push / pop / purge sequences, with `DropLowestPriority`
-    /// evicting at a random capacity: every outcome, every popped
-    /// delivery (including whether its device's FIFO at that level
+    /// Random push / pop / purge sequences: every purge count, every
+    /// popped delivery (including whether its device's FIFO at that level
     /// still holds deliveries) and `len()` match the reference model,
     /// and after every operation the occupancy mask is exactly the set
     /// of non-empty priority levels.
     #[test]
     fn occupancy_mask_matches_the_reference_scheduler(
         ops in proptest::collection::vec((0u8..4, 0x10u16..0x14, 0u8..7), 1..300),
-        cap in 1usize..24,
     ) {
-        let q = SchedQueue::new().with_limits(Some(cap), OverloadPolicy::DropLowestPriority);
+        let q = SchedQueue::new();
         let mut model = ModelQueue::default();
         for (i, (op, target, pri)) in ops.into_iter().enumerate() {
             let tag = i as u32;
             match op {
-                // Pushes outnumber pops so the queue fills and evicts.
+                // Pushes outnumber pops so the queue builds depth.
                 0 | 1 => {
-                    let got = match q.push(mk(target, pri, tag)) {
-                        PushOutcome::Accepted => None,
-                        PushOutcome::Rejected(_) => Some(None),
-                        PushOutcome::Displaced(v) => Some(Some(v.header.transaction_context)),
-                    };
-                    prop_assert_eq!(got, model.push(cap, target, pri, tag));
+                    q.push(mk(target, pri, tag));
+                    model.push(target, pri, tag);
                 }
                 2 => prop_assert_eq!(q.pop().map(popped), model.pop()),
                 _ => {

@@ -155,9 +155,8 @@ impl Default for ShmCounters {
 /// Event-recorder counters (`xdaq-rec`).
 ///
 /// A `Recorder` device bound to its node's [`Registry`] surfaces
-/// `rec.records` / `rec.bytes` / `rec.segments` / `rec.fsyncs` /
-/// `rec.backpressure` plus the `rec.fsync_latency_ns` histogram in
-/// MonSnapshot scrapes — the fsync latency distribution is what tells
+/// `rec.records` / `rec.bytes` / `rec.segments` / `rec.fsyncs` plus
+/// the `rec.fsync_latency_ns` histogram in MonSnapshot scrapes — the fsync latency distribution is what tells
 /// an operator whether the durability interval or the disk is the
 /// bottleneck.
 #[derive(Clone)]
@@ -170,8 +169,6 @@ pub struct RecCounters {
     pub segments: Counter,
     /// `fdatasync` calls issued by the batching policy.
     pub fsyncs: Counter,
-    /// Times the watermark tripped and producers were blocked.
-    pub backpressure: Counter,
     /// Latency of each `fdatasync`, in nanoseconds.
     pub fsync_latency_ns: Histogram,
 }
@@ -184,7 +181,6 @@ impl RecCounters {
             bytes: Counter::new(),
             segments: Counter::new(),
             fsyncs: Counter::new(),
-            backpressure: Counter::new(),
             fsync_latency_ns: Histogram::new(),
         }
     }
@@ -196,7 +192,6 @@ impl RecCounters {
             bytes: registry.counter("rec.bytes"),
             segments: registry.counter("rec.segments"),
             fsyncs: registry.counter("rec.fsyncs"),
-            backpressure: registry.counter("rec.backpressure"),
             fsync_latency_ns: registry.histogram("rec.fsync_latency_ns"),
         }
     }

@@ -13,7 +13,7 @@
 use crossbeam::queue::SegQueue;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xdaq_core::{PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
 use xdaq_mempool::FrameBuf;
@@ -51,6 +51,15 @@ impl LoopbackHub {
         self.nodes.read().get(node).cloned()
     }
 
+    /// Removes `node` from the switch if `mailbox` is still the one
+    /// attached under that name (a newer PT may have taken it over).
+    fn detach(&self, node: &str, mailbox: &Arc<Mailbox>) {
+        let mut nodes = self.nodes.write();
+        if nodes.get(node).is_some_and(|m| Arc::ptr_eq(m, mailbox)) {
+            nodes.remove(node);
+        }
+    }
+
     /// Attached node count.
     pub fn len(&self) -> usize {
         self.nodes.read().len()
@@ -68,13 +77,6 @@ pub struct LoopbackPt {
     mailbox: Arc<Mailbox>,
     self_addr: PeerAddr,
     stopped: AtomicBool,
-    /// Outbound refusal threshold: a send toward a mailbox already
-    /// holding this many frames is refused with the frame handed back
-    /// (`0` = unbounded, the historical behaviour). Models a receiver
-    /// that stopped draining — the flow-control tests use it to create
-    /// hard backpressure without a real slow network. Set at runtime
-    /// via `configure("loop.capacity", n)`.
-    capacity: AtomicUsize,
     counters: PtCounters,
 }
 
@@ -86,7 +88,6 @@ impl LoopbackPt {
             mailbox: hub.attach(node),
             self_addr: PeerAddr::new("loop", node),
             stopped: AtomicBool::new(false),
-            capacity: AtomicUsize::new(0),
             counters: PtCounters::new(),
         })
     }
@@ -121,14 +122,6 @@ impl PeerTransport for LoopbackPt {
                 ));
             }
         };
-        let cap = self.capacity.load(Ordering::Relaxed);
-        if cap > 0 && target.queue.len() >= cap {
-            self.counters.on_send_error();
-            return Err(SendFailure::with_frame(
-                PtError::Io(format!("loop: mailbox {} full ({cap})", dest.rest())),
-                frame,
-            ));
-        }
         self.counters.on_send(frame.len());
         target.queue.push((frame, self.self_addr.clone()));
         Ok(())
@@ -144,21 +137,13 @@ impl PeerTransport for LoopbackPt {
 
     fn stop(&self) {
         self.stopped.store(true, Ordering::Release);
-        // Drain undelivered frames so their pool blocks recycle —
+        // Leave the switch first, so later sends toward this node fail
+        // `Unreachable` with their frame instead of parking it here;
+        // then drain undelivered frames so their pool blocks recycle —
         // frames parked in a dead mailbox would otherwise keep pool
         // occupancy nonzero forever (the chained-send leak).
+        self.hub.detach(self.self_addr.rest(), &self.mailbox);
         while self.mailbox.queue.pop().is_some() {}
-    }
-
-    fn configure(&self, key: &str, value: &str) -> Result<(), PtError> {
-        if key == "loop.capacity" {
-            let cap: usize = value
-                .parse()
-                .map_err(|_| PtError::BadAddress(format!("loop: bad value {key}={value}")))?;
-            self.capacity.store(cap, Ordering::Relaxed);
-            return Ok(());
-        }
-        Ok(())
     }
 
     fn counters(&self) -> Option<&PtCounters> {
@@ -226,21 +211,25 @@ mod tests {
     }
 
     #[test]
-    fn bounded_mailbox_refuses_with_frame_back() {
+    fn send_to_a_stopped_peer_returns_the_frame() {
+        use xdaq_mempool::{FrameAllocator, TablePool};
+        let pool = TablePool::with_defaults();
+        let baseline = pool.stats().live_blocks;
         let hub = LoopbackHub::new();
         let a = LoopbackPt::new(&hub, "a");
         let b = LoopbackPt::new(&hub, "b");
-        a.configure("loop.capacity", "2").unwrap();
-        a.send(&"loop://b".parse().unwrap(), frame(1)).unwrap();
-        a.send(&"loop://b".parse().unwrap(), frame(1)).unwrap();
-        let err = a.send(&"loop://b".parse().unwrap(), frame(1)).unwrap_err();
-        assert!(matches!(err.error, PtError::Io(_)));
-        assert!(err.frame.is_some(), "refused frame must come back");
-        // Draining the receiver reopens the mailbox.
-        b.poll().unwrap();
-        a.send(&"loop://b".parse().unwrap(), frame(1)).unwrap();
-        assert!(a.configure("loop.capacity", "x").is_err());
-        a.configure("loop.capacity", "0").unwrap(); // unbounded again
+        a.stop();
+        let err = b
+            .send(&"loop://a".parse().unwrap(), pool.alloc(64).unwrap())
+            .unwrap_err();
+        assert!(matches!(err.error, PtError::Unreachable(_)));
+        assert!(err.frame.is_some(), "frame must come back to the sender");
+        drop(err);
+        assert_eq!(pool.stats().live_blocks, baseline, "pool block stranded");
+        // The name is free again: a new PT under it receives.
+        let a2 = LoopbackPt::new(&hub, "a");
+        b.send(&"loop://a".parse().unwrap(), frame(3)).unwrap();
+        assert_eq!(a2.poll().unwrap().0.len(), 3);
     }
 
     #[test]

@@ -100,6 +100,15 @@ impl PciBus {
         self.slots.read().get(&slot).cloned()
     }
 
+    /// Frees `slot` if `inbound` is still the FIFO attached there (a
+    /// newer PT may have taken the slot over).
+    fn detach(&self, slot: u8, inbound: &Arc<SlotQueue>) {
+        let mut slots = self.slots.write();
+        if slots.get(&slot).is_some_and(|q| Arc::ptr_eq(q, inbound)) {
+            slots.remove(&slot);
+        }
+    }
+
     /// Segment name.
     pub fn segment(&self) -> &str {
         &self.segment
@@ -125,6 +134,7 @@ fn parse_pci(addr: &PeerAddr) -> Result<(String, u8), PtError> {
 pub struct PciPt {
     bus: Arc<PciBus>,
     inbound: Arc<SlotQueue>,
+    slot: u8,
     self_addr: PeerAddr,
     stopped: AtomicBool,
     counters: PtCounters,
@@ -138,6 +148,7 @@ impl PciPt {
         Arc::new(PciPt {
             bus: bus.clone(),
             inbound,
+            slot,
             self_addr: PeerAddr::new("pci", &format!("{}/{slot}", bus.segment())),
             stopped: AtomicBool::new(false),
             counters: PtCounters::new(),
@@ -205,9 +216,11 @@ impl PeerTransport for PciPt {
 
     fn stop(&self) {
         self.stopped.store(true, Ordering::Release);
-        // Drain undelivered frames so their pool blocks recycle, as
-        // `LoopbackPt::stop` does: frames parked in a dead slot FIFO
-        // would otherwise keep pool occupancy nonzero forever.
+        // Free the slot, then drain undelivered frames so their pool
+        // blocks recycle, as `LoopbackPt::stop` does: later sends fail
+        // `Unreachable` with their frame, and frames parked in a dead
+        // slot FIFO would otherwise keep pool occupancy nonzero forever.
+        self.bus.detach(self.slot, &self.inbound);
         while self.inbound.pop().is_some() {}
     }
 
@@ -273,6 +286,32 @@ mod tests {
             assert_eq!(pool.stats().live_blocks, 4);
             b.stop();
             assert_eq!(pool.stats().live_blocks, 0, "{kind:?}: blocks leaked");
+        }
+    }
+
+    #[test]
+    fn send_to_a_stopped_peer_returns_the_frame() {
+        use xdaq_mempool::{FrameAllocator, TablePool};
+        for kind in [FifoKind::Hardware { depth: 8 }, FifoKind::Software] {
+            let pool = TablePool::with_defaults();
+            let baseline = pool.stats().live_blocks;
+            let bus = PciBus::new("seg0", kind);
+            let a = PciPt::attach(&bus, 0);
+            let b = PciPt::attach(&bus, 1);
+            a.stop();
+            let err = b.send(&a.addr(), pool.alloc(64).unwrap()).unwrap_err();
+            assert!(matches!(err.error, PtError::Unreachable(_)), "{kind:?}");
+            assert!(err.frame.is_some(), "{kind:?}: frame must come back");
+            drop(err);
+            assert_eq!(
+                pool.stats().live_blocks,
+                baseline,
+                "{kind:?}: block stranded"
+            );
+            // The slot is free again: a new PT on it receives.
+            let a2 = PciPt::attach(&bus, 0);
+            b.send(&a2.addr(), frame(3)).unwrap();
+            assert_eq!(a2.poll().unwrap().0.len(), 3, "{kind:?}");
         }
     }
 

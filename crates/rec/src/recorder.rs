@@ -14,10 +14,6 @@
 //! * `dir` — recording directory (required; the device faults without it)
 //! * `segment_bytes`, `fsync_bytes`, `fsync_interval_ms` — see
 //!   [`RecConfig`]
-//! * `watermark_bytes` — backpressure threshold: while more than this
-//!   many appended bytes await `fdatasync`, the recorder switches the
-//!   executive's overload policy to `Block` and syncs before accepting
-//!   more (0 = disabled)
 //! * `forward` — device name to relay recorded frames to
 //!
 //! Runtime control rides on `ParamsSet`: `rec.sync=1` forces an
@@ -29,7 +25,7 @@ use std::io::IoSlice;
 use std::time::Duration;
 use xdaq_core::config::parse_kv;
 use xdaq_core::listener::UtilOutcome;
-use xdaq_core::{Delivery, Dispatcher, I2oListener, OverloadPolicy, TimerId};
+use xdaq_core::{Delivery, Dispatcher, I2oListener, TimerId};
 use xdaq_i2o::{DeviceClass, MsgFlags, MsgHeader, ReplyStatus, Tid, UtilFn};
 use xdaq_mon::RecCounters;
 
@@ -42,7 +38,6 @@ pub struct Recorder {
     /// Frames of chains still awaiting their final (`!MORE`) frame.
     pending: HashMap<ChainKey, Vec<Delivery>>,
     counters: RecCounters,
-    watermark: u64,
     fsync_interval: Duration,
     forward: Option<String>,
     segments_seen: u64,
@@ -57,7 +52,6 @@ impl Recorder {
             writer: None,
             pending: HashMap::new(),
             counters: RecCounters::new(),
-            watermark: 0,
             fsync_interval: Duration::from_millis(50),
             forward: None,
             segments_seen: 0,
@@ -98,29 +92,6 @@ impl Recorder {
             ctx.fault();
             return;
         };
-        // Backpressure: if the disk is behind by more than the
-        // watermark, make producers wait (Block policy) while we force
-        // the dirty bytes down, then restore the operator's limits.
-        if self.watermark > 0 && writer.dirty_bytes() >= self.watermark {
-            self.counters.backpressure.inc();
-            let (cap, policy) = ctx.overload();
-            ctx.set_overload(
-                Some(cap.unwrap_or(1024)),
-                OverloadPolicy::Block {
-                    deadline: Duration::from_secs(1),
-                },
-            );
-            let synced = writer.sync();
-            ctx.set_overload(cap, policy);
-            match synced {
-                Ok(lat) => self.account_sync(lat),
-                Err(_) => {
-                    ctx.fault();
-                    return;
-                }
-            }
-        }
-        let writer = self.writer.as_mut().expect("checked above");
         // Zero-copy gather: one iovec per frame, each pointing into the
         // frame's pool block.
         let parts: Vec<IoSlice<'_>> = chain
@@ -186,10 +157,6 @@ impl I2oListener for Recorder {
         if let Some(v) = ctx.param("fsync_interval_ms").and_then(|s| s.parse().ok()) {
             cfg.fsync_interval = Duration::from_millis(v);
         }
-        self.watermark = ctx
-            .param("watermark_bytes")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
         self.forward = ctx.param("forward").map(str::to_string);
         self.fsync_interval = cfg.fsync_interval;
         self.counters = RecCounters::bound_to(ctx.metrics());

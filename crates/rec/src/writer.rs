@@ -9,9 +9,7 @@
 //!
 //! Durability is batched: appends dirty the page cache only, and
 //! [`RecWriter::maybe_sync`] issues `fdatasync` once the configured
-//! byte budget or time interval is exceeded. The dirty-byte count is
-//! exposed so the recorder can raise backpressure (switch the
-//! executive's `OverloadPolicy`) when the disk falls behind.
+//! byte budget or time interval is exceeded.
 
 use crate::crc::Crc32;
 use crate::segment::{encode_header, list_segments, segment_path, SEG_HEADER_LEN};
@@ -218,8 +216,7 @@ impl RecWriter {
         }
     }
 
-    /// Bytes appended but not yet known durable (the backpressure
-    /// signal).
+    /// Bytes appended but not yet known durable.
     pub fn dirty_bytes(&self) -> u64 {
         self.dirty_bytes
     }

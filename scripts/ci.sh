@@ -55,6 +55,27 @@ for gone in host app probe bench; do
 done
 [ "$bad" -eq 0 ] || exit 1
 
+echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="
+# Everything on an executive's event path reads time through its Clock.
+# In non-test code of crates/core/src and crates/evb/src (each file up
+# to its first #[cfg(test)], comment lines skipped), Instant::now() and
+# thread::sleep may appear only in clock.rs (the seam itself),
+# admission.rs (the token bucket) and executive.rs (watchdog, trace and
+# uptime stamps).
+wall=$(find crates/core/src crates/evb/src -name '*.rs' \
+    ! -name clock.rs ! -name admission.rs ! -name executive.rs | sort \
+    | xargs awk '
+        FNR == 1 { live = 1 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+        live && !/^[[:space:]]*\/\// && /Instant::now\(\)|thread::sleep/ {
+            print FILENAME ":" FNR ": " $0
+        }')
+if [ -n "$wall" ]; then
+    echo "$wall" >&2
+    echo "wall time outside the clock seam (listed above): take the executive's Clock" >&2
+    exit 1
+fi
+
 echo "== cargo test (workspace) =="
 # Every always-on suite runs here, once. What the ones an operator
 # would look for cover:

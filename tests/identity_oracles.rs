@@ -8,8 +8,12 @@
 //!   frames, so a protocol change that alters what is decided changes
 //!   the hash and one that only changes how it is carried does not.
 //! * The key set of a default executive's `mon_snapshot()`: every key
-//!   path at every depth, 55 of them. A renamed, added or dropped
-//!   metric shows up here.
+//!   path at every depth, 54 of them. A renamed, added or dropped
+//!   metric shows up here. The executive's overload-drop counter left
+//!   the set (55 → 54) with the scheduling queue's overload valve: the
+//!   queue is unbounded and never refuses a delivery, so the counter
+//!   could no longer move (a node bounds its inbound work with link
+//!   credits, DESIGN.md §13).
 //!
 //! A change that moves either on purpose updates the constant here and
 //! explains the difference for one seed.
@@ -101,7 +105,6 @@ fn default_executive_snapshot_keys_unchanged() {
             "exec.exec_msgs",
             "exec.faults",
             "exec.forwarded",
-            "exec.overload_drops",
             "exec.sent_local",
             "exec.sent_peer",
             "exec.timers_fired",
@@ -121,6 +124,6 @@ fn default_executive_snapshot_keys_unchanged() {
     )
     .chain((0..7).map(|p| format!("metrics.gauges.queue.depth.p{p}")))
     .collect();
-    assert_eq!(expected.len(), 55);
+    assert_eq!(expected.len(), 54);
     assert_eq!(keys, expected);
 }
