@@ -149,7 +149,7 @@ impl Delivery {
         Message {
             header: self.header,
             private: self.private,
-            payload: bytes::Bytes::copy_from_slice(self.payload()),
+            payload: self.payload().into(),
         }
     }
 
@@ -283,7 +283,7 @@ impl<'a> Dispatcher<'a> {
     /// block, encodes the I2O and private headers with this device as
     /// initiator, has `fill` write the `payload_len` payload bytes
     /// straight into the block, and routes it. One pool allocation, no
-    /// intermediate `Vec`/`Bytes`, no encode-then-decode; on `Err` the
+    /// intermediate `Vec` or `Message`, no encode-then-decode; on `Err` the
     /// block has already gone back to the pool. `fill` must write
     /// every byte — the slice is not zeroed.
     pub fn send_private_with(

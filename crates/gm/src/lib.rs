@@ -6,8 +6,10 @@
 //! that exercises the same code paths (see DESIGN.md, substitutions):
 //!
 //! * **user-level, OS-bypass messaging** — ports are plain objects in
-//!   process memory; send/poll never enter the kernel (our packets
-//!   travel through in-memory queues between threads);
+//!   process memory; send/poll never enter the kernel. A send copies
+//!   the payload into a packet and pushes it onto the destination
+//!   port's inbound queue, a locked deque bounded by
+//!   [`PortConfig::inbound_capacity`]; the receiver busy-polls it;
 //! * **GM's token discipline** — a port holds a finite number of *send
 //!   tokens*; a send consumes one and the matching
 //!   [`GmEvent::SendCompleted`] returns it. Receivers must *provide
@@ -29,14 +31,12 @@ pub mod error;
 pub mod latency;
 pub mod net;
 pub mod port;
-pub mod ring;
 pub mod token;
 
 pub use error::GmError;
 pub use latency::LatencyModel;
 pub use net::{Fabric, FabricStats, NodeId};
 pub use port::{GmAddr, GmEvent, Port, PortConfig, PortId};
-pub use ring::SpscRing;
 pub use token::TokenCounter;
 
 /// Largest message one GM packet can carry (GM 1.x allowed up to 2^31,

@@ -102,9 +102,14 @@ impl Fabric {
             })
     }
 
-    /// Removes a port on close.
-    pub(crate) fn unregister(&self, addr: GmAddr) {
-        self.ports.write().remove(&(addr.node.0, addr.port.0));
+    /// Removes `port` on close, if it still owns its address (a newer
+    /// port may have opened there since).
+    pub(crate) fn unregister(&self, port: &Arc<PortInner>) {
+        let key = (port.addr.node.0, port.addr.port.0);
+        let mut ports = self.ports.write();
+        if ports.get(&key).is_some_and(|p| Arc::ptr_eq(p, port)) {
+            ports.remove(&key);
+        }
     }
 
     pub(crate) fn account_send(&self, bytes: usize) {

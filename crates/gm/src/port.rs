@@ -4,7 +4,6 @@ use crate::error::GmError;
 use crate::net::{Fabric, NodeId};
 use crate::token::TokenCounter;
 use crate::GM_MAX_MESSAGE;
-use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -105,10 +104,10 @@ pub enum GmEvent {
 }
 
 pub(crate) struct PortInner {
-    addr: GmAddr,
+    pub(crate) addr: GmAddr,
     inbound: Mutex<VecDeque<Packet>>,
     inbound_capacity: usize,
-    completions: SegQueue<GmEvent>,
+    completions: Mutex<VecDeque<GmEvent>>,
     send_tokens: TokenCounter,
     credits: [AtomicI64; NUM_SIZE_CLASSES],
     unlimited_credits: bool,
@@ -120,7 +119,7 @@ impl PortInner {
             addr,
             inbound: Mutex::new(VecDeque::with_capacity(64)),
             inbound_capacity: config.inbound_capacity,
-            completions: SegQueue::new(),
+            completions: Mutex::default(),
             send_tokens: TokenCounter::new(config.send_tokens),
             credits: std::array::from_fn(|_| AtomicI64::new(0)),
             unlimited_credits: config.unlimited_credits,
@@ -210,13 +209,14 @@ impl Port {
         self.inner.send_tokens.release();
         self.inner
             .completions
-            .push(GmEvent::SendCompleted { dest, len, context });
+            .lock()
+            .push_back(GmEvent::SendCompleted { dest, len, context });
         Ok(())
     }
 
     /// Non-blocking poll for the next event (`gm_receive`).
     pub fn poll(&self) -> Option<GmEvent> {
-        if let Some(ev) = self.inner.completions.pop() {
+        if let Some(ev) = self.inner.completions.lock().pop_front() {
             return Some(ev);
         }
         let mut q = self.inner.inbound.lock();
@@ -268,11 +268,18 @@ impl Port {
     pub fn pending(&self) -> usize {
         self.inner.inbound.lock().len()
     }
+
+    /// Releases this port's fabric address: later sends to it fail
+    /// [`GmError::UnknownPort`], and a new port may open there. Idempotent;
+    /// dropping the port does the same.
+    pub fn close(&self) {
+        self.fabric.unregister(&self.inner);
+    }
 }
 
 impl Drop for Port {
     fn drop(&mut self) {
-        self.fabric.unregister(self.inner.addr);
+        self.close();
     }
 }
 

@@ -12,7 +12,7 @@ use crate::frame::{FrameError, MsgHeader, PrivateHeader, HEADER_LEN, PRIVATE_HEA
 use crate::function::{ExecFn, FunctionCode, ReplyStatus, UtilFn};
 use crate::tid::Tid;
 use crate::OrgId;
-use bytes::Bytes;
+use std::sync::Arc;
 
 /// One complete, owned I2O message.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -23,7 +23,7 @@ pub struct Message {
     /// Private extension, present iff `header.function == 0xFF`.
     pub private: Option<PrivateHeader>,
     /// Payload bytes (cheaply cloneable).
-    pub payload: Bytes,
+    pub payload: Arc<[u8]>,
 }
 
 impl Message {
@@ -33,7 +33,7 @@ impl Message {
             msg: Message {
                 header: MsgHeader::new(target, initiator, function),
                 private: None,
-                payload: Bytes::new(),
+                payload: Arc::default(),
             },
         }
     }
@@ -49,7 +49,7 @@ impl Message {
             msg: Message {
                 header: MsgHeader::new(target, initiator, FunctionCode::Private),
                 private: Some(PrivateHeader::new(org, x_function)),
-                payload: Bytes::new(),
+                payload: Arc::default(),
             },
         }
     }
@@ -76,7 +76,7 @@ impl Message {
         Message {
             header,
             private,
-            payload: Bytes::from(payload),
+            payload: payload.into(),
         }
     }
 
@@ -157,7 +157,7 @@ impl Message {
         Ok(Message {
             header,
             private,
-            payload: Bytes::copy_from_slice(&buf[payload_off..payload_end]),
+            payload: buf[payload_off..payload_end].into(),
         })
     }
 }
@@ -170,7 +170,7 @@ pub struct MessageBuilder {
 
 impl MessageBuilder {
     /// Sets the payload bytes.
-    pub fn payload(mut self, bytes: impl Into<Bytes>) -> MessageBuilder {
+    pub fn payload(mut self, bytes: impl Into<Arc<[u8]>>) -> MessageBuilder {
         self.msg.payload = bytes.into();
         self
     }

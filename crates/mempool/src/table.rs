@@ -13,9 +13,15 @@
 //! * size classes are powers of two from 64 B to 256 KB — the
 //!   requested-size → class mapping is a constant-time bit operation
 //!   (the "table"),
-//! * each class has its own lock-free free list
-//!   ([`crossbeam::queue::SegQueue`]), so concurrent PT threads and the
-//!   dispatch thread never contend on one global lock,
+//! * each class has its own free list, a mutex-guarded FIFO
+//!   (`Mutex<VecDeque<Block>>`): threads working in different classes
+//!   never share a lock. Every allocation and every recycle takes that
+//!   lock; a lock-free list is open work (ROADMAP.md item 14). An
+//!   allocation gets the *least* recently freed block of its class.
+//!   Blocks are often freed on one thread and reused on another (a
+//!   socket driver recycles what the dispatch thread allocated), and
+//!   there handing out the block just freed measured slower than
+//!   handing out an older one (EXPERIMENTS.md "SHIMS"),
 //! * blocks are created **on demand**: nothing is pre-allocated, and a
 //!   stable working set reaches 100 % recycle hits after warm-up.
 
@@ -23,7 +29,8 @@ use crate::block::{Block, BlockRecycler};
 use crate::frame_buf::FrameBuf;
 use crate::stats::AtomicStats;
 use crate::{AllocError, FrameAllocator, PoolStats, MAX_BLOCK_LEN};
-use crossbeam::queue::SegQueue;
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -53,7 +60,7 @@ pub const fn class_capacity(class: usize) -> usize {
 
 /// The optimized pool. See module docs.
 pub struct TablePool {
-    classes: Vec<SegQueue<Block>>,
+    classes: Vec<Mutex<VecDeque<Block>>>,
     stats: AtomicStats,
     created: AtomicUsize,
     max_blocks: usize,
@@ -70,7 +77,7 @@ impl TablePool {
 
     /// Pool bounded to `max_blocks` total block creations.
     pub fn new(max_blocks: usize) -> Arc<TablePool> {
-        let classes = (0..NUM_CLASSES).map(|_| SegQueue::new()).collect();
+        let classes = (0..NUM_CLASSES).map(|_| Mutex::default()).collect();
         Arc::new_cyclic(|weak| TablePool {
             classes,
             stats: AtomicStats::default(),
@@ -83,28 +90,6 @@ impl TablePool {
     fn recycler(&self) -> Arc<dyn BlockRecycler> {
         self.self_ref.upgrade().expect("pool alive") as Arc<dyn BlockRecycler>
     }
-
-    /// Pre-warms `count` blocks in the class serving `len`-byte
-    /// requests. Optional — the pool is on-demand by design — but lets
-    /// latency-critical setups avoid first-touch cost.
-    pub fn prewarm(&self, len: usize, count: usize) -> Result<(), AllocError> {
-        let class = size_class(len).ok_or(AllocError::TooLarge(len))?;
-        for _ in 0..count {
-            if self.created.fetch_add(1, Ordering::Relaxed) >= self.max_blocks {
-                self.created.fetch_sub(1, Ordering::Relaxed);
-                return Err(AllocError::Exhausted {
-                    requested: len,
-                    live_blocks: self.stats.snapshot().live_blocks as usize,
-                });
-            }
-            let cap = class_capacity(class);
-            self.stats
-                .bytes_created
-                .fetch_add(cap as u64, Ordering::Relaxed);
-            self.classes[class].push(Block::new(cap));
-        }
-        Ok(())
-    }
 }
 
 impl FrameAllocator for TablePool {
@@ -114,7 +99,8 @@ impl FrameAllocator for TablePool {
             self.stats.on_failure();
             return Err(AllocError::TooLarge(len));
         };
-        if let Some(mut block) = self.classes[class].pop() {
+        let recycled = self.classes[class].lock().pop_front();
+        if let Some(mut block) = recycled {
             block.set_len(len);
             self.stats.on_alloc(true, 0);
             return Ok(FrameBuf::new(block, self.recycler()));
@@ -151,7 +137,7 @@ impl BlockRecycler for TablePool {
         if let Some(class) = size_class(cap) {
             if class_capacity(class) == cap {
                 block.set_len(0);
-                self.classes[class].push(block);
+                self.classes[class].lock().push_back(block);
                 self.stats.on_free();
             }
         }
@@ -207,22 +193,24 @@ mod tests {
     }
 
     #[test]
+    fn least_recently_freed_block_is_reused_first() {
+        let p = TablePool::with_defaults();
+        let a = p.alloc(100).unwrap();
+        let b = p.alloc(100).unwrap();
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        drop(a);
+        drop(b);
+        let c = p.alloc(100).unwrap();
+        let d = p.alloc(100).unwrap();
+        assert_eq!((c.as_ptr(), d.as_ptr()), (pa, pb), "free list is a FIFO");
+    }
+
+    #[test]
     fn budget_enforced() {
         let p = TablePool::new(2);
         let _a = p.alloc(10).unwrap();
         let _b = p.alloc(10).unwrap();
         assert!(matches!(p.alloc(10), Err(AllocError::Exhausted { .. })));
-    }
-
-    #[test]
-    fn prewarm_fills_class() {
-        let p = TablePool::with_defaults();
-        p.prewarm(512, 8).unwrap();
-        for _ in 0..8 {
-            let f = p.alloc(512).unwrap();
-            std::mem::forget(f); // keep them live
-        }
-        assert_eq!(p.stats().misses, 0, "all served from prewarmed list");
     }
 
     #[test]

@@ -204,6 +204,10 @@ impl PeerTransport for GmPt {
 
     fn stop(&self) {
         self.stopped.store(true, Ordering::Release);
+        // Leave the fabric, as `LoopbackPt::stop` leaves its hub: a send
+        // toward this port then fails `Unreachable` with its frame
+        // instead of queueing where nobody polls.
+        self.port.close();
         if let Some(t) = self.task.lock().take() {
             if t.join().is_err() {
                 self.panics.fetch_add(1, Ordering::Relaxed);
@@ -306,6 +310,27 @@ mod tests {
         a.stop();
         let err = a.send(&b.addr(), FrameBuf::from_bytes(b"x")).unwrap_err();
         assert!(matches!(err.error, PtError::Closed));
+    }
+
+    #[test]
+    fn send_to_a_stopped_peer_returns_the_frame() {
+        let pool = pool();
+        let fabric = Fabric::new();
+        let a = GmPt::open(&fabric, 1, 0, PtMode::Task, pool.clone(), None).unwrap();
+        let b = GmPt::open(&fabric, 2, 0, PtMode::Polling, pool.clone(), None).unwrap();
+        a.start(Arc::new(|_, _| {})).unwrap();
+        a.stop();
+        let err = b.send(&a.addr(), pool.alloc(64).unwrap()).unwrap_err();
+        assert!(matches!(err.error, PtError::Unreachable(_)));
+        assert!(err.frame.is_some(), "frame must come back to the sender");
+        drop(err);
+        assert_eq!(pool.stats().live_blocks, 0, "pool block stranded");
+        // The address is free again, and dropping the stopped PT does
+        // not evict the new one there.
+        let a2 = GmPt::open(&fabric, 1, 0, PtMode::Polling, pool.clone(), None).unwrap();
+        drop(a);
+        b.send(&a2.addr(), FrameBuf::from_bytes(b"hi")).unwrap();
+        assert_eq!(&a2.poll().unwrap().0[..], b"hi");
     }
 
     #[test]

@@ -2,26 +2,24 @@
 //! through plain queues.
 //!
 //! This is the reference PT: no wire format, no latency and no copy —
-//! a send hands the pooled frame itself to the receiver's mailbox. It
-//! exists to (a) run whole multi-node topologies inside one process for
-//! tests and examples, and (b) serve as the zero-cost baseline that
-//! isolates executive overhead from transport overhead.
+//! a send hands the pooled frame itself to the receiver's mailbox, a
+//! locked deque. It exists to (a) run whole multi-node topologies
+//! inside one process for tests and examples, and (b) serve as the
+//! zero-cost baseline that isolates executive overhead from transport
+//! overhead.
 //!
 //! A [`LoopbackHub`] plays the role of the fabric; each executive
 //! attaches one polling-mode [`LoopbackPt`] under a node name.
 
-use crossbeam::queue::SegQueue;
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use parking_lot::{Mutex, RwLock};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xdaq_core::{PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
 use xdaq_mempool::FrameBuf;
 use xdaq_mon::PtCounters;
 
-struct Mailbox {
-    queue: SegQueue<(FrameBuf, PeerAddr)>,
-}
+type Mailbox = Mutex<VecDeque<(FrameBuf, PeerAddr)>>;
 
 /// The in-process switch connecting loopback PTs by node name.
 #[derive(Default)]
@@ -37,14 +35,7 @@ impl LoopbackHub {
 
     fn attach(&self, node: &str) -> Arc<Mailbox> {
         let mut nodes = self.nodes.write();
-        nodes
-            .entry(node.to_string())
-            .or_insert_with(|| {
-                Arc::new(Mailbox {
-                    queue: SegQueue::new(),
-                })
-            })
-            .clone()
+        nodes.entry(node.to_string()).or_default().clone()
     }
 
     fn lookup(&self, node: &str) -> Option<Arc<Mailbox>> {
@@ -123,12 +114,12 @@ impl PeerTransport for LoopbackPt {
             }
         };
         self.counters.on_send(frame.len());
-        target.queue.push((frame, self.self_addr.clone()));
+        target.lock().push_back((frame, self.self_addr.clone()));
         Ok(())
     }
 
     fn poll(&self) -> Option<(FrameBuf, PeerAddr)> {
-        let got = self.mailbox.queue.pop();
+        let got = self.mailbox.lock().pop_front();
         if let Some((f, _)) = &got {
             self.counters.on_recv(f.len());
         }
@@ -143,7 +134,7 @@ impl PeerTransport for LoopbackPt {
         // frames parked in a dead mailbox would otherwise keep pool
         // occupancy nonzero forever (the chained-send leak).
         self.hub.detach(self.self_addr.rest(), &self.mailbox);
-        while self.mailbox.queue.pop().is_some() {}
+        self.mailbox.lock().clear();
     }
 
     fn counters(&self) -> Option<&PtCounters> {

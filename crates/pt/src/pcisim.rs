@@ -4,20 +4,20 @@
 //! 480 based processor board ... The board gives I2O support through
 //! hardware FIFOs, which will allow us to provide communication
 //! efficiency measurements with and without hardware support."* The
-//! paper only announces that experiment; this module builds it:
+//! paper only announces that experiment; this module models its
+//! semantics, not its hardware. Every slot's inbound FIFO is the same
+//! locked deque, and the two modes differ only in its depth bound:
 //!
-//! * **hardware FIFO mode** — bounded lock-free queues
-//!   ([`crossbeam::queue::ArrayQueue`]) of fixed depth, modelling the
-//!   inbound/outbound message FIFOs of an I2O-supporting bridge; a full
-//!   FIFO is visible backpressure, exactly like a full hardware ring;
-//! * **software queue mode** — an unbounded mutex-protected queue,
-//!   modelling the plain shared-memory mailbox a board without I2O
-//!   FIFO support would use.
+//! * **hardware FIFO mode** — at most `depth` frames, like the inbound
+//!   message FIFO of an I2O-supporting bridge; a send into a full FIFO
+//!   fails `WouldBlock` and hands the frame back, the visible
+//!   backpressure of a full hardware ring;
+//! * **software queue mode** — unbounded, like the plain shared-memory
+//!   mailbox a board without I2O FIFO support would use.
 //!
 //! The HWFIFO shape test in `tests/paper.rs` drives a ping-pong over
 //! both modes.
 
-use crossbeam::queue::ArrayQueue;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,39 +29,37 @@ use xdaq_mon::PtCounters;
 /// Queue flavour per slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FifoKind {
-    /// Bounded lock-free ring ("hardware FIFO", I2O-supporting board).
+    /// FIFO bounded to `depth` frames ("hardware FIFO", I2O-supporting
+    /// board). It differs from `Software` only in that bound.
     Hardware {
-        /// Ring depth in messages.
+        /// FIFO depth in messages.
         depth: usize,
     },
-    /// Unbounded mutex-protected queue (software mailbox).
+    /// Unbounded FIFO (software mailbox).
     Software,
 }
 
-enum SlotQueue {
-    Hardware(ArrayQueue<(FrameBuf, PeerAddr)>),
-    Software(Mutex<VecDeque<(FrameBuf, PeerAddr)>>),
+/// A slot's inbound FIFO: a locked deque holding at most `depth`
+/// frames.
+struct SlotQueue {
+    frames: Mutex<VecDeque<(FrameBuf, PeerAddr)>>,
+    depth: usize,
 }
 
 impl SlotQueue {
-    /// A full hardware ring hands the rejected item back (crossbeam's
-    /// `ArrayQueue::push` returns it in `Err`), so the frame survives
+    /// A full FIFO hands the rejected item back, so the frame survives
     /// for retry.
     fn push(&self, item: (FrameBuf, PeerAddr)) -> Result<(), (FrameBuf, PeerAddr)> {
-        match self {
-            SlotQueue::Hardware(q) => q.push(item),
-            SlotQueue::Software(q) => {
-                q.lock().push_back(item);
-                Ok(())
-            }
+        let mut frames = self.frames.lock();
+        if frames.len() >= self.depth {
+            return Err(item);
         }
+        frames.push_back(item);
+        Ok(())
     }
 
     fn pop(&self) -> Option<(FrameBuf, PeerAddr)> {
-        match self {
-            SlotQueue::Hardware(q) => q.pop(),
-            SlotQueue::Software(q) => q.lock().pop_front(),
-        }
+        self.frames.lock().pop_front()
     }
 }
 
@@ -88,9 +86,12 @@ impl PciBus {
         slots
             .entry(slot)
             .or_insert_with(|| {
-                Arc::new(match self.kind {
-                    FifoKind::Hardware { depth } => SlotQueue::Hardware(ArrayQueue::new(depth)),
-                    FifoKind::Software => SlotQueue::Software(Mutex::new(VecDeque::new())),
+                Arc::new(SlotQueue {
+                    frames: Mutex::default(),
+                    depth: match self.kind {
+                        FifoKind::Hardware { depth } => depth,
+                        FifoKind::Software => usize::MAX,
+                    },
                 })
             })
             .clone()

@@ -9,11 +9,11 @@
 //! blocks with [`FLAG_MORE`] descriptors when they exceed one block.
 //!
 //! The PT runs in both PTA modes: in polling mode the executive scans
-//! the receive rings; in task mode a thread busy-polls for a
-//! configurable spin budget, then advertises `waiting = 1` in its side
-//! slot and sleeps on its eventfd doorbell — senders ring the peer's
-//! doorbell (reopened via `/proc/<pid>/fd/<fd>`) only when that flag
-//! is up, so the steady-state fast path makes no syscalls at all.
+//! the receive rings; in task mode a thread busy-polls for
+//! [`ShmPt::SPIN_BUDGET`] empty scans, then advertises `waiting = 1` in
+//! its side slot and sleeps on its eventfd doorbell — senders ring the
+//! peer's doorbell (reopened via `/proc/<pid>/fd/<fd>`) only when that
+//! flag is up, so the steady-state fast path makes no syscalls at all.
 //!
 //! Peer death is detected from the region header (side slot cleared,
 //! epoch changed, or the advertised pid gone from `/proc`) and
@@ -505,7 +505,6 @@ fn frame_tid(bytes: &[u8]) -> u16 {
 
 /// State shared between the PT facade and its task thread.
 struct ShmShared {
-    spin_budget: AtomicU32,
     links: RwLock<Vec<Arc<ShmLink>>>,
     counters: PtCounters,
     shm: RwLock<ShmCounters>,
@@ -537,22 +536,15 @@ pub struct ShmPt {
 }
 
 impl ShmPt {
-    /// Default spin budget before a task-mode thread sleeps.
-    pub const DEFAULT_SPIN_BUDGET: u32 = 2_000;
+    /// Empty scans a task-mode thread spins through before it sleeps
+    /// on its doorbell.
+    pub const SPIN_BUDGET: u32 = 2_000;
 
     /// New transport in the given PTA mode.
     pub fn new(mode: PtMode) -> Arc<ShmPt> {
-        ShmPt::with_spin_budget(mode, ShmPt::DEFAULT_SPIN_BUDGET)
-    }
-
-    /// New transport with an explicit busy-poll spin budget (task
-    /// mode: iterations of empty scanning before sleeping on the
-    /// doorbell).
-    pub fn with_spin_budget(mode: PtMode, spin_budget: u32) -> Arc<ShmPt> {
         Arc::new(ShmPt {
             mode,
             shared: Arc::new(ShmShared {
-                spin_budget: AtomicU32::new(spin_budget),
                 links: RwLock::new(Vec::new()),
                 counters: PtCounters::new(),
                 shm: RwLock::new(ShmCounters::new()),
@@ -668,16 +660,6 @@ impl PeerTransport for ShmPt {
         }
     }
 
-    fn configure(&self, key: &str, value: &str) -> Result<(), PtError> {
-        if key == "spin_budget" {
-            let v: u32 = value
-                .parse()
-                .map_err(|_| PtError::Io(format!("spin_budget '{value}' not a number")))?;
-            self.shared.spin_budget.store(v, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
     fn take_panics(&self) -> u64 {
         self.panics.swap(0, Ordering::Relaxed)
     }
@@ -715,7 +697,7 @@ fn task_loop(shared: &ShmShared, sink: IngestSink) {
             continue;
         }
         spins = spins.saturating_add(1);
-        if spins <= shared.spin_budget.load(Ordering::Relaxed) {
+        if spins <= ShmPt::SPIN_BUDGET {
             shm.spin.inc();
             std::hint::spin_loop();
             continue;
@@ -941,7 +923,7 @@ mod tests {
         let path = tmp("task");
         let a = ShmPt::new(PtMode::Polling);
         let la = a.create_link(&path, small()).unwrap();
-        let b = ShmPt::with_spin_budget(PtMode::Task, 64);
+        let b = ShmPt::new(PtMode::Task);
         let lb = b.attach_link(&path).unwrap();
         let got = Arc::new(Mutex::new(Vec::new()));
         let sink_got = got.clone();
@@ -949,6 +931,15 @@ mod tests {
             sink_got.lock().push((f.len(), src));
         });
         b.start(sink).unwrap();
+        // Send only once the receiver has spent its spin budget and
+        // sleeps on its doorbell, so the first send must ring it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while (b.shm_counters().spin.get() < u64::from(ShmPt::SPIN_BUDGET)
+            || lb.own_slot().waiting.load(Ordering::SeqCst) == 0)
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::yield_now();
+        }
         let pool = la.pool();
         for i in 0..50usize {
             let mut f = pool.alloc(64 + i).unwrap();
@@ -974,15 +965,7 @@ mod tests {
         assert_eq!(got.len(), 50);
         assert!(got.iter().all(|(_, src)| src == lb.peer_addr()));
         assert_eq!(pool.copies(), 0);
+        assert!(a.shm_counters().doorbells.get() > 0, "sleeping peer rung");
         let _ = lb; // keep link alive until after assertions
-    }
-
-    #[test]
-    fn spin_budget_configurable() {
-        let pt = ShmPt::new(PtMode::Task);
-        pt.configure("spin_budget", "17").unwrap();
-        assert_eq!(pt.shared.spin_budget.load(Ordering::Relaxed), 17);
-        assert!(pt.configure("spin_budget", "nope").is_err());
-        pt.configure("unrelated", "x").unwrap();
     }
 }

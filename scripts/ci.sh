@@ -53,6 +53,13 @@ for gone in host app probe bench; do
         bad=1
     fi
 done
+# The crossbeam and bytes shims were a locked deque and an Arc<[u8]>
+# under borrowed names. benchmark/ is left out: its lock file is stale.
+if grep -nE '^(crossbeam|bytes)\b' Cargo.toml crates/*/Cargo.toml \
+    || grep -rnE '(^|[^A-Za-z0-9_])(crossbeam|bytes)::' crates src tests examples; then
+    echo "crossbeam/bytes (listed above) were removed; DESIGN.md §2 lists the shims that remain" >&2
+    bad=1
+fi
 [ "$bad" -eq 0 ] || exit 1
 
 echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="

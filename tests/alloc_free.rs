@@ -25,8 +25,10 @@
 //! builder, where a batch is about a builder's full credit, and exactly
 //! 15 with one credit per builder, where every batch is one event.
 //!
-//! No vendored shim forces an allocation: the `crossbeam` stand-in's
-//! queues are rings that stop growing once warm. The one thing that
+//! The frame path's queues (the pool's per-class free stacks, the
+//! loopback mailboxes, the scheduler FIFOs) are std collections behind
+//! a lock that keep their capacity once warm, so none of them forces an
+//! allocation. The one thing that
 //! still can allocate is `std`'s `HashMap`: the eleven tables whose
 //! entries come and go per event (a readout's store, the manager's
 //! assignment table, a builder's timer and reassembly tables, a timer
