@@ -451,19 +451,25 @@ impl Pta {
     }
 
     /// Unregisters (and stops) the transport with the given TiD.
+    ///
+    /// The transport is stopped after the entries lock is released:
+    /// `stop` joins task threads, and one of them may be inside the
+    /// ingest sink, sending through this agent.
     pub fn unregister(&self, tid: Tid) -> bool {
-        let mut entries = self.entries.write();
-        if let Some(i) = entries.iter().position(|e| e.tid == tid) {
-            let e = entries.remove(i);
-            e.pt.stop();
-            let panics = e.pt.take_panics();
-            if panics > 0 {
-                self.metrics.read().task_panics.add(panics);
-            }
-            true
-        } else {
-            false
+        let removed = {
+            let mut entries = self.entries.write();
+            let i = entries.iter().position(|e| e.tid == tid);
+            i.map(|i| entries.remove(i))
+        };
+        let Some(e) = removed else {
+            return false;
+        };
+        e.pt.stop();
+        let panics = e.pt.take_panics();
+        if panics > 0 {
+            self.metrics.read().task_panics.add(panics);
         }
+        true
     }
 
     /// Finds the transport serving `scheme`.
@@ -949,6 +955,65 @@ mod tests {
         assert!(pt.stopped.load(std::sync::atomic::Ordering::SeqCst));
         assert!(!pta.unregister(tid(0x10)));
         assert!(pta.is_empty());
+    }
+
+    /// A task-mode transport whose `stop` joins a reader thread that,
+    /// like a tcp/xpt/shm/GM reader inside the ingest sink, reaches back
+    /// into the agent before it can exit.
+    struct ReenteringPt {
+        /// Dropped by `stop`, which wakes the reader.
+        stop_signal: Mutex<Option<std::sync::mpsc::Sender<()>>>,
+        reader: Mutex<Option<std::thread::JoinHandle<()>>>,
+    }
+
+    impl PeerTransport for ReenteringPt {
+        fn scheme(&self) -> &'static str {
+            "reenter"
+        }
+        fn mode(&self) -> PtMode {
+            PtMode::Task
+        }
+        fn send(&self, _dest: &PeerAddr, _frame: FrameBuf) -> Result<(), SendFailure> {
+            Ok(())
+        }
+        fn poll(&self) -> Option<(FrameBuf, PeerAddr)> {
+            None
+        }
+        fn stop(&self) {
+            self.stop_signal.lock().take();
+            if let Some(reader) = self.reader.lock().take() {
+                reader.join().expect("reader thread");
+            }
+        }
+    }
+
+    #[test]
+    fn unregister_stops_the_pt_outside_the_entries_lock() {
+        let pta = Arc::new(Pta::new());
+        let (stop_signal, stopped) = std::sync::mpsc::channel::<()>();
+        let reader = {
+            let pta = pta.clone();
+            std::thread::spawn(move || {
+                let _ = stopped.recv();
+                let _ = pta.len();
+            })
+        };
+        let pt = ReenteringPt {
+            stop_signal: Mutex::new(Some(stop_signal)),
+            reader: Mutex::new(Some(reader)),
+        };
+        pta.register(tid(0x10), Arc::new(pt));
+        let (done, unregistered) = std::sync::mpsc::channel();
+        let driver = {
+            let pta = pta.clone();
+            std::thread::spawn(move || done.send(pta.unregister(tid(0x10))))
+        };
+        assert_eq!(
+            unregistered.recv_timeout(Duration::from_secs(5)),
+            Ok(true),
+            "unregister hung: stop() joined a reader blocked on the entries lock"
+        );
+        driver.join().expect("driver thread").expect("result sent");
     }
 
     #[test]

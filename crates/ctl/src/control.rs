@@ -153,13 +153,15 @@ impl I2oListener for HostAgent {
     }
 }
 
+/// How long [`ControlHost`] waits for the reply to one request.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// A cluster control point (primary or secondary host).
 pub struct ControlHost {
     exec: Executive,
     agent_tid: Tid,
     hub: Arc<ReplyHub>,
     seq: AtomicU32,
-    timeout: Duration,
     handle: Mutex<Option<ExecutiveHandle>>,
 }
 
@@ -185,7 +187,6 @@ impl ControlHost {
             agent_tid,
             hub,
             seq: AtomicU32::new(1),
-            timeout: Duration::from_secs(5),
             handle: Mutex::new(None),
         }
     }
@@ -234,7 +235,7 @@ impl ControlHost {
     }
 
     fn wait_reply(&self, context: u32) -> Result<ControlReply, ControlError> {
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + REPLY_TIMEOUT;
         let mut replies = self.hub.replies.lock();
         loop {
             if let Some(r) = replies.remove(&context) {

@@ -39,15 +39,6 @@ impl LatencyModel {
         }
     }
 
-    /// A fast modern-interconnect setting (for the scaled-down variant
-    /// of the Figure 6 run): 1 µs base, ~0.1 ns/byte.
-    pub const fn fast_lan() -> LatencyModel {
-        LatencyModel {
-            base_ns: 1_000,
-            per_byte_ns: 0.1,
-        }
-    }
-
     /// Delay for a message of `len` bytes.
     pub fn delay(&self, len: usize) -> Duration {
         Duration::from_nanos(self.base_ns + (len as f64 * self.per_byte_ns) as u64)
@@ -56,12 +47,6 @@ impl LatencyModel {
     /// True when the model injects no delay.
     pub fn is_zero(&self) -> bool {
         self.base_ns == 0 && self.per_byte_ns == 0.0
-    }
-}
-
-impl Default for LatencyModel {
-    fn default() -> LatencyModel {
-        LatencyModel::ZERO
     }
 }
 

@@ -1,11 +1,38 @@
 //! The Myrinet/GM peer transport — the transport of the paper's
-//! evaluation (§5).
+//! evaluation (§5) — and the GM substrate it wraps.
 //!
 //! *"We implemented a peer transport based on the Myrinet GM 1.1.3
 //! library for our XDAQ I2O executive and performed the round-trip
-//! test. The Myrinet/GM PT ran as a thread."* — this PT wraps an
-//! [`xdaq_gm::Port`] and supports both task mode (the paper's setup)
-//! and polling mode.
+//! test. The Myrinet/GM PT ran as a thread."* — [`GmPt`] wraps a
+//! [`Port`] and supports both task mode (the paper's setup) and polling
+//! mode.
+//!
+//! The paper ran on a Myricom M2M-PCI64 NIC with a LANai 7 processor.
+//! We have no such hardware, so [`fabric`] implements the closest
+//! synthetic equivalent of the vendor library the PT wraps (see
+//! DESIGN.md, substitutions), and it knows nothing of I2O:
+//!
+//! * **user-level, OS-bypass messaging** — ports are plain objects in
+//!   process memory; send and poll never enter the kernel. A send
+//!   copies the payload into a packet on the destination port's
+//!   bounded inbound queue; [`Port::poll`] is a non-blocking poll just
+//!   like `gm_receive`, and [`Port::blocking_poll`] spins then yields;
+//! * **a calibrated wire-latency model** ([`LatencyModel`]) — the
+//!   linear base + per-byte delay of the real interconnect, so that the
+//!   reproduction of Figure 6 exhibits the paper's linear payload
+//!   slopes. With [`LatencyModel::ZERO`] the fabric degenerates to pure
+//!   queue hand-off, which is what the framework-overhead measurement
+//!   uses.
+//!
+//! GM's send tokens and per-size receive buffers are not modelled: the
+//! paper's PT never ran out of either, and only the hand-off and the
+//! wire cost enter Figure 6.
+
+pub mod fabric;
+pub mod latency;
+
+pub use fabric::{Fabric, GmAddr, NodeId, Port, PortId};
+pub use latency::LatencyModel;
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -13,7 +40,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xdaq_core::{IngestSink, PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
-use xdaq_gm::{Fabric, GmAddr, GmEvent, NodeId, Port, PortConfig, PortId};
 use xdaq_mempool::{DynAllocator, FrameBuf};
 use xdaq_mon::PtCounters;
 
@@ -73,9 +99,7 @@ impl GmPt {
         alloc: DynAllocator,
         _unused: Option<std::convert::Infallible>,
     ) -> Result<Arc<GmPt>, PtError> {
-        let gm_port = fabric
-            .open_port_with(NodeId(node), PortId(port), PortConfig::unlimited())
-            .map_err(|e| PtError::Io(e.to_string()))?;
+        let gm_port = fabric.open_port(NodeId(node), PortId(port))?;
         Ok(Arc::new(GmPt {
             port: Arc::new(gm_port),
             alloc,
@@ -93,9 +117,9 @@ impl GmPt {
         to_peer_addr(self.port.addr())
     }
 
-    /// Copies a received GM buffer into a pooled frame. The GM event is
-    /// already consumed, so a frame the pool refuses is lost and counts
-    /// as a receive error.
+    /// Copies a received GM buffer into a pooled frame. The GM message
+    /// is already consumed, so a frame the pool refuses is lost and
+    /// counts as a receive error.
     fn process_received(
         alloc: &DynAllocator,
         counters: &PtCounters,
@@ -141,29 +165,22 @@ impl PeerTransport for GmPt {
         };
         // The GM library copies into its own (simulated DMA) buffer;
         // the pooled frame recycles on drop here.
-        match self.port.send(gm_dest, &frame, 0) {
+        match self.port.send(gm_dest, &frame) {
             Ok(()) => {
                 self.counters.on_send(frame.len());
                 Ok(())
             }
             Err(e) => {
                 self.counters.on_send_error();
-                let error = match e {
-                    xdaq_gm::GmError::NoSendTokens => PtError::WouldBlock,
-                    xdaq_gm::GmError::QueueFull { .. } => PtError::WouldBlock,
-                    other => PtError::Unreachable(format!("{dest}: {other}")),
-                };
                 // port.send only borrowed the frame — hand it back.
-                Err(SendFailure::with_frame(error, frame))
+                Err(SendFailure::with_frame(e, frame))
             }
         }
     }
 
     fn poll(&self) -> Option<(FrameBuf, PeerAddr)> {
         loop {
-            let GmEvent::Received { src, data } = self.port.poll()? else {
-                continue;
-            };
+            let (src, data) = self.port.poll()?;
             // A refused frame is counted, not reported as an idle port.
             let got = Self::process_received(&self.alloc, &self.counters, &self.peers, src, data);
             if got.is_some() {
@@ -185,15 +202,13 @@ impl PeerTransport for GmPt {
             .name(format!("gm-pt-{}", self.port.addr()))
             .spawn(move || {
                 while !stopped.load(Ordering::Acquire) {
-                    match port.blocking_poll(Duration::from_millis(50)) {
-                        Some(GmEvent::Received { src, data }) => {
-                            if let Some((buf, peer)) =
-                                GmPt::process_received(&alloc, &counters, &peers, src, data)
-                            {
-                                sink(buf, peer);
-                            }
-                        }
-                        Some(GmEvent::SendCompleted { .. }) | None => {}
+                    let Some((src, data)) = port.blocking_poll(Duration::from_millis(50)) else {
+                        continue;
+                    };
+                    if let Some((buf, peer)) =
+                        GmPt::process_received(&alloc, &counters, &peers, src, data)
+                    {
+                        sink(buf, peer);
                     }
                 }
             })
@@ -331,6 +346,22 @@ mod tests {
         drop(a);
         b.send(&a2.addr(), FrameBuf::from_bytes(b"hi")).unwrap();
         assert_eq!(&a2.poll().unwrap().0[..], b"hi");
+    }
+
+    #[test]
+    fn full_inbound_queue_is_backpressure_with_the_frame_back() {
+        let pool = pool();
+        let fabric = Fabric::new();
+        let a = GmPt::open(&fabric, 1, 0, PtMode::Polling, pool.clone(), None).unwrap();
+        let b = GmPt::open(&fabric, 2, 0, PtMode::Polling, pool.clone(), None).unwrap();
+        for _ in 0..fabric::INBOUND_CAPACITY {
+            a.send(&b.addr(), pool.alloc(64).unwrap()).unwrap();
+        }
+        let err = a.send(&b.addr(), pool.alloc(64).unwrap()).unwrap_err();
+        assert!(matches!(err.error, PtError::WouldBlock));
+        assert!(err.frame.is_some(), "frame must come back for a retry");
+        drop(err);
+        assert_eq!(pool.stats().live_blocks, 0, "pool block stranded");
     }
 
     #[test]

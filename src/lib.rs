@@ -36,8 +36,9 @@ pub use xdaq_i2o as i2o;
 /// Zero-copy frame buffer pools (simple + table allocators).
 pub use xdaq_mempool as mempool;
 
-/// Myrinet/GM-like user-level messaging substrate.
-pub use xdaq_gm as gm;
+/// The GM peer transport and the Myrinet/GM-like user-level messaging
+/// substrate it wraps (`Fabric`, `Port`, `LatencyModel`).
+pub use xdaq_pt::gm;
 
 /// The executive: dispatching, routing, scheduling, PTA.
 pub use xdaq_core as core;

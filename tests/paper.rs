@@ -17,7 +17,7 @@ use xdaq::core::{
     AllocatorKind, Executive, ExecutiveConfig, PeerAddr, PeerTransport, PtMode, SendFailure,
 };
 use xdaq::evb::ORG_DAQ;
-use xdaq::gm::{Fabric, GmAddr, GmEvent, LatencyModel, NodeId, PortConfig, PortId};
+use xdaq::gm::{Fabric, GmAddr, LatencyModel, NodeId, PortId};
 use xdaq::i2o::{Message, Tid};
 use xdaq::mempool::{DynAllocator, FrameBuf, SimplePool, TablePool};
 use xdaq::pt::{FifoKind, GmPt, LoopbackHub, LoopbackPt, PciBus, PciPt};
@@ -117,7 +117,7 @@ fn pool(kind: AllocatorKind) -> DynAllocator {
 
 /// XDAQ over the GM PT (polling mode, the paper's efficient setting),
 /// both executives and both PTs on `allocator`.
-fn xdaq_gm(wire: LatencyModel, allocator: AllocatorKind, payload: usize, calls: u64) -> PingPong {
+fn over_gm(wire: LatencyModel, allocator: AllocatorKind, payload: usize, calls: u64) -> PingPong {
     let fabric = Fabric::with_latency(wire);
     let exec = |name: &str, node: u16| {
         let mut cfg = ExecutiveConfig::named(name);
@@ -134,7 +134,7 @@ fn xdaq_gm(wire: LatencyModel, allocator: AllocatorKind, payload: usize, calls: 
 /// framework, on an identical fabric.
 fn raw_gm_us(wire: LatencyModel, payload: usize, calls: u64) -> f64 {
     let fabric = Fabric::with_latency(wire);
-    let port = |n| fabric.open_port_with(NodeId(n), PortId(0), PortConfig::unlimited());
+    let port = |n| fabric.open_port(NodeId(n), PortId(0));
     let (a, b) = (port(1).unwrap(), port(2).unwrap());
     let (node, port) = (NodeId(2), PortId(0));
     let dest = GmAddr { node, port };
@@ -142,14 +142,14 @@ fn raw_gm_us(wire: LatencyModel, payload: usize, calls: u64) -> f64 {
     let mut one_way = Vec::with_capacity(calls as usize);
     for _ in 0..calls {
         let t0 = Instant::now();
-        a.send(dest, &msg, 0).unwrap();
-        let echo = loop {
-            if let Some(GmEvent::Received { src, data }) = b.poll() {
-                break (src, data);
+        a.send(dest, &msg).unwrap();
+        let (src, data) = loop {
+            if let Some(echo) = b.poll() {
+                break echo;
             }
         };
-        b.send(echo.0, &echo.1, 0).unwrap();
-        while !matches!(a.poll(), Some(GmEvent::Received { .. })) {}
+        b.send(src, &data).unwrap();
+        while a.poll().is_none() {}
         one_way.push(t0.elapsed().as_nanos() as u64 / 2);
     }
     steady_median_us(one_way)
@@ -173,7 +173,7 @@ fn fig6_overhead_is_payload_independent() {
     let zero = LatencyModel::ZERO;
     let table = AllocatorKind::Table;
     let [one, _, four_k] = [1, 1024, 4096].map(|payload| {
-        let pair = xdaq_gm(zero, table, payload, CALLS);
+        let pair = over_gm(zero, table, payload, CALLS);
         let [xdaq, raw] = best_of([&|| pair.run(), &|| raw_gm_us(zero, payload, CALLS)]);
         let shape = format!("FIG6 {payload} B: xdaq {xdaq:.2} > raw gm {raw:.2} us");
         check(xdaq > raw, shape);
@@ -185,7 +185,7 @@ fn fig6_overhead_is_payload_independent() {
     let wire = LatencyModel::myrinet_lanai7();
     let sizes = [1.0, 1024.0, 2048.0, 4096.0];
     let series = |f: &dyn Fn(usize) -> f64| sizes.map(|p| f(p as usize));
-    let xdaq = series(&|p| xdaq_gm(wire, table, p, 1_000).run());
+    let xdaq = series(&|p| over_gm(wire, table, p, 1_000).run());
     let raw = series(&|p| raw_gm_us(wire, p, 1_000));
     let (sx, sr) = (slope(&sizes, &xdaq), slope(&sizes, &raw));
     let shape = format!("FIG6 LANai-7 slope: xdaq {sx:.4e} within 10 % of raw gm {sr:.4e} us/B");
@@ -198,8 +198,8 @@ fn fig6_overhead_is_payload_independent() {
 fn alloc_table_beats_simple() {
     let Some(_serial) = heavy() else { return };
     let zero = LatencyModel::ZERO;
-    let simple = xdaq_gm(zero, AllocatorKind::Simple, 64, CALLS);
-    let table = xdaq_gm(zero, AllocatorKind::Table, 64, CALLS);
+    let simple = over_gm(zero, AllocatorKind::Simple, 64, CALLS);
+    let table = over_gm(zero, AllocatorKind::Table, 64, CALLS);
     let raw = || raw_gm_us(zero, 64, CALLS);
     let [raw, simple, table] = best_of([&raw, &|| simple.run(), &|| table.run()]);
     let (simple, table) = (simple - raw, table - raw);
