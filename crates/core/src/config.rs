@@ -31,9 +31,9 @@ pub struct ExecutiveConfig {
     /// When `Some`, a `LinkSupervisor` heartbeats supervised peers on
     /// the timer wheel and evicts routes of peers that go Down.
     pub supervision: Option<SupervisionConfig>,
-    /// Default PTA retry policy (per-scheme overrides via
-    /// `Executive::set_retry_policy`). The default is one attempt —
-    /// the historical fire-and-forget behaviour.
+    /// The PTA retry policy, for every scheme and failover hop. The
+    /// default is one attempt — the historical fire-and-forget
+    /// behaviour.
     pub retry: RetryPolicy,
     /// When `Some`, link-level credit-based flow control meters every
     /// private data frame on the send path and grants credits on the

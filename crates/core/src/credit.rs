@@ -47,11 +47,15 @@
 //! whole state machine is driven by explicit calls — which is what
 //! makes it proptest-able.
 
+use crate::executive::ExecCore;
+use crate::listener::Delivery;
 use crate::pta::PeerAddr;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::time::Duration;
-use xdaq_i2o::{MsgFlags, PRIVATE_FUNCTION};
+use xdaq_i2o::{
+    FunctionCode, Message, MsgFlags, MsgHeader, Priority, Tid, UtilFn, HEADER_LEN, PRIVATE_FUNCTION,
+};
 use xdaq_mon::{FlowCounters, Registry};
 
 /// What a sender does when the credit lane to a peer is dry.
@@ -524,7 +528,7 @@ pub fn frame_priority(buf: &[u8]) -> u8 {
 
 /// Encodes a credit frame payload: epoch then cumulative total,
 /// little-endian.
-pub fn encode_credit_payload(epoch: u64, total: u64) -> [u8; 16] {
+fn encode_credit_payload(epoch: u64, total: u64) -> [u8; 16] {
     let mut p = [0u8; 16];
     p[..8].copy_from_slice(&epoch.to_le_bytes());
     p[8..].copy_from_slice(&total.to_le_bytes());
@@ -532,13 +536,77 @@ pub fn encode_credit_payload(epoch: u64, total: u64) -> [u8; 16] {
 }
 
 /// Decodes a credit frame payload; `None` if truncated.
-pub fn decode_credit_payload(p: &[u8]) -> Option<(u64, u64)> {
+fn decode_credit_payload(p: &[u8]) -> Option<(u64, u64)> {
     if p.len() < 16 {
         return None;
     }
     let epoch = u64::from_le_bytes(p[..8].try_into().ok()?);
     let total = u64::from_le_bytes(p[8..16].try_into().ok()?);
     Some((epoch, total))
+}
+
+/// The credit protocol's wire side: the executive hands every frame
+/// arriving from a peer to [`ExecCore::flow_ingest`] and calls
+/// [`ExecCore::flow_tick`] from the PTA timer slot.
+impl ExecCore {
+    /// Grants and syncs are consumed right here at ingest, never queued
+    /// — the reserved control lane. A blocked dispatch loop or a
+    /// saturated scheduler queue can therefore never delay, shed or
+    /// deadlock credit replenishment. Inbound private data frames
+    /// account against the receiver lane and may trigger a
+    /// replenishing grant back to the sender. Returns true when the
+    /// frame was a credit frame and has been consumed.
+    pub(crate) fn flow_ingest(&self, header: &MsgHeader, frame: &[u8], src: &PeerAddr) -> bool {
+        let Some(mgr) = &self.flow else { return false };
+        match header.function_code() {
+            FunctionCode::Util(f @ (UtilFn::CreditGrant | UtilFn::CreditSync)) => {
+                let Some((epoch, total)) = decode_credit_payload(&frame[HEADER_LEN..]) else {
+                    return true;
+                };
+                if f == UtilFn::CreditGrant {
+                    mgr.on_grant(src, epoch, total);
+                } else if let Some(cmd) = mgr.on_sync(src, epoch, total, self.queued()) {
+                    self.send_flow_cmd(cmd);
+                }
+                true
+            }
+            FunctionCode::Private if !header.flags.contains(MsgFlags::CONTROL) => {
+                if let Some(cmd) = mgr.on_data(src, self.queued()) {
+                    self.send_flow_cmd(cmd);
+                }
+                false
+            }
+            _ => false,
+        }
+    }
+
+    /// Periodic flow maintenance, driven from the supervision/PTA
+    /// timer slot: re-advertise receiver windows (heals lost grants)
+    /// and nudge stalled metered senders with a sync.
+    pub(crate) fn flow_tick(&self) {
+        let Some(mgr) = &self.flow else { return };
+        for cmd in mgr.tick(self.queued()) {
+            self.send_flow_cmd(cmd);
+        }
+    }
+
+    /// Emits one credit-protocol frame (grant or sync) straight to the
+    /// peer transport. Utility function codes are never metered by the
+    /// credit gate, so grants flow even when the data lane is
+    /// exhausted.
+    fn send_flow_cmd(&self, cmd: FlowCmd) {
+        let (peer, func, epoch, total) = match cmd {
+            FlowCmd::Grant { peer, epoch, total } => (peer, UtilFn::CreditGrant, epoch, total),
+            FlowCmd::Sync { peer, epoch, total } => (peer, UtilFn::CreditSync, epoch, total),
+        };
+        let msg = Message::util(Tid::EXECUTIVE, Tid::EXECUTIVE, func)
+            .priority(Priority::MAX)
+            .payload(encode_credit_payload(epoch, total).to_vec())
+            .finish();
+        if let Ok(d) = Delivery::from_message(&msg, self.allocator()) {
+            let _ = self.pta.send(&peer, d.into_buf());
+        }
+    }
 }
 
 #[cfg(test)]

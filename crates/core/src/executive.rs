@@ -7,32 +7,40 @@
 //! peer transports and the executive itself are all I2O devices with
 //! TiDs; control flows through executive-class messages, so a primary
 //! host can drive a whole cluster of executives with frames alone.
+//!
+//! This file is the frame path: construction, registration, routing
+//! and peer ingest, the dispatch loop, and peer-down and watchdog
+//! notification. The verbs the executive answers itself live in
+//! `verbs.rs`, the monitoring surface in `monitor.rs`, the credit
+//! protocol's frames in `credit.rs` and the heartbeat frames in
+//! `supervisor.rs`.
 
 use crate::admission::AdmissionControl;
 use crate::clock::Clock;
-use crate::config::{encode_kv, kv, parse_kv, AllocatorKind, ExecutiveConfig};
-use crate::credit::{self, CreditManager, FlowCmd};
+use crate::config::{kv, AllocatorKind, ExecutiveConfig};
+use crate::credit::CreditManager;
 use crate::error::{ExecError, PtError};
 use crate::listener::{Delivery, Dispatcher, I2oListener, TimerId, UtilOutcome};
+use crate::monitor::ExecMonitors;
 use crate::pta::{PeerAddr, PeerTransport, Pta};
 use crate::queue::SchedQueue;
 use crate::registry::{DeviceMeta, DeviceUnit, LctEntry, Registry};
 use crate::route::{Hop, Route, RouteTable};
-use crate::supervisor::{LinkState, LinkSupervisor};
+use crate::supervisor::{self, LinkState, LinkSupervisor};
 use crate::timer::TimerWheel;
+use crate::verbs::PtDdm;
 use crate::xfn;
 use parking_lot::Mutex;
-use serde_json::json;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdaq_i2o::{
-    DeviceClass, DeviceState, ExecFn, FunctionCode, Message, MsgFlags, MsgHeader, Priority,
-    PrivateHeader, ReplyStatus, Tid, TidAllocator, UtilFn, HEADER_LEN, NUM_PRIORITIES, ORG_XDAQ,
+    DeviceClass, DeviceState, FunctionCode, Message, MsgFlags, MsgHeader, Priority, PrivateHeader,
+    ReplyStatus, Tid, TidAllocator, UtilFn, ORG_XDAQ,
 };
 use xdaq_mempool::{FrameAllocator, FrameBuf, SimplePool, TablePool};
-use xdaq_mon::{Counter, FrameTracer, Gauge, Histogram, TraceEvent};
+use xdaq_mon::TraceEvent;
 
 /// Factory for runtime module loading (`ExecSwDownload`): given the
 /// configured parameters, produce a listener instance.
@@ -43,138 +51,34 @@ pub type ModuleFactory =
 const DISPATCH_BATCH: usize = 16;
 /// Spin iterations before the idle loop yields the CPU.
 const IDLE_SPINS: u32 = 200;
-/// Slots in the frame-lifecycle trace ring. The tracer starts disabled;
-/// `UtilMonTraceDump` turns it on and off at runtime.
-const TRACE_CAPACITY: usize = 1024;
-
-/// The executive's monitoring surface: every hot-path counter is a
-/// handle into one [`xdaq_mon::Registry`], so a `UtilMonSnapshot`
-/// serializes the complete node state without extra plumbing, and the
-/// frame tracer rides alongside behind its single-branch gate.
-pub struct ExecMonitors {
-    registry: xdaq_mon::Registry,
-    /// Frame lifecycle tracer (starts disabled).
-    pub(crate) tracer: FrameTracer,
-    dispatch_latency: Histogram,
-    dispatched: Counter,
-    sent_local: Counter,
-    sent_peer: Counter,
-    forwarded: Counter,
-    broadcasts: Counter,
-    dropped: Counter,
-    exec_msgs: Counter,
-    util_msgs: Counter,
-    timers_fired: Counter,
-    watchdog_trips: Counter,
-    faults: Counter,
-    polled_frames: Counter,
-    peer_down: Counter,
-    peer_suspect: Counter,
-    hb_pings: Counter,
-    hb_pongs: Counter,
-}
-
-impl ExecMonitors {
-    fn new() -> (ExecMonitors, [Gauge; NUM_PRIORITIES]) {
-        let registry = xdaq_mon::Registry::new();
-        let depth_gauges = std::array::from_fn(|i| registry.gauge(&format!("queue.depth.p{i}")));
-        let mon = ExecMonitors {
-            tracer: FrameTracer::new(TRACE_CAPACITY),
-            dispatch_latency: registry.histogram("exec.dispatch_latency_ns"),
-            dispatched: registry.counter("exec.dispatched"),
-            sent_local: registry.counter("exec.sent_local"),
-            sent_peer: registry.counter("exec.sent_peer"),
-            forwarded: registry.counter("exec.forwarded"),
-            broadcasts: registry.counter("exec.broadcasts"),
-            dropped: registry.counter("exec.dropped"),
-            exec_msgs: registry.counter("exec.exec_msgs"),
-            util_msgs: registry.counter("exec.util_msgs"),
-            timers_fired: registry.counter("exec.timers_fired"),
-            watchdog_trips: registry.counter("exec.watchdog_trips"),
-            faults: registry.counter("exec.faults"),
-            polled_frames: registry.counter("pta.polled_frames"),
-            peer_down: registry.counter("link.peer_down"),
-            peer_suspect: registry.counter("link.peer_suspect"),
-            hb_pings: registry.counter("link.hb_pings"),
-            hb_pongs: registry.counter("link.hb_pongs"),
-            registry,
-        };
-        (mon, depth_gauges)
-    }
-
-    /// The node-local metric registry (counters, gauges, histograms).
-    /// Device classes may hang their own metrics off it.
-    pub fn registry(&self) -> &xdaq_mon::Registry {
-        &self.registry
-    }
-
-    /// The frame lifecycle tracer.
-    pub fn tracer(&self) -> &FrameTracer {
-        &self.tracer
-    }
-
-    /// Queue→dispatch latency histogram (populated while tracing is
-    /// enabled).
-    pub fn dispatch_latency(&self) -> &Histogram {
-        &self.dispatch_latency
-    }
-}
-
-/// Snapshot of executive counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Frames dispatched to devices.
-    pub dispatched: u64,
-    /// Frames routed to local devices.
-    pub sent_local: u64,
-    /// Frames routed to peers via the PTA.
-    pub sent_peer: u64,
-    /// Frames that arrived from a peer and were forwarded onward
-    /// (multi-hop peer operation).
-    pub forwarded: u64,
-    /// Broadcast fan-outs performed.
-    pub broadcasts: u64,
-    /// Frames dropped (unknown target / not accepting).
-    pub dropped: u64,
-    /// Executive-class messages handled.
-    pub exec_msgs: u64,
-    /// Utility-class messages handled.
-    pub util_msgs: u64,
-    /// Timer events fired.
-    pub timers_fired: u64,
-    /// Watchdog budget violations.
-    pub watchdog_trips: u64,
-    /// Devices transitioned to Faulted.
-    pub faults: u64,
-}
 
 /// Shared executive internals (everything the dispatch context and the
 /// public wrapper need).
 pub struct ExecCore {
-    node: String,
-    alloc: Arc<dyn FrameAllocator>,
+    pub(crate) node: String,
+    pub(crate) alloc: Arc<dyn FrameAllocator>,
     queue: SchedQueue,
-    routes: RouteTable,
-    pta: Pta,
-    timers: TimerWheel,
-    registry: Registry,
+    pub(crate) routes: RouteTable,
+    pub(crate) pta: Pta,
+    pub(crate) timers: TimerWheel,
+    pub(crate) registry: Registry,
     tids: Mutex<TidAllocator>,
     factories: Mutex<HashMap<String, ModuleFactory>>,
-    mon: ExecMonitors,
+    pub(crate) mon: ExecMonitors,
     watchdog: Option<Duration>,
-    supervisor: Option<LinkSupervisor>,
+    pub(crate) supervisor: Option<LinkSupervisor>,
     /// Link-level credit flow control, when configured (DESIGN.md §13).
-    flow: Option<Arc<CreditManager>>,
+    pub(crate) flow: Option<Arc<CreditManager>>,
     /// Per-initiator tenant admission (token buckets); empty = admit
     /// everything with zero data-path cost beyond one branch.
-    admission: AdmissionControl,
+    pub(crate) admission: AdmissionControl,
     fault_listener: Mutex<Option<Tid>>,
     running: AtomicBool,
     /// The executive's time source (DESIGN.md §16). Wall by default;
     /// simulations share one virtual clock across a whole cluster.
     clock: Clock,
-    started_at: Instant,
-    exec_meta: Mutex<DeviceMeta>,
+    pub(crate) started_at: Instant,
+    pub(crate) exec_meta: Mutex<DeviceMeta>,
 }
 
 impl ExecCore {
@@ -214,11 +118,6 @@ impl ExecCore {
     /// registry).
     pub fn pta(&self) -> &Pta {
         &self.pta
-    }
-
-    /// The link supervisor, when supervision is configured.
-    pub fn supervisor(&self) -> Option<&LinkSupervisor> {
-        self.supervisor.as_ref()
     }
 
     /// The credit flow-control manager, when flow control is
@@ -399,37 +298,9 @@ impl ExecCore {
                 return;
             }
         };
-        // Credit protocol: grants and syncs are consumed right here at
-        // ingest, never queued — the reserved control lane. A blocked
-        // dispatch loop or a saturated scheduler queue can therefore
-        // never delay, shed or deadlock credit replenishment. Inbound
-        // private data frames account against the receiver lane and
-        // may trigger a replenishing grant back to the sender.
-        if let Some(mgr) = &self.flow {
-            match header.function_code() {
-                FunctionCode::Util(UtilFn::CreditGrant) => {
-                    if let Some((epoch, total)) = credit::decode_credit_payload(&buf[HEADER_LEN..])
-                    {
-                        mgr.on_grant(&src, epoch, total);
-                    }
-                    return;
-                }
-                FunctionCode::Util(UtilFn::CreditSync) => {
-                    if let Some((epoch, total)) = credit::decode_credit_payload(&buf[HEADER_LEN..])
-                    {
-                        if let Some(cmd) = mgr.on_sync(&src, epoch, total, self.queued()) {
-                            self.send_flow_cmd(cmd);
-                        }
-                    }
-                    return;
-                }
-                FunctionCode::Private if !header.flags.contains(MsgFlags::CONTROL) => {
-                    if let Some(cmd) = mgr.on_data(&src, self.queued()) {
-                        self.send_flow_cmd(cmd);
-                    }
-                }
-                _ => {}
-            }
+        // Credit protocol: grants and syncs never reach the queue.
+        if self.flow_ingest(&header, &buf, &src) {
+            return;
         }
         // One table read answers both questions: which local proxy
         // stands for the sender, and where the target leads.
@@ -466,129 +337,6 @@ impl ExecCore {
             self.mon.forwarded.inc();
         }
         let _ = self.route_via(d, hop);
-    }
-
-    /// Emits one credit-protocol frame (grant or sync) straight to the
-    /// peer transport. Utility function codes are never metered by the
-    /// credit gate, so grants flow even when the data lane is
-    /// exhausted.
-    fn send_flow_cmd(&self, cmd: FlowCmd) {
-        let (peer, func, epoch, total) = match cmd {
-            FlowCmd::Grant { peer, epoch, total } => (peer, UtilFn::CreditGrant, epoch, total),
-            FlowCmd::Sync { peer, epoch, total } => (peer, UtilFn::CreditSync, epoch, total),
-        };
-        let msg = Message::util(Tid::EXECUTIVE, Tid::EXECUTIVE, func)
-            .priority(Priority::MAX)
-            .payload(credit::encode_credit_payload(epoch, total).to_vec())
-            .finish();
-        if let Ok(d) = Delivery::from_message(&msg, self.allocator()) {
-            let _ = self.pta.send(&peer, d.into_buf());
-        }
-    }
-
-    /// Periodic flow maintenance, driven from the supervision/PTA
-    /// timer slot: re-advertise receiver windows (heals lost grants)
-    /// and nudge stalled metered senders with a sync.
-    pub(crate) fn flow_tick(&self) {
-        let Some(mgr) = &self.flow else { return };
-        for cmd in mgr.tick(self.queued()) {
-            self.send_flow_cmd(cmd);
-        }
-    }
-
-    /// Applies runtime `flow.*` / `qos.*` parameters (from a
-    /// `ParamsSet` frame addressed to the executive, or `xcl qos`).
-    pub(crate) fn apply_runtime_params(&self, map: &HashMap<String, String>) -> Result<(), String> {
-        for (k, v) in map {
-            if k.starts_with("flow.") {
-                match &self.flow {
-                    Some(mgr) => mgr.apply_param(k, v)?,
-                    None => return Err("flow control is not enabled on this node".to_string()),
-                }
-            } else if k.starts_with("qos.") {
-                self.admission.apply_param(k, v, &self.mon.registry)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn snapshot(&self) -> ExecStats {
-        let m = &self.mon;
-        ExecStats {
-            dispatched: m.dispatched.get(),
-            sent_local: m.sent_local.get(),
-            sent_peer: m.sent_peer.get(),
-            forwarded: m.forwarded.get(),
-            broadcasts: m.broadcasts.get(),
-            dropped: m.dropped.get(),
-            exec_msgs: m.exec_msgs.get(),
-            util_msgs: m.util_msgs.get(),
-            timers_fired: m.timers_fired.get(),
-            watchdog_trips: m.watchdog_trips.get(),
-            faults: m.faults.get(),
-        }
-    }
-
-    /// One JSON document describing everything this node knows about
-    /// itself: registry metrics (counters, per-priority queue gauges,
-    /// histograms), pool accounting, per-transport counters and tracer
-    /// state. This is the `UtilMonSnapshot` reply body.
-    pub fn mon_snapshot(&self) -> serde_json::Value {
-        let ps = self.alloc.stats();
-        let mut doc = json!({
-            "node": self.node.as_str(),
-            "uptime_ns": self.started_at.elapsed().as_nanos() as u64,
-            "devices": self.registry.len() as u64,
-            "queued": self.queued() as u64,
-            "metrics": self.mon.registry.snapshot(),
-            "pool": {
-                "scheme": self.alloc.scheme(),
-                "allocs": ps.allocs,
-                "hits": ps.hits,
-                "misses": ps.misses,
-                "frees": ps.frees,
-                "failures": ps.failures,
-                "live_blocks": ps.live_blocks,
-                "high_water_blocks": ps.high_water_blocks,
-                "bytes_created": ps.bytes_created,
-            },
-            "pt": self.pta.counters_value(),
-            "links": self
-                .supervisor
-                .as_ref()
-                .map(|s| {
-                    s.states()
-                        .into_iter()
-                        .map(|(p, st)| json!({"peer": p.to_string(), "state": st.as_str()}))
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default(),
-            "trace": {
-                "enabled": self.mon.tracer.is_enabled(),
-                "recorded": self.mon.tracer.recorded(),
-            },
-        });
-        // The flow/qos sections only appear once configured, so
-        // nodes without them scrape identically to historical output.
-        if let serde_json::Value::Object(m) = &mut doc {
-            if let Some(mgr) = &self.flow {
-                m.insert("flow".to_string(), mgr.snapshot());
-            }
-            if !self.admission.is_empty() {
-                m.insert("qos".to_string(), self.admission.snapshot());
-            }
-        }
-        doc
-    }
-
-    /// Zeroes the whole monitoring state: registry (counters, gauges,
-    /// histograms — including the counters behind [`ExecStats`]), the
-    /// trace ring, and per-transport counters. Pool accounting is
-    /// lifetime state and is left untouched.
-    pub fn mon_reset(&self) {
-        self.mon.registry.reset();
-        self.mon.tracer.clear();
-        self.pta.reset_counters();
     }
 }
 
@@ -643,7 +391,7 @@ impl Executive {
         core.routes.add_local(Tid::EXECUTIVE);
         core.routes.add_local(Tid::PTA);
         core.pta.bind_registry(core.mon.registry());
-        core.pta.set_retry_policy(None, config.retry);
+        core.pta.set_retry_policy(config.retry);
         if let Some(mgr) = &core.flow {
             core.pta.bind_flow(mgr.clone());
         }
@@ -668,16 +416,6 @@ impl Executive {
     /// Node name.
     pub fn node(&self) -> &str {
         self.core.node_name()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> ExecStats {
-        self.core.snapshot()
-    }
-
-    /// Pool statistics.
-    pub fn pool_stats(&self) -> xdaq_mempool::PoolStats {
-        self.core.alloc.stats()
     }
 
     /// Registers a device instance under a unique name, assigning a
@@ -754,54 +492,6 @@ impl Executive {
     /// Registers a peer transport: it becomes a device (TiD, utility
     /// messages) *and* the PTA routes frames through it by scheme.
     pub fn register_pt(&self, name: &str, pt: Arc<dyn PeerTransport>) -> Result<Tid, ExecError> {
-        struct PtDdm {
-            scheme: &'static str,
-            pt: Arc<dyn PeerTransport>,
-        }
-        impl I2oListener for PtDdm {
-            fn class(&self) -> DeviceClass {
-                DeviceClass::PeerTransport
-            }
-            fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, _msg: Delivery) {
-                // Peer transports consume no private frames; data-plane
-                // traffic flows through the PTA send/poll hooks.
-            }
-            fn plugged(&mut self, ctx: &mut Dispatcher<'_>) {
-                let scheme = self.scheme.to_string();
-                ctx.set_param("scheme", &scheme);
-            }
-            fn on_util(
-                &mut self,
-                ctx: &mut Dispatcher<'_>,
-                f: UtilFn,
-                msg: &Delivery,
-            ) -> UtilOutcome {
-                // ParamsSet is forwarded to the transport so runtime
-                // knobs (fault plans, tunables) reach it over I2O.
-                if f != UtilFn::ParamsSet {
-                    return UtilOutcome::Default;
-                }
-                match parse_kv(msg.payload()) {
-                    Ok(map) => {
-                        for (k, v) in &map {
-                            if let Err(e) = self.pt.configure(k, v) {
-                                let body = format!("{k}: {e}");
-                                let _ = ctx.reply(msg, ReplyStatus::BadFrame, body.as_bytes());
-                                return UtilOutcome::Handled;
-                            }
-                        }
-                        for (k, v) in map {
-                            ctx.set_param(&k, &v);
-                        }
-                        let _ = ctx.reply(msg, ReplyStatus::Success, &[]);
-                    }
-                    Err(e) => {
-                        let _ = ctx.reply(msg, ReplyStatus::BadFrame, e.as_bytes());
-                    }
-                }
-                UtilOutcome::Handled
-            }
-        }
         let tid = self.register(
             name,
             Box::new(PtDdm {
@@ -876,22 +566,8 @@ impl Executive {
 
     /// Current supervised-link states (empty when supervision is off).
     pub fn link_states(&self) -> Vec<(String, LinkState)> {
-        self.core
-            .supervisor
-            .as_ref()
-            .map(|s| {
-                s.states()
-                    .into_iter()
-                    .map(|(p, st)| (p.to_string(), st))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Overrides the PTA retry policy for one scheme (`Some("tcp")`)
-    /// or the default for all schemes (`None`).
-    pub fn set_retry_policy(&self, scheme: Option<&str>, policy: crate::pta::RetryPolicy) {
-        self.core.pta.set_retry_policy(scheme, policy);
+        let states = self.core.supervisor.iter().flat_map(|s| s.states());
+        states.map(|(p, st)| (p.to_string(), st)).collect()
     }
 
     /// Injects a message from outside the dispatch loop (host control,
@@ -956,11 +632,6 @@ impl Executive {
     /// The Logical Configuration Table.
     pub fn lct(&self) -> Vec<LctEntry> {
         self.core.registry.lct()
-    }
-
-    /// Pending message count.
-    pub fn queue_len(&self) -> usize {
-        self.core.queued()
     }
 
     /// Services the control plane: timer wheel
@@ -1057,10 +728,6 @@ impl Executive {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Dispatch internals
-    // ------------------------------------------------------------------
-
     fn dispatch(&self, d: Delivery) {
         let core = &self.core;
         core.mon.dispatched.inc();
@@ -1131,20 +798,14 @@ impl Executive {
         let core = &self.core;
         // Framework-internal events ride private XDAQ frames.
         if let Some(p) = d.private {
-            if p.org_id == ORG_XDAQ
-                && xfn::is_reserved(p.x_function)
-                && p.x_function == xfn::XFN_TIMER
-            {
-                let mut id = [0u8; 8];
-                let payload = d.payload();
-                if payload.len() >= 8 {
-                    id.copy_from_slice(&payload[..8]);
+            if p.org_id == ORG_XDAQ && p.x_function == xfn::XFN_TIMER {
+                if let Some(id) = d.payload().get(..8) {
+                    let id = TimerId(u64::from_le_bytes(id.try_into().expect("8 bytes")));
                     let mut ctx = Dispatcher {
                         core,
                         meta: &mut unit.meta,
                     };
-                    unit.listener
-                        .on_timer(&mut ctx, TimerId(u64::from_le_bytes(id)));
+                    unit.listener.on_timer(&mut ctx, id);
                 }
                 return;
             }
@@ -1203,425 +864,9 @@ impl Executive {
         self.default_util(&mut unit.meta, f, &d);
     }
 
-    /// The executive's default utility procedures (paper §3.2: "The
-    /// system can provide default procedures if for a given event no
-    /// code is supplied").
-    fn default_util(&self, meta: &mut DeviceMeta, f: UtilFn, d: &Delivery) {
-        let core = &self.core;
-        let mut ctx = Dispatcher { core, meta };
-        match f {
-            UtilFn::Nop => {
-                let _ = ctx.reply(d, ReplyStatus::Success, &[]);
-            }
-            UtilFn::ParamsGet => {
-                let body = encode_kv(&ctx.meta.params);
-                let _ = ctx.reply(d, ReplyStatus::Success, &body);
-            }
-            UtilFn::ParamsSet => match parse_kv(d.payload()) {
-                Ok(map) => {
-                    // `flow.*` / `qos.*` keys addressed to the
-                    // executive retune flow control and tenant
-                    // admission live; a bad key rejects the whole
-                    // frame before any param is stored.
-                    if ctx.meta.tid == Tid::EXECUTIVE {
-                        if let Err(e) = core.apply_runtime_params(&map) {
-                            let _ = ctx.reply(d, ReplyStatus::BadFrame, e.as_bytes());
-                            return;
-                        }
-                    }
-                    // `exec.stop=1` addressed to the executive is the
-                    // orderly retirement path: the reply goes out
-                    // first (the controller is waiting on it), then
-                    // the dispatch loop winds down.
-                    let stop = ctx.meta.tid == Tid::EXECUTIVE
-                        && map.get("exec.stop").map(String::as_str) == Some("1");
-                    for (k, v) in map {
-                        ctx.meta.params.insert(k, v);
-                    }
-                    let _ = ctx.reply(d, ReplyStatus::Success, &[]);
-                    if stop {
-                        self.stop();
-                    }
-                }
-                Err(e) => {
-                    let _ = ctx.reply(d, ReplyStatus::BadFrame, e.as_bytes());
-                }
-            },
-            UtilFn::Claim => {
-                let owner = format!("{}", d.header.initiator.raw());
-                if ctx.meta.params.contains_key("claimed_by") {
-                    let _ = ctx.reply(d, ReplyStatus::Busy, b"already claimed");
-                } else {
-                    ctx.meta.params.insert("claimed_by".into(), owner);
-                    let _ = ctx.reply(d, ReplyStatus::Success, &[]);
-                }
-            }
-            UtilFn::ClaimRelease => {
-                ctx.meta.params.remove("claimed_by");
-                let _ = ctx.reply(d, ReplyStatus::Success, &[]);
-            }
-            UtilFn::Abort => {
-                let purged = core.purge_tid(ctx.meta.tid);
-                let body = format!("purged={purged}");
-                let _ = ctx.reply(d, ReplyStatus::Aborted, body.as_bytes());
-            }
-            UtilFn::EventRegister => {
-                *core.fault_listener.lock() = Some(d.header.initiator);
-                let _ = ctx.reply(d, ReplyStatus::Success, &[]);
-            }
-            UtilFn::EventAck | UtilFn::ReplyFaultNotify => {
-                // Pure notifications: nothing to do.
-            }
-            UtilFn::MonSnapshot => {
-                let body = serde_json::to_string(&core.mon_snapshot());
-                let _ = ctx.reply(d, ReplyStatus::Success, body.as_bytes());
-            }
-            UtilFn::MonReset => {
-                core.mon_reset();
-                let _ = ctx.reply(d, ReplyStatus::Success, &[]);
-            }
-            UtilFn::MonTraceDump => {
-                // Optional one-byte argument toggles the tracer; an
-                // empty payload dumps without changing the gate.
-                if let Some(&arg) = d.payload().first() {
-                    core.mon.tracer.set_enabled(arg != 0);
-                }
-                let body = serde_json::to_string(&core.mon.tracer.dump_value());
-                let _ = ctx.reply(d, ReplyStatus::Success, body.as_bytes());
-            }
-            UtilFn::HbPing => {
-                // Answer with a *fresh* HbPong frame (not an IS_REPLY:
-                // the remote executive swallows replies) echoing the
-                // sequence payload back to the proxied initiator.
-                let pong = Message::util(d.header.initiator, ctx.meta.tid, UtilFn::HbPong)
-                    .priority(Priority::MAX)
-                    .payload(d.payload().to_vec())
-                    .finish();
-                let _ = ctx.send(pong);
-            }
-            UtilFn::HbPong => {
-                core.mon.hb_pongs.inc();
-                let seq = d
-                    .payload()
-                    .get(..8)
-                    .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                    .unwrap_or(0);
-                // The pong arrives with a proxied initiator; the route
-                // for that proxy names the peer the pong came from.
-                if let Some(Hop::Peer { peer, .. }) = core.routes.resolve(d.header.initiator) {
-                    if let Some(sup) = &core.supervisor {
-                        let _ = sup.on_pong(&peer, seq);
-                    }
-                }
-            }
-            UtilFn::CreditGrant | UtilFn::CreditSync => {
-                // Normally consumed at peer ingest (the reserved
-                // control lane); one reaching dispatch means flow
-                // control is disabled on this node — ignore it.
-            }
-        }
-    }
-
-    /// Executive-class messages addressed to TiD 1 — the management
-    /// surface a primary host drives.
-    fn handle_executive(&self, d: Delivery) {
-        let core = &self.core;
-        core.mon.exec_msgs.inc();
-        // Replies to executive-originated requests terminate here —
-        // never interpret a reply as a command (loop protection).
-        if d.header.flags.contains(MsgFlags::IS_REPLY) {
-            return;
-        }
-        let function = d.header.function_code();
-        let mut meta = core.exec_meta.lock();
-        match function {
-            FunctionCode::Util(f) => {
-                core.mon.util_msgs.inc();
-                let mut m = meta.clone();
-                drop(meta);
-                self.default_util(&mut m, f, &d);
-                *core.exec_meta.lock() = m;
-            }
-            FunctionCode::Exec(e) => {
-                drop(meta);
-                self.handle_exec_fn(e, &d);
-            }
-            _ => {
-                let mut ctx = Dispatcher {
-                    core,
-                    meta: &mut meta,
-                };
-                let _ = ctx.reply(&d, ReplyStatus::UnsupportedFunction, &[]);
-            }
-        }
-    }
-
-    fn exec_reply(&self, d: &Delivery, status: ReplyStatus, body: &[u8]) {
-        let core = &self.core;
-        let mut meta = core.exec_meta.lock().clone();
-        let mut ctx = Dispatcher {
-            core,
-            meta: &mut meta,
-        };
-        let _ = ctx.reply(d, status, body);
-    }
-
-    /// True when `e` mutates cluster state and is therefore gated by a
-    /// host claim (paper §3.5: secondary hosts must apply for control
-    /// rights before driving a node).
-    fn is_mutating(e: ExecFn) -> bool {
-        !matches!(
-            e,
-            ExecFn::StatusGet | ExecFn::OutboundInit | ExecFn::HrtGet | ExecFn::LctNotify
-        )
-    }
-
-    fn handle_exec_fn(&self, e: ExecFn, d: &Delivery) {
-        let core = &self.core;
-        // Control-rights check: once a host has claimed this executive
-        // (UtilClaim on TiD 1), mutating commands from other initiators
-        // are refused with Busy.
-        if Self::is_mutating(e) {
-            let claimed = core.exec_meta.lock().params.get("claimed_by").cloned();
-            if let Some(owner) = claimed {
-                if owner != d.header.initiator.raw().to_string() {
-                    self.exec_reply(d, ReplyStatus::Busy, b"claimed by another host");
-                    return;
-                }
-            }
-        }
-        match e {
-            ExecFn::StatusGet => {
-                let s = core.snapshot();
-                let body = kv(&[
-                    ("node", core.node_name()),
-                    ("devices", &core.registry.len().to_string()),
-                    ("queued", &core.queued().to_string()),
-                    ("dispatched", &s.dispatched.to_string()),
-                    ("sent_local", &s.sent_local.to_string()),
-                    ("sent_peer", &s.sent_peer.to_string()),
-                    ("forwarded", &s.forwarded.to_string()),
-                    ("broadcasts", &s.broadcasts.to_string()),
-                    ("dropped", &s.dropped.to_string()),
-                    ("exec_msgs", &s.exec_msgs.to_string()),
-                    ("util_msgs", &s.util_msgs.to_string()),
-                    ("timers_fired", &s.timers_fired.to_string()),
-                    ("watchdog_trips", &s.watchdog_trips.to_string()),
-                    ("faults", &s.faults.to_string()),
-                    (
-                        "uptime_ns",
-                        &core.started_at.elapsed().as_nanos().to_string(),
-                    ),
-                    ("allocator", core.alloc.scheme()),
-                ]);
-                self.exec_reply(d, ReplyStatus::Success, &body);
-            }
-            ExecFn::OutboundInit => {
-                self.exec_reply(d, ReplyStatus::Success, b"ack=1\n");
-            }
-            ExecFn::SysEnable => {
-                self.enable_all();
-                self.exec_reply(d, ReplyStatus::Success, &[]);
-            }
-            ExecFn::SysQuiesce => {
-                self.quiesce_all();
-                self.exec_reply(d, ReplyStatus::Success, &[]);
-            }
-            ExecFn::IopClear => {
-                let mut purged = 0;
-                for tid in core.registry.tids() {
-                    purged += core.purge_tid(tid);
-                }
-                let body = format!("purged={purged}\n");
-                self.exec_reply(d, ReplyStatus::Success, body.as_bytes());
-            }
-            ExecFn::IopReset => {
-                core.registry
-                    .for_each_meta(|m| m.state = DeviceState::Initialized);
-                for tid in core.registry.tids() {
-                    core.purge_tid(tid);
-                    core.timers.cancel_owned(tid);
-                }
-                self.exec_reply(d, ReplyStatus::Success, &[]);
-            }
-            ExecFn::DdmDestroy => match self.control_tid(d) {
-                Ok(tid) => match self.destroy(tid) {
-                    Ok(()) => self.exec_reply(d, ReplyStatus::Success, &[]),
-                    Err(_) => self.exec_reply(d, ReplyStatus::UnknownTarget, &[]),
-                },
-                Err(e) => self.exec_reply(d, ReplyStatus::BadFrame, e.to_string().as_bytes()),
-            },
-            ExecFn::SwDownload => match parse_kv(d.payload()) {
-                Ok(map) => {
-                    let factory = map.get("factory").cloned().unwrap_or_default();
-                    let name = map.get("name").cloned().unwrap_or_default();
-                    let params: HashMap<String, String> = map
-                        .iter()
-                        .filter_map(|(k, v)| {
-                            k.strip_prefix("param.").map(|p| (p.to_string(), v.clone()))
-                        })
-                        .collect();
-                    match self.load_module(&factory, &name, params) {
-                        Ok(tid) => {
-                            let body = format!("tid={}\n", tid.raw());
-                            self.exec_reply(d, ReplyStatus::Success, body.as_bytes());
-                        }
-                        Err(err) => {
-                            self.exec_reply(d, ReplyStatus::DeviceError, err.to_string().as_bytes())
-                        }
-                    }
-                }
-                Err(e) => self.exec_reply(d, ReplyStatus::BadFrame, e.as_bytes()),
-            },
-            ExecFn::IopConnect => match parse_kv(d.payload()) {
-                Ok(map) => {
-                    let peer = map.get("peer").cloned().unwrap_or_default();
-                    let remote: u16 = map
-                        .get("remote_tid")
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0);
-                    match Tid::new(remote) {
-                        Ok(rt) if rt.is_addressable() => {
-                            let alias = map.get("alias").map(|s| s.as_str());
-                            match self.proxy(&peer, rt, alias) {
-                                Ok(tid) => {
-                                    // `supervise=1` puts the new link
-                                    // under heartbeat supervision in
-                                    // the same round trip — the way a
-                                    // control plane wires managed
-                                    // peers.
-                                    if map.get("supervise").map(String::as_str) == Some("1") {
-                                        if let Err(err) = self.supervise(&peer) {
-                                            self.exec_reply(
-                                                d,
-                                                ReplyStatus::DeviceError,
-                                                err.to_string().as_bytes(),
-                                            );
-                                            return;
-                                        }
-                                    }
-                                    let body = format!("tid={}\n", tid.raw());
-                                    self.exec_reply(d, ReplyStatus::Success, body.as_bytes());
-                                }
-                                Err(err) => self.exec_reply(
-                                    d,
-                                    ReplyStatus::DeviceError,
-                                    err.to_string().as_bytes(),
-                                ),
-                            }
-                        }
-                        _ => self.exec_reply(d, ReplyStatus::BadFrame, b"bad remote_tid"),
-                    }
-                }
-                Err(e) => self.exec_reply(d, ReplyStatus::BadFrame, e.as_bytes()),
-            },
-            ExecFn::SysTabSet => match parse_kv(d.payload()) {
-                Ok(map) => {
-                    let mut body = String::new();
-                    let mut ok = true;
-                    for (k, v) in &map {
-                        let Some(n) = k.strip_prefix("route.") else {
-                            continue;
-                        };
-                        let Some((peer, tid_s)) = v.split_once('|') else {
-                            ok = false;
-                            continue;
-                        };
-                        let rt = tid_s.parse::<u16>().ok().and_then(|t| Tid::new(t).ok());
-                        match rt {
-                            Some(rt) => match self.proxy(peer, rt, None) {
-                                Ok(tid) => {
-                                    body.push_str(&format!("tid.{n}={}\n", tid.raw()));
-                                }
-                                Err(_) => ok = false,
-                            },
-                            None => ok = false,
-                        }
-                    }
-                    let status = if ok {
-                        ReplyStatus::Success
-                    } else {
-                        ReplyStatus::DeviceError
-                    };
-                    self.exec_reply(d, status, body.as_bytes());
-                }
-                Err(e) => self.exec_reply(d, ReplyStatus::BadFrame, e.as_bytes()),
-            },
-            ExecFn::HrtGet => {
-                let ps = core.alloc.stats();
-                let body = kv(&[
-                    ("allocator", core.alloc.scheme()),
-                    ("allocs", &ps.allocs.to_string()),
-                    ("hits", &ps.hits.to_string()),
-                    ("misses", &ps.misses.to_string()),
-                    ("live_blocks", &ps.live_blocks.to_string()),
-                    ("bytes_created", &ps.bytes_created.to_string()),
-                ]);
-                self.exec_reply(d, ReplyStatus::Success, &body);
-            }
-            ExecFn::LctNotify => {
-                let mut body = String::new();
-                for (i, row) in core.registry.lct().iter().enumerate() {
-                    body.push_str(&format!(
-                        "dev.{i}={}|{}|{}|{:?}\n",
-                        row.tid.raw(),
-                        row.name,
-                        row.class,
-                        row.state
-                    ));
-                }
-                self.exec_reply(d, ReplyStatus::Success, body.as_bytes());
-            }
-            ExecFn::PathQuiesce | ExecFn::PathEnable => match self.control_tid(d) {
-                Ok(tid) => {
-                    let want = if e == ExecFn::PathEnable {
-                        DeviceState::Enabled
-                    } else {
-                        DeviceState::Quiesced
-                    };
-                    let mut done = false;
-                    core.registry.for_each_meta(|m| {
-                        if m.tid == tid && m.state.can_transition(want) {
-                            m.state = want;
-                            done = true;
-                        }
-                    });
-                    let status = if done {
-                        ReplyStatus::Success
-                    } else {
-                        ReplyStatus::DeviceError
-                    };
-                    self.exec_reply(d, status, &[]);
-                }
-                Err(err) => self.exec_reply(d, ReplyStatus::BadFrame, err.to_string().as_bytes()),
-            },
-        }
-    }
-
-    /// Parses the `tid=<raw>` control payload.
-    fn control_tid(&self, d: &Delivery) -> Result<Tid, ExecError> {
-        let map = parse_kv(d.payload()).map_err(ExecError::BadControl)?;
-        let raw: u16 = map
-            .get("tid")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ExecError::BadControl("missing tid".into()))?;
-        Tid::new(raw).map_err(ExecError::Tid)
-    }
-
-    /// Sends an error reply when the request asked for one.
-    fn error_reply(&self, d: &Delivery, status: ReplyStatus) {
-        if !d.header.flags.contains(MsgFlags::REPLY_EXPECTED)
-            || d.header.flags.contains(MsgFlags::IS_REPLY)
-        {
-            return;
-        }
-        self.exec_reply(d, status, &[]);
-    }
-
-    /// One supervision period: probe every supervised peer with an
-    /// `HbPing` utility frame and react to state transitions. Pings
-    /// bypass the route table — a Down peer keeps being probed so its
-    /// eventual pong can revive the link.
+    /// One supervision period: probe every supervised peer with a
+    /// heartbeat ping (`supervisor::ping_frame`) and react to state
+    /// transitions.
     fn heartbeat_tick(&self) {
         let core = &self.core;
         let Some(sup) = &core.supervisor else { return };
@@ -1636,11 +881,7 @@ impl Executive {
         let outcome = sup.tick();
         for (peer, seq) in outcome.pings {
             core.mon.hb_pings.inc();
-            let msg = Message::util(Tid::EXECUTIVE, Tid::EXECUTIVE, UtilFn::HbPing)
-                .priority(Priority::MAX)
-                .payload(seq.to_le_bytes().to_vec())
-                .finish();
-            if let Ok(d) = Delivery::from_message(&msg, core.allocator()) {
+            if let Ok(d) = Delivery::from_message(&supervisor::ping_frame(seq), core.allocator()) {
                 let _ = core.pta.send(&peer, d.into_buf());
             }
         }
@@ -1672,30 +913,29 @@ impl Executive {
             core.registry.remove(*tid);
             let _ = core.tids.lock().free(*tid);
         }
-        let listener = *core.fault_listener.lock();
-        if let Some(dest) = listener {
-            let body = kv(&[
-                ("peer", &peer.to_string()),
-                ("evicted", &ev.evicted.len().to_string()),
-                ("promoted", &ev.promoted.len().to_string()),
-            ]);
-            let msg = Message::build_private(dest, Tid::EXECUTIVE, ORG_XDAQ, xfn::XFN_PEER_DOWN)
-                .priority(Priority::MAX)
-                .payload(body)
-                .finish();
-            let _ = self.post(msg);
-        }
+        let body = kv(&[
+            ("peer", &peer.to_string()),
+            ("evicted", &ev.evicted.len().to_string()),
+            ("promoted", &ev.promoted.len().to_string()),
+        ]);
+        self.notify_fault_listener(xfn::XFN_PEER_DOWN, body);
     }
 
     /// Notifies the registered fault listener about a watchdog trip.
     fn notify_fault(&self, tid: Tid, elapsed: Duration) {
-        let listener = *self.core.fault_listener.lock();
-        let Some(dest) = listener else { return };
         let body = kv(&[
             ("tid", &tid.raw().to_string()),
             ("elapsed_ns", &elapsed.as_nanos().to_string()),
         ]);
-        let msg = Message::build_private(dest, Tid::EXECUTIVE, ORG_XDAQ, xfn::XFN_WATCHDOG)
+        self.notify_fault_listener(xfn::XFN_WATCHDOG, body);
+    }
+
+    /// Posts an `ORG_XDAQ` fault event to the registered fault
+    /// listener, if there is one.
+    fn notify_fault_listener(&self, x_function: u16, body: Vec<u8>) {
+        let listener = *self.core.fault_listener.lock();
+        let Some(dest) = listener else { return };
+        let msg = Message::build_private(dest, Tid::EXECUTIVE, ORG_XDAQ, x_function)
             .priority(Priority::MAX)
             .payload(body)
             .finish();

@@ -19,7 +19,12 @@
 //!   [`SchedQueue`] (seven priority FIFOs with round-robin device
 //!   dispatch), the [`RouteTable`] (TiD addressing + proxy TiDs), the
 //!   [`Pta`] (Peer Transport Agent), the [`TimerWheel`], and the device
-//!   registry.
+//!   registry. `executive` is the frame path (routing, ingest,
+//!   dispatch); the verbs the executive answers itself are in `verbs`,
+//!   its monitoring surface ([`ExecMonitors`], `mon_snapshot`) in
+//!   [`monitor`], and the wire frames of the credit and heartbeat
+//!   protocols next to their state machines in [`credit`] and
+//!   [`supervisor`].
 //! * [`I2oListener`] — the device-class trait applications implement
 //!   (the paper's `i2oListener` C++ class): react to private frames,
 //!   utility frames and timer events; default utility handling is
@@ -37,12 +42,14 @@ pub mod credit;
 pub mod error;
 pub mod executive;
 pub mod listener;
+pub mod monitor;
 pub mod pta;
 pub mod queue;
 pub mod registry;
 pub mod route;
 pub mod supervisor;
 pub mod timer;
+mod verbs;
 pub mod xfn;
 
 pub use admission::AdmissionControl;
@@ -51,8 +58,9 @@ pub use clock::{Clock, VirtualClock};
 pub use config::{AllocatorKind, ExecutiveConfig};
 pub use credit::{CreditManager, FlowCmd, FlowConfig, FlowPolicy};
 pub use error::{ExecError, PtError};
-pub use executive::{ExecMonitors, ExecStats, Executive, ExecutiveHandle};
+pub use executive::{Executive, ExecutiveHandle};
 pub use listener::{Delivery, Dispatcher, I2oListener, TimerId};
+pub use monitor::ExecMonitors;
 pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, RetryPolicy, SendFailure};
 pub use queue::SchedQueue;
 pub use registry::{DeviceMeta, Registry};

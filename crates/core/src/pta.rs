@@ -10,7 +10,7 @@
 //! to the executive whenever data have arrived."*
 //!
 //! Paper §3.2 additionally promises *"fault tolerant behaviour"*: the
-//! agent here implements it on the send path with per-scheme
+//! agent here implements it on the send path with one
 //! [`RetryPolicy`] (bounded attempts, exponential backoff with
 //! deterministic jitter, per-frame deadline) and transport **failover**
 //! — [`Pta::send_failover`] walks a chain of peer addresses, moving to
@@ -179,7 +179,7 @@ impl fmt::Display for SendFailure {
     }
 }
 
-/// Bounded-retry configuration applied per address scheme.
+/// Bounded-retry configuration, one per executive.
 ///
 /// The default (`max_attempts = 1`, zero backoff, no deadline) is
 /// exactly the historical fire-and-forget behaviour.
@@ -341,27 +341,22 @@ impl Default for PtaMetrics {
     }
 }
 
-/// Per-scheme retry policies plus the fallback for every other scheme,
-/// under one lock so a send reads its policy in one acquisition.
-#[derive(Default)]
-struct RetryPolicies {
-    by_scheme: HashMap<String, RetryPolicy>,
-    fallback: RetryPolicy,
-}
-
 /// The Peer Transport Agent: owns all registered PTs, fans frames out
 /// to them by address scheme, and runs the retry/failover machinery.
 #[derive(Default)]
 pub struct Pta {
     entries: RwLock<Vec<PtEntry>>,
-    policies: RwLock<RetryPolicies>,
+    /// The one retry policy, for every scheme and every hop
+    /// (`ExecutiveConfig::retry`).
+    policy: RwLock<RetryPolicy>,
     metrics: RwLock<PtaMetrics>,
     /// Link-level flow control, when the executive enabled it. The
     /// gate sits here — above every transport — so `tcp://`, `shm://`,
     /// `loop://` and `ChaosPt` wrappers are all metered identically.
     flow: RwLock<Option<Arc<CreditManager>>>,
     /// xorshift64* state for deterministic backoff jitter; never uses
-    /// the wall clock, so a fixed seed gives a fixed pause sequence.
+    /// the wall clock, and every agent starts from the same seed, so a
+    /// run's pause sequence is fixed.
     jitter: AtomicU64,
     /// Time source for retry deadlines, backoff pauses and credit
     /// waits. Wall by default; the executive installs its own clock so
@@ -410,38 +405,9 @@ impl Pta {
         self.flow.read().clone()
     }
 
-    /// Seeds the deterministic backoff jitter. Zero (the one invalid
-    /// xorshift state) is remapped; every other seed is taken as-is so
-    /// distinct seeds give distinct sequences.
-    pub fn seed_jitter(&self, seed: u64) {
-        let seed = if seed == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            seed
-        };
-        self.jitter.store(seed, Ordering::Relaxed);
-    }
-
-    /// Installs the retry policy for one scheme (`Some`) or the
-    /// default for all schemes (`None`).
-    pub fn set_retry_policy(&self, scheme: Option<&str>, policy: RetryPolicy) {
-        let mut policies = self.policies.write();
-        match scheme {
-            Some(s) => {
-                policies.by_scheme.insert(s.to_ascii_lowercase(), policy);
-            }
-            None => policies.fallback = policy,
-        }
-    }
-
-    /// Effective retry policy for a scheme.
-    pub fn retry_policy(&self, scheme: &str) -> RetryPolicy {
-        let policies = self.policies.read();
-        policies
-            .by_scheme
-            .get(scheme)
-            .copied()
-            .unwrap_or(policies.fallback)
+    /// Installs the retry policy every send applies.
+    pub fn set_retry_policy(&self, policy: RetryPolicy) {
+        *self.policy.write() = policy;
     }
 
     /// Registers a transport under the TiD the executive assigned to
@@ -509,16 +475,15 @@ impl Pta {
     }
 
     /// Sends a frame via the scheme-matching transport, applying the
-    /// scheme's [`RetryPolicy`].
+    /// [`RetryPolicy`].
     pub fn send(&self, dest: &PeerAddr, frame: FrameBuf) -> Result<(), PtError> {
         self.send_failover(std::slice::from_ref(dest), frame)
     }
 
     /// Sends a frame down a failover chain: the first address is the
     /// primary, the rest are alternates tried in order after the
-    /// primary's retry budget is exhausted. Each hop applies its own
-    /// scheme's [`RetryPolicy`]; the first hop's deadline (if any)
-    /// bounds the whole frame. Retries and failovers are counted in
+    /// primary's retry budget is exhausted. Every hop applies the one
+    /// [`RetryPolicy`]; its deadline (if any) bounds the whole frame. Retries and failovers are counted in
     /// `pta.retries` / `pta.failovers`. Dropping the failure recycles
     /// the frame's pool block; use
     /// [`Pta::send_failover_returning`] to keep it.
@@ -539,19 +504,17 @@ impl Pta {
     /// frame provably never reached the wire, so failed sends cannot
     /// leak window.
     ///
-    /// Steady-state cost: the first hop's policy is read once and the
-    /// clock only when that policy sets a deadline (a credit wait
-    /// times itself).
+    /// Steady-state cost: the policy is read once per frame and the
+    /// clock only when the policy sets a deadline (a credit wait times
+    /// itself).
     pub fn send_failover_returning(
         &self,
         chain: &[PeerAddr],
         frame: FrameBuf,
     ) -> Result<(), SendFailure> {
-        let first_policy = chain.first().map(|d| self.retry_policy(d.scheme()));
+        let policy = *self.policy.read();
         // `(started, budget)` of the whole frame, when bounded.
-        let overall_deadline = first_policy
-            .and_then(|p| p.deadline)
-            .map(|budget| (self.clock.now(), budget));
+        let overall_deadline = policy.deadline.map(|budget| (self.clock.now(), budget));
         let expired = || match overall_deadline {
             Some((started, d)) => self.clock.since(started) >= d,
             None => false,
@@ -571,7 +534,7 @@ impl Pta {
             last.unwrap_or_else(|| PtError::Unreachable("empty failover chain".to_string()))
         };
         let mut tried = 0usize;
-        for (hop, dest) in chain.iter().enumerate() {
+        for dest in chain {
             let Some(pt) = self.transport_for(dest.scheme()) else {
                 last = Some(PtError::Unreachable(dest.to_string()));
                 continue;
@@ -596,10 +559,6 @@ impl Pta {
                         mgr.refund(dest);
                     }
                 }
-            };
-            let policy = match (hop, first_policy) {
-                (0, Some(p)) => p,
-                _ => self.retry_policy(dest.scheme()),
             };
             for attempt in 1..=policy.max_attempts {
                 let Some(f) = frame.take() else {
@@ -1021,10 +980,7 @@ mod tests {
         let registry = Registry::new();
         let pta = Pta::new();
         pta.bind_registry(&registry);
-        pta.set_retry_policy(
-            Some("fake"),
-            RetryPolicy::retrying(4, Duration::ZERO, Duration::ZERO),
-        );
+        pta.set_retry_policy(RetryPolicy::retrying(4, Duration::ZERO, Duration::ZERO));
         let pt = FakePt::new(PtMode::Polling);
         pt.fail_first.store(2, std::sync::atomic::Ordering::SeqCst);
         pta.register(tid(0x10), pt.clone());
@@ -1039,10 +995,7 @@ mod tests {
     #[test]
     fn retry_budget_exhaustion_reports_last_error() {
         let pta = Pta::new();
-        pta.set_retry_policy(
-            Some("fake"),
-            RetryPolicy::retrying(3, Duration::ZERO, Duration::ZERO),
-        );
+        pta.set_retry_policy(RetryPolicy::retrying(3, Duration::ZERO, Duration::ZERO));
         let pt = FakePt::new(PtMode::Polling);
         pt.fail_first
             .store(u64::MAX, std::sync::atomic::Ordering::SeqCst);
@@ -1181,16 +1134,20 @@ mod tests {
     #[test]
     fn deterministic_jitter_sequence() {
         let policy = RetryPolicy::retrying(8, Duration::from_millis(4), Duration::from_millis(64));
-        let seq = |seed: u64| -> Vec<Duration> {
+        let seq = || -> Vec<Duration> {
             let pta = Pta::new();
-            pta.seed_jitter(seed);
             (1..6).map(|r| pta.backoff(&policy, r)).collect()
         };
-        assert_eq!(seq(42), seq(42), "same seed, same pauses");
-        assert_ne!(seq(42), seq(43), "different seed, different pauses");
-        for (i, d) in seq(42).iter().enumerate() {
+        assert_eq!(seq(), seq(), "every agent pauses the same sequence");
+        for (i, d) in seq().iter().enumerate() {
             let nominal = policy.nominal_backoff(i as u32 + 1);
             assert!(*d >= nominal / 2 && *d <= nominal, "jitter out of band");
         }
+        let pta = Pta::new();
+        let pauses: Vec<Duration> = (0..8).map(|_| pta.backoff(&policy, 3)).collect();
+        assert!(
+            pauses.windows(2).any(|w| w[0] != w[1]),
+            "jittered: {pauses:?}"
+        );
     }
 }

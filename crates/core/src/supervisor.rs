@@ -28,14 +28,17 @@
 //! The struct is deliberately free of clocks and I/O — [`tick`]
 //! decides *what* to do (who to ping, who changed state) and the
 //! executive does it, which keeps the state machine unit-testable and
-//! the chaos tests deterministic.
+//! the chaos tests deterministic. The wire form of the probes lives
+//! here too: [`ping_frame`], [`pong_frame`] and [`frame_seq`].
 //!
 //! [`tick`]: LinkSupervisor::tick
 
+use crate::listener::Delivery;
 use crate::pta::PeerAddr;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::time::Duration;
+use xdaq_i2o::{Message, Priority, Tid, UtilFn};
 
 /// Health of one supervised peer link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -234,6 +237,34 @@ impl LinkSupervisor {
         }
         None
     }
+}
+
+/// The `HbPing` probe carrying sequence number `seq`, executive to
+/// executive. It bypasses the route table, so a Down peer keeps being
+/// probed and its eventual pong can revive the link.
+pub(crate) fn ping_frame(seq: u64) -> Message {
+    Message::util(Tid::EXECUTIVE, Tid::EXECUTIVE, UtilFn::HbPing)
+        .priority(Priority::MAX)
+        .payload(seq.to_le_bytes().to_vec())
+        .finish()
+}
+
+/// The answer `from` sends to `ping`: a *fresh* `HbPong` frame (not an
+/// IS_REPLY: the remote executive swallows replies) echoing the
+/// sequence payload back to the proxied initiator.
+pub(crate) fn pong_frame(ping: &Delivery, from: Tid) -> Message {
+    Message::util(ping.header.initiator, from, UtilFn::HbPong)
+        .priority(Priority::MAX)
+        .payload(ping.payload().to_vec())
+        .finish()
+}
+
+/// The sequence number a ping or pong carries (0 when truncated).
+pub(crate) fn frame_seq(d: &Delivery) -> u64 {
+    d.payload()
+        .get(..8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

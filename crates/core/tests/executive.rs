@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xdaq_core::{
-    config::kv, AllocatorKind, Delivery, Dispatcher, Executive, ExecutiveConfig, I2oListener,
-    TimerId,
+    config::{kv, parse_kv},
+    AllocatorKind, Delivery, Dispatcher, Executive, ExecutiveConfig, I2oListener, TimerId,
 };
 use xdaq_i2o::{
     DeviceClass, DeviceState, ExecFn, Message, Priority, ReplyStatus, Tid, UtilFn, ORG_USER,
@@ -63,6 +63,12 @@ impl I2oListener for Sink {
 
 fn drain(exec: &Executive) {
     while exec.run_once() > 0 {}
+}
+
+/// One of an executive's `exec.*` counters, read from its registry.
+fn exec_counter(exec: &Executive, key: &str) -> u64 {
+    let registry = exec.core().monitors().registry();
+    registry.counter(&format!("exec.{key}")).get()
 }
 
 fn new_exec(name: &str) -> Executive {
@@ -170,7 +176,7 @@ fn disabled_device_rejects_private_frames_with_busy() {
     exec.post(msg).unwrap();
     drain(&exec);
     assert_eq!(seen.load(Ordering::SeqCst), 0);
-    assert_eq!(exec.stats().dropped, 1);
+    assert_eq!(exec_counter(&exec, "dropped"), 1);
 }
 
 #[test]
@@ -179,7 +185,7 @@ fn unknown_target_counts_dropped() {
     let msg =
         Message::build_private(Tid::new(0x777).unwrap(), Tid::HOST, ORG_USER, XFN_SINK).finish();
     assert!(exec.post(msg).is_err());
-    assert_eq!(exec.stats().dropped, 1);
+    assert_eq!(exec_counter(&exec, "dropped"), 1);
 }
 
 #[test]
@@ -303,6 +309,54 @@ fn exec_status_get_reports_node() {
     let body = String::from_utf8(frames[0].1[1..].to_vec()).unwrap();
     assert!(body.contains("node=daq7"), "{body}");
     assert!(body.contains("allocator=table"), "{body}");
+}
+
+#[test]
+fn every_exec_verb_is_answered_and_only_the_unsent_ones_are_refused() {
+    let exec = new_exec("n1");
+    let state = Arc::new(SinkState::default());
+    let sink_tid = exec
+        .register("sink", Box::new(Sink(state.clone())), &[])
+        .unwrap();
+    let verbs: Vec<ExecFn> = (0..=u8::MAX).filter_map(ExecFn::from_u8).collect();
+    assert_eq!(verbs.len(), 14);
+    let mut refused = Vec::new();
+    let mut status = None;
+    for e in verbs {
+        state.frames.lock().clear();
+        exec.post(
+            Message::exec(Tid::EXECUTIVE, sink_tid, e)
+                .expect_reply()
+                .finish(),
+        )
+        .unwrap();
+        drain(&exec);
+        let frames = state.frames.lock();
+        assert_eq!(frames.len(), 1, "{e:?}: exactly one reply");
+        let reply = &frames[0].1;
+        if reply[0] == ReplyStatus::UnsupportedFunction as u8 {
+            refused.push(e);
+        }
+        if e == ExecFn::StatusGet {
+            assert_eq!(reply[0], ReplyStatus::Success as u8);
+            status = Some(parse_kv(&reply[1..]).unwrap());
+        }
+    }
+    assert_eq!(
+        refused,
+        [ExecFn::OutboundInit, ExecFn::SysTabSet, ExecFn::HrtGet]
+    );
+    let status = status.expect("StatusGet answered");
+    let mut keys: Vec<&str> = status.keys().map(String::as_str).collect();
+    keys.sort_unstable();
+    let counters = "broadcasts dispatched dropped exec_msgs faults forwarded sent_local \
+                    sent_peer timers_fired util_msgs watchdog_trips";
+    let mut want: Vec<&str> = counters.split_whitespace().collect();
+    want.extend(["node", "devices", "queued", "uptime_ns", "allocator"]);
+    want.sort_unstable();
+    assert_eq!(keys, want);
+    // StatusGet was the first verb sent: it counts itself.
+    assert_eq!(status["exec_msgs"], "1");
 }
 
 #[test]
@@ -431,7 +485,7 @@ fn timers_deliver_on_timer_upcalls() {
     std::thread::sleep(Duration::from_millis(5));
     drain(&exec);
     assert_eq!(fired.load(Ordering::SeqCst), 1);
-    assert_eq!(exec.stats().timers_fired, 1);
+    assert_eq!(exec_counter(&exec, "timers_fired"), 1);
 }
 
 #[test]
@@ -461,8 +515,8 @@ fn watchdog_faults_slow_handler_and_notifies_listener() {
     exec.post(Message::build_private(slow_tid, sink_tid, ORG_USER, XFN_SINK).finish())
         .unwrap();
     drain(&exec);
-    assert_eq!(exec.stats().watchdog_trips, 1);
-    assert_eq!(exec.stats().faults, 1);
+    assert_eq!(exec_counter(&exec, "watchdog_trips"), 1);
+    assert_eq!(exec_counter(&exec, "faults"), 1);
     assert_eq!(
         exec.lct().iter().find(|r| r.tid == slow_tid).unwrap().state,
         DeviceState::Faulted
@@ -479,7 +533,11 @@ fn watchdog_faults_slow_handler_and_notifies_listener() {
     exec.post(Message::build_private(slow_tid, sink_tid, ORG_USER, XFN_SINK).finish())
         .unwrap();
     drain(&exec);
-    assert_eq!(exec.stats().watchdog_trips, 1, "no second dispatch");
+    assert_eq!(
+        exec_counter(&exec, "watchdog_trips"),
+        1,
+        "no second dispatch"
+    );
 }
 
 #[test]
@@ -501,7 +559,7 @@ fn broadcast_reaches_all_devices_except_sender() {
     drain(&exec);
     assert_eq!(s1.frames.lock().len(), 0, "sender skipped");
     assert_eq!(s2.frames.lock().len(), 1);
-    assert_eq!(exec.stats().broadcasts, 1);
+    assert_eq!(exec_counter(&exec, "broadcasts"), 1);
 }
 
 #[test]
@@ -555,5 +613,5 @@ fn simple_allocator_configuration_works_end_to_end() {
         .unwrap();
     drain(&exec);
     assert_eq!(seen.load(Ordering::SeqCst), 1);
-    assert_eq!(exec.pool_stats().allocs, 1);
+    assert_eq!(exec.core().allocator().stats().allocs, 1);
 }

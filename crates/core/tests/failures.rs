@@ -33,6 +33,12 @@ fn drain(e: &Executive) {
     while e.run_once() > 0 {}
 }
 
+/// One of an executive's `exec.*` counters, read from its registry.
+fn exec_counter(exec: &Executive, key: &str) -> u64 {
+    let registry = exec.core().monitors().registry();
+    registry.counter(&format!("exec.{key}")).get()
+}
+
 /// A transport that always fails to send.
 struct BrokenPt;
 
@@ -92,7 +98,7 @@ fn garbage_from_the_wire_is_dropped_and_counted() {
     let mut wire = msg.encode_vec();
     wire.truncate(24);
     exec.ingest_from_peer(FrameBuf::from_bytes(&wire), src);
-    assert_eq!(exec.stats().dropped, 3);
+    assert_eq!(exec_counter(&exec, "dropped"), 3);
     drain(&exec);
 }
 
@@ -146,9 +152,9 @@ fn destroy_purges_pending_traffic_and_recycles_tid() {
         exec.post(Message::build_private(victim, Tid::HOST, 1, 1).finish())
             .unwrap();
     }
-    assert_eq!(exec.queue_len(), 10);
+    assert_eq!(exec.core().queued(), 10);
     exec.destroy(victim).unwrap();
-    assert_eq!(exec.queue_len(), 0, "queued frames purged");
+    assert_eq!(exec.core().queued(), 0, "queued frames purged");
     assert!(exec.destroy(victim).is_err(), "double destroy");
 }
 
@@ -176,7 +182,7 @@ fn handler_panic_is_not_silent_death() {
     }));
     assert!(result.is_err(), "panic surfaces");
     // The executive object is still usable for shutdown-style queries.
-    assert!(exec.queue_len() == 0 || exec.queue_len() > 0);
+    assert!(exec.core().queued() == 0 || exec.core().queued() > 0);
 }
 
 #[test]
@@ -362,7 +368,7 @@ fn failed_chained_send_leaves_no_live_blocks() {
         .unwrap();
     drain(&exec);
     assert_eq!(
-        exec.pool_stats().live_blocks,
+        exec.core().allocator().stats().live_blocks,
         0,
         "pool occupancy must return to zero after the failed chain"
     );

@@ -315,8 +315,10 @@ impl<'a> XclInterpreter<'a> {
             }
             ["rec", handle, rest @ ..] => {
                 // Drive a Recorder device at runtime: plain keys get the
-                // `rec.` prefix, so `rec r0 sync=1 fsync_bytes=1048576`
-                // forces a durability point and retunes batching.
+                // `rec.` prefix, so `rec r0 sync=1` forces a durability
+                // point and `rec r0 rotate=1` cuts a new segment. The
+                // recorder refuses every other `rec.*` key: batching is
+                // fixed when the device is loaded.
                 self.prefixed_set("rec", "rec", handle, rest, line)
             }
             ["replay", handle, rest @ ..] => {

@@ -18,6 +18,8 @@
 //!
 //! Runtime control rides on `ParamsSet`: `rec.sync=1` forces an
 //! `fdatasync`, `rec.rotate=1` cuts a new segment (a run boundary).
+//! Any other `rec.*` key is refused with `BadFrame`: batching is fixed
+//! at plug time, so a runtime retune would be stored and never read.
 
 use crate::writer::{RecConfig, RecWriter};
 use std::collections::HashMap;
@@ -215,6 +217,13 @@ impl I2oListener for Recorder {
                 return UtilOutcome::Handled;
             }
         };
+        let inert =
+            |k: &&String| k.starts_with("rec.") && !matches!(k.as_str(), "rec.sync" | "rec.rotate");
+        if let Some(k) = map.keys().find(inert) {
+            let body = format!("{k}: only rec.sync and rec.rotate act at runtime");
+            let _ = ctx.reply(msg, ReplyStatus::BadFrame, body.as_bytes());
+            return UtilOutcome::Handled;
+        }
         for (k, v) in map {
             match (k.as_str(), self.writer.as_mut()) {
                 ("rec.sync", Some(w)) => {
@@ -309,6 +318,52 @@ mod tests {
         assert_eq!(report.records, 3);
         assert!(report.torn.is_none());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Collects the reply statuses a device receives.
+    struct Replies(std::sync::Arc<parking_lot::Mutex<Vec<ReplyStatus>>>);
+
+    impl I2oListener for Replies {
+        fn class(&self) -> DeviceClass {
+            DeviceClass::Application(1)
+        }
+        fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, _msg: Delivery) {}
+        fn on_reply(&mut self, _ctx: &mut Dispatcher<'_>, msg: Delivery) {
+            if let Some((status, _)) = msg.reply_status() {
+                self.0.lock().push(status);
+            }
+        }
+    }
+
+    #[test]
+    fn runtime_keys_other_than_sync_and_rotate_are_refused() {
+        let exec = Executive::new(ExecutiveConfig::named("store"));
+        let rec = exec
+            .register("rec0", Box::new(Recorder::new()), &[])
+            .unwrap();
+        let statuses = std::sync::Arc::default();
+        let host = exec
+            .register(
+                "host",
+                Box::new(Replies(std::sync::Arc::clone(&statuses))),
+                &[],
+            )
+            .unwrap();
+        exec.enable_all();
+        for pair in [("rec.fsync_bytes", "1048576"), ("rec.sync", "1")] {
+            exec.post(
+                Message::util(rec, host, UtilFn::ParamsSet)
+                    .payload(xdaq_core::config::kv(&[pair]))
+                    .expect_reply()
+                    .finish(),
+            )
+            .unwrap();
+        }
+        while exec.run_once() > 0 {}
+        assert_eq!(
+            *statuses.lock(),
+            [ReplyStatus::BadFrame, ReplyStatus::Success]
+        );
     }
 
     #[test]

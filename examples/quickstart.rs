@@ -78,7 +78,8 @@ fn main() {
         state.completed.load(Ordering::SeqCst),
         mean_us
     );
-    println!("node-a stats: {:?}", node_a.stats());
+    let metrics = node_a.core().mon_snapshot()["metrics"]["counters"].clone();
+    println!("node-a counters: {metrics}");
     ha.shutdown();
     hb.shutdown();
 }

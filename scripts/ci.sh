@@ -65,16 +65,17 @@ fi
 echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="
 # Everything on an executive's event path reads time through its Clock.
 # In non-test code of crates/core/src and crates/evb/src (each file up
-# to its first #[cfg(test)], comment lines skipped), Instant::now() and
-# thread::sleep may appear only in clock.rs (the seam itself),
-# admission.rs (the token bucket) and executive.rs (watchdog, trace and
-# uptime stamps).
+# to its first #[cfg(test)], comment lines skipped), Instant::now(),
+# .elapsed() and thread::sleep may appear only in clock.rs (the seam
+# itself), admission.rs (the token bucket), executive.rs (watchdog and
+# trace stamps, the uptime epoch) and monitor.rs (uptime).
 wall=$(find crates/core/src crates/evb/src -name '*.rs' \
-    ! -name clock.rs ! -name admission.rs ! -name executive.rs | sort \
+    ! -name clock.rs ! -name admission.rs ! -name executive.rs \
+    ! -name monitor.rs | sort \
     | xargs awk '
         FNR == 1 { live = 1 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
-        live && !/^[[:space:]]*\/\// && /Instant::now\(\)|thread::sleep/ {
+        live && !/^[[:space:]]*\/\// && /Instant::now\(\)|\.elapsed\(\)|thread::sleep/ {
             print FILENAME ":" FNR ": " $0
         }')
 if [ -n "$wall" ]; then

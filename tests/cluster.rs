@@ -22,6 +22,12 @@ fn wait_until(cond: impl Fn() -> bool, timeout: Duration) -> bool {
     cond()
 }
 
+/// One of an executive's `exec.*` counters, read from its registry.
+fn exec_counter(exec: &Executive, key: &str) -> u64 {
+    let registry = exec.core().monitors().registry();
+    registry.counter(&format!("exec.{key}")).get()
+}
+
 /// Builds an executive on a loopback hub under `name`.
 fn node_on(hub: &std::sync::Arc<LoopbackHub>, name: &str) -> Executive {
     let exec = Executive::new(ExecutiveConfig::named(name));
@@ -73,8 +79,8 @@ fn ping_pong_across_two_executives_via_loopback() {
     assert_eq!(state.completed.load(Ordering::SeqCst), 500);
     assert_eq!(state.rtts_ns.lock().len(), 500);
     // Both directions crossed the peer transport.
-    assert!(node_a.stats().sent_peer >= 500);
-    assert!(node_b.stats().sent_peer >= 500);
+    assert!(exec_counter(&node_a, "sent_peer") >= 500);
+    assert!(exec_counter(&node_b, "sent_peer") >= 500);
     ha.shutdown();
     hb.shutdown();
 }
@@ -144,9 +150,12 @@ fn second_host_is_refused_while_claimed() {
     let w1 = primary.connect_node("loop://worker", None).unwrap();
     let w2 = secondary.connect_node("loop://worker", None).unwrap();
     primary.claim(w1).unwrap();
-    // Secondary cannot claim or mutate...
+    // Secondary cannot claim or mutate, and cannot release the
+    // primary's claim or stop the node through its parameters...
     assert!(secondary.claim(w2).is_err());
     assert!(secondary.enable(w2).is_err());
+    assert!(secondary.release(w2).is_err());
+    assert!(secondary.params_set(w2, &[("exec.stop", "1")]).is_err());
     // ...but read-only status still works (monitoring rights).
     assert_eq!(secondary.status(w2).unwrap()["node"], "worker");
     // After release, the secondary takes over.
@@ -307,11 +316,8 @@ fn three_hop_forwarding_through_intermediate_node() {
         "3-hop run incomplete: {}",
         sink_state.completed.load(Ordering::SeqCst)
     );
-    assert!(
-        b.stats().forwarded >= 50,
-        "intermediate forwarded: {}",
-        b.stats().forwarded
-    );
+    let forwarded = exec_counter(&b, "forwarded");
+    assert!(forwarded >= 50, "intermediate forwarded: {forwarded}");
     ha.shutdown();
     hb.shutdown();
     hc.shutdown();

@@ -151,9 +151,9 @@ fn in_place_send_costs_one_pool_block_and_gives_it_back_on_error() {
 
     // Delivered: exactly one allocation on top of the order frame's,
     // both blocks home again after dispatch. 61 B also covers padding.
-    let before = exec.pool_stats();
+    let before = exec.core().allocator().stats();
     order(sink, 61);
-    let after = exec.pool_stats();
+    let after = exec.core().allocator().stats();
     assert!(matches!(results.lock().pop(), Some(Ok(()))));
     assert_eq!(got.load(Ordering::SeqCst), 61);
     assert_eq!(
@@ -166,9 +166,9 @@ fn in_place_send_costs_one_pool_block_and_gives_it_back_on_error() {
     // Unroutable: the block was allocated and filled, the send fails,
     // and the block is back in the pool when `Err` returns.
     let nowhere = Tid::new(0x7F0).unwrap();
-    let before = exec.pool_stats();
+    let before = exec.core().allocator().stats();
     order(nowhere, 2048);
-    let after = exec.pool_stats();
+    let after = exec.core().allocator().stats();
     assert!(matches!(
         results.lock().pop(),
         Some(Err(ExecError::UnknownTid(t))) if t == nowhere
@@ -178,9 +178,9 @@ fn in_place_send_costs_one_pool_block_and_gives_it_back_on_error() {
     assert_eq!(after.live_blocks, before.live_blocks);
 
     // Too long for any frame: refused before a block is taken.
-    let before = exec.pool_stats();
+    let before = exec.core().allocator().stats();
     order(sink, 1 << 20);
-    let after = exec.pool_stats();
+    let after = exec.core().allocator().stats();
     assert!(matches!(results.lock().pop(), Some(Err(_))));
     assert_eq!(after.allocs - before.allocs, 1, "only the order frame");
     assert_eq!(after.live_blocks, before.live_blocks);
