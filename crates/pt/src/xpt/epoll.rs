@@ -1,11 +1,14 @@
 //! The completion driver: `epoll_wait` + batched `readv`/`writev`.
 //!
-//! One thread owns every link. Each wakeup it (1) adopts freshly
-//! dialed links, (2) moves submission rings into per-link egress
-//! queues and flushes them with vectored writes until the socket
-//! pushes back, (3) sleeps under the doorbell-coalescing protocol,
-//! then (4) services readiness: accepts, gather-writes, and reads
-//! that land large frame bodies directly in donated pool blocks.
+//! One thread owns every link's reads, and every link's writes except
+//! the inline ones senders make while the link is idle and the driver
+//! sleeps. Each wakeup it (1) adopts freshly dialed links, (2) moves
+//! submission rings into per-link egress queues and flushes them with
+//! vectored writes until the socket pushes back, handing a link back
+//! to its senders once its queue empties, (3) sleeps under the
+//! doorbell-coalescing protocol, then (4) services readiness: accepts,
+//! gather-writes, and reads that land large frame bodies directly in
+//! donated pool blocks.
 
 use super::wire::{Event, OutQueue, RecvAssembler};
 use super::{Conn, Metrics, Shared};
@@ -63,20 +66,22 @@ pub(super) fn run(shared: Arc<Shared>, sink: IngestSink) -> Result<(), String> {
         if shared.stopped.load(Ordering::Acquire) {
             break;
         }
-        let metrics = shared.metrics.lock().clone();
+        let metrics = shared.metrics.get();
 
         // Move submission rings to the wire.
         let tokens: Vec<u64> = conns.keys().copied().collect();
         for token in tokens {
             let ec = conns.get_mut(&token).expect("token just listed");
             ec.conn.sub.lock().drain_into(&mut ec.out);
-            if !ec.out.is_empty() && flush(ep, token, ec, &shared, &metrics).is_err() {
+            if !ec.out.is_empty() && flush(ep, token, ec, &shared, metrics).is_err() {
                 let ec = conns.remove(&token).expect("still present");
                 teardown(ep, &shared, ec, false);
             }
         }
 
         // Sleep under the doorbell protocol: advertise, recheck, wait.
+        // The nap count precedes the flag, which publishes it to senders.
+        shared.naps.fetch_add(1, Ordering::Relaxed);
         shared.sleeping.store(true, Ordering::SeqCst);
         std::sync::atomic::fence(Ordering::SeqCst);
         if shared.has_pending_work() || shared.stopped.load(Ordering::Acquire) {
@@ -103,11 +108,11 @@ pub(super) fn run(shared: Arc<Shared>, sink: IngestSink) -> Result<(), String> {
                     if ev.events & (xdaq_sys::EPOLLIN | xdaq_sys::EPOLLERR | xdaq_sys::EPOLLHUP)
                         != 0
                     {
-                        outcome = read_all(ec, &shared, &sink, &mut scratch, &metrics);
+                        outcome = read_all(ec, &shared, &sink, &mut scratch, metrics);
                     }
                     let write_dead = matches!(outcome, ReadOutcome::Open)
                         && ev.events & xdaq_sys::EPOLLOUT != 0
-                        && flush(ep, token, ec, &shared, &metrics).is_err();
+                        && flush(ep, token, ec, &shared, metrics).is_err();
                     match (outcome, write_dead) {
                         (ReadOutcome::Open, false) => {}
                         (abnormal, _) => {
@@ -183,12 +188,13 @@ fn accept_all(
 
 /// Gather-writes the egress queue until empty or the socket pushes
 /// back, retiring completed frames, then reconciles EPOLLOUT interest.
+/// An emptied queue hands the link back to its senders.
 fn flush(
     ep: i32,
     token: u64,
     ec: &mut EConn,
     shared: &Arc<Shared>,
-    metrics: &Metrics,
+    metrics: Option<&Metrics>,
 ) -> Result<(), ()> {
     loop {
         let bufs = ec.out.slices();
@@ -201,8 +207,8 @@ fn flush(
         match wrote {
             Ok(0) => return Err(()),
             Ok(n) => {
-                if let Some(h) = &metrics.batch {
-                    h.record(batch as u64);
+                if let Some(m) = metrics {
+                    m.batch.record(batch as u64);
                 }
                 for len in ec.out.advance(n) {
                     shared.counters.on_send(len);
@@ -214,6 +220,9 @@ fn flush(
         }
     }
     let want = !ec.out.is_empty();
+    if !want {
+        ec.conn.sub.lock().flushed();
+    }
     if want != ec.want_write {
         let evs = xdaq_sys::EPOLLIN | if want { xdaq_sys::EPOLLOUT } else { 0 };
         let _ = xdaq_sys::epoll_ctl(
@@ -235,7 +244,7 @@ fn read_all(
     shared: &Arc<Shared>,
     sink: &IngestSink,
     scratch: &mut [u8],
-    metrics: &Metrics,
+    metrics: Option<&Metrics>,
 ) -> ReadOutcome {
     let mut evq = Vec::new();
     let outcome = loop {
@@ -266,8 +275,8 @@ fn read_all(
     };
     let donated = ec.rasm.donations();
     if donated > ec.donations_published {
-        if let Some(c) = &metrics.donations {
-            c.add(donated - ec.donations_published);
+        if let Some(m) = metrics {
+            m.donations.add(donated - ec.donations_published);
         }
         ec.donations_published = donated;
     }

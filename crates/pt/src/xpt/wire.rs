@@ -5,7 +5,9 @@
 //! `tests/xpt_wire.rs`:
 //!
 //! * [`SubQueue`] — the bounded per-link **submission ring** senders
-//!   push frames into (mutex-guarded by the caller).
+//!   push frames into (mutex-guarded by the caller). It also says
+//!   whether the link is idle, so a sender may write a frame to the
+//!   socket itself and queue only the tail the kernel did not take.
 //! * [`OutQueue`] — the driver-private egress side: frames move here
 //!   from the submission ring and are flattened into one `writev`
 //!   gather batch; [`OutQueue::advance`] applies a (possibly partial)
@@ -38,10 +40,22 @@ pub const DIRECT_MIN: usize = 1024;
 /// `push` fails (returning the frame) once either cap is hit; the
 /// caller maps that to `WouldBlock`, which composes with the retry /
 /// failover / credit machinery upstream exactly like a full socket.
+///
+/// The ring also records who owns the link's byte stream. While the
+/// driver's [`OutQueue`] holds unwritten bytes for the link it is
+/// `driven`; otherwise, with the ring empty, a sender holding the lock
+/// may write a frame to the socket itself ([`SubQueue::claim_inline`]).
 #[derive(Default)]
 pub struct SubQueue {
     frames: VecDeque<FrameBuf>,
     bytes: usize,
+    /// Bytes of the head frame a sender already wrote inline.
+    head_off: usize,
+    /// Set when the driver drains a non-empty ring, cleared once its
+    /// egress queue is empty again and the ring still is.
+    driven: bool,
+    /// Driver sleep count at this link's last inline write.
+    inline_nap: Option<u64>,
 }
 
 /// Submission ring caps: frames and total queued bytes.
@@ -62,12 +76,54 @@ impl SubQueue {
         self.frames.is_empty()
     }
 
-    /// Moves every queued frame into the driver's egress queue.
+    /// Whether a sender may write the next frame to the socket itself:
+    /// nothing is queued here, the driver holds no unwritten bytes for
+    /// the link, and the link has not written inline during the
+    /// driver's sleep number `nap`. Records `nap` when it answers yes.
+    pub fn claim_inline(&mut self, nap: u64) -> bool {
+        let ok = self.frames.is_empty() && !self.driven && self.inline_nap != Some(nap);
+        if ok {
+            self.inline_nap = Some(nap);
+        }
+        ok
+    }
+
+    /// Queues what an inline write left unsent: `frame` with its first
+    /// `written` bytes already on the wire becomes the ring's head.
+    /// Only valid right after [`SubQueue::claim_inline`] said yes.
+    pub fn push_tail(&mut self, frame: FrameBuf, written: usize) {
+        debug_assert!(self.frames.is_empty() && written < frame.len());
+        self.head_off = written;
+        self.bytes = frame.len();
+        self.frames.push_back(frame);
+    }
+
+    /// Moves every queued frame into the driver's egress queue, which
+    /// owns the link's byte stream from then on.
     pub fn drain_into(&mut self, out: &mut OutQueue) {
+        if self.frames.is_empty() {
+            return;
+        }
+        if self.head_off > 0 {
+            // A partial inline write only happens on an idle link, so
+            // the egress queue cannot hold bytes ahead of this tail.
+            assert!(out.is_empty(), "inline tail behind driver bytes");
+            out.head_off = self.head_off;
+            self.head_off = 0;
+        }
         for f in self.frames.drain(..) {
             out.push(f);
         }
         self.bytes = 0;
+        self.driven = true;
+    }
+
+    /// The driver's egress queue for this link just emptied: hand the
+    /// stream back to senders unless more frames are already queued.
+    pub fn flushed(&mut self) {
+        if self.frames.is_empty() {
+            self.driven = false;
+        }
     }
 
     /// Drops all queued frames (teardown); returns how many were lost.
@@ -75,6 +131,7 @@ impl SubQueue {
         let n = self.frames.len();
         self.frames.clear();
         self.bytes = 0;
+        self.head_off = 0;
         n
     }
 }

@@ -157,6 +157,59 @@ proptest! {
         prop_assert_eq!(out.pending_bytes(), 0);
     }
 
+    /// A frame a sender started writing inline, at any offset, and the
+    /// driver finished from the ring (`push_tail`, `drain_into`,
+    /// `slices`) yields the same byte stream as the ring alone would,
+    /// and every frame completes once, in order.
+    #[test]
+    fn inline_start_then_ring_matches_ring_alone(
+        sizes in proptest::collection::vec(4usize..2048, 1..40),
+        cut in 0usize..1 << 20,
+        completions in proptest::collection::vec(1usize..5000, 1..200),
+    ) {
+        let frames: Vec<FrameBuf> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| frame(w, (i * 29 + 5) as u8))
+            .collect();
+        let lens: Vec<usize> = frames.iter().map(|f| f.len()).collect();
+        let flat: Vec<u8> = frames.iter().flat_map(|f| f.iter().copied()).collect();
+
+        let mut sub = SubQueue::default();
+        prop_assert!(sub.claim_inline(1), "an idle link may write inline");
+        prop_assert!(!sub.claim_inline(1), "once per driver sleep");
+        let mut frames = frames.into_iter();
+        let head = frames.next().unwrap();
+        let written = cut % head.len();
+        let mut wire = head[..written].to_vec(); // what the sender wrote
+        sub.push_tail(head, written);
+        for f in frames {
+            sub.push(f).unwrap();
+        }
+        prop_assert!(!sub.claim_inline(2), "a queued tail keeps senders off");
+
+        let mut out = OutQueue::default();
+        sub.drain_into(&mut out);
+        prop_assert!(!sub.claim_inline(3), "the driver owns the stream");
+        let (mut turn, mut recycled) = (0usize, Vec::new());
+        while !out.is_empty() {
+            // One `writev` of the gather list, completing `n` bytes.
+            let gathered: Vec<u8> = out
+                .slices()
+                .iter()
+                .flat_map(|s| s.iter().copied())
+                .collect();
+            let n = completions[turn % completions.len()].min(gathered.len());
+            turn += 1;
+            wire.extend_from_slice(&gathered[..n]);
+            recycled.extend(out.advance(n));
+        }
+        prop_assert_eq!(&wire, &flat, "same bytes as the ring alone");
+        prop_assert_eq!(recycled, lens, "each frame completes once, in order");
+        sub.flushed();
+        prop_assert!(sub.claim_inline(4), "an emptied queue hands the link back");
+    }
+
     /// The submission ring never exceeds its caps and hands every
     /// accepted frame to the egress queue exactly once.
     #[test]

@@ -110,11 +110,20 @@ echo "== cargo test (workspace) =="
 # - `-p xdaq-pt`: the tcp regressions (per-connection locking so a
 #   stalled peer cannot head-of-line block others, fully blocking reads
 #   and accept with zero idle CPU, first frame on a fresh link served at
-#   once, reader reaping + down-peer surfacing), the xpt
-#   submission/completion suite on its one driver, and the `xpt_wire`
-#   proptest model of the wire layer (chunking/donation/completion
-#   equivalence).
+#   once, reader reaping + down-peer surfacing, one link per peer under
+#   racing connects), the xpt submission/completion suite on its one
+#   driver, and the `xpt_wire` proptest model of the wire layer
+#   (chunking/donation/completion equivalence, a frame started inline
+#   and finished from the ring).
 cargo test --workspace -q
+
+echo "== xpt suite, release: inline writes racing the driver =="
+# A sender writes an idle link itself and the driver takes the link
+# over mid-frame when the socket pushes back. That window only opens
+# at release speed: `inline_and_driver_writes_interleave_without_
+# reordering` pushes 10 000 stamped frames through a repeatedly
+# stalled sink and checks order, bytes, completions and pool blocks.
+cargo test --release -q -p xdaq-pt xpt
 
 # The multi-process/chaos tiers below are capability-gated: the heavy
 # tests early-return unless XDAQ_TEST_HEAVY=1, so a plain `cargo test`
