@@ -6,7 +6,8 @@
 //! link itself saturates. This module adds the executive-side tenant
 //! layer: initiator TiDs are assigned to named **classes**, each class
 //! has a token bucket (sustained rate + burst), and private data
-//! frames from an over-rate class are shed at [`route`] time — before
+//! frames from an over-rate class are shed at
+//! [`route`](crate::executive::ExecCore::route) time — before
 //! they consume a scheduler slot or a peer-link credit — with
 //! per-class `qos.<class>.admitted` / `qos.<class>.shed` counters
 //! surfacing in `MonSnapshot` scrapes (`xcl qos`).
@@ -54,6 +55,65 @@ impl ClassState {
             self.shed.inc();
             false
         }
+    }
+}
+
+/// One validated `qos.*` runtime parameter, ready to apply.
+#[derive(Debug, Clone, PartialEq)]
+pub enum QosParam {
+    /// `qos.class.<name> = <rate>:<burst>` — create/retune a class.
+    Class {
+        /// Class name.
+        name: String,
+        /// Tokens added per second.
+        rate: f64,
+        /// Bucket capacity.
+        burst: f64,
+    },
+    /// `qos.assign.<raw-tid> = <name>` — bind a tenant to a class.
+    Assign {
+        /// The tenant's initiator TiD.
+        tid: Tid,
+        /// Class name.
+        class: String,
+    },
+    /// `qos.clear = 1` — drop all classes and assignments.
+    Clear,
+}
+
+impl QosParam {
+    /// Parses and checks one `qos.*` key without touching any table,
+    /// so a `ParamsSet` can refuse a bad key before applying any.
+    pub fn parse(key: &str, value: &str) -> Result<QosParam, String> {
+        let bad = || format!("bad value {key}={value}");
+        if let Some(name) = key.strip_prefix("qos.class.") {
+            if name.is_empty() || name.contains('.') {
+                return Err(format!("bad class name in '{key}'"));
+            }
+            let (rate, burst) = value.split_once(':').ok_or_else(bad)?;
+            let rate: f64 = rate.parse().map_err(|_| bad())?;
+            let burst: f64 = burst.parse().map_err(|_| bad())?;
+            if !rate.is_finite() || !burst.is_finite() || rate < 0.0 || burst < 1.0 {
+                return Err(bad());
+            }
+            return Ok(QosParam::Class {
+                name: name.to_string(),
+                rate,
+                burst,
+            });
+        }
+        if let Some(raw) = key.strip_prefix("qos.assign.") {
+            let raw: u16 = raw.parse().map_err(|_| format!("bad tid in '{key}'"))?;
+            let tid = Tid::new(raw).map_err(|e| format!("bad tid in '{key}': {e}"))?;
+            return Ok(QosParam::Assign {
+                tid,
+                class: value.to_string(),
+            });
+        }
+        if key == "qos.clear" {
+            return Ok(QosParam::Clear);
+        }
+        Err(format!("unknown qos parameter '{key}'"))
     }
 }
 
@@ -119,37 +179,13 @@ impl AdmissionControl {
         }
     }
 
-    /// Applies one `qos.*` runtime parameter:
-    ///
-    /// * `qos.class.<name> = <rate>:<burst>` — create/retune a class
-    /// * `qos.assign.<raw-tid> = <name>` — bind a tenant to a class
-    /// * `qos.clear = 1` — drop all classes and assignments
-    pub fn apply_param(&self, key: &str, value: &str, registry: &Registry) -> Result<(), String> {
-        let bad = || format!("bad value {key}={value}");
-        if let Some(name) = key.strip_prefix("qos.class.") {
-            if name.is_empty() || name.contains('.') {
-                return Err(format!("bad class name in '{key}'"));
-            }
-            let (rate, burst) = value.split_once(':').ok_or_else(bad)?;
-            let rate: f64 = rate.parse().map_err(|_| bad())?;
-            let burst: f64 = burst.parse().map_err(|_| bad())?;
-            if !rate.is_finite() || !burst.is_finite() || rate < 0.0 || burst < 1.0 {
-                return Err(bad());
-            }
-            self.set_class(name, rate, burst, registry);
-            return Ok(());
+    /// Applies one parsed `qos.*` runtime parameter.
+    pub fn apply(&self, param: QosParam, registry: &Registry) {
+        match param {
+            QosParam::Class { name, rate, burst } => self.set_class(&name, rate, burst, registry),
+            QosParam::Assign { tid, class } => self.assign(tid, &class),
+            QosParam::Clear => self.clear(),
         }
-        if let Some(raw) = key.strip_prefix("qos.assign.") {
-            let raw: u16 = raw.parse().map_err(|_| format!("bad tid in '{key}'"))?;
-            let tid = Tid::new(raw).map_err(|e| format!("bad tid in '{key}': {e}"))?;
-            self.assign(tid, value);
-            return Ok(());
-        }
-        if key == "qos.clear" {
-            self.clear();
-            return Ok(());
-        }
-        Err(format!("unknown qos parameter '{key}'"))
     }
 
     /// Class and assignment table for `MonSnapshot` scrapes. Live
@@ -239,17 +275,18 @@ mod tests {
     fn params_surface() {
         let r = Registry::new();
         let a = AdmissionControl::new();
-        a.apply_param("qos.class.gold", "500:50", &r).unwrap();
-        a.apply_param("qos.assign.16", "gold", &r).unwrap();
+        let apply = |key, value| a.apply(QosParam::parse(key, value).unwrap(), &r);
+        apply("qos.class.gold", "500:50");
+        apply("qos.assign.16", "gold");
         assert!(!a.is_empty());
         let snap = a.snapshot();
         assert_eq!(snap["classes"]["gold"]["rate"].as_f64(), Some(500.0));
         assert_eq!(snap["assign"]["16"].as_str(), Some("gold"));
-        assert!(a.apply_param("qos.class.bad", "x", &r).is_err());
-        assert!(a.apply_param("qos.class.", "1:1", &r).is_err());
-        assert!(a.apply_param("qos.assign.zz", "gold", &r).is_err());
-        assert!(a.apply_param("qos.nope", "1", &r).is_err());
-        a.apply_param("qos.clear", "1", &r).unwrap();
+        assert!(QosParam::parse("qos.class.bad", "x").is_err());
+        assert!(QosParam::parse("qos.class.", "1:1").is_err());
+        assert!(QosParam::parse("qos.assign.zz", "gold").is_err());
+        assert!(QosParam::parse("qos.nope", "1").is_err());
+        apply("qos.clear", "1");
         assert!(a.is_empty());
     }
 }

@@ -19,7 +19,7 @@
 //!   advertises `granted_total = seen + window` in `CreditGrant`
 //!   utility frames — on link bring-up (first data frame from a new
 //!   peer), whenever consumption advances by at least the replenish
-//!   threshold, and on every flow tick. Duplicated or reordered grants
+//!   threshold (half the window), and on every flow tick. Duplicated or reordered grants
 //!   collapse under `max`; a dropped grant is re-sent next tick.
 //! * The **sender** counts data frames put on the wire (`sent`) and
 //!   may send while `sent < granted_total`. A lane is *unmetered* —
@@ -77,6 +77,10 @@ pub enum FlowPolicy {
     },
 }
 
+/// Priority level (0..=6) at which a frame may dip into the reserved
+/// slice of the window ([`FlowConfig::reserve`]).
+pub const RESERVE_PRIORITY: u8 = 5;
+
 /// Tunables for link-level flow control. All runtime-retunable via
 /// `ParamsSet` `flow.*` keys on the executive device (`xcl qos`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,10 +88,6 @@ pub struct FlowConfig {
     /// Data frames a peer may have in flight toward us (granted
     /// beyond our cumulative consumed count).
     pub window: u32,
-    /// Re-grant once consumption advanced this far past the last
-    /// advertisement (grant coalescing; `window / 2` is a good
-    /// default).
-    pub replenish: u32,
     /// Withhold grants while the local scheduler queue is at or above
     /// this depth — the receiver-side brake that actually asserts
     /// backpressure.
@@ -95,13 +95,10 @@ pub struct FlowConfig {
     /// Sender behaviour when a lane is dry.
     pub policy: FlowPolicy,
     /// Credits of each window reserved for frames with priority at or
-    /// above [`FlowConfig::reserve_priority`]: bulk traffic is refused
-    /// once a lane's headroom drops to this reserve, so high-priority
-    /// tenants keep moving while the link saturates.
+    /// above [`RESERVE_PRIORITY`]: bulk traffic is refused once a
+    /// lane's headroom drops to this reserve, so high-priority tenants
+    /// keep moving while the link saturates.
     pub reserve: u32,
-    /// Priority level (0..=6) at which a frame may dip into the
-    /// reserved slice of the window.
-    pub reserve_priority: u8,
     /// Cadence of the flow tick (re-advertise grants, emit syncs)
     /// when link supervision is not running; with supervision on, the
     /// flow tick rides the heartbeat timer instead.
@@ -112,13 +109,71 @@ impl Default for FlowConfig {
     fn default() -> FlowConfig {
         FlowConfig {
             window: 64,
-            replenish: 32,
             high_watermark: 1024,
             policy: FlowPolicy::FailFast,
             reserve: 4,
-            reserve_priority: 5,
             tick: Duration::from_millis(100),
         }
+    }
+}
+
+impl FlowConfig {
+    /// Re-grant once consumption advanced this far past the last
+    /// advertisement (grant coalescing): half the window, so a
+    /// retuned window never outruns its own re-grants.
+    pub fn replenish(&self) -> u32 {
+        (self.window / 2).max(1)
+    }
+
+    /// Applies one `flow.*` runtime parameter to this copy. A
+    /// `ParamsSet` stages every key into a copy and commits it only
+    /// once [`FlowConfig::validate`] accepts the result.
+    pub fn apply_param(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let bad = || format!("bad value {key}={value}");
+        match key {
+            "flow.window" => self.window = value.parse().map_err(|_| bad())?,
+            "flow.watermark" => self.high_watermark = value.parse().map_err(|_| bad())?,
+            "flow.reserve" => self.reserve = value.parse().map_err(|_| bad())?,
+            "flow.policy" => match value {
+                "fail" => self.policy = FlowPolicy::FailFast,
+                "block" => {
+                    if !matches!(self.policy, FlowPolicy::Block { .. }) {
+                        self.policy = FlowPolicy::Block {
+                            deadline: Duration::from_millis(100),
+                        };
+                    }
+                }
+                _ => return Err(bad()),
+            },
+            "flow.deadline_ms" => {
+                let ms: u64 = value.parse().map_err(|_| bad())?;
+                self.policy = FlowPolicy::Block {
+                    deadline: Duration::from_millis(ms),
+                };
+            }
+            "flow.tick_ms" => {
+                let ms: u64 = value.parse().map_err(|_| bad())?;
+                self.tick = Duration::from_millis(ms.max(1));
+            }
+            _ => return Err(format!("unknown flow parameter '{key}'")),
+        }
+        Ok(())
+    }
+
+    /// Refuses a configuration that would wedge a link: a zero window
+    /// grants nothing beyond `seen`, and a reserve that fills the
+    /// window leaves no credit for frames below [`RESERVE_PRIORITY`].
+    pub fn validate(&self) -> Result<(), String> {
+        if self.window == 0 {
+            return Err("flow.window must be at least 1".to_string());
+        }
+        if self.reserve >= self.window {
+            return Err(format!(
+                "flow.reserve={} must be below flow.window={}",
+                self.reserve, self.window
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -231,46 +286,10 @@ impl CreditManager {
         &self.counters
     }
 
-    /// Applies one `flow.*` runtime parameter.
-    pub fn apply_param(&self, key: &str, value: &str) -> Result<(), String> {
-        let bad = || format!("bad value {key}={value}");
-        let mut cfg = self.config.write();
-        match key {
-            "flow.window" => cfg.window = value.parse().map_err(|_| bad())?,
-            "flow.replenish" => cfg.replenish = value.parse().map_err(|_| bad())?,
-            "flow.watermark" => cfg.high_watermark = value.parse().map_err(|_| bad())?,
-            "flow.reserve" => cfg.reserve = value.parse().map_err(|_| bad())?,
-            "flow.reserve_priority" => {
-                let p: u8 = value.parse().map_err(|_| bad())?;
-                if p > 6 {
-                    return Err(bad());
-                }
-                cfg.reserve_priority = p;
-            }
-            "flow.policy" => match value {
-                "fail" => cfg.policy = FlowPolicy::FailFast,
-                "block" => {
-                    if !matches!(cfg.policy, FlowPolicy::Block { .. }) {
-                        cfg.policy = FlowPolicy::Block {
-                            deadline: Duration::from_millis(100),
-                        };
-                    }
-                }
-                _ => return Err(bad()),
-            },
-            "flow.deadline_ms" => {
-                let ms: u64 = value.parse().map_err(|_| bad())?;
-                cfg.policy = FlowPolicy::Block {
-                    deadline: Duration::from_millis(ms),
-                };
-            }
-            "flow.tick_ms" => {
-                let ms: u64 = value.parse().map_err(|_| bad())?;
-                cfg.tick = Duration::from_millis(ms.max(1));
-            }
-            _ => return Err(format!("unknown flow parameter '{key}'")),
-        }
-        Ok(())
+    /// Replaces the tunables (a `ParamsSet` commits its validated,
+    /// staged copy here).
+    pub fn set_config(&self, config: FlowConfig) {
+        *self.config.write() = config;
     }
 
     // ---- sender role -----------------------------------------------------
@@ -284,7 +303,7 @@ impl CreditManager {
         let mut lanes = self.senders.lock();
         let lane = lanes.entry(peer.clone()).or_default();
         if lane.metered {
-            let needed = if priority >= cfg.reserve_priority {
+            let needed = if priority >= RESERVE_PRIORITY {
                 1
             } else {
                 u64::from(cfg.reserve) + 1
@@ -403,7 +422,7 @@ impl CreditManager {
         }
         let target = lane.seen + u64::from(cfg.window);
         let fresh = lane.granted_total == 0; // bring-up advertisement
-        let due = target.saturating_sub(lane.granted_total) >= u64::from(cfg.replenish.max(1));
+        let due = target.saturating_sub(lane.granted_total) >= u64::from(cfg.replenish());
         if fresh || due || force {
             lane.granted_total = target.max(lane.granted_total);
             counters.grants_sent.inc();
@@ -494,10 +513,10 @@ impl CreditManager {
         }
         serde_json::json!({
             "window": cfg.window,
-            "replenish": cfg.replenish,
+            "replenish": cfg.replenish(),
             "watermark": cfg.high_watermark,
             "reserve": cfg.reserve,
-            "reserve_priority": cfg.reserve_priority,
+            "reserve_priority": RESERVE_PRIORITY,
             "policy": match cfg.policy {
                 FlowPolicy::FailFast => serde_json::json!("fail"),
                 FlowPolicy::Block { deadline } =>
@@ -620,7 +639,6 @@ mod tests {
     fn cfg(window: u32) -> FlowConfig {
         FlowConfig {
             window,
-            replenish: window / 2,
             ..FlowConfig::default()
         }
     }
@@ -653,7 +671,6 @@ mod tests {
         let m = CreditManager::new(FlowConfig {
             window: 4,
             reserve: 2,
-            reserve_priority: 5,
             ..FlowConfig::default()
         });
         m.on_grant(&peer(), 1, 4);
@@ -800,20 +817,27 @@ mod tests {
 
     #[test]
     fn params_retune() {
-        let m = CreditManager::new(FlowConfig::default());
-        m.apply_param("flow.window", "16").unwrap();
-        m.apply_param("flow.policy", "block").unwrap();
-        m.apply_param("flow.deadline_ms", "5").unwrap();
-        let cfg = m.config();
+        let mut cfg = FlowConfig::default();
+        cfg.apply_param("flow.window", "16").unwrap();
+        cfg.apply_param("flow.policy", "block").unwrap();
+        cfg.apply_param("flow.deadline_ms", "5").unwrap();
         assert_eq!(cfg.window, 16);
+        assert_eq!(cfg.replenish(), 8, "replenish follows the window");
         assert_eq!(
             cfg.policy,
             FlowPolicy::Block {
                 deadline: Duration::from_millis(5)
             }
         );
-        assert!(m.apply_param("flow.window", "x").is_err());
-        assert!(m.apply_param("flow.bogus", "1").is_err());
-        assert!(m.apply_param("flow.reserve_priority", "9").is_err());
+        assert!(cfg.apply_param("flow.window", "x").is_err());
+        assert!(cfg.apply_param("flow.bogus", "1").is_err());
+        assert!(cfg.apply_param("flow.replenish", "4").is_err());
+        assert!(cfg.apply_param("flow.reserve_priority", "5").is_err());
+        cfg.validate().unwrap();
+        cfg.apply_param("flow.reserve", "16").unwrap();
+        assert!(cfg.validate().is_err(), "reserve must stay below window");
+        cfg.apply_param("flow.reserve", "0").unwrap();
+        cfg.apply_param("flow.window", "0").unwrap();
+        assert!(cfg.validate().is_err(), "zero window wedges the link");
     }
 }

@@ -95,8 +95,9 @@ pub enum PtError {
     Closed,
     /// Link-level flow control: the credit lane to this peer is dry
     /// and the configured policy gave up (fail-fast, or the blocking
-    /// deadline expired). The frame rides back via [`SendFailure`]
-    /// so the caller keeps the pool block zero-copy.
+    /// deadline expired). The frame rides back via
+    /// [`SendFailure`](crate::SendFailure) so the caller keeps the
+    /// pool block zero-copy.
     CreditExhausted(String),
 }
 

@@ -179,21 +179,26 @@ impl fmt::Display for SendFailure {
     }
 }
 
+/// Ceiling for the exponential backoff (a larger `base_backoff` is
+/// its own ceiling).
+pub const MAX_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Total budget for one frame across all attempts and failover hops.
+/// It applies only to a retrying policy (`max_attempts > 1`), so a
+/// single-attempt send never reads the clock.
+pub const SEND_DEADLINE: Duration = Duration::from_secs(5);
+
 /// Bounded-retry configuration, one per executive.
 ///
-/// The default (`max_attempts = 1`, zero backoff, no deadline) is
-/// exactly the historical fire-and-forget behaviour.
+/// The default (`max_attempts = 1`, zero backoff) is exactly the
+/// historical fire-and-forget behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Send attempts per transport in the failover chain (≥ 1).
     pub max_attempts: u32,
-    /// First-retry backoff; doubles every further attempt.
+    /// First-retry backoff; doubles every further attempt up to
+    /// [`MAX_BACKOFF`].
     pub base_backoff: Duration,
-    /// Ceiling for the exponential backoff.
-    pub max_backoff: Duration,
-    /// Total wall-clock budget for one frame across all attempts and
-    /// failover hops; `None` means unbounded.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -201,36 +206,23 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
             base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            deadline: None,
         }
     }
 }
 
 impl RetryPolicy {
-    /// A retrying policy: `attempts` tries with exponential backoff
-    /// between `base` and `max` per pause.
-    pub fn retrying(attempts: u32, base: Duration, max: Duration) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: attempts.max(1),
-            base_backoff: base,
-            max_backoff: max,
-            deadline: None,
-        }
-    }
-
     /// Nominal (pre-jitter) pause before retry number `retry` (1-based).
     ///
     /// Clamped end to end: the shift exponent is capped, and the
-    /// `Duration` multiply saturates to the configured ceiling instead
-    /// of panicking — `Duration * u32` aborts on overflow, which a
-    /// large `base_backoff` at attempt ≥ 32 would otherwise hit.
+    /// `Duration` multiply saturates to the ceiling instead of
+    /// panicking — `Duration * u32` aborts on overflow, which a large
+    /// `base_backoff` at attempt ≥ 32 would otherwise hit.
     fn nominal_backoff(&self, retry: u32) -> Duration {
         if self.base_backoff.is_zero() {
             return Duration::ZERO;
         }
         let factor = 1u32 << retry.saturating_sub(1).min(16);
-        let ceiling = self.max_backoff.max(self.base_backoff);
+        let ceiling = MAX_BACKOFF.max(self.base_backoff);
         self.base_backoff
             .checked_mul(factor)
             .map_or(ceiling, |d| d.min(ceiling))
@@ -483,7 +475,8 @@ impl Pta {
     /// Sends a frame down a failover chain: the first address is the
     /// primary, the rest are alternates tried in order after the
     /// primary's retry budget is exhausted. Every hop applies the one
-    /// [`RetryPolicy`]; its deadline (if any) bounds the whole frame. Retries and failovers are counted in
+    /// [`RetryPolicy`]; a retrying policy bounds the whole frame by
+    /// [`SEND_DEADLINE`]. Retries and failovers are counted in
     /// `pta.retries` / `pta.failovers`. Dropping the failure recycles
     /// the frame's pool block; use
     /// [`Pta::send_failover_returning`] to keep it.
@@ -505,7 +498,7 @@ impl Pta {
     /// leak window.
     ///
     /// Steady-state cost: the policy is read once per frame and the
-    /// clock only when the policy sets a deadline (a credit wait times
+    /// clock only when the policy retries (a credit wait times
     /// itself).
     pub fn send_failover_returning(
         &self,
@@ -514,7 +507,7 @@ impl Pta {
     ) -> Result<(), SendFailure> {
         let policy = *self.policy.read();
         // `(started, budget)` of the whole frame, when bounded.
-        let overall_deadline = policy.deadline.map(|budget| (self.clock.now(), budget));
+        let overall_deadline = (policy.max_attempts > 1).then(|| (self.clock.now(), SEND_DEADLINE));
         let expired = || match overall_deadline {
             Some((started, d)) => self.clock.since(started) >= d,
             None => false,
@@ -874,6 +867,13 @@ mod tests {
         Tid::new(v).unwrap()
     }
 
+    fn retrying(max_attempts: u32, base_backoff: Duration) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            base_backoff,
+        }
+    }
+
     #[test]
     fn send_routes_by_scheme() {
         let pta = Pta::new();
@@ -980,7 +980,7 @@ mod tests {
         let registry = Registry::new();
         let pta = Pta::new();
         pta.bind_registry(&registry);
-        pta.set_retry_policy(RetryPolicy::retrying(4, Duration::ZERO, Duration::ZERO));
+        pta.set_retry_policy(retrying(4, Duration::ZERO));
         let pt = FakePt::new(PtMode::Polling);
         pt.fail_first.store(2, std::sync::atomic::Ordering::SeqCst);
         pta.register(tid(0x10), pt.clone());
@@ -995,7 +995,7 @@ mod tests {
     #[test]
     fn retry_budget_exhaustion_reports_last_error() {
         let pta = Pta::new();
-        pta.set_retry_policy(RetryPolicy::retrying(3, Duration::ZERO, Duration::ZERO));
+        pta.set_retry_policy(retrying(3, Duration::ZERO));
         let pt = FakePt::new(PtMode::Polling);
         pt.fail_first
             .store(u64::MAX, std::sync::atomic::Ordering::SeqCst);
@@ -1112,28 +1112,26 @@ mod tests {
     fn backoff_saturates_at_high_attempt_counts() {
         // Attempt ≥ 32 used to overflow `Duration * u32` (a panic)
         // whenever base × 2^16 exceeded Duration::MAX; now the multiply
-        // saturates to the configured ceiling.
-        let huge = RetryPolicy::retrying(64, Duration::MAX / 2, Duration::MAX);
+        // saturates to the ceiling.
+        let huge = retrying(64, Duration::MAX / 2);
         for retry in [32u32, 48, u32::MAX] {
-            assert_eq!(huge.nominal_backoff(retry), Duration::MAX);
+            assert_eq!(huge.nominal_backoff(retry), Duration::MAX / 2);
         }
-        // A sane policy still clamps at max_backoff, never above.
-        let policy =
-            RetryPolicy::retrying(64, Duration::from_millis(4), Duration::from_millis(250));
+        // A sane policy still clamps at MAX_BACKOFF, never above.
+        let policy = retrying(64, Duration::from_micros(100));
         for retry in 1..=64 {
             let d = policy.nominal_backoff(retry);
-            assert!(d <= Duration::from_millis(250), "attempt {retry}: {d:?}");
+            assert!(d <= MAX_BACKOFF, "attempt {retry}: {d:?}");
         }
-        assert_eq!(policy.nominal_backoff(32), Duration::from_millis(250));
-        // Misconfigured max below base: base wins as the ceiling.
-        let inverted =
-            RetryPolicy::retrying(40, Duration::from_millis(16), Duration::from_millis(1));
-        assert_eq!(inverted.nominal_backoff(40), Duration::from_millis(16));
+        assert_eq!(policy.nominal_backoff(32), MAX_BACKOFF);
+        // A base above MAX_BACKOFF is its own ceiling.
+        let slow = retrying(40, Duration::from_millis(16));
+        assert_eq!(slow.nominal_backoff(40), Duration::from_millis(16));
     }
 
     #[test]
     fn deterministic_jitter_sequence() {
-        let policy = RetryPolicy::retrying(8, Duration::from_millis(4), Duration::from_millis(64));
+        let policy = retrying(8, Duration::from_micros(100));
         let seq = || -> Vec<Duration> {
             let pta = Pta::new();
             (1..6).map(|r| pta.backoff(&policy, r)).collect()

@@ -29,7 +29,7 @@
 //! decides *what* to do (who to ping, who changed state) and the
 //! executive does it, which keeps the state machine unit-testable and
 //! the chaos tests deterministic. The wire form of the probes lives
-//! here too: [`ping_frame`], [`pong_frame`] and [`frame_seq`].
+//! here too: `ping_frame`, `pong_frame` and `frame_seq`.
 //!
 //! [`tick`]: LinkSupervisor::tick
 

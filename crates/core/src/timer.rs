@@ -261,8 +261,7 @@ mod tests {
 
     #[test]
     fn zero_period_fires_once_per_call() {
-        // Reachable from `.xtop` `supervision.interval_ms = 0` and the
-        // Recorder's `fsync_interval_ms=0`.
+        // Once reachable from `.xtop` `supervision.interval_ms = 0`.
         let (w, v) = wheel();
         w.register(t(1), Duration::ZERO, true);
         let mut calls = 0;

@@ -9,6 +9,7 @@
 //! with `Busy` — the executive-class verbs other than `StatusGet` and
 //! `LctNotify`, `ParamsSet`, and `ClaimRelease` itself.
 
+use crate::admission::QosParam;
 use crate::config::{encode_kv, kv, parse_kv};
 use crate::error::ExecError;
 use crate::executive::{ExecCore, Executive};
@@ -94,17 +95,32 @@ impl I2oListener for PtDdm {
 
 impl ExecCore {
     /// Applies runtime `flow.*` / `qos.*` parameters (from a
-    /// `ParamsSet` frame addressed to the executive, or `xcl qos`).
+    /// `ParamsSet` frame addressed to the executive, or `xcl qos`) all
+    /// or nothing: every key is parsed, the flow keys are staged into
+    /// a copy of the live [`FlowConfig`](crate::FlowConfig) and
+    /// validated, and only then does anything live change.
     fn apply_runtime_params(&self, map: &HashMap<String, String>) -> Result<(), String> {
+        let mut flow = None;
+        let mut qos = Vec::new();
         for (k, v) in map {
             if k.starts_with("flow.") {
-                match &self.flow {
-                    Some(mgr) => mgr.apply_param(k, v)?,
-                    None => return Err("flow control is not enabled on this node".to_string()),
-                }
+                let Some(mgr) = &self.flow else {
+                    return Err("flow control is not enabled on this node".to_string());
+                };
+                flow.get_or_insert_with(|| mgr.config()).apply_param(k, v)?;
             } else if k.starts_with("qos.") {
-                self.admission.apply_param(k, v, self.mon.registry())?;
+                qos.push(QosParam::parse(k, v)?);
             }
+        }
+        if let (Some(mgr), Some(cfg)) = (&self.flow, flow) {
+            cfg.validate()?;
+            mgr.set_config(cfg);
+        }
+        // A clear in the same frame goes first, so it never wipes the
+        // classes the frame also sets.
+        qos.sort_by_key(|p| !matches!(p, QosParam::Clear));
+        for p in qos {
+            self.admission.apply(p, self.mon.registry());
         }
         Ok(())
     }
@@ -132,7 +148,7 @@ impl Executive {
                     // `flow.*` / `qos.*` keys addressed to the
                     // executive retune flow control and tenant
                     // admission live; a bad key rejects the whole
-                    // frame before any param is stored.
+                    // frame before anything is applied or stored.
                     if ctx.meta.tid == Tid::EXECUTIVE {
                         if let Err(e) = core.apply_runtime_params(&map) {
                             let _ = ctx.reply(d, ReplyStatus::BadFrame, e.as_bytes());

@@ -238,11 +238,9 @@ use xdaq_core::{CreditManager, FlowCmd, FlowConfig, FlowPolicy, PeerAddr};
 fn flow_cfg(window: u32) -> FlowConfig {
     FlowConfig {
         window,
-        replenish: (window / 2).max(1),
         high_watermark: 1024,
         policy: FlowPolicy::FailFast,
         reserve: 0,
-        reserve_priority: 5,
         tick: Duration::from_millis(100),
     }
 }

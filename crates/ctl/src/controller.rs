@@ -40,48 +40,26 @@ use std::collections::{HashMap, HashSet};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::thread::sleep;
+use std::time::{Duration, Instant};
 use xdaq_core::config::{kv, parse_kv};
 use xdaq_core::xfn::XFN_PEER_DOWN;
-use xdaq_core::{Clock, ExecutiveConfig, SupervisionConfig};
+use xdaq_core::{ExecutiveConfig, SupervisionConfig};
 use xdaq_i2o::{ExecFn, Tid};
 use xdaq_mempool::TablePool;
 use xdaq_pt::TcpPt;
 
-/// Convergence-loop tuning.
-#[derive(Debug, Clone)]
-pub struct ControllerConfig {
-    /// Background tick period.
-    pub poll_interval: Duration,
-    /// How long a spawned node may take to publish its url file.
-    pub boot_timeout: Duration,
-    /// How long route wiring retries while peers evict a dead
-    /// incarnation's aliases.
-    pub route_retry: Duration,
-    /// How long a drain gate may take to reach zero.
-    pub drain_timeout: Duration,
-    /// Scrape attached nodes every this many ticks.
-    pub scrape_every: u32,
-    /// Time source for the convergence tick and its wait loops
-    /// (boot/route/drain deadlines). Wall by default — the controller
-    /// manages real child processes, whose exits and url files arrive
-    /// on wall time — but in-process harnesses can virtualize the
-    /// pacing (DESIGN.md §16).
-    pub clock: Clock,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> ControllerConfig {
-        ControllerConfig {
-            poll_interval: Duration::from_millis(100),
-            boot_timeout: Duration::from_secs(30),
-            route_retry: Duration::from_secs(10),
-            drain_timeout: Duration::from_secs(60),
-            scrape_every: 10,
-            clock: Clock::Wall,
-        }
-    }
-}
+/// Background tick period.
+const POLL_INTERVAL: Duration = Duration::from_millis(100);
+/// How long a spawned node may take to publish its url file.
+const BOOT_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long route wiring retries while peers evict a dead
+/// incarnation's aliases.
+const ROUTE_RETRY: Duration = Duration::from_secs(10);
+/// How long a drain gate may take to reach zero.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
+/// Scrape attached nodes every this many ticks.
+const SCRAPE_EVERY: u32 = 10;
 
 /// Everything the controller knows about one managed node's current
 /// incarnation.
@@ -111,12 +89,11 @@ pub struct Controller {
     host: Arc<ControlHost>,
     launcher: Box<dyn Launcher>,
     registry: Arc<ServiceRegistry>,
-    cfg: ControllerConfig,
     state: Mutex<HashMap<String, NodeState>>,
     /// Serializes apply / drain / poll mutation (poll uses try_lock).
     ops: Mutex<()>,
-    /// External node URLs (declared `url = ...` or set at runtime).
-    externals: Mutex<HashMap<String, String>>,
+    /// External node URLs (declared `url = ...`).
+    externals: HashMap<String, String>,
     stop: AtomicBool,
     scrape_tick: Mutex<u32>,
 }
@@ -128,7 +105,6 @@ impl Controller {
         topo_path: &str,
         host: Arc<ControlHost>,
         launcher: Box<dyn Launcher>,
-        cfg: ControllerConfig,
     ) -> Result<Arc<Controller>, String> {
         let text =
             std::fs::read_to_string(topo_path).map_err(|e| format!("read {topo_path}: {e}"))?;
@@ -153,10 +129,9 @@ impl Controller {
             host,
             launcher,
             registry,
-            cfg,
             state: Mutex::new(state),
             ops: Mutex::new(()),
-            externals: Mutex::new(externals),
+            externals,
             stop: AtomicBool::new(false),
             scrape_tick: Mutex::new(0),
         }))
@@ -177,24 +152,14 @@ impl Controller {
         &self.topo
     }
 
-    /// Publishes the URL of an external (unmanaged) node so templates
-    /// and routes may reference it.
-    pub fn set_external(&self, node: &str, url: &str) {
-        self.externals
-            .lock()
-            .insert(node.to_string(), url.to_string());
-    }
-
     /// Starts the background tick (fault feed, child reaping with
     /// automatic re-convergence, liveness scrapes). The thread holds
     /// only a weak reference: dropping the last `Arc<Controller>`
     /// stops it.
     pub fn start(self: &Arc<Self>) {
         let weak: Weak<Controller> = Arc::downgrade(self);
-        let period = self.cfg.poll_interval;
-        let clock = self.cfg.clock.clone();
         std::thread::spawn(move || loop {
-            clock.sleep(period);
+            sleep(POLL_INTERVAL);
             let Some(me) = weak.upgrade() else { break };
             if me.stop.load(Ordering::Relaxed) {
                 break;
@@ -240,7 +205,7 @@ impl Controller {
     // ---- internals ----------------------------------------------------
 
     fn url_map(&self) -> HashMap<String, String> {
-        let mut map = self.externals.lock().clone();
+        let mut map = self.externals.clone();
         for (name, ns) in self.state.lock().iter() {
             if !ns.url.is_empty() {
                 map.insert(name.clone(), ns.url.clone());
@@ -294,16 +259,15 @@ impl Controller {
             .get(node)
             .map(|n| n.generation)
             .unwrap_or(0);
-        let clock = &self.cfg.clock;
-        let deadline = clock.now() + self.cfg.boot_timeout;
+        let deadline = Instant::now() + BOOT_TIMEOUT;
         let url = loop {
             if let Some(url) = read_url(&self.rundir, node, generation) {
                 break url;
             }
-            if clock.now() >= deadline {
+            if Instant::now() >= deadline {
                 return Err(format!("'{node}' gen {generation} never published its url"));
             }
-            clock.sleep(Duration::from_millis(10));
+            sleep(Duration::from_millis(10));
         };
         self.registry.published(node, &url);
         let tid = self
@@ -396,8 +360,7 @@ impl Controller {
             (on, peer_url, remote)
         };
         let remote_raw = remote.raw().to_string();
-        let clock = &self.cfg.clock;
-        let deadline = clock.now() + self.cfg.route_retry;
+        let deadline = Instant::now() + ROUTE_RETRY;
         loop {
             let mut pairs = vec![
                 ("peer", peer_url.as_str()),
@@ -419,10 +382,10 @@ impl Controller {
                     }
                     return Ok(());
                 }
-                Err(e) if clock.now() >= deadline => {
+                Err(e) if Instant::now() >= deadline => {
                     return Err(format!("route '{}': {e}", r.id));
                 }
-                Err(_) => clock.sleep(Duration::from_millis(50)),
+                Err(_) => sleep(Duration::from_millis(50)),
             }
         }
     }
@@ -624,7 +587,7 @@ impl Controller {
         let scrape = {
             let mut tick = self.scrape_tick.lock();
             *tick += 1;
-            (*tick).is_multiple_of(self.cfg.scrape_every)
+            (*tick).is_multiple_of(SCRAPE_EVERY)
         };
         if scrape {
             let targets: Vec<(String, Tid)> = {
@@ -729,8 +692,7 @@ impl Controller {
                     .params_set(proxy, &[(drain_key.as_str(), alias.as_str())])
                     .map_err(|e| format!("drain {}/{}: {e}", w.name, m.instance))?;
                 if let Some(gate) = &m.drain_gate {
-                    let clock = &self.cfg.clock;
-                    let deadline = clock.now() + self.cfg.drain_timeout;
+                    let deadline = Instant::now() + DRAIN_TIMEOUT;
                     loop {
                         let inflight = self
                             .host
@@ -740,13 +702,13 @@ impl Controller {
                         if inflight.as_deref() == Some("0") {
                             break;
                         }
-                        if clock.now() >= deadline {
+                        if Instant::now() >= deadline {
                             return Err(format!(
                                 "drain gate {}/{}:{gate} stuck at {:?}",
                                 w.name, m.instance, inflight
                             ));
                         }
-                        clock.sleep(Duration::from_millis(20));
+                        sleep(Duration::from_millis(20));
                     }
                 }
             }
@@ -763,8 +725,7 @@ impl Controller {
         self.host
             .params_set(node_tid, &[("exec.stop", "1")])
             .map_err(|e| format!("stop {node}: {e}"))?;
-        let clock = &self.cfg.clock;
-        let deadline = clock.now() + Duration::from_secs(10);
+        let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let done = {
                 let mut st = self.state.lock();
@@ -777,10 +738,10 @@ impl Controller {
             if done {
                 break;
             }
-            if clock.now() >= deadline {
+            if Instant::now() >= deadline {
                 let _ = self.kill_node(node);
             }
-            clock.sleep(Duration::from_millis(20));
+            sleep(Duration::from_millis(20));
         }
         self.registry.exited(node, "drained");
         self.teardown_node(node);
@@ -886,8 +847,7 @@ mod tests {
     fn plan_lists_everything_before_first_apply() {
         let path = write_topo("plan");
         let host = control_host("unit-plan-host").unwrap();
-        let ctl =
-            Controller::new(&path, host, Box::new(NoLaunch), ControllerConfig::default()).unwrap();
+        let ctl = Controller::new(&path, host, Box::new(NoLaunch)).unwrap();
         let plan = ctl.plan();
         assert!(
             plan.iter().any(|l| l.contains("spawn a (gen 1)")),
@@ -911,8 +871,7 @@ mod tests {
     fn apply_surfaces_launcher_failure() {
         let path = write_topo("fail");
         let host = control_host("unit-fail-host").unwrap();
-        let ctl =
-            Controller::new(&path, host, Box::new(NoLaunch), ControllerConfig::default()).unwrap();
+        let ctl = Controller::new(&path, host, Box::new(NoLaunch)).unwrap();
         let err = ctl.apply().unwrap_err();
         assert!(err.contains("spawn"), "{err}");
         assert!(ctl

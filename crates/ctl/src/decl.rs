@@ -75,8 +75,7 @@ pub struct NodeDecl {
     pub name: String,
     /// External nodes are declared but not managed: the control plane
     /// neither spawns nor converges them (the control host itself, a
-    /// fixture process). Their URL comes from `url = "..."` or
-    /// [`crate::Controller::set_external`].
+    /// fixture process). Their URL comes from `url = "..."`.
     pub external: bool,
     /// Static URL for external nodes.
     pub url: Option<String>,

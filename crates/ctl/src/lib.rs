@@ -60,7 +60,7 @@ pub mod toml;
 pub mod xcl;
 
 pub use control::{ControlError, ControlHost, ControlReply};
-pub use controller::{control_host, Controller, ControllerConfig};
+pub use controller::{control_host, Controller};
 pub use decl::{DeclError, ModuleDecl, NodeDecl, RouteDecl, Topology};
 pub use launch::{LaunchSpec, Launcher, SelfExec};
 pub use registry::{Event, EventKind, Health, NodeStatus, ServiceRegistry, Subscription};

@@ -29,8 +29,8 @@
 //!
 //! The layout is modeled after the I2O v2.0 specification but is not a
 //! bit-exact clone: field widths were chosen so that the whole header
-//! fits in 32 bytes and round-trips losslessly through the wire codec
-//! ([`serial`]). All multi-byte fields are little-endian on the wire, as
+//! fits in 32 bytes and round-trips losslessly through
+//! [`MsgHeader::encode`] / [`MsgHeader::decode`]. All multi-byte fields are little-endian on the wire, as
 //! on the PCI systems I2O targeted.
 
 pub mod class;
@@ -38,7 +38,6 @@ pub mod flags;
 pub mod frame;
 pub mod function;
 pub mod message;
-pub mod serial;
 pub mod sgl;
 pub mod tid;
 
@@ -47,7 +46,6 @@ pub use flags::{MsgFlags, Priority};
 pub use frame::{FrameError, MsgHeader, PrivateHeader, HEADER_LEN, PRIVATE_HEADER_LEN};
 pub use function::{ExecFn, FunctionCode, ReplyStatus, UtilFn, PRIVATE_FUNCTION};
 pub use message::{Message, MessageBuilder};
-pub use serial::{decode_frame, encode_frame, WireError};
 pub use sgl::{Sgl, SglElement, SglFlags};
 pub use tid::{Tid, TidAllocator, TidError};
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// block goes back to its pool — the paper's "automatic garbage
 /// collection".
 pub struct FrameBuf {
-    /// `Some` until drop or conversion into [`SharedFrameBuf`].
+    /// `Some` until drop or [`FrameBuf::into_parts`].
     block: Option<Block>,
     recycler: Arc<dyn BlockRecycler>,
 }
@@ -98,17 +98,6 @@ impl FrameBuf {
         let block = self.block.take().expect("fresh FrameBuf");
         (block, self.recycler.clone())
     }
-
-    /// Converts into a shareable, immutable buffer. O(1), no copy.
-    pub fn into_shared(mut self) -> SharedFrameBuf {
-        let block = self.block.take().expect("fresh FrameBuf");
-        SharedFrameBuf {
-            inner: Arc::new(SharedInner {
-                block: Some(block),
-                recycler: self.recycler.clone(),
-            }),
-        }
-    }
 }
 
 impl Deref for FrameBuf {
@@ -135,81 +124,6 @@ impl Drop for FrameBuf {
 impl std::fmt::Debug for FrameBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "FrameBuf(len={}, cap={})", self.len(), self.capacity())
-    }
-}
-
-struct SharedInner {
-    /// `None` only after `try_unshare` reclaimed the block.
-    block: Option<Block>,
-    recycler: Arc<dyn BlockRecycler>,
-}
-
-impl Drop for SharedInner {
-    fn drop(&mut self) {
-        if let Some(block) = self.block.take() {
-            self.recycler.recycle(block);
-        }
-    }
-}
-
-/// A reference-counted immutable frame buffer.
-///
-/// Cloning is O(1); the underlying block is recycled when the last
-/// clone drops. Used when one received fragment fans out to several
-/// consumers (paper §3.2's event model allows several listeners).
-#[derive(Clone)]
-pub struct SharedFrameBuf {
-    inner: Arc<SharedInner>,
-}
-
-impl SharedFrameBuf {
-    /// Number of live references (diagnostics).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
-    }
-
-    /// Valid length in bytes.
-    pub fn len(&self) -> usize {
-        self.block().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn block(&self) -> &Block {
-        self.inner.block.as_ref().expect("shared block present")
-    }
-
-    /// Attempts to recover unique ownership (succeeds only for the
-    /// last reference), allowing in-place reuse of the block.
-    pub fn try_unshare(self) -> Result<FrameBuf, SharedFrameBuf> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(mut inner) => {
-                let block = inner.block.take().expect("shared block present");
-                Ok(FrameBuf::new(block, inner.recycler.clone()))
-            }
-            Err(inner) => Err(SharedFrameBuf { inner }),
-        }
-    }
-}
-
-impl Deref for SharedFrameBuf {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.block().bytes()
-    }
-}
-
-impl std::fmt::Debug for SharedFrameBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SharedFrameBuf(len={}, refs={})",
-            self.len(),
-            self.ref_count()
-        )
     }
 }
 
@@ -249,42 +163,6 @@ mod tests {
         f.set_len(2);
         assert_eq!(&f[..], &[1, 2]);
         assert_eq!(f.capacity(), 4);
-    }
-
-    #[test]
-    fn shared_recycles_once_on_last_drop() {
-        let rec = Arc::new(Recorder::default());
-        let mut b = Block::new(64);
-        b.set_len(8);
-        let s = FrameBuf::new(b, rec.clone()).into_shared();
-        let s2 = s.clone();
-        let s3 = s2.clone();
-        drop(s);
-        drop(s2);
-        assert!(rec.recycled.lock().is_empty());
-        drop(s3);
-        assert_eq!(*rec.recycled.lock(), vec![64]);
-    }
-
-    #[test]
-    fn try_unshare_last_reference() {
-        let rec = Arc::new(Recorder::default());
-        let mut b = Block::new(32);
-        b.set_len(3);
-        let s = FrameBuf::new(b, rec.clone()).into_shared();
-        let f = s.try_unshare().expect("sole owner");
-        assert_eq!(f.len(), 3);
-        assert!(rec.recycled.lock().is_empty(), "no recycle during unshare");
-        drop(f);
-        assert_eq!(*rec.recycled.lock(), vec![32]);
-    }
-
-    #[test]
-    fn try_unshare_fails_with_other_refs() {
-        let s = FrameBuf::detached(4).into_shared();
-        let s2 = s.clone();
-        assert!(s.try_unshare().is_err());
-        drop(s2);
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //!
 //! Both hand out [`FrameBuf`]s: RAII buffers that return their block to
 //! the pool on drop (the paper's "automatic garbage collection").
-//! [`SharedFrameBuf`] provides the multiple-reference case (e.g. one
-//! event fragment fanned out to several builder units) — the block is
-//! recycled when the last reference drops.
+//! A frame has exactly one owner; the executive fans a broadcast out
+//! by copying it into one fresh block per receiver.
 
 pub mod block;
 pub mod chain;
@@ -37,7 +36,7 @@ pub mod table;
 
 pub use block::{Block, BlockRecycler};
 pub use chain::{reassemble, segment_lengths, split_into_frames, ChainError};
-pub use frame_buf::{FrameBuf, SharedFrameBuf};
+pub use frame_buf::FrameBuf;
 pub use simple::SimplePool;
 pub use stats::PoolStats;
 pub use table::TablePool;

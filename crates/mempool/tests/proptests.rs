@@ -109,20 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn shared_frames_recycle_exactly_once(clones in 1usize..20) {
-        let pool = TablePool::with_defaults();
-        let shared = pool.alloc(512).unwrap().into_shared();
-        let copies: Vec<_> = (0..clones).map(|_| shared.clone()).collect();
-        prop_assert_eq!(pool.stats().frees, 0);
-        drop(copies);
-        prop_assert_eq!(pool.stats().frees, 0, "original still live");
-        drop(shared);
-        let s = pool.stats();
-        prop_assert_eq!(s.frees, 1);
-        prop_assert_eq!(s.live_blocks, 0);
-    }
-
-    #[test]
     fn size_class_invariants(len in 0usize..=xdaq_mempool::MAX_BLOCK_LEN) {
         use xdaq_mempool::table::{class_capacity, size_class};
         let c = size_class(len).unwrap();

@@ -19,7 +19,7 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xdaq_core::{Clock, IngestSink, PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
+use xdaq_core::{IngestSink, PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
 use xdaq_mempool::FrameBuf;
 
 /// What fraction of sends to perturb, in per-mille (0..=1000).
@@ -94,10 +94,6 @@ pub struct ChaosStats {
 /// A fault-injecting wrapper around another peer transport.
 pub struct ChaosPt {
     inner: Arc<dyn PeerTransport>,
-    /// Time source for delay faults: wall by default, a shared virtual
-    /// clock under simulation so a "stall" advances simulated time
-    /// instead of really sleeping ([`ChaosPt::set_clock`]).
-    clock: RwLock<Clock>,
     plan: RwLock<FaultPlan>,
     rng: AtomicU64,
     killed: AtomicBool,
@@ -117,7 +113,6 @@ impl ChaosPt {
     pub fn wrap(inner: Arc<dyn PeerTransport>, seed: u64, plan: FaultPlan) -> Arc<ChaosPt> {
         Arc::new(ChaosPt {
             inner,
-            clock: RwLock::new(Clock::Wall),
             plan: RwLock::new(plan),
             rng: AtomicU64::new(Self::seed_state(seed)),
             killed: AtomicBool::new(false),
@@ -149,14 +144,6 @@ impl ChaosPt {
     /// True while the link is killed.
     pub fn is_killed(&self) -> bool {
         self.killed.load(Ordering::Acquire)
-    }
-
-    /// Installs a time source for delay faults. A simulation passes
-    /// the cluster's shared virtual clock so `delay_every` stalls
-    /// advance simulated time deterministically instead of blocking
-    /// the discrete-event loop for real.
-    pub fn set_clock(&self, clock: Clock) {
-        *self.clock.write() = clock;
     }
 
     /// Replaces the fault plan.
@@ -248,7 +235,7 @@ impl PeerTransport for ChaosPt {
         let op = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
         if plan.delay_every > 0 && op.is_multiple_of(plan.delay_every) {
             self.delayed.fetch_add(1, Ordering::Relaxed);
-            self.clock.read().sleep(plan.delay);
+            std::thread::sleep(plan.delay);
         }
         // Grant-targeted chaos first: flow-control frames get their
         // own fault schedule so a test can perturb *only* the credit

@@ -2,9 +2,9 @@
 //!
 //! A port is a plain object in process memory. A send copies the
 //! payload into a packet and pushes it onto the destination port's
-//! inbound queue, a locked deque bounded at [`INBOUND_CAPACITY`]; the
-//! receiver busy-polls it, as `gm_receive` does. Neither side enters
-//! the kernel.
+//! inbound queue, a locked deque bounded at `INBOUND_CAPACITY`
+//! (4096 packets); the receiver busy-polls it, as `gm_receive` does.
+//! Neither side enters the kernel.
 
 use super::latency::LatencyModel;
 use parking_lot::{Mutex, RwLock};

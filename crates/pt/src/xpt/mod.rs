@@ -22,7 +22,8 @@
 //!   advertised it is about to sleep, so back-to-back sends coalesce
 //!   into zero wakeups (the `pt.xpt.doorbells` counter measures this).
 //!
-//! One [`epoll`-batch driver](epoll) implements the completion loop.
+//! One epoll-batch driver (the private `epoll` module) implements the
+//! completion loop.
 //! It speaks the exact `tcp://` wire protocol (`XDAQPT1` hello +
 //! self-delimiting I2O frames), so the transport drops into the
 //! existing retry/failover/credit machinery through

@@ -12,8 +12,9 @@
 //! Parameters (read at plug time):
 //!
 //! * `dir` — recording directory (required; the device faults without it)
-//! * `segment_bytes`, `fsync_bytes`, `fsync_interval_ms` — see
-//!   [`RecConfig`]
+//! * `segment_bytes`, `fsync_bytes` — see [`RecConfig`]; the
+//!   durability interval is fixed at [`FSYNC_INTERVAL`], and a stale
+//!   `fsync_interval_ms` is refused (`rec.error`) rather than ignored
 //! * `forward` — device name to relay recorded frames to
 //!
 //! Runtime control rides on `ParamsSet`: `rec.sync=1` forces an
@@ -21,7 +22,7 @@
 //! Any other `rec.*` key is refused with `BadFrame`: batching is fixed
 //! at plug time, so a runtime retune would be stored and never read.
 
-use crate::writer::{RecConfig, RecWriter};
+use crate::writer::{RecConfig, RecWriter, FSYNC_INTERVAL};
 use std::collections::HashMap;
 use std::io::IoSlice;
 use std::time::Duration;
@@ -40,7 +41,6 @@ pub struct Recorder {
     /// Frames of chains still awaiting their final (`!MORE`) frame.
     pending: HashMap<ChainKey, Vec<Delivery>>,
     counters: RecCounters,
-    fsync_interval: Duration,
     forward: Option<String>,
     segments_seen: u64,
     timer: Option<TimerId>,
@@ -54,7 +54,6 @@ impl Recorder {
             writer: None,
             pending: HashMap::new(),
             counters: RecCounters::new(),
-            fsync_interval: Duration::from_millis(50),
             forward: None,
             segments_seen: 0,
             timer: None,
@@ -149,6 +148,13 @@ impl I2oListener for Recorder {
             ctx.set_param("rec.error", "missing required parameter: dir");
             return;
         };
+        if ctx.param("fsync_interval_ms").is_some() {
+            ctx.set_param(
+                "rec.error",
+                "param 'fsync_interval_ms' was removed: the durability interval is fixed at 50 ms; delete the key",
+            );
+            return;
+        }
         let mut cfg = RecConfig::new(dir);
         if let Some(v) = ctx.param("segment_bytes").and_then(|s| s.parse().ok()) {
             cfg.segment_bytes = v;
@@ -156,11 +162,7 @@ impl I2oListener for Recorder {
         if let Some(v) = ctx.param("fsync_bytes").and_then(|s| s.parse().ok()) {
             cfg.fsync_bytes = v;
         }
-        if let Some(v) = ctx.param("fsync_interval_ms").and_then(|s| s.parse().ok()) {
-            cfg.fsync_interval = Duration::from_millis(v);
-        }
         self.forward = ctx.param("forward").map(str::to_string);
-        self.fsync_interval = cfg.fsync_interval;
         self.counters = RecCounters::bound_to(ctx.metrics());
         match RecWriter::create(cfg) {
             Ok(w) => {
@@ -169,7 +171,7 @@ impl I2oListener for Recorder {
                 self.account_segments();
                 // The durability interval needs a clock even when no
                 // frames arrive: a periodic timer drives maybe_sync.
-                self.timer = Some(ctx.start_periodic(self.fsync_interval));
+                self.timer = Some(ctx.start_periodic(FSYNC_INTERVAL));
             }
             Err(e) => ctx.set_param("rec.error", &format!("create store: {e}")),
         }
@@ -366,29 +368,37 @@ mod tests {
         );
     }
 
+    /// A recorder without `dir`, or with the removed
+    /// `fsync_interval_ms` key, creates no store and faults on its
+    /// first event instead of dropping it.
     #[test]
-    fn missing_dir_faults_on_first_event() {
-        let exec = Executive::new(ExecutiveConfig::named("store"));
-        let rec = exec
-            .register("rec0", Box::new(Recorder::new()), &[])
+    fn misconfigured_recorder_faults_on_first_event() {
+        let dir = tmp_dir("stale-key");
+        let stale = [("dir", dir.to_str().unwrap()), ("fsync_interval_ms", "50")];
+        for params in [&[][..], &stale[..]] {
+            let exec = Executive::new(ExecutiveConfig::named("store"));
+            let rec = exec
+                .register("rec0", Box::new(Recorder::new()), params)
+                .unwrap();
+            exec.enable_all();
+            exec.post(
+                Message::build_private(rec, Tid::HOST, 0x0da0, 0x0022)
+                    .payload(b"evt".to_vec())
+                    .finish(),
+            )
             .unwrap();
-        exec.enable_all();
-        exec.post(
-            Message::build_private(rec, Tid::HOST, 0x0da0, 0x0022)
-                .payload(b"evt".to_vec())
-                .finish(),
-        )
-        .unwrap();
-        while exec.run_once() > 0 {}
-        let state = exec.lct().iter().find(|e| e.tid == rec).map(|e| e.state);
-        assert_eq!(state, Some(xdaq_i2o::DeviceState::Faulted));
-        assert_eq!(
-            exec.core()
-                .monitors()
-                .registry()
-                .counter("rec.records")
-                .get(),
-            0
-        );
+            while exec.run_once() > 0 {}
+            let state = exec.lct().iter().find(|e| e.tid == rec).map(|e| e.state);
+            assert_eq!(state, Some(xdaq_i2o::DeviceState::Faulted), "{params:?}");
+            assert_eq!(
+                exec.core()
+                    .monitors()
+                    .registry()
+                    .counter("rec.records")
+                    .get(),
+                0
+            );
+        }
+        assert!(!dir.exists(), "a refused config creates no store");
     }
 }

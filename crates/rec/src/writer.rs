@@ -18,6 +18,11 @@ use std::os::fd::FromRawFd;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+/// The durability interval: `maybe_sync` issues `fdatasync` once the
+/// oldest un-synced byte is this old, so an acknowledged record is on
+/// stable storage at most this long after it was appended.
+pub const FSYNC_INTERVAL: Duration = Duration::from_millis(50);
+
 /// Tuning knobs of the append path.
 #[derive(Debug, Clone)]
 pub struct RecConfig {
@@ -25,12 +30,9 @@ pub struct RecConfig {
     pub dir: PathBuf,
     /// Rotate to a new segment once the current one reaches this size.
     pub segment_bytes: u64,
-    /// `maybe_sync` issues `fdatasync` after this many un-synced bytes.
+    /// `maybe_sync` issues `fdatasync` after this many un-synced bytes
+    /// (or once [`FSYNC_INTERVAL`] has passed).
     pub fsync_bytes: u64,
-    /// ... or once the oldest un-synced byte is this old (the
-    /// durability interval: an acknowledged record is on stable storage
-    /// at most this long after it was appended).
-    pub fsync_interval: Duration,
 }
 
 impl RecConfig {
@@ -40,7 +42,6 @@ impl RecConfig {
             dir: dir.into(),
             segment_bytes: 64 * 1024 * 1024,
             fsync_bytes: 4 * 1024 * 1024,
-            fsync_interval: Duration::from_millis(50),
         }
     }
 }
@@ -208,7 +209,7 @@ impl RecWriter {
         let over_bytes = self.dirty_bytes >= self.cfg.fsync_bytes;
         let over_age = self
             .dirty_since
-            .is_some_and(|t| t.elapsed() >= self.cfg.fsync_interval);
+            .is_some_and(|t| t.elapsed() >= FSYNC_INTERVAL);
         if over_bytes || over_age {
             self.sync()
         } else {
@@ -331,11 +332,15 @@ mod tests {
         let dir = tmp_dir("dirty");
         let mut cfg = RecConfig::new(&dir);
         cfg.fsync_bytes = 1024;
-        cfg.fsync_interval = Duration::from_secs(3600);
         let mut w = RecWriter::create(cfg).unwrap();
+        let appended = Instant::now();
         w.append(&[IoSlice::new(&[1u8; 100])]).unwrap();
         assert!(w.dirty_bytes() > 0);
-        assert!(w.maybe_sync().unwrap().is_none(), "under both thresholds");
+        let synced = w.maybe_sync().unwrap();
+        // Only a stall past the durability interval may sync here.
+        if appended.elapsed() < FSYNC_INTERVAL {
+            assert!(synced.is_none(), "under both thresholds");
+        }
         w.append(&[IoSlice::new(&[2u8; 2000])]).unwrap();
         assert!(w.maybe_sync().unwrap().is_some(), "byte budget exceeded");
         assert_eq!(w.dirty_bytes(), 0);

@@ -1,9 +1,9 @@
 //! A simulated N×M event-builder topology: the sweep harness's
 //! standard workload.
 //!
-//! [`SimEvb`] assembles `1 + n_ru + n_bu` nodes on one [`SimCluster`]:
+//! [`SimEvb`] assembles `1 + N_RU + N_BU` nodes on one [`SimCluster`]:
 //! a host node running the [`EventManager`] plus the filter collector,
-//! `n_ru` readout nodes and `n_bu` builder nodes — the same mesh the
+//! two readout nodes and two builder nodes — the same mesh the
 //! 7-process `tests/evb.rs` integration test builds out of real OS
 //! processes and `shm://` regions, shrunk onto the simulated fabric
 //! where a whole run takes microseconds of wall time and every
@@ -27,55 +27,50 @@ use xdaq_core::{Delivery, Dispatcher, Executive, I2oListener, SupervisionConfig,
 use xdaq_evb::{xfn, BuilderUnit, EventManager, EvmStats, ReadoutUnit, ORG_DAQ};
 use xdaq_i2o::{DeviceClass, Message, Tid, UtilFn};
 
-/// Shape and tuning of the simulated mesh.
+/// Readout-unit count.
+pub(crate) const N_RU: usize = 2;
+/// Builder-unit count.
+pub(crate) const N_BU: usize = 2;
+/// Fragment payload bytes per source.
+const FRAGMENT_SIZE: u32 = 256;
+/// Credits each builder grants the EVM.
+const CREDITS: u32 = 4;
+/// Trigger pacing (virtual microseconds per fresh event). Pacing is
+/// what makes a run *occupy* virtual time: free-running, the pump
+/// drains a whole run without the clock ever advancing, so scheduled
+/// faults would all land after the last event. At this 10 ms beat a
+/// 30-event run spans 300 ms of virtual time — the window the fault
+/// generator aims at.
+const TRIGGER_INTERVAL_US: u64 = 10_000;
+/// Builder reassembly timeout (virtual milliseconds).
+const BU_TIMEOUT_MS: u64 = 20;
+/// Host-side supervision of the builder links: a blackout is detected
+/// in `interval × down_after` = 80 ms of virtual time — faster than
+/// the shortest scheduled fault window, so a killed builder is always
+/// reclaimed.
+pub(crate) const SUPERVISION: SupervisionConfig = SupervisionConfig {
+    interval: Duration::from_millis(20),
+    suspect_after: 2,
+    down_after: 4,
+};
+
+/// The recovery budgets of the simulated mesh; its shape and pacing
+/// are the constants above.
 #[derive(Clone, Debug)]
 pub struct EvbOptions {
-    /// Readout-unit count.
-    pub n_ru: usize,
-    /// Builder-unit count.
-    pub n_bu: usize,
-    /// Fragment payload bytes per source.
-    pub fragment_size: u32,
-    /// Credits each builder grants the EVM.
-    pub credits: u32,
-    /// Trigger pacing (virtual microseconds per fresh event; 0 =
-    /// free-running). Pacing is what makes a run *occupy* virtual
-    /// time: free-running, the pump drains a whole run without the
-    /// clock ever advancing, so scheduled faults would all land after
-    /// the last event. At the default 10 ms beat a 30-event run spans
-    /// 300 ms of virtual time — the window the fault generator aims at.
-    pub trigger_interval_us: u64,
-    /// Builder reassembly timeout (virtual milliseconds).
-    pub bu_timeout_ms: u64,
     /// Re-pull rounds before a builder discards an event.
     pub bu_max_retries: u32,
     /// Reassignments before the EVM counts an event lost. Generous:
     /// the sweeps assert *zero* loss, so recovery must be allowed to
     /// grind through long fault windows rather than give up.
     pub max_reassign: u32,
-    /// Host-side supervision of the builder links. The defaults
-    /// detect a blackout in `interval × down_after` = 80 ms of
-    /// virtual time — faster than the shortest scheduled fault
-    /// window, so a killed builder is always reclaimed.
-    pub supervision: SupervisionConfig,
 }
 
 impl Default for EvbOptions {
     fn default() -> EvbOptions {
         EvbOptions {
-            n_ru: 2,
-            n_bu: 2,
-            fragment_size: 256,
-            credits: 4,
-            trigger_interval_us: 10_000,
-            bu_timeout_ms: 20,
             bu_max_retries: 25,
             max_reassign: 100,
-            supervision: SupervisionConfig {
-                interval: Duration::from_millis(20),
-                suspect_after: 2,
-                down_after: 4,
-            },
         }
     }
 }
@@ -125,7 +120,6 @@ pub struct SimEvb {
     bu_proxies: Vec<(String, String, Tid)>,
     stats: Arc<EvmStats>,
     ids: Arc<Mutex<BTreeSet<u64>>>,
-    opts: EvbOptions,
 }
 
 impl SimEvb {
@@ -135,12 +129,11 @@ impl SimEvb {
     pub fn new(opts: EvbOptions) -> SimEvb {
         let mut cluster = SimCluster::new();
         let log = TraceLog::new();
-        let sup = opts.supervision.clone();
-        let host = cluster.add_node_with("host", |c| c.supervision = Some(sup));
-        let ru_execs: Vec<Executive> = (0..opts.n_ru)
+        let host = cluster.add_node_with("host", |c| c.supervision = Some(SUPERVISION));
+        let ru_execs: Vec<Executive> = (0..N_RU)
             .map(|i| cluster.add_node(&format!("ru{i}")))
             .collect();
-        let bu_execs: Vec<Executive> = (0..opts.n_bu)
+        let bu_execs: Vec<Executive> = (0..N_BU)
             .map(|j| cluster.add_node(&format!("bu{j}")))
             .collect();
 
@@ -165,15 +158,15 @@ impl SimEvb {
                     Box::new(ReadoutUnit::new()),
                     &[
                         ("source_id", &i.to_string()),
-                        ("sources", &opts.n_ru.to_string()),
-                        ("size", &opts.fragment_size.to_string()),
+                        ("sources", &N_RU.to_string()),
+                        ("size", &FRAGMENT_SIZE.to_string()),
                     ],
                 )
                 .expect("register readout");
             ru_tids.push(tid);
         }
 
-        let ru_names: Vec<String> = (0..opts.n_ru).map(|i| format!("ru{i}")).collect();
+        let ru_names: Vec<String> = (0..N_RU).map(|i| format!("ru{i}")).collect();
         let mut bu_tids = Vec::new();
         for exec in bu_execs.iter() {
             exec.proxy(&SimCluster::url("host"), flt_tid, Some("flt"))
@@ -193,8 +186,8 @@ impl SimEvb {
                     &[
                         ("rus", &ru_names.join(",")),
                         ("filter", "flt"),
-                        ("credits", &opts.credits.to_string()),
-                        ("timeout_ms", &opts.bu_timeout_ms.to_string()),
+                        ("credits", &CREDITS.to_string()),
+                        ("timeout_ms", &BU_TIMEOUT_MS.to_string()),
                         ("max_retries", &opts.bu_max_retries.to_string()),
                     ],
                 )
@@ -212,7 +205,7 @@ impl SimEvb {
             )
             .expect("host proxy readout");
         }
-        let bu_names: Vec<String> = (0..opts.n_bu).map(|j| format!("bu{j}")).collect();
+        let bu_names: Vec<String> = (0..N_BU).map(|j| format!("bu{j}")).collect();
         for (j, &bu_tid) in bu_tids.iter().enumerate() {
             let url = SimCluster::url(&format!("bu{j}"));
             host.proxy(&url, bu_tid, Some(&bu_names[j]))
@@ -233,7 +226,7 @@ impl SimEvb {
                     ("bus", &bu_names.join(",")),
                     ("bu_urls", &bu_urls.join(",")),
                     ("max_reassign", &opts.max_reassign.to_string()),
-                    ("trigger_interval_us", &opts.trigger_interval_us.to_string()),
+                    ("trigger_interval_us", &TRIGGER_INTERVAL_US.to_string()),
                 ],
             )
             .expect("register evm");
@@ -251,13 +244,7 @@ impl SimEvb {
             bu_proxies,
             stats,
             ids,
-            opts,
         }
-    }
-
-    /// The mesh options this instance was built with.
-    pub fn opts(&self) -> &EvbOptions {
-        &self.opts
     }
 
     /// The event manager's live counters.

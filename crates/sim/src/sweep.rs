@@ -28,7 +28,7 @@
 //! repeatedly drop one fault pair and keep the reduction whenever the
 //! failure survives, converging on a locally-minimal repro.
 
-use crate::evb::{EvbOptions, SimEvb};
+use crate::evb::{EvbOptions, SimEvb, N_BU, N_RU, SUPERVISION};
 use crate::trace;
 use std::fmt;
 use std::time::Duration;
@@ -184,17 +184,16 @@ impl fmt::Display for SweepFailure {
 
 impl std::error::Error for SweepFailure {}
 
-/// Expands a seed into a fault schedule over the mesh described by
-/// `opts`. Windowed faults (kill, partition, delay) always emit their
+/// Expands a seed into a fault schedule over the simulated mesh.
+/// Windowed faults (kill, partition, delay) always emit their
 /// closing action; windows affecting builders outlast the
 /// supervisor's detection horizon (see module docs).
-pub fn generate(seed: u64, opts: &EvbOptions) -> Schedule {
+pub fn generate(seed: u64) -> Schedule {
     let mut rng = Rng::new(seed);
-    let detect =
-        opts.supervision.interval * opts.supervision.down_after + opts.supervision.interval * 2;
+    let detect = SUPERVISION.interval * SUPERVISION.down_after + SUPERVISION.interval * 2;
     let detect_ms = detect.as_millis() as u64;
-    let ru = |rng: &mut Rng| format!("ru{}", rng.below(opts.n_ru as u64));
-    let bu = |rng: &mut Rng| format!("bu{}", rng.below(opts.n_bu as u64));
+    let ru = |rng: &mut Rng| format!("ru{}", rng.below(N_RU as u64));
+    let bu = |rng: &mut Rng| format!("bu{}", rng.below(N_BU as u64));
     let mut faults = Vec::new();
     let episodes = 2 + rng.below(4);
     for _ in 0..episodes {
@@ -369,7 +368,7 @@ pub fn run_schedule(
 
 /// Generates and replays one seed.
 pub fn run_seed(seed: u64, opts: &EvbOptions, target: u64) -> Result<Report, SweepFailure> {
-    run_schedule(&generate(seed, opts), opts, target)
+    run_schedule(&generate(seed), opts, target)
 }
 
 /// Replays `seeds` in order, failing on the first violated seed (the
@@ -467,22 +466,20 @@ mod tests {
 
     #[test]
     fn schedules_are_pure_functions_of_the_seed() {
-        let opts = EvbOptions::default();
         for seed in [0, 1, 7, 0xDEAD_BEEF] {
-            assert_eq!(generate(seed, &opts).faults, generate(seed, &opts).faults);
+            assert_eq!(generate(seed).faults, generate(seed).faults);
         }
         assert_ne!(
-            generate(1, &opts).faults,
-            generate(2, &opts).faults,
+            generate(1).faults,
+            generate(2).faults,
             "different seeds should scatter differently"
         );
     }
 
     #[test]
     fn every_window_closes() {
-        let opts = EvbOptions::default();
         for seed in 0..50 {
-            let s = generate(seed, &opts);
+            let s = generate(seed);
             for f in &s.faults {
                 if let Some(closer) = closing_of(&f.kind) {
                     assert!(

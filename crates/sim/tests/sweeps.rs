@@ -83,7 +83,6 @@ fn shrink_reduces_to_the_single_guilty_fault() {
     let opts = EvbOptions {
         bu_max_retries: 0,
         max_reassign: 0,
-        ..EvbOptions::default()
     };
     let schedule = Schedule {
         seed: 99,

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use xdaq::core::listener::UtilOutcome;
 use xdaq::core::{Delivery, Dispatcher, I2oListener};
-use xdaq::ctl::{control_host, Controller, ControllerConfig, ManagedEnv, SelfExec, XclInterpreter};
+use xdaq::ctl::{control_host, Controller, ManagedEnv, SelfExec, XclInterpreter};
 use xdaq::evb::{xfn, BuilderUnit, EventManager, ReadoutUnit, ORG_DAQ};
 use xdaq::i2o::{DeviceClass, Message, Tid, UtilFn};
 
@@ -112,13 +112,8 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "examples/evb_cluster.xtop".to_string());
     let host = control_host("ctl").expect("control host");
-    let ctl = Controller::new(
-        &topo,
-        host.clone(),
-        Box::new(SelfExec::new(&[])),
-        ControllerConfig::default(),
-    )
-    .expect("topology loads");
+    let ctl =
+        Controller::new(&topo, host.clone(), Box::new(SelfExec::new(&[]))).expect("topology loads");
     ctl.start();
     let events = ctl.subscribe();
 

@@ -34,8 +34,6 @@ fn main() {
     cfg.retry = RetryPolicy {
         max_attempts: 3,
         base_backoff: Duration::from_micros(200),
-        max_backoff: Duration::from_millis(2),
-        deadline: Some(Duration::from_secs(5)),
     };
     cfg.supervision = Some(SupervisionConfig {
         interval: Duration::from_millis(20),

@@ -10,6 +10,11 @@ cargo fmt --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, -D warnings) =="
+# A deletion that leaves an intra-doc link behind fails here, not in a
+# reader's browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== one raw-syscall layer: no asm! outside crates/sys =="
 # shm, rec and pt each grew a private copy of the same syscall stubs
 # once; xdaq-sys is the audited one, and a fourth must not grow back.

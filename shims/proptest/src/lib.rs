@@ -206,7 +206,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::TestRng;
 
-    /// Element-count bounds for [`vec`]. Converted from the same range
+    /// Element-count bounds for [`vec()`]. Converted from the same range
     /// shapes the real crate accepts.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
@@ -250,7 +250,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

@@ -25,8 +25,7 @@ use std::time::{Duration, Instant};
 use xdaq::core::listener::UtilOutcome;
 use xdaq::core::{Delivery, Dispatcher, I2oListener};
 use xdaq::ctl::{
-    control_host, ControlHost, Controller, ControllerConfig, EventKind, ManagedEnv, SelfExec,
-    XclInterpreter,
+    control_host, ControlHost, Controller, EventKind, ManagedEnv, SelfExec, XclInterpreter,
 };
 use xdaq::evb::{xfn, BuilderUnit, EventManager, ReadoutUnit, ORG_DAQ};
 use xdaq::i2o::{DeviceClass, Message, Tid, UtilFn};
@@ -171,13 +170,7 @@ fn bring_up(name: &str) -> Cluster {
         "--test-threads",
         "1",
     ]);
-    let ctl = Controller::new(
-        &topo_path,
-        host.clone(),
-        Box::new(launcher),
-        ControllerConfig::default(),
-    )
-    .unwrap();
+    let ctl = Controller::new(&topo_path, host.clone(), Box::new(launcher)).unwrap();
     ctl.start();
     let mut xcl = XclInterpreter::new(&host).with_controller(&ctl);
     let out = xcl.run("apply\nregistry").expect("apply converges");

@@ -27,8 +27,6 @@ fn retrying(attempts: u32) -> RetryPolicy {
     RetryPolicy {
         max_attempts: attempts,
         base_backoff: Duration::from_micros(100),
-        max_backoff: Duration::from_millis(2),
-        deadline: Some(Duration::from_secs(5)),
     }
 }
 
@@ -143,8 +141,6 @@ fn primary_killed_mid_run_fails_over_with_zero_loss() {
     cfg.retry = RetryPolicy {
         max_attempts: 3,
         base_backoff: Duration::from_micros(200),
-        max_backoff: Duration::from_millis(2),
-        deadline: Some(Duration::from_secs(5)),
     };
     cfg.supervision = Some(SupervisionConfig {
         interval: Duration::from_millis(20),

@@ -63,11 +63,9 @@ impl I2oListener for Sink {
 fn flow_cfg() -> FlowConfig {
     FlowConfig {
         window: 16,
-        replenish: 8,
         high_watermark: 8,
         policy: FlowPolicy::FailFast,
         reserve: 2,
-        reserve_priority: 5,
         tick: Duration::from_millis(5),
     }
 }
@@ -380,7 +378,7 @@ fn two_tenant_admission_sheds_bulk_not_gold() {
 }
 
 /// Runtime retuning: `flow.*` keys through ParamsSet adjust the live
-/// window/policy; a bad key rejects the frame without side effects.
+/// window/policy, and the replenish threshold follows the window.
 #[test]
 fn flow_params_retune_at_runtime() {
     let mut cfg = ExecutiveConfig::named("a");
@@ -390,11 +388,7 @@ fn flow_params_retune_at_runtime() {
     let ha = a.spawn();
     a.post(
         Message::util(Tid::EXECUTIVE, Tid::HOST, UtilFn::ParamsSet)
-            .payload(kv(&[
-                ("flow.window", "64"),
-                ("flow.replenish", "16"),
-                ("flow.policy", "fail"),
-            ]))
+            .payload(kv(&[("flow.window", "64"), ("flow.policy", "fail")]))
             .finish(),
     )
     .unwrap();
@@ -406,9 +400,60 @@ fn flow_params_retune_at_runtime() {
         "flow.window retune never applied"
     );
     let cfg_now = a.core().flow().unwrap().config();
-    assert_eq!(cfg_now.replenish, 16);
+    assert_eq!(cfg_now.replenish(), 32);
     assert!(matches!(cfg_now.policy, FlowPolicy::FailFast));
     ha.shutdown();
+}
+
+/// A rejected ParamsSet changes nothing: every `flow.*` and `qos.*`
+/// key is checked before any is applied, whatever order the frame's
+/// map yields them in. A window of 0 (grants nothing) and a reserve
+/// that fills the window (starves bulk traffic) are refused too.
+#[test]
+fn rejected_params_set_changes_nothing() {
+    let refused = [
+        vec![
+            ("flow.window", "8"),
+            ("flow.watermark", "3"),
+            ("flow.tick_ms", "7"),
+            ("qos.class.t", "10:5"),
+            ("flow.replenish", "1"),
+        ],
+        vec![("flow.window", "0")],
+        vec![("flow.reserve", "16")],
+        vec![("flow.window", "4"), ("flow.reserve", "4")],
+    ];
+    let params_set = |a: &Executive, pairs: &[(&str, &str)]| {
+        a.post(
+            Message::util(Tid::EXECUTIVE, Tid::HOST, UtilFn::ParamsSet)
+                .payload(kv(pairs))
+                .finish(),
+        )
+        .unwrap();
+        while a.run_once() > 0 {}
+    };
+    for round in 0..20 {
+        for pairs in &refused {
+            let mut cfg = ExecutiveConfig::named("a");
+            cfg.flow = Some(flow_cfg());
+            let a = Executive::new(cfg);
+            params_set(&a, pairs);
+            assert_eq!(
+                a.core().flow().unwrap().config(),
+                flow_cfg(),
+                "round {round}: {pairs:?} changed the live flow config"
+            );
+            assert!(
+                a.core().admission().is_empty(),
+                "round {round}: {pairs:?} added a qos class"
+            );
+            // The same node takes a valid frame, so the refusal above
+            // was a decision, not a frame left undispatched.
+            params_set(&a, &[("flow.window", "8"), ("qos.class.t", "10:5")]);
+            assert_eq!(a.core().flow().unwrap().config().window, 8);
+            assert!(!a.core().admission().is_empty());
+        }
+    }
 }
 
 /// The tcp slow-consumer soak: credit backpressure propagates over a

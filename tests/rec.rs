@@ -223,8 +223,6 @@ fn recording_over_a_chaotic_link_is_lossless_and_replayable() {
     cfg.retry = RetryPolicy {
         max_attempts: 10,
         base_backoff: Duration::from_micros(100),
-        max_backoff: Duration::from_millis(2),
-        deadline: Some(Duration::from_secs(5)),
     };
     let a = Executive::new(cfg);
     a.register_pt(
