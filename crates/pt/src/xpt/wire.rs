@@ -23,9 +23,9 @@ use std::io::IoSlice;
 use xdaq_i2o::HEADER_LEN;
 use xdaq_mempool::{DynAllocator, FrameBuf};
 
-/// Largest wire frame, mirroring `tcp.rs`.
+/// Largest wire frame: one pool block.
 pub const MAX_FRAME: usize = xdaq_mempool::MAX_BLOCK_LEN;
-/// Hello line prefix shared with `tcp://` (same framing, new scheme).
+/// Hello line prefix: a dialing side names its listen address first.
 pub const HELLO_PREFIX: &str = "XDAQPT1 ";
 /// Longest accepted hello line, including the terminating newline.
 pub const MAX_HELLO: usize = 256;
@@ -333,10 +333,17 @@ impl RecvAssembler {
                             .map_err(|e| format!("inbound alloc: {e}"))?;
                         frame.set_len(total);
                         frame.raw_mut()[..HEADER_LEN].copy_from_slice(buf);
-                        self.state = RecvState::Body {
-                            frame,
-                            have: HEADER_LEN,
-                        };
+                        if total == HEADER_LEN {
+                            // A header-only frame is complete now, not
+                            // when the next frame's bytes arrive.
+                            events.push(Event::Frame(frame));
+                            self.state = fresh_header();
+                        } else {
+                            self.state = RecvState::Body {
+                                frame,
+                                have: HEADER_LEN,
+                            };
+                        }
                     }
                 }
                 RecvState::Body { frame, have } => {
@@ -432,6 +439,26 @@ mod tests {
         rasm.direct_advance(want, &mut ev);
         assert_eq!(rasm.donations(), 1);
         match &ev[0] {
+            Event::Frame(got) => assert_eq!(&got[..], &f[..]),
+            _ => panic!("expected frame"),
+        }
+    }
+
+    /// A frame that is all header (16 B, no payload) is delivered as
+    /// soon as its header is in, not held until more bytes arrive: an
+    /// executive verb such as a claim is exactly this, and its sender
+    /// waits for the reply.
+    #[test]
+    fn assembler_delivers_a_header_only_frame_at_once() {
+        let alloc = TablePool::with_defaults();
+        let mut rasm = RecvAssembler::new(alloc);
+        let mut ev = Vec::new();
+        let f = frame(HEADER_LEN, 0x11);
+        let mut bytes = b"XDAQPT1 xpt://x\n".to_vec();
+        bytes.extend_from_slice(&f);
+        rasm.ingest(&bytes, &mut ev).unwrap();
+        assert_eq!(ev.len(), 2, "hello and the frame");
+        match &ev[1] {
             Event::Frame(got) => assert_eq!(&got[..], &f[..]),
             _ => panic!("expected frame"),
         }
