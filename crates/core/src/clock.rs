@@ -12,7 +12,7 @@
 //! milliseconds of wall time and is bit-for-bit reproducible.
 //!
 //! What deliberately stays on wall time (and why) is inventoried in
-//! DESIGN.md §16: transport I/O (tcp/shm/xpt talk to real kernels),
+//! DESIGN.md §16: transport I/O (shm/xpt talk to real kernels),
 //! child-process management in `xdaq-ctl`, the admission token bucket,
 //! and observability timestamps (tracer, uptime) that never feed back
 //! into control flow.

@@ -6,7 +6,7 @@
 //! bounds its inbound work source-ward, the way Steinbeck's
 //! data-transport framework and the evb credit loop (DESIGN.md §12) do,
 //! but one layer down — on the peer link itself, uniformly for
-//! `tcp://`, `shm://`, `loop://` and anything wrapped in `ChaosPt`,
+//! `xpt://`, `shm://`, `loop://` and anything wrapped in `ChaosPt`,
 //! because the gate sits in [`Pta::send_failover`](crate::Pta) above
 //! every transport.
 //!

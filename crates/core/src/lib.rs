@@ -31,7 +31,7 @@
 //!   provided ("the system can provide default procedures if for a
 //!   given event no code is supplied").
 //! * [`PeerTransport`] — the transport DDM interface; concrete
-//!   transports (TCP, GM, PCI, loopback) live in `xdaq-pt` and
+//!   transports (xpt sockets, GM, PCI, loopback) live in `xdaq-pt` and
 //!   register here like any other device.
 
 pub mod admission;

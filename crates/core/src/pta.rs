@@ -235,7 +235,7 @@ impl RetryPolicy {
 /// messages through its DDM wrapper); this trait covers only the
 /// data-plane hooks the PTA drives.
 pub trait PeerTransport: Send + Sync {
-    /// Address scheme served, e.g. `"tcp"`, `"gm"`, `"loop"`, `"pci"`.
+    /// Address scheme served, e.g. `"xpt"`, `"gm"`, `"loop"`, `"pci"`.
     fn scheme(&self) -> &'static str;
 
     /// Operating mode.
@@ -343,7 +343,7 @@ pub struct Pta {
     policy: RwLock<RetryPolicy>,
     metrics: RwLock<PtaMetrics>,
     /// Link-level flow control, when the executive enabled it. The
-    /// gate sits here — above every transport — so `tcp://`, `shm://`,
+    /// gate sits here — above every transport — so `xpt://`, `shm://`,
     /// `loop://` and `ChaosPt` wrappers are all metered identically.
     flow: RwLock<Option<Arc<CreditManager>>>,
     /// xorshift64* state for deterministic backoff jitter; never uses
@@ -917,7 +917,7 @@ mod tests {
     }
 
     /// A task-mode transport whose `stop` joins a reader thread that,
-    /// like a tcp/xpt/shm/GM reader inside the ingest sink, reaches back
+    /// like an xpt/shm/GM reader inside the ingest sink, reaches back
     /// into the agent before it can exit.
     struct ReenteringPt {
         /// Dropped by `stop`, which wakes the reader.

@@ -8,7 +8,7 @@
 //! local or if the call is redirected."*
 //!
 //! A peer route may additionally carry **alternate** addresses for the
-//! same remote device (e.g. a `gm://` primary with a `tcp://` backup).
+//! same remote device (e.g. a `gm://` primary with an `xpt://` backup).
 //! The PTA's failover chain walks them in order on a hard send
 //! failure, and [`RouteTable::evict_peer`] promotes an alternate to
 //! primary when the link supervisor declares a peer down.

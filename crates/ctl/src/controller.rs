@@ -47,7 +47,7 @@ use xdaq_core::xfn::XFN_PEER_DOWN;
 use xdaq_core::{ExecutiveConfig, SupervisionConfig};
 use xdaq_i2o::{ExecFn, Tid};
 use xdaq_mempool::TablePool;
-use xdaq_pt::TcpPt;
+use xdaq_pt::XptPt;
 
 /// Background tick period.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
@@ -775,8 +775,8 @@ impl Drop for Controller {
 }
 
 /// Builds the usual control-plane host: named executive with link
-/// supervision (so managed-node deaths surface as local faults), a
-/// TCP peer transport on an ephemeral port, the fault feed routed to
+/// supervision (so managed-node deaths surface as local faults), the
+/// socket peer transport on an ephemeral port, the fault feed routed to
 /// the host agent, dispatch loop running.
 pub fn control_host(name: &str) -> Result<Arc<ControlHost>, String> {
     let mut config = ExecutiveConfig::named(name);
@@ -786,11 +786,11 @@ pub fn control_host(name: &str) -> Result<Arc<ControlHost>, String> {
         down_after: 6,
     });
     let host = ControlHost::with_config(config);
-    let pt = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults())
-        .map_err(|e| format!("bind host tcp: {e:?}"))?;
+    let pt = XptPt::bind("127.0.0.1:0", TablePool::with_defaults())
+        .map_err(|e| format!("bind host xpt: {e:?}"))?;
     host.executive()
-        .register_pt("tcp", pt)
-        .map_err(|e| format!("register host tcp: {e:?}"))?;
+        .register_pt("xpt", pt)
+        .map_err(|e| format!("register host xpt: {e:?}"))?;
     host.watch_local_faults();
     host.start();
     Ok(Arc::new(host))

@@ -6,7 +6,7 @@
 //! application's module factories, and the runner does the rest:
 //! locate its own [`NodeDecl`] via the `XDAQ_CTL_*` environment,
 //! build the executive (supervision, flow control from node params),
-//! bind a TCP peer transport on an ephemeral port, publish
+//! bind the socket peer transport on an ephemeral port, publish
 //! the generation-stamped url file, and run until told to stop.
 //!
 //! The runner deliberately loads **no modules**: module load, routes
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xdaq_core::{Executive, ExecutiveConfig, FlowConfig, PeerTransport, SupervisionConfig};
 use xdaq_mempool::TablePool;
-use xdaq_pt::{TcpPt, XptPt};
+use xdaq_pt::XptPt;
 
 /// Environment handed to a managed child, decoded.
 #[derive(Debug, Clone)]
@@ -105,11 +105,12 @@ pub fn node_config(topo: &Topology, node: &str) -> Result<ExecutiveConfig, Strin
 }
 
 /// Binds the peer transport a declaration asks for, on an ephemeral
-/// port: `transport` is `tcp` (default) or `xpt`, the batched
-/// submission/completion transport (DESIGN.md §15). The key that once
-/// chose between two xpt drivers is refused rather than ignored, so a
-/// stale topology fails loudly instead of running a driver it did not
-/// name.
+/// port. There is one socket transport, xpt (DESIGN.md §15); `tcp`
+/// (the default) and `xpt` both name it, so either spelling registers
+/// under `xpt` and publishes an `xpt://` url. Any other `transport`,
+/// and the key that once chose between two xpt drivers, is refused
+/// rather than ignored, so a stale topology fails loudly instead of
+/// running something it did not name.
 ///
 /// Returns the registration key and the canonical url to publish.
 pub fn bind_transport(
@@ -121,15 +122,8 @@ pub fn bind_transport(
                 .into(),
         );
     }
-    let transport = decl.params.get("transport").map_or("tcp", String::as_str);
-    match transport {
-        "tcp" => {
-            let pt = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults())
-                .map_err(|e| format!("bind tcp: {e:?}"))?;
-            let url = pt.addr().to_string();
-            Ok(("tcp", pt, url))
-        }
-        "xpt" => {
+    match decl.params.get("transport").map_or("tcp", String::as_str) {
+        "tcp" | "xpt" => {
             let pt = XptPt::bind("127.0.0.1:0", TablePool::with_defaults())
                 .map_err(|e| format!("bind xpt: {e:?}"))?;
             let url = pt.addr().to_string();
@@ -187,11 +181,13 @@ mod tests {
         [node.b]
         [node.c]
         transport = "xpt"
+        [node.d]
+        transport = "tcp"
         [node.stale]
         transport = "xpt"
         xpt.backend = "epoll"
         [node.bad]
-        transport = "carrier-pigeon"
+        transport = "udp"
         [node.zero]
         supervision.interval_ms = 0
         [node.typo]
@@ -250,14 +246,14 @@ mod tests {
     #[test]
     fn transport_selection_honors_declaration() {
         let topo = Topology::parse(TOPO).unwrap();
-        let (key, pt, url) = bind_transport(topo.node("a").unwrap()).unwrap();
-        assert_eq!((key, pt.scheme()), ("tcp", "tcp"), "tcp is the default");
-        assert!(url.starts_with("tcp://127.0.0.1:"), "got {url}");
-
-        let (key, pt, url) = bind_transport(topo.node("c").unwrap()).unwrap();
-        assert_eq!((key, pt.scheme()), ("xpt", "xpt"));
-        assert!(url.starts_with("xpt://127.0.0.1:"), "got {url}");
-        pt.stop();
+        // No key (the default), `tcp` and `xpt` all name the one socket
+        // transport.
+        for node in ["a", "d", "c"] {
+            let (key, pt, url) = bind_transport(topo.node(node).unwrap()).unwrap();
+            assert_eq!((key, pt.scheme()), ("xpt", "xpt"), "node {node}");
+            assert!(url.starts_with("xpt://127.0.0.1:"), "got {url}");
+            pt.stop();
+        }
 
         let Err(err) = bind_transport(topo.node("stale").unwrap()) else {
             panic!("the removed xpt.backend key must be rejected");
@@ -268,8 +264,8 @@ mod tests {
         );
 
         let Err(err) = bind_transport(topo.node("bad").unwrap()) else {
-            panic!("carrier-pigeon transport must be rejected");
+            panic!("udp transport must be rejected");
         };
-        assert!(err.contains("unknown transport"), "got {err}");
+        assert_eq!(err, "unknown transport 'udp'");
     }
 }

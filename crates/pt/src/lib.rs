@@ -10,8 +10,7 @@
 //! |-----------|--------|----------------------|------|
 //! | [`LoopbackPt`] | `loop` | `loop://<node>` | polling |
 //! | [`GmPt`] | `gm` | `gm://<node>:<port>` | polling or task (paper: thread) |
-//! | [`TcpPt`] | `tcp` | `tcp://<ip>:<port>` | task (blocking sockets) |
-//! | [`XptPt`] | `xpt` | `xpt://<ip>:<port>` | task (batched submission/completion rings over epoll) |
+//! //! | [`XptPt`] | `xpt` | `xpt://<ip>:<port>` | task (batched submission/completion rings over epoll) |
 //! | [`PciPt`] | `pci` | `pci://<segment>/<slot>` | polling (hardware FIFOs) |
 //! | `ShmPt` (crate `xdaq-shm`) | `shm` | `shm://<region-path>@a\|b` | polling or task |
 //! | [`ChaosPt`] | (inner's) | (inner's) | (inner's) |
@@ -28,12 +27,10 @@ pub mod chaos;
 pub mod gm;
 pub mod loopback;
 pub mod pcisim;
-pub mod tcp;
 pub mod xpt;
 
 pub use chaos::{ChaosPt, ChaosStats, FaultPlan};
 pub use gm::GmPt;
 pub use loopback::{LoopbackHub, LoopbackPt};
 pub use pcisim::{FifoKind, PciBus, PciPt};
-pub use tcp::TcpPt;
 pub use xpt::XptPt;

@@ -229,12 +229,6 @@ pub fn recover(dir: &Path) -> std::io::Result<ScanReport> {
     let Some(torn) = &report.torn else {
         return Ok(report);
     };
-    if !xdaq_sys::supported() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "cannot truncate torn tail without the raw-syscall backend",
-        ));
-    }
     if torn.valid_len == 0 {
         // Nothing valid in this segment at all: drop the whole file.
         std::fs::remove_file(&torn.path)?;
@@ -283,9 +277,6 @@ mod tests {
 
     #[test]
     fn clean_roundtrip_across_segments() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let dir = tmp_dir("clean");
         write_records(&dir, 40);
         let mut r = RecReader::open(&dir).unwrap();
@@ -304,9 +295,6 @@ mod tests {
 
     #[test]
     fn torn_tail_detected_and_recovered() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let dir = tmp_dir("torn");
         {
             // Single large segment so the tear lands inside a record.
@@ -338,9 +326,6 @@ mod tests {
 
     #[test]
     fn crc_corruption_detected() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let dir = tmp_dir("crc");
         write_records(&dir, 3);
         let (_, seg) = list_segments(&dir).unwrap().remove(0);

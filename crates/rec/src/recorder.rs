@@ -268,9 +268,6 @@ mod tests {
 
     #[test]
     fn records_chains_and_counts() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let dir = tmp_dir("chains");
         let exec = Executive::new(ExecutiveConfig::named("store"));
         let rec = exec

@@ -257,9 +257,6 @@ mod tests {
 
     #[test]
     fn injects_records_in_order_with_retarget() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let dir = tmp_dir("order");
         {
             let mut w = RecWriter::create(RecConfig::new(&dir)).unwrap();
@@ -298,9 +295,6 @@ mod tests {
 
     #[test]
     fn limit_stops_early() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let dir = tmp_dir("limit");
         {
             let mut w = RecWriter::create(RecConfig::new(&dir)).unwrap();

@@ -69,12 +69,6 @@ impl RecWriter {
     /// Opens a writer on `cfg.dir`, starting a fresh segment after any
     /// existing ones (an existing recording is never overwritten).
     pub fn create(cfg: RecConfig) -> std::io::Result<RecWriter> {
-        if !xdaq_sys::supported() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "xdaq-rec raw-syscall backend unavailable on this target",
-            ));
-        }
         std::fs::create_dir_all(&cfg.dir)?;
         let next_seq = list_segments(&cfg.dir)?
             .last()
@@ -270,9 +264,6 @@ mod tests {
 
     #[test]
     fn append_writes_framed_records() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let dir = tmp_dir("framed");
         let mut w = RecWriter::create(RecConfig::new(&dir)).unwrap();
         let at = w
@@ -294,9 +285,6 @@ mod tests {
 
     #[test]
     fn rotation_by_size() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let dir = tmp_dir("rotate");
         let mut cfg = RecConfig::new(&dir);
         cfg.segment_bytes = 64; // tiny: every append rotates
@@ -311,9 +299,6 @@ mod tests {
 
     #[test]
     fn create_appends_after_existing_segments() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let dir = tmp_dir("resume");
         {
             let mut w = RecWriter::create(RecConfig::new(&dir)).unwrap();
@@ -326,9 +311,6 @@ mod tests {
 
     #[test]
     fn sync_batching_tracks_dirty_bytes() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let dir = tmp_dir("dirty");
         let mut cfg = RecConfig::new(&dir);
         cfg.fsync_bytes = 1024;

@@ -206,9 +206,6 @@ mod tests {
 
     #[test]
     fn self_ring_wakes_wait() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let bell = Doorbell::new().unwrap();
         assert!(!bell.wait(Duration::from_millis(1)), "no signal yet");
         bell.ring_self();
@@ -218,9 +215,6 @@ mod tests {
 
     #[test]
     fn peer_bell_reaches_a_live_receiver() {
-        if !xdaq_sys::supported() {
-            return;
-        }
         let region = std::env::temp_dir().join(format!("xdaq-shm-bell-{}", std::process::id()));
         let bell = Doorbell::for_region(&region, 0).unwrap();
         // Our own pid stands in for a peer process: the /proc reopen

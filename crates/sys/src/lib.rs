@@ -18,15 +18,17 @@
 //! writes) goes through `std`. This is the only file under `crates/`
 //! allowed to contain `asm!` (`scripts/ci.sh` checks).
 //!
-//! On unsupported targets every entry point returns [`ENOSYS`], so the
-//! workspace still compiles and `ShmLink::create`, `XptPt::bind` and
-//! `RecWriter::create` fail cleanly; [`supported`] tells callers and
-//! tests which case they are in.
+//! Linux on x86_64 and aarch64 is the one supported platform; any
+//! other target fails to compile here.
 //!
 //! Errors are raw positive errno values.
 
-/// Errno for "not supported here".
-pub const ENOSYS: i32 = 38;
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!("xdaq-sys supports Linux on x86_64 and aarch64 only");
+
 /// Errno for an interrupted syscall: waits report it as a timeout,
 /// writes and syncs retry.
 pub const EINTR: i32 = 4;
@@ -77,18 +79,6 @@ pub struct IoVec {
     pub len: usize,
 }
 
-/// True when the running target has a real syscall backend.
-pub const fn supported() -> bool {
-    cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
-}
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 mod imp {
     use super::{EpollEvent, IoVec, EEXIST, EINTR};
     use std::path::Path;
@@ -418,88 +408,12 @@ mod imp {
     }
 }
 
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-mod imp {
-    use super::{EpollEvent, IoVec, ENOSYS};
-    use std::path::Path;
-    use std::time::Duration;
-
-    pub fn mmap_shared(_fd: i32, _len: usize) -> Result<*mut u8, i32> {
-        Err(ENOSYS)
-    }
-
-    /// # Safety
-    /// No-op stub; never maps anything.
-    pub unsafe fn munmap(_ptr: *mut u8, _len: usize) -> Result<(), i32> {
-        Err(ENOSYS)
-    }
-
-    pub fn eventfd() -> Result<i32, i32> {
-        Err(ENOSYS)
-    }
-
-    pub fn ppoll_readable_many(_fds: &[i32], _timeout: Duration) -> Result<bool, i32> {
-        Err(ENOSYS)
-    }
-
-    pub fn mkfifo(_path: &Path) -> Result<(), i32> {
-        Err(ENOSYS)
-    }
-
-    pub fn epoll_create() -> Result<i32, i32> {
-        Err(ENOSYS)
-    }
-
-    pub fn epoll_ctl(
-        _epfd: i32,
-        _op: usize,
-        _fd: i32,
-        _events: u32,
-        _data: u64,
-    ) -> Result<(), i32> {
-        Err(ENOSYS)
-    }
-
-    pub fn epoll_wait(
-        _epfd: i32,
-        _events: &mut [EpollEvent],
-        _timeout_ms: i32,
-    ) -> Result<usize, i32> {
-        Err(ENOSYS)
-    }
-
-    pub fn openat(_path: &Path, _flags: usize, _mode: usize) -> Result<i32, i32> {
-        Err(ENOSYS)
-    }
-
-    /// # Safety
-    /// No-op stub; never writes anything.
-    pub unsafe fn pwritev(_fd: i32, _iov: &[IoVec], _offset: u64) -> Result<usize, i32> {
-        Err(ENOSYS)
-    }
-
-    pub fn fdatasync(_fd: i32) -> Result<(), i32> {
-        Err(ENOSYS)
-    }
-
-    pub fn ftruncate(_fd: i32, _len: u64) -> Result<(), i32> {
-        Err(ENOSYS)
-    }
-}
-
 pub use imp::{
     epoll_create, epoll_ctl, epoll_wait, eventfd, fdatasync, ftruncate, mkfifo, mmap_shared,
     munmap, openat, ppoll_readable_many, pwritev,
 };
 
-#[cfg(all(
-    test,
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+#[cfg(test)]
 mod tests {
     use super::imp::{PollFd, Timespec};
     use super::*;

@@ -1,14 +1,14 @@
 //! A two-executive cluster surviving a killed transport.
 //!
 //! Node `ru0` pings node `bu0` over a primary loopback link wrapped in
-//! a [`ChaosPt`]. The route carries an alternate TCP address, `ru0`
+//! a [`ChaosPt`]. The route carries an alternate `xpt://` address, `ru0`
 //! supervises the peer with I2O heartbeats, and its PTA retries failed
 //! sends with exponential backoff. Mid-run the primary link is killed:
 //!
 //! 1. in-flight sends fail, come back with their frame, get retried,
-//!    and fail over to the TCP alternate — nothing is lost;
+//!    and fail over to the xpt alternate — nothing is lost;
 //! 2. heartbeat pongs stop; the supervisor walks the link through
-//!    Up -> Suspect -> Down and promotes the TCP alternate to primary;
+//!    Up -> Suspect -> Down and promotes the xpt alternate to primary;
 //! 3. the run completes with zero lost frames, and the monitoring
 //!    scrape shows nonzero `pta.retries`, `pta.failovers` and
 //!    `link.peer_down`.
@@ -22,7 +22,7 @@ use xdaq::core::{Executive, ExecutiveConfig, RetryPolicy, SupervisionConfig};
 use xdaq::evb::ORG_DAQ;
 use xdaq::i2o::{Message, Tid};
 use xdaq::mempool::TablePool;
-use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt, TcpPt};
+use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt, XptPt};
 
 const COUNT: u64 = 2000;
 
@@ -44,18 +44,18 @@ fn main() {
     let chaos = ChaosPt::wrap(LoopbackPt::new(&hub, "ru0"), 0xFA11, FaultPlan::default());
     ru0.register_pt("ru0.chaos", chaos.clone()).unwrap();
     ru0.register_pt(
-        "ru0.tcp",
-        TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap(),
+        "ru0.xpt",
+        XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap(),
     )
     .unwrap();
 
-    // -- bu0: plain, reachable over loopback AND tcp --------------------
+    // -- bu0: plain, reachable over loopback AND xpt --------------------
     let bu0 = Executive::new(ExecutiveConfig::named("bu0"));
     bu0.register_pt("bu0.loop", LoopbackPt::new(&hub, "bu0"))
         .unwrap();
-    let bu0_tcp = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
-    let bu0_url = bu0_tcp.addr().to_string();
-    bu0.register_pt("bu0.tcp", bu0_tcp).unwrap();
+    let bu0_xpt = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
+    let bu0_url = bu0_xpt.addr().to_string();
+    bu0.register_pt("bu0.xpt", bu0_xpt).unwrap();
 
     // -- workload: ping-pong over a route with an alternate -------------
     let state = PingState::new();

@@ -7,7 +7,8 @@
 //! ever addresses TiDs; the peer transport and the route configuration
 //! decide how bytes move. This example runs the identical ping-pong
 //! application over the loopback hub, the simulated Myrinet/GM fabric
-//! and real TCP sockets, and prints the measured latency of each.
+//! and real TCP sockets (`xpt://`), and prints the measured latency of
+//! each.
 //!
 //! Run with: `cargo run --release --example hot_swap`
 
@@ -20,7 +21,7 @@ use xdaq::evb::ORG_DAQ;
 use xdaq::gm::Fabric;
 use xdaq::i2o::{Message, Tid};
 use xdaq::mempool::TablePool;
-use xdaq::pt::{GmPt, LoopbackHub, LoopbackPt, TcpPt};
+use xdaq::pt::{GmPt, LoopbackHub, LoopbackPt, XptPt};
 
 /// Runs the unchanged application over whatever transports are given.
 /// Returns mean one-way latency in microseconds.
@@ -105,12 +106,12 @@ fn main() {
     );
     println!("gm       : mean one-way {lat:8.2} us");
 
-    // 3. Real TCP sockets over localhost.
-    let pt_a = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
-    let pt_b = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
+    // 3. Real TCP sockets over localhost (`xpt://`).
+    let pt_a = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
+    let pt_b = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
     let b_url = pt_b.addr().to_string();
     let lat = run_app(pt_a, pt_b, &b_url, COUNT);
-    println!("tcp      : mean one-way {lat:8.2} us");
+    println!("xpt      : mean one-way {lat:8.2} us");
 
     println!("\nsame application, three interconnects, zero code changes.");
 }

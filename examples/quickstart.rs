@@ -18,7 +18,7 @@ use xdaq::i2o::{Message, Tid};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 
 fn main() {
-    // The "network": an in-process hub. Swap LoopbackPt for TcpPt or
+    // The "network": an in-process hub. Swap LoopbackPt for XptPt or
     // GmPt and nothing else changes — that is the point of the
     // architecture.
     let hub = LoopbackHub::new();

@@ -65,6 +65,14 @@ if grep -nE '^(crossbeam|bytes)\b' Cargo.toml crates/*/Cargo.toml \
     echo "crossbeam/bytes (listed above) were removed; DESIGN.md §2 lists the shims that remain" >&2
     bad=1
 fi
+# One socket transport: `tcp` is a spelling of xpt, and Linux
+# x86_64/aarch64 is the one platform, so neither the second transport
+# nor the portable syscall stub it served may grow back.
+if [ -e crates/pt/src/tcp.rs ] \
+    || grep -rnE 'TcpPt|sys::supported\(' crates src tests examples; then
+    echo "TcpPt, crates/pt/src/tcp.rs and sys::supported() (listed above) were removed; DESIGN.md §15 says why" >&2
+    bad=1
+fi
 [ "$bad" -eq 0 ] || exit 1
 
 echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="
@@ -106,20 +114,20 @@ echo "== cargo test (workspace) =="
 #   false-Suspect a live peer (heartbeats ride the reserved lane), the
 #   Block policy must hand frames back without leaking pool blocks, the
 #   grant protocol must converge under fixed-seed grant drop/dup chaos,
-#   and the slow-consumer soaks (loopback, shm, tcp, xpt) must finish
+#   and the slow-consumer soaks (loopback, shm, xpt) must finish
 #   with zero loss while a rate-limited bulk tenant is shed, not
 #   serviced.
 # - `-p xdaq-sys`: raw-syscall round trips (eventfd seen by epoll and
 #   ppoll, mmap, mkfifo, pwritev/fdatasync/ftruncate) and kernel-ABI
 #   layout asserts.
-# - `-p xdaq-pt`: the tcp regressions (per-connection locking so a
-#   stalled peer cannot head-of-line block others, fully blocking reads
-#   and accept with zero idle CPU, first frame on a fresh link served at
-#   once, reader reaping + down-peer surfacing, one link per peer under
-#   racing connects), the xpt submission/completion suite on its one
-#   driver, and the `xpt_wire` proptest model of the wire layer
-#   (chunking/donation/completion equivalence, a frame started inline
-#   and finished from the ring).
+# - `-p xdaq-pt`: the xpt suite on its one driver (a stalled peer does
+#   not hold up the others, idle links cost no driver CPU, the first
+#   frame on a fresh link and a header-only frame are served at once,
+#   hang-ups and corrupt streams surface down peers, one link per peer
+#   under racing connects, and `stop` delivers every frame `send`
+#   accepted within a bounded flush), and the `xpt_wire` proptest model
+#   of the wire layer (chunking/donation/completion equivalence, a frame
+#   started inline and finished from the ring).
 cargo test --workspace -q
 
 echo "== xpt suite, release: inline writes racing the driver =="

@@ -43,7 +43,7 @@ pub use xdaq_pt::gm;
 /// The executive: dispatching, routing, scheduling, PTA.
 pub use xdaq_core as core;
 
-/// Peer transports: loopback, TCP, GM, simulated PCI.
+/// Peer transports: loopback, xpt sockets, GM, simulated PCI.
 pub use xdaq_pt as pt;
 
 /// Zero-copy shared-memory peer transport (`shm://` scheme).
@@ -68,6 +68,6 @@ pub use xdaq_evb as evb;
 /// seeded fault-schedule sweeps and golden-trace regression.
 pub use xdaq_sim as sim;
 
-/// The one raw-syscall layer under `shm`, `rec` and `pt::xpt`;
-/// `sys::supported()` says whether this target has one.
+/// The one raw-syscall layer under `shm`, `rec` and `pt::xpt`
+/// (Linux x86_64/aarch64 only).
 pub use xdaq_sys as sys;

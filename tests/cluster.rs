@@ -387,17 +387,17 @@ fn gm_transport_carries_cluster_traffic() {
 }
 
 #[test]
-fn tcp_transport_carries_cluster_traffic() {
+fn xpt_transport_carries_cluster_traffic() {
     use xdaq::mempool::TablePool;
-    use xdaq::pt::TcpPt;
+    use xdaq::pt::XptPt;
 
     let a = Executive::new(ExecutiveConfig::named("a"));
     let b = Executive::new(ExecutiveConfig::named("b"));
-    let pt_a = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
-    let pt_b = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
+    let pt_a = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
+    let pt_b = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
     let b_url = pt_b.addr().to_string();
-    a.register_pt("a.tcp", pt_a).unwrap();
-    b.register_pt("b.tcp", pt_b).unwrap();
+    a.register_pt("a.xpt", pt_a).unwrap();
+    b.register_pt("b.xpt", pt_b).unwrap();
 
     let state = PingState::new();
     let pong_tid = b.register("pong", Box::new(Ponger::new()), &[]).unwrap();
@@ -424,7 +424,7 @@ fn tcp_transport_carries_cluster_traffic() {
             || state.done.load(Ordering::SeqCst),
             Duration::from_secs(30)
         ),
-        "tcp run incomplete: {}",
+        "xpt run incomplete: {}",
         state.completed.load(Ordering::SeqCst)
     );
     assert_eq!(state.completed.load(Ordering::SeqCst), 100);

@@ -10,7 +10,7 @@ use xdaq::ctl::{ControlHost, XclInterpreter};
 use xdaq::evb::ORG_DAQ;
 use xdaq::i2o::{Message, Tid};
 use xdaq::mempool::TablePool;
-use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt, TcpPt};
+use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt, XptPt};
 
 fn wait_until(cond: impl Fn() -> bool, timeout: Duration) -> bool {
     let deadline = Instant::now() + timeout;
@@ -129,7 +129,7 @@ fn fixed_seed_chaos_run_is_deterministic() {
 }
 
 /// The full failover story: the primary loopback link is killed
-/// mid-run; per-send failover rides the alternate TCP route while the
+/// mid-run; per-send failover rides the alternate `xpt://` route while the
 /// supervisor's heartbeats miss, declare the peer Down, and promote
 /// the alternate to primary. Zero frames lost, and the monitoring
 /// registry shows the retries, failovers, and the Down transition.
@@ -153,14 +153,14 @@ fn primary_killed_mid_run_fails_over_with_zero_loss() {
     let chaos = ChaosPt::wrap(LoopbackPt::new(&hub, "a"), 7, FaultPlan::default());
     a.register_pt("a.chaos", chaos.clone()).unwrap();
     a.register_pt(
-        "a.tcp",
-        TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap(),
+        "a.xpt",
+        XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap(),
     )
     .unwrap();
     b.register_pt("b.loop", LoopbackPt::new(&hub, "b")).unwrap();
-    let b_tcp = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
-    let b_url = b_tcp.addr().to_string();
-    b.register_pt("b.tcp", b_tcp).unwrap();
+    let b_xpt = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
+    let b_url = b_xpt.addr().to_string();
+    b.register_pt("b.xpt", b_xpt).unwrap();
 
     let state = PingState::new();
     let pong_tid = b.register("pong", Box::new(Ponger::new()), &[]).unwrap();
@@ -231,20 +231,20 @@ fn primary_killed_mid_run_fails_over_with_zero_loss() {
 fn xcl_faults_command_reprograms_chaos() {
     let hub = LoopbackHub::new();
     let node = Executive::new(ExecutiveConfig::named("worker"));
-    // The chaotic data link rides loopback; control rides TCP, so the
+    // The chaotic data link rides loopback; control rides xpt, so the
     // host can still reach the node after `kill=1` murders the former.
     let chaos = ChaosPt::wrap(LoopbackPt::new(&hub, "worker"), 3, FaultPlan::default());
     let pt_tid = node.register_pt("worker.chaos", chaos.clone()).unwrap();
-    let w_tcp = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
-    let w_url = w_tcp.addr().to_string();
-    node.register_pt("worker.tcp", w_tcp).unwrap();
+    let w_xpt = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
+    let w_url = w_xpt.addr().to_string();
+    node.register_pt("worker.xpt", w_xpt).unwrap();
     let nh = node.spawn();
 
     let host = ControlHost::new("ctl");
     host.executive()
         .register_pt(
             "ctl.pt",
-            TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap(),
+            XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap(),
         )
         .unwrap();
     host.start();

@@ -1,5 +1,5 @@
 //! End-to-end flow-control and QoS integration tests (DESIGN.md §13):
-//! credit-based backpressure over loopback, shm and tcp, the reserved
+//! credit-based backpressure over loopback, shm and xpt, the reserved
 //! control lane under saturation, blocked-sender frame return without
 //! pool leaks, chaos on the grant path, and two-tenant admission.
 
@@ -13,7 +13,7 @@ use xdaq::core::{
 };
 use xdaq::i2o::{DeviceClass, Message, Priority, Tid, UtilFn};
 use xdaq::mempool::TablePool;
-use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt, TcpPt, XptPt};
+use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt, XptPt};
 
 const XFN_DATA: u16 = 0x0300;
 
@@ -456,74 +456,10 @@ fn rejected_params_set_changes_nothing() {
     }
 }
 
-/// The tcp slow-consumer soak: credit backpressure propagates over a
-/// real socket identically to loopback — the sender hits the wall,
-/// the receiver's queue stays bounded by the window, no pool leaks.
-#[test]
-fn tcp_slow_consumer_soak() {
-    const COUNT: u64 = 400;
-    let mut ca = ExecutiveConfig::named("a");
-    ca.flow = Some(flow_cfg());
-    let mut cb = ExecutiveConfig::named("b");
-    cb.flow = Some(flow_cfg());
-    let a = Executive::new(ca);
-    let b = Executive::new(cb);
-    a.register_pt(
-        "a.tcp",
-        TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap(),
-    )
-    .unwrap();
-    let b_tcp = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
-    let b_url = b_tcp.addr().to_string();
-    b.register_pt("b.tcp", b_tcp).unwrap();
-
-    let (sink, received) = Sink::new(Duration::from_micros(500));
-    let sink_tid = b.register("sink", Box::new(sink), &[]).unwrap();
-    let proxy = a.proxy(&b_url, sink_tid, None).unwrap();
-    a.enable_all();
-    b.enable_all();
-    let ha = a.spawn();
-    let hb = b.spawn();
-
-    // Prime the lane: send one frame and wait for b's bring-up grant
-    // so the soak below runs fully metered (a burst posted before the
-    // first grant lands would bypass flow control entirely).
-    let peer = b_url.parse().unwrap();
-    a.post(data_frame(proxy)).unwrap();
-    let mgr = a.core().flow().unwrap().clone();
-    assert!(
-        wait_until(|| mgr.available(&peer).is_some(), Duration::from_secs(10)),
-        "bring-up grant never arrived over tcp"
-    );
-
-    let delivered = flood_with_retry(&a, proxy, COUNT - 1, Duration::from_secs(60));
-    assert_eq!(delivered, COUNT - 1, "tcp sender wedged");
-    assert!(
-        wait_until(
-            || received.load(Ordering::Relaxed) >= COUNT,
-            Duration::from_secs(60)
-        ),
-        "frames lost over tcp: {} of {COUNT}",
-        received.load(Ordering::Relaxed)
-    );
-    // Backpressure was real: the sender hit the credit wall at least
-    // once (a 16-frame window cannot cover a 500µs/frame consumer).
-    let fails = mgr.counters().credit_failures.get();
-    assert!(fails > 0, "flood never exercised tcp backpressure");
-    ha.shutdown();
-    hb.shutdown();
-    // Both executives torn down: every pool block is home.
-    let sa = a.core().allocator().stats();
-    assert_eq!(sa.live_blocks, 0, "sender pool leak: {sa:?}");
-}
-
 /// The shm slow-consumer soak: same story over a shared-memory region
 /// (in-process creator/attacher pair — the transport does not care).
 #[test]
 fn shm_slow_consumer_soak() {
-    if !xdaq::sys::supported() {
-        return;
-    }
     const COUNT: u64 = 400;
     let region = std::env::temp_dir().join(format!("xdaq-flow-soak-{}", std::process::id()));
     let a_pt = xdaq::shm::ShmPt::new(xdaq::core::PtMode::Polling);
@@ -584,9 +520,9 @@ fn shm_slow_consumer_soak() {
     let _ = std::fs::remove_file(&region);
 }
 
-/// The xpt slow-consumer soak (issue 9): the batched
-/// submission/completion transport honors the same credit wall as
-/// tcp — retry/failover and credit gating compose unchanged through
+/// The socket slow-consumer soak: the batched submission/completion
+/// transport honors the same credit wall as loopback — retry/failover
+/// and credit gating compose unchanged through
 /// `Pta::send_failover_returning` — and a slow consumer leaks no pool
 /// blocks even though sends complete asynchronously on the driver
 /// thread (submission-ring frames must come home on teardown too).
@@ -652,16 +588,16 @@ fn xcl_qos_command_programs_and_reports() {
     let mut cfg = ExecutiveConfig::named("worker");
     cfg.flow = Some(flow_cfg());
     let node = Executive::new(cfg);
-    let w_tcp = TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
-    let w_url = w_tcp.addr().to_string();
-    node.register_pt("worker.tcp", w_tcp).unwrap();
+    let w_xpt = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
+    let w_url = w_xpt.addr().to_string();
+    node.register_pt("worker.xpt", w_xpt).unwrap();
     let nh = node.spawn();
 
     let host = xdaq::ctl::ControlHost::new("ctl");
     host.executive()
         .register_pt(
             "ctl.pt",
-            TcpPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap(),
+            XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap(),
         )
         .unwrap();
     host.start();

@@ -59,9 +59,6 @@ fn event_msg(target: Tid, event_id: u64) -> Message {
 /// the persistence path never copies payload bytes.
 #[test]
 fn ten_thousand_chained_events_round_trip_byte_identical() {
-    if !xdaq::sys::supported() {
-        return;
-    }
     const EVENTS: usize = 10_000;
     let dir = tmp("roundtrip");
     let _ = std::fs::remove_dir_all(&dir);
@@ -119,9 +116,6 @@ fn ten_thousand_chained_events_round_trip_byte_identical() {
 /// exactly.
 #[test]
 fn executive_record_then_replay_reproduces_filter_decisions() {
-    if !xdaq::sys::supported() {
-        return;
-    }
     const N: u64 = 500;
     let dir = tmp("exec");
     let _ = std::fs::remove_dir_all(&dir);
@@ -211,9 +205,6 @@ fn executive_record_then_replay_reproduces_filter_decisions() {
 /// run.
 #[test]
 fn recording_over_a_chaotic_link_is_lossless_and_replayable() {
-    if !xdaq::sys::supported() {
-        return;
-    }
     const N: u64 = 300;
     let dir = tmp("chaos");
     let _ = std::fs::remove_dir_all(&dir);
@@ -336,7 +327,7 @@ fn spawn_child(test_fn: &str, dir: &std::path::Path) -> Child {
 /// checked) and truncate the torn tail so the store scans clean.
 #[test]
 fn sigkilled_recorder_leaves_a_recoverable_store() {
-    if !xdaq::sys::supported() || !heavy_enabled() {
+    if !heavy_enabled() {
         return;
     }
     let dir = tmp("crash");

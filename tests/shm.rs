@@ -88,7 +88,7 @@ fn wait_for_peer(pt: &ShmPt, peer: &PeerAddr) {
 
 #[test]
 fn ten_thousand_chained_frames_echo_with_zero_loss() {
-    if !xdaq_sys::supported() || !heavy_enabled() {
+    if !heavy_enabled() {
         return;
     }
     let path = region_path("echo");
@@ -209,7 +209,7 @@ fn child_echo_main() {
 
 #[test]
 fn killed_child_is_reported_to_the_supervisor() {
-    if !xdaq_sys::supported() || !heavy_enabled() {
+    if !heavy_enabled() {
         return;
     }
     let path = region_path("kill");
