@@ -1,6 +1,6 @@
 //! Control-plane integration tests: the event builder run entirely
 //! from a topology declaration by the `xdaq-ctl` convergence loop,
-//! with real child processes over TCP.
+//! with real child processes over `xpt://` sockets.
 //!
 //! This binary plays every role. The parent builds a [`Controller`]
 //! whose `SelfExec` launcher re-executes the binary with the harness
