@@ -13,9 +13,8 @@
 //!
 //! What deliberately stays on wall time (and why) is inventoried in
 //! DESIGN.md §16: transport I/O (shm/xpt talk to real kernels),
-//! child-process management in `xdaq-ctl`, the admission token bucket,
-//! and observability timestamps (tracer, uptime) that never feed back
-//! into control flow.
+//! child-process management in `xdaq-ctl`, and observability
+//! timestamps (tracer, uptime) that never feed back into control flow.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,7 +64,7 @@ impl Clock {
     /// On [`Clock::Wall`] this is `std::thread::sleep`. On
     /// [`Clock::Virtual`] the *sleeper drives time forward*: in a
     /// discrete-event run the executive loop is single-threaded, so a
-    /// code path that would block (retry backoff, a credit-wait spin)
+    /// code path that would block (retry backoff)
     /// is exactly the thing the virtual clock should jump across —
     /// the pause costs zero wall time and remains fully deterministic.
     pub fn sleep(&self, d: Duration) {

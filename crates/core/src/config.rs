@@ -1,7 +1,6 @@
 //! Executive configuration and the key=value control-payload codec.
 
 use crate::clock::Clock;
-use crate::credit::FlowConfig;
 use crate::pta::RetryPolicy;
 use crate::supervisor::SupervisionConfig;
 use std::collections::HashMap;
@@ -35,15 +34,10 @@ pub struct ExecutiveConfig {
     /// default is one attempt — the historical fire-and-forget
     /// behaviour.
     pub retry: RetryPolicy,
-    /// When `Some`, link-level credit-based flow control meters every
-    /// private data frame on the send path and grants credits on the
-    /// receive path (DESIGN.md §13). `None` (the default) keeps the
-    /// historical unmetered behaviour, bit-for-bit.
-    pub flow: Option<FlowConfig>,
     /// The executive's time source. [`Clock::Wall`] (the default) is
     /// the real monotonic clock — bit-for-bit the historical
     /// behaviour. Simulations pass a shared [`Clock::Virtual`] so
-    /// timers, heartbeats, retry backoff and flow ticks all run on
+    /// timers, heartbeats and retry backoff all run on
     /// manually-advanced time (DESIGN.md §16).
     pub clock: Clock,
 }
@@ -56,7 +50,6 @@ impl Default for ExecutiveConfig {
             watchdog: None,
             supervision: None,
             retry: RetryPolicy::default(),
-            flow: None,
             clock: Clock::Wall,
         }
     }

@@ -30,9 +30,6 @@ pub enum ExecError {
     Stopped,
     /// Malformed control-message payload.
     BadControl(String),
-    /// Admission control shed the frame: the initiator's tenant class
-    /// is over its token-bucket rate.
-    Shed(Tid),
 }
 
 impl fmt::Display for ExecError {
@@ -49,7 +46,6 @@ impl fmt::Display for ExecError {
             ExecError::DuplicateName(s) => write!(f, "device instance '{s}' already exists"),
             ExecError::Stopped => write!(f, "executive stopped"),
             ExecError::BadControl(s) => write!(f, "malformed control payload: {s}"),
-            ExecError::Shed(t) => write!(f, "admission control shed frame from {t}"),
         }
     }
 }
@@ -93,12 +89,6 @@ pub enum PtError {
     Io(String),
     /// The transport has been stopped.
     Closed,
-    /// Link-level flow control: the credit lane to this peer is dry
-    /// and the configured policy gave up (fail-fast, or the blocking
-    /// deadline expired). The frame rides back via
-    /// [`SendFailure`](crate::SendFailure) so the caller keeps the
-    /// pool block zero-copy.
-    CreditExhausted(String),
 }
 
 impl fmt::Display for PtError {
@@ -109,9 +99,6 @@ impl fmt::Display for PtError {
             PtError::WouldBlock => write!(f, "transport backpressure"),
             PtError::Io(e) => write!(f, "transport I/O error: {e}"),
             PtError::Closed => write!(f, "transport closed"),
-            PtError::CreditExhausted(p) => {
-                write!(f, "credit lane to peer '{p}' exhausted")
-            }
         }
     }
 }

@@ -11,14 +11,11 @@
 //! This file is the frame path: construction, registration, routing
 //! and peer ingest, the dispatch loop, and peer-down and watchdog
 //! notification. The verbs the executive answers itself live in
-//! `verbs.rs`, the monitoring surface in `monitor.rs`, the credit
-//! protocol's frames in `credit.rs` and the heartbeat frames in
-//! `supervisor.rs`.
+//! `verbs.rs`, the monitoring surface in `monitor.rs` and the
+//! heartbeat frames in `supervisor.rs`.
 
-use crate::admission::AdmissionControl;
 use crate::clock::Clock;
 use crate::config::{kv, AllocatorKind, ExecutiveConfig};
-use crate::credit::CreditManager;
 use crate::error::{ExecError, PtError};
 use crate::listener::{Delivery, Dispatcher, I2oListener, TimerId, UtilOutcome};
 use crate::monitor::ExecMonitors;
@@ -67,11 +64,6 @@ pub struct ExecCore {
     pub(crate) mon: ExecMonitors,
     watchdog: Option<Duration>,
     pub(crate) supervisor: Option<LinkSupervisor>,
-    /// Link-level credit flow control, when configured (DESIGN.md §13).
-    pub(crate) flow: Option<Arc<CreditManager>>,
-    /// Per-initiator tenant admission (token buckets); empty = admit
-    /// everything with zero data-path cost beyond one branch.
-    pub(crate) admission: AdmissionControl,
     fault_listener: Mutex<Option<Tid>>,
     running: AtomicBool,
     /// The executive's time source (DESIGN.md §16). Wall by default;
@@ -118,17 +110,6 @@ impl ExecCore {
     /// registry).
     pub fn pta(&self) -> &Pta {
         &self.pta
-    }
-
-    /// The credit flow-control manager, when flow control is
-    /// configured (DESIGN.md §13).
-    pub fn flow(&self) -> Option<&Arc<CreditManager>> {
-        self.flow.as_ref()
-    }
-
-    /// The tenant admission table (`qos.*` runtime parameters).
-    pub fn admission(&self) -> &AdmissionControl {
-        &self.admission
     }
 
     /// Name → TiD lookup (local devices and named proxies).
@@ -180,23 +161,6 @@ impl ExecCore {
     /// (ingest learns it in the same lookup that finds the sender's
     /// proxy).
     fn route_via(&self, d: Delivery, hop: Option<Hop>) -> Result<(), ExecError> {
-        // Tenant admission: private data frames from an over-rate
-        // class are shed here, before they cost a scheduler slot or a
-        // peer-link credit. Control frames and replies are exempt —
-        // shedding a reply would break request/reply for a tenant
-        // whose request was already admitted.
-        if !self.admission.is_empty()
-            && d.header.function_code() == FunctionCode::Private
-            && !d.header.flags.contains(MsgFlags::CONTROL)
-            && !d.header.flags.contains(MsgFlags::IS_REPLY)
-            && !self.admission.admit(d.header.initiator)
-        {
-            self.mon.dropped.inc();
-            self.mon
-                .tracer
-                .record(TraceEvent::Drop, d.header.initiator.raw() as u32, 3);
-            return Err(ExecError::Shed(d.header.initiator));
-        }
         let target = d.header.target;
         if target.is_broadcast() {
             return self.broadcast(d);
@@ -298,10 +262,6 @@ impl ExecCore {
                 return;
             }
         };
-        // Credit protocol: grants and syncs never reach the queue.
-        if self.flow_ingest(&header, &buf, &src) {
-            return;
-        }
         // One table read answers both questions: which local proxy
         // stands for the sender, and where the target leads.
         let (proxy, mut hop) = self
@@ -363,10 +323,6 @@ impl Executive {
         let (mon, depth_gauges) = ExecMonitors::new();
         let queue = SchedQueue::with_gauges(depth_gauges);
         let supervisor = config.supervision.clone().map(LinkSupervisor::new);
-        let flow = config
-            .flow
-            .clone()
-            .map(|fc| Arc::new(CreditManager::bound_to(fc, mon.registry())));
         let core = Arc::new(ExecCore {
             node: config.node,
             alloc,
@@ -380,8 +336,6 @@ impl Executive {
             mon,
             watchdog: config.watchdog,
             supervisor,
-            flow,
-            admission: AdmissionControl::new(),
             fault_listener: Mutex::new(None),
             running: AtomicBool::new(true),
             clock: config.clock,
@@ -392,18 +346,10 @@ impl Executive {
         core.routes.add_local(Tid::PTA);
         core.pta.bind_registry(core.mon.registry());
         core.pta.set_retry_policy(config.retry);
-        if let Some(mgr) = &core.flow {
-            core.pta.bind_flow(mgr.clone());
-        }
         if let Some(sup) = &core.supervisor {
             // The heartbeat timer is owned by the PTA pseudo-device;
             // run_once intercepts it instead of synthesizing a frame.
-            // With flow control on, the same slot drives flow_tick.
             core.timers.register(Tid::PTA, sup.interval(), true);
-        } else if let Some(mgr) = &core.flow {
-            // No supervision: flow maintenance still needs the PTA
-            // timer slot (grant re-advertisement, stalled-sender sync).
-            core.timers.register(Tid::PTA, mgr.config().tick, true);
         }
         Executive { core }
     }
@@ -649,7 +595,6 @@ impl Executive {
             core.mon.timers_fired.inc();
             if owner == Tid::PTA {
                 self.heartbeat_tick();
-                core.flow_tick();
                 return;
             }
             let mut header = MsgHeader::new(owner, Tid::EXECUTIVE, FunctionCode::Private);
@@ -900,13 +845,6 @@ impl Executive {
     fn on_peer_down(&self, peer: &PeerAddr) {
         let core = &self.core;
         core.mon.peer_down.inc();
-        // Credit lanes die with the link: sender credit is forgotten
-        // (the lane re-opens unmetered on the next grant) and the
-        // receiver epoch bumps so stale in-flight grants from the old
-        // incarnation can never be adopted.
-        if let Some(mgr) = &core.flow {
-            mgr.on_link_down(peer);
-        }
         let ev = core.routes.evict_peer(peer);
         for tid in &ev.evicted {
             core.purge_tid(*tid);

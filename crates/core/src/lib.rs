@@ -22,9 +22,8 @@
 //!   registry. `executive` is the frame path (routing, ingest,
 //!   dispatch); the verbs the executive answers itself are in `verbs`,
 //!   its monitoring surface ([`ExecMonitors`], `mon_snapshot`) in
-//!   [`monitor`], and the wire frames of the credit and heartbeat
-//!   protocols next to their state machines in [`credit`] and
-//!   [`supervisor`].
+//!   [`monitor`], and the heartbeat protocol's wire frames next to its
+//!   state machine in [`supervisor`].
 //! * [`I2oListener`] — the device-class trait applications implement
 //!   (the paper's `i2oListener` C++ class): react to private frames,
 //!   utility frames and timer events; default utility handling is
@@ -34,11 +33,9 @@
 //!   transports (xpt sockets, GM, PCI, loopback) live in `xdaq-pt` and
 //!   register here like any other device.
 
-pub mod admission;
 pub mod chainio;
 pub mod clock;
 pub mod config;
-pub mod credit;
 pub mod error;
 pub mod executive;
 pub mod listener;
@@ -52,11 +49,9 @@ pub mod timer;
 mod verbs;
 pub mod xfn;
 
-pub use admission::AdmissionControl;
 pub use chainio::ChainCollector;
 pub use clock::{Clock, VirtualClock};
 pub use config::{AllocatorKind, ExecutiveConfig};
-pub use credit::{CreditManager, FlowCmd, FlowConfig, FlowPolicy};
 pub use error::{ExecError, PtError};
 pub use executive::{Executive, ExecutiveHandle};
 pub use listener::{Delivery, Dispatcher, I2oListener, TimerId};

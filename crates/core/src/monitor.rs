@@ -89,7 +89,7 @@ impl ExecCore {
     /// state. This is the `UtilMonSnapshot` reply body.
     pub fn mon_snapshot(&self) -> serde_json::Value {
         let ps = self.alloc.stats();
-        let mut doc = json!({
+        json!({
             "node": self.node.as_str(),
             "uptime_ns": self.uptime_ns(),
             "devices": self.registry.len() as u64,
@@ -121,18 +121,7 @@ impl ExecCore {
                 "enabled": self.mon.tracer.is_enabled(),
                 "recorded": self.mon.tracer.recorded(),
             },
-        });
-        // The flow/qos sections only appear once configured, so
-        // nodes without them scrape identically to historical output.
-        if let serde_json::Value::Object(m) = &mut doc {
-            if let Some(mgr) = &self.flow {
-                m.insert("flow".to_string(), mgr.snapshot());
-            }
-            if !self.admission.is_empty() {
-                m.insert("qos".to_string(), self.admission.snapshot());
-            }
-        }
-        doc
+        })
     }
 
     /// Zeroes the whole monitoring state: registry (counters, gauges,

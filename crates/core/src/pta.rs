@@ -18,7 +18,6 @@
 //! frame back on failure ([`SendFailure`]), retries stay zero-copy.
 
 use crate::clock::Clock;
-use crate::credit::{self, CreditManager, FlowPolicy};
 use crate::error::PtError;
 use core::fmt;
 use parking_lot::RwLock;
@@ -26,7 +25,7 @@ use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use xdaq_i2o::Tid;
 use xdaq_mempool::FrameBuf;
 use xdaq_mon::{Counter, Registry};
@@ -342,18 +341,14 @@ pub struct Pta {
     /// (`ExecutiveConfig::retry`).
     policy: RwLock<RetryPolicy>,
     metrics: RwLock<PtaMetrics>,
-    /// Link-level flow control, when the executive enabled it. The
-    /// gate sits here — above every transport — so `xpt://`, `shm://`,
-    /// `loop://` and `ChaosPt` wrappers are all metered identically.
-    flow: RwLock<Option<Arc<CreditManager>>>,
     /// xorshift64* state for deterministic backoff jitter; never uses
     /// the wall clock, and every agent starts from the same seed, so a
     /// run's pause sequence is fixed.
     jitter: AtomicU64,
-    /// Time source for retry deadlines, backoff pauses and credit
-    /// waits. Wall by default; the executive installs its own clock so
-    /// a simulated cluster's send-path pauses advance virtual time
-    /// instead of blocking the discrete-event loop.
+    /// Time source for retry deadlines and backoff pauses. Wall by
+    /// default; the executive installs its own clock so a simulated
+    /// cluster's send-path pauses advance virtual time instead of
+    /// blocking the discrete-event loop.
     clock: Clock,
 }
 
@@ -365,7 +360,7 @@ impl Pta {
         pta
     }
 
-    /// Empty agent reading `clock` for retry/backoff/credit timing.
+    /// Empty agent reading `clock` for retry/backoff timing.
     pub fn with_clock(clock: Clock) -> Pta {
         let mut pta = Pta::new();
         pta.clock = clock;
@@ -382,19 +377,6 @@ impl Pta {
     /// node's metric registry so they appear in `MonSnapshot` scrapes.
     pub fn bind_registry(&self, registry: &Registry) {
         *self.metrics.write() = PtaMetrics::bound_to(registry);
-    }
-
-    /// Enables link-level credit metering on the send path: every
-    /// private data frame must take a credit from `mgr` before it
-    /// reaches a transport (DESIGN.md §13). Utility/executive frames
-    /// bypass the gate entirely (the reserved control lane).
-    pub fn bind_flow(&self, mgr: Arc<CreditManager>) {
-        *self.flow.write() = Some(mgr);
-    }
-
-    /// The bound credit manager, if flow control is enabled.
-    pub fn flow(&self) -> Option<Arc<CreditManager>> {
-        self.flow.read().clone()
     }
 
     /// Installs the retry policy every send applies.
@@ -488,18 +470,8 @@ impl Pta {
     /// [`Pta::send_failover`] with the frame handed back on failure
     /// whenever no transport consumed it.
     ///
-    /// When flow control is bound ([`Pta::bind_flow`]), every private
-    /// data frame takes one credit toward the hop before touching the
-    /// transport. A dry lane applies the configured [`FlowPolicy`] —
-    /// fail fast, or block up to a deadline waiting for a grant — and
-    /// then falls through to the next hop in the chain (an alternate
-    /// link has its own credit lane). Credits refund whenever the
-    /// frame provably never reached the wire, so failed sends cannot
-    /// leak window.
-    ///
     /// Steady-state cost: the policy is read once per frame and the
-    /// clock only when the policy retries (a credit wait times
-    /// itself).
+    /// clock only when the policy retries.
     pub fn send_failover_returning(
         &self,
         chain: &[PeerAddr],
@@ -511,13 +483,6 @@ impl Pta {
         let expired = || match overall_deadline {
             Some((started, d)) => self.clock.since(started) >= d,
             None => false,
-        };
-        let meter = match self.flow.read().clone() {
-            Some(mgr) if credit::is_data_frame(&frame) => {
-                let pri = credit::frame_priority(&frame);
-                Some((mgr, pri))
-            }
-            _ => None,
         };
         let mut frame = Some(frame);
         // The most recent failure; `None` until a hop has been tried,
@@ -536,23 +501,6 @@ impl Pta {
             if tried > 1 {
                 self.metrics.read().failovers.inc();
             }
-            let held = match &meter {
-                Some((mgr, pri)) => {
-                    if !self.acquire_credit(mgr, dest, *pri, overall_deadline) {
-                        last = Some(PtError::CreditExhausted(dest.to_string()));
-                        continue; // an alternate hop has its own lane
-                    }
-                    true
-                }
-                None => false,
-            };
-            let refund = || {
-                if held {
-                    if let Some((mgr, _)) = &meter {
-                        mgr.refund(dest);
-                    }
-                }
-            };
             for attempt in 1..=policy.max_attempts {
                 let Some(f) = frame.take() else {
                     return Err(SendFailure::consumed(give_up(last)));
@@ -566,13 +514,9 @@ impl Pta {
                         if frame.is_none() {
                             // The transport consumed the frame; there
                             // is nothing left to retry or fail over.
-                            // The credit stays spent: the frame may
-                            // have reached the wire, and a lost one is
-                            // reconciled by the next CreditSync.
                             return Err(SendFailure::consumed(give_up(last)));
                         }
                         if expired() {
-                            refund();
                             return Err(SendFailure {
                                 error: give_up(last),
                                 frame: frame.take(),
@@ -588,9 +532,6 @@ impl Pta {
                     }
                 }
             }
-            // Leaving this hop with the frame still in hand: nothing
-            // reached the wire, so the hop's credit must not leak.
-            refund();
             if expired() {
                 return Err(SendFailure {
                     error: give_up(last),
@@ -602,47 +543,6 @@ impl Pta {
             error: give_up(last),
             frame: frame.take(),
         })
-    }
-
-    /// Takes one credit toward `dest`, applying the flow policy. The
-    /// blocking variant re-checks on a short spin — grants arrive on
-    /// ingest threads — and gives up at its own deadline or the
-    /// overall send deadline, whichever lands first.
-    fn acquire_credit(
-        &self,
-        mgr: &CreditManager,
-        dest: &PeerAddr,
-        priority: u8,
-        overall_deadline: Option<(Instant, Duration)>,
-    ) -> bool {
-        if mgr.try_acquire(dest, priority) {
-            return true;
-        }
-        let FlowPolicy::Block { deadline } = mgr.config().policy else {
-            mgr.counters().credit_failures.inc();
-            return false;
-        };
-        mgr.counters().credit_waits.inc();
-        let wait_started = self.clock.now();
-        loop {
-            // Under a virtual clock this "sleep" advances time, so a
-            // grant that will never arrive burns through the deadline
-            // in microseconds of wall time instead of really waiting.
-            self.clock.sleep(Duration::from_micros(50));
-            if mgr.try_acquire(dest, priority) {
-                return true;
-            }
-            if self.clock.since(wait_started) >= deadline {
-                break;
-            }
-            if let Some((started, d)) = overall_deadline {
-                if self.clock.since(started) >= d {
-                    break;
-                }
-            }
-        }
-        mgr.counters().credit_failures.inc();
-        false
     }
 
     /// Polls every polling-mode PT once, invoking `f` per frame;

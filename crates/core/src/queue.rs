@@ -73,8 +73,9 @@ impl SchedQueue {
     }
 
     /// Enqueues a delivery according to its frame priority and target.
-    /// The queue is unbounded: a node bounds its inbound work
-    /// source-ward, with link credits (DESIGN.md §13).
+    /// The queue is unbounded: no link meters data frames, and each
+    /// sender bounds what it has in flight itself — the event
+    /// builder with its credits (DESIGN.md §12, §13).
     pub fn push(&self, d: Delivery) {
         let level = d.priority().level() as usize;
         let tid = d.header.target;

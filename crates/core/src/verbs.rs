@@ -9,10 +9,9 @@
 //! with `Busy` — the executive-class verbs other than `StatusGet` and
 //! `LctNotify`, `ParamsSet`, and `ClaimRelease` itself.
 
-use crate::admission::QosParam;
 use crate::config::{encode_kv, kv, parse_kv};
 use crate::error::ExecError;
-use crate::executive::{ExecCore, Executive};
+use crate::executive::Executive;
 use crate::listener::{Delivery, Dispatcher, I2oListener, UtilOutcome};
 use crate::pta::PeerTransport;
 use crate::registry::DeviceMeta;
@@ -93,39 +92,6 @@ impl I2oListener for PtDdm {
     }
 }
 
-impl ExecCore {
-    /// Applies runtime `flow.*` / `qos.*` parameters (from a
-    /// `ParamsSet` frame addressed to the executive, or `xcl qos`) all
-    /// or nothing: every key is parsed, the flow keys are staged into
-    /// a copy of the live [`FlowConfig`](crate::FlowConfig) and
-    /// validated, and only then does anything live change.
-    fn apply_runtime_params(&self, map: &HashMap<String, String>) -> Result<(), String> {
-        let mut flow = None;
-        let mut qos = Vec::new();
-        for (k, v) in map {
-            if k.starts_with("flow.") {
-                let Some(mgr) = &self.flow else {
-                    return Err("flow control is not enabled on this node".to_string());
-                };
-                flow.get_or_insert_with(|| mgr.config()).apply_param(k, v)?;
-            } else if k.starts_with("qos.") {
-                qos.push(QosParam::parse(k, v)?);
-            }
-        }
-        if let (Some(mgr), Some(cfg)) = (&self.flow, flow) {
-            cfg.validate()?;
-            mgr.set_config(cfg);
-        }
-        // A clear in the same frame goes first, so it never wipes the
-        // classes the frame also sets.
-        qos.sort_by_key(|p| !matches!(p, QosParam::Clear));
-        for p in qos {
-            self.admission.apply(p, self.mon.registry());
-        }
-        Ok(())
-    }
-}
-
 impl Executive {
     /// The executive's default utility procedures.
     pub(crate) fn default_util(&self, meta: &mut DeviceMeta, f: UtilFn, d: &Delivery) {
@@ -145,13 +111,19 @@ impl Executive {
             }
             UtilFn::ParamsSet => match parse_kv(d.payload()) {
                 Ok(map) => {
-                    // `flow.*` / `qos.*` keys addressed to the
-                    // executive retune flow control and tenant
-                    // admission live; a bad key rejects the whole
-                    // frame before anything is applied or stored.
+                    // The executive once read `flow.*` (link credits)
+                    // and `qos.*` (tenant admission); both are gone
+                    // (DESIGN.md §13). A stale key rejects the whole
+                    // frame before anything is stored, rather than
+                    // sitting inert in the parameters.
                     if ctx.meta.tid == Tid::EXECUTIVE {
-                        if let Err(e) = core.apply_runtime_params(&map) {
-                            let _ = ctx.reply(d, ReplyStatus::BadFrame, e.as_bytes());
+                        if let Some(k) = map
+                            .keys()
+                            .find(|k| k.starts_with("flow.") || k.starts_with("qos."))
+                        {
+                            let body =
+                                format!("{k}: link flow control and tenant admission were removed");
+                            let _ = ctx.reply(d, ReplyStatus::BadFrame, body.as_bytes());
                             return;
                         }
                     }
@@ -228,11 +200,6 @@ impl Executive {
                         let _ = sup.on_pong(&peer, supervisor::frame_seq(d));
                     }
                 }
-            }
-            UtilFn::CreditGrant | UtilFn::CreditSync => {
-                // Normally consumed at peer ingest (the reserved
-                // control lane); one reaching dispatch means flow
-                // control is disabled on this node — ignore it.
             }
         }
     }

@@ -230,143 +230,6 @@ proptest! {
     }
 }
 
-// ---- credit-flow invariants (DESIGN.md §13) ---------------------------
-
-use std::time::Duration;
-use xdaq_core::{CreditManager, FlowCmd, FlowConfig, FlowPolicy, PeerAddr};
-
-fn flow_cfg(window: u32) -> FlowConfig {
-    FlowConfig {
-        window,
-        high_watermark: 1024,
-        policy: FlowPolicy::FailFast,
-        reserve: 0,
-        tick: Duration::from_millis(100),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Closed-loop sender/receiver simulation under arbitrary op
-    /// interleavings with in-order grant delivery: the sender's
-    /// available credit never exceeds the advertised window (grants
-    /// minus consumes can never go negative — `available()` is the
-    /// saturating difference, so the invariant is the upper bound),
-    /// and a Down→Up cycle restores exactly one full window: credit
-    /// neither leaks nor accumulates across link incarnations.
-    #[test]
-    fn credit_window_is_conserved(
-        ops in proptest::collection::vec(0u8..5, 1..400),
-        window in 1u32..32,
-    ) {
-        let peer: PeerAddr = "loop://peer".parse().unwrap();
-        let tx = CreditManager::new(flow_cfg(window));
-        let rx = CreditManager::new(flow_cfg(window));
-        // Frames accepted by the sender but not yet seen by the
-        // receiver, and grants emitted but not yet delivered.
-        let mut data_wire = 0u64;
-        let mut grant_wire: std::collections::VecDeque<(u64, u64)> =
-            std::collections::VecDeque::new();
-        let push_grant = |w: &mut std::collections::VecDeque<(u64, u64)>,
-                              cmd: Option<FlowCmd>| {
-            if let Some(FlowCmd::Grant { epoch, total, .. }) = cmd {
-                w.push_back((epoch, total));
-            }
-        };
-        for op in ops {
-            match op {
-                // Sender pushes a frame if credit allows.
-                0 => {
-                    if tx.try_acquire(&peer, 3) {
-                        data_wire += 1;
-                    }
-                }
-                // A frame crosses the wire; receiver accounts it.
-                1 => {
-                    if data_wire > 0 {
-                        data_wire -= 1;
-                        let g = rx.on_data(&peer, 0);
-                        push_grant(&mut grant_wire, g);
-                    }
-                }
-                // A grant crosses the wire (in order, never lost).
-                2 => {
-                    if let Some((e, t)) = grant_wire.pop_front() {
-                        tx.on_grant(&peer, e, t);
-                    }
-                }
-                // Transport refused the frame: credit refunded.
-                3 => {
-                    if tx.try_acquire(&peer, 3) {
-                        tx.refund(&peer);
-                    }
-                }
-                // Receiver maintenance tick re-advertises.
-                _ => {
-                    for cmd in rx.tick(0) {
-                        push_grant(&mut grant_wire, Some(cmd));
-                    }
-                }
-            }
-            if let Some(avail) = tx.available(&peer) {
-                prop_assert!(
-                    avail <= u64::from(window),
-                    "credit leak: available {avail} > window {window}"
-                );
-            }
-        }
-
-        // Down→Up: both sides forget the lane, the receiver bumps its
-        // epoch, and the next advertisement restores exactly one full
-        // window — nothing carried over from the old incarnation.
-        tx.on_link_down(&peer);
-        rx.on_link_down(&peer);
-        // The probe frame that elicits the bring-up grant spends one
-        // (unmetered) send, which the grant's total already accounts.
-        prop_assert!(tx.try_acquire(&peer, 3), "unmetered lane refused a send");
-        let g = rx.on_data(&peer, 0).expect("bring-up grant after Up");
-        if let FlowCmd::Grant { epoch, total, .. } = g {
-            tx.on_grant(&peer, epoch, total);
-        }
-        // The bring-up grant accounts the one probe frame it rode on.
-        prop_assert_eq!(tx.available(&peer), Some(u64::from(window)));
-    }
-
-    /// Stale grants from a previous epoch can never resurrect credit:
-    /// after a link bounce, replaying every pre-bounce grant leaves
-    /// available() unchanged.
-    #[test]
-    fn stale_epoch_grants_are_inert(
-        grants in proptest::collection::vec(1u64..100, 1..20),
-        window in 1u32..32,
-    ) {
-        let peer: PeerAddr = "loop://peer".parse().unwrap();
-        let tx = CreditManager::new(flow_cfg(window));
-        let rx = CreditManager::new(flow_cfg(window));
-        // Establish epoch-1 lane state, then bounce the link twice so
-        // the receiver's live epoch is well past everything replayed.
-        let g = rx.on_data(&peer, 0).expect("bring-up grant");
-        if let FlowCmd::Grant { epoch, total, .. } = g {
-            tx.on_grant(&peer, epoch, total);
-        }
-        tx.on_link_down(&peer);
-        rx.on_link_down(&peer);
-        let g = rx.on_data(&peer, 0).expect("second bring-up grant");
-        let (live_epoch, live_total) = match g {
-            FlowCmd::Grant { epoch, total, .. } => (epoch, total),
-            _ => unreachable!(),
-        };
-        tx.on_grant(&peer, live_epoch, live_total);
-        let baseline = tx.available(&peer);
-        for total in grants {
-            // Every epoch strictly below the live one must be ignored.
-            tx.on_grant(&peer, live_epoch - 1, total.max(live_total) + 50);
-        }
-        prop_assert_eq!(tx.available(&peer), baseline);
-    }
-}
-
 // ---- scheduler occupancy mask against a reference model ---------------
 
 use std::collections::{HashMap, VecDeque};

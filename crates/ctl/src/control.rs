@@ -173,8 +173,8 @@ impl ControlHost {
     }
 
     /// Builds a host node from a full [`ExecutiveConfig`] — a control
-    /// plane wants supervision (and possibly flow control) on the
-    /// host's own links so managed-node deaths surface as faults here.
+    /// plane wants supervision on the host's own links so managed-node
+    /// deaths surface as faults here.
     pub fn with_config(config: ExecutiveConfig) -> ControlHost {
         let exec = Executive::new(config);
         let hub = Arc::new(ReplyHub::default());

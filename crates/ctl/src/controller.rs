@@ -6,8 +6,7 @@
 //!
 //! * **apply** — spawn every managed node that is not running, wait
 //!   for its generation-stamped url file, attach (executive proxy +
-//!   host-side link supervision + node-level `flow.*`/`qos.*`
-//!   params), download the declared module instances
+//!   host-side link supervision), download the declared module instances
 //!   (`ExecSwDownload`), wire the declared routes
 //!   (`ExecIopConnect`, optionally supervised), and `SysEnable`.
 //! * **poll** — a background tick drains the host's fault feed
@@ -249,9 +248,8 @@ impl Controller {
         Ok(())
     }
 
-    /// Waits for the url file, creates the executive proxy, puts the
-    /// link under host-side supervision and pushes node-level
-    /// `flow.*` / `qos.*` params.
+    /// Waits for the url file, creates the executive proxy and puts
+    /// the link under host-side supervision.
     fn attach(&self, node: &str) -> Result<(), String> {
         let generation = self
             .state
@@ -278,18 +276,6 @@ impl Controller {
             .executive()
             .supervise(&url)
             .map_err(|e| format!("supervise {node}: {e}"))?;
-        let decl = self.topo.node(node).expect("managed node declared");
-        let runtime: Vec<(&str, &str)> = decl
-            .params
-            .iter()
-            .filter(|(k, _)| k.starts_with("flow.") || k.starts_with("qos."))
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        if !runtime.is_empty() {
-            self.host
-                .params_set(tid, &runtime)
-                .map_err(|e| format!("{node} runtime params: {e}"))?;
-        }
         let mut st = self.state.lock();
         let ns = st.get_mut(node).expect("state row exists");
         ns.url = url;

@@ -15,7 +15,7 @@
 //! supervision.interval_ms = 50
 //!
 //! [node.bu0]                        # a managed executive
-//! flow.window = 64                  # flow.*/qos.* pushed at bring-up
+//! supervision.down_after = 8        # overrides [defaults] for bu0
 //!
 //! [node.bu0.modules.builder]        # a device-class instance
 //! factory = "builder"               # ExecSwDownload factory name
@@ -79,9 +79,8 @@ pub struct NodeDecl {
     pub external: bool,
     /// Static URL for external nodes.
     pub url: Option<String>,
-    /// Node-level parameters (merged over `[defaults]`):
-    /// `supervision.*` consumed by the runner; `flow.*` / `qos.*`
-    /// pushed to the live executive at bring-up.
+    /// Node-level parameters (merged over `[defaults]`), consumed by
+    /// the runner (`supervision.*`, `transport`).
     pub params: HashMap<String, String>,
     /// Instances to load, file order.
     pub modules: Vec<ModuleDecl>,
@@ -396,7 +395,7 @@ mod tests {
         size      = 1024
 
         [node.mgr]
-        flow.window = 64
+        supervision.down_after = 8
         [node.mgr.modules.evm]
         factory    = "evm"
         readouts   = "ru0"
@@ -435,8 +434,8 @@ mod tests {
         assert_eq!(t.managed().count(), 3);
         let mgr = t.node("mgr").unwrap();
         assert_eq!(
-            mgr.params.get("flow.window").map(String::as_str),
-            Some("64")
+            mgr.params.get("supervision.down_after").map(String::as_str),
+            Some("8")
         );
         assert_eq!(
             mgr.params

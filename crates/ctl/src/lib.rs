@@ -26,9 +26,9 @@
 //! reality:
 //!
 //! * [`toml`] / [`decl`] — a TOML-ish topology format: nodes, device
-//!   classes to load on them, routes between them, `flow.*`/`qos.*`
-//!   parameters, plus `@url:<node>@` templates resolved against live
-//!   transport addresses.
+//!   classes to load on them, routes between them, node parameters
+//!   (`supervision.*`, `transport`), plus `@url:<node>@` templates
+//!   resolved against live transport addresses.
 //! * [`registry`] — a live [`ServiceRegistry`]: desired vs actual
 //!   health per node, generation counters, and a streamed event feed
 //!   (spawned, published, up, link-down, exited, draining, drained)

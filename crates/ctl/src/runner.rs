@@ -5,7 +5,7 @@
 //! child calls [`run_managed_node`] with a closure that registers the
 //! application's module factories, and the runner does the rest:
 //! locate its own [`NodeDecl`] via the `XDAQ_CTL_*` environment,
-//! build the executive (supervision, flow control from node params),
+//! build the executive (supervision from node params),
 //! bind the socket peer transport on an ephemeral port, publish
 //! the generation-stamped url file, and run until told to stop.
 //!
@@ -21,7 +21,7 @@ use crate::decl::Topology;
 use crate::launch::{self, ENV_GEN, ENV_NODE, ENV_RUNDIR, ENV_TOPO};
 use std::sync::Arc;
 use std::time::Duration;
-use xdaq_core::{Executive, ExecutiveConfig, FlowConfig, PeerTransport, SupervisionConfig};
+use xdaq_core::{Executive, ExecutiveConfig, PeerTransport, SupervisionConfig};
 use xdaq_mempool::TablePool;
 use xdaq_pt::XptPt;
 
@@ -73,12 +73,12 @@ fn param_u32(decl: &crate::decl::NodeDecl, key: &str, default: u32) -> Result<u3
 ///   managed nodes (default 50 ms / 3 / 6): convergence depends on
 ///   peers noticing a dead node, evicting its routes, and freeing its
 ///   alias for the respawned incarnation.
-/// * any `flow.*` key — enables credit-based flow control so those
-///   keys are settable at bring-up ([`FlowConfig::default`] base).
 ///
-/// The `workers` key that once sharded dispatch across threads is
-/// refused rather than ignored, so a stale topology fails loudly; so
-/// is a `supervision.*` value that is not a positive integer.
+/// The `workers` key that once sharded dispatch across threads, and
+/// the `flow.*` / `qos.*` keys of the link flow control and tenant
+/// admission that were removed (DESIGN.md §13), are refused rather than
+/// ignored, so a stale topology fails loudly; so is a `supervision.*`
+/// value that is not a positive integer.
 pub fn node_config(topo: &Topology, node: &str) -> Result<ExecutiveConfig, String> {
     let decl = topo
         .node(node)
@@ -92,15 +92,22 @@ pub fn node_config(topo: &Topology, node: &str) -> Result<ExecutiveConfig, Strin
                 .into(),
         );
     }
+    if let Some(k) = decl
+        .params
+        .keys()
+        .find(|k| k.starts_with("flow.") || k.starts_with("qos."))
+    {
+        return Err(format!(
+            "node param '{k}' was removed: link flow control and tenant admission are gone \
+             (the event builder's credits bound its queues); delete the key"
+        ));
+    }
     let mut config = ExecutiveConfig::named(node);
     config.supervision = Some(SupervisionConfig {
         interval: Duration::from_millis(param_u32(decl, "supervision.interval_ms", 50)?.into()),
         suspect_after: param_u32(decl, "supervision.suspect_after", 3)?,
         down_after: param_u32(decl, "supervision.down_after", 6)?,
     });
-    if decl.params.keys().any(|k| k.starts_with("flow.")) {
-        config.flow = Some(FlowConfig::default());
-    }
     Ok(config)
 }
 
@@ -176,7 +183,6 @@ mod tests {
         [defaults]
         supervision.interval_ms = 30
         [node.a]
-        flow.window = 8
         supervision.interval_ms = 20
         [node.b]
         [node.c]
@@ -210,10 +216,8 @@ mod tests {
             "node overrides defaults"
         );
         assert_eq!((sup.suspect_after, sup.down_after), (3, 6));
-        assert!(a.flow.is_some(), "flow.* params enable flow control");
 
         let b = node_config(&topo, "b").unwrap();
-        assert!(b.flow.is_none());
         let sup = b.supervision.expect("supervision always on");
         assert_eq!(sup.interval, Duration::from_millis(30), "defaults apply");
 
@@ -240,6 +244,26 @@ mod tests {
             let topo = Topology::parse(&text).unwrap();
             let err = node_config(&topo, "a").unwrap_err();
             assert!(err.contains("'workers' was removed"), "got {err}");
+        }
+    }
+
+    #[test]
+    fn removed_flow_and_qos_keys_are_refused() {
+        for (stale, key) in [
+            ("[node.a]\nflow.window = 8", "flow.window"),
+            (
+                "[defaults]\nflow.policy = \"fail\"\n[node.a]",
+                "flow.policy",
+            ),
+            ("[node.a]\nqos.class.bulk = \"0:50\"", "qos.class.bulk"),
+        ] {
+            let text = format!("[cluster]\nname = \"t\"\nrundir = \"/tmp/x\"\n{stale}\n");
+            let topo = Topology::parse(&text).unwrap();
+            let err = node_config(&topo, "a").unwrap_err();
+            assert!(
+                err.contains(&format!("'{key}' was removed")),
+                "error must name the stale key, got {err}"
+            );
         }
     }
 

@@ -50,8 +50,8 @@ use xdaq_i2o::Tid;
 /// Every verb the interpreter knows, for the unknown-command error.
 const VERBS: &[&str] = &[
     "node", "proxy", "claim", "release", "status", "lct", "enable", "quiesce", "reset", "clear",
-    "load", "destroy", "connect", "set", "get", "faults", "rec", "replay", "qos", "evb", "watch",
-    "mon", "monreset", "trace", "plan", "apply", "registry", "drain", "sleep", "echo",
+    "load", "destroy", "connect", "set", "get", "faults", "rec", "replay", "evb", "watch", "mon",
+    "monreset", "trace", "plan", "apply", "registry", "drain", "sleep", "echo",
 ];
 
 /// A script failure, located by line.
@@ -326,70 +326,6 @@ impl<'a> XclInterpreter<'a> {
                 // keys get the `replay.` prefix (`pace_us=250` ->
                 // `replay.pace_us=250`).
                 self.prefixed_set("replay", "replay", handle, rest, line)
-            }
-            ["qos", handle] => {
-                // Flow-control / QoS status: one mon scrape, showing
-                // the credit counters and per-tenant admission tallies
-                // (the `shed` column is the thing operators watch).
-                let t = self.resolve(handle, line)?;
-                let doc = self.host.scrape(t).map_err(|e| Self::fail(line, e))?;
-                let mut log = format!("qos {handle}:");
-                if doc["flow"].as_object().is_some() {
-                    let c = &doc["metrics"]["counters"];
-                    let n = |k: &str| c[k].as_u64().unwrap_or(0);
-                    log.push_str(&format!(
-                        " flow window={} policy={} grants_tx={} grants_rx={} \
-                         syncs_tx={} waits={} failures={} withheld={}",
-                        doc["flow"]["window"],
-                        doc["flow"]["policy"],
-                        n("flow.grants_sent"),
-                        n("flow.grants_recv"),
-                        n("flow.syncs_sent"),
-                        n("flow.credit_waits"),
-                        n("flow.credit_failures"),
-                        n("flow.grants_withheld"),
-                    ));
-                } else {
-                    log.push_str(" flow=off");
-                }
-                match doc["qos"]["classes"].as_object() {
-                    Some(classes) if !classes.is_empty() => {
-                        for (name, c) in classes {
-                            log.push_str(&format!(
-                                "\n  {name}: rate={} burst={} admitted={} shed={}",
-                                c["rate"], c["burst"], c["admitted"], c["shed"],
-                            ));
-                        }
-                    }
-                    _ => log.push_str(" classes=none"),
-                }
-                Ok(log)
-            }
-            ["qos", handle, rest @ ..] => {
-                // Retune admission/flow at runtime through the target
-                // executive's ParamsSet path. Unlike `faults`/`rec`,
-                // qos knobs are naturally dotted (`class.bulk=100:50`),
-                // so everything not already under `qos.` or `flow.`
-                // gets the `qos.` prefix.
-                let t = self.resolve(handle, line)?;
-                let params = Self::parse_params(rest).map_err(|m| XclError { line, message: m })?;
-                let prefixed: Vec<(String, &str)> = params
-                    .iter()
-                    .map(|(k, v)| {
-                        let key = if k.starts_with("qos.") || k.starts_with("flow.") {
-                            k.to_string()
-                        } else {
-                            format!("qos.{k}")
-                        };
-                        (key, *v)
-                    })
-                    .collect();
-                let borrowed: Vec<(&str, &str)> =
-                    prefixed.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-                self.host
-                    .params_set(t, &borrowed)
-                    .map_err(|e| Self::fail(line, e))?;
-                Ok(format!("qos {handle}: {} knobs", borrowed.len()))
             }
             ["evb", handle, rest @ ..] => {
                 // Event-builder status. The EVM mirrors its live

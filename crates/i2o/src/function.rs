@@ -55,17 +55,6 @@ pub enum UtilFn {
     HbPing = 0x40,
     /// Heartbeat answer; payload echoes the `HbPing` sequence number.
     HbPong = 0x41,
-    /// Link-level credit grant: a receiver advertises how many data
-    /// frames the sending peer may have put on the wire in total. The
-    /// payload is two little-endian `u64`s — the link epoch and the
-    /// cumulative granted total — so duplicated or reordered grants
-    /// within an epoch collapse under `max`. See `xdaq-core::credit`.
-    CreditGrant = 0x42,
-    /// Link-level credit sync: a stalled sender reports its cumulative
-    /// data-frame send count (same two-`u64` payload: epoch, total) so
-    /// a receiver whose view lags — data frames lost on the wire —
-    /// can account for the gap and re-grant.
-    CreditSync = 0x43,
 }
 
 impl UtilFn {
@@ -86,8 +75,6 @@ impl UtilFn {
             0x32 => UtilFn::MonTraceDump,
             0x40 => UtilFn::HbPing,
             0x41 => UtilFn::HbPong,
-            0x42 => UtilFn::CreditGrant,
-            0x43 => UtilFn::CreditSync,
             _ => return None,
         })
     }
@@ -276,7 +263,6 @@ mod tests {
     fn util_codes_roundtrip() {
         for v in [
             0x00u8, 0x01, 0x05, 0x06, 0x09, 0x0B, 0x13, 0x14, 0x15, 0x30, 0x31, 0x32, 0x40, 0x41,
-            0x42, 0x43,
         ] {
             let f = FunctionCode::from_u8(v);
             assert!(matches!(f, FunctionCode::Util(_)), "{v:#x}");

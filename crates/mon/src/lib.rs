@@ -203,67 +203,6 @@ impl Default for RecCounters {
     }
 }
 
-/// Link-level flow-control counters (`xdaq-core::credit`).
-///
-/// A `CreditManager` bound to its node's [`Registry`] surfaces
-/// `flow.grants_sent` / `flow.grants_recv` / `flow.syncs_sent` /
-/// `flow.syncs_recv` / `flow.credit_waits` / `flow.credit_failures` /
-/// `flow.grants_withheld` in MonSnapshot scrapes. `credit_failures`
-/// climbing on a sender is the source-ward backpressure signal:
-/// some receiver downstream has stopped granting.
-#[derive(Clone)]
-pub struct FlowCounters {
-    /// Credit-grant frames emitted (receiver role).
-    pub grants_sent: Counter,
-    /// Credit-grant frames applied (sender role).
-    pub grants_recv: Counter,
-    /// Credit-sync frames emitted when a sender lane stalled.
-    pub syncs_sent: Counter,
-    /// Credit-sync frames applied (receiver role).
-    pub syncs_recv: Counter,
-    /// Sends that blocked waiting for credit before proceeding.
-    pub credit_waits: Counter,
-    /// Sends refused outright because the lane was dry.
-    pub credit_failures: Counter,
-    /// Replenish opportunities skipped because the local queue was
-    /// above the high watermark (backpressure actively asserted).
-    pub grants_withheld: Counter,
-}
-
-impl FlowCounters {
-    /// Standalone counters (not visible in any registry).
-    pub fn new() -> FlowCounters {
-        FlowCounters {
-            grants_sent: Counter::new(),
-            grants_recv: Counter::new(),
-            syncs_sent: Counter::new(),
-            syncs_recv: Counter::new(),
-            credit_waits: Counter::new(),
-            credit_failures: Counter::new(),
-            grants_withheld: Counter::new(),
-        }
-    }
-
-    /// Counters registered under the `flow.*` names.
-    pub fn bound_to(registry: &Registry) -> FlowCounters {
-        FlowCounters {
-            grants_sent: registry.counter("flow.grants_sent"),
-            grants_recv: registry.counter("flow.grants_recv"),
-            syncs_sent: registry.counter("flow.syncs_sent"),
-            syncs_recv: registry.counter("flow.syncs_recv"),
-            credit_waits: registry.counter("flow.credit_waits"),
-            credit_failures: registry.counter("flow.credit_failures"),
-            grants_withheld: registry.counter("flow.grants_withheld"),
-        }
-    }
-}
-
-impl Default for FlowCounters {
-    fn default() -> FlowCounters {
-        FlowCounters::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,12 +39,6 @@ pub struct FaultPlan {
     pub delay_every: u64,
     /// How long a stalled send sleeps.
     pub delay: Duration,
-    /// Silently discard `CreditGrant` utility frames (flow-control
-    /// chaos: the credit protocol must converge despite lost grants).
-    pub grant_drop_per_mille: u16,
-    /// Deliver `CreditGrant` frames twice (duplicate grants must be
-    /// idempotent).
-    pub grant_dup_per_mille: u16,
 }
 
 impl Default for FaultPlan {
@@ -56,8 +50,6 @@ impl Default for FaultPlan {
             corrupt_per_mille: 0,
             delay_every: 0,
             delay: Duration::from_millis(1),
-            grant_drop_per_mille: 0,
-            grant_dup_per_mille: 0,
         }
     }
 }
@@ -85,10 +77,6 @@ pub struct ChaosStats {
     pub corrupted: u64,
     /// Sends stalled by the delay schedule.
     pub delayed: u64,
-    /// Credit grants silently discarded.
-    pub grants_dropped: u64,
-    /// Credit grants delivered twice.
-    pub grants_duplicated: u64,
 }
 
 /// A fault-injecting wrapper around another peer transport.
@@ -103,8 +91,6 @@ pub struct ChaosPt {
     duplicated: AtomicU64,
     corrupted: AtomicU64,
     delayed: AtomicU64,
-    grants_dropped: AtomicU64,
-    grants_duplicated: AtomicU64,
 }
 
 impl ChaosPt {
@@ -122,8 +108,6 @@ impl ChaosPt {
             duplicated: AtomicU64::new(0),
             corrupted: AtomicU64::new(0),
             delayed: AtomicU64::new(0),
-            grants_dropped: AtomicU64::new(0),
-            grants_duplicated: AtomicU64::new(0),
         })
     }
 
@@ -179,8 +163,6 @@ impl ChaosPt {
             duplicated: self.duplicated.load(Ordering::Relaxed),
             corrupted: self.corrupted.load(Ordering::Relaxed),
             delayed: self.delayed.load(Ordering::Relaxed),
-            grants_dropped: self.grants_dropped.load(Ordering::Relaxed),
-            grants_duplicated: self.grants_duplicated.load(Ordering::Relaxed),
         }
     }
 
@@ -210,12 +192,6 @@ impl ChaosPt {
     fn hit(&self, per_mille: u16) -> bool {
         per_mille > 0 && self.roll() % 1000 < per_mille as u64
     }
-
-    /// True for `CreditGrant` utility frames (function byte 0x42) —
-    /// the targets of the grant-specific fault knobs.
-    fn is_grant(frame: &FrameBuf) -> bool {
-        frame.len() > 7 && frame[7] == xdaq_i2o::UtilFn::CreditGrant as u8
-    }
 }
 
 impl PeerTransport for ChaosPt {
@@ -236,20 +212,6 @@ impl PeerTransport for ChaosPt {
         if plan.delay_every > 0 && op.is_multiple_of(plan.delay_every) {
             self.delayed.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(plan.delay);
-        }
-        // Grant-targeted chaos first: flow-control frames get their
-        // own fault schedule so a test can perturb *only* the credit
-        // protocol while data frames flow clean.
-        if Self::is_grant(&frame) {
-            if self.hit(plan.grant_drop_per_mille) {
-                self.grants_dropped.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            if self.hit(plan.grant_dup_per_mille) {
-                self.grants_duplicated.fetch_add(1, Ordering::Relaxed);
-                let copy = FrameBuf::from_bytes(&frame);
-                let _ = self.inner.send(dest, copy);
-            }
         }
         if self.hit(plan.fail_per_mille) {
             self.failed.fetch_add(1, Ordering::Relaxed);
@@ -315,14 +277,6 @@ impl PeerTransport for ChaosPt {
             "chaos.delay_ms" => {
                 let ms: u64 = value.parse().map_err(|_| bad(key, value))?;
                 self.plan.write().delay = Duration::from_millis(ms);
-            }
-            "chaos.grant_drop" => {
-                self.plan.write().grant_drop_per_mille =
-                    per_mille(value).ok_or_else(|| bad(key, value))?;
-            }
-            "chaos.grant_dup" => {
-                self.plan.write().grant_dup_per_mille =
-                    per_mille(value).ok_or_else(|| bad(key, value))?;
             }
             "chaos.seed" => {
                 self.reseed(value.parse().map_err(|_| bad(key, value))?);

@@ -39,7 +39,7 @@ pub const DIRECT_MIN: usize = 1024;
 ///
 /// `push` fails (returning the frame) once either cap is hit; the
 /// caller maps that to `WouldBlock`, which composes with the retry /
-/// failover / credit machinery upstream exactly like a full socket.
+/// failover machinery upstream exactly like a full socket.
 ///
 /// The ring also records who owns the link's byte stream. While the
 /// driver's [`OutQueue`] holds unwritten bytes for the link it is

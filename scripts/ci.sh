@@ -73,6 +73,13 @@ if [ -e crates/pt/src/tcp.rs ] \
     echo "TcpPt, crates/pt/src/tcp.rs and sys::supported() (listed above) were removed; DESIGN.md §15 says why" >&2
     bad=1
 fi
+# One credit loop: the event builder's credits bound its queues, so
+# link-level flow control and tenant admission must not grow back.
+if [ -e crates/core/src/credit.rs ] || [ -e crates/core/src/admission.rs ] \
+    || grep -rnE 'CreditManager|AdmissionControl|FlowConfig' crates src tests examples; then
+    echo "link credits and admission (listed above) were removed; DESIGN.md §13 says why" >&2
+    bad=1
+fi
 [ "$bad" -eq 0 ] || exit 1
 
 echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="
@@ -80,11 +87,10 @@ echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lis
 # In non-test code of crates/core/src and crates/evb/src (each file up
 # to its first #[cfg(test)], comment lines skipped), Instant::now(),
 # .elapsed() and thread::sleep may appear only in clock.rs (the seam
-# itself), admission.rs (the token bucket), executive.rs (watchdog and
-# trace stamps, the uptime epoch) and monitor.rs (uptime).
+# itself), executive.rs (watchdog and trace stamps, the uptime epoch)
+# and monitor.rs (uptime).
 wall=$(find crates/core/src crates/evb/src -name '*.rs' \
-    ! -name clock.rs ! -name admission.rs ! -name executive.rs \
-    ! -name monitor.rs | sort \
+    ! -name clock.rs ! -name executive.rs ! -name monitor.rs | sort \
     | xargs awk '
         FNR == 1 { live = 1 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
@@ -109,14 +115,14 @@ echo "== cargo test (workspace) =="
 #   from a declaration file, a builder SIGKILLed mid-run (the
 #   convergence loop must respawn it, restore routes and finish with
 #   zero loss), and a rolling drain+restart of the other builder.
-# - `--test flow`, `-p xdaq-core` credit/admission unit tests and
-#   proptests (DESIGN.md §13): a saturated link must never
-#   false-Suspect a live peer (heartbeats ride the reserved lane), the
-#   Block policy must hand frames back without leaking pool blocks, the
-#   grant protocol must converge under fixed-seed grant drop/dup chaos,
-#   and the slow-consumer soaks (loopback, shm, xpt) must finish
-#   with zero loss while a rate-limited bulk tenant is shed, not
-#   serviced.
+# - `--test flow` (DESIGN.md §13): no link meters data frames, so a
+#   slow consumer's backlog must never get a live peer Suspected
+#   (heartbeats are priority MAX), an shm region must bound the
+#   receiver's queue with `WouldBlock` at the sender, and the shm and
+#   xpt slow-consumer soaks must lose no frame and leak no pool block;
+#   stale `flow.*`/`qos.*` keys must be refused. `--test evb` pins the
+#   bound that replaces link credits: a slow builder's queue stays
+#   under what its event-builder credits allow.
 # - `-p xdaq-sys`: raw-syscall round trips (eventfd seen by epoll and
 #   ppoll, mmap, mkfifo, pwritev/fdatasync/ftruncate) and kernel-ABI
 #   layout asserts.

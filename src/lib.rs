@@ -61,7 +61,8 @@ pub use xdaq_ctl as ctl;
 pub mod app;
 
 /// The N×M event builder: readout/builder/event-manager device
-/// classes with credit-based flow control.
+/// classes, whose credit loop is the one thing that bounds a
+/// builder's queue (DESIGN.md §12).
 pub use xdaq_evb as evb;
 
 /// Deterministic cluster simulation: virtual clock, in-memory fabric,

@@ -19,6 +19,10 @@
 //!   reassigns its in-flight events. The readout units still hold
 //!   those fragments (cleared only once an event finished), so the surviving
 //!   builder rebuilds them: zero loss.
+//!
+//! `slow_builder_queue_is_bounded_by_its_credits` runs in one process
+//! over `loop://`: the event manager's credits are the only thing that
+//! bounds a slow builder's queue, since no link meters data frames.
 
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -29,11 +33,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdaq::core::pta::PtMode;
 use xdaq::core::{
-    Delivery, Dispatcher, Executive, ExecutiveConfig, I2oListener, SupervisionConfig,
+    Delivery, Dispatcher, Executive, ExecutiveConfig, I2oListener, SupervisionConfig, TimerId,
 };
 use xdaq::evb::{xfn, BuilderUnit, EventManager, EvmStats, ReadoutUnit, ORG_DAQ};
 use xdaq::i2o::{DeviceClass, Message, Tid};
-use xdaq::pt::{ChaosPt, FaultPlan};
+use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt};
 use xdaq::shm::{ShmConfig, ShmLink, ShmPt};
 
 const N_RU: usize = 4;
@@ -361,6 +365,187 @@ fn killed_builder_is_reclaimed_and_survivors_finish() {
     );
     handle.shutdown();
     host.teardown();
+}
+
+/// A builder unit whose handler sleeps on every fragment.
+struct SlowBuilder {
+    inner: BuilderUnit,
+    per_fragment: Duration,
+}
+
+impl I2oListener for SlowBuilder {
+    fn class(&self) -> DeviceClass {
+        self.inner.class()
+    }
+    fn plugged(&mut self, ctx: &mut Dispatcher<'_>) {
+        self.inner.plugged(ctx);
+    }
+    fn on_private(&mut self, ctx: &mut Dispatcher<'_>, msg: Delivery) {
+        if msg.private.map(|p| p.x_function) == Some(xfn::FRAGMENT) {
+            std::thread::sleep(self.per_fragment);
+        }
+        self.inner.on_private(ctx, msg);
+    }
+    fn on_timer(&mut self, ctx: &mut Dispatcher<'_>, id: TimerId) {
+        self.inner.on_timer(ctx, id);
+    }
+}
+
+/// No link meters data frames, so what bounds a slow builder's queue
+/// is the event manager's credit loop: the builder holds at most
+/// `credits` assigned events, each brings at most one fragment per
+/// source (nothing is lost here, so nothing is re-pulled), and each
+/// `ASSIGN` frame spends at least one credit. A 4×2 mesh over `loop://`
+/// runs free while builder 0 sleeps 2 ms on every fragment; its
+/// executive's queue never passes that bound, and the deepest queue of
+/// the second second is no deeper than that of the first.
+#[test]
+fn slow_builder_queue_is_bounded_by_its_credits() {
+    const CREDITS: usize = 8;
+    const SOURCES: usize = 4;
+    // Fragments of the assigned events, their ASSIGN frames, and the
+    // run's INVITE.
+    const BOUND: usize = CREDITS * SOURCES + CREDITS + 1;
+    let hub = LoopbackHub::new();
+    let node = |name: &str| {
+        let exec = Executive::new(ExecutiveConfig::named(name));
+        exec.register_pt("pt", LoopbackPt::new(&hub, name)).unwrap();
+        exec
+    };
+    let mgr = node("mgr");
+    let ru_names: Vec<String> = (0..SOURCES).map(|i| format!("ru{i}")).collect();
+    let bu_names = ["bu0", "bu1"];
+    let rus: Vec<Executive> = ru_names.iter().map(|n| node(n)).collect();
+    let bus: Vec<Executive> = bu_names.iter().map(|n| node(n)).collect();
+
+    let ru_tids: Vec<Tid> = rus
+        .iter()
+        .enumerate()
+        .map(|(i, exec)| {
+            exec.register(
+                "readout",
+                Box::new(ReadoutUnit::new()),
+                &[
+                    ("source_id", &i.to_string()),
+                    ("sources", &SOURCES.to_string()),
+                    ("size", "1024"),
+                ],
+            )
+            .unwrap()
+        })
+        .collect();
+    let ids = Arc::new(Mutex::new(HashSet::new()));
+    let built = Arc::new(AtomicU64::new(0));
+    let flt = mgr
+        .register(
+            "flt",
+            Box::new(Collector {
+                ids,
+                received: built.clone(),
+            }),
+            &[],
+        )
+        .unwrap();
+    let mut slow_stats = None;
+    for (j, exec) in bus.iter().enumerate() {
+        for (i, name) in ru_names.iter().enumerate() {
+            exec.proxy(&format!("loop://{name}"), ru_tids[i], Some(name))
+                .unwrap();
+        }
+        exec.proxy("loop://mgr", flt, Some("flt")).unwrap();
+        let builder = BuilderUnit::new();
+        let listener: Box<dyn I2oListener> = if j == 0 {
+            slow_stats = Some(builder.stats());
+            Box::new(SlowBuilder {
+                inner: builder,
+                per_fragment: Duration::from_millis(2),
+            })
+        } else {
+            Box::new(builder)
+        };
+        let tid = exec
+            .register(
+                "builder",
+                listener,
+                &[
+                    ("rus", &ru_names.join(",")),
+                    ("filter", "flt"),
+                    ("credits", &CREDITS.to_string()),
+                    // The slow builder's events wait longer than the
+                    // default 50 ms reassembly timeout; a re-pull
+                    // would add fragments the bound does not count.
+                    ("timeout_ms", "600000"),
+                ],
+            )
+            .unwrap();
+        mgr.proxy(&format!("loop://{}", bu_names[j]), tid, Some(bu_names[j]))
+            .unwrap();
+    }
+    for (i, name) in ru_names.iter().enumerate() {
+        mgr.proxy(&format!("loop://{name}"), ru_tids[i], Some(name))
+            .unwrap();
+    }
+    let evm = EventManager::new();
+    let stats = evm.stats();
+    let evm_tid = mgr
+        .register(
+            "evm",
+            Box::new(evm),
+            &[
+                ("readouts", &ru_names.join(",")),
+                ("bus", &bu_names.join(",")),
+            ],
+        )
+        .unwrap();
+    // The slow builder runs on its own thread; this thread pumps every
+    // other node, so the readout units run free while it sleeps.
+    let fast: Vec<&Executive> = std::iter::once(&mgr).chain(&rus).chain(&bus[1..]).collect();
+    for exec in fast.iter().chain([&&bus[0]]) {
+        exec.enable_all();
+    }
+    let slow_handle = bus[0].spawn();
+    // A free-running run longer than the test.
+    mgr.post(
+        Message::build_private(evm_tid, Tid::HOST, ORG_DAQ, xfn::RUN)
+            .payload(u64::MAX.to_le_bytes().to_vec())
+            .finish(),
+    )
+    .unwrap();
+
+    let slow = bus[0].core();
+    let peak_until = |until: Instant| {
+        let mut peak = 0;
+        while Instant::now() < until {
+            for exec in &fast {
+                exec.run_once();
+            }
+            peak = peak.max(slow.queued());
+        }
+        peak
+    };
+    let t0 = Instant::now();
+    let first = peak_until(t0 + Duration::from_secs(1));
+    let second = peak_until(t0 + Duration::from_secs(2));
+    slow_handle.shutdown();
+    let slow_built = slow_stats.unwrap().events_built.load(Ordering::Relaxed);
+    println!(
+        "slow builder: {slow_built} events built, peak queue {first} (0-1 s) \
+         and {second} (1-2 s), credit bound {BOUND}"
+    );
+    assert!(
+        built.load(Ordering::SeqCst) > 0 && slow_built > 0,
+        "the mesh built nothing"
+    );
+    assert_eq!(stats.lost.load(Ordering::Relaxed), 0);
+    assert!(first > 0, "the slow builder never queued a frame");
+    assert!(
+        first.max(second) <= BOUND,
+        "slow builder queued {first} then {second} frames, past its credit bound {BOUND}"
+    );
+    assert!(
+        second <= first,
+        "slow builder's queue grew from {first} to {second} frames"
+    );
 }
 
 // ───────────────────────── child processes ──────────────────────────

@@ -12,8 +12,9 @@
 //!   metric shows up here. The executive's overload-drop counter left
 //!   the set (55 → 54) with the scheduling queue's overload valve: the
 //!   queue is unbounded and never refuses a delivery, so the counter
-//!   could no longer move (a node bounds its inbound work with link
-//!   credits, DESIGN.md §13).
+//!   could no longer move. No link meters data frames either: each
+//!   sender bounds what it has in flight, the event builder with its
+//!   credits (DESIGN.md §13).
 //!
 //! A change that moves either on purpose updates the constant here and
 //! explains the difference for one seed.
