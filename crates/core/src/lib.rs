@@ -33,7 +33,6 @@
 //!   transports (xpt sockets, GM, PCI, loopback) live in `xdaq-pt` and
 //!   register here like any other device.
 
-pub mod chainio;
 pub mod clock;
 pub mod config;
 pub mod error;
@@ -49,7 +48,6 @@ pub mod timer;
 mod verbs;
 pub mod xfn;
 
-pub use chainio::ChainCollector;
 pub use clock::{Clock, VirtualClock};
 pub use config::{AllocatorKind, ExecutiveConfig};
 pub use error::{ExecError, PtError};

@@ -336,45 +336,6 @@ fn task_pt_panic_is_reaped_and_counted() {
 }
 
 #[test]
-fn failed_chained_send_leaves_no_live_blocks() {
-    // A chained send whose transport rejects every frame must recycle
-    // every pooled block — both the frame in flight and the encoded
-    // remainder of the chain (the historical leak).
-    struct Chainer {
-        dest: Tid,
-    }
-    impl I2oListener for Chainer {
-        fn class(&self) -> DeviceClass {
-            DeviceClass::Application(1)
-        }
-        fn on_private(&mut self, ctx: &mut Dispatcher<'_>, _msg: Delivery) {
-            let payload = vec![0xCDu8; 4000];
-            let err = ctx
-                .send_chained(self.dest, 1, 0x42, 9, &payload, 256)
-                .unwrap_err();
-            assert!(matches!(err, ExecError::Transport(_)), "{err:?}");
-        }
-    }
-    let exec = Executive::new(ExecutiveConfig::named("n"));
-    exec.register_pt("broken", Arc::new(BrokenPt)).unwrap();
-    let proxy = exec
-        .proxy("broken://nowhere", Tid::new(0x20).unwrap(), None)
-        .unwrap();
-    let tx = exec
-        .register("tx", Box::new(Chainer { dest: proxy }), &[])
-        .unwrap();
-    exec.enable_all();
-    exec.post(Message::build_private(tx, Tid::HOST, 1, 1).finish())
-        .unwrap();
-    drain(&exec);
-    assert_eq!(
-        exec.core().allocator().stats().live_blocks,
-        0,
-        "pool occupancy must return to zero after the failed chain"
-    );
-}
-
-#[test]
 fn quiesced_node_bounces_private_but_serves_util() {
     let exec = Executive::new(ExecutiveConfig::named("n"));
     let replies = Arc::new(parking_lot::Mutex::new(Vec::new()));

@@ -10,7 +10,8 @@ use core::fmt;
 /// bit 0   REPLY_EXPECTED  initiator wants a reply frame
 /// bit 1   IS_REPLY        this frame is a reply
 /// bit 2   FAIL            reply carries a failure status
-/// bit 3   MORE            more chained frames follow (SGL chain element)
+/// bit 3   MORE            more chained frames follow (frame format
+///                         only: no shipped code sets it)
 /// bit 4   CONTROL         executive/utility control traffic (bypasses
 ///                         application accounting)
 /// bits 5-7 priority       0 (lowest) .. 6 (highest)

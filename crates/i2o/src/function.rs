@@ -213,7 +213,7 @@ pub enum ReplyStatus {
     UnsupportedFunction = 0x03,
     /// The addressed TiD is unknown on this IOP.
     UnknownTarget = 0x04,
-    /// Frame failed validation (size, version, SGL bounds).
+    /// Frame failed validation (size, version).
     BadFrame = 0x05,
     /// Transport-level delivery failure (peer unreachable).
     TransportError = 0x06,

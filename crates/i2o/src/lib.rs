@@ -21,8 +21,6 @@
 //!   transparency comes from proxy TiDs created by the executive.
 //! * **Seven priority levels** ([`Priority`]) — frames are scheduled to
 //!   one FIFO per priority (paper §4).
-//! * **Scatter-Gather Lists** ([`sgl`]) — transmit arbitrary-length
-//!   information over fixed-size pooled blocks (max 256 KB).
 //! * **Device classes** ([`class`]) — executive, utility and private
 //!   message sets every device must implement to be configurable and
 //!   controllable.
@@ -38,7 +36,6 @@ pub mod flags;
 pub mod frame;
 pub mod function;
 pub mod message;
-pub mod sgl;
 pub mod tid;
 
 pub use class::{DeviceClass, DeviceState};
@@ -46,7 +43,6 @@ pub use flags::{MsgFlags, Priority};
 pub use frame::{FrameError, MsgHeader, PrivateHeader, HEADER_LEN, PRIVATE_HEADER_LEN};
 pub use function::{ExecFn, FunctionCode, ReplyStatus, UtilFn, PRIVATE_FUNCTION};
 pub use message::{Message, MessageBuilder};
-pub use sgl::{Sgl, SglElement, SglFlags};
 pub use tid::{Tid, TidAllocator, TidError};
 
 /// Organization identifier carried in private frames.
@@ -65,7 +61,7 @@ pub const ORG_USER: OrgId = 0x0fff;
 
 /// Maximum size of a single pooled message block: 256 KB (paper §4:
 /// "Memory is allocated in fixed sized blocks with a maximum length of
-/// 256 KB"). Longer payloads use SGL chaining.
+/// 256 KB"). A frame must fit in one block; nothing chains frames.
 pub const MAX_BLOCK_LEN: usize = 256 * 1024;
 
 /// Number of I2O scheduling priorities (paper §4: "There exist seven

@@ -3,7 +3,7 @@
 //! never panic on arbitrary bytes.
 
 use proptest::prelude::*;
-use xdaq_i2o::{Message, MsgFlags, MsgHeader, Priority, Sgl, SglElement, Tid, TidAllocator};
+use xdaq_i2o::{Message, MsgFlags, MsgHeader, Priority, Tid, TidAllocator};
 
 fn arb_tid() -> impl Strategy<Value = Tid> {
     (0u16..=0xFFF).prop_map(|v| Tid::new(v).unwrap())
@@ -68,7 +68,6 @@ proptest! {
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = MsgHeader::decode(&bytes);
         let _ = Message::decode(&bytes);
-        let _ = Sgl::decode(&bytes);
     }
 
     #[test]
@@ -99,34 +98,6 @@ proptest! {
         prop_assert_eq!(d.initiator, new_initiator);
         prop_assert_eq!(d.payload_len, h.payload_len);
         prop_assert_eq!(d.function, h.function);
-    }
-
-    #[test]
-    fn sgl_from_segments_always_valid(
-        segs in proptest::collection::vec((any::<u64>(), 1u32..1_000_000), 1..32)
-    ) {
-        let sgl = Sgl::from_segments(segs.clone());
-        prop_assert!(sgl.validate().is_ok());
-        let total: u64 = segs.iter().map(|(_, l)| *l as u64).sum();
-        prop_assert_eq!(sgl.total_len(), total);
-        let mut buf = vec![0u8; sgl.encoded_len()];
-        sgl.encode(&mut buf);
-        let back = Sgl::decode(&buf).unwrap();
-        prop_assert_eq!(back, sgl);
-    }
-
-    #[test]
-    fn sgl_seal_fixes_any_flag_state(
-        flags in proptest::collection::vec(0u8..4, 1..16)
-    ) {
-        let mut sgl = Sgl::new();
-        for (i, f) in flags.iter().enumerate() {
-            // CHAIN anywhere but last would be invalid; use data flags only.
-            let _ = f;
-            sgl.push(SglElement::data(i as u64, 1));
-        }
-        sgl.seal();
-        prop_assert!(sgl.validate().is_ok());
     }
 
     #[test]

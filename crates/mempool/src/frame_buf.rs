@@ -82,10 +82,9 @@ impl FrameBuf {
     }
 
     /// The frame's valid bytes as one vectored-I/O element (`IoSlice`
-    /// is ABI-compatible with `struct iovec` on Unix). Gather-writing
-    /// consumers — the event recorder foremost — hand a chain of these
-    /// straight to the kernel, so the frame's pool block is the I/O
-    /// buffer and the payload is never copied.
+    /// is ABI-compatible with `struct iovec` on Unix). A gather-writing
+    /// consumer (xpt's `OutQueue`) hands it straight to the kernel, so the frame's pool
+    /// block is the I/O buffer and the payload is never copied.
     pub fn io_slice(&self) -> std::io::IoSlice<'_> {
         std::io::IoSlice::new(self.block_ref().bytes())
     }

@@ -25,17 +25,17 @@
 //! Both hand out [`FrameBuf`]s: RAII buffers that return their block to
 //! the pool on drop (the paper's "automatic garbage collection").
 //! A frame has exactly one owner; the executive fans a broadcast out
-//! by copying it into one fresh block per receiver.
+//! by copying it into one fresh block per receiver. A frame lives in one
+//! block: a request beyond [`MAX_BLOCK_LEN`] fails with
+//! [`AllocError::TooLarge`], and nothing chains frames.
 
 pub mod block;
-pub mod chain;
 pub mod frame_buf;
 pub mod simple;
 pub mod stats;
 pub mod table;
 
 pub use block::{Block, BlockRecycler};
-pub use chain::{reassemble, segment_lengths, split_into_frames, ChainError};
 pub use frame_buf::FrameBuf;
 pub use simple::SimplePool;
 pub use stats::PoolStats;
@@ -50,7 +50,8 @@ pub const MAX_BLOCK_LEN: usize = xdaq_i2o::MAX_BLOCK_LEN;
 /// Allocation failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocError {
-    /// Requested more than [`MAX_BLOCK_LEN`]; use frame chaining.
+    /// Requested more than [`MAX_BLOCK_LEN`]: the frame is too large
+    /// for any block.
     TooLarge(usize),
     /// Pool reached its configured block budget.
     Exhausted {
@@ -62,12 +63,10 @@ pub enum AllocError {
 impl fmt::Display for AllocError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AllocError::TooLarge(n) => {
-                write!(
-                    f,
-                    "requested {n} bytes exceeds max block of {MAX_BLOCK_LEN}; chain frames"
-                )
-            }
+            AllocError::TooLarge(n) => write!(
+                f,
+                "frame too large: {n} bytes exceeds max block of {MAX_BLOCK_LEN}"
+            ),
             AllocError::Exhausted {
                 requested,
                 live_blocks,
@@ -106,7 +105,7 @@ mod tests {
     #[test]
     fn alloc_error_messages() {
         let e = AllocError::TooLarge(1 << 20);
-        assert!(e.to_string().contains("chain"));
+        assert!(e.to_string().contains("frame too large"));
         let e = AllocError::Exhausted {
             requested: 64,
             live_blocks: 3,

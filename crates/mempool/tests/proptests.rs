@@ -1,56 +1,12 @@
-//! Property-based tests of the buffer pools and frame chaining: no
-//! sequence of alloc/free/share operations may corrupt accounting, and
-//! chaining must reassemble any payload exactly.
+//! Property-based tests of the buffer pools: no sequence of alloc/free
+//! operations may corrupt accounting, and a buffer holds what was
+//! written to it.
 
 use proptest::prelude::*;
-use xdaq_i2o::{FunctionCode, MsgHeader, PrivateHeader, Tid};
-use xdaq_mempool::{
-    reassemble, segment_lengths, split_into_frames, FrameAllocator, SimplePool, TablePool,
-};
-
-fn header() -> MsgHeader {
-    let mut h = MsgHeader::new(
-        Tid::new(0x111).unwrap(),
-        Tid::new(0x222).unwrap(),
-        FunctionCode::Private,
-    );
-    h.initiator_context = 0x1234;
-    h
-}
+use xdaq_mempool::{FrameAllocator, SimplePool, TablePool};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn segment_lengths_partition_exactly(total in 0usize..1_000_000, seg in 1usize..65536) {
-        let lens = segment_lengths(total, seg);
-        prop_assert!(!lens.is_empty());
-        prop_assert_eq!(lens.iter().sum::<usize>(), total);
-        prop_assert!(lens.iter().all(|&l| l <= seg));
-        // All but the last segment are full.
-        for &l in &lens[..lens.len() - 1] {
-            prop_assert_eq!(l, seg);
-        }
-    }
-
-    #[test]
-    fn chain_roundtrips_any_payload(
-        payload in proptest::collection::vec(any::<u8>(), 0..20_000),
-        max_payload in 32usize..2048,
-        private in any::<bool>(),
-    ) {
-        let pool = TablePool::with_defaults();
-        let ph = private.then(|| PrivateHeader::new(0x0cec, 5));
-        let mut h = header();
-        if !private {
-            h.function = 0x06;
-        }
-        let frames = split_into_frames(&*pool, h, ph, &payload, max_payload).unwrap();
-        let (rh, rp, data) = reassemble(frames.iter().map(|f| &f[..])).unwrap();
-        prop_assert_eq!(data, payload);
-        prop_assert_eq!(rp, ph);
-        prop_assert_eq!(rh.initiator_context, h.initiator_context);
-    }
 
     #[test]
     fn pool_accounting_is_consistent_table(

@@ -132,7 +132,7 @@ impl PeerTransport for LoopbackPt {
         // `Unreachable` with their frame instead of parking it here;
         // then drain undelivered frames so their pool blocks recycle —
         // frames parked in a dead mailbox would otherwise keep pool
-        // occupancy nonzero forever (the chained-send leak).
+        // occupancy nonzero forever.
         self.hub.detach(self.self_addr.rest(), &self.mailbox);
         self.mailbox.lock().clear();
     }

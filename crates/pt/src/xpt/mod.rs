@@ -15,8 +15,8 @@
 //!   per-link [`wire::SubQueue`] (the submission ring) and returns
 //!   without blocking;
 //! * one driver thread gathers every queued frame into a single
-//!   vectored write per link ([`wire::OutQueue`] — a MORE-chained
-//!   event leaves in one syscall) and retires frames as the kernel
+//!   vectored write per link ([`wire::OutQueue`] — a burst of queued
+//!   frames leaves in one syscall) and retires frames as the kernel
 //!   reports byte **completions**;
 //! * inbound large frame bodies are read straight into pool blocks
 //!   **donated** to the kernel by [`wire::RecvAssembler`];

@@ -9,13 +9,13 @@
 //! * **The store** ([`RecWriter`] / [`RecReader`]) is an append-only
 //!   directory of segments ([`segment`]) with per-record length+CRC
 //!   framing, written through raw syscalls (`xdaq-sys`, no libc) with one
-//!   gathered `pwritev` per record — the SGL of a chained event turned
-//!   into an iovec list, zero payload copies. Durability is batched
+//!   gathered `pwritev` per record whose iovecs point into pool blocks,
+//!   zero payload copies. Durability is batched
 //!   (`fdatasync` every N bytes / T ms) and crash recovery
 //!   ([`recover`]) truncates the torn tail deterministically.
 //! * **The recorder** ([`Recorder`]) is an ordinary device class:
-//!   plugged into a node, it taps completed event chains, persists each
-//!   as one record and (optionally) forwards the frames onward.
+//!   plugged into a node, it persists every private frame it receives
+//!   as one record and (optionally) forwards the frame onward.
 //! * **The replayer** ([`ReplayPt`]) is a peer transport
 //!   (`replay://<dir>`): it re-injects a recording through the
 //!   executive's normal peer-ingest path, in original order, paced or

@@ -1,13 +1,13 @@
 //! The `Recorder` device class: a tap that persists built events.
 //!
 //! Plugged into a node like any other DDM, the recorder consumes
-//! private frames (typically the event builder's completed events),
-//! buffers each chain until its final frame (no `MORE`), and appends
-//! the chain as **one record** — the concatenation of its fully-encoded
-//! I2O frames — with one gathered `pwritev` whose iovecs point straight
-//! into the frames' pool blocks. Optionally it forwards every frame
-//! onward (`forward` parameter), making it a transparent wiretap in an
-//! existing topology.
+//! private frames (typically the event builder's completed events) and
+//! appends each as **one record** — the fully-encoded I2O frame — with
+//! one gathered `pwritev` whose payload iovec points straight into the
+//! frame's pool block. Nothing is held back: a frame is persisted, and
+//! forwarded onward if the `forward` parameter names a target, in the
+//! upcall that delivers it, making the recorder a transparent wiretap in
+//! an existing topology.
 //!
 //! Parameters (read at plug time):
 //!
@@ -23,7 +23,6 @@
 //! at plug time, so a runtime retune would be stored and never read.
 
 use crate::writer::{RecConfig, RecWriter, FSYNC_INTERVAL};
-use std::collections::HashMap;
 use std::io::IoSlice;
 use std::time::Duration;
 use xdaq_core::config::parse_kv;
@@ -32,14 +31,9 @@ use xdaq_core::{Delivery, Dispatcher, I2oListener, TimerId};
 use xdaq_i2o::{DeviceClass, MsgFlags, MsgHeader, ReplyStatus, Tid, UtilFn};
 use xdaq_mon::RecCounters;
 
-/// Reassembly key: one in-flight chain per (initiator, transaction).
-type ChainKey = (Tid, u32);
-
 /// Durable event-recording device (see module docs).
 pub struct Recorder {
     writer: Option<RecWriter>,
-    /// Frames of chains still awaiting their final (`!MORE`) frame.
-    pending: HashMap<ChainKey, Vec<Delivery>>,
     counters: RecCounters,
     forward: Option<String>,
     segments_seen: u64,
@@ -52,7 +46,6 @@ impl Recorder {
     pub fn new() -> Recorder {
         Recorder {
             writer: None,
-            pending: HashMap::new(),
             counters: RecCounters::new(),
             forward: None,
             segments_seen: 0,
@@ -84,8 +77,8 @@ impl Recorder {
         }
     }
 
-    /// Persists one completed chain as a single gathered record.
-    fn persist(&mut self, ctx: &mut Dispatcher<'_>, chain: &[Delivery]) {
+    /// Persists one frame as one record.
+    fn persist(&mut self, ctx: &mut Dispatcher<'_>, frame: &Delivery) {
         let Some(writer) = self.writer.as_mut() else {
             // Misconfigured at plug time (see `rec.error` param); a
             // device receiving event traffic it cannot persist faults
@@ -93,17 +86,13 @@ impl Recorder {
             ctx.fault();
             return;
         };
-        // Zero-copy gather: one iovec per frame, each pointing into the
-        // frame's pool block.
-        let parts: Vec<IoSlice<'_>> = chain
-            .iter()
-            .map(|d| IoSlice::new(d.frame_bytes()))
-            .collect();
-        let payload: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        match writer.append(&parts) {
+        // Zero-copy: the record's iovec points into the frame's pool
+        // block.
+        let bytes = frame.frame_bytes();
+        match writer.append(&[IoSlice::new(bytes)]) {
             Ok(_) => {
                 self.counters.records.inc();
-                self.counters.bytes.add(payload);
+                self.counters.bytes.add(bytes.len() as u64);
             }
             Err(_) => {
                 ctx.fault();
@@ -182,28 +171,18 @@ impl I2oListener for Recorder {
             let _ = w.sync();
         }
         self.writer = None;
-        self.pending.clear();
     }
 
     fn on_private(&mut self, ctx: &mut Dispatcher<'_>, msg: Delivery) {
         if msg.header.flags.contains(MsgFlags::IS_REPLY) {
             return; // acks from the forward target
         }
-        let key = (msg.header.initiator, msg.header.transaction_context);
-        let more = msg.header.flags.contains(MsgFlags::MORE);
-        self.pending.entry(key).or_default().push(msg);
-        if more {
-            return;
-        }
-        let chain = self.pending.remove(&key).expect("just inserted");
-        self.persist(ctx, &chain);
+        self.persist(ctx, &msg);
         if let Some(fwd) = self.forward_tid(ctx) {
-            for d in chain {
-                let mut buf = d.into_buf();
-                MsgHeader::patch_target(&mut buf, fwd);
-                if let Ok(d) = Delivery::from_buf(buf) {
-                    let _ = ctx.send_delivery(d);
-                }
+            let mut buf = msg.into_buf();
+            MsgHeader::patch_target(&mut buf, fwd);
+            if let Ok(d) = Delivery::from_buf(buf) {
+                let _ = ctx.send_delivery(d);
             }
         }
     }
@@ -267,8 +246,8 @@ mod tests {
     }
 
     #[test]
-    fn records_chains_and_counts() {
-        let dir = tmp_dir("chains");
+    fn every_frame_is_one_record() {
+        let dir = tmp_dir("frames");
         let exec = Executive::new(ExecutiveConfig::named("store"));
         let rec = exec
             .register(
@@ -278,32 +257,21 @@ mod tests {
             )
             .unwrap();
         exec.enable_all();
-        // Two chained events (MORE then final) and one single-frame one.
-        for chain in 0..2u32 {
+        // Five frames, two of them sharing a transaction and one
+        // flagged `MORE`: each is its own record.
+        for (i, tx) in [0u32, 0, 1, 2, 9].into_iter().enumerate() {
             let mut m = Message::build_private(rec, Tid::HOST, 0x0da0, 0x0022)
-                .transaction(chain)
-                .payload(vec![chain as u8; 64])
+                .transaction(tx)
+                .payload(vec![i as u8; 16 + 16 * i])
                 .finish();
-            m.header.flags = m.header.flags.with(MsgFlags::MORE);
+            if i == 0 {
+                m.header.flags = m.header.flags.with(MsgFlags::MORE);
+            }
             exec.post(m).unwrap();
-            exec.post(
-                Message::build_private(rec, Tid::HOST, 0x0da0, 0x0022)
-                    .transaction(chain)
-                    .payload(vec![0xEE; 32])
-                    .finish(),
-            )
-            .unwrap();
         }
-        exec.post(
-            Message::build_private(rec, Tid::HOST, 0x0da0, 0x0022)
-                .transaction(9)
-                .payload(b"solo".to_vec())
-                .finish(),
-        )
-        .unwrap();
         while exec.run_once() > 0 {}
         let reg = exec.core().monitors().registry();
-        assert_eq!(reg.counter("rec.records").get(), 3);
+        assert_eq!(reg.counter("rec.records").get(), 5);
         assert!(reg.counter("rec.bytes").get() > 0);
         // Force durability, then verify on disk.
         exec.post(
@@ -314,8 +282,56 @@ mod tests {
         .unwrap();
         while exec.run_once() > 0 {}
         let report = scan(&dir).unwrap();
-        assert_eq!(report.records, 3);
+        assert_eq!(report.records, 5);
         assert!(report.torn.is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Counts the private frames a device receives.
+    struct Sink(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+    impl I2oListener for Sink {
+        fn class(&self) -> DeviceClass {
+            DeviceClass::Application(1)
+        }
+        fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, _msg: Delivery) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    /// A frame flagged `MORE` whose follow-up never comes is recorded
+    /// and forwarded at once, and its pool block goes back: nothing
+    /// waits for a final frame.
+    #[test]
+    fn more_flagged_frame_is_not_held() {
+        let dir = tmp_dir("more");
+        let exec = Executive::new(ExecutiveConfig::named("store"));
+        let seen = std::sync::Arc::default();
+        let sink = exec
+            .register("sink", Box::new(Sink(std::sync::Arc::clone(&seen))), &[])
+            .unwrap();
+        let rec = exec
+            .register(
+                "rec0",
+                Box::new(Recorder::new()),
+                &[
+                    ("dir", dir.to_str().unwrap()),
+                    ("forward", &sink.raw().to_string()),
+                ],
+            )
+            .unwrap();
+        exec.enable_all();
+        let mut m = Message::build_private(rec, Tid::HOST, 0x0da0, 0x0022)
+            .transaction(7)
+            .payload(vec![0xAB; 64])
+            .finish();
+        m.header.flags = m.header.flags.with(MsgFlags::MORE);
+        exec.post(m).unwrap();
+        while exec.run_once() > 0 {}
+        let reg = exec.core().monitors().registry();
+        assert_eq!(reg.counter("rec.records").get(), 1);
+        assert_eq!(seen.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(exec.core().allocator().stats().live_blocks, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

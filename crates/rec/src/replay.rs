@@ -261,7 +261,7 @@ mod tests {
         {
             let mut w = RecWriter::create(RecConfig::new(&dir)).unwrap();
             for tag in 0..5u8 {
-                // Two frames per record, like a chained event.
+                // Two frames per record: a record may hold several.
                 let a = frame_bytes(0x100, tag);
                 let b = frame_bytes(0x100, tag);
                 w.append(&[IoSlice::new(&a), IoSlice::new(&b)]).unwrap();

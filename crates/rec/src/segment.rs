@@ -22,9 +22,9 @@
 //! ```text
 //! len     u32 LE          payload length in bytes
 //! crc     u32 LE          CRC-32 (IEEE) of the payload
-//! payload len bytes       the record: one complete chained event,
-//!                         i.e. its fully-encoded I2O frames
-//!                         concatenated in order
+//! payload len bytes       the record: fully-encoded I2O frames
+//!                         concatenated in order (the Recorder writes
+//!                         one frame per record)
 //! ```
 //!
 //! The framing is what makes recovery deterministic: a torn tail —

@@ -3,7 +3,7 @@
 //! [`RecWriter`] owns the current segment file and appends records with
 //! a single gathered `pwritev` per record: one iovec for the 8-byte
 //! length+CRC framing, then the caller's iovecs *as given* — when those
-//! point into pool blocks (a chained frame's SGL), the payload travels
+//! point into pool blocks (the Recorder's one frame), the payload travels
 //! from pool memory to the page cache without ever being copied into an
 //! intermediate buffer.
 //!

@@ -10,8 +10,8 @@
 //! * `xdaq-pt` (`xpt://`): the `eventfd2` doorbell and the `epoll`
 //!   family its driver sleeps in;
 //! * `xdaq-rec`: `openat` to create segment files, `pwritev` for
-//!   gathered zero-copy appends (a chained frame's pool blocks become
-//!   the iovec list directly), `fdatasync` for the durability interval
+//!   gathered zero-copy appends (a frame's pool block becomes an iovec
+//!   directly), `fdatasync` for the durability interval
 //!   and `ftruncate` to cut a torn tail during crash recovery.
 //!
 //! Everything else (sockets, file reads, `/proc`, eventfd reads and

@@ -80,6 +80,15 @@ if [ -e crates/core/src/credit.rs ] || [ -e crates/core/src/admission.rs ] \
     echo "link credits and admission (listed above) were removed; DESIGN.md §13 says why" >&2
     bad=1
 fi
+# One frame per block: nothing shipped a chained frame, so frame
+# chaining and the I2O SGL must not grow back.
+if [ -e crates/core/src/chainio.rs ] || [ -e crates/mempool/src/chain.rs ] \
+    || [ -e crates/i2o/src/sgl.rs ] \
+    || grep -rnE 'ChainCollector|send_chained|split_into_frames|\bSgl(Element|Flags|Error)?\b' \
+        crates src tests examples; then
+    echo "frame chaining and the SGL (listed above) were removed; DESIGN.md §1 says why" >&2
+    bad=1
+fi
 [ "$bad" -eq 0 ] || exit 1
 
 echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="

@@ -30,7 +30,7 @@
 //! paper-to-module map and `EXPERIMENTS.md` for the reproduced
 //! evaluation.
 
-/// I2O message layer: frames, function codes, TiDs, SGL.
+/// I2O message layer: frames, function codes, TiDs.
 pub use xdaq_i2o as i2o;
 
 /// Zero-copy frame buffer pools (simple + table allocators).

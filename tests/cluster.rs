@@ -547,16 +547,31 @@ fn host_scrapes_monitoring_from_two_executives() {
     hb.shutdown();
 }
 
+/// One private frame carries up to `MAX_PAYLOAD_LEN` bytes after its
+/// private extension, and nothing chains frames: the largest payload
+/// `send_private_with` accepts crosses `loop://` intact, one byte more
+/// is refused at the sender before a pool block is taken.
 #[test]
-fn chained_bulk_transfer_across_nodes() {
-    use xdaq::core::{ChainCollector, Delivery, Dispatcher, I2oListener};
-    use xdaq::i2o::DeviceClass;
+fn largest_private_frame_crosses_nodes() {
+    use xdaq::core::{Delivery, Dispatcher, ExecError, I2oListener};
+    use xdaq::i2o::frame::MAX_PAYLOAD_LEN;
+    use xdaq::i2o::{DeviceClass, FrameError};
 
     const XFN_BULK: u16 = 0x0042;
     const XFN_KICK: u16 = 0x0041;
+    // The private extension takes 4 of the frame's payload bytes.
+    const LARGEST: usize = MAX_PAYLOAD_LEN - 4;
+
+    fn pattern(buf: &mut [u8]) {
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = (i % 251) as u8;
+        }
+    }
+
+    type Shared<T> = std::sync::Arc<parking_lot::Mutex<Option<T>>>;
 
     struct Tx {
-        payload: Vec<u8>,
+        refused: Shared<ExecError>,
     }
     impl I2oListener for Tx {
         fn class(&self) -> DeviceClass {
@@ -569,15 +584,17 @@ fn chained_bulk_transfer_across_nodes() {
                     .and_then(|s| s.parse::<u16>().ok())
                     .and_then(|v| Tid::new(v).ok())
                     .expect("dest param");
-                // 100 KB payload in 2 KB frames: 50+ frames on the wire.
-                ctx.send_chained(dest, ORG_DAQ, XFN_BULK, 99, &self.payload, 2048)
+                let err = ctx
+                    .send_private_with(dest, ORG_DAQ, XFN_BULK, LARGEST + 1, pattern)
+                    .unwrap_err();
+                *self.refused.lock() = Some(err);
+                ctx.send_private_with(dest, ORG_DAQ, XFN_BULK, LARGEST, pattern)
                     .unwrap();
             }
         }
     }
     struct Rx {
-        collector: ChainCollector,
-        done: std::sync::Arc<parking_lot::Mutex<Option<Vec<u8>>>>,
+        got: Shared<Vec<u8>>,
     }
     impl I2oListener for Rx {
         fn class(&self) -> DeviceClass {
@@ -585,10 +602,7 @@ fn chained_bulk_transfer_across_nodes() {
         }
         fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, msg: Delivery) {
             if msg.private.map(|p| p.x_function) == Some(XFN_BULK) {
-                if let Some((_, chain_id, data)) = self.collector.push(&msg) {
-                    assert_eq!(chain_id, 99);
-                    *self.done.lock() = Some(data);
-                }
+                *self.got.lock() = Some(msg.payload().to_vec());
             }
         }
     }
@@ -596,24 +610,17 @@ fn chained_bulk_transfer_across_nodes() {
     let hub = LoopbackHub::new();
     let a = node_on(&hub, "a");
     let b = node_on(&hub, "b");
-    let done = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let got = Shared::default();
+    let refused = Shared::default();
     let rx_tid = b
-        .register(
-            "rx",
-            Box::new(Rx {
-                collector: ChainCollector::new(),
-                done: done.clone(),
-            }),
-            &[],
-        )
+        .register("rx", Box::new(Rx { got: got.clone() }), &[])
         .unwrap();
     let proxy = a.proxy("loop://b", rx_tid, None).unwrap();
-    let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
     let tx_tid = a
         .register(
             "tx",
             Box::new(Tx {
-                payload: payload.clone(),
+                refused: refused.clone(),
             }),
             &[("dest", &proxy.raw().to_string())],
         )
@@ -625,10 +632,25 @@ fn chained_bulk_transfer_across_nodes() {
     a.post(xdaq::i2o::Message::build_private(tx_tid, Tid::HOST, ORG_DAQ, XFN_KICK).finish())
         .unwrap();
     assert!(
-        wait_until(|| done.lock().is_some(), Duration::from_secs(20)),
-        "bulk transfer incomplete"
+        wait_until(|| got.lock().is_some(), Duration::from_secs(20)),
+        "largest frame did not arrive"
     );
-    assert_eq!(done.lock().take().unwrap(), payload);
+    let mut want = vec![0u8; LARGEST];
+    pattern(&mut want);
+    assert!(got.lock().take().unwrap() == want, "payload corrupted");
+    assert!(
+        matches!(
+            refused.lock().take(),
+            Some(ExecError::Frame(FrameError::PayloadTooLong(n))) if n == LARGEST + 1
+        ),
+        "one byte more must be refused at the sender"
+    );
+    let pool = a.core().allocator();
+    assert!(
+        wait_until(|| pool.stats().live_blocks == 0, Duration::from_secs(5)),
+        "sender's pool holds {} blocks",
+        pool.stats().live_blocks
+    );
     ha.shutdown();
     hb.shutdown();
 }
