@@ -1,9 +1,8 @@
 //! The executive's time source.
 //!
-//! Every timer-driven behaviour in the stack — heartbeat ticks, retry
-//! backoff, flow-control sync, event-builder re-pulls, chaos delays —
-//! reads time through a [`Clock`] instead of calling `Instant::now()`
-//! directly. Production executives run on [`Clock::Wall`], which is
+//! Every timer-driven behaviour in the stack — the timer wheel, so
+//! heartbeat ticks and event-builder re-pulls — reads time through a
+//! [`Clock`] instead of calling `Instant::now()` directly. Production executives run on [`Clock::Wall`], which is
 //! the real monotonic clock with zero indirection cost beyond one
 //! enum branch. Simulation harnesses (`xdaq-sim`) hand every
 //! executive the *same* [`VirtualClock`] and advance it explicitly —
@@ -27,11 +26,11 @@ use std::time::{Duration, Instant};
 /// time.
 #[derive(Clone, Debug, Default)]
 pub enum Clock {
-    /// The OS monotonic clock. `sleep` really sleeps.
+    /// The OS monotonic clock.
     #[default]
     Wall,
     /// A manually-advanced clock shared by every component of a
-    /// simulation. `sleep` advances the clock instead of blocking.
+    /// simulation.
     Virtual(Arc<VirtualClock>),
 }
 
@@ -57,23 +56,6 @@ impl Clock {
     #[inline]
     pub fn since(&self, earlier: Instant) -> Duration {
         self.now().saturating_duration_since(earlier)
-    }
-
-    /// Pauses for `d`.
-    ///
-    /// On [`Clock::Wall`] this is `std::thread::sleep`. On
-    /// [`Clock::Virtual`] the *sleeper drives time forward*: in a
-    /// discrete-event run the executive loop is single-threaded, so a
-    /// code path that would block (retry backoff)
-    /// is exactly the thing the virtual clock should jump across —
-    /// the pause costs zero wall time and remains fully deterministic.
-    pub fn sleep(&self, d: Duration) {
-        match self {
-            Clock::Wall => std::thread::sleep(d),
-            Clock::Virtual(v) => {
-                v.advance(d);
-            }
-        }
     }
 
     /// True for a virtual (simulated) clock.
@@ -174,16 +156,6 @@ mod tests {
             "never backwards"
         );
         assert_eq!(c.now(), t0 + Duration::from_millis(10));
-    }
-
-    #[test]
-    fn virtual_sleep_advances_instead_of_blocking() {
-        let (c, _v) = Clock::simulated();
-        let t0 = c.now();
-        let wall = Instant::now();
-        c.sleep(Duration::from_secs(3600));
-        assert_eq!(c.since(t0), Duration::from_secs(3600));
-        assert!(wall.elapsed() < Duration::from_secs(5), "no real sleep");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Executive configuration and the key=value control-payload codec.
 
 use crate::clock::Clock;
-use crate::pta::RetryPolicy;
 use crate::supervisor::SupervisionConfig;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -30,14 +29,10 @@ pub struct ExecutiveConfig {
     /// When `Some`, a `LinkSupervisor` heartbeats supervised peers on
     /// the timer wheel and evicts routes of peers that go Down.
     pub supervision: Option<SupervisionConfig>,
-    /// The PTA retry policy, for every scheme and failover hop. The
-    /// default is one attempt — the historical fire-and-forget
-    /// behaviour.
-    pub retry: RetryPolicy,
     /// The executive's time source. [`Clock::Wall`] (the default) is
     /// the real monotonic clock — bit-for-bit the historical
     /// behaviour. Simulations pass a shared [`Clock::Virtual`] so
-    /// timers, heartbeats and retry backoff all run on
+    /// timers, heartbeats and event-builder re-pulls all run on
     /// manually-advanced time (DESIGN.md §16).
     pub clock: Clock,
 }
@@ -49,7 +44,6 @@ impl Default for ExecutiveConfig {
             allocator: AllocatorKind::Table,
             watchdog: None,
             supervision: None,
-            retry: RetryPolicy::default(),
             clock: Clock::Wall,
         }
     }

@@ -22,7 +22,7 @@ use crate::monitor::ExecMonitors;
 use crate::pta::{PeerAddr, PeerTransport, Pta};
 use crate::queue::SchedQueue;
 use crate::registry::{DeviceMeta, DeviceUnit, LctEntry, Registry};
-use crate::route::{Hop, Route, RouteTable};
+use crate::route::{Route, RouteTable};
 use crate::supervisor::{self, LinkState, LinkSupervisor};
 use crate::timer::TimerWheel;
 use crate::verbs::PtDdm;
@@ -106,8 +106,7 @@ impl ExecCore {
         &self.clock
     }
 
-    /// The Peer Transport Agent (retry/failover machinery, transport
-    /// registry).
+    /// The Peer Transport Agent (the transport registry).
     pub fn pta(&self) -> &Pta {
         &self.pta
     }
@@ -153,14 +152,14 @@ impl ExecCore {
     /// Routes a delivery to its target: local queue, peer transport, or
     /// broadcast fan-out.
     pub fn route(&self, d: Delivery) -> Result<(), ExecError> {
-        let hop = self.routes.resolve(d.header.target);
-        self.route_via(d, hop)
+        let route = self.routes.resolve(d.header.target);
+        self.route_via(d, route)
     }
 
     /// [`ExecCore::route`] with the target's route already resolved
     /// (ingest learns it in the same lookup that finds the sender's
     /// proxy).
-    fn route_via(&self, d: Delivery, hop: Option<Hop>) -> Result<(), ExecError> {
+    fn route_via(&self, d: Delivery, route: Option<Route>) -> Result<(), ExecError> {
         let target = d.header.target;
         if target.is_broadcast() {
             return self.broadcast(d);
@@ -170,17 +169,13 @@ impl ExecCore {
             self.mon.sent_local.inc();
             return Ok(());
         }
-        match hop {
-            Some(Hop::Local) => {
+        match route {
+            Some(Route::Local) => {
                 self.enqueue(d);
                 self.mon.sent_local.inc();
                 Ok(())
             }
-            Some(Hop::Peer {
-                peer,
-                remote_tid,
-                has_alternates,
-            }) => {
+            Some(Route::Peer { peer, remote_tid }) => {
                 let mut buf = d.into_buf();
                 MsgHeader::patch_target(&mut buf, remote_tid);
                 self.mon.tracer.record(
@@ -188,20 +183,7 @@ impl ExecCore {
                     remote_tid.raw() as u32,
                     buf.len() as u32,
                 );
-                if has_alternates {
-                    let mut chain = match self.routes.lookup(target) {
-                        Some(route @ Route::Peer { .. }) => route.failover_chain(),
-                        // Evicted since it was resolved.
-                        _ => vec![peer],
-                    };
-                    // Same-host fast path: when a shm transport is
-                    // registered, try the zero-copy address first and
-                    // keep the network addresses as failover.
-                    self.pta.reorder_for_locality(&mut chain);
-                    self.pta.send_failover(&chain, buf)?;
-                } else {
-                    self.pta.send(&peer, buf)?;
-                }
+                self.pta.send(&peer, buf)?;
                 self.mon.sent_peer.inc();
                 Ok(())
             }
@@ -264,7 +246,7 @@ impl ExecCore {
         };
         // One table read answers both questions: which local proxy
         // stands for the sender, and where the target leads.
-        let (proxy, mut hop) = self
+        let (proxy, mut route) = self
             .routes
             .resolve_inbound(&src, header.initiator, header.target);
         if header.initiator.is_addressable() {
@@ -274,7 +256,7 @@ impl ExecCore {
                 // new TiD may be the very one the frame targets.
                 None => match self.proxy_for(src, header.initiator) {
                     Ok(proxy) => {
-                        hop = self.routes.resolve(header.target);
+                        route = self.routes.resolve(header.target);
                         proxy
                     }
                     Err(_) => {
@@ -293,10 +275,10 @@ impl ExecCore {
                 return;
             }
         };
-        if matches!(hop, Some(Hop::Peer { .. })) {
+        if matches!(route, Some(Route::Peer { .. })) {
             self.mon.forwarded.inc();
         }
-        let _ = self.route_via(d, hop);
+        let _ = self.route_via(d, route);
     }
 }
 
@@ -328,7 +310,7 @@ impl Executive {
             alloc,
             queue,
             routes: RouteTable::new(),
-            pta: Pta::with_clock(config.clock.clone()),
+            pta: Pta::new(),
             timers: TimerWheel::with_clock(config.clock.clone()),
             registry: Registry::new(),
             tids: Mutex::new(TidAllocator::new()),
@@ -345,7 +327,6 @@ impl Executive {
         core.routes.add_local(Tid::EXECUTIVE);
         core.routes.add_local(Tid::PTA);
         core.pta.bind_registry(core.mon.registry());
-        core.pta.set_retry_policy(config.retry);
         if let Some(sup) = &core.supervisor {
             // The heartbeat timer is owned by the PTA pseudo-device;
             // run_once intercepts it instead of synthesizing a frame.
@@ -464,15 +445,6 @@ impl Executive {
             self.core.registry.alias(name, tid)?;
         }
         Ok(tid)
-    }
-
-    /// Adds a fallback address to an existing proxy route; the PTA
-    /// fails over to it when the primary address cannot deliver.
-    /// Returns false when the route is absent or the address is
-    /// already part of the chain.
-    pub fn add_alternate(&self, proxy: Tid, alt: &str) -> Result<bool, ExecError> {
-        let addr: PeerAddr = alt.parse().map_err(ExecError::Transport)?;
-        Ok(self.core.routes.add_alternate(proxy, addr))
     }
 
     /// Starts heartbeat supervision of a peer link. Requires
@@ -839,22 +811,20 @@ impl Executive {
         }
     }
 
-    /// A supervised link went Down: evict its routes (promoting
-    /// alternates where they exist), drop the dead proxy index entries
-    /// and notify the fault listener.
+    /// A supervised link went Down: evict its routes, drop the dead
+    /// proxy index entries and notify the fault listener.
     fn on_peer_down(&self, peer: &PeerAddr) {
         let core = &self.core;
         core.mon.peer_down.inc();
-        let ev = core.routes.evict_peer(peer);
-        for tid in &ev.evicted {
+        let evicted = core.routes.evict_peer(peer);
+        for tid in &evicted {
             core.purge_tid(*tid);
             core.registry.remove(*tid);
             let _ = core.tids.lock().free(*tid);
         }
         let body = kv(&[
             ("peer", &peer.to_string()),
-            ("evicted", &ev.evicted.len().to_string()),
-            ("promoted", &ev.promoted.len().to_string()),
+            ("evicted", &evicted.len().to_string()),
         ]);
         self.notify_fault_listener(xfn::XFN_PEER_DOWN, body);
     }

@@ -54,9 +54,9 @@ pub use error::{ExecError, PtError};
 pub use executive::{Executive, ExecutiveHandle};
 pub use listener::{Delivery, Dispatcher, I2oListener, TimerId};
 pub use monitor::ExecMonitors;
-pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, RetryPolicy, SendFailure};
+pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, SendFailure};
 pub use queue::SchedQueue;
 pub use registry::{DeviceMeta, Registry};
-pub use route::{Eviction, Hop, Route, RouteTable};
+pub use route::{Route, RouteTable};
 pub use supervisor::{LinkState, LinkSupervisor, SupervisionConfig, TickOutcome};
 pub use timer::TimerWheel;

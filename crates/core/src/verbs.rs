@@ -15,7 +15,7 @@ use crate::executive::Executive;
 use crate::listener::{Delivery, Dispatcher, I2oListener, UtilOutcome};
 use crate::pta::PeerTransport;
 use crate::registry::DeviceMeta;
-use crate::route::Hop;
+use crate::route::Route;
 use crate::supervisor;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -195,7 +195,7 @@ impl Executive {
                 core.mon.hb_pongs.inc();
                 // The pong arrives with a proxied initiator; the route
                 // for that proxy names the peer the pong came from.
-                if let Some(Hop::Peer { peer, .. }) = core.routes.resolve(d.header.initiator) {
+                if let Some(Route::Peer { peer, .. }) = core.routes.resolve(d.header.initiator) {
                     if let Some(sup) = &core.supervisor {
                         let _ = sup.on_pong(&peer, supervisor::frame_seq(d));
                     }

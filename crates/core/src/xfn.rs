@@ -21,7 +21,7 @@ pub const XFN_FAULT: u16 = 0xFF03;
 pub const XFN_LCT_CHANGED: u16 = 0xFF04;
 
 /// Peer-link declared Down by the link supervisor. Payload: kv with
-/// `peer` (address), `evicted` / `promoted` (proxy TiD counts). Sent
+/// `peer` (address) and `evicted` (count of proxy TiDs removed). Sent
 /// to the registered fault listener.
 pub const XFN_PEER_DOWN: u16 = 0xFF05;
 

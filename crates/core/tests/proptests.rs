@@ -125,7 +125,7 @@ proptest! {
     }
 
     /// Route tables behave like maps: last write wins, removal is
-    /// complete, and proxy queries see exactly the matching peers.
+    /// complete, and evicting a peer removes exactly its routes.
     #[test]
     fn route_table_map_semantics(
         entries in proptest::collection::vec(
@@ -143,19 +143,15 @@ proptest! {
         }
         prop_assert_eq!(rt.len(), model.len());
         for (tid, (peer, remote)) in &model {
-            match rt.lookup(*tid) {
-                Some(xdaq_core::Route::Peer { peer: p, remote_tid, alternates }) => {
-                    prop_assert_eq!(&p, peer);
-                    prop_assert_eq!(&remote_tid, remote);
-                    prop_assert!(alternates.is_empty());
-                }
-                other => prop_assert!(false, "expected peer route, got {other:?}"),
-            }
+            prop_assert_eq!(
+                rt.resolve(*tid),
+                Some(xdaq_core::Route::Peer { peer: peer.clone(), remote_tid: *remote })
+            );
         }
-        // proxies_via returns exactly the model's subset.
+        // Evicting a peer removes exactly the model's subset.
         for idx in 0u8..4 {
             let peer: xdaq_core::PeerAddr = format!("loop://n{idx}").parse().unwrap();
-            let mut got = rt.proxies_via(&peer);
+            let mut got = rt.evict_peer(&peer);
             got.sort();
             let mut want: Vec<Tid> = model
                 .iter()
@@ -165,6 +161,7 @@ proptest! {
             want.sort();
             prop_assert_eq!(got, want);
         }
+        prop_assert!(rt.is_empty());
     }
 
     /// A Down link never leaves Down except through an explicit

@@ -23,7 +23,7 @@
 //! * **drain** — a rolling restart: raise the watchers' `drain` key
 //!   (naming the node by its route alias), poll the `drain_gate`
 //!   parameter to zero so in-flight work finishes through the data
-//!   plane's own retry/failover paths, stop the node cleanly
+//!   plane's own recovery paths, stop the node cleanly
 //!   (`exec.stop=1`), and re-converge.
 //!
 //! An [`XclInterpreter`](crate::XclInterpreter) with the controller
@@ -638,7 +638,7 @@ impl Controller {
     }
 
     /// Rolling restart of one node: drain it through the data-plane
-    /// failover paths, stop it, respawn it, restore routes. Returns a
+    /// recovery paths, stop it, respawn it, restore routes. Returns a
     /// summary line, or an error message.
     pub fn drain(&self, node: &str) -> Result<String, String> {
         let _g = self.ops.lock();
@@ -657,7 +657,7 @@ impl Controller {
         self.registry.draining(node);
         // Walk every module that declared a drain hook for this node
         // and let the data plane empty itself through its own
-        // retry/failover paths before we stop anything.
+        // recovery paths before we stop anything.
         for w in self.topo.managed() {
             for m in &w.modules {
                 let Some(drain_key) = &m.drain else { continue };

@@ -42,7 +42,7 @@
 //!   the fleet (spawn → attach → load → route → enable), a background
 //!   tick reaps deaths and respawns-with-reroute, and `drain` does a
 //!   rolling restart that empties a node through the data plane's own
-//!   retry/failover paths before stopping it.
+//!   recovery paths before stopping it.
 //!
 //! An [`XclInterpreter`] with the controller attached drives it from
 //! script — `plan`, `apply`, `registry`, `drain <node>` — and `mon`

@@ -2,13 +2,13 @@
 //!
 //! [`ChaosPt`] wraps any [`PeerTransport`] and perturbs its send path
 //! according to a [`FaultPlan`]: refuse frames (visible failure, the
-//! frame comes back for retry), drop them silently (the network ate
+//! frame comes back to the sender), drop them silently (the network ate
 //! it), duplicate them, corrupt a payload byte, or stall every N-th
 //! operation. All randomness comes from a seeded xorshift64* stream —
 //! **no wall clock, no OS entropy** — so a failing run replays
 //! bit-for-bit from its seed. The `kill`/`revive` switch turns the
-//! wrapped transport off entirely, which is how `examples/failover.rs`
-//! murders a primary link mid-run.
+//! wrapped transport off entirely, which is how `tests/faults.rs`
+//! takes a supervised link down mid-run.
 //!
 //! The plan can be reprogrammed at runtime through
 //! [`PeerTransport::configure`], which the executive's PT device
@@ -26,7 +26,7 @@ use xdaq_mempool::FrameBuf;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Refuse the send with an error, handing the frame back
-    /// (exercises retry/failover).
+    /// (exercises the send-failure path).
     pub fail_per_mille: u16,
     /// Accept the send but discard the frame (silent network loss).
     pub drop_per_mille: u16,

@@ -359,7 +359,7 @@ mod tests {
         }
         let err = a.send(&b.addr(), pool.alloc(64).unwrap()).unwrap_err();
         assert!(matches!(err.error, PtError::WouldBlock));
-        assert!(err.frame.is_some(), "frame must come back for a retry");
+        assert!(err.frame.is_some(), "frame must come back to the sender");
         drop(err);
         assert_eq!(pool.stats().live_blocks, 0, "pool block stranded");
     }
@@ -372,6 +372,6 @@ mod tests {
             .send(&"gm://9:0".parse().unwrap(), FrameBuf::from_bytes(b"x"))
             .unwrap_err();
         assert!(matches!(err.error, PtError::Unreachable(_)));
-        assert!(err.frame.is_some(), "frame must come back for failover");
+        assert!(err.frame.is_some(), "frame must come back to the sender");
     }
 }

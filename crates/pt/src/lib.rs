@@ -17,7 +17,7 @@
 //!
 //! [`ChaosPt`] is not a transport of its own but a deterministic
 //! fault-injecting wrapper around any of the above — the test harness
-//! for the retry/failover machinery.
+//! for the send-failure accounting and the link supervisor.
 //!
 //! Every PT reports received frames together with the sender's
 //! **canonical** address so the executive can create reply proxies

@@ -170,7 +170,7 @@ mod tests {
             .send(&"loop://ghost".parse().unwrap(), frame(1))
             .unwrap_err();
         assert!(matches!(err.error, PtError::Unreachable(_)));
-        assert!(err.frame.is_some(), "frame must come back for failover");
+        assert!(err.frame.is_some(), "frame must come back to the sender");
     }
 
     #[test]

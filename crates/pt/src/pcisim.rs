@@ -48,7 +48,7 @@ struct SlotQueue {
 
 impl SlotQueue {
     /// A full FIFO hands the rejected item back, so the frame survives
-    /// for retry.
+    /// the refusal.
     fn push(&self, item: (FrameBuf, PeerAddr)) -> Result<(), (FrameBuf, PeerAddr)> {
         let mut frames = self.frames.lock();
         if frames.len() >= self.depth {

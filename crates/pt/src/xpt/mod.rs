@@ -28,9 +28,8 @@
 //!
 //! One epoll-batch driver (the private `epoll` module) implements the
 //! completion loop. On the wire a link is an `XDAQPT1` hello line
-//! followed by self-delimiting I2O frames, and the transport drops
-//! into the retry/failover machinery through
-//! `Pta::send_failover_returning` like any other.
+//! followed by self-delimiting I2O frames, and a refused frame comes
+//! back to the caller inside `SendFailure` like any other transport's.
 
 pub mod wire;
 
@@ -323,8 +322,7 @@ impl PeerTransport for XptPt {
     /// Never waits for the wire: an idle link is written inline,
     /// anything else is queued for the driver (see `submit`). `on_send` accounting
     /// follows the *completion*, not the submission. A full ring maps
-    /// to `WouldBlock` with the frame handed back, composing with the
-    /// PTA's retry/failover machinery like any other
+    /// to `WouldBlock` with the frame handed back, like any other
     /// backpressure signal.
     fn send(&self, dest: &PeerAddr, frame: FrameBuf) -> Result<(), SendFailure> {
         if self.shared.stopped.load(Ordering::Acquire) {

@@ -81,7 +81,7 @@ fn unreachable_and_closed() {
     let dest: PeerAddr = "xpt://127.0.0.1:1".parse().unwrap();
     let err = a.send(&dest, frame(8)).unwrap_err();
     assert!(matches!(err.error, PtError::Unreachable(_)));
-    assert!(err.frame.is_some(), "frame must come back for failover");
+    assert!(err.frame.is_some(), "frame must come back to the sender");
 
     a.stop();
     a.stop(); // idempotent
@@ -223,7 +223,7 @@ fn a_send_on_a_torn_down_link_is_refused_with_the_frame() {
         "{:?}",
         err.error
     );
-    assert!(err.frame.is_some(), "frame must come back for failover");
+    assert!(err.frame.is_some(), "frame must come back to the sender");
     assert_eq!(c.send_errors.load(Ordering::Relaxed), before + 1);
     a.stop();
     b.stop();

@@ -38,8 +38,8 @@ pub const DIRECT_MIN: usize = 1024;
 /// Bounded frame submission ring for one link.
 ///
 /// `push` fails (returning the frame) once either cap is hit; the
-/// caller maps that to `WouldBlock`, which composes with the retry /
-/// failover machinery upstream exactly like a full socket.
+/// caller maps that to `WouldBlock`, which the sender sees exactly
+/// like a full socket.
 ///
 /// The ring also records who owns the link's byte stream. While the
 /// driver's [`OutQueue`] holds unwritten bytes for the link it is

@@ -4,7 +4,7 @@
 //! code path: a recorded run enters a fresh node through exactly the
 //! machinery live traffic would use (`ingest_from_peer`, proxy TiDs,
 //! the scheduling queue), so everything downstream — chaos injection,
-//! failover, the multi-worker executive — composes with it unchanged.
+//! link supervision, the event builder — composes with it unchanged.
 //! Frames of one record are injected back-to-back and records in their
 //! original order, which combined with per-peer ordered ingest makes a
 //! replayed run deterministic.
@@ -110,8 +110,8 @@ impl PeerTransport for ReplayPt {
 
     fn send(&self, _dest: &PeerAddr, frame: FrameBuf) -> Result<(), SendFailure> {
         // A recording is a source, not a peer: sending through it is a
-        // topology error. Hand the frame back so failover can try an
-        // alternate route.
+        // topology error. Hand the frame back so its block recycles at
+        // the caller.
         Err(SendFailure::with_frame(
             PtError::Unreachable("replay transport is read-only".into()),
             frame,
@@ -339,6 +339,6 @@ mod tests {
         let err = pt
             .send(&PeerAddr::new("replay", "none"), f)
             .expect_err("read-only");
-        assert!(err.frame.is_some(), "frame handed back for failover");
+        assert!(err.frame.is_some(), "frame handed back to the sender");
     }
 }

@@ -20,9 +20,9 @@
 //!   before sleeping.
 //!
 //! [`ShmPt`] wires it all into the executive under the `shm://`
-//! scheme: frames come back on [`xdaq_core::SendFailure`] (retry/
-//! failover compose unchanged), and peer-process death is detected
-//! from the region header and surfaced to the link supervisor.
+//! scheme: a refused frame comes back on [`xdaq_core::SendFailure`],
+//! and peer-process death is detected from the region header and
+//! surfaced to the link supervisor.
 //!
 //! ```no_run
 //! use xdaq_shm::{ShmConfig, ShmPt};

@@ -878,7 +878,7 @@ mod tests {
         }
         let err = a.send(la.peer_addr(), pool.alloc(8).unwrap()).unwrap_err();
         assert!(matches!(err.error, PtError::WouldBlock));
-        assert!(err.frame.is_some(), "frame handed back for failover");
+        assert!(err.frame.is_some(), "frame handed back to the sender");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Runs whole multi-node xdaq clusters inside one thread on one
 //! virtual clock, FoundationDB-style: every executive, timer wheel,
-//! heartbeat schedule and retry backoff reads time from a shared
+//! heartbeat schedule and re-pull timeout reads time from a shared
 //! [`xdaq_core::VirtualClock`], frames cross an in-memory `sim://`
 //! fabric with deterministic delivery order, and the drive loop
 //! advances time *only when the cluster is quiescent* — jumping

@@ -89,6 +89,15 @@ if [ -e crates/core/src/chainio.rs ] || [ -e crates/mempool/src/chain.rs ] \
     echo "frame chaining and the SGL (listed above) were removed; DESIGN.md §1 says why" >&2
     bad=1
 fi
+# One recovery path: a frame is sent once, down one route; the event
+# builder and the control plane repair what is lost, so transport-level
+# retry, backoff and route failover must not grow back.
+if [ -e examples/failover.rs ] \
+    || grep -rnE 'RetryPolicy|send_failover|add_alternate|reorder_for_locality|SEND_DEADLINE|MAX_BACKOFF' \
+        crates src tests examples; then
+    echo "PTA retry and route failover (listed above) were removed; DESIGN.md §8 \"Recovery, overload\" says why" >&2
+    bad=1
+fi
 [ "$bad" -eq 0 ] || exit 1
 
 echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="
@@ -115,7 +124,9 @@ fi
 echo "== cargo test (workspace) =="
 # Every always-on suite runs here, once. What the ones an operator
 # would look for cover:
-# - `--test faults`: the fixed-seed chaos run must be deterministic.
+# - `--test faults`: a refused send is counted once and never resent,
+#   the fixed-seed chaos run must be deterministic, and a killed
+#   supervised link must go Down and evict its routes.
 # - `-p xdaq-sim`: 100 full-cluster kill/partition/delay/corrupt
 #   experiments on the virtual clock (~1 s of wall time), each asserting
 #   zero event loss, plus the fixed-seed byte-for-byte golden-trace

@@ -5,7 +5,7 @@
 //!   `% 251` definition they replaced, kept here as the oracle;
 //! * the accounting of `Dispatcher::send_private_with`: one pool
 //!   allocation per frame, and the block back in the pool when the send
-//!   fails.
+//!   fails, whether the route is missing or the transport refuses.
 //!
 //! The zero-heap-allocation claim has a test binary of its own
 //! (`tests/alloc_free.rs`), because it installs a global allocator.
@@ -16,6 +16,7 @@ use std::sync::Arc;
 use xdaq::core::{Delivery, Dispatcher, ExecError, Executive, ExecutiveConfig, I2oListener};
 use xdaq::evb::{FragmentHeader, FRAGMENT_HEADER_LEN};
 use xdaq::i2o::{DeviceClass, Message, Tid};
+use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt};
 
 /// The definition of the pattern: byte `i` is
 /// `(seed.wrapping_add(i)) % 251`, `seed = event·31 + source` in `u32`.
@@ -122,6 +123,11 @@ impl I2oListener for Sink {
 #[test]
 fn in_place_send_costs_one_pool_block_and_gives_it_back_on_error() {
     let exec = Executive::new(ExecutiveConfig::named("n"));
+    // A peer whose transport is dead: every send to it is refused.
+    let hub = LoopbackHub::new();
+    let dead = ChaosPt::wrap(LoopbackPt::new(&hub, "n"), 1, FaultPlan::default());
+    dead.kill();
+    exec.register_pt("n.chaos", dead).unwrap();
     let results = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let got = Arc::new(AtomicU64::new(0));
     let sender = exec
@@ -175,6 +181,27 @@ fn in_place_send_costs_one_pool_block_and_gives_it_back_on_error() {
     ));
     assert_eq!(after.allocs - before.allocs, 2);
     assert_eq!(after.frees - before.frees, 2);
+    assert_eq!(after.live_blocks, before.live_blocks);
+
+    // Refused by the transport: one attempt, counted once, and the
+    // block the transport handed back is in the pool when `Err`
+    // returns.
+    let refusing = exec.proxy("loop://gone", sink, None).unwrap();
+    let send_failures = || {
+        exec.core().monitors().registry().snapshot()["counters"]["pta.send_failures"]
+            .as_u64()
+            .unwrap()
+    };
+    let failures = send_failures();
+    let before = exec.core().allocator().stats();
+    order(refusing, 2048);
+    let after = exec.core().allocator().stats();
+    assert!(matches!(
+        results.lock().pop(),
+        Some(Err(ExecError::Transport(_)))
+    ));
+    assert_eq!(send_failures() - failures, 1);
+    assert_eq!(after.allocs - before.allocs, 2);
     assert_eq!(after.live_blocks, before.live_blocks);
 
     // Too long for any frame: refused before a block is taken.

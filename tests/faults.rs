@@ -1,16 +1,21 @@
-//! Fault-injection integration tests: ChaosPt over loopback, PTA
-//! retry/failover, and link supervision end to end.
+//! Fault-injection integration tests: ChaosPt over loopback, a refused
+//! send that is never resent, and link supervision end to end.
 
-use std::sync::atomic::Ordering;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xdaq::app::{xfn, PingState, Pinger, Ponger};
-use xdaq::core::{Executive, ExecutiveConfig, LinkState, RetryPolicy, SupervisionConfig};
+use xdaq::core::config::parse_kv;
+use xdaq::core::xfn::XFN_PEER_DOWN;
+use xdaq::core::{
+    Delivery, Dispatcher, ExecError, Executive, ExecutiveConfig, I2oListener, LinkState,
+    SupervisionConfig,
+};
 use xdaq::ctl::{ControlHost, XclInterpreter};
 use xdaq::evb::ORG_DAQ;
-use xdaq::i2o::{Message, Tid};
+use xdaq::i2o::{DeviceClass, Message, Tid, ORG_XDAQ};
 use xdaq::mempool::TablePool;
-use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt, XptPt};
+use xdaq::pt::{ChaosPt, ChaosStats, FaultPlan, LoopbackHub, LoopbackPt, XptPt};
 
 fn wait_until(cond: impl Fn() -> bool, timeout: Duration) -> bool {
     let deadline = Instant::now() + timeout;
@@ -23,81 +28,111 @@ fn wait_until(cond: impl Fn() -> bool, timeout: Duration) -> bool {
     cond()
 }
 
-fn retrying(attempts: u32) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: attempts,
-        base_backoff: Duration::from_micros(100),
+/// Counts the private frames it receives.
+struct Sink {
+    got: Arc<AtomicU64>,
+}
+
+impl I2oListener for Sink {
+    fn class(&self) -> DeviceClass {
+        DeviceClass::Application(ORG_DAQ)
+    }
+    fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, _msg: Delivery) {
+        self.got.fetch_add(1, Ordering::SeqCst);
     }
 }
 
-/// Builds the chaotic ping-pong pair: node `a` sends through a
-/// fault-injecting wrapper, node `b` is healthy. Returns everything a
-/// test needs to drive and inspect the run.
+/// Keeps the payload of every `XFN_PEER_DOWN` fault event.
+struct FaultLog {
+    peer_down: Arc<parking_lot::Mutex<Vec<HashMap<String, String>>>>,
+}
+
+impl I2oListener for FaultLog {
+    fn class(&self) -> DeviceClass {
+        DeviceClass::Application(ORG_XDAQ)
+    }
+    fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, msg: Delivery) {
+        let p = msg.private.expect("private frame");
+        if (p.org_id, p.x_function) == (ORG_XDAQ, XFN_PEER_DOWN) {
+            let kv = parse_kv(msg.payload()).expect("kv payload");
+            self.peer_down.lock().push(kv);
+        }
+    }
+}
+
+/// Node `a` sends through a fault-injecting wrapper around its
+/// loopback transport; node `b` is healthy and counts what arrives at
+/// its sink. Returns both nodes, the wrapper, the sink's count and the
+/// proxy TiD on `a` that leads to the sink.
 fn chaotic_pair(
     seed: u64,
     plan: FaultPlan,
-    count: u64,
-) -> (Executive, Executive, Arc<ChaosPt>, Arc<PingState>, Tid) {
+    a_cfg: ExecutiveConfig,
+) -> (Executive, Executive, Arc<ChaosPt>, Arc<AtomicU64>, Tid) {
     let hub = LoopbackHub::new();
-    let mut cfg = ExecutiveConfig::named("a");
-    cfg.retry = retrying(10);
-    let a = Executive::new(cfg);
+    let a = Executive::new(a_cfg);
     let b = Executive::new(ExecutiveConfig::named("b"));
     let chaos = ChaosPt::wrap(LoopbackPt::new(&hub, "a"), seed, plan);
     a.register_pt("a.chaos", chaos.clone()).unwrap();
     b.register_pt("b.loop", LoopbackPt::new(&hub, "b")).unwrap();
-
-    let state = PingState::new();
-    let pong_tid = b.register("pong", Box::new(Ponger::new()), &[]).unwrap();
-    let proxy = a.proxy("loop://b", pong_tid, None).unwrap();
-    let ping_tid = a
-        .register(
-            "ping",
-            Box::new(Pinger::new(state.clone())),
-            &[
-                ("peer", &proxy.raw().to_string()),
-                ("payload", "128"),
-                ("count", &count.to_string()),
-            ],
-        )
+    let got = Arc::new(AtomicU64::new(0));
+    let sink = b
+        .register("sink", Box::new(Sink { got: got.clone() }), &[])
         .unwrap();
+    let proxy = a.proxy("loop://b", sink, None).unwrap();
     a.enable_all();
     b.enable_all();
-    (a, b, chaos, state, ping_tid)
+    (a, b, chaos, got, proxy)
 }
 
-/// ChaosPt refuses ~30% of sends, yet the retry policy resubmits the
-/// returned frame until it gets through: every single ping-pong reply
-/// arrives — zero frames lost.
-#[test]
-fn chaos_rejects_thirty_percent_yet_all_replies_arrive() {
-    const COUNT: u64 = 400;
-    let (a, b, chaos, state, ping_tid) = chaotic_pair(0xDEC0DE, FaultPlan::failing(300), COUNT);
-    let ha = a.spawn();
+fn data(target: Tid, seq: u64) -> Message {
+    Message::build_private(target, Tid::HOST, ORG_DAQ, 1)
+        .payload(seq.to_le_bytes().to_vec())
+        .finish()
+}
+
+/// Streams `count` frames one way from `a` to `b` over a link that
+/// refuses `per_mille`‰ of sends. Returns how many arrived, the
+/// injected faults and `a`'s `pta.send_failures`, once every frame is
+/// accounted for.
+fn chaotic_stream(seed: u64, per_mille: u16, count: u64) -> (u64, ChaosStats, u64) {
+    let (a, b, chaos, got, proxy) = chaotic_pair(
+        seed,
+        FaultPlan::failing(per_mille),
+        ExecutiveConfig::named("a"),
+    );
     let hb = b.spawn();
-    a.post(Message::build_private(ping_tid, Tid::HOST, ORG_DAQ, xfn::PING_START).finish())
-        .unwrap();
+    let refused = (0..count)
+        .filter(|seq| a.post(data(proxy, *seq)).is_err())
+        .count() as u64;
+    let stats = chaos.stats();
+    assert_eq!(refused, stats.failed, "every refusal reaches the sender");
     assert!(
         wait_until(
-            || state.done.load(Ordering::SeqCst),
+            || got.load(Ordering::SeqCst) + refused == count,
             Duration::from_secs(30)
         ),
-        "chaotic ping-pong incomplete: {} of {COUNT} (chaos {:?})",
-        state.completed.load(Ordering::SeqCst),
-        chaos.stats(),
+        "frames went missing: {} delivered, {refused} refused of {count}",
+        got.load(Ordering::SeqCst)
     );
-    assert_eq!(state.completed.load(Ordering::SeqCst), COUNT);
-    let stats = chaos.stats();
+    hb.shutdown();
+    let metrics = a.core().monitors().registry().snapshot();
+    let failures = metrics["counters"]["pta.send_failures"].as_u64().unwrap();
+    (got.load(Ordering::SeqCst), stats, failures)
+}
+
+/// ChaosPt refuses ~30% of sends. Each refused frame is counted once
+/// and never resent, and every frame it accepted arrives.
+#[test]
+fn chaos_refuses_thirty_percent_once_and_delivers_the_rest() {
+    const COUNT: u64 = 400;
+    let (delivered, stats, failures) = chaotic_stream(0xDEC0DE, 300, COUNT);
     assert!(
         stats.failed > COUNT / 10,
         "expected ~30% injected failures, saw {stats:?}"
     );
-    // Every injected failure was absorbed by a retry, visible in mon.
-    let metrics = a.core().monitors().registry().snapshot();
-    assert!(metrics["counters"]["pta.retries"].as_u64().unwrap() >= stats.failed);
-    assert!(metrics["counters"]["pta.send_failures"].as_u64().unwrap() >= stats.failed);
-    ha.shutdown();
-    hb.shutdown();
+    assert_eq!(failures, stats.failed, "refused once, never resent");
+    assert_eq!(delivered + stats.failed, COUNT);
 }
 
 /// The same seed replays the same fault schedule: the smoke test CI
@@ -106,120 +141,83 @@ fn chaos_rejects_thirty_percent_yet_all_replies_arrive() {
 fn fixed_seed_chaos_run_is_deterministic() {
     const COUNT: u64 = 150;
     let run = |seed: u64| {
-        let (a, b, chaos, state, ping_tid) = chaotic_pair(seed, FaultPlan::failing(250), COUNT);
-        let ha = a.spawn();
-        let hb = b.spawn();
-        a.post(Message::build_private(ping_tid, Tid::HOST, ORG_DAQ, xfn::PING_START).finish())
-            .unwrap();
-        assert!(wait_until(
-            || state.done.load(Ordering::SeqCst),
-            Duration::from_secs(30)
-        ));
-        ha.shutdown();
-        hb.shutdown();
-        (state.completed.load(Ordering::SeqCst), chaos.stats())
+        let (delivered, stats, failures) = chaotic_stream(seed, 250, COUNT);
+        assert_eq!(failures, stats.failed);
+        assert_eq!(delivered + stats.failed, COUNT);
+        (delivered, stats)
     };
-    let (done1, stats1) = run(99);
-    let (done2, stats2) = run(99);
-    assert_eq!(done1, COUNT);
-    assert_eq!(done2, COUNT);
-    assert_eq!(stats1, stats2, "fixed seed must replay the same schedule");
-    let (_, stats3) = run(100);
-    assert_ne!(stats1, stats3, "a different seed perturbs the schedule");
+    let first = run(99);
+    assert_eq!(first, run(99), "fixed seed must replay the same schedule");
+    assert_ne!(first, run(100), "a different seed perturbs the schedule");
 }
 
-/// The full failover story: the primary loopback link is killed
-/// mid-run; per-send failover rides the alternate `xpt://` route while the
-/// supervisor's heartbeats miss, declare the peer Down, and promote
-/// the alternate to primary. Zero frames lost, and the monitoring
-/// registry shows the retries, failovers, and the Down transition.
+/// A supervised link that dies: its heartbeats miss, the supervisor
+/// declares the peer Down, the peer's proxy TiD is evicted and freed,
+/// and the fault listener hears of it. Recovering the node is the
+/// control plane's job, not the transport's.
 #[test]
-fn primary_killed_mid_run_fails_over_with_zero_loss() {
-    const COUNT: u64 = 1200;
-    let hub = LoopbackHub::new();
+fn killed_supervised_link_goes_down_and_evicts_its_routes() {
     let mut cfg = ExecutiveConfig::named("a");
-    cfg.retry = RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_micros(200),
-    };
     cfg.supervision = Some(SupervisionConfig {
         interval: Duration::from_millis(20),
         suspect_after: 2,
         down_after: 4,
     });
-    let a = Executive::new(cfg);
-    let b = Executive::new(ExecutiveConfig::named("b"));
-
-    let chaos = ChaosPt::wrap(LoopbackPt::new(&hub, "a"), 7, FaultPlan::default());
-    a.register_pt("a.chaos", chaos.clone()).unwrap();
-    a.register_pt(
-        "a.xpt",
-        XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap(),
-    )
-    .unwrap();
-    b.register_pt("b.loop", LoopbackPt::new(&hub, "b")).unwrap();
-    let b_xpt = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
-    let b_url = b_xpt.addr().to_string();
-    b.register_pt("b.xpt", b_xpt).unwrap();
-
-    let state = PingState::new();
-    let pong_tid = b.register("pong", Box::new(Ponger::new()), &[]).unwrap();
-    let proxy = a.proxy("loop://b", pong_tid, None).unwrap();
-    assert!(a.add_alternate(proxy, &b_url).unwrap());
-    a.supervise("loop://b").unwrap();
-    let ping_tid = a
+    let (a, b, chaos, got, proxy) = chaotic_pair(7, FaultPlan::default(), cfg);
+    let peer_down = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let log = a
         .register(
-            "ping",
-            Box::new(Pinger::new(state.clone())),
-            &[
-                ("peer", &proxy.raw().to_string()),
-                ("payload", "128"),
-                ("count", &COUNT.to_string()),
-            ],
+            "faults",
+            Box::new(FaultLog {
+                peer_down: peer_down.clone(),
+            }),
+            &[],
         )
         .unwrap();
     a.enable_all();
-    b.enable_all();
+    a.watch_faults(log);
+    a.supervise("loop://b").unwrap();
     let ha = a.spawn();
     let hb = b.spawn();
 
-    a.post(Message::build_private(ping_tid, Tid::HOST, ORG_DAQ, xfn::PING_START).finish())
-        .unwrap();
-    // Let the run get going, then murder the primary link.
-    assert!(
-        wait_until(
-            || state.completed.load(Ordering::SeqCst) >= 200,
-            Duration::from_secs(20)
-        ),
-        "run never got going: {}",
-        state.completed.load(Ordering::SeqCst)
-    );
+    for seq in 0..10 {
+        a.post(data(proxy, seq)).unwrap();
+    }
+    assert!(wait_until(
+        || got.load(Ordering::SeqCst) == 10,
+        Duration::from_secs(10)
+    ));
     chaos.kill();
 
     assert!(
         wait_until(
-            || state.done.load(Ordering::SeqCst),
-            Duration::from_secs(30)
+            || a.link_states()
+                .iter()
+                .any(|(p, s)| p == "loop://b" && *s == LinkState::Down),
+            Duration::from_secs(10)
         ),
-        "failover run incomplete: {} of {COUNT}",
-        state.completed.load(Ordering::SeqCst)
+        "link never went Down: {:?}",
+        a.link_states()
     );
-    assert_eq!(state.completed.load(Ordering::SeqCst), COUNT, "frames lost");
-
-    // The supervisor declared the dead link Down...
+    let metrics = a.core().monitors().registry().snapshot();
+    assert!(
+        metrics["counters"]["link.peer_down"].as_u64().unwrap() >= 1,
+        "{metrics}"
+    );
+    // The proxy is gone: a send to it is refused before any transport.
+    assert!(matches!(
+        a.post(data(proxy, 10)),
+        Err(ExecError::UnknownTid(t)) if t == proxy
+    ));
     assert!(wait_until(
-        || a.link_states()
-            .iter()
-            .any(|(p, s)| p == "loop://b" && *s == LinkState::Down),
+        || !peer_down.lock().is_empty(),
         Duration::from_secs(5)
     ));
-    // ...and the monitoring registry recorded the whole story.
-    let metrics = a.core().monitors().registry().snapshot();
-    let c = &metrics["counters"];
-    assert!(c["pta.retries"].as_u64().unwrap() > 0, "{metrics}");
-    assert!(c["pta.failovers"].as_u64().unwrap() > 0, "{metrics}");
-    assert!(c["link.peer_down"].as_u64().unwrap() >= 1, "{metrics}");
-    assert!(c["link.hb_pings"].as_u64().unwrap() > 0, "{metrics}");
+    let event = peer_down.lock()[0].clone();
+    assert_eq!(event.get("peer").map(String::as_str), Some("loop://b"));
+    let evicted: u64 = event["evicted"].parse().unwrap();
+    assert!(evicted >= 1, "the proxy to the sink was evicted: {event:?}");
+    assert!(!event.contains_key("promoted"), "{event:?}");
     ha.shutdown();
     hb.shutdown();
 }

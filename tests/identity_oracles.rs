@@ -8,13 +8,15 @@
 //!   frames, so a protocol change that alters what is decided changes
 //!   the hash and one that only changes how it is carried does not.
 //! * The key set of a default executive's `mon_snapshot()`: every key
-//!   path at every depth, 54 of them. A renamed, added or dropped
+//!   path at every depth, 52 of them. A renamed, added or dropped
 //!   metric shows up here. The executive's overload-drop counter left
 //!   the set (55 → 54) with the scheduling queue's overload valve: the
 //!   queue is unbounded and never refuses a delivery, so the counter
 //!   could no longer move. No link meters data frames either: each
 //!   sender bounds what it has in flight, the event builder with its
-//!   credits (DESIGN.md §13).
+//!   credits (DESIGN.md §13). The PTA's retry and failover counters
+//!   left it (54 → 52) with the mechanisms they counted: a frame is
+//!   sent once, down one route (DESIGN.md §8).
 //!
 //! A change that moves either on purpose updates the constant here and
 //! explains the difference for one seed.
@@ -116,15 +118,13 @@ fn default_executive_snapshot_keys_unchanged() {
             "link.peer_down",
             "link.peer_suspect",
             "pt.task_panics",
-            "pta.failovers",
             "pta.polled_frames",
-            "pta.retries",
             "pta.send_failures",
         ]
         .map(c),
     )
     .chain((0..7).map(|p| format!("metrics.gauges.queue.depth.p{p}")))
     .collect();
-    assert_eq!(expected.len(), 54);
+    assert_eq!(expected.len(), 52);
     assert_eq!(keys, expected);
 }
