@@ -562,23 +562,26 @@ impl Executive {
         // Timers → XFN_TIMER frames through the normal queue. The
         // heartbeat timer is owned by the PTA pseudo-device and is
         // serviced directly instead of synthesizing a frame (no device
-        // can own Tid::PTA).
-        work += core.timers.fire_due(core.clock.now(), |owner, id| {
-            core.mon.timers_fired.inc();
-            if owner == Tid::PTA {
-                self.heartbeat_tick();
-                return;
-            }
-            let mut header = MsgHeader::new(owner, Tid::EXECUTIVE, FunctionCode::Private);
-            header.flags = header.flags.with_priority(Priority::MAX);
-            let private = PrivateHeader::new(ORG_XDAQ, xfn::XFN_TIMER);
-            let tick = Delivery::private_in_place(core.allocator(), header, private, 8, |p| {
-                p.copy_from_slice(&id.0.to_le_bytes())
+        // can own Tid::PTA). An empty heap has nothing to fire, so the
+        // loop skips the wheel's lock and the clock read.
+        if core.timers.heap_len() > 0 {
+            work += core.timers.fire_due(core.clock.now(), |owner, id| {
+                core.mon.timers_fired.inc();
+                if owner == Tid::PTA {
+                    self.heartbeat_tick();
+                    return;
+                }
+                let mut header = MsgHeader::new(owner, Tid::EXECUTIVE, FunctionCode::Private);
+                header.flags = header.flags.with_priority(Priority::MAX);
+                let private = PrivateHeader::new(ORG_XDAQ, xfn::XFN_TIMER);
+                let tick = Delivery::private_in_place(core.allocator(), header, private, 8, |p| {
+                    p.copy_from_slice(&id.0.to_le_bytes())
+                });
+                if let Ok(d) = tick {
+                    core.enqueue(d);
+                }
             });
-            if let Ok(d) = tick {
-                core.enqueue(d);
-            }
-        });
+        }
 
         // Polling-mode PTs (paper: executive periodically scans PTs).
         let polled = core

@@ -37,6 +37,7 @@ pub mod clock;
 pub mod config;
 pub mod error;
 pub mod executive;
+pub mod fastmap;
 pub mod listener;
 pub mod monitor;
 pub mod pta;
@@ -52,6 +53,7 @@ pub use clock::{Clock, VirtualClock};
 pub use config::{AllocatorKind, ExecutiveConfig};
 pub use error::{ExecError, PtError};
 pub use executive::{Executive, ExecutiveHandle};
+pub use fastmap::FastMap;
 pub use listener::{Delivery, Dispatcher, I2oListener, TimerId};
 pub use monitor::ExecMonitors;
 pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, SendFailure};

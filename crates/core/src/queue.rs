@@ -10,13 +10,14 @@
 //! and a rotation cursor walks the devices that have pending messages —
 //! so one chatty device cannot starve its neighbours at equal priority,
 //! while higher priorities always preempt lower ones at dispatch
-//! granularity. An occupancy mask names the non-empty levels, so a pop
-//! locks the one level it serves instead of scanning from the top.
+//! granularity. One mutex guards all seven levels, the occupancy mask
+//! and the per-level depths; one thread pops (DESIGN.md §10).
 
+use crate::fastmap::FastMap;
 use crate::listener::Delivery;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use xdaq_i2o::{Tid, NUM_PRIORITIES};
 use xdaq_mon::Gauge;
 
@@ -26,40 +27,36 @@ struct Level {
     /// a device in steady traffic reuses one ring instead of freeing
     /// and reallocating it per burst; [`SchedQueue::purge`] (device
     /// destroyed) is what removes it.
-    queues: HashMap<Tid, VecDeque<Delivery>>,
+    queues: FastMap<Tid, VecDeque<Delivery>>,
     /// Round-robin rotation of devices with pending messages.
     rotation: VecDeque<Tid>,
+    /// Deliveries queued at this level.
+    depth: usize,
+}
+
+#[derive(Default)]
+struct Levels {
+    levels: [Level; NUM_PRIORITIES],
+    /// Bit `l` is set exactly while level `l` has queued deliveries.
+    occupied: u8,
+    pending: usize,
 }
 
 /// The executive's inbound scheduling queue.
+#[derive(Default)]
 pub struct SchedQueue {
-    levels: [Mutex<Level>; NUM_PRIORITIES],
-    /// Bit `l` is set exactly while level `l` has queued deliveries.
-    /// Only written under level `l`'s lock, when its rotation turns
-    /// empty or non-empty; the deliveries themselves are published by
-    /// that lock, so the mask only says which level to lock.
-    occupied: AtomicU8,
+    inner: Mutex<Levels>,
+    /// `Levels::pending`, stored under the lock after every change.
     pending: AtomicUsize,
     /// Per-priority depth gauges (level + high-water), when the owner
     /// wired the queue into a metric registry.
     depth: Option<[Gauge; NUM_PRIORITIES]>,
 }
 
-impl Default for SchedQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SchedQueue {
     /// An empty queue without depth gauges.
     pub fn new() -> SchedQueue {
-        SchedQueue {
-            levels: std::array::from_fn(|_| Mutex::new(Level::default())),
-            occupied: AtomicU8::new(0),
-            pending: AtomicUsize::new(0),
-            depth: None,
-        }
+        SchedQueue::default()
     }
 
     /// An empty queue that reports per-priority depths (and their
@@ -72,81 +69,74 @@ impl SchedQueue {
         }
     }
 
+    /// Publishes level `l`'s depth, its occupancy bit and the total;
+    /// the caller holds the lock and has just changed level `l`.
+    fn publish(&self, inner: &mut Levels, l: usize) {
+        let depth = inner.levels[l].depth;
+        if depth == 0 {
+            inner.occupied &= !(1 << l);
+        } else {
+            inner.occupied |= 1 << l;
+        }
+        self.pending.store(inner.pending, Ordering::Release);
+        if let Some(g) = &self.depth {
+            g[l].set(depth as i64);
+        }
+    }
+
     /// Enqueues a delivery according to its frame priority and target.
     /// The queue is unbounded: no link meters data frames, and each
     /// sender bounds what it has in flight itself — the event
     /// builder with its credits (DESIGN.md §12, §13).
     pub fn push(&self, d: Delivery) {
-        let level = d.priority().level() as usize;
+        let l = d.priority().level() as usize;
         let tid = d.header.target;
-        let mut lv = self.levels[level].lock();
-        let was_empty = {
-            let q = lv.queues.entry(tid).or_default();
-            let was = q.is_empty();
-            q.push_back(d);
-            was
-        };
-        if was_empty {
-            if lv.rotation.is_empty() {
-                self.occupied.fetch_or(1 << level, Ordering::Release);
-            }
+        let mut inner = self.inner.lock();
+        let lv = &mut inner.levels[l];
+        let q = lv.queues.entry(tid).or_default();
+        if q.is_empty() {
             lv.rotation.push_back(tid);
         }
-        self.pending.fetch_add(1, Ordering::Release);
-        if let Some(g) = &self.depth {
-            g[level].add(1);
-        }
-    }
-
-    /// Clears level `l`'s occupancy bit once its rotation is empty;
-    /// the caller holds that level's lock.
-    fn note_if_drained(&self, lv: &Level, l: usize) {
-        if lv.rotation.is_empty() {
-            self.occupied.fetch_and(!(1 << l), Ordering::Release);
-        }
+        q.push_back(d);
+        lv.depth += 1;
+        inner.pending += 1;
+        self.publish(&mut inner, l);
     }
 
     /// Pops the next delivery: highest priority first, round-robin over
-    /// devices within a priority. Takes one level lock: the highest bit
-    /// of the occupancy mask names the level to serve. The delivery
-    /// records whether its device's FIFO at that level is still
-    /// non-empty ([`Delivery::more_queued`]).
+    /// devices within a priority. The highest bit of the occupancy mask
+    /// names the level to serve; an empty queue is answered from
+    /// [`SchedQueue::len`] without the lock. The delivery records
+    /// whether its device's FIFO at that level is still non-empty
+    /// ([`Delivery::more_queued`]).
     pub fn pop(&self) -> Option<Delivery> {
-        loop {
-            let occupied = self.occupied.load(Ordering::Acquire);
-            if occupied == 0 {
-                return None;
-            }
-            let l = (u8::BITS - 1 - occupied.leading_zeros()) as usize;
-            let mut lv = self.levels[l].lock();
-            // Empty only if another consumer drained the level between
-            // the mask load and the lock; it cleared the bit, so retry.
-            let Some(tid) = lv.rotation.pop_front() else {
-                continue;
-            };
-            let (mut d, more) = {
-                let q = lv.queues.get_mut(&tid).expect("rotation implies queue");
-                let d = q.pop_front().expect("rotation implies non-empty");
-                (d, !q.is_empty())
-            };
-            d.more_queued = more;
-            if more {
-                lv.rotation.push_back(tid);
-            } else {
-                self.note_if_drained(&lv, l);
-            }
-            self.pending.fetch_sub(1, Ordering::Release);
-            if let Some(g) = &self.depth {
-                g[l].add(-1);
-            }
-            return Some(d);
+        if self.is_empty() {
+            return None;
         }
+        let mut inner = self.inner.lock();
+        let occupied = inner.occupied;
+        if occupied == 0 {
+            return None;
+        }
+        let l = (u8::BITS - 1 - occupied.leading_zeros()) as usize;
+        let lv = &mut inner.levels[l];
+        let tid = lv.rotation.pop_front().expect("occupied level rotates");
+        let q = lv.queues.get_mut(&tid).expect("rotation implies queue");
+        let mut d = q.pop_front().expect("rotation implies non-empty");
+        d.more_queued = !q.is_empty();
+        if d.more_queued {
+            lv.rotation.push_back(tid);
+        }
+        lv.depth -= 1;
+        inner.pending -= 1;
+        self.publish(&mut inner, l);
+        Some(d)
     }
 
     /// The occupancy mask: bit `l` set iff priority level `l` has
-    /// queued deliveries (as of the last push or pop on that level).
+    /// queued deliveries.
     pub fn occupancy(&self) -> u8 {
-        self.occupied.load(Ordering::Acquire)
+        self.inner.lock().occupied
     }
 
     /// Number of queued deliveries across all levels.
@@ -162,20 +152,18 @@ impl SchedQueue {
     /// Drops all messages queued for `tid` (device destroyed); returns
     /// how many were discarded.
     pub fn purge(&self, tid: Tid) -> usize {
+        let mut inner = self.inner.lock();
         let mut dropped = 0;
-        for (i, level) in self.levels.iter().enumerate() {
-            let mut lv = level.lock();
+        for l in 0..NUM_PRIORITIES {
+            let lv = &mut inner.levels[l];
             if let Some(q) = lv.queues.remove(&tid) {
-                let n = q.len();
-                dropped += n;
                 lv.rotation.retain(|t| *t != tid);
-                self.note_if_drained(&lv, i);
-                if let Some(g) = &self.depth {
-                    g[i].add(-(n as i64));
-                }
+                lv.depth -= q.len();
+                inner.pending -= q.len();
+                dropped += q.len();
+                self.publish(&mut inner, l);
             }
         }
-        self.pending.fetch_sub(dropped, Ordering::Release);
         dropped
     }
 }

@@ -8,6 +8,7 @@
 //! dispatch thread makes this race-free while keeping handlers free to
 //! call back into the executive.
 
+use crate::fastmap::FastMap;
 use crate::listener::I2oListener;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -43,7 +44,7 @@ pub struct DeviceUnit {
 #[derive(Default)]
 pub struct Registry {
     /// TiD → checked-in unit (`None` while checked out).
-    slots: Mutex<HashMap<Tid, Option<DeviceUnit>>>,
+    slots: Mutex<FastMap<Tid, Option<DeviceUnit>>>,
     /// Instance name → TiD.
     names: Mutex<HashMap<String, Tid>>,
 }

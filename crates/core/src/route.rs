@@ -17,9 +17,9 @@
 //! lead" under one read lock ([`RouteTable::resolve_inbound`]) — the
 //! table keeps the reverse index of proxies for that.
 
+use crate::fastmap::FastMap;
 use crate::pta::PeerAddr;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use xdaq_i2o::Tid;
 
 /// Where a TiD leads.
@@ -39,10 +39,10 @@ pub enum Route {
 
 #[derive(Default)]
 struct Tables {
-    routes: HashMap<Tid, Route>,
+    routes: FastMap<Tid, Route>,
     /// Reverse index of the proxies made by [`RouteTable::proxy_for`]:
     /// sender address → TiD on that sender → local proxy TiD.
-    proxies: HashMap<PeerAddr, HashMap<Tid, Tid>>,
+    proxies: FastMap<PeerAddr, FastMap<Tid, Tid>>,
 }
 
 /// The per-executive routing table.

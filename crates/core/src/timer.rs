@@ -11,10 +11,12 @@
 //! executive's watchdog builds on this wheel.
 
 use crate::clock::Clock;
+use crate::fastmap::FastMap;
 use crate::listener::TimerId;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use xdaq_i2o::Tid;
 
@@ -47,7 +49,7 @@ struct Inner {
     heap: BinaryHeap<Reverse<Entry>>,
     /// Every armed timer and its owner. An entry of `heap` is live iff
     /// its id is in here, which makes `cancel` O(1).
-    armed: HashMap<TimerId, Tid>,
+    armed: FastMap<TimerId, Tid>,
     next_id: u64,
 }
 
@@ -74,6 +76,8 @@ impl Inner {
 #[derive(Default)]
 pub struct TimerWheel {
     inner: Mutex<Inner>,
+    /// `Inner::heap`'s length, stored under the lock by every change.
+    heap_len: AtomicUsize,
     clock: Clock,
 }
 
@@ -86,14 +90,25 @@ impl TimerWheel {
     /// Empty wheel reading `clock` for registration deadlines.
     pub fn with_clock(clock: Clock) -> TimerWheel {
         TimerWheel {
-            inner: Mutex::new(Inner::default()),
             clock,
+            ..TimerWheel::default()
         }
     }
 
     /// The wheel's time source.
     pub fn clock(&self) -> &Clock {
         &self.clock
+    }
+
+    /// Length of the deadline heap, dead entries included, read without
+    /// the lock: at zero, [`TimerWheel::fire_due`] has nothing to fire.
+    pub fn heap_len(&self) -> usize {
+        self.heap_len.load(Ordering::Acquire)
+    }
+
+    /// Publishes the heap length and releases the lock.
+    fn unlock(&self, inner: MutexGuard<'_, Inner>) {
+        self.heap_len.store(inner.heap.len(), Ordering::Release);
     }
 
     /// Registers a timer owned by `owner`; periodic timers re-arm on
@@ -112,6 +127,7 @@ impl TimerWheel {
             period: periodic.then(|| delay.max(Duration::from_nanos(1))),
         }));
         inner.armed.insert(id, owner);
+        self.unlock(inner);
         id
     }
 
@@ -123,6 +139,7 @@ impl TimerWheel {
         let was_armed = inner.armed.remove(&id).is_some();
         if was_armed {
             inner.compact();
+            self.unlock(inner);
         }
         was_armed
     }
@@ -136,27 +153,27 @@ impl TimerWheel {
     pub fn fire_due(&self, now: Instant, mut f: impl FnMut(Tid, TimerId)) -> usize {
         let mut fired = 0;
         loop {
-            let (owner, id) = {
-                let mut inner = self.inner.lock();
-                match inner.heap.peek() {
-                    Some(Reverse(e)) if e.deadline <= now => {
-                        let Reverse(e) = inner.heap.pop().expect("peeked");
-                        if !inner.armed.contains_key(&e.id) {
-                            continue; // cancelled
-                        }
-                        if let Some(p) = e.period {
-                            inner.heap.push(Reverse(Entry {
-                                deadline: now + p,
-                                ..e
-                            }));
-                        } else {
-                            inner.armed.remove(&e.id);
-                        }
-                        (e.owner, e.id)
+            let mut inner = self.inner.lock();
+            let (owner, id) = match inner.heap.peek() {
+                Some(Reverse(e)) if e.deadline <= now => {
+                    let Reverse(e) = inner.heap.pop().expect("peeked");
+                    if !inner.armed.contains_key(&e.id) {
+                        self.unlock(inner);
+                        continue; // cancelled
                     }
-                    _ => break,
+                    if let Some(p) = e.period {
+                        inner.heap.push(Reverse(Entry {
+                            deadline: now + p,
+                            ..e
+                        }));
+                    } else {
+                        inner.armed.remove(&e.id);
+                    }
+                    (e.owner, e.id)
                 }
+                _ => break,
             };
+            self.unlock(inner);
             f(owner, id);
             fired += 1;
         }
@@ -167,13 +184,16 @@ impl TimerWheel {
     pub fn next_deadline(&self) -> Option<Instant> {
         let mut inner = self.inner.lock();
         // Dead entries on top are dropped on the way to the answer.
+        let mut next = None;
         while let Some(Reverse(e)) = inner.heap.peek() {
             if inner.armed.contains_key(&e.id) {
-                return Some(e.deadline);
+                next = Some(e.deadline);
+                break;
             }
             inner.heap.pop();
         }
-        None
+        self.unlock(inner);
+        next
     }
 
     /// Number of armed (non-cancelled) timers.
@@ -193,7 +213,9 @@ impl TimerWheel {
         let before = inner.armed.len();
         inner.armed.retain(|_, owner| *owner != tid);
         inner.compact();
-        before - inner.armed.len()
+        let cancelled = before - inner.armed.len();
+        self.unlock(inner);
+        cancelled
     }
 }
 
@@ -350,6 +372,42 @@ mod tests {
         assert!(!w.cancel(keeper), "stale cancel");
         assert_eq!(w.next_deadline(), None);
         assert!(w.inner.lock().heap.is_empty());
+    }
+
+    #[test]
+    fn heap_len_is_published_by_every_change() {
+        let (w, v) = wheel();
+        assert_eq!(w.heap_len(), 0);
+        let a = w.register(t(1), Duration::from_millis(1), false);
+        let b = w.register(t(1), Duration::from_millis(2), true);
+        w.register(t(2), Duration::from_millis(3), false);
+        assert_eq!(w.heap_len(), 3, "register");
+        assert!(w.cancel(a));
+        assert_eq!(w.heap_len(), 3, "a cancel leaves its entry, dead");
+        assert_eq!(
+            w.next_deadline(),
+            v.now().checked_add(Duration::from_millis(2))
+        );
+        assert_eq!(w.heap_len(), 2, "next_deadline drops the dead top");
+        v.advance(Duration::from_millis(2));
+        assert_eq!(w.fire_due(v.now(), |_, _| {}), 1);
+        assert_eq!(w.heap_len(), 2, "fire_due re-arms the periodic one");
+        assert_eq!(w.cancel_owned(t(2)), 1);
+        assert_eq!(w.heap_len(), 2, "one dead entry of two is not swept");
+        w.register(t(2), Duration::from_millis(9), false);
+        assert_eq!(w.cancel_owned(t(2)), 1);
+        assert_eq!(
+            w.heap_len(),
+            1,
+            "cancel_owned sweeps once dead outnumber live"
+        );
+        assert!(w.cancel(b));
+        assert_eq!(w.heap_len(), 0, "the last cancel sweeps the heap");
+        let c = w.register(t(3), Duration::from_millis(1), false);
+        v.advance(Duration::from_millis(1));
+        let mut fired = Vec::new();
+        w.fire_due(v.now(), |_, id| fired.push(id));
+        assert_eq!((fired, w.heap_len()), (vec![c], 0), "a one-shot fires out");
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Pool accounting counters.
+//! Pool accounting counters. An allocation bumps `hits` or `misses` and
+//! a free bumps `frees`; `allocs` and `live_blocks` are derived.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Snapshot of a pool's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
-    /// Successful allocations.
+    /// Successful allocations (`hits + misses`).
     pub allocs: u64,
     /// Allocations served from the free list (recycled blocks).
     pub hits: u64,
@@ -15,7 +16,7 @@ pub struct PoolStats {
     pub frees: u64,
     /// Failed allocations.
     pub failures: u64,
-    /// Blocks currently handed out.
+    /// Blocks currently handed out (`allocs - frees`).
     pub live_blocks: u64,
     /// Most blocks ever handed out simultaneously (high-water mark).
     pub high_water_blocks: u64,
@@ -37,50 +38,51 @@ impl PoolStats {
 /// Internal atomic counters shared by both pool implementations.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicStats {
-    pub allocs: AtomicU64,
     pub hits: AtomicU64,
     pub misses: AtomicU64,
     pub frees: AtomicU64,
     pub failures: AtomicU64,
-    pub live_blocks: AtomicU64,
     pub high_water_blocks: AtomicU64,
     pub bytes_created: AtomicU64,
 }
 
 impl AtomicStats {
+    /// `frees` is read first, `Acquire` against `on_free`'s `Release`:
+    /// the allocation of each block it counts is then seen too.
     pub fn snapshot(&self) -> PoolStats {
+        let frees = self.frees.load(Ordering::Acquire);
+        let hits = self.hits.load(Ordering::Relaxed);
+        let misses = self.misses.load(Ordering::Relaxed);
         PoolStats {
-            allocs: self.allocs.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            frees: self.frees.load(Ordering::Relaxed),
+            allocs: hits + misses,
+            hits,
+            misses,
+            frees,
             failures: self.failures.load(Ordering::Relaxed),
-            live_blocks: self.live_blocks.load(Ordering::Relaxed),
+            live_blocks: hits + misses - frees,
             high_water_blocks: self.high_water_blocks.load(Ordering::Relaxed),
             bytes_created: self.bytes_created.load(Ordering::Relaxed),
         }
     }
 
     pub fn on_alloc(&self, hit: bool, created_bytes: usize) {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        // `frees` first, as in `snapshot`.
+        let frees = self.frees.load(Ordering::Acquire);
+        let allocs = if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed) + 1 + self.misses.load(Ordering::Relaxed)
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             self.bytes_created
                 .fetch_add(created_bytes as u64, Ordering::Relaxed);
-        }
-        let live = self.live_blocks.fetch_add(1, Ordering::Relaxed) + 1;
-        // The mark never falls, so the locked read-modify-write is
-        // needed only when it actually rises.
+            self.misses.fetch_add(1, Ordering::Relaxed) + 1 + self.hits.load(Ordering::Relaxed)
+        };
+        let live = allocs - frees;
         if live > self.high_water_blocks.load(Ordering::Relaxed) {
             self.high_water_blocks.fetch_max(live, Ordering::Relaxed);
         }
     }
 
     pub fn on_free(&self) {
-        self.frees.fetch_add(1, Ordering::Relaxed);
-        self.live_blocks.fetch_sub(1, Ordering::Relaxed);
+        self.frees.fetch_add(1, Ordering::Release);
     }
 
     pub fn on_failure(&self) {

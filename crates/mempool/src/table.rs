@@ -16,7 +16,9 @@
 //! * each class has its own free list, a mutex-guarded FIFO
 //!   (`Mutex<VecDeque<Block>>`): threads working in different classes
 //!   never share a lock. Every allocation and every recycle takes that
-//!   lock; a lock-free list is open work (ROADMAP.md item 14). An
+//!   lock; a lock-free list is open work (ROADMAP.md item 14). Besides
+//!   that lock, an allocation and a recycle each bump one counter
+//!   (`stats.rs` derives the rest of the accounting). An
 //!   allocation gets the *least* recently freed block of its class.
 //!   Blocks are often freed on one thread and reused on another (a
 //!   socket driver recycles what the dispatch thread allocated), and

@@ -64,25 +64,14 @@ impl Gauge {
         Gauge::default()
     }
 
-    /// Sets the level, updating the high-water mark.
+    /// Sets the level, updating the high-water mark. A gauge is set
+    /// from the count it reports: a running delta would drift from that
+    /// count after a [`Gauge::reset`]. The mark never falls between
+    /// resets, so its locked read-modify-write runs only when `v`
+    /// raises it.
     #[inline]
     pub fn set(&self, v: i64) {
         self.value.level.store(v, Ordering::Relaxed);
-        self.raise_high_water(v);
-    }
-
-    /// Adjusts the level by `delta`, updating the high-water mark.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        let now = self.value.level.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.raise_high_water(now);
-    }
-
-    /// The mark never falls between resets, so the locked
-    /// read-modify-write runs only when `v` actually raises it — not on
-    /// every decrement of a queue-depth gauge.
-    #[inline]
-    fn raise_high_water(&self, v: i64) {
         if v > self.value.high_water.load(Ordering::Relaxed) {
             self.value.high_water.fetch_max(v, Ordering::Relaxed);
         }
@@ -211,9 +200,9 @@ mod tests {
     #[test]
     fn gauge_tracks_high_water() {
         let g = Gauge::new();
-        g.add(5);
-        g.add(-3);
-        g.add(1);
+        g.set(5);
+        g.set(2);
+        g.set(3);
         assert_eq!(g.get(), 3);
         assert_eq!(g.high_water(), 5);
         g.set(10);

@@ -130,8 +130,8 @@ proptest! {
         let mut level = 0i64;
         let mut peak = 0i64;
         for &d in &deltas {
-            g.add(d);
             level += d;
+            g.set(level);
             peak = peak.max(level);
         }
         prop_assert_eq!(g.get(), level);

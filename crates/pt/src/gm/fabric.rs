@@ -8,10 +8,10 @@
 
 use super::latency::LatencyModel;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xdaq_core::PtError;
+use xdaq_core::{FastMap, PtError};
 
 /// Largest message one GM packet can carry (GM 1.x allowed up to 2^31,
 /// practically bounded by receive buffers; we bound at the I2O block
@@ -72,7 +72,7 @@ struct Inbox {
 /// they become visible at the far side.
 pub struct Fabric {
     latency: LatencyModel,
-    ports: RwLock<HashMap<GmAddr, Arc<Inbox>>>,
+    ports: RwLock<FastMap<GmAddr, Arc<Inbox>>>,
 }
 
 impl Fabric {
@@ -85,7 +85,7 @@ impl Fabric {
     pub fn with_latency(latency: LatencyModel) -> Arc<Fabric> {
         Arc::new(Fabric {
             latency,
-            ports: RwLock::new(HashMap::new()),
+            ports: RwLock::default(),
         })
     }
 

@@ -35,11 +35,10 @@ pub use fabric::{Fabric, GmAddr, NodeId, Port, PortId};
 pub use latency::LatencyModel;
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xdaq_core::{IngestSink, PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
+use xdaq_core::{FastMap, IngestSink, PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
 use xdaq_mempool::{DynAllocator, FrameBuf};
 use xdaq_mon::PtCounters;
 
@@ -83,7 +82,7 @@ pub struct GmPt {
     /// Address handles of the senders seen so far, so a received frame
     /// costs a map lookup and a reference-count bump, not a formatted
     /// string. Shared with the task-mode receive thread.
-    peers: Arc<Mutex<HashMap<GmAddr, PeerAddr>>>,
+    peers: Arc<Mutex<FastMap<GmAddr, PeerAddr>>>,
 }
 
 impl GmPt {
@@ -123,7 +122,7 @@ impl GmPt {
     fn process_received(
         alloc: &DynAllocator,
         counters: &PtCounters,
-        peers: &Mutex<HashMap<GmAddr, PeerAddr>>,
+        peers: &Mutex<FastMap<GmAddr, PeerAddr>>,
         src: GmAddr,
         data: Box<[u8]>,
     ) -> Option<(FrameBuf, PeerAddr)> {

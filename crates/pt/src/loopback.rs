@@ -12,10 +12,10 @@
 //! attaches one polling-mode [`LoopbackPt`] under a node name.
 
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use xdaq_core::{PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
+use xdaq_core::{FastMap, PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
 use xdaq_mempool::FrameBuf;
 use xdaq_mon::PtCounters;
 
@@ -24,7 +24,7 @@ type Mailbox = Mutex<VecDeque<(FrameBuf, PeerAddr)>>;
 /// The in-process switch connecting loopback PTs by node name.
 #[derive(Default)]
 pub struct LoopbackHub {
-    nodes: RwLock<HashMap<String, Arc<Mailbox>>>,
+    nodes: RwLock<FastMap<String, Arc<Mailbox>>>,
 }
 
 impl LoopbackHub {

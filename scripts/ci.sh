@@ -98,6 +98,15 @@ if [ -e examples/failover.rs ] \
     echo "PTA retry and route failover (listed above) were removed; DESIGN.md §8 \"Recovery, overload\" says why" >&2
     bad=1
 fi
+# A cheap frame hop: one executive thread dispatches, so the scheduler
+# takes one lock with no occupancy atomics, and the per-frame maps are
+# keyed by node-local TiDs, timer ids and link addresses on FastMap,
+# not SipHash. Neither the per-level locks nor those hashes may grow back.
+if grep -rnE 'occupied: AtomicU8|\[Mutex<Level>; NUM_PRIORITIES\]|HashMap<(Tid|TimerId|GmAddr)\b' \
+    crates/core/src crates/pt/src/gm; then
+    echo "per-level queue locks or SipHash maps on the frame path (listed above) were removed; DESIGN.md §10 says why" >&2
+    bad=1
+fi
 [ "$bad" -eq 0 ] || exit 1
 
 echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="

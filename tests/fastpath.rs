@@ -5,7 +5,11 @@
 //!   `% 251` definition they replaced, kept here as the oracle;
 //! * the accounting of `Dispatcher::send_private_with`: one pool
 //!   allocation per frame, and the block back in the pool when the send
-//!   fails, whether the route is missing or the transport refuses.
+//!   fails, whether the route is missing or the transport refuses;
+//! * the dispatch loop's cheap paths: queue-depth gauges set from the
+//!   queue's own counts (so a `MonReset` cannot drive them negative),
+//!   and a timer armed while the loop skips the idle timer wheel still
+//!   fires on the first pass after its deadline.
 //!
 //! The zero-heap-allocation claim has a test binary of its own
 //! (`tests/alloc_free.rs`), because it installs a global allocator.
@@ -13,7 +17,10 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xdaq::core::{Delivery, Dispatcher, ExecError, Executive, ExecutiveConfig, I2oListener};
+use std::time::Duration;
+use xdaq::core::{
+    Clock, Delivery, Dispatcher, ExecError, Executive, ExecutiveConfig, I2oListener, TimerId,
+};
 use xdaq::evb::{FragmentHeader, FRAGMENT_HEADER_LEN};
 use xdaq::i2o::{DeviceClass, Message, Tid};
 use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt};
@@ -212,4 +219,93 @@ fn in_place_send_costs_one_pool_block_and_gives_it_back_on_error() {
     assert_eq!(after.allocs - before.allocs, 1, "only the order frame");
     assert_eq!(after.live_blocks, before.live_blocks);
     assert_eq!(got.load(Ordering::SeqCst), 61);
+}
+
+/// Counts its timer expiries; ignores frames.
+struct Ticks {
+    fired: Arc<AtomicU64>,
+}
+
+impl I2oListener for Ticks {
+    fn class(&self) -> DeviceClass {
+        DeviceClass::Application(ORG)
+    }
+    fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, _msg: Delivery) {}
+    fn on_timer(&mut self, _ctx: &mut Dispatcher<'_>, _id: TimerId) {
+        self.fired.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn mon_reset_with_frames_queued_leaves_the_depth_gauge_at_the_queue_depth() {
+    let exec = Executive::new(ExecutiveConfig::named("n"));
+    let fired = Arc::new(AtomicU64::new(0));
+    let sink = exec
+        .register("sink", Box::new(Ticks { fired }), &[])
+        .unwrap();
+    exec.enable_all();
+    while exec.run_once() > 0 {}
+    let post = || {
+        let frame = Message::build_private(sink, Tid::HOST, ORG, X_DATA).finish();
+        exec.post(frame).unwrap();
+    };
+    let depth = |exec: &Executive| {
+        let snap = exec.core().mon_snapshot();
+        let gauge = &snap["metrics"]["gauges"]["queue.depth.p0"];
+        (gauge[0].as_i64().unwrap(), snap["queued"].as_u64().unwrap())
+    };
+    for _ in 0..3 {
+        post();
+    }
+    assert_eq!(depth(&exec), (3, 3));
+    exec.core().mon_reset();
+    while exec.run_once() > 0 {}
+    assert_eq!(depth(&exec), (0, 0), "level after the drain");
+    // The gauge keeps following the queue after the reset.
+    post();
+    post();
+    assert_eq!(depth(&exec), (2, 2));
+    while exec.run_once() > 0 {}
+    assert_eq!(depth(&exec), (0, 0));
+}
+
+#[test]
+fn timer_armed_from_a_host_thread_after_idle_passes_fires_on_the_first_due_pass() {
+    let (clock, time) = Clock::simulated();
+    let exec = Executive::new(ExecutiveConfig {
+        clock,
+        ..ExecutiveConfig::named("n")
+    });
+    let fired = Arc::new(AtomicU64::new(0));
+    let owner = exec
+        .register(
+            "ticks",
+            Box::new(Ticks {
+                fired: fired.clone(),
+            }),
+            &[],
+        )
+        .unwrap();
+    exec.enable_all();
+    while exec.run_once() > 0 {}
+    // The loop runs idle with an empty timer heap: no lock, no clock.
+    for _ in 0..10_000 {
+        assert_eq!(exec.run_once(), 0);
+    }
+    let delay = Duration::from_millis(5);
+    std::thread::scope(|s| {
+        s.spawn(|| exec.core().timers().register(owner, delay, false));
+    });
+    time.advance(delay - Duration::from_nanos(1));
+    assert_eq!(exec.run_once(), 0, "not due yet");
+    assert_eq!(fired.load(Ordering::SeqCst), 0);
+    time.advance(Duration::from_nanos(1));
+    assert!(exec.run_once() > 0);
+    assert_eq!(
+        fired.load(Ordering::SeqCst),
+        1,
+        "fired on the first due pass"
+    );
+    assert_eq!(exec.core().timers().heap_len(), 0);
+    assert_eq!(exec.run_once(), 0);
 }
