@@ -60,6 +60,8 @@ pub struct ExecCore {
     pub(crate) timers: TimerWheel,
     pub(crate) registry: Registry,
     tids: Mutex<TidAllocator>,
+    /// Serializes [`ExecCore::bind_routes`].
+    binding: Mutex<()>,
     factories: Mutex<HashMap<String, ModuleFactory>>,
     pub(crate) mon: ExecMonitors,
     watchdog: Option<Duration>,
@@ -175,15 +177,18 @@ impl ExecCore {
                 self.mon.sent_local.inc();
                 Ok(())
             }
-            Some(Route::Peer { peer, remote_tid }) => {
+            Some(Route::Peer(via)) => {
                 let mut buf = d.into_buf();
-                MsgHeader::patch_target(&mut buf, remote_tid);
+                MsgHeader::patch_target(&mut buf, via.remote_tid);
                 self.mon.tracer.record(
                     TraceEvent::PtSend,
-                    remote_tid.raw() as u32,
+                    via.remote_tid.raw() as u32,
                     buf.len() as u32,
                 );
-                self.pta.send(&peer, buf)?;
+                let Some(pt) = via.transport() else {
+                    return Err(PtError::Unreachable(via.peer.to_string()).into());
+                };
+                self.pta.send_via(pt, &via.peer, buf)?;
                 self.mon.sent_peer.inc();
                 Ok(())
             }
@@ -221,6 +226,14 @@ impl ExecCore {
     pub fn proxy_for(&self, peer: PeerAddr, remote_tid: Tid) -> Result<Tid, ExecError> {
         self.routes
             .proxy_for(peer, remote_tid, || Ok(self.tids.lock().allocate()?))
+    }
+
+    /// Rebinds every peer route to the transports registered now. The
+    /// lock orders concurrent rebinds, so the last one reads the
+    /// agent's final state.
+    fn bind_routes(&self) {
+        let _order = self.binding.lock();
+        self.routes.bind_transports(self.pta.transports());
     }
 
     /// Ingest path for frames arriving from a peer transport.
@@ -275,7 +288,7 @@ impl ExecCore {
                 return;
             }
         };
-        if matches!(route, Some(Route::Peer { .. })) {
+        if matches!(route, Some(Route::Peer(_))) {
             self.mon.forwarded.inc();
         }
         let _ = self.route_via(d, route);
@@ -314,6 +327,7 @@ impl Executive {
             timers: TimerWheel::with_clock(config.clock.clone()),
             registry: Registry::new(),
             tids: Mutex::new(TidAllocator::new()),
+            binding: Mutex::new(()),
             factories: Mutex::new(HashMap::new()),
             mon,
             watchdog: config.watchdog,
@@ -428,6 +442,7 @@ impl Executive {
             &[],
         )?;
         self.core.pta.register(tid, pt);
+        self.core.bind_routes();
         Ok(tid)
     }
 
@@ -517,7 +532,9 @@ impl Executive {
         self.core.routes.remove(tid);
         self.core.purge_tid(tid);
         self.core.timers.cancel_owned(tid);
-        self.core.pta.unregister(tid);
+        if self.core.pta.unregister(tid) {
+            self.core.bind_routes();
+        }
         match unit {
             Some(mut u) => {
                 u.listener.unplugged();

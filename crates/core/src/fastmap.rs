@@ -1,13 +1,17 @@
-//! A hash map for node-local keys: TiDs, timer ids and the addresses of
-//! links this node opened or accepted. Its hasher (one rotate, xor and
-//! multiply per word, the FxHash scheme) resists no chosen-key attack,
-//! so keys remote peers choose stay on SipHash (DESIGN.md §10).
+//! Hash maps and sets for node-local keys: TiDs, timer ids, the
+//! addresses of links this node opened or accepted, and the event ids
+//! the cluster's own event manager mints. Their hasher (one rotate, xor
+//! and multiply per word, the FxHash scheme) resists no chosen-key
+//! attack, so keys remote peers choose stay on SipHash (DESIGN.md §10).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` on [`FastHasher`]; build with `FastMap::default()`.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// A `HashSet` on [`FastHasher`]; build with `FastSet::default()`.
+pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 /// The multiplicative hasher behind [`FastMap`].
 #[derive(Default, Clone, Copy)]

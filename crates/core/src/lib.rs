@@ -53,7 +53,7 @@ pub use clock::{Clock, VirtualClock};
 pub use config::{AllocatorKind, ExecutiveConfig};
 pub use error::{ExecError, PtError};
 pub use executive::{Executive, ExecutiveHandle};
-pub use fastmap::FastMap;
+pub use fastmap::{FastMap, FastSet};
 pub use listener::{Delivery, Dispatcher, I2oListener, TimerId};
 pub use monitor::ExecMonitors;
 pub use pta::{IngestSink, PeerAddr, PeerTransport, PtMode, Pta, SendFailure};

@@ -16,7 +16,10 @@
 //! the control plane can respawn and re-route it (DESIGN.md §8).
 
 use crate::error::PtError;
+use crate::fastmap::FastHasher;
+use core::cmp::Ordering;
 use core::fmt;
+use core::hash::{Hash, Hasher};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::str::FromStr;
@@ -34,22 +37,33 @@ use xdaq_mon::{Counter, Registry};
 ///
 /// Cloning is one reference-count bump: every frame carries its
 /// sender's address from the transport to ingest, so the strings are
-/// shared, never copied.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// shared, never copied. The hash is computed once, at construction:
+/// [`Hash`] writes that one word, and [`Eq`] compares the handles
+/// before it compares strings, so a table probe on the frame path
+/// touches no string bytes unless two distinct handles meet. [`Ord`]
+/// sorts by scheme, then rest.
+#[derive(Clone)]
 pub struct PeerAddr(Arc<AddrParts>);
 
-#[derive(PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct AddrParts {
     scheme: Box<str>,
     rest: Box<str>,
+    hash: u64,
 }
 
 impl PeerAddr {
     /// Builds an address from parts.
     pub fn new(scheme: &str, rest: &str) -> PeerAddr {
+        let scheme: Box<str> = scheme.to_ascii_lowercase().into();
+        let mut h = FastHasher::default();
+        for part in [&*scheme, rest] {
+            h.write(part.as_bytes());
+            h.write_u64(part.len() as u64);
+        }
         PeerAddr(Arc::new(AddrParts {
-            scheme: scheme.to_ascii_lowercase().into(),
+            scheme,
             rest: rest.into(),
+            hash: h.finish(),
         }))
     }
 
@@ -61,6 +75,34 @@ impl PeerAddr {
     /// The transport-specific part.
     pub fn rest(&self) -> &str {
         &self.0.rest
+    }
+}
+
+impl PartialEq for PeerAddr {
+    fn eq(&self, other: &PeerAddr) -> bool {
+        let (a, b) = (&*self.0, &*other.0);
+        Arc::ptr_eq(&self.0, &other.0)
+            || (a.hash == b.hash && a.rest == b.rest && a.scheme == b.scheme)
+    }
+}
+
+impl Eq for PeerAddr {}
+
+impl Hash for PeerAddr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
+    }
+}
+
+impl PartialOrd for PeerAddr {
+    fn partial_cmp(&self, other: &PeerAddr) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for PeerAddr {
+    fn cmp(&self, other: &PeerAddr) -> Ordering {
+        (self.scheme(), self.rest()).cmp(&(other.scheme(), other.rest()))
     }
 }
 
@@ -309,13 +351,20 @@ impl Pta {
         true
     }
 
-    /// Finds the transport serving `scheme`.
+    /// Finds the transport serving `scheme`: the first registered.
     pub fn transport_for(&self, scheme: &str) -> Option<Arc<dyn PeerTransport>> {
         self.entries
             .read()
             .iter()
             .find(|e| e.pt.scheme() == scheme)
             .map(|e| e.pt.clone())
+    }
+
+    /// Every registered transport, in registration order: what the
+    /// executive binds its peer routes to after a transport comes or
+    /// goes.
+    pub(crate) fn transports(&self) -> Vec<Arc<dyn PeerTransport>> {
+        self.entries.read().iter().map(|e| e.pt.clone()).collect()
     }
 
     /// Sends a frame, once, via the transport serving `dest`'s scheme.
@@ -326,6 +375,17 @@ impl Pta {
         let Some(pt) = self.transport_for(dest.scheme()) else {
             return Err(PtError::Unreachable(dest.to_string()));
         };
+        self.send_via(&*pt, dest, frame)
+    }
+
+    /// [`Pta::send`] through a transport the caller already holds (a
+    /// peer route binds one); a refusal counts the same way.
+    pub fn send_via(
+        &self,
+        pt: &dyn PeerTransport,
+        dest: &PeerAddr,
+        frame: FrameBuf,
+    ) -> Result<(), PtError> {
         pt.send(dest, frame).map_err(|fail| {
             self.metrics.read().send_failures.inc();
             fail.into()

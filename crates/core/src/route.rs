@@ -11,15 +11,23 @@
 //! peer down, [`RouteTable::evict_peer`] removes its routes, and the
 //! control plane re-routes a respawned node.
 //!
+//! A peer route also holds the transport that serves its scheme, so a
+//! routed frame goes straight to it, with no lookup in the PTA. The
+//! executive rebinds every peer route (`RouteTable::bind_transports`)
+//! whenever a transport is registered or destroyed: a route always
+//! sends through the transport registered for its scheme now.
+//!
 //! The frame path clones a [`Route`] out of the table under its read
-//! lock (one reference-count bump on the address), and ingest answers
-//! "which proxy TiD stands for this sender, and where does the target
-//! lead" under one read lock ([`RouteTable::resolve_inbound`]) — the
-//! table keeps the reverse index of proxies for that.
+//! lock (one reference-count bump on the [`PeerRoute`]), and ingest
+//! answers "which proxy TiD stands for this sender, and where does the
+//! target lead" under one read lock ([`RouteTable::resolve_inbound`])
+//! — the table keeps the reverse index of proxies for that.
 
 use crate::fastmap::FastMap;
-use crate::pta::PeerAddr;
+use crate::pta::{PeerAddr, PeerTransport};
+use core::fmt;
 use parking_lot::RwLock;
+use std::sync::Arc;
 use xdaq_i2o::Tid;
 
 /// Where a TiD leads.
@@ -27,14 +35,61 @@ use xdaq_i2o::Tid;
 pub enum Route {
     /// A device registered on this executive.
     Local,
-    /// A proxy: forward over `via` to `peer`, readdressed to
-    /// `remote_tid` on the remote IOP.
-    Peer {
-        /// Peer transport address (scheme selects the PT).
-        peer: PeerAddr,
-        /// The device's TiD on the remote node.
-        remote_tid: Tid,
-    },
+    /// A proxy TiD: the remote device and how to reach it.
+    Peer(Arc<PeerRoute>),
+}
+
+/// A proxy's destination: forward to `peer`, readdressed to
+/// `remote_tid` on the remote IOP, through the bound transport.
+pub struct PeerRoute {
+    /// Peer transport address (its scheme selects the transport).
+    pub peer: PeerAddr,
+    /// The device's TiD on the remote node.
+    pub remote_tid: Tid,
+    transport: Option<Arc<dyn PeerTransport>>,
+}
+
+impl PeerRoute {
+    /// A peer route bound to the first of `transports` serving the
+    /// peer's scheme.
+    fn bound(peer: PeerAddr, remote_tid: Tid, transports: &[Arc<dyn PeerTransport>]) -> Route {
+        let transport = transports
+            .iter()
+            .find(|pt| pt.scheme() == peer.scheme())
+            .cloned();
+        Route::Peer(Arc::new(PeerRoute {
+            peer,
+            remote_tid,
+            transport,
+        }))
+    }
+
+    /// The transport registered for the peer's scheme when the route
+    /// was last bound; `None` while no transport serves it.
+    pub fn transport(&self) -> Option<&dyn PeerTransport> {
+        self.transport.as_deref()
+    }
+}
+
+impl PartialEq for PeerRoute {
+    fn eq(&self, other: &PeerRoute) -> bool {
+        let bound = |r: &PeerRoute| r.transport.as_ref().map(|pt| Arc::as_ptr(pt) as *const ());
+        self.peer == other.peer
+            && self.remote_tid == other.remote_tid
+            && bound(self) == bound(other)
+    }
+}
+
+impl Eq for PeerRoute {}
+
+impl fmt::Debug for PeerRoute {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PeerRoute")
+            .field("peer", &self.peer)
+            .field("remote_tid", &self.remote_tid)
+            .field("transport", &self.transport.as_ref().map(|pt| pt.scheme()))
+            .finish()
+    }
 }
 
 #[derive(Default)]
@@ -43,6 +98,8 @@ struct Tables {
     /// Reverse index of the proxies made by [`RouteTable::proxy_for`]:
     /// sender address → TiD on that sender → local proxy TiD.
     proxies: FastMap<PeerAddr, FastMap<Tid, Tid>>,
+    /// The registered transports, in registration order.
+    transports: Vec<Arc<dyn PeerTransport>>,
 }
 
 /// The per-executive routing table.
@@ -64,10 +121,9 @@ impl RouteTable {
 
     /// Registers a proxy TiD.
     pub fn add_peer(&self, local_proxy: Tid, peer: PeerAddr, remote_tid: Tid) {
-        self.tables
-            .write()
-            .routes
-            .insert(local_proxy, Route::Peer { peer, remote_tid });
+        let mut tables = self.tables.write();
+        let route = PeerRoute::bound(peer, remote_tid, &tables.transports);
+        tables.routes.insert(local_proxy, route);
     }
 
     /// Finds the proxy TiD standing for device `remote_tid` of `peer`,
@@ -86,19 +142,28 @@ impl RouteTable {
             return Ok(*tid);
         }
         let tid = allocate()?;
-        tables.routes.insert(
-            tid,
-            Route::Peer {
-                peer: peer.clone(),
-                remote_tid,
-            },
-        );
+        let route = PeerRoute::bound(peer.clone(), remote_tid, &tables.transports);
+        tables.routes.insert(tid, route);
         tables
             .proxies
             .entry(peer)
             .or_default()
             .insert(remote_tid, tid);
         Ok(tid)
+    }
+
+    /// Binds every peer route, and every route made from now on, to
+    /// the first of `transports` serving its scheme (none when no
+    /// transport does). The executive passes [`crate::Pta::transports`]
+    /// after each change to its transports.
+    pub(crate) fn bind_transports(&self, transports: Vec<Arc<dyn PeerTransport>>) {
+        let mut tables = self.tables.write();
+        for route in tables.routes.values_mut() {
+            if let Route::Peer(via) = route {
+                *route = PeerRoute::bound(via.peer.clone(), via.remote_tid, &transports);
+            }
+        }
+        tables.transports = transports;
     }
 
     /// Where a TiD leads.
@@ -142,7 +207,7 @@ impl RouteTable {
         tables.proxies.remove(peer);
         let mut evicted = Vec::new();
         tables.routes.retain(|tid, r| match r {
-            Route::Peer { peer: p, .. } if p == peer => {
+            Route::Peer(via) if via.peer == *peer => {
                 evicted.push(*tid);
                 false
             }
@@ -174,6 +239,14 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The peer and remote TiD a proxy TiD leads to.
+    fn via(rt: &RouteTable, tid: u16) -> Option<(PeerAddr, Tid)> {
+        match rt.resolve(t(tid))? {
+            Route::Peer(via) => Some((via.peer.clone(), via.remote_tid)),
+            Route::Local => None,
+        }
+    }
+
     #[test]
     fn local_and_peer_routes() {
         let rt = RouteTable::new();
@@ -181,13 +254,7 @@ mod tests {
         rt.add_peer(t(0x11), addr("gm://2:0"), t(0x20));
         assert!(rt.is_local(t(0x10)));
         assert!(!rt.is_local(t(0x11)));
-        assert_eq!(
-            rt.resolve(t(0x11)),
-            Some(Route::Peer {
-                peer: addr("gm://2:0"),
-                remote_tid: t(0x20),
-            })
-        );
+        assert_eq!(via(&rt, 0x11), Some((addr("gm://2:0"), t(0x20))));
         assert_eq!(rt.resolve(t(0x99)), None);
     }
 
@@ -212,13 +279,7 @@ mod tests {
             rt.resolve_inbound(&peer, t(0x20), t(0x10)),
             (Some(t(0x30)), Some(Route::Local))
         );
-        assert_eq!(
-            rt.resolve(t(0x30)),
-            Some(Route::Peer {
-                peer: peer.clone(),
-                remote_tid: t(0x20),
-            })
-        );
+        assert_eq!(via(&rt, 0x30), Some((peer.clone(), t(0x20))));
         // Eviction forgets the peer's proxies with its routes.
         assert_eq!(rt.evict_peer(&peer), vec![t(0x30)]);
         assert_eq!(rt.resolve_inbound(&peer, t(0x20), t(0x30)), (None, None));

@@ -195,9 +195,9 @@ impl Executive {
                 core.mon.hb_pongs.inc();
                 // The pong arrives with a proxied initiator; the route
                 // for that proxy names the peer the pong came from.
-                if let Some(Route::Peer { peer, .. }) = core.routes.resolve(d.header.initiator) {
+                if let Some(Route::Peer(via)) = core.routes.resolve(d.header.initiator) {
                     if let Some(sup) = &core.supervisor {
-                        let _ = sup.on_pong(&peer, supervisor::frame_seq(d));
+                        let _ = sup.on_pong(&via.peer, supervisor::frame_seq(d));
                     }
                 }
             }

@@ -1,7 +1,10 @@
-//! Property-based tests of the scheduler queue and routing invariants.
+//! Property-based tests of the scheduler queue, peer address and
+//! routing invariants.
 
 use proptest::prelude::*;
-use xdaq_core::{Delivery, RouteTable, SchedQueue};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use xdaq_core::fastmap::FastHasher;
+use xdaq_core::{Delivery, PeerAddr, RouteTable, SchedQueue};
 use xdaq_i2o::{Message, Priority, Tid};
 use xdaq_mempool::TablePool;
 
@@ -14,8 +17,55 @@ fn mk(target: u16, pri: u8, tag: u32) -> Delivery {
     Delivery::from_message(&m, &*pool).unwrap()
 }
 
+/// `v`'s hash under SipHash (fixed keys) and under the FastMap hasher.
+fn hashes<T: Hash>(v: &T) -> (u64, u64) {
+    let mut sip = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut sip);
+    let fast = BuildHasherDefault::<FastHasher>::default().hash_one(v);
+    (sip.finish(), fast)
+}
+
+/// Spells `codes` in a small alphabet, so that equal and near-equal
+/// addresses are common.
+fn spell(codes: &[u8], alphabet: &[u8]) -> String {
+    codes
+        .iter()
+        .map(|&c| alphabet[c as usize % alphabet.len()] as char)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A peer address is its (lower-cased scheme, rest) pair: however
+    /// it was built, equal pairs are `Eq` and hash equal, different
+    /// pairs are not `Eq`, and `Ord` sorts by scheme, then rest.
+    #[test]
+    fn peer_addr_identity(
+        parts in proptest::collection::vec((
+            proptest::collection::vec(0u8..3, 1..3),
+            proptest::collection::vec(0u8..4, 1..4),
+        ), 2..12)
+    ) {
+        let pairs: Vec<(String, String)> = parts
+            .iter()
+            .map(|(s, r)| (spell(s, b"abc"), spell(r, b"aA0:")))
+            .collect();
+        for (scheme, rest) in &pairs {
+            let new = PeerAddr::new(scheme, rest);
+            let parsed: PeerAddr = format!("{scheme}://{rest}").parse().unwrap();
+            let upper = PeerAddr::new(&scheme.to_ascii_uppercase(), rest);
+            for other in [&parsed, &upper] {
+                prop_assert!(new == *other, "{new} != {other}");
+                prop_assert_eq!(hashes(&new), hashes(other));
+            }
+        }
+        for (a, b) in pairs.iter().zip(pairs.iter().skip(1)) {
+            let (x, y) = (PeerAddr::new(&a.0, &a.1), PeerAddr::new(&b.0, &b.1));
+            prop_assert_eq!(x == y, a == b);
+            prop_assert_eq!(x.cmp(&y), a.cmp(b));
+        }
+    }
 
     /// Whatever goes in comes out: no loss, no duplication, and within
     /// one (priority, device) pair strictly FIFO.
@@ -143,9 +193,11 @@ proptest! {
         }
         prop_assert_eq!(rt.len(), model.len());
         for (tid, (peer, remote)) in &model {
-            prop_assert_eq!(
-                rt.resolve(*tid),
-                Some(xdaq_core::Route::Peer { peer: peer.clone(), remote_tid: *remote })
+            let route = rt.resolve(*tid);
+            prop_assert!(
+                matches!(&route, Some(xdaq_core::Route::Peer(via))
+                    if via.peer == *peer && via.remote_tid == *remote),
+                "{tid:?} leads to {route:?}"
             );
         }
         // Evicting a peer removes exactly the model's subset.

@@ -9,9 +9,8 @@
 //! replacing the slot already held; an event completes exactly once,
 //! when the last missing source arrives.
 
-use std::collections::HashMap;
 use std::time::Instant;
-use xdaq_core::TimerId;
+use xdaq_core::{FastMap, TimerId};
 use xdaq_mempool::FrameBuf;
 
 /// One stored fragment: the frame buffer and the payload length inside
@@ -74,7 +73,7 @@ impl Completed {
 /// The reassembly table of one builder unit.
 #[derive(Default)]
 pub struct Assembler {
-    pending: HashMap<u64, Partial>,
+    pending: FastMap<u64, Partial>,
     /// Slot tables of recycled events, reused by `begin` so a builder
     /// in steady state allocates nothing per event. Never holds more
     /// tables than events were open at once.

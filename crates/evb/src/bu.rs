@@ -16,11 +16,10 @@
 use crate::assembler::{Assembler, Offer};
 use crate::fragment::FragmentHeader;
 use crate::{ids, send_ids, u64_at, xfn, DONE_BUILT, DONE_DISCARDED, ORG_DAQ};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xdaq_core::{Delivery, Dispatcher, I2oListener, TimerId};
+use xdaq_core::{Delivery, Dispatcher, FastMap, I2oListener, TimerId};
 use xdaq_i2o::{DeviceClass, Tid};
 use xdaq_mon::{Counter, Gauge, Histogram};
 
@@ -63,7 +62,7 @@ pub struct BuilderUnit {
     evm: Option<Tid>,
     run: u64,
     assembler: Assembler,
-    timers: HashMap<TimerId, u64>,
+    timers: FastMap<TimerId, u64>,
     /// The events one `ASSIGN` opened, reused from frame to frame.
     opened: Vec<u64>,
     stats: Arc<BuilderStats>,
@@ -95,7 +94,7 @@ impl BuilderUnit {
             evm: None,
             run: 0,
             assembler: Assembler::new(),
-            timers: HashMap::new(),
+            timers: FastMap::default(),
             opened: Vec::new(),
             stats: Arc::new(BuilderStats::default()),
             configured: false,

@@ -45,14 +45,14 @@
 //! lost.
 
 use crate::{send_ids, u32_at, u64_at, xfn, DONE_BUILT, ORG_DAQ};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xdaq_core::config::parse_kv;
 use xdaq_core::listener::UtilOutcome;
 use xdaq_core::xfn::XFN_PEER_DOWN;
-use xdaq_core::{Delivery, Dispatcher, ExecError, I2oListener, TimerId};
+use xdaq_core::{Delivery, Dispatcher, ExecError, FastMap, FastSet, I2oListener, TimerId};
 use xdaq_i2o::{DeviceClass, ReplyStatus, Tid, UtilFn, ORG_XDAQ};
 use xdaq_mon::{Counter, Gauge};
 
@@ -97,13 +97,13 @@ pub struct EventManager {
     target: u64,
     launched: u64,
     finished: u64,
-    credits: HashMap<Tid, u32>,
-    dead: HashSet<Tid>,
+    credits: FastMap<Tid, u32>,
+    dead: FastSet<Tid>,
     /// Builders being drained for a rolling restart: they keep their
     /// credits and finish their in-flight events, but `pick_bu` stops
     /// assigning them new ones. `evb.drain_inflight` (ParamsGet)
     /// reaches zero once a drained builder is idle.
-    draining: HashSet<Tid>,
+    draining: FastSet<Tid>,
     rr: usize,
     /// Events awaiting (re)assignment. Re-queued events are already
     /// digitized at the sources; fresh ones get a TRIGGER first.
@@ -115,8 +115,8 @@ pub struct EventManager {
     /// assigned to it: one `ASSIGN` each. Empty between pumps; the
     /// vectors are reused.
     batches: Vec<Vec<u64>>,
-    assigned: HashMap<u64, Tid>,
-    attempts: HashMap<u64, u32>,
+    assigned: FastMap<u64, Tid>,
+    attempts: FastMap<u64, u32>,
     /// Trigger pacing (zero = free-running): fresh launches are capped
     /// at `trigger_budget`, which a periodic timer grows one event per
     /// `trigger_interval`.
@@ -153,15 +153,15 @@ impl EventManager {
             target: 0,
             launched: 0,
             finished: 0,
-            credits: HashMap::new(),
-            dead: HashSet::new(),
-            draining: HashSet::new(),
+            credits: FastMap::default(),
+            dead: FastSet::default(),
+            draining: FastSet::default(),
             rr: 0,
             queue: VecDeque::new(),
             clears: VecDeque::new(),
             batches: Vec::new(),
-            assigned: HashMap::new(),
-            attempts: HashMap::new(),
+            assigned: FastMap::default(),
+            attempts: FastMap::default(),
             trigger_interval: Duration::ZERO,
             trigger_budget: 0,
             trigger_timer: None,
@@ -504,8 +504,8 @@ impl EventManager {
         self.resolve_mesh(ctx);
         self.dead.clear();
         self.draining.clear();
-        let live: HashSet<Tid> = self.bus.iter().copied().collect();
-        self.credits.retain(|t, _| live.contains(t));
+        let bus = &self.bus;
+        self.credits.retain(|t, _| bus.contains(t));
         if self.target > 0 && !self.stats.run_done.load(Ordering::SeqCst) {
             for i in 0..self.bus.len() {
                 let bu = self.bus[i];

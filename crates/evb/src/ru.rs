@@ -13,8 +13,7 @@
 
 use crate::fragment::{FragmentHeader, FRAGMENT_HEADER_LEN};
 use crate::{ids, u64_at, xfn, ORG_DAQ};
-use std::collections::{HashMap, HashSet};
-use xdaq_core::{Delivery, Dispatcher, I2oListener};
+use xdaq_core::{Delivery, Dispatcher, FastMap, FastSet, I2oListener};
 use xdaq_i2o::{DeviceClass, Tid};
 use xdaq_mon::{Counter, Gauge};
 
@@ -32,11 +31,11 @@ pub struct ReadoutUnit {
     /// deterministic pattern of (event, source), so the store holds
     /// only the id — regeneration on pull costs nothing and the store
     /// stays bounded by the EVM's trigger window.
-    store: HashSet<u64>,
+    store: FastSet<u64>,
     /// Highest event id ever triggered (stale-pull detection).
     highest: Option<u64>,
     /// Pulls that arrived before their trigger: event → requesters.
-    parked: HashMap<u64, Vec<Tid>>,
+    parked: FastMap<u64, Vec<Tid>>,
     configured: bool,
     metrics: Option<RuMetrics>,
     /// Fragments produced (observable for tests).
@@ -59,9 +58,9 @@ impl ReadoutUnit {
             source_id: 0,
             total_sources: 1,
             size: 1024,
-            store: HashSet::new(),
+            store: FastSet::default(),
             highest: None,
-            parked: HashMap::new(),
+            parked: FastMap::default(),
             configured: false,
             metrics: None,
             produced: 0,

@@ -24,7 +24,8 @@ type Mailbox = Mutex<VecDeque<(FrameBuf, PeerAddr)>>;
 /// The in-process switch connecting loopback PTs by node name.
 #[derive(Default)]
 pub struct LoopbackHub {
-    nodes: RwLock<FastMap<String, Arc<Mailbox>>>,
+    /// Keyed by each attached PT's own `loop://` address.
+    nodes: RwLock<FastMap<PeerAddr, Arc<Mailbox>>>,
 }
 
 impl LoopbackHub {
@@ -33,21 +34,34 @@ impl LoopbackHub {
         Arc::new(LoopbackHub::default())
     }
 
-    fn attach(&self, node: &str) -> Arc<Mailbox> {
-        let mut nodes = self.nodes.write();
-        nodes.entry(node.to_string()).or_default().clone()
+    /// Attaches `addr` to a fresh mailbox: a newer PT under a live
+    /// name takes the name over, and the older PT keeps only its own
+    /// mailbox, which its `stop` drains.
+    fn attach(&self, addr: &PeerAddr) -> Arc<Mailbox> {
+        let mailbox = Arc::new(Mailbox::default());
+        self.nodes.write().insert(addr.clone(), mailbox.clone());
+        mailbox
     }
 
-    fn lookup(&self, node: &str) -> Option<Arc<Mailbox>> {
-        self.nodes.read().get(node).cloned()
+    /// Queues `frame` from `src` in `dest`'s mailbox, under the
+    /// switch's read lock; hands the frame back when `dest` is not
+    /// attached.
+    fn deliver(&self, dest: &PeerAddr, frame: FrameBuf, src: &PeerAddr) -> Result<(), FrameBuf> {
+        match self.nodes.read().get(dest) {
+            Some(mailbox) => {
+                mailbox.lock().push_back((frame, src.clone()));
+                Ok(())
+            }
+            None => Err(frame),
+        }
     }
 
-    /// Removes `node` from the switch if `mailbox` is still the one
-    /// attached under that name (a newer PT may have taken it over).
-    fn detach(&self, node: &str, mailbox: &Arc<Mailbox>) {
+    /// Removes `addr` from the switch if `mailbox` is still the one
+    /// attached under it (a newer PT may have taken it over).
+    fn detach(&self, addr: &PeerAddr, mailbox: &Arc<Mailbox>) {
         let mut nodes = self.nodes.write();
-        if nodes.get(node).is_some_and(|m| Arc::ptr_eq(m, mailbox)) {
-            nodes.remove(node);
+        if nodes.get(addr).is_some_and(|m| Arc::ptr_eq(m, mailbox)) {
+            nodes.remove(addr);
         }
     }
 
@@ -74,10 +88,11 @@ pub struct LoopbackPt {
 impl LoopbackPt {
     /// Attaches a polling-mode loopback PT for `node`.
     pub fn new(hub: &Arc<LoopbackHub>, node: &str) -> Arc<LoopbackPt> {
+        let self_addr = PeerAddr::new("loop", node);
         Arc::new(LoopbackPt {
             hub: hub.clone(),
-            mailbox: hub.attach(node),
-            self_addr: PeerAddr::new("loop", node),
+            mailbox: hub.attach(&self_addr),
+            self_addr,
             stopped: AtomicBool::new(false),
             counters: PtCounters::new(),
         })
@@ -103,19 +118,20 @@ impl PeerTransport for LoopbackPt {
             self.counters.on_send_error();
             return Err(SendFailure::with_frame(PtError::Closed, frame));
         }
-        let target = match self.hub.lookup(dest.rest()) {
-            Some(t) => t,
-            None => {
+        let len = frame.len();
+        match self.hub.deliver(dest, frame, &self.self_addr) {
+            Ok(()) => {
+                self.counters.on_send(len);
+                Ok(())
+            }
+            Err(frame) => {
                 self.counters.on_send_error();
-                return Err(SendFailure::with_frame(
+                Err(SendFailure::with_frame(
                     PtError::Unreachable(dest.to_string()),
                     frame,
-                ));
+                ))
             }
-        };
-        self.counters.on_send(frame.len());
-        target.lock().push_back((frame, self.self_addr.clone()));
-        Ok(())
+        }
     }
 
     fn poll(&self) -> Option<(FrameBuf, PeerAddr)> {
@@ -133,7 +149,7 @@ impl PeerTransport for LoopbackPt {
         // then drain undelivered frames so their pool blocks recycle —
         // frames parked in a dead mailbox would otherwise keep pool
         // occupancy nonzero forever.
-        self.hub.detach(self.self_addr.rest(), &self.mailbox);
+        self.hub.detach(&self.self_addr, &self.mailbox);
         self.mailbox.lock().clear();
     }
 
@@ -221,6 +237,24 @@ mod tests {
         let a2 = LoopbackPt::new(&hub, "a");
         b.send(&"loop://a".parse().unwrap(), frame(3)).unwrap();
         assert_eq!(a2.poll().unwrap().0.len(), 3);
+    }
+
+    #[test]
+    fn a_newer_pt_takes_the_name_over() {
+        let hub = LoopbackHub::new();
+        let a = LoopbackPt::new(&hub, "a");
+        let old = LoopbackPt::new(&hub, "b");
+        let new = LoopbackPt::new(&hub, "b");
+        let to_b: PeerAddr = "loop://b".parse().unwrap();
+        a.send(&to_b, frame(7)).unwrap();
+        // The older PT stops: the name and the queued frame stay with
+        // the newer PT.
+        old.stop();
+        assert!(old.poll().is_none());
+        a.send(&to_b, frame(8)).unwrap();
+        assert_eq!(new.poll().unwrap().0.len(), 7);
+        assert_eq!(new.poll().unwrap().0.len(), 8);
+        assert_eq!(hub.len(), 2);
     }
 
     #[test]

@@ -99,11 +99,13 @@ if [ -e examples/failover.rs ] \
     bad=1
 fi
 # A cheap frame hop: one executive thread dispatches, so the scheduler
-# takes one lock with no occupancy atomics, and the per-frame maps are
-# keyed by node-local TiDs, timer ids and link addresses on FastMap,
-# not SipHash. Neither the per-level locks nor those hashes may grow back.
-if grep -rnE 'occupied: AtomicU8|\[Mutex<Level>; NUM_PRIORITIES\]|HashMap<(Tid|TimerId|GmAddr)\b' \
-    crates/core/src crates/pt/src/gm; then
+# takes one lock with no occupancy atomics, and the per-frame maps and
+# sets are keyed by node-local TiDs, timer ids, link addresses and the
+# event ids the cluster's own event manager mints, on FastMap and
+# FastSet, not SipHash. Neither the per-level locks nor those hashes may
+# grow back.
+if grep -rnE 'occupied: AtomicU8|\[Mutex<Level>; NUM_PRIORITIES\]|Hash(Map|Set)<(Tid|TimerId|GmAddr|u64)\b' \
+    crates/core/src crates/pt/src/gm crates/pt/src/loopback.rs crates/evb/src; then
     echo "per-level queue locks or SipHash maps on the frame path (listed above) were removed; DESIGN.md §10 says why" >&2
     bad=1
 fi

@@ -850,3 +850,77 @@ fn flood_preserves_per_device_ordering() {
         assert_eq!(*got, expect, "device {name}: sequence reordered");
     }
 }
+
+/// Posts one private frame from the host to `proxy` on `exec`.
+fn post_to(exec: &Executive, proxy: Tid) -> Result<(), xdaq::core::ExecError> {
+    exec.post(Message::build_private(proxy, Tid::HOST, ORG_DAQ, xfn::PING_START).finish())
+}
+
+/// Frames a loopback transport has sent.
+fn sent(pt: &LoopbackPt) -> u64 {
+    use xdaq::core::PeerTransport;
+    pt.counters().unwrap().sent_frames.load(Ordering::Relaxed)
+}
+
+fn is_unreachable(r: Result<(), xdaq::core::ExecError>) -> bool {
+    use xdaq::core::{ExecError, PtError};
+    matches!(r, Err(ExecError::Transport(PtError::Unreachable(_))))
+}
+
+#[test]
+fn a_proxy_made_before_its_transport_sends_once_the_transport_registers() {
+    use xdaq::core::PeerTransport;
+    let hub = LoopbackHub::new();
+    let b = LoopbackPt::new(&hub, "b");
+    let a = Executive::new(ExecutiveConfig::named("a"));
+    let proxy = a.proxy("loop://b", Tid::new(0x20).unwrap(), None).unwrap();
+    assert!(is_unreachable(post_to(&a, proxy)), "no loop transport yet");
+    let pt = LoopbackPt::new(&hub, "a");
+    a.register_pt("a.pt", pt.clone()).unwrap();
+    post_to(&a, proxy).unwrap();
+    assert_eq!(sent(&pt), 1);
+    assert!(b.poll().is_some());
+}
+
+#[test]
+fn proxies_send_through_the_transport_that_replaced_a_destroyed_one() {
+    use xdaq::core::PeerTransport;
+    let hub = LoopbackHub::new();
+    let b = LoopbackPt::new(&hub, "b");
+    let a = Executive::new(ExecutiveConfig::named("a"));
+    let old = LoopbackPt::new(&hub, "a");
+    let old_tid = a.register_pt("a.old", old.clone()).unwrap();
+    let proxy = a.proxy("loop://b", Tid::new(0x20).unwrap(), None).unwrap();
+    post_to(&a, proxy).unwrap();
+    a.destroy(old_tid).unwrap();
+    assert!(is_unreachable(post_to(&a, proxy)), "no loop transport left");
+    let new = LoopbackPt::new(&hub, "a");
+    a.register_pt("a.new", new.clone()).unwrap();
+    post_to(&a, proxy).unwrap();
+    assert_eq!((sent(&old), sent(&new)), (1, 1));
+    let mut arrived = 0;
+    while let Some((_, src)) = b.poll() {
+        assert_eq!(src.to_string(), "loop://a");
+        arrived += 1;
+    }
+    assert_eq!(arrived, 2);
+}
+
+#[test]
+fn a_refusal_on_a_bound_route_counts_in_send_failures() {
+    let hub = LoopbackHub::new();
+    let a = node_on(&hub, "a");
+    let failures = || {
+        let registry = a.core().monitors().registry();
+        registry.counter("pta.send_failures").get()
+    };
+    let proxy = a
+        .proxy("loop://ghost", Tid::new(0x20).unwrap(), None)
+        .unwrap();
+    assert!(is_unreachable(post_to(&a, proxy)));
+    assert_eq!(failures(), 1, "a bound route's refusal");
+    let ghost = "loop://ghost".parse().unwrap();
+    let frame = a.core().alloc(64).unwrap();
+    assert!(a.core().pta().send(&ghost, frame).is_err());
+    assert_eq!(failures(), 2, "an address-only send's refusal");
+}
