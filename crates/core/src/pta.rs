@@ -220,7 +220,7 @@ impl fmt::Display for SendFailure {
 /// messages through its DDM wrapper); this trait covers only the
 /// data-plane hooks the PTA drives.
 pub trait PeerTransport: Send + Sync {
-    /// Address scheme served, e.g. `"xpt"`, `"gm"`, `"loop"`, `"pci"`.
+    /// Address scheme served, e.g. `"xpt"`, `"gm"`, `"loop"`, `"shm"`.
     fn scheme(&self) -> &'static str;
 
     /// Operating mode.

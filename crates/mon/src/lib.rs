@@ -102,18 +102,14 @@ impl PtCounters {
 ///
 /// Unlike [`PtCounters`] (embedded plain atomics), these are
 /// [`Counter`] handles so a `ShmPt` bound to a node's [`Registry`]
-/// surfaces `shm.tx` / `shm.rx` / `shm.doorbells` / `shm.spin` /
-/// `shm.copies` / `shm.peer_deaths` directly in MonSnapshot scrapes.
+/// surfaces `shm.tx` / `shm.rx` / `shm.copies` / `shm.peer_deaths`
+/// directly in MonSnapshot scrapes.
 #[derive(Clone)]
 pub struct ShmCounters {
     /// Descriptors pushed into send rings.
     pub tx: Counter,
     /// Descriptors popped from receive rings.
     pub rx: Counter,
-    /// Doorbell rings issued to sleeping peers.
-    pub doorbells: Counter,
-    /// Busy-poll spin iterations burned before sleeping.
-    pub spin: Counter,
     /// Send-path payload copies (zero-copy misses).
     pub copies: Counter,
     /// Peer processes detected dead via their region slot.
@@ -126,8 +122,6 @@ impl ShmCounters {
         ShmCounters {
             tx: Counter::new(),
             rx: Counter::new(),
-            doorbells: Counter::new(),
-            spin: Counter::new(),
             copies: Counter::new(),
             peer_deaths: Counter::new(),
         }
@@ -138,8 +132,6 @@ impl ShmCounters {
         ShmCounters {
             tx: registry.counter("shm.tx"),
             rx: registry.counter("shm.rx"),
-            doorbells: registry.counter("shm.doorbells"),
-            spin: registry.counter("shm.spin"),
             copies: registry.counter("shm.copies"),
             peer_deaths: registry.counter("shm.peer_deaths"),
         }
@@ -212,10 +204,18 @@ mod tests {
         let r = Registry::new();
         let c = ShmCounters::bound_to(&r);
         c.tx.add(3);
-        c.doorbells.inc();
+        c.copies.inc();
+        let snap = r.snapshot();
+        let keys: Vec<&str> = snap["counters"]
+            .as_object()
+            .unwrap()
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(keys, ["shm.copies", "shm.peer_deaths", "shm.rx", "shm.tx"]);
         assert_eq!(r.counter("shm.tx").get(), 3);
-        assert_eq!(r.counter("shm.doorbells").get(), 1);
-        assert_eq!(r.counter("shm.spin").get(), 0);
+        assert_eq!(r.counter("shm.copies").get(), 1);
+        assert_eq!(r.counter("shm.rx").get(), 0);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! |-----------|--------|----------------------|------|
 //! | [`LoopbackPt`] | `loop` | `loop://<node>` | polling |
 //! | [`GmPt`] | `gm` | `gm://<node>:<port>` | polling or task (paper: thread) |
-//! //! | [`XptPt`] | `xpt` | `xpt://<ip>:<port>` | task (batched submission/completion rings over epoll) |
-//! | [`PciPt`] | `pci` | `pci://<segment>/<slot>` | polling (hardware FIFOs) |
-//! | `ShmPt` (crate `xdaq-shm`) | `shm` | `shm://<region-path>@a\|b` | polling or task |
+//! | [`XptPt`] | `xpt` | `xpt://<ip>:<port>` | task (batched submission/completion rings over epoll) |
+//! | `ShmPt` (crate `xdaq-shm`) | `shm` | `shm://<region-path>@a\|b` | polling |
 //! | [`ChaosPt`] | (inner's) | (inner's) | (inner's) |
 //!
 //! [`ChaosPt`] is not a transport of its own but a deterministic
@@ -26,11 +25,9 @@
 pub mod chaos;
 pub mod gm;
 pub mod loopback;
-pub mod pcisim;
 pub mod xpt;
 
 pub use chaos::{ChaosPt, ChaosStats, FaultPlan};
 pub use gm::GmPt;
 pub use loopback::{LoopbackHub, LoopbackPt};
-pub use pcisim::{FifoKind, PciBus, PciPt};
 pub use xpt::XptPt;

@@ -15,12 +15,11 @@
 //! * a pair of lock-free **SPSC descriptor rings** ([`RingView`]) per
 //!   link — cache-line-padded cursors, 16-byte `{offset, len, tid,
 //!   flags}` descriptors, chained frames as descriptor lists;
-//! * an **eventfd doorbell** ([`Doorbell`]) so the transport runs in
-//!   both PTA polling and task mode, with a busy-poll spin budget
-//!   before sleeping.
+//! * [`ShmPt`], which wires both into the executive under the `shm://`
+//!   scheme as a polling PT: the dispatch loop scans the receive rings,
+//!   so there is no receive thread and no wake-up path.
 //!
-//! [`ShmPt`] wires it all into the executive under the `shm://`
-//! scheme: a refused frame comes back on [`xdaq_core::SendFailure`],
+//! A refused frame comes back on [`xdaq_core::SendFailure`],
 //! and peer-process death is detected from the region header and
 //! surfaced to the link supervisor.
 //!
@@ -37,14 +36,12 @@
 //! # use xdaq_core::PeerTransport;
 //! ```
 
-pub mod doorbell;
 pub mod pool;
 pub mod region;
 pub mod ring;
 
 mod pt;
 
-pub use doorbell::{Doorbell, PeerBell};
 pub use pool::ShmPool;
 pub use region::{Region, ShmConfig};
 pub use ring::{Descriptor, RingView, FLAG_MORE};

@@ -8,38 +8,32 @@
 //! `shm.copies` and the region's copy counter) and chained across
 //! blocks with [`FLAG_MORE`] descriptors when they exceed one block.
 //!
-//! The PT runs in both PTA modes: in polling mode the executive scans
-//! the receive rings; in task mode a thread busy-polls for
-//! [`ShmPt::SPIN_BUDGET`] empty scans, then advertises `waiting = 1` in
-//! its side slot and sleeps on its eventfd doorbell — senders ring the
-//! peer's doorbell (reopened via `/proc/<pid>/fd/<fd>`) only when that
-//! flag is up, so the steady-state fast path makes no syscalls at all.
+//! The PT polls: the executive's dispatch loop scans the receive rings
+//! (PTA polling mode). There is no receive thread and no wake-up path,
+//! so a send is a ring push plus a few header loads (DESIGN.md §9).
 //!
 //! Peer death is detected from the region header (side slot cleared,
 //! epoch changed, or the advertised pid gone from `/proc`) and
 //! surfaced through [`PeerTransport::take_down_peers`] so the link
 //! supervisor can force the link Down without waiting for heartbeat
-//! timeouts.
+//! timeouts. [`PeerTransport::stop`] clears this side's slots, so the
+//! far side sees a stopped PT the same way.
 
-use crate::doorbell::{Doorbell, PeerBell};
 use crate::pool::{unpack_token, ShmPool};
 use crate::region::{Region, ShmConfig, SIDE_A, SIDE_B};
 use crate::ring::{Descriptor, RingView, FLAG_MORE};
 use parking_lot::{Mutex, RwLock};
 use std::path::Path;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xdaq_core::{IngestSink, PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
+use xdaq_core::{PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
 use xdaq_mempool::{Block, FrameBuf};
 use xdaq_mon::{PtCounters, Registry, ShmCounters};
 
-/// How long a sleeping task thread waits per doorbell ppoll. Doubles
-/// as the liveness-check cadence while idle.
-const SLEEP_SLICE: Duration = Duration::from_millis(2);
 /// Longest a consumer waits for the tail fragments of a chained frame
 /// whose producer looks alive. A healthy producer pushes the whole
-/// chain (nanoseconds apart) before ringing, so this only trips on a
+/// chain (nanoseconds apart) in one send, so this only trips on a
 /// corrupt chain (e.g. a fault-injected FLAG_MORE on the final
 /// fragment) — without it a polling executive would spin forever.
 const CHAIN_STALL_TIMEOUT: Duration = Duration::from_millis(200);
@@ -64,8 +58,6 @@ pub struct ShmLink {
     side: usize,
     tx: RingView,
     rx: RingView,
-    bell: Doorbell,
-    peer_bell: Mutex<Option<PeerBell>>,
     local: PeerAddr,
     peer: PeerAddr,
     /// Peer identity `(pid, epoch)` captured when first seen attached.
@@ -75,6 +67,8 @@ pub struct ShmLink {
     dead: AtomicBool,
     /// Set once the death has been handed to `take_down_peers`.
     death_reported: AtomicBool,
+    /// Set once this side's slot has been cleared; see [`Self::detach`].
+    detached: AtomicBool,
 }
 
 impl ShmLink {
@@ -91,7 +85,6 @@ impl ShmLink {
     }
 
     fn open(region: Arc<Region>, side: usize) -> Result<Arc<ShmLink>, PtError> {
-        let bell = Doorbell::for_region(region.path(), side).map_err(PtError::Io)?;
         let slot = &region.hdr().sides[side];
         if slot.attached.swap(1, Ordering::AcqRel) == 1 {
             return Err(PtError::Io(format!(
@@ -101,8 +94,6 @@ impl ShmLink {
             )));
         }
         slot.pid.store(std::process::id(), Ordering::Relaxed);
-        slot.doorbell_fd.store(bell.fd(), Ordering::Relaxed);
-        slot.waiting.store(0, Ordering::Relaxed);
         slot.epoch.fetch_add(1, Ordering::Release);
         let path = region.path().display().to_string();
         let (local, peer) = match side {
@@ -133,14 +124,13 @@ impl ShmLink {
             side,
             tx,
             rx,
-            bell,
-            peer_bell: Mutex::new(None),
             liveness_tick: AtomicU32::new(1),
             local,
             peer,
             peer_identity: Mutex::new(None),
             dead: AtomicBool::new(false),
             death_reported: AtomicBool::new(false),
+            detached: AtomicBool::new(false),
         }))
     }
 
@@ -238,35 +228,6 @@ impl ShmLink {
         health
     }
 
-    /// Rings the peer's doorbell if it advertised that it sleeps.
-    fn ring_peer(&self, shm: &ShmCounters) {
-        // SeqCst pairs with the receiver's waiting-then-recheck store:
-        // either we see waiting = 1, or the receiver sees our tail.
-        fence(Ordering::SeqCst);
-        let slot = self.peer_slot();
-        if slot.waiting.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let pid = slot.pid.load(Ordering::Relaxed);
-        let fd = slot.doorbell_fd.load(Ordering::Relaxed);
-        let mut bell = self.peer_bell.lock();
-        match bell.as_mut() {
-            Some(b) if b.target() == (pid, fd) => {
-                if b.ring() {
-                    shm.doorbells.inc();
-                }
-            }
-            _ => {
-                let fifo = crate::doorbell::bell_path(self.region.path(), self.side ^ 1);
-                let mut fresh = PeerBell::with_fifo(pid, fd, fifo);
-                if fresh.ring() {
-                    shm.doorbells.inc();
-                }
-                *bell = Some(fresh);
-            }
-        }
-    }
-
     /// Pushes one frame as descriptors. Zero-copy when the frame's
     /// block belongs to this link's region; otherwise copies into pool
     /// blocks (chaining across blocks with [`FLAG_MORE`]).
@@ -356,7 +317,6 @@ impl ShmLink {
             drop(frame);
         }
         counters.on_send(len);
-        self.ring_peer(shm);
         Ok(())
     }
 
@@ -414,8 +374,8 @@ impl ShmLink {
             };
         }
         // Chained frame: gather fragments. The producer pushes the
-        // whole chain before ringing, but a polling consumer can catch
-        // it mid-push — wait for the tail fragments, bounded by peer
+        // whole chain in one send, but the consumer can catch it
+        // mid-push — wait for the tail fragments, bounded by peer
         // death and by CHAIN_STALL_TIMEOUT so a corrupt chain (a
         // FLAG_MORE bit flipped onto the final fragment) cannot hang
         // the dispatch loop.
@@ -475,9 +435,14 @@ impl ShmLink {
         Some(gathered)
     }
 
+    /// Clears this side's slot so the peer sees the link end. Runs at
+    /// most once: after a detach the slot may belong to a newer
+    /// attachment, which a second clear (e.g. from `Drop`) would undo.
     fn detach(&self) {
+        if self.detached.swap(true, Ordering::AcqRel) {
+            return;
+        }
         let slot = self.own_slot();
-        slot.waiting.store(0, Ordering::Relaxed);
         slot.attached.store(0, Ordering::Release);
         slot.epoch.fetch_add(1, Ordering::Release);
     }
@@ -503,8 +468,9 @@ fn frame_tid(bytes: &[u8]) -> u16 {
     }
 }
 
-/// State shared between the PT facade and its task thread.
-struct ShmShared {
+/// The `shm://` peer transport: a set of [`ShmLink`]s the executive's
+/// dispatch loop polls.
+pub struct ShmPt {
     links: RwLock<Vec<Arc<ShmLink>>>,
     counters: PtCounters,
     shm: RwLock<ShmCounters>,
@@ -512,7 +478,62 @@ struct ShmShared {
     polls: AtomicU64,
 }
 
-impl ShmShared {
+impl ShmPt {
+    /// New transport. `mode` must be [`PtMode::Polling`]: the PT has no
+    /// receive thread (DESIGN.md §9). The argument keeps the
+    /// benchmark's call site compiling and goes with the next change to
+    /// that harness.
+    ///
+    /// # Panics
+    /// On [`PtMode::Task`].
+    pub fn new(mode: PtMode) -> Arc<ShmPt> {
+        assert!(
+            mode == PtMode::Polling,
+            "shm:// runs in polling mode only (DESIGN.md §9)"
+        );
+        Arc::new(ShmPt {
+            links: RwLock::new(Vec::new()),
+            counters: PtCounters::new(),
+            shm: RwLock::new(ShmCounters::new()),
+            stopped: AtomicBool::new(false),
+            polls: AtomicU64::new(0),
+        })
+    }
+
+    /// Points the `shm.*` counters at a node's metric registry (call
+    /// before traffic starts).
+    pub fn bind_registry(&self, registry: &Registry) {
+        *self.shm.write() = ShmCounters::bound_to(registry);
+    }
+
+    /// Creates a region and adds its side-A link.
+    pub fn create_link(&self, path: &Path, cfg: ShmConfig) -> Result<Arc<ShmLink>, PtError> {
+        let link = ShmLink::create(path, cfg)?;
+        self.links.write().push(link.clone());
+        Ok(link)
+    }
+
+    /// Attaches to a peer-created region and adds its side-B link.
+    pub fn attach_link(&self, path: &Path) -> Result<Arc<ShmLink>, PtError> {
+        let link = ShmLink::attach(path)?;
+        self.links.write().push(link.clone());
+        Ok(link)
+    }
+
+    /// Shared-memory counters handle (tx/rx/copies/peer deaths).
+    pub fn shm_counters(&self) -> ShmCounters {
+        self.shm.read().clone()
+    }
+
+    /// The link whose peer address matches `dest`, if any.
+    pub fn link_for(&self, dest: &PeerAddr) -> Option<Arc<ShmLink>> {
+        self.links
+            .read()
+            .iter()
+            .find(|l| l.peer_addr().rest() == dest.rest())
+            .cloned()
+    }
+
     /// Checks every link's peer liveness, latching deaths.
     fn scan_liveness(&self) {
         let links = self.links.read();
@@ -526,209 +547,72 @@ impl ShmShared {
     }
 }
 
-/// The `shm://` peer transport: a set of [`ShmLink`]s plus the PTA
-/// driving machinery (polling scan or task thread with spin budget).
-pub struct ShmPt {
-    mode: PtMode,
-    shared: Arc<ShmShared>,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    panics: AtomicU64,
-}
-
-impl ShmPt {
-    /// Empty scans a task-mode thread spins through before it sleeps
-    /// on its doorbell.
-    pub const SPIN_BUDGET: u32 = 2_000;
-
-    /// New transport in the given PTA mode.
-    pub fn new(mode: PtMode) -> Arc<ShmPt> {
-        Arc::new(ShmPt {
-            mode,
-            shared: Arc::new(ShmShared {
-                links: RwLock::new(Vec::new()),
-                counters: PtCounters::new(),
-                shm: RwLock::new(ShmCounters::new()),
-                stopped: AtomicBool::new(false),
-                polls: AtomicU64::new(0),
-            }),
-            thread: Mutex::new(None),
-            panics: AtomicU64::new(0),
-        })
-    }
-
-    /// Points the `shm.*` counters at a node's metric registry (call
-    /// before `start`).
-    pub fn bind_registry(&self, registry: &Registry) {
-        *self.shared.shm.write() = ShmCounters::bound_to(registry);
-    }
-
-    /// Creates a region and adds its side-A link.
-    pub fn create_link(&self, path: &Path, cfg: ShmConfig) -> Result<Arc<ShmLink>, PtError> {
-        let link = ShmLink::create(path, cfg)?;
-        self.shared.links.write().push(link.clone());
-        Ok(link)
-    }
-
-    /// Attaches to a peer-created region and adds its side-B link.
-    pub fn attach_link(&self, path: &Path) -> Result<Arc<ShmLink>, PtError> {
-        let link = ShmLink::attach(path)?;
-        self.shared.links.write().push(link.clone());
-        Ok(link)
-    }
-
-    /// Shared-memory counters handle (tx/rx/doorbells/spin/copies).
-    pub fn shm_counters(&self) -> ShmCounters {
-        self.shared.shm.read().clone()
-    }
-
-    /// The link whose peer address matches `dest`, if any.
-    pub fn link_for(&self, dest: &PeerAddr) -> Option<Arc<ShmLink>> {
-        self.shared
-            .links
-            .read()
-            .iter()
-            .find(|l| l.peer_addr().rest() == dest.rest())
-            .cloned()
-    }
-}
-
 impl PeerTransport for ShmPt {
     fn scheme(&self) -> &'static str {
         "shm"
     }
 
     fn mode(&self) -> PtMode {
-        self.mode
+        PtMode::Polling
     }
 
     fn send(&self, dest: &PeerAddr, frame: FrameBuf) -> Result<(), SendFailure> {
-        let shared = &self.shared;
-        if shared.stopped.load(Ordering::Acquire) {
-            shared.counters.on_send_error();
+        if self.stopped.load(Ordering::Acquire) {
+            self.counters.on_send_error();
             return Err(SendFailure::with_frame(PtError::Closed, frame));
         }
         let Some(link) = self.link_for(dest) else {
-            shared.counters.on_send_error();
+            self.counters.on_send_error();
             return Err(SendFailure::with_frame(
                 PtError::Unreachable(dest.to_string()),
                 frame,
             ));
         };
-        let shm = shared.shm.read();
-        link.send_frame(frame, &shared.counters, &shm)
+        let shm = self.shm.read();
+        link.send_frame(frame, &self.counters, &shm)
     }
 
     fn poll(&self) -> Option<(FrameBuf, PeerAddr)> {
-        let shared = &self.shared;
-        let n = shared.polls.fetch_add(1, Ordering::Relaxed);
+        let n = self.polls.fetch_add(1, Ordering::Relaxed);
         if n % POLL_LIVENESS_PERIOD == POLL_LIVENESS_PERIOD - 1 {
-            shared.scan_liveness();
+            self.scan_liveness();
         }
-        let links = shared.links.read();
-        let shm = shared.shm.read();
+        let links = self.links.read();
+        let shm = self.shm.read();
         for link in links.iter() {
-            if let Some(f) = link.recv_one(&shared.counters, &shm) {
+            if let Some(f) = link.recv_one(&self.counters, &shm) {
                 return Some((f, link.peer_addr().clone()));
             }
         }
         None
     }
 
-    fn start(&self, sink: IngestSink) -> Result<(), PtError> {
-        if self.mode != PtMode::Task {
-            return Ok(());
-        }
-        let shared = self.shared.clone();
-        let handle = std::thread::Builder::new()
-            .name("shm-pt".into())
-            .spawn(move || task_loop(&shared, sink))
-            .map_err(|e| PtError::Io(format!("spawn shm task: {e}")))?;
-        *self.thread.lock() = Some(handle);
-        Ok(())
-    }
-
+    /// Leaves every link, as `loop://` and `gm://` leave their fabric:
+    /// the peer reports this side Down and its sends fail
+    /// `Unreachable`. Frames still in the receive rings go back to the
+    /// region's free list.
     fn stop(&self) {
-        self.shared.stopped.store(true, Ordering::Release);
-        // Wake the task thread if it sleeps on a doorbell.
-        for link in self.shared.links.read().iter() {
-            link.bell.ring_self();
+        self.stopped.store(true, Ordering::Release);
+        let links = self.links.read();
+        let shm = self.shm.read();
+        for link in links.iter() {
+            link.detach();
+            while link.recv_one(&self.counters, &shm).is_some() {}
         }
-        if let Some(handle) = self.thread.lock().take() {
-            if handle.join().is_err() {
-                self.panics.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn take_panics(&self) -> u64 {
-        self.panics.swap(0, Ordering::Relaxed)
     }
 
     fn counters(&self) -> Option<&PtCounters> {
-        Some(&self.shared.counters)
+        Some(&self.counters)
     }
 
     fn take_down_peers(&self) -> Vec<PeerAddr> {
-        self.shared.scan_liveness();
-        let links = self.shared.links.read();
+        self.scan_liveness();
+        let links = self.links.read();
         links
             .iter()
             .filter(|l| l.is_dead() && !l.death_reported.swap(true, Ordering::AcqRel))
             .map(|l| l.peer_addr().clone())
             .collect()
-    }
-}
-
-fn task_loop(shared: &ShmShared, sink: IngestSink) {
-    let mut spins: u32 = 0;
-    while !shared.stopped.load(Ordering::Acquire) {
-        // Snapshot so links attached mid-run are picked up.
-        let links = shared.links.read().clone();
-        let shm = shared.shm.read().clone();
-        let mut harvested = 0usize;
-        for link in &links {
-            while let Some(f) = link.recv_one(&shared.counters, &shm) {
-                sink(f, link.peer_addr().clone());
-                harvested += 1;
-            }
-        }
-        if harvested > 0 {
-            spins = 0;
-            continue;
-        }
-        spins = spins.saturating_add(1);
-        if spins <= ShmPt::SPIN_BUDGET {
-            shm.spin.inc();
-            std::hint::spin_loop();
-            continue;
-        }
-        // Sleep path: advertise, recheck (SeqCst pairs with senders'
-        // post-push fence), then ppoll all doorbells.
-        for link in &links {
-            link.own_slot().waiting.store(1, Ordering::SeqCst);
-        }
-        let pending = links.iter().any(|l| !l.rx.is_empty());
-        if !pending && !links.is_empty() {
-            let mut fds = Vec::with_capacity(links.len() * 2);
-            for l in &links {
-                l.bell.poll_fds(&mut fds);
-            }
-            let _ = xdaq_sys::ppoll_readable_many(&fds, SLEEP_SLICE);
-        } else if links.is_empty() {
-            std::thread::sleep(SLEEP_SLICE);
-        }
-        for link in &links {
-            link.own_slot().waiting.store(0, Ordering::SeqCst);
-            link.bell.drain();
-            link.check_peer();
-        }
-        spins = 0;
-    }
-    // Drain undelivered frames so their blocks recycle.
-    let links = shared.links.read().clone();
-    let shm = shared.shm.read().clone();
-    for link in &links {
-        while link.recv_one(&shared.counters, &shm).is_some() {}
     }
 }
 
@@ -838,7 +722,7 @@ mod tests {
             32,
             "arrived fragment returned to the pool"
         );
-        assert_eq!(b.shared.counters.recv_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(b.counters.recv_errors.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -849,7 +733,7 @@ mod tests {
         push_raw(&la, 5000, 0);
         assert!(b.poll().is_none());
         assert_eq!(la.pool().region().free_blocks(), 32);
-        assert_eq!(b.shared.counters.recv_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(b.counters.recv_errors.load(Ordering::Relaxed), 1);
         // The link still works afterwards.
         let mut f = la.pool().alloc(16).unwrap();
         f.copy_from_slice(&[9u8; 16]);
@@ -866,7 +750,7 @@ mod tests {
         push_raw(&la, 4096, 0);
         assert!(b.poll().is_none());
         assert_eq!(la.pool().region().free_blocks(), 32);
-        assert_eq!(b.shared.counters.recv_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(b.counters.recv_errors.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -919,53 +803,45 @@ mod tests {
     }
 
     #[test]
-    fn task_mode_delivers_through_sink() {
-        let path = tmp("task");
-        let a = ShmPt::new(PtMode::Polling);
-        let la = a.create_link(&path, small()).unwrap();
-        let b = ShmPt::new(PtMode::Task);
-        let lb = b.attach_link(&path).unwrap();
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let sink_got = got.clone();
-        let sink: IngestSink = Arc::new(move |f, src| {
-            sink_got.lock().push((f.len(), src));
-        });
-        b.start(sink).unwrap();
-        // Send only once the receiver has spent its spin budget and
-        // sleeps on its doorbell, so the first send must ring it.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while (b.shm_counters().spin.get() < u64::from(ShmPt::SPIN_BUDGET)
-            || lb.own_slot().waiting.load(Ordering::SeqCst) == 0)
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::yield_now();
-        }
-        let pool = la.pool();
-        for i in 0..50usize {
-            let mut f = pool.alloc(64 + i).unwrap();
-            let fill = (i % 255) as u8;
-            f.iter_mut().for_each(|b| *b = fill);
-            let mut f = Some(f);
-            loop {
-                match a.send(la.peer_addr(), f.take().unwrap()) {
-                    Ok(()) => break,
-                    Err(e) => {
-                        f = e.frame;
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while got.lock().len() < 50 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    fn stop_leaves_the_link_and_returns_queued_blocks() {
+        let (a, la, b, lb) = pair("stop");
+        // A has seen B attached; one frame waits in B's receive ring.
+        let mut f = la.pool().alloc(64).unwrap();
+        f.copy_from_slice(&[3u8; 64]);
+        a.send(lb.local_addr(), f).unwrap();
+        assert!(a.take_down_peers().is_empty());
         b.stop();
-        let got = got.lock();
-        assert_eq!(got.len(), 50);
-        assert!(got.iter().all(|(_, src)| src == lb.peer_addr()));
-        assert_eq!(pool.copies(), 0);
-        assert!(a.shm_counters().doorbells.get() > 0, "sleeping peer rung");
-        let _ = lb; // keep link alive until after assertions
+        assert_eq!(a.take_down_peers(), vec![lb.local_addr().clone()]);
+        assert!(a.take_down_peers().is_empty(), "reported once");
+        let err = a
+            .send(lb.local_addr(), FrameBuf::from_bytes(&[4]))
+            .unwrap_err();
+        assert!(matches!(err.error, PtError::Unreachable(_)));
+        assert_eq!(err.frame.as_deref(), Some(&[4u8][..]), "frame handed back");
+        assert_eq!(la.pool().region().free_blocks(), 32, "ring drained");
+    }
+
+    #[test]
+    #[should_panic(expected = "polling mode only (DESIGN.md §9)")]
+    fn task_mode_is_refused() {
+        ShmPt::new(PtMode::Task);
+    }
+
+    #[test]
+    fn a_link_leaves_no_file_beside_its_region() {
+        let dir = tmp("files");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("region");
+        let a = ShmPt::new(PtMode::Polling);
+        let b = ShmPt::new(PtMode::Polling);
+        let _la = a.create_link(&path, small()).unwrap();
+        let _lb = b.attach_link(&path).unwrap();
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["region"], "no .bell FIFO or other side file");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

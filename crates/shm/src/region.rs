@@ -23,12 +23,13 @@
 
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// `b"XDAQSHM1"` little-endian.
 pub const SHM_MAGIC: u64 = u64::from_le_bytes(*b"XDAQSHM1");
-/// Region layout version.
-pub const SHM_VERSION: u32 = 1;
+/// Region layout version; bumped whenever `RegionHdr` or `SideHdr`
+/// changes, so a process built against another layout cannot attach.
+pub const SHM_VERSION: u32 = 2;
 /// Header page size.
 pub const HEADER_BYTES: usize = 4096;
 /// Hard cap on one pooled block (paper: 256 KB).
@@ -46,15 +47,10 @@ pub struct SideHdr {
     pub attached: AtomicU32,
     /// OS pid of the attached process.
     pub pid: AtomicU32,
-    /// The side's doorbell eventfd *in that process*; peers reopen it
-    /// through `/proc/<pid>/fd/<fd>`.
-    pub doorbell_fd: AtomicI32,
-    /// 1 while the side sleeps on its doorbell (senders ring only then).
-    pub waiting: AtomicU32,
     /// Bumped on every attach/detach; a changed epoch with the same
     /// slot means the peer restarted.
     pub epoch: AtomicU64,
-    _pad: [u8; 40],
+    _pad: [u8; 48],
 }
 
 /// Region header. Field groups are cache-line separated so free-list
@@ -210,12 +206,11 @@ impl Region {
         if hdr.magic.load(Ordering::Acquire) != SHM_MAGIC {
             return Err(format!("{}: bad region magic", path.display()));
         }
-        if hdr.version.load(Ordering::Relaxed) != SHM_VERSION {
+        let version = hdr.version.load(Ordering::Relaxed);
+        if version != SHM_VERSION {
             return Err(format!(
-                "{}: region version {} != {}",
-                path.display(),
-                hdr.version.load(Ordering::Relaxed),
-                SHM_VERSION
+                "{}: region layout version {version}, this build reads {SHM_VERSION}",
+                path.display()
             ));
         }
         let expect = Region::total_bytes(&region.config());
@@ -495,6 +490,17 @@ mod tests {
         let err = Region::attach(&path).err().expect("attach must fail");
         assert!(err.contains("magic"), "{err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn attach_refuses_another_layout_version() {
+        let path = tmp("version");
+        let r = Region::create(&path, small()).unwrap();
+        let old = SHM_VERSION - 1;
+        r.hdr().version.store(old, Ordering::Relaxed);
+        let err = Region::attach(&path).err().expect("attach must fail");
+        let want = format!("version {old}, this build reads {SHM_VERSION}");
+        assert!(err.contains(&want), "{err}");
     }
 
     #[test]

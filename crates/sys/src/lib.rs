@@ -4,9 +4,7 @@
 //! product needs and `std` does not offer are issued directly via
 //! inline assembly on the supported Linux targets (x86_64, aarch64):
 //!
-//! * `xdaq-shm`: `mmap`/`munmap` for the region, `eventfd2` doorbells,
-//!   `ppoll` for bounded doorbell sleeps, `mknodat` for the FIFO
-//!   doorbell fallback;
+//! * `xdaq-shm`: `mmap`/`munmap` for the region;
 //! * `xdaq-pt` (`xpt://`): the `eventfd2` doorbell and the `epoll`
 //!   family its driver sleeps in;
 //! * `xdaq-rec`: `openat` to create segment files, `pwritev` for
@@ -32,8 +30,6 @@ compile_error!("xdaq-sys supports Linux on x86_64 and aarch64 only");
 /// Errno for an interrupted syscall: waits report it as a timeout,
 /// writes and syncs retry.
 pub const EINTR: i32 = 4;
-/// Errno for "file exists" (fine for [`mkfifo`]).
-pub const EEXIST: i32 = 17;
 
 /// `O_WRONLY | O_CREAT | O_CLOEXEC` (generic Linux flag values shared
 /// by x86_64 and aarch64).
@@ -80,9 +76,8 @@ pub struct IoVec {
 }
 
 mod imp {
-    use super::{EpollEvent, IoVec, EEXIST, EINTR};
+    use super::{EpollEvent, IoVec, EINTR};
     use std::path::Path;
-    use std::time::Duration;
 
     /// # Safety
     /// Caller must pass arguments valid for the given syscall number.
@@ -152,9 +147,7 @@ mod imp {
     // Syscall numbers: (x86_64, aarch64).
     const SYS_MMAP: usize = nr(9, 222);
     const SYS_MUNMAP: usize = nr(11, 215);
-    const SYS_PPOLL: usize = nr(271, 73);
     const SYS_EVENTFD2: usize = nr(290, 19);
-    const SYS_MKNODAT: usize = nr(259, 33);
     const SYS_EPOLL_CREATE1: usize = nr(291, 20);
     const SYS_EPOLL_CTL: usize = nr(233, 21);
     const SYS_EPOLL_PWAIT: usize = nr(281, 22);
@@ -171,31 +164,10 @@ mod imp {
     const EFD_FLAGS: usize = 0o2000000 | 0o4000;
     /// `EPOLL_CLOEXEC`.
     const EPOLL_CLOEXEC: usize = 0o2000000;
-    /// `poll(2)` readable event.
-    const POLLIN: i16 = 0x1;
     /// `AT_FDCWD`: resolve paths relative to the working directory.
     const AT_FDCWD: isize = -100;
-    /// `S_IFIFO | 0600`.
-    const S_IFIFO_0600: usize = 0o010600;
     /// `sizeof(sigset_t)` the kernel expects next to a null sigmask.
     const SIGSET_SIZE: usize = 8;
-
-    /// `struct pollfd`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub(crate) struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    /// `struct timespec` (64-bit ABI).
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub(crate) struct Timespec {
-        pub sec: i64,
-        pub nsec: i64,
-    }
 
     fn check(ret: isize) -> Result<usize, i32> {
         if (-4095..0).contains(&ret) {
@@ -234,63 +206,6 @@ mod imp {
         // SAFETY: plain value arguments.
         let ret = unsafe { syscall6(SYS_EVENTFD2, 0, EFD_FLAGS, 0, 0, 0, 0) };
         check(ret).map(|fd| fd as i32)
-    }
-
-    /// Waits up to `timeout` for any of `fds` to become readable.
-    /// Returns true when one is, false on timeout.
-    pub fn ppoll_readable_many(fds: &[i32], timeout: Duration) -> Result<bool, i32> {
-        let mut pfds: Vec<PollFd> = fds
-            .iter()
-            .map(|&fd| PollFd {
-                fd,
-                events: POLLIN,
-                revents: 0,
-            })
-            .collect();
-        let ts = Timespec {
-            sec: timeout.as_secs() as i64,
-            nsec: timeout.subsec_nanos() as i64,
-        };
-        // SAFETY: pfds/ts outlive the call; null sigmask is allowed.
-        let ret = unsafe {
-            syscall6(
-                SYS_PPOLL,
-                pfds.as_mut_ptr() as usize,
-                pfds.len(),
-                &ts as *const Timespec as usize,
-                0,
-                SIGSET_SIZE,
-                0,
-            )
-        };
-        match check(ret) {
-            Ok(n) => Ok(n > 0 && pfds.iter().any(|p| p.revents & POLLIN != 0)),
-            // Treat as a timeout; callers loop anyway.
-            Err(EINTR) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Creates a FIFO at `path`, mode 0600. Succeeds when one already
-    /// exists (doorbell fallback files are shared by both sides).
-    pub fn mkfifo(path: &Path) -> Result<(), i32> {
-        let bytes = c_path(path);
-        // SAFETY: bytes is a live NUL-terminated path buffer.
-        let ret = unsafe {
-            syscall6(
-                SYS_MKNODAT,
-                AT_FDCWD as usize,
-                bytes.as_ptr() as usize,
-                S_IFIFO_0600,
-                0,
-                0,
-                0,
-            )
-        };
-        match check(ret) {
-            Ok(_) | Err(EEXIST) => Ok(()),
-            Err(e) => Err(e),
-        }
     }
 
     /// New close-on-exec epoll instance.
@@ -409,19 +324,17 @@ mod imp {
 }
 
 pub use imp::{
-    epoll_create, epoll_ctl, epoll_wait, eventfd, fdatasync, ftruncate, mkfifo, mmap_shared,
-    munmap, openat, ppoll_readable_many, pwritev,
+    epoll_create, epoll_ctl, epoll_wait, eventfd, fdatasync, ftruncate, mmap_shared, munmap,
+    openat, pwritev,
 };
 
 #[cfg(test)]
 mod tests {
-    use super::imp::{PollFd, Timespec};
     use super::*;
     use std::fs::File;
     use std::io::{Read, Write};
     use std::mem::size_of;
     use std::os::fd::{AsRawFd, FromRawFd};
-    use std::time::Duration;
 
     fn temp_path(what: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("xdaq-sys-{what}-{}", std::process::id()))
@@ -433,12 +346,10 @@ mod tests {
         assert_eq!(size_of::<EpollEvent>(), epoll_event);
         assert_eq!(size_of::<IoVec>(), size_of::<std::io::IoSlice<'_>>());
         assert_eq!(size_of::<IoVec>(), 16);
-        assert_eq!(size_of::<PollFd>(), 8);
-        assert_eq!(size_of::<Timespec>(), 16);
     }
 
     #[test]
-    fn eventfd_ring_is_seen_by_epoll_and_ppoll() {
+    fn eventfd_ring_is_seen_by_epoll() {
         let ep = epoll_create().expect("epoll_create");
         let ev = eventfd().expect("eventfd");
         // SAFETY: both are fresh fds owned solely by this test.
@@ -446,9 +357,7 @@ mod tests {
         epoll_ctl(ep, EPOLL_CTL_ADD, ev, EPOLLIN, 7).expect("ctl add");
 
         let mut events = [EpollEvent::default(); 4];
-        let tick = Duration::from_millis(1);
         assert_eq!(epoll_wait(ep, &mut events, 0), Ok(0), "idle eventfd");
-        assert_eq!(ppoll_readable_many(&[ev], tick), Ok(false), "idle eventfd");
 
         bell.write_all(&1u64.to_ne_bytes()).unwrap();
         assert_eq!(epoll_wait(ep, &mut events, 100), Ok(1));
@@ -456,44 +365,11 @@ mod tests {
         let (events0, data0) = (events[0].events, events[0].data);
         assert_ne!(events0 & EPOLLIN, 0);
         assert_eq!(data0, 7);
-        assert_eq!(ppoll_readable_many(&[ev], tick), Ok(true));
 
         let mut buf = [0u8; 8];
         bell.read_exact(&mut buf).unwrap();
         assert_eq!(u64::from_ne_bytes(buf), 1);
         epoll_ctl(ep, EPOLL_CTL_DEL, ev, 0, 0).expect("ctl del");
-    }
-
-    #[test]
-    fn mkfifo_is_idempotent_and_pollable() {
-        const O_NONBLOCK: i32 = 0o4000;
-        let path = temp_path("fifo");
-        mkfifo(&path).expect("mkfifo");
-        mkfifo(&path).expect("mkfifo twice (EEXIST ok)");
-        use std::os::unix::fs::OpenOptionsExt;
-        // O_RDWR open of a FIFO never blocks and keeps a reader alive.
-        let rx = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .custom_flags(O_NONBLOCK)
-            .open(&path)
-            .unwrap();
-        let mut tx = std::fs::OpenOptions::new()
-            .write(true)
-            .custom_flags(O_NONBLOCK)
-            .open(&path)
-            .unwrap();
-        let fds = [rx.as_raw_fd()];
-        assert_eq!(
-            ppoll_readable_many(&fds, Duration::from_millis(1)),
-            Ok(false)
-        );
-        tx.write_all(&[1]).unwrap();
-        assert_eq!(
-            ppoll_readable_many(&fds, Duration::from_millis(50)),
-            Ok(true)
-        );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

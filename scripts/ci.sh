@@ -98,6 +98,16 @@ if [ -e examples/failover.rs ] \
     echo "PTA retry and route failover (listed above) were removed; DESIGN.md §8 \"Recovery, overload\" says why" >&2
     bad=1
 fi
+# One shm mode: the dispatch loop polls the shm:// rings, and pci:// was
+# a second loopback, so the task-mode receive thread with its eventfd
+# and FIFO doorbell, the syscalls only it made, and the simulated PCI
+# bus must not grow back.
+if [ -e crates/shm/src/doorbell.rs ] || [ -e crates/pt/src/pcisim.rs ] \
+    || grep -rnE 'PeerBell|SPIN_BUDGET|ppoll_readable_many|mkfifo|PciPt|PciBus|FifoKind' \
+        crates src tests examples; then
+    echo "shm task mode, its doorbell and pci:// (listed above) were removed; DESIGN.md §9 \"Polling only\" says why" >&2
+    bad=1
+fi
 # A cheap frame hop: one executive thread dispatches, so the scheduler
 # takes one lock with no occupancy atomics, and the per-frame maps and
 # sets are keyed by node-local TiDs, timer ids, link addresses and the
@@ -154,9 +164,8 @@ echo "== cargo test (workspace) =="
 #   stale `flow.*`/`qos.*` keys must be refused. `--test evb` pins the
 #   bound that replaces link credits: a slow builder's queue stays
 #   under what its event-builder credits allow.
-# - `-p xdaq-sys`: raw-syscall round trips (eventfd seen by epoll and
-#   ppoll, mmap, mkfifo, pwritev/fdatasync/ftruncate) and kernel-ABI
-#   layout asserts.
+# - `-p xdaq-sys`: raw-syscall round trips (eventfd seen by epoll,
+#   mmap, pwritev/fdatasync/ftruncate) and kernel-ABI layout asserts.
 # - `-p xdaq-pt`: the xpt suite on its one driver (a stalled peer does
 #   not hold up the others, idle links cost no driver CPU, the first
 #   frame on a fresh link and a header-only frame are served at once,
@@ -199,8 +208,8 @@ echo "== event builder: chaos mesh + builder kill (multi-process, heavy) =="
 XDAQ_TEST_HEAVY=1 cargo test -q --test evb
 
 echo "== the paper's evaluation shapes (release, heavy) =="
-# FIG6, ALLOC, PTMODE and HWFIFO as orderings and ratios with wide
-# margin (tests/paper.rs); timing only means something optimised.
+# FIG6, ALLOC and PTMODE as orderings and ratios with wide margin
+# (tests/paper.rs); timing only means something optimised.
 XDAQ_TEST_HEAVY=1 cargo test --release -q --test paper
 
 echo "== benchmark: self-test + smoke of every workload =="

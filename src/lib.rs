@@ -43,7 +43,7 @@ pub use xdaq_pt::gm;
 /// The executive: dispatching, routing, scheduling, PTA.
 pub use xdaq_core as core;
 
-/// Peer transports: loopback, xpt sockets, GM, simulated PCI.
+/// Peer transports: loopback, xpt sockets, GM.
 pub use xdaq_pt as pt;
 
 /// Zero-copy shared-memory peer transport (`shm://` scheme).
