@@ -10,7 +10,9 @@
 
 use crate::error::ExecError;
 use crate::executive::ExecCore;
+use crate::pta::PeerAddr;
 use crate::registry::DeviceMeta;
+use crate::route::Route;
 use xdaq_i2o::frame::MAX_PAYLOAD_LEN;
 use xdaq_i2o::{
     DeviceClass, DeviceState, FrameError, FunctionCode, Message, MsgHeader, OrgId, Priority,
@@ -360,6 +362,16 @@ impl<'a> Dispatcher<'a> {
     /// created for them).
     pub fn lookup(&self, name: &str) -> Option<Tid> {
         self.core.lookup_name(name)
+    }
+
+    /// The peer a proxy TiD leads to; `None` for a local device or a
+    /// TiD with no route. The event manager keys builder deaths
+    /// (`XFN_PEER_DOWN`) by it.
+    pub fn peer_of(&self, tid: Tid) -> Option<PeerAddr> {
+        match self.core.routes.resolve(tid)? {
+            Route::Peer(via) => Some(via.peer.clone()),
+            Route::Local => None,
+        }
     }
 
     /// The executive's metric registry, for devices that publish their

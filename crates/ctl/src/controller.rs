@@ -17,9 +17,9 @@
 //!   generation, relaunches it, reroutes every route touching it
 //!   (retrying while peers evict the dead incarnation's aliases), and
 //!   finally *refreshes* the modules that declared `watch` on the
-//!   node: their templated params are re-substituted with the new URL
-//!   and their `refresh` key is raised so they re-invite the new
-//!   incarnation (e.g. the event manager's `evb.rescan`).
+//!   node: their `refresh` key is raised so they re-resolve the
+//!   rerouted aliases and re-invite the new incarnation (e.g. the
+//!   event manager's `evb.rescan`).
 //! * **drain** — a rolling restart: raise the watchers' `drain` key
 //!   (naming the node by its route alias), poll the `drain_gate`
 //!   parameter to zero so in-flight work finishes through the data
@@ -91,8 +91,6 @@ pub struct Controller {
     state: Mutex<HashMap<String, NodeState>>,
     /// Serializes apply / drain / poll mutation (poll uses try_lock).
     ops: Mutex<()>,
-    /// External node URLs (declared `url = ...`).
-    externals: HashMap<String, String>,
     stop: AtomicBool,
     scrape_tick: Mutex<u32>,
 }
@@ -110,16 +108,9 @@ impl Controller {
         let topo = Topology::parse(&text).map_err(|e| format!("{topo_path}: {e}"))?;
         let registry = Arc::new(ServiceRegistry::new());
         let mut state = HashMap::new();
-        let mut externals = HashMap::new();
-        for n in &topo.nodes {
-            if n.external {
-                if let Some(url) = &n.url {
-                    externals.insert(n.name.clone(), url.clone());
-                }
-            } else {
-                registry.declare(&n.name);
-                state.insert(n.name.clone(), NodeState::default());
-            }
+        for n in topo.managed() {
+            registry.declare(&n.name);
+            state.insert(n.name.clone(), NodeState::default());
         }
         Ok(Arc::new(Controller {
             rundir: topo.rundir.clone(),
@@ -130,7 +121,6 @@ impl Controller {
             registry,
             state: Mutex::new(state),
             ops: Mutex::new(()),
-            externals,
             stop: AtomicBool::new(false),
             scrape_tick: Mutex::new(0),
         }))
@@ -202,16 +192,6 @@ impl Controller {
     }
 
     // ---- internals ----------------------------------------------------
-
-    fn url_map(&self) -> HashMap<String, String> {
-        let mut map = self.externals.clone();
-        for (name, ns) in self.state.lock().iter() {
-            if !ns.url.is_empty() {
-                map.insert(name.clone(), ns.url.clone());
-            }
-        }
-        map
-    }
 
     fn node_by_url(&self, url: &str) -> Option<String> {
         self.state
@@ -289,14 +269,8 @@ impl Controller {
             let ns = st.get(node).expect("state row exists");
             (ns.node_tid.expect("attached before load"), ns.url.clone())
         };
-        let urls = self.url_map();
-        let mut params: Vec<(String, String)> = Vec::with_capacity(m.params.len());
-        for (k, v) in &m.params {
-            let v = Topology::substitute(v, &urls)
-                .map_err(|e| format!("{node}/{}: {e}", m.instance))?;
-            params.push((k.clone(), v));
-        }
-        let refs: Vec<(&str, &str)> = params
+        let refs: Vec<(&str, &str)> = m
+            .params
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
@@ -376,13 +350,9 @@ impl Controller {
         }
     }
 
-    /// After a respawn, re-push templated params and raise the
-    /// `refresh` key on every module watching one of `fresh`.
+    /// After a respawn, raise the `refresh` key on every module
+    /// watching one of `fresh`.
     fn refresh_watchers(&self, fresh: &HashSet<String>) -> Result<(), String> {
-        if fresh.is_empty() {
-            return Ok(());
-        }
-        let urls = self.url_map();
         for n in self.topo.managed() {
             for m in &n.modules {
                 let Some(refresh) = &m.refresh else { continue };
@@ -392,21 +362,8 @@ impl Controller {
                 let Some(proxy) = self.module_proxy(&n.name, &m.instance) else {
                     continue;
                 };
-                let mut params: Vec<(String, String)> = Vec::new();
-                for (k, v) in &m.params {
-                    if v.contains("@url:") {
-                        let v = Topology::substitute(v, &urls)
-                            .map_err(|e| format!("{}/{}: {e}", n.name, m.instance))?;
-                        params.push((k.clone(), v));
-                    }
-                }
-                params.push((refresh.clone(), "1".to_string()));
-                let refs: Vec<(&str, &str)> = params
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str()))
-                    .collect();
                 self.host
-                    .params_set(proxy, &refs)
+                    .params_set(proxy, &[(refresh.as_str(), "1")])
                     .map_err(|e| format!("refresh {}/{}: {e}", n.name, m.instance))?;
             }
         }

@@ -20,7 +20,7 @@
 //! [node.bu0.modules.builder]        # a device-class instance
 //! factory = "builder"               # ExecSwDownload factory name
 //! rus     = "ru0,ru1"               # plain params pass through
-//! watch   = "ru0"                   # re-push + refresh when ru0 respawns
+//! watch   = "ru0"                   # refresh when ru0 respawns
 //!
 //! [node.ctl]                        # the (external) control host
 //! external = true
@@ -32,9 +32,10 @@
 //! supervise = true                  # heartbeat the link
 //! ```
 //!
-//! Values of module parameters may embed `@url:<node>@`, replaced by
-//! that node's live transport URL at (re)load time — the piece that
-//! makes respawn-with-a-new-port declarative.
+//! No address is ever written down: every managed executive binds
+//! port 0, routes carry the live URL the controller read from the
+//! node's url file, and a module that needs a peer's address (the
+//! event manager's builders) reads it from the route behind its alias.
 
 use crate::toml::{self, Table};
 use std::collections::{HashMap, HashSet};
@@ -43,7 +44,7 @@ use std::collections::{HashMap, HashSet};
 const MODULE_RESERVED: &[&str] = &["factory", "watch", "refresh", "drain", "drain_gate"];
 
 /// Node keys with meaning to the control plane, not the executive.
-const NODE_RESERVED: &[&str] = &["external", "url"];
+const NODE_RESERVED: &[&str] = &["external"];
 
 /// A device-class instance to load on a node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,10 +53,9 @@ pub struct ModuleDecl {
     pub instance: String,
     /// `ExecSwDownload` factory name.
     pub factory: String,
-    /// Construction parameters, file order, possibly templated.
+    /// Construction parameters, file order.
     pub params: Vec<(String, String)>,
-    /// Nodes whose respawn re-pushes this module's templated params
-    /// followed by the `refresh` key.
+    /// Nodes whose respawn raises this module's `refresh` key.
     pub watch: Vec<String>,
     /// ParamsSet key sent (as `<key>=1`) to refresh the module after a
     /// watched node respawns (e.g. `evb.rescan`).
@@ -75,10 +75,8 @@ pub struct NodeDecl {
     pub name: String,
     /// External nodes are declared but not managed: the control plane
     /// neither spawns nor converges them (the control host itself, a
-    /// fixture process). Their URL comes from `url = "..."`.
+    /// fixture process).
     pub external: bool,
-    /// Static URL for external nodes.
-    pub url: Option<String>,
     /// Node-level parameters (merged over `[defaults]`), consumed by
     /// the runner (`supervision.*`, `transport`).
     pub params: HashMap<String, String>,
@@ -218,7 +216,6 @@ impl Topology {
                     nodes.push(NodeDecl {
                         name: rest.to_string(),
                         external: t.get("external").map(truthy).unwrap_or(false),
-                        url: t.get("url").map(str::to_string),
                         params,
                         modules: Vec::new(),
                     });
@@ -346,34 +343,6 @@ impl Topology {
     pub fn managed(&self) -> impl Iterator<Item = &NodeDecl> {
         self.nodes.iter().filter(|n| !n.external)
     }
-
-    /// Substitutes every `@url:<node>@` in `value` from the live URL
-    /// map. Unknown nodes are an error — applying a declaration with
-    /// a dangling reference must fail loudly, not route to "".
-    pub fn substitute(value: &str, urls: &HashMap<String, String>) -> Result<String, String> {
-        let mut out = String::with_capacity(value.len());
-        let mut rest = value;
-        while let Some(start) = rest.find("@url:") {
-            out.push_str(&rest[..start]);
-            let tail = &rest[start + "@url:".len()..];
-            let Some(end) = tail.find('@') else {
-                return Err(format!("unterminated @url: template in '{value}'"));
-            };
-            let node = &tail[..end];
-            let url = urls
-                .get(node)
-                .ok_or_else(|| format!("@url:{node}@: no live url for node '{node}'"))?;
-            out.push_str(url);
-            rest = &tail[end + 1..];
-        }
-        out.push_str(rest);
-        Ok(out)
-    }
-
-    /// True when any param value of `m` embeds a `@url:` template.
-    pub fn is_templated(m: &ModuleDecl) -> bool {
-        m.params.iter().any(|(_, v)| v.contains("@url:"))
-    }
 }
 
 #[cfg(test)]
@@ -400,7 +369,6 @@ mod tests {
         factory    = "evm"
         readouts   = "ru0"
         bus        = "bu0"
-        bu_urls    = "@url:bu0@"
         watch      = "bu0"
         refresh    = "evb.rescan"
         drain      = "evb.drain"
@@ -448,8 +416,6 @@ mod tests {
         assert_eq!(evm.factory, "evm");
         assert_eq!(evm.watch, vec!["bu0"]);
         assert_eq!(evm.refresh.as_deref(), Some("evb.rescan"));
-        assert!(Topology::is_templated(evm));
-        assert!(!Topology::is_templated(&t.node("ru0").unwrap().modules[0]));
         assert!(evm
             .params
             .iter()
@@ -458,19 +424,6 @@ mod tests {
         assert_eq!((r.on.as_str(), r.to_node.as_str()), ("mgr", "bu0"));
         assert!(r.supervise);
         assert!(!t.routes[1].supervise);
-    }
-
-    #[test]
-    fn substitution_resolves_urls() {
-        let urls: HashMap<String, String> =
-            [("bu0".to_string(), "tcp://127.0.0.1:41234".to_string())].into();
-        assert_eq!(
-            Topology::substitute("@url:bu0@,x", &urls).unwrap(),
-            "tcp://127.0.0.1:41234,x"
-        );
-        assert!(Topology::substitute("@url:nope@", &urls).is_err());
-        assert!(Topology::substitute("@url:broken", &urls).is_err());
-        assert_eq!(Topology::substitute("plain", &urls).unwrap(), "plain");
     }
 
     #[test]

@@ -227,12 +227,11 @@ mod tests {
     }
 
     #[test]
-    fn urls_and_templates_survive_quoting() {
-        let doc =
-            parse("[r]\nurl = \"tcp://127.0.0.1:0\"\nbus = \"@url:bu0@,@url:bu1@\"\n").unwrap();
+    fn urls_and_lists_survive_quoting() {
+        let doc = parse("[r]\nurl = \"tcp://127.0.0.1:0\"\nbus = \"bu0, bu1\"\n").unwrap();
         let t = doc.table("r").unwrap();
         assert_eq!(t.get("url"), Some("tcp://127.0.0.1:0"));
-        assert_eq!(t.get("bus"), Some("@url:bu0@,@url:bu1@"));
+        assert_eq!(t.get("bus"), Some("bu0, bu1"));
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //! reset  ru0
 //! destroy ru0 16
 //! release ru0
-//! faults pt0 fail=300 kill=0    # reprogram a ChaosPt fault plan
+//! faults pt0 drop=300 kill=0    # reprogram a ChaosPt (chaos.* knobs)
 //! rec    r0 sync=1               # drive a Recorder (rec.* knobs)
-//! replay rp0 pace_us=250         # tune a replay transport (replay.*)
 //! evb    evm 200                 # event-builder status: EVM credit and
 //!                                # event-id state + per-BU build rates
 //! mon    results/mon.json        # scrape every node into one JSON doc
@@ -50,8 +49,8 @@ use xdaq_i2o::Tid;
 /// Every verb the interpreter knows, for the unknown-command error.
 const VERBS: &[&str] = &[
     "node", "proxy", "claim", "release", "status", "lct", "enable", "quiesce", "reset", "clear",
-    "load", "destroy", "connect", "set", "get", "faults", "rec", "replay", "evb", "watch", "mon",
-    "monreset", "trace", "plan", "apply", "registry", "drain", "sleep", "echo",
+    "load", "destroy", "connect", "set", "get", "faults", "rec", "evb", "watch", "mon", "monreset",
+    "trace", "plan", "apply", "registry", "drain", "sleep", "echo",
 ];
 
 /// A script failure, located by line.
@@ -169,7 +168,7 @@ impl<'a> XclInterpreter<'a> {
             .collect()
     }
 
-    /// Shared body of the `faults`/`rec`/`replay` commands: sets k=v
+    /// Shared body of the `faults`/`rec` commands: sets k=v
     /// parameters on a device, prefixing plain keys with `{prefix}.`
     /// while dotted keys pass unchanged.
     fn prefixed_set(
@@ -309,8 +308,8 @@ impl<'a> XclInterpreter<'a> {
             }
             ["faults", handle, rest @ ..] => {
                 // Reprogram a fault-injecting transport through its PT
-                // device: plain keys get the `chaos.` prefix (`fail=300`
-                // -> `chaos.fail=300`); dotted keys pass unchanged.
+                // device: plain keys get the `chaos.` prefix (`drop=300`
+                // -> `chaos.drop=300`); dotted keys pass unchanged.
                 self.prefixed_set("faults", "chaos", handle, rest, line)
             }
             ["rec", handle, rest @ ..] => {
@@ -320,12 +319,6 @@ impl<'a> XclInterpreter<'a> {
                 // recorder refuses every other `rec.*` key: batching is
                 // fixed when the device is loaded.
                 self.prefixed_set("rec", "rec", handle, rest, line)
-            }
-            ["replay", handle, rest @ ..] => {
-                // Tune a replay transport through its PT device: plain
-                // keys get the `replay.` prefix (`pace_us=250` ->
-                // `replay.pace_us=250`).
-                self.prefixed_set("replay", "replay", handle, rest, line)
             }
             ["evb", handle, rest @ ..] => {
                 // Event-builder status. The EVM mirrors its live

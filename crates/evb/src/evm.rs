@@ -42,17 +42,22 @@
 //! dies (`XFN_PEER_DOWN`), its credits are reclaimed and its in-flight
 //! events re-queued for the survivors; the readout units still hold
 //! those fragments (only a finished event is cleared), so nothing is
-//! lost.
+//! lost. Which builders a dead peer took with it comes from the routes
+//! of their proxy TiDs ([`xdaq_core::Dispatcher::peer_of`]), read when
+//! the mesh is resolved: the executive evicts those routes before it
+//! reports the death.
 
 use crate::{send_ids, u32_at, u64_at, xfn, DONE_BUILT, ORG_DAQ};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xdaq_core::config::parse_kv;
 use xdaq_core::listener::UtilOutcome;
 use xdaq_core::xfn::XFN_PEER_DOWN;
-use xdaq_core::{Delivery, Dispatcher, ExecError, FastMap, FastSet, I2oListener, TimerId};
+use xdaq_core::{
+    Delivery, Dispatcher, ExecError, FastMap, FastSet, I2oListener, PeerAddr, TimerId,
+};
 use xdaq_i2o::{DeviceClass, ReplyStatus, Tid, UtilFn, ORG_XDAQ};
 use xdaq_mon::{Counter, Gauge};
 
@@ -75,9 +80,9 @@ pub struct EvmStats {
 ///
 /// Parameters:
 /// * `readouts` — comma-separated device names of the readout units,
-/// * `bus` — comma-separated device names of the builder units,
-/// * `bu_urls` — peer URLs aligned with `bus` (optional; enables
-///   credit reclamation when a builder's node dies),
+/// * `bus` — comma-separated device names of the builder units
+///   (a remote builder's death is then reclaimed through the peer its
+///   proxy routes to),
 /// * `max_reassign` — reassignment attempts per event before it is
 ///   counted lost (default 3),
 /// * `trigger_interval_us` — paced trigger source: fresh events are
@@ -88,7 +93,8 @@ pub struct EvmStats {
 pub struct EventManager {
     rus: Vec<Tid>,
     bus: Vec<Tid>,
-    bu_by_url: HashMap<String, Tid>,
+    /// The peer each remote builder's proxy routes to, in `bus` order.
+    bu_peers: Vec<(PeerAddr, Tid)>,
     max_reassign: u32,
     run: u64,
     /// Next event id — globally monotonic, never reset across runs:
@@ -146,7 +152,7 @@ impl EventManager {
         EventManager {
             rus: Vec::new(),
             bus: Vec::new(),
-            bu_by_url: HashMap::new(),
+            bu_peers: Vec::new(),
             max_reassign: 3,
             run: 0,
             next_event: 1,
@@ -176,10 +182,8 @@ impl EventManager {
         self.stats.clone()
     }
 
-    /// Resolves `readouts`, `bus` and `bu_urls`. Builder names are
-    /// paired with their URLs *before* lookup: a name that does not
-    /// resolve drops out together with its own URL instead of shifting
-    /// every later URL onto the wrong builder.
+    /// Resolves `readouts` and `bus`, and records the peer each
+    /// builder's proxy routes to.
     fn resolve_mesh(&mut self, ctx: &Dispatcher<'_>) {
         fn split(list: &str) -> impl Iterator<Item = &str> {
             list.split(',').map(str::trim).filter(|n| !n.is_empty())
@@ -188,15 +192,12 @@ impl EventManager {
             self.rus = split(names).filter_map(|n| ctx.lookup(n)).collect();
         }
         if let Some(names) = ctx.param("bus") {
-            let mut urls = split(ctx.param("bu_urls").unwrap_or(""));
             self.bus.clear();
-            self.bu_by_url.clear();
-            for name in split(names) {
-                let url = urls.next();
-                let Some(bu) = ctx.lookup(name) else { continue };
+            self.bu_peers.clear();
+            for bu in split(names).filter_map(|n| ctx.lookup(n)) {
                 self.bus.push(bu);
-                if let Some(url) = url {
-                    self.bu_by_url.insert(url.to_string(), bu);
+                if let Some(peer) = ctx.peer_of(bu) {
+                    self.bu_peers.push((peer, bu));
                 }
             }
         }
@@ -493,8 +494,8 @@ impl EventManager {
     }
 
     /// Re-resolves the mesh from the (freshly updated) parameters —
-    /// the control plane pushes new `bus`/`bu_urls`/`readouts` values
-    /// and `evb.rescan=1` after it respawns a node. Builders already
+    /// the control plane re-routes a respawned node's aliases and
+    /// raises `evb.rescan=1`. Builders already
     /// holding a credits entry (live through the whole incident, even
     /// at zero credits) are *not* re-invited: a second INVITE to a
     /// live builder would double its credit grant. Everyone else —
@@ -521,9 +522,14 @@ impl EventManager {
 
     fn on_peer_down(&mut self, payload: &[u8]) {
         let Ok(kv) = parse_kv(payload) else { return };
-        let Some(url) = kv.get("peer") else { return };
-        if let Some(&bu) = self.bu_by_url.get(url.as_str()) {
-            self.mark_dead(bu);
+        let Some(peer) = kv.get("peer").and_then(|p| p.parse::<PeerAddr>().ok()) else {
+            return;
+        };
+        for i in 0..self.bu_peers.len() {
+            if self.bu_peers[i].0 == peer {
+                let bu = self.bu_peers[i].1;
+                self.mark_dead(bu);
+            }
         }
     }
 
@@ -578,7 +584,7 @@ impl EventManager {
             return UtilOutcome::Default;
         }
         // Store every key first: a rescan in the same frame must
-        // resolve against the freshly pushed `bus`/`bu_urls`.
+        // resolve against the freshly pushed `bus`.
         for (k, v) in &map {
             ctx.set_param(k, v);
         }
@@ -967,42 +973,5 @@ mod tests {
         assert_eq!(*assigned.lock(), [1, 2, 3]);
         assert!(stats.run_done.load(Ordering::SeqCst));
         assert_eq!(stats.completed.load(Ordering::SeqCst), 3);
-    }
-
-    /// `bu_urls` pairs with `bus` by position in the parameter, not in
-    /// the resolved list: a builder name that does not resolve must not
-    /// shift bu1's URL onto nothing (or bu0's credits onto bu1).
-    #[test]
-    fn unresolved_builder_keeps_later_urls_aligned() {
-        let exec = Executive::new(ExecutiveConfig::named("mesh"));
-        for (name, credits) in [("bu0", "4"), ("bu1", "2")] {
-            exec.register(name, Box::new(BuilderUnit::new()), &[("credits", credits)])
-                .unwrap();
-        }
-        let evm_tid = exec
-            .register(
-                "evm",
-                Box::new(EventManager::new()),
-                &[("bus", "bu0,ghost,bu1"), ("bu_urls", "u0,ug,u1")],
-            )
-            .unwrap();
-        exec.enable_all();
-        let post = |org, f, payload: Vec<u8>| {
-            exec.post(
-                Message::build_private(evm_tid, Tid::HOST, org, f)
-                    .payload(payload)
-                    .finish(),
-            )
-            .unwrap();
-            while exec.run_once() > 0 {}
-        };
-        // An empty run still invites the builders and collects credits.
-        post(ORG_DAQ, xfn::RUN, 0u64.to_le_bytes().to_vec());
-        let reg = exec.core().monitors().registry();
-        let credits = reg.gauge("evb.evm.credits");
-        assert_eq!(credits.get(), 6);
-        post(ORG_XDAQ, XFN_PEER_DOWN, b"peer=u1\n".to_vec());
-        assert_eq!(reg.counter("evb.evm.bu_down").get(), 1);
-        assert_eq!(credits.get(), 4, "bu1's credits reclaimed, bu0's kept");
     }
 }

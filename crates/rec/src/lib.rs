@@ -18,8 +18,7 @@
 //!   as one record and (optionally) forwards the frame onward.
 //! * **The replayer** ([`ReplayPt`]) is a peer transport
 //!   (`replay://<dir>`): it re-injects a recording through the
-//!   executive's normal peer-ingest path, in original order, paced or
-//!   as fast as possible — so a recorded run can be reproduced against
+//!   executive's normal peer-ingest path, in original order — so a recorded run can be reproduced against
 //!   a fresh topology, chaos transport and all.
 
 pub mod crc;

@@ -12,10 +12,12 @@
 //! Parameters (read at plug time):
 //!
 //! * `dir` — recording directory (required; the device faults without it)
-//! * `segment_bytes`, `fsync_bytes` — see [`RecConfig`]; the
-//!   durability interval is fixed at [`FSYNC_INTERVAL`], and a stale
-//!   `fsync_interval_ms` is refused (`rec.error`) rather than ignored
 //! * `forward` — device name to relay recorded frames to
+//!
+//! Segment size and the durability batch are [`RecConfig`]'s defaults,
+//! with the interval fixed at [`FSYNC_INTERVAL`]. The removed keys
+//! `segment_bytes`, `fsync_bytes` and `fsync_interval_ms` are refused
+//! (`rec.error`) rather than ignored.
 //!
 //! Runtime control rides on `ParamsSet`: `rec.sync=1` forces an
 //! `fdatasync`, `rec.rotate=1` cuts a new segment (a run boundary).
@@ -137,23 +139,17 @@ impl I2oListener for Recorder {
             ctx.set_param("rec.error", "missing required parameter: dir");
             return;
         };
-        if ctx.param("fsync_interval_ms").is_some() {
-            ctx.set_param(
-                "rec.error",
-                "param 'fsync_interval_ms' was removed: the durability interval is fixed at 50 ms; delete the key",
-            );
-            return;
-        }
-        let mut cfg = RecConfig::new(dir);
-        if let Some(v) = ctx.param("segment_bytes").and_then(|s| s.parse().ok()) {
-            cfg.segment_bytes = v;
-        }
-        if let Some(v) = ctx.param("fsync_bytes").and_then(|s| s.parse().ok()) {
-            cfg.fsync_bytes = v;
+        for key in ["segment_bytes", "fsync_bytes", "fsync_interval_ms"] {
+            if ctx.param(key).is_some() {
+                let why =
+                    format!("param '{key}' was removed: the store takes RecConfig's defaults");
+                ctx.set_param("rec.error", &why);
+                return;
+            }
         }
         self.forward = ctx.param("forward").map(str::to_string);
         self.counters = RecCounters::bound_to(ctx.metrics());
-        match RecWriter::create(cfg) {
+        match RecWriter::create(RecConfig::new(dir)) {
             Ok(w) => {
                 self.segments_seen = 0;
                 self.writer = Some(w);
@@ -365,7 +361,7 @@ mod tests {
             )
             .unwrap();
         exec.enable_all();
-        for pair in [("rec.fsync_bytes", "1048576"), ("rec.sync", "1")] {
+        for pair in [("rec.segment_bytes", "1048576"), ("rec.sync", "1")] {
             exec.post(
                 Message::util(rec, host, UtilFn::ParamsSet)
                     .payload(xdaq_core::config::kv(&[pair]))
@@ -381,14 +377,15 @@ mod tests {
         );
     }
 
-    /// A recorder without `dir`, or with the removed
-    /// `fsync_interval_ms` key, creates no store and faults on its
-    /// first event instead of dropping it.
+    /// A recorder without `dir`, or with a removed key, creates no
+    /// store and faults on its first event instead of dropping it.
     #[test]
     fn misconfigured_recorder_faults_on_first_event() {
         let dir = tmp_dir("stale-key");
-        let stale = [("dir", dir.to_str().unwrap()), ("fsync_interval_ms", "50")];
-        for params in [&[][..], &stale[..]] {
+        let d = dir.to_str().unwrap();
+        let stale =
+            ["fsync_interval_ms", "segment_bytes", "fsync_bytes"].map(|k| [("dir", d), (k, "50")]);
+        for params in std::iter::once(&[][..]).chain(stale.iter().map(|p| &p[..])) {
             let exec = Executive::new(ExecutiveConfig::named("store"));
             let rec = exec
                 .register("rec0", Box::new(Recorder::new()), params)

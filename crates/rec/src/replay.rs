@@ -6,36 +6,27 @@
 //! the scheduling queue), so everything downstream — chaos injection,
 //! link supervision, the event builder — composes with it unchanged.
 //! Frames of one record are injected back-to-back and records in their
-//! original order, which combined with per-peer ordered ingest makes a
-//! replayed run deterministic.
+//! original order, as fast as ingest takes them, which combined with
+//! per-peer ordered ingest makes a replayed run deterministic.
 //!
-//! Configuration keys (via [`PeerTransport::configure`], i.e. the PT's
-//! DDM `ParamsSet` — `xcl replay <node> ...`):
-//!
-//! * `replay.dir` — recording directory (also set by the constructor)
-//! * `replay.pace_us` — microseconds to sleep between records
-//!   (0 = as fast as possible)
-//! * `replay.retarget` — raw TiD to rewrite every frame's target to
-//!   (0 = keep the recorded target; required when the consuming
-//!   device's TiD differs from the recorded topology)
-//! * `replay.limit` — stop after this many records (0 = all)
+//! A replayer is set up when it is built and has no runtime keys: the
+//! recording directory comes with [`ReplayPt::new`], and
+//! [`ReplayPt::retarget`] rewrites every frame's target TiD (needed
+//! when the consuming device's TiD differs from the recorded
+//! topology).
 
 use crate::reader::RecReader;
 use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use xdaq_core::{IngestSink, PeerAddr, PeerTransport, PtError, PtMode, SendFailure};
 use xdaq_i2o::{MsgHeader, Tid};
 use xdaq_mempool::FrameBuf;
 use xdaq_mon::PtCounters;
 
-/// State shared with the injection thread; knobs are live (the thread
-/// re-reads them between records).
+/// State shared with the injection thread.
 struct Shared {
-    pace_us: AtomicU64,
-    retarget: AtomicU32,
-    limit: AtomicU64,
     stop: AtomicBool,
     /// Records injected so far (monotonic; observable).
     injected: AtomicU64,
@@ -45,7 +36,8 @@ struct Shared {
 
 /// Replay peer transport (see module docs).
 pub struct ReplayPt {
-    dir: Mutex<PathBuf>,
+    dir: PathBuf,
+    retarget: Option<Tid>,
     shared: Arc<Shared>,
     counters: Arc<PtCounters>,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -53,14 +45,12 @@ pub struct ReplayPt {
 }
 
 impl ReplayPt {
-    /// A replayer over the recording in `dir` (tune via `configure`).
+    /// A replayer over the recording in `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> ReplayPt {
         ReplayPt {
-            dir: Mutex::new(dir.into()),
+            dir: dir.into(),
+            retarget: None,
             shared: Arc::new(Shared {
-                pace_us: AtomicU64::new(0),
-                retarget: AtomicU32::new(0),
-                limit: AtomicU64::new(0),
                 stop: AtomicBool::new(false),
                 injected: AtomicU64::new(0),
                 done: AtomicBool::new(false),
@@ -71,19 +61,9 @@ impl ReplayPt {
         }
     }
 
-    /// Rewrites every injected frame's target TiD (builder form of
-    /// `replay.retarget`).
-    pub fn retarget(self, tid: Tid) -> ReplayPt {
-        self.shared
-            .retarget
-            .store(tid.raw() as u32, Ordering::Relaxed);
-        self
-    }
-
-    /// Sleeps `us` microseconds between records (builder form of
-    /// `replay.pace_us`).
-    pub fn pace_us(self, us: u64) -> ReplayPt {
-        self.shared.pace_us.store(us, Ordering::Relaxed);
+    /// Rewrites every injected frame's target TiD.
+    pub fn retarget(mut self, tid: Tid) -> ReplayPt {
+        self.retarget = Some(tid);
         self
     }
 
@@ -92,8 +72,7 @@ impl ReplayPt {
         self.shared.injected.load(Ordering::Acquire)
     }
 
-    /// True once every record (or `replay.limit` of them) has been
-    /// injected.
+    /// True once every record has been injected.
     pub fn is_done(&self) -> bool {
         self.shared.done.load(Ordering::Acquire)
     }
@@ -123,15 +102,15 @@ impl PeerTransport for ReplayPt {
     }
 
     fn start(&self, sink: IngestSink) -> Result<(), PtError> {
-        let dir = self.dir.lock().clone();
-        let reader = RecReader::open(&dir)
-            .map_err(|e| PtError::Io(format!("replay open {}: {e}", dir.display())))?;
+        let reader = RecReader::open(&self.dir)
+            .map_err(|e| PtError::Io(format!("replay open {}: {e}", self.dir.display())))?;
         let shared = self.shared.clone();
         let counters = self.counters.clone();
-        let src = PeerAddr::new("replay", &dir.to_string_lossy());
+        let src = PeerAddr::new("replay", &self.dir.to_string_lossy());
+        let retarget = self.retarget;
         let handle = std::thread::Builder::new()
             .name("xdaq-replay".into())
-            .spawn(move || inject(reader, shared, counters, src, sink))
+            .spawn(move || inject(reader, retarget, shared, counters, src, sink))
             .map_err(|e| PtError::Io(format!("spawn replay thread: {e}")))?;
         *self.thread.lock() = Some(handle);
         Ok(())
@@ -144,30 +123,6 @@ impl PeerTransport for ReplayPt {
                 self.panics.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    fn configure(&self, key: &str, value: &str) -> Result<(), PtError> {
-        let bad = |what: &str| PtError::BadAddress(format!("replay: bad {what}: {value}"));
-        match key {
-            "replay.dir" => *self.dir.lock() = PathBuf::from(value),
-            "replay.pace_us" => self.shared.pace_us.store(
-                value.parse().map_err(|_| bad("pace_us"))?,
-                Ordering::Relaxed,
-            ),
-            "replay.retarget" => {
-                let raw: u16 = value.parse().map_err(|_| bad("retarget"))?;
-                if raw != 0 {
-                    Tid::new(raw).map_err(|_| bad("retarget"))?;
-                }
-                self.shared.retarget.store(raw as u32, Ordering::Relaxed);
-            }
-            "replay.limit" => self
-                .shared
-                .limit
-                .store(value.parse().map_err(|_| bad("limit"))?, Ordering::Relaxed),
-            _ => {}
-        }
-        Ok(())
     }
 
     fn take_panics(&self) -> u64 {
@@ -183,6 +138,7 @@ impl PeerTransport for ReplayPt {
 /// back-to-back.
 fn inject(
     mut reader: RecReader,
+    retarget: Option<Tid>,
     shared: Arc<Shared>,
     counters: Arc<PtCounters>,
     src: PeerAddr,
@@ -191,10 +147,6 @@ fn inject(
     while let Some(record) = reader.next() {
         if shared.stop.load(Ordering::Acquire) {
             return;
-        }
-        let limit = shared.limit.load(Ordering::Relaxed);
-        if limit != 0 && shared.injected.load(Ordering::Relaxed) >= limit {
-            break;
         }
         let mut off = 0usize;
         while off < record.len() {
@@ -209,21 +161,14 @@ fn inject(
                 return;
             }
             let mut buf = FrameBuf::from_bytes(&record[off..off + flen]);
-            let raw = shared.retarget.load(Ordering::Relaxed);
-            if raw != 0 {
-                if let Ok(tid) = Tid::new(raw as u16) {
-                    MsgHeader::patch_target(&mut buf, tid);
-                }
+            if let Some(tid) = retarget {
+                MsgHeader::patch_target(&mut buf, tid);
             }
             counters.on_recv(flen);
             sink(buf, src.clone());
             off += flen;
         }
         shared.injected.fetch_add(1, Ordering::Release);
-        let pace = shared.pace_us.load(Ordering::Relaxed);
-        if pace > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(pace));
-        }
     }
     shared.done.store(true, Ordering::Release);
 }
@@ -291,45 +236,6 @@ mod tests {
         );
         assert_eq!(pt.injected(), 5);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn limit_stops_early() {
-        let dir = tmp_dir("limit");
-        {
-            let mut w = RecWriter::create(RecConfig::new(&dir)).unwrap();
-            for tag in 0..8u8 {
-                let a = frame_bytes(0x100, tag);
-                w.append(&[IoSlice::new(&a)]).unwrap();
-            }
-        }
-        let pt = ReplayPt::new(&dir);
-        pt.configure("replay.limit", "3").unwrap();
-        let n = Arc::new(AtomicU64::new(0));
-        let n2 = n.clone();
-        let sink: IngestSink = Arc::new(move |_buf, _src| {
-            n2.fetch_add(1, Ordering::Relaxed);
-        });
-        pt.start(sink).unwrap();
-        while !pt.is_done() {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        pt.stop();
-        assert_eq!(n.load(Ordering::Relaxed), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bad_configuration_rejected() {
-        let pt = ReplayPt::new("/tmp/none");
-        assert!(pt.configure("replay.pace_us", "fast").is_err());
-        assert!(pt.configure("replay.retarget", "70000").is_err());
-        assert!(pt.configure("replay.limit", "-1").is_err());
-        assert!(pt.configure("replay.pace_us", "250").is_ok());
-        assert!(
-            pt.configure("unknown.key", "x").is_ok(),
-            "unknown keys ignored"
-        );
     }
 
     #[test]

@@ -530,7 +530,7 @@ impl ShmPt {
         self.links
             .read()
             .iter()
-            .find(|l| l.peer_addr().rest() == dest.rest())
+            .find(|l| l.peer_addr() == dest)
             .cloned()
     }
 

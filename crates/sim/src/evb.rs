@@ -195,7 +195,6 @@ impl SimEvb {
             bu_tids.push(tid);
         }
 
-        let mut bu_urls = Vec::new();
         let mut bu_proxies = Vec::new();
         for (i, &ru_tid) in ru_tids.iter().enumerate() {
             host.proxy(
@@ -211,8 +210,7 @@ impl SimEvb {
             host.proxy(&url, bu_tid, Some(&bu_names[j]))
                 .expect("host proxy builder");
             host.supervise(&url).expect("supervise builder");
-            bu_proxies.push((bu_names[j].clone(), url.clone(), bu_tid));
-            bu_urls.push(url);
+            bu_proxies.push((bu_names[j].clone(), url, bu_tid));
         }
 
         let evm = EventManager::new();
@@ -224,7 +222,6 @@ impl SimEvb {
                 &[
                     ("readouts", &ru_names.join(",")),
                     ("bus", &bu_names.join(",")),
-                    ("bu_urls", &bu_urls.join(",")),
                     ("max_reassign", &opts.max_reassign.to_string()),
                     ("trigger_interval_us", &TRIGGER_INTERVAL_US.to_string()),
                 ],

@@ -119,6 +119,16 @@ if grep -rnE 'occupied: AtomicU8|\[Mutex<Level>; NUM_PRIORITIES\]|Hash(Map|Set)<
     echo "per-level queue locks or SipHash maps on the frame path (listed above) were removed; DESIGN.md §10 says why" >&2
     bad=1
 fi
+# A value the code can derive is not declared, and a knob nobody turns
+# is not kept: the event manager reads its builders' addresses from
+# their routes, so neither their declared copy nor the `.xtop` template
+# language that filled it may grow back, and neither may ChaosPt's
+# faults beyond drop or ReplayPt's runtime keys.
+if grep -rnE 'bu_urls|@url:|fail_per_mille|dup_per_mille|corrupt_per_mille|delay_every|FaultPlan::failing|replay\.(dir|pace_us|retarget|limit)' \
+    crates src tests examples; then
+    echo "declared builder urls, @url: templates, ChaosPt's non-drop faults and replay.* keys (listed above) were removed; DESIGN.md §8 \"ChaosPt\" and §14 say why" >&2
+    bad=1
+fi
 [ "$bad" -eq 0 ] || exit 1
 
 echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="
@@ -145,9 +155,9 @@ fi
 echo "== cargo test (workspace) =="
 # Every always-on suite runs here, once. What the ones an operator
 # would look for cover:
-# - `--test faults`: a refused send is counted once and never resent,
-#   the fixed-seed chaos run must be deterministic, and a killed
-#   supervised link must go Down and evict its routes.
+# - `--test faults`: a dropped frame is never resent, the fixed-seed
+#   chaos run must be deterministic, and a killed supervised link must
+#   go Down and evict its routes.
 # - `-p xdaq-sim`: 100 full-cluster kill/partition/delay/corrupt
 #   experiments on the virtual clock (~1 s of wall time), each asserting
 #   zero event loss, plus the fixed-seed byte-for-byte golden-trace

@@ -122,7 +122,7 @@ fn write_topology(name: &str) -> (String, PathBuf) {
     text.push_str(
         "[node.mgr]\n[node.mgr.modules.flt]\nfactory = \"collector\"\n\n\
          [node.mgr.modules.evm]\nfactory = \"evm\"\nreadouts = \"ru0,ru1\"\n\
-         bus = \"bu0,bu1\"\nbu_urls = \"@url:bu0@,@url:bu1@\"\nmax_reassign = 5\n\
+         bus = \"bu0,bu1\"\nmax_reassign = 5\n\
          watch = \"bu0,bu1\"\nrefresh = \"evb.rescan\"\ndrain = \"evb.drain\"\n\
          drain_gate = \"evb.drain_inflight\"\n\n",
     );
@@ -374,7 +374,6 @@ fn example_topology_parses_and_validates() {
     assert_eq!(evm.refresh.as_deref(), Some("evb.rescan"));
     assert_eq!(evm.drain.as_deref(), Some("evb.drain"));
     assert_eq!(evm.drain_gate.as_deref(), Some("evb.drain_inflight"));
-    assert!(xdaq::ctl::Topology::is_templated(evm));
     // Every builder route from the manager is supervised — required
     // for credit reclamation and alias eviction on death.
     for r in topo.routes.iter().filter(|r| r.to_node.starts_with("bu")) {

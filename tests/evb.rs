@@ -23,6 +23,10 @@
 //! `slow_builder_queue_is_bounded_by_its_credits` runs in one process
 //! over `loop://`: the event manager's credits are the only thing that
 //! bounds a slow builder's queue, since no link meters data frames.
+//! `silent_builder_is_reclaimed_through_its_route` runs in one process
+//! too: a builder that stops answering is found by the manager's link
+//! supervisor, and the event manager learns which builder that was from
+//! the route of its proxy, with no address handed to it.
 
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -41,6 +45,11 @@ use xdaq::pt::{ChaosPt, FaultPlan, LoopbackHub, LoopbackPt};
 use xdaq::shm::{ShmConfig, ShmLink, ShmPt};
 
 const N_RU: usize = 4;
+
+/// The in-process tests run one at a time: a second mesh pumping on
+/// another core while `slow_builder_queue_is_bounded_by_its_credits`
+/// samples its slow builder's queue shifts the windows it compares.
+static IN_PROCESS: Mutex<()> = Mutex::new(());
 const N_BU: usize = 2;
 const FRAGMENT_SIZE: u32 = 1024;
 
@@ -175,12 +184,12 @@ fn build_mesh(name: &str, chaos: bool, ru_child: &str, bu_child: &str) -> Host {
             .unwrap();
         ru_urls.push(link.peer_addr().to_string());
     }
-    let mut bu_urls = Vec::new();
+    let mut bu_addrs = Vec::new();
     for j in 0..N_BU {
         let link = shm
             .create_link(&base.join(format!("p-bu{j}")), cfg())
             .unwrap();
-        bu_urls.push(link.peer_addr().to_string());
+        bu_addrs.push(link.peer_addr().to_string());
     }
 
     let mut children = Vec::new();
@@ -224,7 +233,7 @@ fn build_mesh(name: &str, chaos: bool, ru_child: &str, bu_child: &str) -> Host {
         ru_names.push(alias);
     }
     let mut bu_names = Vec::new();
-    for (j, url) in bu_urls.iter().enumerate() {
+    for (j, url) in bu_addrs.iter().enumerate() {
         let tid = read_tid(&base, &format!("bu{j}"));
         let alias = format!("bu{j}");
         exec.proxy(url, tid, Some(&alias)).unwrap();
@@ -241,7 +250,6 @@ fn build_mesh(name: &str, chaos: bool, ru_child: &str, bu_child: &str) -> Host {
             &[
                 ("readouts", &ru_names.join(",")),
                 ("bus", &bu_names.join(",")),
-                ("bu_urls", &bu_urls.join(",")),
                 ("max_reassign", "5"),
             ],
         )
@@ -402,6 +410,7 @@ impl I2oListener for SlowBuilder {
 /// first window, which ends one second after the first built event.
 #[test]
 fn slow_builder_queue_is_bounded_by_its_credits() {
+    let _one_at_a_time = IN_PROCESS.lock();
     const CREDITS: usize = 8;
     const SOURCES: usize = 4;
     // Fragments of the assigned events, their ASSIGN frames, and the
@@ -562,6 +571,143 @@ fn slow_builder_queue_is_bounded_by_its_credits() {
     );
 }
 
+/// A 2×2 mesh over `loop://`, pumped on this thread, with the event
+/// manager given only `readouts` and `bus`, as the benchmark's rigs
+/// wire it. The manager's executive supervises both builder links.
+/// Mid-run builder 1 stops being pumped: its heartbeats go unanswered,
+/// the supervisor declares `loop://bu1` Down, and the event manager,
+/// which read that address from bu1's proxy route when it resolved
+/// the mesh, re-queues bu1's events for bu0. Nothing is lost.
+#[test]
+fn silent_builder_is_reclaimed_through_its_route() {
+    let _one_at_a_time = IN_PROCESS.lock();
+    const TARGET: u64 = 600;
+    const SOURCES: usize = 2;
+    let hub = LoopbackHub::new();
+    let node = |name: &str, supervision: Option<SupervisionConfig>| {
+        let mut cfg = ExecutiveConfig::named(name);
+        cfg.supervision = supervision;
+        let exec = Executive::new(cfg);
+        exec.register_pt("pt", LoopbackPt::new(&hub, name)).unwrap();
+        exec
+    };
+    let mgr = node(
+        "mgr",
+        Some(SupervisionConfig {
+            interval: Duration::from_millis(20),
+            suspect_after: 2,
+            down_after: 5,
+        }),
+    );
+    let ru_names: Vec<String> = (0..SOURCES).map(|i| format!("ru{i}")).collect();
+    let bu_names = ["bu0", "bu1"];
+    let rus: Vec<Executive> = ru_names.iter().map(|n| node(n, None)).collect();
+    let bus: Vec<Executive> = bu_names.iter().map(|n| node(n, None)).collect();
+    let ru_tids: Vec<Tid> = rus
+        .iter()
+        .enumerate()
+        .map(|(i, exec)| {
+            exec.register(
+                "readout",
+                Box::new(ReadoutUnit::new()),
+                &[
+                    ("source_id", &i.to_string()),
+                    ("sources", &SOURCES.to_string()),
+                    ("size", "256"),
+                ],
+            )
+            .unwrap()
+        })
+        .collect();
+    let ids = Arc::new(Mutex::new(HashSet::new()));
+    let flt = mgr
+        .register(
+            "flt",
+            Box::new(Collector {
+                ids: ids.clone(),
+                received: Arc::default(),
+            }),
+            &[],
+        )
+        .unwrap();
+    for (exec, name) in bus.iter().zip(bu_names) {
+        for (i, ru) in ru_names.iter().enumerate() {
+            exec.proxy(&format!("loop://{ru}"), ru_tids[i], Some(ru))
+                .unwrap();
+        }
+        exec.proxy("loop://mgr", flt, Some("flt")).unwrap();
+        let tid = exec
+            .register(
+                "builder",
+                Box::new(BuilderUnit::new()),
+                &[
+                    ("rus", &ru_names.join(",")),
+                    ("filter", "flt"),
+                    ("credits", "8"),
+                    // Nothing is lost on the wire, so no re-pull.
+                    ("timeout_ms", "600000"),
+                ],
+            )
+            .unwrap();
+        let url = format!("loop://{name}");
+        mgr.proxy(&url, tid, Some(name)).unwrap();
+        mgr.supervise(&url).unwrap();
+    }
+    for (i, name) in ru_names.iter().enumerate() {
+        mgr.proxy(&format!("loop://{name}"), ru_tids[i], Some(name))
+            .unwrap();
+    }
+    let evm = EventManager::new();
+    let stats = evm.stats();
+    let evm_tid = mgr
+        .register(
+            "evm",
+            Box::new(evm),
+            &[
+                ("readouts", &ru_names.join(",")),
+                ("bus", &bu_names.join(",")),
+            ],
+        )
+        .unwrap();
+    let all: Vec<&Executive> = std::iter::once(&mgr).chain(&rus).chain(&bus).collect();
+    for exec in &all {
+        exec.enable_all();
+    }
+    mgr.post(
+        Message::build_private(evm_tid, Tid::HOST, ORG_DAQ, xfn::RUN)
+            .payload(TARGET.to_le_bytes().to_vec())
+            .finish(),
+    )
+    .unwrap();
+
+    let pump_until = |nodes: &[&Executive], done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() && Instant::now() < deadline {
+            for exec in nodes {
+                exec.run_once();
+            }
+        }
+    };
+    pump_until(&all, &|| stats.completed.load(Ordering::SeqCst) >= 100);
+    // Builder 1 goes silent: everything but its executive keeps running.
+    pump_until(&all[..all.len() - 1], &|| {
+        stats.run_done.load(Ordering::SeqCst)
+    });
+    let (completed, reassigned, lost) = (
+        stats.completed.load(Ordering::SeqCst),
+        stats.reassigned.load(Ordering::SeqCst),
+        stats.lost.load(Ordering::SeqCst),
+    );
+    assert!(
+        stats.run_done.load(Ordering::SeqCst),
+        "run stalled: completed {completed} of {TARGET} (reassigned {reassigned}, lost {lost})"
+    );
+    assert_eq!((completed, lost), (TARGET, 0));
+    assert!(reassigned > 0, "bu1's events were never re-queued");
+    let reg = mgr.core().monitors().registry();
+    assert_eq!(reg.counter("evb.evm.bu_down").get(), 1);
+}
+
 // ───────────────────────── child processes ──────────────────────────
 
 /// Readout-unit child: attaches the parent control region, creates the
@@ -588,7 +734,6 @@ fn child_evb_ru() {
     if chaos {
         let plan = FaultPlan {
             drop_per_mille: 100,
-            ..FaultPlan::default()
         };
         exec.register_pt("pt", ChaosPt::wrap(shm, 0xDA0 + i as u64, plan))
             .unwrap();

@@ -1,5 +1,5 @@
-//! Fault-injection integration tests: ChaosPt over loopback, a refused
-//! send that is never resent, and link supervision end to end.
+//! Fault-injection integration tests: ChaosPt over loopback, a dropped
+//! frame that is never resent, and link supervision end to end.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,28 +92,28 @@ fn data(target: Tid, seq: u64) -> Message {
 }
 
 /// Streams `count` frames one way from `a` to `b` over a link that
-/// refuses `per_mille`‰ of sends. Returns how many arrived, the
+/// drops `per_mille`‰ of sends. Returns how many arrived, the
 /// injected faults and `a`'s `pta.send_failures`, once every frame is
 /// accounted for.
 fn chaotic_stream(seed: u64, per_mille: u16, count: u64) -> (u64, ChaosStats, u64) {
-    let (a, b, chaos, got, proxy) = chaotic_pair(
-        seed,
-        FaultPlan::failing(per_mille),
-        ExecutiveConfig::named("a"),
-    );
+    let plan = FaultPlan {
+        drop_per_mille: per_mille,
+    };
+    let (a, b, chaos, got, proxy) = chaotic_pair(seed, plan, ExecutiveConfig::named("a"));
     let hb = b.spawn();
-    let refused = (0..count)
-        .filter(|seq| a.post(data(proxy, *seq)).is_err())
-        .count() as u64;
+    for seq in 0..count {
+        a.post(data(proxy, seq))
+            .expect("a dropped frame is accepted");
+    }
     let stats = chaos.stats();
-    assert_eq!(refused, stats.failed, "every refusal reaches the sender");
     assert!(
         wait_until(
-            || got.load(Ordering::SeqCst) + refused == count,
+            || got.load(Ordering::SeqCst) + stats.dropped == count,
             Duration::from_secs(30)
         ),
-        "frames went missing: {} delivered, {refused} refused of {count}",
-        got.load(Ordering::SeqCst)
+        "frames went missing: {} delivered, {} dropped of {count}",
+        got.load(Ordering::SeqCst),
+        stats.dropped
     );
     hb.shutdown();
     let metrics = a.core().monitors().registry().snapshot();
@@ -121,18 +121,23 @@ fn chaotic_stream(seed: u64, per_mille: u16, count: u64) -> (u64, ChaosStats, u6
     (got.load(Ordering::SeqCst), stats, failures)
 }
 
-/// ChaosPt refuses ~30% of sends. Each refused frame is counted once
-/// and never resent, and every frame it accepted arrives.
+/// ChaosPt drops ~30% of sends. A dropped frame is sent once and
+/// never again, the sender sees no failure, and every frame the link
+/// did not drop arrives.
 #[test]
-fn chaos_refuses_thirty_percent_once_and_delivers_the_rest() {
+fn chaos_drops_thirty_percent_once_and_delivers_the_rest() {
     const COUNT: u64 = 400;
     let (delivered, stats, failures) = chaotic_stream(0xDEC0DE, 300, COUNT);
     assert!(
-        stats.failed > COUNT / 10,
-        "expected ~30% injected failures, saw {stats:?}"
+        stats.dropped > COUNT / 10,
+        "expected ~30% dropped sends, saw {stats:?}"
     );
-    assert_eq!(failures, stats.failed, "refused once, never resent");
-    assert_eq!(delivered + stats.failed, COUNT);
+    assert_eq!(failures, 0, "a drop is not a send failure");
+    assert_eq!(
+        delivered + stats.dropped,
+        COUNT,
+        "dropped once, never resent"
+    );
 }
 
 /// The same seed replays the same fault schedule: the smoke test CI
@@ -142,8 +147,8 @@ fn fixed_seed_chaos_run_is_deterministic() {
     const COUNT: u64 = 150;
     let run = |seed: u64| {
         let (delivered, stats, failures) = chaotic_stream(seed, 250, COUNT);
-        assert_eq!(failures, stats.failed);
-        assert_eq!(delivered + stats.failed, COUNT);
+        assert_eq!(failures, 0);
+        assert_eq!(delivered + stats.dropped, COUNT);
         (delivered, stats)
     };
     let first = run(99);
@@ -252,20 +257,20 @@ fn xcl_faults_command_reprograms_chaos() {
         "node w {w_url}\n\
          claim w\n\
          proxy pt0 {w_url} {}\n\
-         faults pt0 fail=250 delay_every=8 chaos.delay_ms=3\n\
+         faults pt0 drop=250 seed=7\n\
          faults pt0 kill=1\n",
         pt_tid.raw()
     );
     let out = interp.run(&script).unwrap();
-    assert!(out.log.iter().any(|l| l.contains("faults pt0: 3 knobs")));
-    let p = chaos.plan();
-    assert_eq!(p.fail_per_mille, 250);
-    assert_eq!(p.delay_every, 8);
-    assert_eq!(p.delay, Duration::from_millis(3));
+    assert!(out.log.iter().any(|l| l.contains("faults pt0: 2 knobs")));
+    assert_eq!(chaos.plan().drop_per_mille, 250);
     assert!(chaos.is_killed());
-    // A bad knob value is a visible script error, not a silent no-op.
-    let err = interp.run("faults pt0 fail=9999\n").unwrap_err();
-    assert!(err.message.contains("fail"), "{}", err.message);
+    // A bad knob value is a visible script error, not a silent no-op,
+    // and so is a knob ChaosPt does not have.
+    let err = interp.run("faults pt0 drop=9999\n").unwrap_err();
+    assert!(err.message.contains("drop"), "{}", err.message);
+    let err = interp.run("faults pt0 fail=300\n").unwrap_err();
+    assert!(err.message.contains("chaos.fail"), "{}", err.message);
     host.stop();
     nh.shutdown();
 }
