@@ -89,6 +89,9 @@ pub enum PtError {
     Io(String),
     /// The transport has been stopped.
     Closed,
+    /// A runtime key ([`crate::PeerTransport::configure`]) the transport
+    /// does not take, or a value it refuses.
+    BadParam(String),
 }
 
 impl fmt::Display for PtError {
@@ -99,6 +102,7 @@ impl fmt::Display for PtError {
             PtError::WouldBlock => write!(f, "transport backpressure"),
             PtError::Io(e) => write!(f, "transport I/O error: {e}"),
             PtError::Closed => write!(f, "transport closed"),
+            PtError::BadParam(e) => f.write_str(e),
         }
     }
 }

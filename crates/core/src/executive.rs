@@ -489,6 +489,12 @@ impl Executive {
         Ok(())
     }
 
+    /// Whether [`ExecutiveConfig::supervision`] is set, so that
+    /// [`Executive::supervise`] can succeed.
+    pub fn has_supervision(&self) -> bool {
+        self.core.supervisor.is_some()
+    }
+
     /// Registers `tid` as this executive's fault listener: peer-down
     /// events arrive as `XFN_PEER_DOWN` private frames. Equivalent to
     /// `Dispatcher::watch_faults` but callable from outside a dispatch

@@ -249,10 +249,14 @@ pub trait PeerTransport: Send + Sync {
 
     /// Runtime configuration hook; the PT's DDM forwards `ParamsSet`
     /// key/value pairs here (this is how `xcl faults` programs a
-    /// `ChaosPt`). Unknown keys are ignored by default.
+    /// `ChaosPt`), and stores them only when every key is taken. A
+    /// transport without knobs refuses each key by name.
     fn configure(&self, key: &str, value: &str) -> Result<(), PtError> {
-        let _ = (key, value);
-        Ok(())
+        let _ = value;
+        Err(PtError::BadParam(format!(
+            "the {} transport takes no key {key}",
+            self.scheme()
+        )))
     }
 
     /// Drains the count of task threads observed to have panicked

@@ -66,6 +66,7 @@ pub mod bu;
 pub mod evm;
 pub mod filter;
 pub mod fragment;
+pub mod mesh;
 pub mod ru;
 
 pub use assembler::{Assembler, Completed, Offer};
@@ -73,6 +74,7 @@ pub use bu::{BuilderStats, BuilderUnit};
 pub use evm::{EventManager, EvmStats};
 pub use filter::{FilterStats, FilterUnit};
 pub use fragment::{FragmentHeader, FRAGMENT_HEADER_LEN};
+pub use mesh::{BuilderNode, Mesh, Roles};
 pub use ru::ReadoutUnit;
 
 use xdaq_core::{Dispatcher, ExecError};

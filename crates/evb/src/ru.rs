@@ -38,8 +38,6 @@ pub struct ReadoutUnit {
     parked: FastMap<u64, Vec<Tid>>,
     configured: bool,
     metrics: Option<RuMetrics>,
-    /// Fragments produced (observable for tests).
-    pub produced: u64,
 }
 
 struct RuMetrics {
@@ -63,7 +61,6 @@ impl ReadoutUnit {
             parked: FastMap::default(),
             configured: false,
             metrics: None,
-            produced: 0,
         }
     }
 
@@ -95,7 +92,6 @@ impl ReadoutUnit {
         let _ = ctx.send_private_with(dest, ORG_DAQ, xfn::FRAGMENT, len, |payload| {
             header.fill_payload(payload)
         });
-        self.produced += 1;
         if let Some(m) = &self.metrics {
             m.fragments.inc();
         }

@@ -163,7 +163,7 @@ impl PeerTransport for ChaosPt {
         let Some(knob) = key.strip_prefix("chaos.") else {
             return self.inner.configure(key, value);
         };
-        let bad = || PtError::BadAddress(format!("chaos: bad value {key}={value}"));
+        let bad = || PtError::BadParam(format!("chaos: bad value {key}={value}"));
         match knob {
             "drop" => {
                 let per_mille = value.parse::<u16>().ok().filter(|p| *p <= 1000);
@@ -180,7 +180,7 @@ impl PeerTransport for ChaosPt {
                 _ => return Err(bad()),
             },
             _ => {
-                return Err(PtError::BadAddress(format!(
+                return Err(PtError::BadParam(format!(
                     "chaos: unknown key {key} (chaos.drop, chaos.seed and chaos.kill are known)"
                 )))
             }
@@ -298,9 +298,10 @@ mod tests {
         // An unknown chaos key is named, not stored and never read.
         let err = chaos.configure("chaos.fail", "300").unwrap_err();
         assert!(err.to_string().contains("chaos.fail"), "{err}");
-        // Other keys fall through to the wrapped transport (which
-        // ignores them by default).
-        chaos.configure("tcp.nodelay", "1").unwrap();
+        // Other keys fall through to the wrapped transport, which
+        // refuses a key it does not take.
+        let err = chaos.configure("tcp.nodelay", "1").unwrap_err();
+        assert!(err.to_string().contains("tcp.nodelay"), "{err}");
     }
 
     /// `chaos.seed` restarts the stream: the same schedule again.

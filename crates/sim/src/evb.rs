@@ -1,9 +1,10 @@
 //! A simulated N×M event-builder topology: the sweep harness's
 //! standard workload.
 //!
-//! [`SimEvb`] assembles `1 + N_RU + N_BU` nodes on one [`SimCluster`]:
-//! a host node running the [`EventManager`] plus the filter collector,
-//! two readout nodes and two builder nodes — the same mesh the
+//! [`SimEvb`] assembles `1 + N_RU + N_BU` nodes on one [`SimCluster`]
+//! and wires them with [`xdaq_evb::Mesh`], as every in-process rig
+//! does: a host node running the event manager plus the filter
+//! collector, two readout nodes and two builder nodes — the same mesh the
 //! 7-process `tests/evb.rs` integration test builds out of real OS
 //! processes and `shm://` regions, shrunk onto the simulated fabric
 //! where a whole run takes microseconds of wall time and every
@@ -24,7 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xdaq_core::config::kv;
 use xdaq_core::{Delivery, Dispatcher, Executive, I2oListener, SupervisionConfig, VirtualClock};
-use xdaq_evb::{xfn, BuilderUnit, EventManager, EvmStats, ReadoutUnit, ORG_DAQ};
+use xdaq_evb::{xfn, Mesh, Roles, ORG_DAQ};
 use xdaq_i2o::{DeviceClass, Message, Tid, UtilFn};
 
 /// Readout-unit count.
@@ -112,30 +113,29 @@ pub struct SimEvb {
     /// The golden-trace log (faults, completions, accounting).
     pub log: TraceLog,
     host: Executive,
-    evm_tid: Tid,
-    /// Builder (name, url, remote tid) triples for proxy repair: the
-    /// host executive *evicts* a Down builder's proxy (routes, name,
-    /// tid), so after a revive the control plane must re-proxy before
-    /// the EVM's rescan can resolve the name again.
-    bu_proxies: Vec<(String, String, Tid)>,
-    stats: Arc<EvmStats>,
+    /// The host executive *evicts* a Down builder's proxy (routes,
+    /// name, tid), so after a revive the control plane re-proxies each
+    /// builder from here before the EVM's rescan can resolve the name
+    /// again.
+    mesh: Mesh,
     ids: Arc<Mutex<BTreeSet<u64>>>,
 }
 
 impl SimEvb {
-    /// Builds the mesh. Node registration order is fixed, so TiD
-    /// assignment — and therefore every downstream route — is
-    /// deterministic.
+    /// Builds the mesh through [`Mesh`], whose fixed registration
+    /// order makes TiD assignment — and therefore every downstream
+    /// route — deterministic.
     pub fn new(opts: EvbOptions) -> SimEvb {
         let mut cluster = SimCluster::new();
         let log = TraceLog::new();
         let host = cluster.add_node_with("host", |c| c.supervision = Some(SUPERVISION));
-        let ru_execs: Vec<Executive> = (0..N_RU)
-            .map(|i| cluster.add_node(&format!("ru{i}")))
+        let names: Vec<String> = (0..N_RU)
+            .map(|i| format!("ru{i}"))
+            .chain((0..N_BU).map(|j| format!("bu{j}")))
             .collect();
-        let bu_execs: Vec<Executive> = (0..N_BU)
-            .map(|j| cluster.add_node(&format!("bu{j}")))
-            .collect();
+        let execs: Vec<Executive> = names.iter().map(|n| cluster.add_node(n)).collect();
+        let urls: Vec<String> = names.iter().map(|n| SimCluster::url(n)).collect();
+        let nodes: Vec<(&str, &Executive)> = urls.iter().map(String::as_str).zip(&execs).collect();
 
         let ids = Arc::new(Mutex::new(BTreeSet::new()));
         let flt_tid = host
@@ -149,116 +149,37 @@ impl SimEvb {
                 &[],
             )
             .expect("register collector");
-
-        let mut ru_tids = Vec::new();
-        for (i, exec) in ru_execs.iter().enumerate() {
-            let tid = exec
-                .register(
-                    "readout",
-                    Box::new(ReadoutUnit::new()),
-                    &[
-                        ("source_id", &i.to_string()),
-                        ("sources", &N_RU.to_string()),
-                        ("size", &FRAGMENT_SIZE.to_string()),
-                    ],
-                )
-                .expect("register readout");
-            ru_tids.push(tid);
-        }
-
-        let ru_names: Vec<String> = (0..N_RU).map(|i| format!("ru{i}")).collect();
-        let mut bu_tids = Vec::new();
-        for exec in bu_execs.iter() {
-            exec.proxy(&SimCluster::url("host"), flt_tid, Some("flt"))
-                .expect("proxy filter");
-            for (i, &ru_tid) in ru_tids.iter().enumerate() {
-                exec.proxy(
-                    &SimCluster::url(&format!("ru{i}")),
-                    ru_tid,
-                    Some(&ru_names[i]),
-                )
-                .expect("proxy readout");
-            }
-            let tid = exec
-                .register(
-                    "builder",
-                    Box::new(BuilderUnit::new()),
-                    &[
-                        ("rus", &ru_names.join(",")),
-                        ("filter", "flt"),
-                        ("credits", &CREDITS.to_string()),
-                        ("timeout_ms", &BU_TIMEOUT_MS.to_string()),
-                        ("max_retries", &opts.bu_max_retries.to_string()),
-                    ],
-                )
-                .expect("register builder");
-            bu_tids.push(tid);
-        }
-
-        let mut bu_proxies = Vec::new();
-        for (i, &ru_tid) in ru_tids.iter().enumerate() {
-            host.proxy(
-                &SimCluster::url(&format!("ru{i}")),
-                ru_tid,
-                Some(&ru_names[i]),
-            )
-            .expect("host proxy readout");
-        }
-        let bu_names: Vec<String> = (0..N_BU).map(|j| format!("bu{j}")).collect();
-        for (j, &bu_tid) in bu_tids.iter().enumerate() {
-            let url = SimCluster::url(&format!("bu{j}"));
-            host.proxy(&url, bu_tid, Some(&bu_names[j]))
-                .expect("host proxy builder");
-            host.supervise(&url).expect("supervise builder");
-            bu_proxies.push((bu_names[j].clone(), url, bu_tid));
-        }
-
-        let evm = EventManager::new();
-        let stats = evm.stats();
-        let evm_tid = host
-            .register(
-                "evm",
-                Box::new(evm),
-                &[
-                    ("readouts", &ru_names.join(",")),
-                    ("bus", &bu_names.join(",")),
+        let mesh = Mesh::new(
+            &host,
+            &nodes[..N_RU],
+            &nodes[N_RU..],
+            (&SimCluster::url("host"), flt_tid),
+            Roles {
+                readout: &[("size", &FRAGMENT_SIZE.to_string())],
+                builder: &[
+                    ("credits", &CREDITS.to_string()),
+                    ("timeout_ms", &BU_TIMEOUT_MS.to_string()),
+                    ("max_retries", &opts.bu_max_retries.to_string()),
+                ],
+                manager: &[
                     ("max_reassign", &opts.max_reassign.to_string()),
                     ("trigger_interval_us", &TRIGGER_INTERVAL_US.to_string()),
                 ],
-            )
-            .expect("register evm");
-
-        host.enable_all();
-        for e in ru_execs.iter().chain(bu_execs.iter()) {
-            e.enable_all();
-        }
-
+            },
+        )
+        .expect("wire the mesh");
         SimEvb {
             cluster,
             log,
             host,
-            evm_tid,
-            bu_proxies,
-            stats,
+            mesh,
             ids,
         }
     }
 
-    /// The event manager's live counters.
-    pub fn stats(&self) -> &Arc<EvmStats> {
-        &self.stats
-    }
-
     /// Opens a run of `target` events.
     pub fn start_run(&self, target: u64) {
-        self.stats.run_done.store(target == 0, Ordering::SeqCst);
-        self.host
-            .post(
-                Message::build_private(self.evm_tid, Tid::HOST, ORG_DAQ, xfn::RUN)
-                    .payload(target.to_le_bytes().to_vec())
-                    .finish(),
-            )
-            .expect("post RUN");
+        self.mesh.start_run(target).expect("post RUN");
     }
 
     /// Repairs proxies and raises `evb.rescan=1` on the event manager
@@ -269,19 +190,19 @@ impl SimEvb {
     /// then can the EVM's rescan clear its dead set and re-invite
     /// builders without a credit entry.
     pub fn rescan(&self) {
-        for (name, url, remote) in &self.bu_proxies {
-            if self.host.core().lookup_name(name).is_none() {
+        for bu in &self.mesh.builders {
+            if self.host.core().lookup_name(&bu.alias).is_none() {
                 self.log
-                    .push(self.cluster.elapsed(), &format!("reproxy {name}"));
+                    .push(self.cluster.elapsed(), &format!("reproxy {}", bu.alias));
                 self.host
-                    .proxy(url, *remote, Some(name))
+                    .proxy(&bu.url, bu.tid, Some(&bu.alias))
                     .expect("re-proxy builder");
             }
         }
         self.log.push(self.cluster.elapsed(), "rescan");
         self.host
             .post(
-                Message::util(self.evm_tid, Tid::HOST, UtilFn::ParamsSet)
+                Message::util(self.mesh.evm, Tid::HOST, UtilFn::ParamsSet)
                     .payload(kv(&[("evb.rescan", "1")]))
                     .finish(),
             )
@@ -290,17 +211,17 @@ impl SimEvb {
 
     /// True once `completed + lost` reached the run target.
     pub fn run_done(&self) -> bool {
-        self.stats.run_done.load(Ordering::SeqCst)
+        self.mesh.evm_stats.run_done.load(Ordering::SeqCst)
     }
 
     /// Events built and cleared.
     pub fn completed(&self) -> u64 {
-        self.stats.completed.load(Ordering::SeqCst)
+        self.mesh.evm_stats.completed.load(Ordering::SeqCst)
     }
 
     /// Events abandoned after `max_reassign` attempts.
     pub fn lost(&self) -> u64 {
-        self.stats.lost.load(Ordering::SeqCst)
+        self.mesh.evm_stats.lost.load(Ordering::SeqCst)
     }
 
     /// Distinct event ids that reached the filter.

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //!   event manager ──triggers──▶ 4 readout nodes
-//!   event manager ──assigns───▶ 3 builder nodes   (1 credit each)
+//!   event manager ──assigns───▶ 3 builder nodes   (8 credits each)
 //!   builder nodes ──pulls─────▶ readout nodes
 //!   readout nodes ──fragments─▶ builder nodes     (4×3 crossing mesh)
 //!   builder nodes ──events────▶ recorder ──▶ 1 filter node
@@ -30,7 +30,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdaq::core::{Executive, ExecutiveConfig};
-use xdaq::evb::{xfn, BuilderUnit, EventManager, FilterStats, FilterUnit, ReadoutUnit, ORG_DAQ};
+use xdaq::evb::{FilterStats, FilterUnit, Mesh, Roles};
 use xdaq::i2o::{Message, Tid};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 use xdaq::rec::{scan, Recorder, ReplayPt};
@@ -47,25 +47,25 @@ fn event_count() -> u64 {
         .unwrap_or(2_000)
 }
 
-fn node(hub: &std::sync::Arc<LoopbackHub>, name: &str) -> Executive {
-    let exec = Executive::new(ExecutiveConfig::named(name));
-    exec.register_pt(&format!("{name}.pt"), LoopbackPt::new(hub, name))
-        .unwrap();
-    exec
-}
-
 fn main() {
     let hub = LoopbackHub::new();
 
     // One executive per machine.
-    let mgr_node = node(&hub, "mgr");
-    let filter_node = node(&hub, "flt");
-    let ru_nodes: Vec<Executive> = (0..READOUTS)
-        .map(|i| node(&hub, &format!("ru{i}")))
+    let names: Vec<String> = ["mgr".to_string(), "flt".to_string()]
+        .into_iter()
+        .chain((0..READOUTS).map(|i| format!("ru{i}")))
+        .chain((0..BUILDERS).map(|j| format!("bu{j}")))
         .collect();
-    let bu_nodes: Vec<Executive> = (0..BUILDERS)
-        .map(|i| node(&hub, &format!("bu{i}")))
+    let nodes: Vec<Executive> = names
+        .iter()
+        .map(|name| {
+            let exec = Executive::new(ExecutiveConfig::named(name));
+            exec.register_pt(&format!("{name}.pt"), LoopbackPt::new(&hub, name))
+                .unwrap();
+            exec
+        })
         .collect();
+    let (mgr_node, filter_node) = (&nodes[0], &nodes[1]);
 
     // Filter on its own node.
     let f_stats = FilterStats::new();
@@ -91,106 +91,31 @@ fn main() {
         )
         .unwrap();
 
-    // Readouts first: builders and the manager address them by proxy.
-    let mut ru_tids = Vec::new();
-    for (i, ru) in ru_nodes.iter().enumerate() {
-        let tid = ru
-            .register(
-                &format!("readout{i}"),
-                Box::new(ReadoutUnit::new()),
-                &[
-                    ("source_id", &i.to_string()),
-                    ("sources", &READOUTS.to_string()),
-                    ("size", &FRAGMENT_SIZE.to_string()),
-                ],
-            )
-            .unwrap();
-        ru_tids.push(tid);
-    }
-
-    // Builders: proxies for every readout (the crossing mesh — pulls
-    // go n×m) plus the recorder tap. The event manager announces
-    // itself with INVITE, so no manager proxy is configured.
-    let mut builder_stats = Vec::new();
-    let mut bu_tids = Vec::new();
-    for (i, bu) in bu_nodes.iter().enumerate() {
-        let ru_names: Vec<String> = ru_tids
-            .iter()
-            .enumerate()
-            .map(|(r, tid)| {
-                let alias = format!("ru{r}");
-                bu.proxy(&format!("loop://ru{r}"), *tid, Some(&alias))
-                    .unwrap();
-                alias
-            })
-            .collect();
-        bu.proxy("loop://flt", recorder_tid, Some("rec")).unwrap();
-        let unit = BuilderUnit::new();
-        let stats = unit.stats();
-        let tid = bu
-            .register(
-                &format!("builder{i}"),
-                Box::new(unit),
-                &[
-                    ("rus", &ru_names.join(",")),
-                    ("filter", "rec"),
-                    ("credits", "8"),
-                    ("timeout_ms", "100"),
-                    ("max_retries", "20"),
-                ],
-            )
-            .unwrap();
-        builder_stats.push(stats);
-        bu_tids.push(tid);
-    }
-
-    // Event manager: proxies for every readout (triggers, clears) and
-    // every builder (invites, assignments).
-    let ru_names: Vec<String> = ru_tids
-        .iter()
-        .enumerate()
-        .map(|(i, tid)| {
-            let alias = format!("ru{i}");
-            mgr_node
-                .proxy(&format!("loop://ru{i}"), *tid, Some(&alias))
-                .unwrap();
-            alias
-        })
-        .collect();
-    let bu_names: Vec<String> = bu_tids
-        .iter()
-        .enumerate()
-        .map(|(i, tid)| {
-            let alias = format!("bu{i}");
-            mgr_node
-                .proxy(&format!("loop://bu{i}"), *tid, Some(&alias))
-                .unwrap();
-            alias
-        })
-        .collect();
-    let evm = EventManager::new();
-    let m_stats = evm.stats();
-    let mgr_tid = mgr_node
-        .register(
-            "evm",
-            Box::new(evm),
-            &[
-                ("readouts", &ru_names.join(",")),
-                ("bus", &bu_names.join(",")),
+    // The crossing mesh: every builder pulls from every readout, ships
+    // to the recorder tap, and takes its credits' worth of events from
+    // the manager, which announces itself with INVITE.
+    let urls: Vec<String> = names.iter().map(|n| format!("loop://{n}")).collect();
+    let peers: Vec<(&str, &Executive)> = urls.iter().map(String::as_str).zip(&nodes).collect();
+    let mesh = Mesh::new(
+        mgr_node,
+        &peers[2..2 + READOUTS],
+        &peers[2 + READOUTS..],
+        ("loop://flt", recorder_tid),
+        Roles {
+            readout: &[("size", &FRAGMENT_SIZE.to_string())],
+            builder: &[
+                ("credits", "8"),
+                ("timeout_ms", "100"),
+                ("max_retries", "20"),
             ],
-        )
-        .unwrap();
-
-    // Enable everything and spawn the dispatch loops.
-    let mut handles = Vec::new();
-    for exec in std::iter::once(&mgr_node)
-        .chain(std::iter::once(&filter_node))
-        .chain(ru_nodes.iter())
-        .chain(bu_nodes.iter())
-    {
-        exec.enable_all();
-        handles.push(exec.spawn());
-    }
+            ..Roles::default()
+        },
+    )
+    .unwrap();
+    let m_stats = &mesh.evm_stats;
+    // The mesh enabled its own nodes; the filter's is ours.
+    filter_node.enable_all();
+    let handles: Vec<_> = nodes.iter().map(Executive::spawn).collect();
 
     // Start the run.
     let events = event_count();
@@ -199,13 +124,7 @@ fn main() {
          {FRAGMENT_SIZE} B fragments"
     );
     let t0 = Instant::now();
-    mgr_node
-        .post(
-            Message::build_private(mgr_tid, Tid::HOST, ORG_DAQ, xfn::RUN)
-                .payload(events.to_le_bytes().to_vec())
-                .finish(),
-        )
-        .unwrap();
+    mesh.start_run(events).unwrap();
     let mut last = 0;
     let mut stuck = 0;
     while !m_stats.run_done.load(Ordering::SeqCst) {
@@ -232,12 +151,11 @@ fn main() {
         "events lost on a fault-free fabric"
     );
 
-    let built: u64 = builder_stats
-        .iter()
+    let builder_stats = || mesh.builders.iter().map(|bu| &bu.stats);
+    let built: u64 = builder_stats()
         .map(|s| s.events_built.load(Ordering::SeqCst))
         .sum();
-    let bytes: u64 = builder_stats
-        .iter()
+    let bytes: u64 = builder_stats()
         .map(|s| s.bytes.load(Ordering::SeqCst))
         .sum();
     println!("built {built} events in {:.3} s", elapsed.as_secs_f64());
@@ -246,7 +164,7 @@ fn main() {
         built as f64 / elapsed.as_secs_f64(),
         bytes as f64 / elapsed.as_secs_f64() / 1e6
     );
-    for (i, s) in builder_stats.iter().enumerate() {
+    for (i, s) in builder_stats().enumerate() {
         println!(
             "  builder{i}: events={} fragments={} corrupt={}",
             s.events_built.load(Ordering::SeqCst),
@@ -278,6 +196,11 @@ fn main() {
     );
     for h in handles {
         h.shutdown();
+    }
+    let received = f_stats.received.load(Ordering::SeqCst);
+    if received != built {
+        eprintln!("the filter received {received} of {built} built events");
+        std::process::exit(1);
     }
 
     // ── Phase 2: deterministic replay ────────────────────────────────

@@ -129,6 +129,26 @@ if grep -rnE 'bu_urls|@url:|fail_per_mille|dup_per_mille|corrupt_per_mille|delay
     echo "declared builder urls, @url: templates, ChaosPt's non-drop faults and replay.* keys (listed above) were removed; DESIGN.md §8 \"ChaosPt\" and §14 say why" >&2
     bad=1
 fi
+# One wiring rule: every in-process event builder is wired by
+# crates/evb/src/mesh.rs, so a readout's source index and the manager's
+# readout list are spelled out nowhere else, except in the evb unit
+# tests (one executive, local names) and the multi-process children
+# and host of tests/evb.rs, which wire themselves over shm://.
+hand_wired=$(find crates src tests examples -name '*.rs' | sort | xargs awk '
+    FNR == 1 { test = 0; fn = "" }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+    /^(pub )?fn / { fn = $0; sub(/^(pub )?fn /, "", fn); sub(/[(<].*/, "", fn) }
+    /\("(readouts|source_id)",/ {
+        if (FILENAME == "crates/evb/src/mesh.rs") next
+        if (test && FILENAME ~ /^crates\/evb\/src\/(evm|bu|ru)\.rs$/) next
+        if (FILENAME == "tests/evb.rs" && fn ~ /^(build_mesh|child_evb_ru|child_evb_bu)$/) next
+        print FILENAME ":" FNR ": " $0
+    }')
+if [ -n "$hand_wired" ]; then
+    echo "$hand_wired" >&2
+    echo "a hand-wired event builder (listed above): wire it with xdaq_evb::Mesh; DESIGN.md §12 says why" >&2
+    bad=1
+fi
 [ "$bad" -eq 0 ] || exit 1
 
 echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="

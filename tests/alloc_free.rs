@@ -44,8 +44,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xdaq::core::{Delivery, Dispatcher, Executive, ExecutiveConfig, I2oListener, PeerTransport};
-use xdaq::evb::{xfn, BuilderUnit, EventManager, EvmStats, ReadoutUnit, ORG_DAQ};
-use xdaq::i2o::{DeviceClass, Message, Tid};
+use xdaq::evb::{EvmStats, FilterStats, FilterUnit, Mesh, Roles};
+use xdaq::i2o::{DeviceClass, Message};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 
 thread_local! {
@@ -163,141 +163,61 @@ fn echo_over_loopback_allocates_nothing_once_warm() {
     assert_eq!(allocs, 0, "heap allocations over 5 000 echo round trips");
 }
 
-/// Counts built-event summaries.
-struct Filter {
-    events: Arc<AtomicU64>,
-}
-
-impl I2oListener for Filter {
-    fn class(&self) -> DeviceClass {
-        DeviceClass::Application(ORG_DAQ)
-    }
-    fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, msg: Delivery) {
-        if msg.private.map(|p| p.x_function) == Some(xfn::EVENT) {
-            self.events.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 /// A 4×2 event builder over `loop://`: the manager (with the filter)
 /// first, then four readout units and two builder units granting
 /// `credits` each, one executive each, in a free-running run.
 struct EvbMesh {
     nodes: Vec<Executive>,
     pts: Vec<Arc<LoopbackPt>>,
-    events: Arc<AtomicU64>,
+    events: Arc<FilterStats>,
     stats: Arc<EvmStats>,
 }
 
 impl EvbMesh {
     fn new(credits: u32) -> EvbMesh {
-        const RUS: usize = 4;
-        const BUS: usize = 2;
         let hub = LoopbackHub::new();
-        let ru_names: Vec<String> = (0..RUS).map(|i| format!("ru{i}")).collect();
-        let bu_names: Vec<String> = (0..BUS).map(|j| format!("bu{j}")).collect();
-        let (nodes, pts): (Vec<Executive>, Vec<Arc<LoopbackPt>>) = std::iter::once("mgr")
-            .chain(ru_names.iter().map(String::as_str))
-            .chain(bu_names.iter().map(String::as_str))
-            .map(|name| loop_node(&hub, name))
-            .unzip();
-        let (mgr, rus, bus) = (&nodes[0], &nodes[1..=RUS], &nodes[RUS + 1..]);
-
-        let ru_tids: Vec<Tid> = rus
-            .iter()
-            .enumerate()
-            .map(|(i, exec)| {
-                exec.register(
-                    "readout",
-                    Box::new(ReadoutUnit::new()),
-                    &[
-                        ("source_id", &i.to_string()),
-                        ("sources", &RUS.to_string()),
-                        ("size", "2048"),
-                    ],
-                )
-                .unwrap()
-            })
-            .collect();
-        let events = Arc::new(AtomicU64::new(0));
-        let filter = mgr
-            .register(
-                "filter",
-                Box::new(Filter {
-                    events: events.clone(),
-                }),
-                &[],
-            )
-            .unwrap();
-        let bu_tids: Vec<Tid> = bus
-            .iter()
-            .enumerate()
-            .map(|(j, exec)| {
-                for (i, name) in ru_names.iter().enumerate() {
-                    exec.proxy(&format!("loop://{name}"), ru_tids[i], Some(name))
-                        .unwrap();
-                }
-                exec.proxy("loop://mgr", filter, Some("filter")).unwrap();
-                exec.register(
-                    &format!("builder{j}"),
-                    Box::new(BuilderUnit::new()),
-                    &[
-                        ("rus", &ru_names.join(",")),
-                        ("filter", "filter"),
-                        ("credits", &credits.to_string()),
-                        // Nothing is lost here, so the re-pull timer must
-                        // never fire: the run is then the same sequence of
-                        // operations however the test thread is scheduled
-                        // (a 50 ms stall under a loaded `cargo test` would
-                        // otherwise fire timers and re-pull).
-                        ("timeout_ms", "600000"),
-                    ],
-                )
-                .unwrap()
-            })
-            .collect();
-        for (i, name) in ru_names.iter().enumerate() {
-            mgr.proxy(&format!("loop://{name}"), ru_tids[i], Some(name))
-                .unwrap();
-        }
-        for (j, name) in bu_names.iter().enumerate() {
-            mgr.proxy(&format!("loop://{name}"), bu_tids[j], Some(name))
-                .unwrap();
-        }
-        let manager = EventManager::new();
-        let stats = manager.stats();
-        let evm = mgr
-            .register(
-                "evm",
-                Box::new(manager),
-                &[
-                    ("readouts", &ru_names.join(",")),
-                    ("bus", &bu_names.join(",")),
+        let names = ["mgr", "ru0", "ru1", "ru2", "ru3", "bu0", "bu1"];
+        let (nodes, pts): (Vec<Executive>, Vec<Arc<LoopbackPt>>) =
+            names.iter().map(|name| loop_node(&hub, name)).unzip();
+        let urls: Vec<String> = names.iter().map(|n| format!("loop://{n}")).collect();
+        let peers: Vec<(&str, &Executive)> = urls.iter().map(String::as_str).zip(&nodes).collect();
+        let events = FilterStats::new();
+        let filter = Box::new(FilterUnit::new(events.clone()));
+        let filter = nodes[0].register("filter", filter, &[]).unwrap();
+        let mesh = Mesh::new(
+            &nodes[0],
+            &peers[1..5],
+            &peers[5..],
+            ("loop://mgr", filter),
+            Roles {
+                readout: &[("size", "2048")],
+                builder: &[
+                    ("credits", &credits.to_string()),
+                    // Nothing is lost here, so the re-pull timer must
+                    // never fire: the run is then the same sequence of
+                    // operations however the test thread is scheduled
+                    // (a 50 ms stall under a loaded `cargo test` would
+                    // otherwise fire timers and re-pull).
+                    ("timeout_ms", "600000"),
                 ],
-            )
-            .unwrap();
-        for exec in &nodes {
-            exec.enable_all();
-        }
-        // Free-running trigger: a run longer than the test.
-        mgr.post(
-            Message::build_private(evm, Tid::HOST, ORG_DAQ, xfn::RUN)
-                .payload(u64::MAX.to_le_bytes().to_vec())
-                .finish(),
+                ..Roles::default()
+            },
         )
         .unwrap();
+        // Free-running trigger: a run longer than the test.
+        mesh.start_run(u64::MAX).unwrap();
         EvbMesh {
             nodes,
             pts,
             events,
-            stats,
+            stats: mesh.evm_stats,
         }
     }
 
     /// Pumps every executive in turn until `built` events reached the
     /// filter.
     fn pump_until(&self, built: u64) {
-        while self.events.load(Ordering::Relaxed) < built {
+        while self.events.received.load(Ordering::Relaxed) < built {
             for exec in &self.nodes {
                 exec.run_once();
             }

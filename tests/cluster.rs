@@ -660,82 +660,38 @@ fn largest_private_frame_crosses_nodes() {
 /// percentiles through mon scrapes of the defined nodes.
 #[test]
 fn xcl_evb_command_reports_builder_state() {
-    use xdaq::evb::{BuilderUnit, EventManager, FilterStats, FilterUnit, ReadoutUnit};
+    use xdaq::evb::{FilterStats, FilterUnit, Mesh, Roles};
 
     const EVENTS: u64 = 200;
     let hub = LoopbackHub::new();
-    let mgr_node = node_on(&hub, "mgr");
-    let flt_node = node_on(&hub, "flt");
-    let ru_nodes: Vec<Executive> = (0..2).map(|i| node_on(&hub, &format!("ru{i}"))).collect();
-    let bu_node = node_on(&hub, "bu0");
+    let names = ["mgr", "flt", "ru0", "ru1", "bu0"];
+    let nodes: Vec<Executive> = names.iter().map(|n| node_on(&hub, n)).collect();
+    let urls: Vec<String> = names.iter().map(|n| format!("loop://{n}")).collect();
+    let peers: Vec<(&str, &Executive)> = urls.iter().map(String::as_str).zip(&nodes).collect();
 
-    let f_stats = FilterStats::new();
-    let filter_tid = flt_node
-        .register("filter0", Box::new(FilterUnit::new(f_stats)), &[])
-        .unwrap();
-    let ru_tids: Vec<Tid> = ru_nodes
-        .iter()
-        .enumerate()
-        .map(|(i, ru)| {
-            ru.register(
-                &format!("readout{i}"),
-                Box::new(ReadoutUnit::new()),
-                &[
-                    ("source_id", &i.to_string()),
-                    ("sources", "2"),
-                    ("size", "512"),
-                ],
-            )
-            .unwrap()
-        })
-        .collect();
-    for (i, tid) in ru_tids.iter().enumerate() {
-        bu_node
-            .proxy(&format!("loop://ru{i}"), *tid, Some(&format!("ru{i}")))
-            .unwrap();
-    }
-    bu_node
-        .proxy("loop://flt", filter_tid, Some("flt"))
-        .unwrap();
-    let bu_tid = bu_node
+    let filter_tid = nodes[1]
         .register(
-            "builder0",
-            Box::new(BuilderUnit::new()),
-            &[("rus", "ru0,ru1"), ("filter", "flt"), ("credits", "4")],
+            "filter0",
+            Box::new(FilterUnit::new(FilterStats::new())),
+            &[],
         )
         .unwrap();
-    for (i, tid) in ru_tids.iter().enumerate() {
-        mgr_node
-            .proxy(&format!("loop://ru{i}"), *tid, Some(&format!("ru{i}")))
-            .unwrap();
-    }
-    mgr_node.proxy("loop://bu0", bu_tid, Some("bu0")).unwrap();
-    let evm = EventManager::new();
-    let m_stats = evm.stats();
-    let mgr_tid = mgr_node
-        .register(
-            "evm",
-            Box::new(evm),
-            &[("readouts", "ru0,ru1"), ("bus", "bu0")],
-        )
-        .unwrap();
-
-    let mut handles = Vec::new();
-    for exec in std::iter::once(&mgr_node)
-        .chain(std::iter::once(&flt_node))
-        .chain(ru_nodes.iter())
-        .chain(std::iter::once(&bu_node))
-    {
-        exec.enable_all();
-        handles.push(exec.spawn());
-    }
-    mgr_node
-        .post(
-            Message::build_private(mgr_tid, Tid::HOST, ORG_DAQ, xdaq::evb::xfn::RUN)
-                .payload(EVENTS.to_le_bytes().to_vec())
-                .finish(),
-        )
-        .unwrap();
+    let mesh = Mesh::new(
+        &nodes[0],
+        &peers[2..4],
+        &peers[4..],
+        ("loop://flt", filter_tid),
+        Roles {
+            readout: &[("size", "512")],
+            builder: &[("credits", "4")],
+            ..Roles::default()
+        },
+    )
+    .unwrap();
+    nodes[1].enable_all();
+    let handles: Vec<_> = nodes.iter().map(Executive::spawn).collect();
+    mesh.start_run(EVENTS).unwrap();
+    let m_stats = &mesh.evm_stats;
     assert!(
         wait_until(
             || m_stats.run_done.load(Ordering::SeqCst),
@@ -754,7 +710,7 @@ fn xcl_evb_command_reports_builder_state() {
     let mut interp = XclInterpreter::new(&host);
     let bu_handle = host.connect_node("loop://bu0", Some("bu0")).unwrap();
     interp.define_node("bu0", bu_handle);
-    let evm_dev = host.device_proxy("loop://mgr", mgr_tid).unwrap();
+    let evm_dev = host.device_proxy("loop://mgr", mesh.evm).unwrap();
     interp.define("evm", evm_dev);
 
     let out = interp.run("evb evm 20\n").unwrap();

@@ -274,3 +274,29 @@ fn xcl_faults_command_reprograms_chaos() {
     host.stop();
     nh.shutdown();
 }
+
+/// A transport without runtime knobs refuses every `ParamsSet` key by
+/// name and its device stores none of them, so a stale or misspelled
+/// knob — here a fault plan aimed at a transport that is not a
+/// `ChaosPt` — is a visible error, not a silent no-op.
+#[test]
+fn params_set_to_a_transport_without_knobs_is_refused_by_key() {
+    let hub = LoopbackHub::new();
+    let node = Executive::new(ExecutiveConfig::named("worker"));
+    let pt_tid = node
+        .register_pt("worker.pt", LoopbackPt::new(&hub, "worker"))
+        .unwrap();
+    let nh = node.spawn();
+    let host = ControlHost::new("ctl");
+    host.executive()
+        .register_pt("ctl.pt", LoopbackPt::new(&hub, "ctl"))
+        .unwrap();
+    host.start();
+    let dev = host.device_proxy("loop://worker", pt_tid).unwrap();
+    let err = host.params_set(dev, &[("chaos.drop", "250")]).unwrap_err();
+    assert!(err.to_string().contains("chaos.drop"), "{err}");
+    let params = host.params_get(dev).unwrap();
+    assert!(!params.contains_key("chaos.drop"), "stored: {params:?}");
+    host.stop();
+    nh.shutdown();
+}
