@@ -17,7 +17,7 @@
 use crate::clock::Clock;
 use crate::config::{kv, AllocatorKind, ExecutiveConfig};
 use crate::error::{ExecError, PtError};
-use crate::listener::{Delivery, Dispatcher, I2oListener, TimerId, UtilOutcome};
+use crate::listener::{Delivery, Dispatcher, I2oListener, TimerId};
 use crate::monitor::ExecMonitors;
 use crate::pta::{PeerAddr, PeerTransport, Pta};
 use crate::queue::SchedQueue;
@@ -789,22 +789,11 @@ impl Executive {
     }
 
     fn dispatch_util(&self, unit: &mut DeviceUnit, f: UtilFn, d: Delivery) {
-        let core = &self.core;
         if !unit.meta.state.accepts_utility() {
             self.error_reply(&d, ReplyStatus::Busy);
             return;
         }
-        let outcome = {
-            let mut ctx = Dispatcher {
-                core,
-                meta: &mut unit.meta,
-            };
-            unit.listener.on_util(&mut ctx, f, &d)
-        };
-        if outcome == UtilOutcome::Handled {
-            return;
-        }
-        self.default_util(&mut unit.meta, f, &d);
+        self.util(&mut unit.meta, Some(&mut *unit.listener), f, &d);
     }
 
     /// One supervision period: probe every supervised peer with a

@@ -207,7 +207,9 @@ pub trait I2oListener: Send {
     fn on_private(&mut self, ctx: &mut Dispatcher<'_>, msg: Delivery);
 
     /// A utility-class frame arrived. Return [`UtilOutcome::Default`]
-    /// to use the executive's built-in behaviour.
+    /// to use the executive's built-in behaviour. A `ParamsSet` or
+    /// `ClaimRelease` from a host other than the one that claimed the
+    /// device never arrives here: the executive answers it `Busy`.
     fn on_util(&mut self, ctx: &mut Dispatcher<'_>, f: UtilFn, msg: &Delivery) -> UtilOutcome {
         let _ = (ctx, f, msg);
         UtilOutcome::Default

@@ -93,14 +93,36 @@ impl I2oListener for PtDdm {
 }
 
 impl Executive {
-    /// The executive's default utility procedures.
-    pub(crate) fn default_util(&self, meta: &mut DeviceMeta, f: UtilFn, d: &Delivery) {
+    /// One utility verb to the device `meta` describes (`listener` is
+    /// absent for TiD 1). The claim gate runs first, so a device that
+    /// answers `ParamsSet` itself (a transport's device, the event
+    /// manager's control verbs, the Recorder) is gated like any other;
+    /// then the listener, then the default procedure it left the frame
+    /// to.
+    pub(crate) fn util(
+        &self,
+        meta: &mut DeviceMeta,
+        listener: Option<&mut dyn I2oListener>,
+        f: UtilFn,
+        d: &Delivery,
+    ) {
         let core = &**self.core();
         let mut ctx = Dispatcher { core, meta };
         if matches!(f, UtilFn::ParamsSet | UtilFn::ClaimRelease) && claimed_by_other(ctx.meta, d) {
             let _ = ctx.reply(d, ReplyStatus::Busy, b"claimed by another host");
             return;
         }
+        if let Some(listener) = listener {
+            if listener.on_util(&mut ctx, f, d) == UtilOutcome::Handled {
+                return;
+            }
+        }
+        self.default_util(&mut ctx, f, d);
+    }
+
+    /// The executive's default utility procedures.
+    fn default_util(&self, ctx: &mut Dispatcher<'_>, f: UtilFn, d: &Delivery) {
+        let core = ctx.core;
         match f {
             UtilFn::Nop => {
                 let _ = ctx.reply(d, ReplyStatus::Success, &[]);
@@ -217,7 +239,7 @@ impl Executive {
             FunctionCode::Util(f) => {
                 core.mon.util_msgs.inc();
                 let mut meta = core.exec_meta.lock().clone();
-                self.default_util(&mut meta, f, &d);
+                self.util(&mut meta, None, f, &d);
                 *core.exec_meta.lock() = meta;
             }
             FunctionCode::Exec(e) => self.handle_exec_fn(e, &d),

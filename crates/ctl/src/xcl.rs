@@ -321,11 +321,13 @@ impl<'a> XclInterpreter<'a> {
                 self.prefixed_set("rec", "rec", handle, rest, line)
             }
             ["evb", handle, rest @ ..] => {
-                // Event-builder status. The EVM mirrors its live
-                // credit/event-id state into its parameters on every
-                // ParamsGet; per-BU build rates and latency percentiles
-                // come from two mon scrapes `window_ms` apart across
-                // the defined nodes.
+                // Event-builder status. The EVM mirrors its run and
+                // event-id state into its parameters on every
+                // ParamsGet; credits, in-flight and queued events are
+                // its node's `evb.evm.*` gauges, read from a scrape of
+                // the same handle. Per-BU build rates and latency
+                // percentiles come from two mon scrapes `window_ms`
+                // apart across the defined nodes.
                 let t = self.resolve(handle, line)?;
                 let window_ms: u64 = match rest.first() {
                     Some(w) => w.parse().map_err(|_| err(format!("bad window '{w}'")))?,
@@ -333,6 +335,11 @@ impl<'a> XclInterpreter<'a> {
                 };
                 let params = self.host.params_get(t).map_err(|e| Self::fail(line, e))?;
                 let g = |k: &str| params.get(k).map(String::as_str).unwrap_or("?");
+                let snap = self.host.scrape(t).map_err(|e| Self::fail(line, e))?;
+                let gauge = |k: &str| {
+                    let level = snap["metrics"]["gauges"][k][0].as_i64();
+                    level.map_or("?".to_string(), |v| v.to_string())
+                };
                 let mut log = format!(
                     "evb {handle}: run={} done={} target={} completed={} lost={} \
                      reassigned={} next_event={} credits={} inflight={} queued={} \
@@ -344,9 +351,9 @@ impl<'a> XclInterpreter<'a> {
                     g("evb.lost"),
                     g("evb.reassigned"),
                     g("evb.next_event"),
-                    g("evb.credits"),
-                    g("evb.inflight"),
-                    g("evb.queued"),
+                    gauge("evb.evm.credits"),
+                    gauge("evb.evm.inflight"),
+                    gauge("evb.evm.queued"),
                     g("evb.bus"),
                     g("evb.bus_dead"),
                 );

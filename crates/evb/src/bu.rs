@@ -16,29 +16,10 @@
 use crate::assembler::{Assembler, Offer};
 use crate::fragment::FragmentHeader;
 use crate::{ids, send_ids, u64_at, xfn, DONE_BUILT, DONE_DISCARDED, ORG_DAQ};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use xdaq_core::{Delivery, Dispatcher, FastMap, I2oListener, TimerId};
 use xdaq_i2o::{DeviceClass, Tid};
-use xdaq_mon::{Counter, Gauge, Histogram};
-
-/// Shared observable counters of one builder unit.
-#[derive(Debug, Default)]
-pub struct BuilderStats {
-    /// Events fully assembled and shipped.
-    pub events_built: AtomicU64,
-    /// Partial events given up after the retry budget.
-    pub discarded: AtomicU64,
-    /// Fragments accepted into the table.
-    pub fragments: AtomicU64,
-    /// Payload bytes of built events.
-    pub bytes: AtomicU64,
-    /// Fragments failing header decode or pattern verification.
-    pub corrupt: AtomicU64,
-    /// Fragments rejected because the slot was already filled.
-    pub duplicates: AtomicU64,
-}
+use xdaq_mon::{Counter, Gauge, Histogram, Registry};
 
 /// One builder unit.
 ///
@@ -65,11 +46,13 @@ pub struct BuilderUnit {
     timers: FastMap<TimerId, u64>,
     /// The events one `ASSIGN` opened, reused from frame to frame.
     opened: Vec<u64>,
-    stats: Arc<BuilderStats>,
     configured: bool,
-    metrics: Option<BuMetrics>,
+    metrics: BuMetrics,
 }
 
+/// The unit's `evb.bu.*` counts, each its one home: standalone from
+/// [`BuilderUnit::new`], bound to the node's registry when plugged.
+#[derive(Default)]
 struct BuMetrics {
     assigned: Counter,
     built: Counter,
@@ -80,6 +63,22 @@ struct BuMetrics {
     stale: Counter,
     open: Gauge,
     latency: Histogram,
+}
+
+impl BuMetrics {
+    fn bound_to(reg: &Registry) -> BuMetrics {
+        BuMetrics {
+            assigned: reg.counter("evb.bu.assigned"),
+            built: reg.counter("evb.bu.built"),
+            discarded: reg.counter("evb.bu.discarded"),
+            repulls: reg.counter("evb.bu.repulls"),
+            duplicates: reg.counter("evb.bu.duplicates"),
+            corrupt: reg.counter("evb.bu.corrupt"),
+            stale: reg.counter("evb.bu.stale"),
+            open: reg.gauge("evb.bu.open"),
+            latency: reg.histogram("evb.build_latency_ns"),
+        }
+    }
 }
 
 impl BuilderUnit {
@@ -96,15 +95,9 @@ impl BuilderUnit {
             assembler: Assembler::new(),
             timers: FastMap::default(),
             opened: Vec::new(),
-            stats: Arc::new(BuilderStats::default()),
             configured: false,
-            metrics: None,
+            metrics: BuMetrics::default(),
         }
-    }
-
-    /// Shared handle to the unit's counters.
-    pub fn stats(&self) -> Arc<BuilderStats> {
-        self.stats.clone()
     }
 
     fn configure(&mut self, ctx: &Dispatcher<'_>) {
@@ -175,9 +168,7 @@ impl BuilderUnit {
             ctx.cancel_timer(t);
         }
         self.timers.clear();
-        if let Some(m) = &self.metrics {
-            m.open.set(0);
-        }
+        self.metrics.open.set(0);
         let credits = self.credits;
         let _ = ctx.send_private_with(evm, ORG_DAQ, xfn::CREDIT, 12, |p| {
             p[..8].copy_from_slice(&run.to_le_bytes());
@@ -187,9 +178,7 @@ impl BuilderUnit {
 
     fn on_assign(&mut self, ctx: &mut Dispatcher<'_>, run: u64, events: impl Iterator<Item = u64>) {
         if run != self.run {
-            if let Some(m) = &self.metrics {
-                m.stale.inc();
-            }
+            self.metrics.stale.inc();
             return;
         }
         let sources = self.rus.len().max(1);
@@ -199,10 +188,8 @@ impl BuilderUnit {
                 opened.push(event);
             }
         }
-        if let Some(m) = &self.metrics {
-            m.assigned.add(opened.len() as u64);
-            m.open.set(self.assembler.len() as i64);
-        }
+        self.metrics.assigned.add(opened.len() as u64);
+        self.metrics.open.set(self.assembler.len() as i64);
         self.pull(ctx, &opened, 0..sources);
         for &event in &opened {
             self.arm_timer(ctx, event);
@@ -212,61 +199,34 @@ impl BuilderUnit {
     }
 
     fn on_fragment(&mut self, ctx: &mut Dispatcher<'_>, msg: Delivery) {
-        let Some(h) = FragmentHeader::decode(msg.payload()) else {
-            self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.corrupt.inc();
-            }
+        let Some(h) =
+            FragmentHeader::decode(msg.payload()).filter(|h| h.verify_payload(msg.payload()))
+        else {
+            self.metrics.corrupt.inc();
             return;
         };
-        if !h.verify_payload(msg.payload()) {
-            self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.corrupt.inc();
-            }
-            return;
-        }
         let plen = msg.payload().len();
         let offer = self
             .assembler
             .offer(h.event_id, h.source_id as usize, (msg.into_buf(), plen));
         match offer {
-            Offer::Stored => {
-                self.stats.fragments.fetch_add(1, Ordering::Relaxed);
-            }
-            Offer::Duplicate => {
-                self.stats.duplicates.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.duplicates.inc();
-                }
-            }
-            Offer::Invalid => {
-                self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.corrupt.inc();
-                }
-            }
-            Offer::Unknown => {
-                // Never assigned here, or already complete/discarded —
-                // a late answer to a pull that stopped mattering.
-                if let Some(m) = &self.metrics {
-                    m.stale.inc();
-                }
-            }
+            Offer::Stored => {}
+            Offer::Duplicate => self.metrics.duplicates.inc(),
+            Offer::Invalid => self.metrics.corrupt.inc(),
+            // Never assigned here, or already complete/discarded — a
+            // late answer to a pull that stopped mattering.
+            Offer::Unknown => self.metrics.stale.inc(),
             Offer::Complete(done) => {
-                self.stats.fragments.fetch_add(1, Ordering::Relaxed);
                 if let Some(t) = done.timer {
                     ctx.cancel_timer(t);
                     self.timers.remove(&t);
                 }
                 let bytes = done.bytes() as u64;
                 let event = done.event_id;
-                if let Some(m) = &self.metrics {
-                    m.built.inc();
-                    m.open.set(self.assembler.len() as i64);
-                    let took = ctx.now().saturating_duration_since(done.started);
-                    m.latency.record(took.as_nanos() as u64);
-                }
+                self.metrics.built.inc();
+                self.metrics.open.set(self.assembler.len() as i64);
+                let took = ctx.now().saturating_duration_since(done.started);
+                self.metrics.latency.record(took.as_nanos() as u64);
                 // Every fragment block goes back to its pool here.
                 self.assembler.recycle(done);
                 if let Some(filter) = self.filter {
@@ -276,8 +236,6 @@ impl BuilderUnit {
                     });
                 }
                 self.send_done(ctx, event, DONE_BUILT);
-                self.stats.events_built.fetch_add(1, Ordering::Relaxed);
-                self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
             }
         }
     }
@@ -295,18 +253,7 @@ impl I2oListener for BuilderUnit {
     }
 
     fn plugged(&mut self, ctx: &mut Dispatcher<'_>) {
-        let reg = ctx.metrics();
-        self.metrics = Some(BuMetrics {
-            assigned: reg.counter("evb.bu.assigned"),
-            built: reg.counter("evb.bu.built"),
-            discarded: reg.counter("evb.bu.discarded"),
-            repulls: reg.counter("evb.bu.repulls"),
-            duplicates: reg.counter("evb.bu.duplicates"),
-            corrupt: reg.counter("evb.bu.corrupt"),
-            stale: reg.counter("evb.bu.stale"),
-            open: reg.gauge("evb.bu.open"),
-            latency: reg.histogram("evb.build_latency_ns"),
-        });
+        self.metrics = BuMetrics::bound_to(ctx.metrics());
     }
 
     fn on_private(&mut self, ctx: &mut Dispatcher<'_>, msg: Delivery) {
@@ -345,19 +292,14 @@ impl I2oListener for BuilderUnit {
                 ctx.cancel_timer(t);
                 self.timers.remove(&t);
             }
-            self.stats.discarded.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.discarded.inc();
-                m.open.set(self.assembler.len() as i64);
-            }
+            self.metrics.discarded.inc();
+            self.metrics.open.set(self.assembler.len() as i64);
             self.send_done(ctx, event, DONE_DISCARDED);
             return;
         }
         self.assembler.bump_retries(event);
         let missing = self.assembler.missing(event);
-        if let Some(m) = &self.metrics {
-            m.repulls.add(missing.len() as u64);
-        }
+        self.metrics.repulls.add(missing.len() as u64);
         self.pull(ctx, &[event], missing);
         self.arm_timer(ctx, event);
     }
@@ -368,6 +310,7 @@ mod tests {
     use super::*;
     use crate::ru::ReadoutUnit;
     use parking_lot::Mutex;
+    use std::sync::Arc;
     use std::time::Instant;
     use xdaq_core::{Executive, ExecutiveConfig};
     use xdaq_i2o::Message;

@@ -22,8 +22,9 @@
 //! loses no latency. The deferral is bounded by the credits granted: no
 //! `DONE` can arrive for an event that was never assigned. A delivery
 //! that reaches none of these upcalls (a frame refused while the EVM is
-//! suspended, an executive-class function or a standard reply addressed
-//! to it) settles nothing; the next frame or timer does.
+//! suspended or claimed by another host, an executive-class function or
+//! a standard reply addressed to it) settles nothing; the next frame or
+//! timer does.
 //!
 //! A finished id waits in the pending-clear queue and rides the next
 //! `TRIGGER` as its second `u64`; the ids no `TRIGGER` carried by the
@@ -59,9 +60,11 @@ use xdaq_core::{
     Delivery, Dispatcher, ExecError, FastMap, FastSet, I2oListener, PeerAddr, TimerId,
 };
 use xdaq_i2o::{DeviceClass, ReplyStatus, Tid, UtilFn, ORG_XDAQ};
-use xdaq_mon::{Counter, Gauge};
+use xdaq_mon::{Counter, Gauge, Registry};
 
-/// Shared observable counters of one event manager.
+/// Shared observable counters of one event manager: the one home of
+/// the run's outcome (`xcl evb` reads it through the `ParamsGet`
+/// mirror).
 #[derive(Debug, Default)]
 pub struct EvmStats {
     /// Trigger broadcasts issued (== events launched).
@@ -131,19 +134,34 @@ pub struct EventManager {
     trigger_timer: Option<TimerId>,
     stats: Arc<EvmStats>,
     configured: bool,
-    metrics: Option<EvmMetrics>,
+    metrics: EvmMetrics,
 }
 
+/// The manager's `evb.evm.*` counts and gauges: standalone from
+/// [`EventManager::new`], bound to the node's registry when plugged.
+/// `triggers` also counts re-triggers, so it is not
+/// [`EvmStats::triggered`].
+#[derive(Default)]
 struct EvmMetrics {
     triggers: Counter,
     assigns: Counter,
-    completed: Counter,
-    reassigned: Counter,
-    lost: Counter,
     bu_down: Counter,
     credits: Gauge,
     inflight: Gauge,
     queued: Gauge,
+}
+
+impl EvmMetrics {
+    fn bound_to(reg: &Registry) -> EvmMetrics {
+        EvmMetrics {
+            triggers: reg.counter("evb.evm.triggers"),
+            assigns: reg.counter("evb.evm.assigns"),
+            bu_down: reg.counter("evb.evm.bu_down"),
+            credits: reg.gauge("evb.evm.credits"),
+            inflight: reg.gauge("evb.evm.inflight"),
+            queued: reg.gauge("evb.evm.queued"),
+        }
+    }
 }
 
 impl EventManager {
@@ -173,7 +191,7 @@ impl EventManager {
             trigger_timer: None,
             stats: Arc::new(EvmStats::default()),
             configured: false,
-            metrics: None,
+            metrics: EvmMetrics::default(),
         }
     }
 
@@ -221,12 +239,11 @@ impl EventManager {
     }
 
     fn gauge_sync(&self) {
-        if let Some(m) = &self.metrics {
-            m.credits
-                .set(self.credits.values().map(|&c| c as i64).sum());
-            m.inflight.set(self.assigned.len() as i64);
-            m.queued.set(self.queue.len() as i64);
-        }
+        let m = &self.metrics;
+        m.credits
+            .set(self.credits.values().map(|&c| c as i64).sum());
+        m.inflight.set(self.assigned.len() as i64);
+        m.queued.set(self.queue.len() as i64);
     }
 
     /// Sends `TRIGGER(event)` to every readout unit, with `clear` as a
@@ -350,9 +367,7 @@ impl EventManager {
         if fresh {
             self.stats.triggered.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(m) = &self.metrics {
-            m.triggers.inc();
-        }
+        self.metrics.triggers.inc();
         *self.credits.get_mut(&bu).expect("picked with credit") -= 1;
         self.assigned.insert(event, bu);
         Some((i, event))
@@ -375,8 +390,8 @@ impl EventManager {
                 // The builder's link is gone: reclaim and re-queue.
                 self.mark_dead(bu);
                 died = true;
-            } else if let Some(m) = &self.metrics {
-                m.assigns.add(events);
+            } else {
+                self.metrics.assigns.add(events);
             }
         }
         died
@@ -431,9 +446,6 @@ impl EventManager {
             if *tries <= self.max_reassign {
                 self.queue.push_back(event);
                 self.stats.reassigned.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.reassigned.inc();
-                }
             } else {
                 self.finish(event, false);
             }
@@ -446,17 +458,12 @@ impl EventManager {
         self.clears.push_back(event);
         self.attempts.remove(&event);
         self.finished += 1;
-        if built {
-            self.stats.completed.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.completed.inc();
-            }
+        let outcome = if built {
+            &self.stats.completed
         } else {
-            self.stats.lost.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.lost.inc();
-            }
-        }
+            &self.stats.lost
+        };
+        outcome.fetch_add(1, Ordering::Relaxed);
         if self.finished >= self.target {
             self.stats.run_done.store(true, Ordering::SeqCst);
         }
@@ -470,9 +477,7 @@ impl EventManager {
         }
         self.credits.remove(&bu);
         self.draining.remove(&bu);
-        if let Some(m) = &self.metrics {
-            m.bu_down.inc();
-        }
+        self.metrics.bu_down.inc();
         let mut orphaned: Vec<u64> = self
             .assigned
             .iter()
@@ -487,9 +492,6 @@ impl EventManager {
             self.assigned.remove(&event);
             self.queue.push_back(event);
             self.stats.reassigned.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.reassigned.inc();
-            }
         }
     }
 
@@ -603,7 +605,9 @@ impl EventManager {
     }
 
     /// Mirrors live state into the parameter map so the default
-    /// `ParamsGet` reply carries it (the `xcl` `evb` command).
+    /// `ParamsGet` reply carries it (the `xcl` `evb` command). Credits,
+    /// in-flight and queued events are not mirrored: the
+    /// `evb.evm.{credits,inflight,queued}` gauges are their home.
     fn mirror(&self, ctx: &mut Dispatcher<'_>) {
         ctx.set_param("evb.run", &self.run.to_string());
         ctx.set_param("evb.next_event", &self.next_event.to_string());
@@ -622,10 +626,6 @@ impl EventManager {
             "evb.reassigned",
             &self.stats.reassigned.load(Ordering::Relaxed).to_string(),
         );
-        let total: u32 = self.credits.values().sum();
-        ctx.set_param("evb.credits", &total.to_string());
-        ctx.set_param("evb.inflight", &self.assigned.len().to_string());
-        ctx.set_param("evb.queued", &self.queue.len().to_string());
         ctx.set_param("evb.bus", &self.bus.len().to_string());
         ctx.set_param("evb.bus_dead", &self.dead.len().to_string());
         ctx.set_param("evb.draining", &self.draining.len().to_string());
@@ -667,18 +667,7 @@ impl I2oListener for EventManager {
 
     fn plugged(&mut self, ctx: &mut Dispatcher<'_>) {
         ctx.watch_faults();
-        let reg = ctx.metrics();
-        self.metrics = Some(EvmMetrics {
-            triggers: reg.counter("evb.evm.triggers"),
-            assigns: reg.counter("evb.evm.assigns"),
-            completed: reg.counter("evb.evm.completed"),
-            reassigned: reg.counter("evb.evm.reassigned"),
-            lost: reg.counter("evb.evm.lost"),
-            bu_down: reg.counter("evb.evm.bu_down"),
-            credits: reg.gauge("evb.evm.credits"),
-            inflight: reg.gauge("evb.evm.inflight"),
-            queued: reg.gauge("evb.evm.queued"),
-        });
+        self.metrics = EvmMetrics::bound_to(ctx.metrics());
     }
 
     /// Timer upcalls cannot see their delivery's queue state, so every
@@ -733,18 +722,26 @@ mod tests {
         exec: Executive,
         evm_tid: Tid,
         evm: Arc<EvmStats>,
-        bu_stats: Vec<Arc<crate::bu::BuilderStats>>,
-        received: Arc<parking_lot::Mutex<Vec<u64>>>,
+        bus: Vec<Tid>,
+        received: Arc<parking_lot::Mutex<Vec<(Tid, u64)>>>,
     }
 
-    struct FilterSink(Arc<parking_lot::Mutex<Vec<u64>>>);
+    impl Mesh {
+        fn ids(&self) -> Vec<u64> {
+            self.received.lock().iter().map(|&(_, id)| id).collect()
+        }
+    }
+
+    /// Keeps each `EVENT` summary's builder and event id.
+    struct FilterSink(Arc<parking_lot::Mutex<Vec<(Tid, u64)>>>);
     impl I2oListener for FilterSink {
         fn class(&self) -> DeviceClass {
             DeviceClass::Application(ORG_DAQ)
         }
         fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, msg: Delivery) {
             if msg.private.map(|p| p.x_function) == Some(xfn::EVENT) {
-                self.0.lock().push(u64_at(msg.payload(), 0).unwrap());
+                let id = u64_at(msg.payload(), 0).unwrap();
+                self.0.lock().push((msg.header.initiator, id));
             }
         }
     }
@@ -768,13 +765,11 @@ mod tests {
             .unwrap();
         }
         let bu_names: Vec<String> = (0..n_bu).map(|i| format!("bu{i}")).collect();
-        let mut bu_stats = Vec::new();
+        let mut bus = Vec::new();
         for name in &bu_names {
-            let bu = BuilderUnit::new();
-            bu_stats.push(bu.stats());
-            exec.register(
+            let bu = exec.register(
                 name,
-                Box::new(bu),
+                Box::new(BuilderUnit::new()),
                 &[
                     ("rus", &ru_names.join(",")),
                     ("filter", "filter"),
@@ -782,8 +777,8 @@ mod tests {
                     ("timeout_ms", "20"),
                     ("max_retries", "10"),
                 ],
-            )
-            .unwrap();
+            );
+            bus.push(bu.unwrap());
         }
         let evm = EventManager::new();
         let stats = evm.stats();
@@ -802,7 +797,7 @@ mod tests {
             exec,
             evm_tid,
             evm: stats,
-            bu_stats,
+            bus,
             received,
         }
     }
@@ -832,13 +827,15 @@ mod tests {
         run_to_completion(&m, 100);
         assert_eq!(m.evm.completed.load(Ordering::SeqCst), 100);
         assert_eq!(m.evm.lost.load(Ordering::SeqCst), 0);
-        let mut ids = m.received.lock().clone();
+        let mut ids = m.ids();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 100, "every event reached the filter once");
-        // Both builders participated (credits spread the load).
-        for s in &m.bu_stats {
-            assert!(s.events_built.load(Ordering::SeqCst) > 0);
+        // Both builders participated (credits spread the load): the
+        // node-wide `evb.bu.built` cannot split them, the filter can.
+        for bu in &m.bus {
+            let built = m.received.lock().iter().filter(|(b, _)| b == bu).count();
+            assert!(built > 0, "builder {bu} built nothing");
         }
         // Every event was cleared at the sources: the early ones on the
         // next TRIGGER, the run's last ones by plain CLEAR frames.
@@ -852,9 +849,9 @@ mod tests {
     fn event_ids_stay_monotonic_across_runs() {
         let m = mesh(2, 1);
         run_to_completion(&m, 10);
-        let first: Vec<u64> = m.received.lock().clone();
+        let first = m.ids();
         run_to_completion(&m, 10);
-        let all = m.received.lock().clone();
+        let all = m.ids();
         let second = &all[first.len()..];
         let max1 = first.iter().max().unwrap();
         assert!(

@@ -55,11 +55,11 @@
 //! a bounded number of retries — the discard returns the event to the
 //! EVM as failed, which reassigns or counts it lost.
 //!
-//! Everything is observable: `evb.*` counters and the
-//! `evb.build_latency_ns` histogram in each node's monitoring registry,
-//! and the EVM mirrors its live credit/event-id state into its
-//! parameters on every `ParamsGet` (the `xcl` `evb` command scrapes
-//! both).
+//! Everything is observable, each fact in one place: `evb.*` counters
+//! and gauges and the `evb.build_latency_ns` histogram in each node's
+//! monitoring registry, and the run's outcome in [`EvmStats`], which
+//! the EVM mirrors into its parameters on every `ParamsGet` with its
+//! event-id state (the `xcl` `evb` command reads both).
 
 pub mod assembler;
 pub mod bu;
@@ -70,7 +70,7 @@ pub mod mesh;
 pub mod ru;
 
 pub use assembler::{Assembler, Completed, Offer};
-pub use bu::{BuilderStats, BuilderUnit};
+pub use bu::BuilderUnit;
 pub use evm::{EventManager, EvmStats};
 pub use filter::{FilterStats, FilterUnit};
 pub use fragment::{FragmentHeader, FRAGMENT_HEADER_LEN};

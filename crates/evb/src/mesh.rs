@@ -26,11 +26,12 @@
 //! and enable it, when it is on a node of its own — and they pump the
 //! executives themselves.
 
-use crate::{xfn, BuilderStats, BuilderUnit, EventManager, EvmStats, ReadoutUnit, ORG_DAQ};
+use crate::{xfn, BuilderUnit, EventManager, EvmStats, ReadoutUnit, ORG_DAQ};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use xdaq_core::{ExecError, Executive, I2oListener};
 use xdaq_i2o::{Message, Tid};
+use xdaq_mon::Counter;
 
 /// A readout or builder node: the url its peers reach it at, and its
 /// executive.
@@ -60,8 +61,9 @@ pub struct BuilderNode {
     pub url: String,
     /// The name the manager's proxy for it carries (`bu<j>`).
     pub alias: String,
-    /// Its counters.
-    pub stats: Arc<BuilderStats>,
+    /// Its node's `evb.bu.built`: the events this unit built, when it
+    /// is its node's only builder.
+    pub built: Counter,
 }
 
 /// A wired, enabled N×M event builder.
@@ -121,15 +123,14 @@ impl Mesh {
         for (j, (url, exec)) in builders.iter().enumerate() {
             exec.proxy(filter.0, filter.1, Some("flt"))?;
             proxy_readouts(exec)?;
-            let unit = BuilderUnit::new();
-            let stats = unit.stats();
             let wiring = [("rus", &*rus), ("filter", "flt")];
-            let tid = exec.register("builder", wrap(j, unit), &with(roles.builder, &wiring))?;
+            let unit = wrap(j, BuilderUnit::new());
+            let tid = exec.register("builder", unit, &with(roles.builder, &wiring))?;
             units.push(BuilderNode {
                 tid,
                 url: url.to_string(),
                 alias: format!("bu{j}"),
-                stats,
+                built: exec.core().monitors().registry().counter("evb.bu.built"),
             });
         }
 

@@ -15,7 +15,7 @@ use crate::fragment::{FragmentHeader, FRAGMENT_HEADER_LEN};
 use crate::{ids, u64_at, xfn, ORG_DAQ};
 use xdaq_core::{Delivery, Dispatcher, FastMap, FastSet, I2oListener};
 use xdaq_i2o::{DeviceClass, Tid};
-use xdaq_mon::{Counter, Gauge};
+use xdaq_mon::{Counter, Gauge, Registry};
 
 /// One readout unit.
 ///
@@ -37,15 +37,30 @@ pub struct ReadoutUnit {
     /// Pulls that arrived before their trigger: event → requesters.
     parked: FastMap<u64, Vec<Tid>>,
     configured: bool,
-    metrics: Option<RuMetrics>,
+    metrics: RuMetrics,
 }
 
+/// The unit's `evb.ru.*` counts: standalone from [`ReadoutUnit::new`],
+/// bound to the node's registry when plugged.
+#[derive(Default)]
 struct RuMetrics {
     triggers: Counter,
     fragments: Counter,
     stale_pulls: Counter,
     parked: Counter,
     store: Gauge,
+}
+
+impl RuMetrics {
+    fn bound_to(reg: &Registry) -> RuMetrics {
+        RuMetrics {
+            triggers: reg.counter("evb.ru.triggers"),
+            fragments: reg.counter("evb.ru.fragments"),
+            stale_pulls: reg.counter("evb.ru.stale_pulls"),
+            parked: reg.counter("evb.ru.parked_pulls"),
+            store: reg.gauge("evb.ru.store"),
+        }
+    }
 }
 
 impl ReadoutUnit {
@@ -60,7 +75,7 @@ impl ReadoutUnit {
             highest: None,
             parked: FastMap::default(),
             configured: false,
-            metrics: None,
+            metrics: RuMetrics::default(),
         }
     }
 
@@ -92,9 +107,7 @@ impl ReadoutUnit {
         let _ = ctx.send_private_with(dest, ORG_DAQ, xfn::FRAGMENT, len, |payload| {
             header.fill_payload(payload)
         });
-        if let Some(m) = &self.metrics {
-            m.fragments.inc();
-        }
+        self.metrics.fragments.inc();
     }
 
     /// Answers one pulled event: serve it, drop a stale re-pull, or
@@ -105,14 +118,10 @@ impl ReadoutUnit {
         } else if self.highest.is_some_and(|h| event <= h) {
             // Already cleared: the event finished elsewhere and this is
             // a stale re-pull crossing its completion.
-            if let Some(m) = &self.metrics {
-                m.stale_pulls.inc();
-            }
+            self.metrics.stale_pulls.inc();
         } else {
             self.parked.entry(event).or_default().push(requester);
-            if let Some(m) = &self.metrics {
-                m.parked.inc();
-            }
+            self.metrics.parked.inc();
         }
     }
 
@@ -123,9 +132,7 @@ impl ReadoutUnit {
     }
 
     fn store_changed(&self) {
-        if let Some(m) = &self.metrics {
-            m.store.set(self.store.len() as i64);
-        }
+        self.metrics.store.set(self.store.len() as i64);
     }
 }
 
@@ -141,14 +148,7 @@ impl I2oListener for ReadoutUnit {
     }
 
     fn plugged(&mut self, ctx: &mut Dispatcher<'_>) {
-        let reg = ctx.metrics();
-        self.metrics = Some(RuMetrics {
-            triggers: reg.counter("evb.ru.triggers"),
-            fragments: reg.counter("evb.ru.fragments"),
-            stale_pulls: reg.counter("evb.ru.stale_pulls"),
-            parked: reg.counter("evb.ru.parked_pulls"),
-            store: reg.gauge("evb.ru.store"),
-        });
+        self.metrics = RuMetrics::bound_to(ctx.metrics());
     }
 
     fn on_private(&mut self, ctx: &mut Dispatcher<'_>, msg: Delivery) {
@@ -165,9 +165,7 @@ impl I2oListener for ReadoutUnit {
                 };
                 self.store.insert(event);
                 self.highest = Some(self.highest.map_or(event, |h| h.max(event)));
-                if let Some(m) = &self.metrics {
-                    m.triggers.inc();
-                }
+                self.metrics.triggers.inc();
                 if let Some(waiters) = self.parked.remove(&event) {
                     for dest in waiters {
                         self.send_fragment(ctx, event, dest);

@@ -151,26 +151,15 @@ fn main() {
         "events lost on a fault-free fabric"
     );
 
-    let builder_stats = || mesh.builders.iter().map(|bu| &bu.stats);
-    let built: u64 = builder_stats()
-        .map(|s| s.events_built.load(Ordering::SeqCst))
-        .sum();
-    let bytes: u64 = builder_stats()
-        .map(|s| s.bytes.load(Ordering::SeqCst))
-        .sum();
-    println!("built {built} events in {:.3} s", elapsed.as_secs_f64());
+    let built: u64 = mesh.builders.iter().map(|bu| bu.built.get()).sum();
     println!(
-        "event rate {:.0} Hz, aggregate builder throughput {:.1} MB/s",
-        built as f64 / elapsed.as_secs_f64(),
-        bytes as f64 / elapsed.as_secs_f64() / 1e6
+        "built {built} events in {:.3} s: completed={} lost={}",
+        elapsed.as_secs_f64(),
+        m_stats.completed.load(Ordering::SeqCst),
+        m_stats.lost.load(Ordering::SeqCst)
     );
-    for (i, s) in builder_stats().enumerate() {
-        println!(
-            "  builder{i}: events={} fragments={} corrupt={}",
-            s.events_built.load(Ordering::SeqCst),
-            s.fragments.load(Ordering::SeqCst),
-            s.corrupt.load(Ordering::SeqCst)
-        );
+    for (i, bu) in mesh.builders.iter().enumerate() {
+        println!("  builder{i}: events={}", bu.built.get());
     }
     // Wait for the recorder to drain its forward path into the filter
     // (the run completes on builder credits, which can race the tap).
@@ -178,6 +167,11 @@ fn main() {
     while f_stats.received.load(Ordering::SeqCst) < built && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
+    println!(
+        "event rate {:.0} Hz, aggregate builder throughput {:.1} MB/s",
+        built as f64 / elapsed.as_secs_f64(),
+        f_stats.bytes.load(Ordering::SeqCst) as f64 / elapsed.as_secs_f64() / 1e6
+    );
     // Force a durability point before reading the store back.
     filter_node
         .post(

@@ -149,6 +149,14 @@ if [ -n "$hand_wired" ]; then
     echo "a hand-wired event builder (listed above): wire it with xdaq_evb::Mesh; DESIGN.md §12 says why" >&2
     bad=1
 fi
+# One home per count: an event-builder fact is counted once, in the
+# node's registry, through handles every device holds from `new()` on,
+# so neither a side struct of builder counters nor a metrics `Option`
+# that every count must unwrap may grow back.
+if grep -rnE 'BuilderStats|Option<[A-Za-z]*Metrics>' crates/evb/src; then
+    echo "BuilderStats or an optional metrics field (listed above) was removed; DESIGN.md §12 \"Observability\" says why" >&2
+    bad=1
+fi
 [ "$bad" -eq 0 ] || exit 1
 
 echo "== one clock seam: wall time in core and evb only where DESIGN.md §16 lists it =="

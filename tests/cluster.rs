@@ -718,6 +718,8 @@ fn xcl_evb_command_reports_builder_state() {
     assert!(log.contains("completed=200"), "{log}");
     assert!(log.contains("lost=0"), "{log}");
     assert!(log.contains("done=1"), "{log}");
+    // Read from the manager node's gauges, not mirrored params.
+    assert!(log.contains("inflight=0 queued=0"), "{log}");
     assert!(log.contains("bu0: built=200"), "{log}");
     assert!(log.contains("build latency: p50="), "{log}");
     assert!(log.contains("(200 events)"), "{log}");

@@ -419,7 +419,9 @@ fn pump_until(nodes: &[Executive], done: impl Fn() -> bool) {
 
 /// Every shape the mesh wires builds every event once: a run of 200
 /// events through 1×1, 2×1, 1×3, 4×2 and 3×3 meshes (readouts ×
-/// builders) over `loop://`, pumped on this thread.
+/// builders) over `loop://`, pumped on this thread. Each event is
+/// counted once per fact: the builder nodes' `evb.bu.built` sum, the
+/// manager's `completed` and the filter's distinct ids agree.
 #[test]
 fn mesh_of_every_shape_builds_every_event() {
     let _one_at_a_time = IN_PROCESS.lock();
@@ -432,14 +434,19 @@ fn mesh_of_every_shape_builds_every_event() {
             stats.run_done.load(Ordering::SeqCst) && rig.ids.lock().len() as u64 >= EVENTS
         });
         let outcome = (
+            rig.mesh
+                .builders
+                .iter()
+                .map(|bu| bu.built.get())
+                .sum::<u64>(),
             stats.completed.load(Ordering::SeqCst),
             stats.lost.load(Ordering::SeqCst),
             rig.ids.lock().len() as u64,
         );
         assert_eq!(
             outcome,
-            (EVENTS, 0, EVENTS),
-            "{rus}×{bus} mesh: (completed, lost, distinct ids at the filter)"
+            (EVENTS, EVENTS, 0, EVENTS),
+            "{rus}×{bus} mesh: (built, completed, lost, distinct ids at the filter)"
         );
     }
 }
@@ -551,19 +558,17 @@ fn slow_builder_queue_is_bounded_by_its_credits() {
     // slow builder's first built event, so a slow start (the pump or
     // the builder thread scheduled late) stretches it instead of
     // counting as growth. The second window is the next second.
-    let slow_stats = &rig.mesh.builders[0].stats;
+    let slow_built = &rig.mesh.builders[0].built;
     let start = Instant::now();
     let (mut first, mut second) = (Window::default(), Window::default());
-    while slow_stats.events_built.load(Ordering::Relaxed) == 0
-        && start.elapsed() < Duration::from_secs(30)
-    {
+    while slow_built.get() == 0 && start.elapsed() < Duration::from_secs(30) {
         pump(&mut first, Instant::now() + Duration::from_millis(10));
     }
     let t0 = Instant::now();
     pump(&mut first, t0 + Duration::from_secs(1));
     pump(&mut second, t0 + Duration::from_secs(2));
     slow_handle.shutdown();
-    let slow_built = slow_stats.events_built.load(Ordering::Relaxed);
+    let slow_built = slow_built.get();
     println!(
         "slow builder: {slow_built} events built (first after {:?}), queue peak {} mean {:.2} \
          (to 1 s after it) and peak {} mean {:.2} (the next second), credit bound {BOUND}",

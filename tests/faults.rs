@@ -11,9 +11,9 @@ use xdaq::core::{
     Delivery, Dispatcher, ExecError, Executive, ExecutiveConfig, I2oListener, LinkState,
     SupervisionConfig,
 };
-use xdaq::ctl::{ControlHost, XclInterpreter};
-use xdaq::evb::ORG_DAQ;
-use xdaq::i2o::{DeviceClass, Message, Tid, ORG_XDAQ};
+use xdaq::ctl::{ControlError, ControlHost, XclInterpreter};
+use xdaq::evb::{EventManager, ORG_DAQ};
+use xdaq::i2o::{DeviceClass, Message, ReplyStatus, Tid, ORG_XDAQ};
 use xdaq::mempool::TablePool;
 use xdaq::pt::{ChaosPt, ChaosStats, FaultPlan, LoopbackHub, LoopbackPt, XptPt};
 
@@ -298,5 +298,66 @@ fn params_set_to_a_transport_without_knobs_is_refused_by_key() {
     let params = host.params_get(dev).unwrap();
     assert!(!params.contains_key("chaos.drop"), "stored: {params:?}");
     host.stop();
+    nh.shutdown();
+}
+
+/// A claimed device answers only its claimant's `ParamsSet` (paper
+/// §3.5), including the devices that answer `ParamsSet` themselves: a
+/// second host can neither reprogram a claimed `ChaosPt` nor drain a
+/// builder through a claimed event manager, and neither device changes.
+#[test]
+fn a_claimed_device_refuses_another_hosts_params_set() {
+    let hub = LoopbackHub::new();
+    let node = Executive::new(ExecutiveConfig::named("worker"));
+    // The chaotic link rides loopback; control rides xpt, so no fault
+    // plan can eat a reply.
+    let chaos = ChaosPt::wrap(LoopbackPt::new(&hub, "worker"), 3, FaultPlan::default());
+    let pt_tid = node.register_pt("worker.chaos", chaos.clone()).unwrap();
+    let w_xpt = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
+    let w_url = w_xpt.addr().to_string();
+    node.register_pt("worker.xpt", w_xpt).unwrap();
+    let got = Arc::new(AtomicU64::new(0));
+    node.register("bu0", Box::new(Sink { got }), &[]).unwrap();
+    let evm = node
+        .register("evm", Box::new(EventManager::new()), &[("bus", "bu0")])
+        .unwrap();
+    node.enable_all();
+    let nh = node.spawn();
+
+    let host = |name: &str| {
+        let host = ControlHost::new(name);
+        let pt = XptPt::bind("127.0.0.1:0", TablePool::with_defaults()).unwrap();
+        host.executive().register_pt("ctl.pt", pt).unwrap();
+        host.start();
+        let pt_dev = host.device_proxy(&w_url, pt_tid).unwrap();
+        let evm_dev = host.device_proxy(&w_url, evm).unwrap();
+        (host, pt_dev, evm_dev)
+    };
+    let (x, x_pt, x_evm) = host("x");
+    let (y, y_pt, y_evm) = host("y");
+    let busy = |r: Result<(), ControlError>| {
+        matches!(
+            r,
+            Err(ControlError::Failed {
+                status: ReplyStatus::Busy,
+                ..
+            })
+        )
+    };
+    let draining = |h: &ControlHost, dev| h.params_get(dev).unwrap()["evb.draining"].clone();
+
+    x.claim(x_pt).unwrap();
+    x.claim(x_evm).unwrap();
+    assert!(busy(y.params_set(y_pt, &[("chaos.drop", "1000")])));
+    assert_eq!(chaos.plan().drop_per_mille, 0, "Y reprogrammed X's ChaosPt");
+    assert!(busy(y.params_set(y_evm, &[("evb.drain", "bu0")])));
+    assert_eq!(draining(&y, y_evm), "0", "Y drained a builder of X's EVM");
+    // The claimant's own verbs still act.
+    x.params_set(x_pt, &[("chaos.drop", "250")]).unwrap();
+    assert_eq!(chaos.plan().drop_per_mille, 250);
+    x.params_set(x_evm, &[("evb.drain", "bu0")]).unwrap();
+    assert_eq!(draining(&x, x_evm), "1");
+    x.stop();
+    y.stop();
     nh.shutdown();
 }

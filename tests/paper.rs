@@ -25,7 +25,7 @@ use xdaq::pt::{GmPt, LoopbackHub, LoopbackPt};
 /// Round trips per measured run.
 const CALLS: u64 = 10_000;
 
-/// Runs per measured point; see [`best_of`].
+/// Runs per measured point; see [`best_of`] and [`overhead_us`].
 const ROUNDS: usize = 5;
 
 /// Timing tests must not share the CPU with each other.
@@ -67,6 +67,25 @@ fn best_of<const N: usize>(runs: [&dyn Fn() -> f64; N]) -> [f64; N] {
         }
     }
     best
+}
+
+/// Runs `xdaq` then `raw` [`ROUNDS`] times and returns the median of
+/// each side and the median of the per-round differences `xdaq − raw`.
+/// The two runs of a round share the box's load at that moment, so the
+/// difference never subtracts one side's quiet run from the other's
+/// loaded one, as a difference of two minima can.
+fn overhead_us(xdaq: &dyn Fn() -> f64, raw: &dyn Fn() -> f64) -> [f64; 3] {
+    let rounds: Vec<[f64; 2]> = (0..ROUNDS).map(|_| [xdaq(), raw()]).collect();
+    let median = |f: &dyn Fn(&[f64; 2]) -> f64| {
+        let mut v: Vec<f64> = rounds.iter().map(f).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    [
+        median(&|r| r[0]),
+        median(&|r| r[1]),
+        median(&|r| r[0] - r[1]),
+    ]
 }
 
 /// A pinger on `a` flooding a ponger on `b`.
@@ -167,6 +186,8 @@ fn slope(xs: &[f64], ys: &[f64]) -> f64 {
 /// FIG6: XDAQ/GM is slower than raw GM by an overhead that does not
 /// grow with the payload (paper: 8.9 µs, fit y = −7·10⁻⁵x + 9.105), and
 /// on a wire with the paper's LANai-7 cost both series share one slope.
+/// A size's overhead is the median per-round difference
+/// ([`overhead_us`]).
 #[test]
 fn fig6_overhead_is_payload_independent() {
     let Some(_serial) = heavy() else { return };
@@ -174,10 +195,14 @@ fn fig6_overhead_is_payload_independent() {
     let table = AllocatorKind::Table;
     let [one, _, four_k] = [1, 1024, 4096].map(|payload| {
         let pair = over_gm(zero, table, payload, CALLS);
-        let [xdaq, raw] = best_of([&|| pair.run(), &|| raw_gm_us(zero, payload, CALLS)]);
-        let shape = format!("FIG6 {payload} B: xdaq {xdaq:.2} > raw gm {raw:.2} us");
-        check(xdaq > raw, shape);
-        xdaq - raw
+        let raw = || raw_gm_us(zero, payload, CALLS);
+        let [xdaq, raw, overhead] = overhead_us(&|| pair.run(), &raw);
+        let shape = format!(
+            "FIG6 {payload} B: xdaq {xdaq:.2} us, raw gm {raw:.2} us, overhead \
+             {overhead:.2} > 0 us (medians of {ROUNDS} rounds)"
+        );
+        check(overhead > 0.0, shape);
+        overhead
     });
     let shape = format!("FIG6 overhead: {four_k:.2} us at 4096 B ≤ 2 × {one:.2} us at 1 B");
     check(four_k <= 2.0 * one, shape);
