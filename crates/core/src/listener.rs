@@ -136,12 +136,15 @@ impl Delivery {
         self.header.flags.priority()
     }
 
-    /// True when, as the scheduler popped this delivery, its target's
-    /// FIFO at this priority level still held deliveries: the device is
-    /// about to be dispatched again. A listener may defer work that a
-    /// burst of frames can share to the upcall whose delivery reads
-    /// `false` (the event manager batches its `ASSIGN`s that way). A
-    /// delivery that never passed through the queue reads `false`.
+    /// True when, as the scheduler popped this delivery, the next
+    /// delivery in its target's FIFO at this priority level was a
+    /// private frame: the device is about to get another `on_private`.
+    /// A listener may defer work that a burst of frames can share to
+    /// the upcall whose delivery reads `false` (the event manager
+    /// batches its `ASSIGN`s that way). A utility frame next reads
+    /// `false`, since the executive may refuse it before any upcall
+    /// (the claim gate). A delivery that never passed through the queue
+    /// reads `false`.
     pub fn more_queued(&self) -> bool {
         self.more_queued
     }

@@ -107,8 +107,9 @@ impl SchedQueue {
     /// devices within a priority. The highest bit of the occupancy mask
     /// names the level to serve; an empty queue is answered from
     /// [`SchedQueue::len`] without the lock. The delivery records
-    /// whether its device's FIFO at that level is still non-empty
-    /// ([`Delivery::more_queued`]).
+    /// whether the next delivery in its device's FIFO at that level is
+    /// a private frame ([`Delivery::more_queued`]); the device stays in
+    /// the rotation while its FIFO holds anything.
     pub fn pop(&self) -> Option<Delivery> {
         if self.is_empty() {
             return None;
@@ -123,8 +124,8 @@ impl SchedQueue {
         let tid = lv.rotation.pop_front().expect("occupied level rotates");
         let q = lv.queues.get_mut(&tid).expect("rotation implies queue");
         let mut d = q.pop_front().expect("rotation implies non-empty");
-        d.more_queued = !q.is_empty();
-        if d.more_queued {
+        d.more_queued = q.front().is_some_and(|next| next.private.is_some());
+        if !q.is_empty() {
             lv.rotation.push_back(tid);
         }
         lv.depth -= 1;

@@ -5,15 +5,21 @@ use proptest::prelude::*;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use xdaq_core::fastmap::FastHasher;
 use xdaq_core::{Delivery, PeerAddr, RouteTable, SchedQueue};
-use xdaq_i2o::{Message, Priority, Tid};
+use xdaq_i2o::{Message, Priority, Tid, UtilFn};
 use xdaq_mempool::TablePool;
 
-fn mk(target: u16, pri: u8, tag: u32) -> Delivery {
+/// A private frame, or a utility frame when `private` is false.
+fn mk(target: u16, pri: u8, tag: u32, private: bool) -> Delivery {
     let pool = TablePool::with_defaults();
-    let m = Message::build_private(Tid::new(target).unwrap(), Tid::HOST, 1, 1)
-        .priority(Priority::new(pri).unwrap())
-        .transaction(tag)
-        .finish();
+    let target = Tid::new(target).unwrap();
+    let m = if private {
+        Message::build_private(target, Tid::HOST, 1, 1)
+    } else {
+        Message::util(target, Tid::HOST, UtilFn::ParamsGet)
+    }
+    .priority(Priority::new(pri).unwrap())
+    .transaction(tag)
+    .finish();
     Delivery::from_message(&m, &*pool).unwrap()
 }
 
@@ -75,7 +81,7 @@ proptest! {
     ) {
         let q = SchedQueue::new();
         for (i, (tid, pri)) in msgs.iter().enumerate() {
-            q.push(mk(*tid, *pri, i as u32));
+            q.push(mk(*tid, *pri, i as u32, true));
         }
         prop_assert_eq!(q.len(), msgs.len());
         let mut out = Vec::new();
@@ -163,7 +169,7 @@ proptest! {
     ) {
         let q = SchedQueue::new();
         for (i, (tid, pri)) in msgs.iter().enumerate() {
-            q.push(mk(*tid, *pri, i as u32));
+            q.push(mk(*tid, *pri, i as u32, true));
         }
         let victim_count = msgs.iter().filter(|(t, _)| *t == victim).count();
         let purged = q.purge(Tid::new(victim).unwrap());
@@ -284,11 +290,11 @@ proptest! {
 use std::collections::{HashMap, VecDeque};
 use xdaq_i2o::NUM_PRIORITIES;
 
-/// One priority level of the model: per-target FIFOs of tags and the
-/// round-robin rotation of targets with queued tags.
+/// One priority level of the model: per-target FIFOs of (tag, is
+/// private) and the round-robin rotation of targets with queued tags.
 #[derive(Default)]
 struct ModelLevel {
-    queues: HashMap<u16, VecDeque<u32>>,
+    queues: HashMap<u16, VecDeque<(u32, bool)>>,
     rotation: VecDeque<u16>,
 }
 
@@ -302,18 +308,18 @@ struct ModelQueue {
 }
 
 impl ModelQueue {
-    fn push(&mut self, target: u16, pri: u8, tag: u32) {
+    fn push(&mut self, target: u16, pri: u8, tag: u32, private: bool) {
         let lv = &mut self.levels[pri as usize];
         let q = lv.queues.entry(target).or_default();
         if q.is_empty() {
             lv.rotation.push_back(target);
         }
-        q.push_back(tag);
+        q.push_back((tag, private));
         self.len += 1;
     }
 
-    /// The popped delivery as (target, priority, tag, more queued for
-    /// that target at that priority).
+    /// The popped delivery as (target, priority, tag, whether the next
+    /// delivery for that target at that priority is a private frame).
     fn pop(&mut self) -> Option<(u16, u8, u32, bool)> {
         for pri in (0..NUM_PRIORITIES).rev() {
             let lv = &mut self.levels[pri];
@@ -321,9 +327,9 @@ impl ModelQueue {
                 continue;
             };
             let q = lv.queues.get_mut(&target).unwrap();
-            let tag = q.pop_front().unwrap();
-            let more = !q.is_empty();
-            if more {
+            let (tag, _) = q.pop_front().unwrap();
+            let more = q.front().is_some_and(|&(_, private)| private);
+            if !q.is_empty() {
                 lv.rotation.push_back(target);
             }
             self.len -= 1;
@@ -364,11 +370,12 @@ fn popped(d: Delivery) -> (u16, u8, u32, bool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random push / pop / purge sequences: every purge count, every
-    /// popped delivery (including whether its device's FIFO at that level
-    /// still holds deliveries) and `len()` match the reference model,
-    /// and after every operation the occupancy mask is exactly the set
-    /// of non-empty priority levels.
+    /// Random push / pop / purge sequences of private and utility
+    /// frames: every purge count, every popped delivery (including
+    /// whether the next delivery in its device's FIFO at that level is
+    /// a private frame) and `len()` match the reference model, and after
+    /// every operation the occupancy mask is exactly the set of
+    /// non-empty priority levels.
     #[test]
     fn occupancy_mask_matches_the_reference_scheduler(
         ops in proptest::collection::vec((0u8..4, 0x10u16..0x14, 0u8..7), 1..300),
@@ -378,10 +385,11 @@ proptest! {
         for (i, (op, target, pri)) in ops.into_iter().enumerate() {
             let tag = i as u32;
             match op {
-                // Pushes outnumber pops so the queue builds depth.
+                // Pushes outnumber pops so the queue builds depth; op 1
+                // pushes a utility frame.
                 0 | 1 => {
-                    q.push(mk(target, pri, tag));
-                    model.push(target, pri, tag);
+                    q.push(mk(target, pri, tag, op == 0));
+                    model.push(target, pri, tag, op == 0);
                 }
                 2 => prop_assert_eq!(q.pop().map(popped), model.pop()),
                 _ => {

@@ -12,19 +12,21 @@
 //!
 //! **Natural batching.** `on_private` and `on_util` only do their
 //! accounting while their delivery reports [`Delivery::more_queued`] —
-//! more frames for the EVM wait behind it. The delivery that drains the
-//! EVM's FIFO, and every `on_timer`, then runs one `pump`: it
-//! launches every event the available credits buy, sending a `TRIGGER`
-//! per event and readout, collects the events per builder, and ends
-//! with one `ASSIGN` per builder naming all of them. A burst of k
+//! another private frame for the EVM waits right behind it. The
+//! delivery with no private frame behind it, and every `on_timer`, then
+//! runs one `pump`: it launches every event the available credits buy,
+//! sending a `TRIGGER` per event and readout, collects the events per
+//! builder, and ends with one `ASSIGN` per builder naming all of them. A burst of k
 //! `DONE`s therefore costs one `ASSIGN`, not k; an idle system, where
 //! every `DONE` arrives alone, sends exactly one frame per verb and
 //! loses no latency. The deferral is bounded by the credits granted: no
-//! `DONE` can arrive for an event that was never assigned. A delivery
-//! that reaches none of these upcalls (a frame refused while the EVM is
-//! suspended or claimed by another host, an executive-class function or
-//! a standard reply addressed to it) settles nothing; the next frame or
-//! timer does.
+//! `DONE` can arrive for an event that was never assigned. A utility
+//! frame, an executive-class function or a standard reply queued next
+//! never defers the pump, since the executive may answer it without an
+//! upcall (the claim gate refuses another host's `ParamsSet`). One gap
+//! stays: a private frame refused because the EVM is suspended settles
+//! nothing, so a `DONE` that deferred to it waits for the next frame or
+//! timer.
 //!
 //! A finished id waits in the pending-clear queue and rides the next
 //! `TRIGGER` as its second `u64`; the ids no `TRIGGER` carried by the
@@ -920,9 +922,11 @@ mod tests {
     }
 
     /// A `DONE` with a utility frame queued behind it for the manager
-    /// only does its accounting; the utility upcall, which drains the
-    /// manager's FIFO, must then assign the next event — or the run
-    /// stalls with the credit back and nothing in flight.
+    /// must assign the next event, whether or not the utility frame
+    /// reaches `on_util` — or the run stalls with the credit back and
+    /// nothing in flight. The last input is a `ParamsSet` from the
+    /// builder while the host holds the claim: the executive refuses it
+    /// before any upcall.
     #[test]
     fn utility_frame_behind_a_done_settles_the_pending_pump() {
         let exec = Executive::new(ExecutiveConfig::named("mesh"));
@@ -946,29 +950,39 @@ mod tests {
             p.push(DONE_BUILT);
             private(xfn::DONE, p)
         };
-        exec.post(private(xfn::RUN, 3u64.to_le_bytes().to_vec()))
+        exec.post(private(xfn::RUN, 4u64.to_le_bytes().to_vec()))
             .unwrap();
         let credit = [1u64.to_le_bytes().as_slice(), &1u32.to_le_bytes()].concat();
         exec.post(private(xfn::CREDIT, credit)).unwrap();
         while exec.run_once() > 0 {}
         assert_eq!(*assigned.lock(), [1]);
+        let set = |from| {
+            Message::util(evm, from, UtilFn::ParamsSet)
+                .payload(b"note=1\n".to_vec())
+                .finish()
+        };
         let utils = [
             Message::util(evm, Tid::HOST, UtilFn::ParamsGet).finish(),
-            Message::util(evm, Tid::HOST, UtilFn::ParamsSet)
-                .payload(b"note=1\n".to_vec())
-                .finish(),
+            set(Tid::HOST),
+            set(bu),
         ];
         for (event, util) in (1..).zip(utils) {
+            if event == 3 {
+                let claim = Message::util(evm, Tid::HOST, UtilFn::Claim).finish();
+                exec.post(claim).unwrap();
+                while exec.run_once() > 0 {}
+            }
             let f = util.header.function_code();
             exec.post(done(event)).unwrap();
             exec.post(util).unwrap();
             while exec.run_once() > 0 {}
-            assert_eq!(assigned.lock().len() as u64, event + 1, "{f:?} settled");
+            let n = assigned.lock().len() as u64;
+            assert_eq!(n, event + 1, "event {event}: {f:?} settled");
         }
-        exec.post(done(3)).unwrap();
+        exec.post(done(4)).unwrap();
         while exec.run_once() > 0 {}
-        assert_eq!(*assigned.lock(), [1, 2, 3]);
+        assert_eq!(*assigned.lock(), [1, 2, 3, 4]);
         assert!(stats.run_done.load(Ordering::SeqCst));
-        assert_eq!(stats.completed.load(Ordering::SeqCst), 3);
+        assert_eq!(stats.completed.load(Ordering::SeqCst), 4);
     }
 }

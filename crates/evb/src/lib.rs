@@ -34,14 +34,15 @@
 //! `FRAGMENT`, `EVENT` and `DONE` stay one per event. The batching is
 //! *natural*: while a `DONE`'s delivery reports
 //! [`more_queued`](xdaq_core::Delivery::more_queued), the event manager
-//! only returns the credit and queues the clear; the delivery that
-//! drains its FIFO launches every event the returned credits buy — a
-//! `TRIGGER` per event and readout, each carrying one finished id — and
-//! ends with one `ASSIGN` per builder, which the builder answers with
-//! one `PULL` per readout. With k events per builder and burst, a built
-//! event costs 2R + 2 + (1 + R)/k frames for R readout units: 3R + 3 on
-//! an idle system (k = 1, today's frames and latency), about 10.6 at
-//! R = 4 in a loaded 4×2 mesh (k ≈ 8, one builder's full credit).
+//! only returns the credit and queues the clear; the delivery with no
+//! private frame behind it launches every event the returned credits
+//! buy — a `TRIGGER` per event and readout, each carrying one finished
+//! id — and ends with one `ASSIGN` per builder, which the builder
+//! answers with one `PULL` per readout. With k events per builder and
+//! burst, a built event costs 2R + 2 + (1 + R)/k frames for R readout
+//! units: 3R + 3 on an idle system (k = 1, today's frames and
+//! latency), about 10.6 at R = 4 in a loaded 4×2 mesh (k ≈ 8, one
+//! builder's full credit).
 //! `CLEAR` goes out only for ids no `TRIGGER` carried — at run end,
 //! while draining, when credit runs out, and for the unfinished events
 //! of a run a new `RUN` supersedes. A vector that would exceed

@@ -13,8 +13,9 @@
 //!   version/epoch header and a tagged atomic free list, so both
 //!   processes allocate and recycle blocks in place;
 //! * a pair of lock-free **SPSC descriptor rings** ([`RingView`]) per
-//!   link — cache-line-padded cursors, 16-byte `{offset, len, tid,
-//!   flags}` descriptors, chained frames as descriptor lists;
+//!   link — cache-line-padded cursors, one 8-byte `{offset, len}`
+//!   descriptor per frame, since a frame is one block (a frame longer
+//!   than the link's block size is refused at the sender);
 //! * [`ShmPt`], which wires both into the executive under the `shm://`
 //!   scheme as a polling PT: the dispatch loop scans the receive rings,
 //!   so there is no receive thread and no wake-up path.
@@ -44,6 +45,6 @@ mod pt;
 
 pub use pool::ShmPool;
 pub use region::{Region, ShmConfig};
-pub use ring::{Descriptor, RingView, FLAG_MORE};
+pub use ring::{Descriptor, RingView};
 
 pub use pt::{ShmLink, ShmPt};

@@ -2,7 +2,7 @@
 //!
 //! `ShmPool` is a [`FrameAllocator`] whose blocks live inside the
 //! shared region: a `FrameBuf` allocated here can be handed to the
-//! peer process as a 16-byte descriptor — the paper's zero-copy claim
+//! peer process as an 8-byte descriptor — the paper's zero-copy claim
 //! extended across address spaces. It is simultaneously the
 //! [`BlockRecycler`] for those frames, translating a dropped block
 //! back to its region slot (which may have been allocated by the
@@ -75,15 +75,9 @@ impl ShmPool {
         unpack_token(self.region.id(), token).is_some_and(|i| i < self.region.config().nblocks)
     }
 
-    /// Send-path payload copies recorded against this region (both
-    /// sides): the zero-copy miss counter the transport tests assert on.
-    pub fn copies(&self) -> u64 {
-        self.region.hdr().copies.load(Ordering::Relaxed)
-    }
-
-    /// Takes a bare block out of the region free list (transport
-    /// internal; applications use [`FrameAllocator::alloc`]).
-    pub(crate) fn take_block(&self, len: usize) -> Option<Block> {
+    /// Takes a bare block and its index out of the region free list
+    /// (transport internal; applications use [`FrameAllocator::alloc`]).
+    pub(crate) fn take_block(&self, len: usize) -> Option<(usize, Block)> {
         let idx = self.region.alloc_block()?;
         let bs = self.block_size();
         // SAFETY: the free list guarantees exclusive ownership of
@@ -101,7 +95,7 @@ impl ShmPool {
         self.allocs.fetch_add(1, Ordering::Relaxed);
         let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
         self.high_water.fetch_max(live, Ordering::Relaxed);
-        Some(block)
+        Some((idx, block))
     }
 
     /// Accounts a block that left this process without being recycled
@@ -125,7 +119,7 @@ impl FrameAllocator for ShmPool {
             return Err(AllocError::TooLarge(len));
         }
         match self.take_block(len) {
-            Some(block) => Ok(FrameBuf::new(block, self.recycler())),
+            Some((_, block)) => Ok(FrameBuf::new(block, self.recycler())),
             None => {
                 self.failures.fetch_add(1, Ordering::Relaxed);
                 Err(AllocError::Exhausted {

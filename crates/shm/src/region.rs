@@ -5,7 +5,7 @@
 //! ```text
 //! +---------------------------+ 0
 //! | RegionHdr (one 4 KB page) |   magic/version/geometry, free-list
-//! |                           |   head, copy counters, 2 side slots
+//! |                           |   head and counters, 2 side slots
 //! +---------------------------+ 4096
 //! | ring A→B                  |   RingHdr + cap descriptors
 //! +---------------------------+
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 pub const SHM_MAGIC: u64 = u64::from_le_bytes(*b"XDAQSHM1");
 /// Region layout version; bumped whenever `RegionHdr` or `SideHdr`
 /// changes, so a process built against another layout cannot attach.
-pub const SHM_VERSION: u32 = 2;
+pub const SHM_VERSION: u32 = 3;
 /// Header page size.
 pub const HEADER_BYTES: usize = 4096;
 /// Hard cap on one pooled block (paper: 256 KB).
@@ -70,13 +70,11 @@ pub struct RegionHdr {
     /// Tagged free-list head: `(tag << 32) | (index + 1)`, 0 = empty.
     pub free_head: AtomicU64,
     _pad1: [u8; 56],
-    /// Payload copies on the send path (zero-copy misses).
-    pub copies: AtomicU64,
     /// Blocks handed out of the free list (both sides).
     pub shm_allocs: AtomicU64,
     /// Blocks returned to the free list (both sides).
     pub shm_frees: AtomicU64,
-    _pad2: [u8; 40],
+    _pad2: [u8; 48],
     pub sides: [SideHdr; 2],
 }
 

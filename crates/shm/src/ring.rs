@@ -2,10 +2,8 @@
 //!
 //! One ring per direction per link. The producer process owns `tail`,
 //! the consumer process owns `head`; both live on their own cache
-//! lines so the two sides never false-share. Descriptors are 16-byte
-//! `{offset, len, tid, flags, seq}` records — chained frames travel as
-//! descriptor lists ([`FLAG_MORE`] on all but the last entry), never
-//! as bytes.
+//! lines so the two sides never false-share. Descriptors are 8-byte
+//! `{offset, len}` records, one per frame: a frame is one region block.
 //!
 //! The algorithm is the classic power-of-two index ring: indices grow
 //! monotonically and are masked on access, so full/empty are
@@ -16,25 +14,16 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Descriptor size in bytes (layout is `#[repr(C)]`, fixed).
-pub const DESC_BYTES: usize = 16;
+pub const DESC_BYTES: usize = 8;
 
-/// More descriptors of the same chained frame follow.
-pub const FLAG_MORE: u16 = 0x0001;
-
-/// One SGL entry in a ring.
+/// One frame in a ring: the region block holding it and its length.
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Descriptor {
-    /// Payload offset from the region base.
+    /// Block offset from the region base.
     pub offset: u32,
-    /// Valid payload bytes at `offset`.
+    /// Frame bytes at `offset` (at most one block).
     pub len: u32,
-    /// Target TiD of the frame (informational fast-path hint).
-    pub tid: u16,
-    /// [`FLAG_MORE`] etc.
-    pub flags: u16,
-    /// Producer sequence number (debugging/model checking).
-    pub seq: u32,
 }
 
 /// Ring control block at the start of each ring area.
@@ -115,14 +104,13 @@ impl RingView {
 
     /// Producer: publishes one descriptor. Returns the descriptor
     /// back when the ring is full.
-    pub fn push(&self, mut d: Descriptor) -> Result<(), Descriptor> {
+    pub fn push(&self, d: Descriptor) -> Result<(), Descriptor> {
         let hdr = self.hdr();
         let tail = hdr.tail.load(Ordering::Relaxed); // sole producer
         let head = hdr.head.load(Ordering::Acquire);
         if tail.wrapping_sub(head) >= self.cap {
             return Err(d);
         }
-        d.seq = tail;
         // SAFETY: slot index is masked; the head check above proves
         // the consumer is done with this slot; the release store of
         // `tail` below publishes the plain write.
@@ -160,18 +148,13 @@ mod tests {
     }
 
     fn desc(offset: u32, len: u32) -> Descriptor {
-        Descriptor {
-            offset,
-            len,
-            tid: 7,
-            flags: 0,
-            seq: 0,
-        }
+        Descriptor { offset, len }
     }
 
     #[test]
-    fn descriptor_is_16_bytes() {
+    fn descriptor_is_8_bytes() {
         assert_eq!(std::mem::size_of::<Descriptor>(), DESC_BYTES);
+        assert_eq!(std::mem::size_of::<Descriptor>(), 8);
     }
 
     #[test]
@@ -186,7 +169,6 @@ mod tests {
         for i in 0..4 {
             let d = r.pop().unwrap();
             assert_eq!(d.offset, i);
-            assert_eq!(d.seq, i);
         }
         assert!(r.pop().is_none());
     }

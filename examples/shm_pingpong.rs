@@ -2,9 +2,9 @@
 //!
 //! The parent creates an shm region and spawns a copy of itself as the
 //! "pong" process. Every ping frame is allocated straight out of the
-//! cross-process pool, so sending moves a 16-byte descriptor, never
-//! payload bytes — the pool's copy counter printed at the end proves
-//! it stayed at zero.
+//! cross-process pool, so sending moves an 8-byte descriptor, never
+//! payload bytes — the copy count each side prints at the end proves
+//! it stayed at zero, for the pings and for their echoes.
 //!
 //! Run with: `cargo run --release --example shm_pingpong`
 
@@ -87,8 +87,8 @@ fn main() {
         mb / elapsed.as_secs_f64()
     );
     println!(
-        "send-path payload copies: {} (zero-copy descriptor passing)",
-        pool.copies()
+        "ping send-path payload copies: {} (zero-copy descriptor passing)",
+        pt.shm_counters().copies.get()
     );
     let _ = std::fs::remove_file(&path);
 }
@@ -103,6 +103,10 @@ fn pong(path: &str) {
     loop {
         while let Some((frame, _src)) = pt.poll() {
             if u64::from_le_bytes(frame[0..8].try_into().unwrap()) == u64::MAX {
+                println!(
+                    "pong send-path payload copies: {}",
+                    pt.shm_counters().copies.get()
+                );
                 return;
             }
             // Echo the region frame itself: descriptor goes back, the

@@ -81,12 +81,12 @@ if [ -e crates/core/src/credit.rs ] || [ -e crates/core/src/admission.rs ] \
     bad=1
 fi
 # One frame per block: nothing shipped a chained frame, so frame
-# chaining and the I2O SGL must not grow back.
+# chaining, the I2O SGL and shm's descriptor chains must not grow back.
 if [ -e crates/core/src/chainio.rs ] || [ -e crates/mempool/src/chain.rs ] \
     || [ -e crates/i2o/src/sgl.rs ] \
-    || grep -rnE 'ChainCollector|send_chained|split_into_frames|\bSgl(Element|Flags|Error)?\b' \
+    || grep -rnE 'ChainCollector|send_chained|split_into_frames|\bSgl(Element|Flags|Error)?\b|FLAG_MORE|CHAIN_STALL_TIMEOUT|discard_chain' \
         crates src tests examples; then
-    echo "frame chaining and the SGL (listed above) were removed; DESIGN.md §1 says why" >&2
+    echo "frame chaining, the SGL and shm descriptor chains (listed above) were removed; DESIGN.md §1 says why" >&2
     bad=1
 fi
 # One recovery path: a frame is sent once, down one route; the event

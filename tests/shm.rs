@@ -3,8 +3,8 @@
 //! Each test re-executes this test binary (`std::env::current_exe`)
 //! with `--ignored --exact <child fn>` to get a genuinely separate
 //! process on the other side of the region: the echo test pushes ≥10k
-//! frames (a third of them chained across multiple blocks) through a
-//! child and back with zero loss; the kill test SIGKILLs the child
+//! frames (a third of them heap frames, copied into one block each)
+//! through a child and back with zero loss; the kill test SIGKILLs the child
 //! mid-session and asserts the transport reports the peer so the link
 //! supervisor marks it Down.
 
@@ -17,10 +17,11 @@ use xdaq_mempool::FrameAllocator;
 use xdaq_shm::{ShmConfig, ShmPt};
 
 const COUNT: usize = 10_000;
-/// Every CHAIN_EVERY-th frame is oversize: 2.5 blocks → 3 descriptors.
-const CHAIN_EVERY: usize = 3;
+/// Every HEAP_EVERY-th frame is a heap frame filling a whole block: it
+/// takes the copy path.
+const HEAP_EVERY: usize = 3;
 const SMALL_LEN: usize = 512;
-const CHAINED_LEN: usize = 10_000;
+const HEAP_LEN: usize = 4096;
 
 fn cfg() -> ShmConfig {
     ShmConfig {
@@ -31,8 +32,8 @@ fn cfg() -> ShmConfig {
 }
 
 fn frame_len(seq: usize) -> usize {
-    if seq.is_multiple_of(CHAIN_EVERY) {
-        CHAINED_LEN
+    if seq.is_multiple_of(HEAP_EVERY) {
+        HEAP_LEN
     } else {
         SMALL_LEN
     }
@@ -87,7 +88,7 @@ fn wait_for_peer(pt: &ShmPt, peer: &PeerAddr) {
 }
 
 #[test]
-fn ten_thousand_chained_frames_echo_with_zero_loss() {
+fn ten_thousand_frames_echo_with_zero_loss() {
     if !heavy_enabled() {
         return;
     }
@@ -112,9 +113,9 @@ fn ten_thousand_chained_frames_echo_with_zero_loss() {
         // Keep a bounded window in flight so rings/pool never deadlock.
         while next < COUNT && inflight < 64 {
             let len = frame_len(next);
-            // Pool frames exercise the zero-copy path; oversize ones
-            // are heap frames that chain across blocks on send.
-            let mut frame = if len > 4096 {
+            // Pool frames exercise the zero-copy path, heap frames the
+            // copy path.
+            let mut frame = if len == HEAP_LEN {
                 xdaq_mempool::FrameBuf::detached(len)
             } else {
                 match pool.alloc(len) {
@@ -155,6 +156,10 @@ fn ten_thousand_chained_frames_echo_with_zero_loss() {
         std::thread::yield_now();
     }
     assert!(seen.iter().all(|&s| s), "every frame echoed exactly once");
+    // The child echoes region frames back without a copy, so the only
+    // copies are this side's heap frames, one each.
+    let heap_frames = (0..COUNT).filter(|&s| frame_len(s) == HEAP_LEN).count() as u64;
+    assert_eq!(pt.shm_counters().copies.get(), heap_frames);
 
     // Tell the child to exit, then reap it.
     loop {
