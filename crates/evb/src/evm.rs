@@ -713,22 +713,19 @@ impl I2oListener for EventManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bu::BuilderUnit;
-    use crate::ru::ReadoutUnit;
+    use crate::{Mesh, Roles};
     use std::time::{Duration, Instant};
     use xdaq_core::{Executive, ExecutiveConfig};
     use xdaq_i2o::Message;
 
-    /// Full single-executive mesh: 3 RU × 2 BU × 1 EVM + filter sink.
-    struct Mesh {
+    /// A mesh on one executive, with the filter sink beside it.
+    struct Rig {
         exec: Executive,
-        evm_tid: Tid,
-        evm: Arc<EvmStats>,
-        bus: Vec<Tid>,
+        mesh: Mesh,
         received: Arc<parking_lot::Mutex<Vec<(Tid, u64)>>>,
     }
 
-    impl Mesh {
+    impl Rig {
         fn ids(&self) -> Vec<u64> {
             self.received.lock().iter().map(|&(_, id)| id).collect()
         }
@@ -748,96 +745,64 @@ mod tests {
         }
     }
 
-    fn mesh(n_ru: usize, n_bu: usize) -> Mesh {
+    /// `n_ru` readouts, `n_bu` builders, the manager and the filter
+    /// sink, all on one executive.
+    fn rig(n_ru: usize, n_bu: usize) -> Rig {
         let exec = Executive::new(ExecutiveConfig::named("mesh"));
         let received = Arc::new(parking_lot::Mutex::new(Vec::new()));
         exec.register("filter", Box::new(FilterSink(received.clone())), &[])
             .unwrap();
-        let ru_names: Vec<String> = (0..n_ru).map(|i| format!("ru{i}")).collect();
-        for (i, name) in ru_names.iter().enumerate() {
-            exec.register(
-                name,
-                Box::new(ReadoutUnit::new()),
-                &[
-                    ("source_id", &i.to_string()),
-                    ("sources", &n_ru.to_string()),
-                    ("size", "128"),
-                ],
-            )
-            .unwrap();
-        }
-        let bu_names: Vec<String> = (0..n_bu).map(|i| format!("bu{i}")).collect();
-        let mut bus = Vec::new();
-        for name in &bu_names {
-            let bu = exec.register(
-                name,
-                Box::new(BuilderUnit::new()),
-                &[
-                    ("rus", &ru_names.join(",")),
-                    ("filter", "filter"),
-                    ("credits", "4"),
-                    ("timeout_ms", "20"),
-                    ("max_retries", "10"),
-                ],
-            );
-            bus.push(bu.unwrap());
-        }
-        let evm = EventManager::new();
-        let stats = evm.stats();
-        let evm_tid = exec
-            .register(
-                "evm",
-                Box::new(evm),
-                &[
-                    ("readouts", &ru_names.join(",")),
-                    ("bus", &bu_names.join(",")),
-                ],
-            )
-            .unwrap();
-        exec.enable_all();
-        Mesh {
+        // Nothing is remote, so no proxy ever dials this url.
+        let node = ("loop://mesh", &exec);
+        let roles = Roles {
+            readout: &[("size", "128")],
+            builder: &[
+                ("credits", "4"),
+                ("timeout_ms", "20"),
+                ("max_retries", "10"),
+            ],
+            ..Roles::default()
+        };
+        let mesh = Mesh::new(
+            &exec,
+            &vec![node; n_ru],
+            &vec![node; n_bu],
+            (node, "filter"),
+            roles,
+        )
+        .unwrap();
+        Rig {
             exec,
-            evm_tid,
-            evm: stats,
-            bus,
+            mesh,
             received,
         }
     }
 
-    fn run_to_completion(m: &Mesh, target: u64) {
-        // The flag may still be set from a previous run; clear it
-        // before the RUN frame is posted so the wait loop below
-        // can't exit on stale state.
-        m.evm.run_done.store(false, Ordering::SeqCst);
-        m.exec
-            .post(
-                Message::build_private(m.evm_tid, Tid::HOST, ORG_DAQ, xfn::RUN)
-                    .payload(target.to_le_bytes().to_vec())
-                    .finish(),
-            )
-            .unwrap();
+    fn run_to_completion(m: &Rig, target: u64) {
+        m.mesh.start_run(target).unwrap();
+        let stats = &m.mesh.evm_stats;
         let deadline = Instant::now() + Duration::from_secs(30);
-        while !m.evm.run_done.load(Ordering::SeqCst) && Instant::now() < deadline {
+        while !stats.run_done.load(Ordering::SeqCst) && Instant::now() < deadline {
             m.exec.run_once();
         }
-        assert!(m.evm.run_done.load(Ordering::SeqCst), "run stalled");
+        assert!(stats.run_done.load(Ordering::SeqCst), "run stalled");
     }
 
     #[test]
     fn builds_a_full_run_without_loss() {
-        let m = mesh(3, 2);
+        let m = rig(3, 2);
         run_to_completion(&m, 100);
-        assert_eq!(m.evm.completed.load(Ordering::SeqCst), 100);
-        assert_eq!(m.evm.lost.load(Ordering::SeqCst), 0);
+        assert_eq!(m.mesh.evm_stats.completed.load(Ordering::SeqCst), 100);
+        assert_eq!(m.mesh.evm_stats.lost.load(Ordering::SeqCst), 0);
         let mut ids = m.ids();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 100, "every event reached the filter once");
         // Both builders participated (credits spread the load): the
         // node-wide `evb.bu.built` cannot split them, the filter can.
-        for bu in &m.bus {
-            let built = m.received.lock().iter().filter(|(b, _)| b == bu).count();
-            assert!(built > 0, "builder {bu} built nothing");
+        for bu in &m.mesh.builders {
+            let built = m.received.lock().iter().any(|(b, _)| *b == bu.tid);
+            assert!(built, "builder {} built nothing", bu.tid);
         }
         // Every event was cleared at the sources: the early ones on the
         // next TRIGGER, the run's last ones by plain CLEAR frames.
@@ -849,7 +814,7 @@ mod tests {
 
     #[test]
     fn event_ids_stay_monotonic_across_runs() {
-        let m = mesh(2, 1);
+        let m = rig(2, 1);
         run_to_completion(&m, 10);
         let first = m.ids();
         run_to_completion(&m, 10);
@@ -860,13 +825,13 @@ mod tests {
             second.iter().all(|e| e > max1),
             "second run reuses event ids"
         );
-        assert_eq!(m.evm.completed.load(Ordering::SeqCst), 20);
+        assert_eq!(m.mesh.evm_stats.completed.load(Ordering::SeqCst), 20);
     }
 
     /// The fragments one readout still stores: a `CLEAR` of an id no
     /// run uses makes that readout publish its store size, so the
     /// shared `evb.ru.store` gauge reads that readout alone.
-    fn store_of(m: &Mesh, readout: &str) -> i64 {
+    fn store_of(m: &Rig, readout: &str) -> i64 {
         let ru = m.exec.core().lookup_name(readout).unwrap();
         m.exec
             .post(
@@ -890,14 +855,8 @@ mod tests {
     /// for good.
     #[test]
     fn superseding_run_clears_the_old_runs_fragments() {
-        let m = mesh(2, 1);
-        m.exec
-            .post(
-                Message::build_private(m.evm_tid, Tid::HOST, ORG_DAQ, xfn::RUN)
-                    .payload(1000u64.to_le_bytes().to_vec())
-                    .finish(),
-            )
-            .unwrap();
+        let m = rig(2, 1);
+        m.mesh.start_run(1000).unwrap();
         for _ in 0..3 {
             m.exec.run_once();
         }

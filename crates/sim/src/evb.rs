@@ -138,22 +138,21 @@ impl SimEvb {
         let nodes: Vec<(&str, &Executive)> = urls.iter().map(String::as_str).zip(&execs).collect();
 
         let ids = Arc::new(Mutex::new(BTreeSet::new()));
-        let flt_tid = host
-            .register(
-                "flt",
-                Box::new(Collector {
-                    ids: ids.clone(),
-                    log: log.clone(),
-                    vclock: cluster.vclock().clone(),
-                }),
-                &[],
-            )
-            .expect("register collector");
+        host.register(
+            "flt",
+            Box::new(Collector {
+                ids: ids.clone(),
+                log: log.clone(),
+                vclock: cluster.vclock().clone(),
+            }),
+            &[],
+        )
+        .expect("register collector");
         let mesh = Mesh::new(
             &host,
             &nodes[..N_RU],
             &nodes[N_RU..],
-            (&SimCluster::url("host"), flt_tid),
+            ((&SimCluster::url("host"), &host), "flt"),
             Roles {
                 readout: &[("size", &FRAGMENT_SIZE.to_string())],
                 builder: &[
@@ -190,12 +189,13 @@ impl SimEvb {
     /// then can the EVM's rescan clear its dead set and re-invite
     /// builders without a credit entry.
     pub fn rescan(&self) {
-        for bu in &self.mesh.builders {
-            if self.host.core().lookup_name(&bu.alias).is_none() {
+        for (j, bu) in self.mesh.builders.iter().enumerate() {
+            let name = format!("bu{j}");
+            if self.host.core().lookup_name(&name).is_none() {
                 self.log
-                    .push(self.cluster.elapsed(), &format!("reproxy {}", bu.alias));
+                    .push(self.cluster.elapsed(), &format!("reproxy {name}"));
                 self.host
-                    .proxy(&bu.url, bu.tid, Some(&bu.alias))
+                    .proxy(&bu.url, bu.tid, Some(&name))
                     .expect("re-proxy builder");
             }
         }

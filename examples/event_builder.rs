@@ -100,7 +100,7 @@ fn main() {
         mgr_node,
         &peers[2..2 + READOUTS],
         &peers[2 + READOUTS..],
-        ("loop://flt", recorder_tid),
+        (peers[1], "rec0"),
         Roles {
             readout: &[("size", &FRAGMENT_SIZE.to_string())],
             builder: &[

@@ -15,18 +15,9 @@ echo "== cargo doc (workspace, -D warnings) =="
 # reader's browser.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== one raw-syscall layer: no asm! outside crates/sys =="
-# shm, rec and pt each grew a private copy of the same syscall stubs
-# once; xdaq-sys is the audited one, and a fourth must not grow back.
-if grep -rl 'asm!' crates --include='*.rs' | grep -v '^crates/sys/'; then
-    echo "asm! outside crates/sys (listed above): call xdaq-sys instead" >&2
-    exit 1
-fi
-
 echo "== crate layering: xdaq-* dependencies point strictly down =="
 # DESIGN.md §2 states this order, one layer per line, lowest first. A
-# crate may depend only on crates of an earlier line, and a crate that
-# was folded away must not grow back.
+# crate may depend only on crates of an earlier line.
 layers="sys i2o mon
 mempool
 core
@@ -52,109 +43,119 @@ for manifest in crates/*/Cargo.toml; do
         fi
     done
 done
-for gone in host app probe bench gm; do
-    if grep -rn "xdaq-$gone" Cargo.toml crates src tests examples; then
-        echo "xdaq-$gone (listed above) was removed; DESIGN.md §2 says where its code lives" >&2
+
+echo "== removed mechanisms stay removed =="
+# Each row is `what` `where` `why`. `what` is an extended regex that may
+# match no line of the files under `where`, or, where `where` is `-`, a
+# list of paths that may not exist. `why` is what the failure prints
+# under the lines it found.
+guards=(
+    # One raw-syscall layer: shm, rec and pt each grew a private copy of
+    # the same syscall stubs once; xdaq-sys is the audited one. The
+    # globs name every crate but crates/sys.
+    'asm!' 'crates/[!s]* crates/s[!y]*'
+    'asm! outside crates/sys (listed above): call xdaq-sys instead'
+    # A crate that was folded away may not grow back.
+    'xdaq-(host|app|probe|bench|gm)' 'Cargo.toml crates src tests examples'
+    'xdaq-{host,app,probe,bench,gm} (listed above) were removed; DESIGN.md §2 says where their code lives'
+    # The crossbeam and bytes shims were a locked deque and an Arc<[u8]>
+    # under borrowed names. benchmark/ is left out: its lock file is
+    # stale.
+    '^(crossbeam|bytes)\b' 'Cargo.toml crates/*/Cargo.toml'
+    'crossbeam/bytes (listed above) were removed; DESIGN.md §2 lists the shims that remain'
+    '(^|[^A-Za-z0-9_])(crossbeam|bytes)::' 'crates src tests examples'
+    'crossbeam/bytes (listed above) were removed; DESIGN.md §2 lists the shims that remain'
+    # One socket transport: `tcp` is a spelling of xpt, and Linux
+    # x86_64/aarch64 is the one platform, so neither the second transport
+    # nor the portable syscall stub it served may grow back.
+    'crates/pt/src/tcp.rs' -
+    'crates/pt/src/tcp.rs (listed above) was removed; DESIGN.md §15 says why'
+    'TcpPt|sys::supported\(' 'crates src tests examples'
+    'TcpPt and sys::supported() (listed above) were removed; DESIGN.md §15 says why'
+    # One credit loop: the event builder's credits bound its queues, so
+    # link-level flow control and tenant admission may not grow back.
+    'crates/core/src/credit.rs crates/core/src/admission.rs' -
+    'link credits and admission (listed above) were removed; DESIGN.md §13 says why'
+    'CreditManager|AdmissionControl|FlowConfig' 'crates src tests examples'
+    'link credits and admission (listed above) were removed; DESIGN.md §13 says why'
+    # One frame per block: nothing shipped a chained frame, so frame
+    # chaining, the I2O SGL and shm's descriptor chains may not grow
+    # back.
+    'crates/core/src/chainio.rs crates/mempool/src/chain.rs crates/i2o/src/sgl.rs' -
+    'frame chaining and the SGL (listed above) were removed; DESIGN.md §1 says why'
+    'ChainCollector|send_chained|split_into_frames|\bSgl(Element|Flags|Error)?\b|FLAG_MORE|CHAIN_STALL_TIMEOUT|discard_chain' 'crates src tests examples'
+    'frame chaining, the SGL and shm descriptor chains (listed above) were removed; DESIGN.md §1 says why'
+    # One recovery path: a frame is sent once, down one route; the event
+    # builder and the control plane repair what is lost, so
+    # transport-level retry, backoff and route failover may not grow
+    # back.
+    'examples/failover.rs' -
+    'route failover (listed above) was removed; DESIGN.md §8 "Recovery, overload" says why'
+    'RetryPolicy|send_failover|add_alternate|reorder_for_locality|SEND_DEADLINE|MAX_BACKOFF' 'crates src tests examples'
+    'PTA retry and route failover (listed above) were removed; DESIGN.md §8 "Recovery, overload" says why'
+    # One shm mode: the dispatch loop polls the shm:// rings, and pci://
+    # was a second loopback, so the task-mode receive thread with its
+    # eventfd and FIFO doorbell, the syscalls only it made, and the
+    # simulated PCI bus may not grow back.
+    'crates/shm/src/doorbell.rs crates/pt/src/pcisim.rs' -
+    'shm task mode and pci:// (listed above) were removed; DESIGN.md §9 "Polling only" says why'
+    'PeerBell|SPIN_BUDGET|ppoll_readable_many|mkfifo|PciPt|PciBus|FifoKind' 'crates src tests examples'
+    'shm task mode, its doorbell and pci:// (listed above) were removed; DESIGN.md §9 "Polling only" says why'
+    # A cheap frame hop: one executive thread dispatches, so the
+    # scheduler takes one lock with no occupancy atomics, and the
+    # per-frame maps and sets are keyed by node-local TiDs, timer ids,
+    # link addresses and the event ids the cluster's own event manager
+    # mints, on FastMap and FastSet, not SipHash.
+    'occupied: AtomicU8|\[Mutex<Level>; NUM_PRIORITIES\]|Hash(Map|Set)<(Tid|TimerId|GmAddr|u64)\b' 'crates/core/src crates/pt/src/gm crates/pt/src/loopback.rs crates/evb/src'
+    'per-level queue locks or SipHash maps on the frame path (listed above) were removed; DESIGN.md §10 says why'
+    # A value the code can derive is not declared, and a knob nobody
+    # turns is not kept: the event manager reads its builders' addresses
+    # from their routes, so neither their declared copy nor the `.xtop`
+    # template language that filled it may grow back, and neither may
+    # ChaosPt's faults beyond drop or ReplayPt's runtime keys.
+    'bu_urls|@url:|fail_per_mille|dup_per_mille|corrupt_per_mille|delay_every|FaultPlan::failing|replay\.(dir|pace_us|retarget|limit)' 'crates src tests examples'
+    'declared builder urls, @url: templates, ChaosPt'"'"'s non-drop faults and replay.* keys (listed above) were removed; DESIGN.md §8 "ChaosPt" and §14 say why'
+    # One home per count: an event-builder fact is counted once, in the
+    # node's registry, through handles every device holds from `new()`
+    # on, so neither a side struct of builder counters nor a metrics
+    # `Option` that every count must unwrap may grow back.
+    'BuilderStats|Option<[A-Za-z]*Metrics>' 'crates/evb/src'
+    'BuilderStats or an optional metrics field (listed above) was removed; DESIGN.md §12 "Observability" says why'
+)
+for ((i = 0; i < ${#guards[@]}; i += 3)); do
+    what=${guards[i]} where=${guards[i + 1]} why=${guards[i + 2]}
+    if [ "$where" = - ]; then
+        found=$(for path in $what; do [ ! -e "$path" ] || echo "$path"; done)
+    else
+        # $where is split and globbed on purpose: it lists paths.
+        found=$(grep -rnE -- "$what" $where || true)
+    fi
+    if [ -n "$found" ]; then
+        echo "$found" >&2
+        echo "$why" >&2
         bad=1
     fi
 done
-# The crossbeam and bytes shims were a locked deque and an Arc<[u8]>
-# under borrowed names. benchmark/ is left out: its lock file is stale.
-if grep -nE '^(crossbeam|bytes)\b' Cargo.toml crates/*/Cargo.toml \
-    || grep -rnE '(^|[^A-Za-z0-9_])(crossbeam|bytes)::' crates src tests examples; then
-    echo "crossbeam/bytes (listed above) were removed; DESIGN.md §2 lists the shims that remain" >&2
-    bad=1
-fi
-# One socket transport: `tcp` is a spelling of xpt, and Linux
-# x86_64/aarch64 is the one platform, so neither the second transport
-# nor the portable syscall stub it served may grow back.
-if [ -e crates/pt/src/tcp.rs ] \
-    || grep -rnE 'TcpPt|sys::supported\(' crates src tests examples; then
-    echo "TcpPt, crates/pt/src/tcp.rs and sys::supported() (listed above) were removed; DESIGN.md §15 says why" >&2
-    bad=1
-fi
-# One credit loop: the event builder's credits bound its queues, so
-# link-level flow control and tenant admission must not grow back.
-if [ -e crates/core/src/credit.rs ] || [ -e crates/core/src/admission.rs ] \
-    || grep -rnE 'CreditManager|AdmissionControl|FlowConfig' crates src tests examples; then
-    echo "link credits and admission (listed above) were removed; DESIGN.md §13 says why" >&2
-    bad=1
-fi
-# One frame per block: nothing shipped a chained frame, so frame
-# chaining, the I2O SGL and shm's descriptor chains must not grow back.
-if [ -e crates/core/src/chainio.rs ] || [ -e crates/mempool/src/chain.rs ] \
-    || [ -e crates/i2o/src/sgl.rs ] \
-    || grep -rnE 'ChainCollector|send_chained|split_into_frames|\bSgl(Element|Flags|Error)?\b|FLAG_MORE|CHAIN_STALL_TIMEOUT|discard_chain' \
-        crates src tests examples; then
-    echo "frame chaining, the SGL and shm descriptor chains (listed above) were removed; DESIGN.md §1 says why" >&2
-    bad=1
-fi
-# One recovery path: a frame is sent once, down one route; the event
-# builder and the control plane repair what is lost, so transport-level
-# retry, backoff and route failover must not grow back.
-if [ -e examples/failover.rs ] \
-    || grep -rnE 'RetryPolicy|send_failover|add_alternate|reorder_for_locality|SEND_DEADLINE|MAX_BACKOFF' \
-        crates src tests examples; then
-    echo "PTA retry and route failover (listed above) were removed; DESIGN.md §8 \"Recovery, overload\" says why" >&2
-    bad=1
-fi
-# One shm mode: the dispatch loop polls the shm:// rings, and pci:// was
-# a second loopback, so the task-mode receive thread with its eventfd
-# and FIFO doorbell, the syscalls only it made, and the simulated PCI
-# bus must not grow back.
-if [ -e crates/shm/src/doorbell.rs ] || [ -e crates/pt/src/pcisim.rs ] \
-    || grep -rnE 'PeerBell|SPIN_BUDGET|ppoll_readable_many|mkfifo|PciPt|PciBus|FifoKind' \
-        crates src tests examples; then
-    echo "shm task mode, its doorbell and pci:// (listed above) were removed; DESIGN.md §9 \"Polling only\" says why" >&2
-    bad=1
-fi
-# A cheap frame hop: one executive thread dispatches, so the scheduler
-# takes one lock with no occupancy atomics, and the per-frame maps and
-# sets are keyed by node-local TiDs, timer ids, link addresses and the
-# event ids the cluster's own event manager mints, on FastMap and
-# FastSet, not SipHash. Neither the per-level locks nor those hashes may
-# grow back.
-if grep -rnE 'occupied: AtomicU8|\[Mutex<Level>; NUM_PRIORITIES\]|Hash(Map|Set)<(Tid|TimerId|GmAddr|u64)\b' \
-    crates/core/src crates/pt/src/gm crates/pt/src/loopback.rs crates/evb/src; then
-    echo "per-level queue locks or SipHash maps on the frame path (listed above) were removed; DESIGN.md §10 says why" >&2
-    bad=1
-fi
-# A value the code can derive is not declared, and a knob nobody turns
-# is not kept: the event manager reads its builders' addresses from
-# their routes, so neither their declared copy nor the `.xtop` template
-# language that filled it may grow back, and neither may ChaosPt's
-# faults beyond drop or ReplayPt's runtime keys.
-if grep -rnE 'bu_urls|@url:|fail_per_mille|dup_per_mille|corrupt_per_mille|delay_every|FaultPlan::failing|replay\.(dir|pace_us|retarget|limit)' \
-    crates src tests examples; then
-    echo "declared builder urls, @url: templates, ChaosPt's non-drop faults and replay.* keys (listed above) were removed; DESIGN.md §8 \"ChaosPt\" and §14 say why" >&2
-    bad=1
-fi
+
 # One wiring rule: every in-process event builder is wired by
 # crates/evb/src/mesh.rs, so a readout's source index and the manager's
-# readout list are spelled out nowhere else, except in the evb unit
-# tests (one executive, local names) and the multi-process children
-# and host of tests/evb.rs, which wire themselves over shm://.
+# readout list are spelled out nowhere else, except in the readout's and
+# the builder's unit tests (one device beside fakes) and the
+# multi-process children and host of tests/evb.rs, which wire
+# themselves over shm://.
 hand_wired=$(find crates src tests examples -name '*.rs' | sort | xargs awk '
     FNR == 1 { test = 0; fn = "" }
     /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
     /^(pub )?fn / { fn = $0; sub(/^(pub )?fn /, "", fn); sub(/[(<].*/, "", fn) }
     /\("(readouts|source_id)",/ {
         if (FILENAME == "crates/evb/src/mesh.rs") next
-        if (test && FILENAME ~ /^crates\/evb\/src\/(evm|bu|ru)\.rs$/) next
+        if (test && FILENAME ~ /^crates\/evb\/src\/(bu|ru)\.rs$/) next
         if (FILENAME == "tests/evb.rs" && fn ~ /^(build_mesh|child_evb_ru|child_evb_bu)$/) next
         print FILENAME ":" FNR ": " $0
     }')
 if [ -n "$hand_wired" ]; then
     echo "$hand_wired" >&2
     echo "a hand-wired event builder (listed above): wire it with xdaq_evb::Mesh; DESIGN.md §12 says why" >&2
-    bad=1
-fi
-# One home per count: an event-builder fact is counted once, in the
-# node's registry, through handles every device holds from `new()` on,
-# so neither a side struct of builder counters nor a metrics `Option`
-# that every count must unwrap may grow back.
-if grep -rnE 'BuilderStats|Option<[A-Za-z]*Metrics>' crates/evb/src; then
-    echo "BuilderStats or an optional metrics field (listed above) was removed; DESIGN.md §12 \"Observability\" says why" >&2
     bad=1
 fi
 [ "$bad" -eq 0 ] || exit 1
@@ -235,7 +236,8 @@ XDAQ_TEST_HEAVY=1 cargo test -q --test rec
 
 echo "== shm multi-process smoke (echo + kill) (heavy) =="
 # Spawns real child processes on the far side of the region; covers
-# zero-copy descriptor passing, chained frames, and SIGKILL detection.
+# zero-copy descriptor passing, heap frames copied into one region
+# block each, and SIGKILL detection.
 XDAQ_TEST_HEAVY=1 cargo test -q --test shm
 
 echo "== event builder: chaos mesh + builder kill (multi-process, heavy) =="

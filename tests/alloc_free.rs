@@ -183,12 +183,12 @@ impl EvbMesh {
         let peers: Vec<(&str, &Executive)> = urls.iter().map(String::as_str).zip(&nodes).collect();
         let events = FilterStats::new();
         let filter = Box::new(FilterUnit::new(events.clone()));
-        let filter = nodes[0].register("filter", filter, &[]).unwrap();
+        nodes[0].register("filter", filter, &[]).unwrap();
         let mesh = Mesh::new(
             &nodes[0],
             &peers[1..5],
             &peers[5..],
-            ("loop://mgr", filter),
+            (peers[0], "filter"),
             Roles {
                 readout: &[("size", "2048")],
                 builder: &[

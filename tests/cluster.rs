@@ -669,7 +669,7 @@ fn xcl_evb_command_reports_builder_state() {
     let urls: Vec<String> = names.iter().map(|n| format!("loop://{n}")).collect();
     let peers: Vec<(&str, &Executive)> = urls.iter().map(String::as_str).zip(&nodes).collect();
 
-    let filter_tid = nodes[1]
+    nodes[1]
         .register(
             "filter0",
             Box::new(FilterUnit::new(FilterStats::new())),
@@ -680,7 +680,7 @@ fn xcl_evb_command_reports_builder_state() {
         &nodes[0],
         &peers[2..4],
         &peers[4..],
-        ("loop://flt", filter_tid),
+        (peers[1], "filter0"),
         Roles {
             readout: &[("size", "512")],
             builder: &[("credits", "4")],

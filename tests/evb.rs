@@ -22,9 +22,10 @@
 //!
 //! The in-process tests wire their meshes over `loop://` with
 //! [`Mesh`]; `mesh_of_every_shape_builds_every_event` runs it through
-//! five shapes. `slow_builder_queue_is_bounded_by_its_credits` runs in
-//! one process: the event manager's credits are the only thing that
-//! bounds a slow builder's queue, since no link meters data frames.
+//! five shapes in six placements each, from one executive per device
+//! to all devices on one. `slow_builder_queue_is_bounded_by_its_credits`
+//! runs in one process: the event manager's credits are the only thing
+//! that bounds a slow builder's queue, since no link meters data frames.
 //! `silent_builder_is_reclaimed_through_its_route` runs in one process
 //! too: a builder that stops answering is found by the manager's link
 //! supervisor, and the event manager learns which builder that was from
@@ -365,32 +366,45 @@ fn killed_builder_is_reclaimed_and_survivors_finish() {
     host.teardown();
 }
 
-/// An in-process mesh over `loop://`, one executive each on one hub:
-/// the manager `mgr` (supervising when `supervision` is set) with a
-/// [`Collector`] as the filter, then `ru0..` and `bu0..`; `roles` and
-/// `wrap` are [`Mesh::wrapping`]'s.
+/// An in-process mesh over `loop://` on one hub: the manager `mgr`
+/// (supervising when `supervision` is set) with a [`Collector`] as the
+/// filter `flt`, then `ru0..` and `bu0..`, each device on the node
+/// `place` names for it, one executive per node in order of first use;
+/// `roles` and `wrap` are [`Mesh::wrapping`]'s.
 struct LoopMesh {
     nodes: Vec<Executive>,
     mesh: Mesh,
     ids: Arc<Mutex<HashSet<u64>>>,
 }
 
+/// The node a [`loop_mesh`] device lives on, by device: `mgr` (the
+/// manager and the filter), `ru<i>` or `bu<j>`.
+type Place = fn(&str) -> String;
+
 fn loop_mesh(
     (rus, bus): (usize, usize),
+    place: Place,
     supervision: Option<SupervisionConfig>,
     roles: Roles<'_>,
     wrap: impl FnMut(usize, BuilderUnit) -> Box<dyn I2oListener>,
 ) -> LoopMesh {
     let hub = LoopbackHub::new();
-    let names: Vec<String> = std::iter::once("mgr".to_string())
+    let homes: Vec<String> = std::iter::once("mgr".to_string())
         .chain((0..rus).map(|i| format!("ru{i}")))
         .chain((0..bus).map(|j| format!("bu{j}")))
+        .map(|device| place(&device))
         .collect();
+    let mut names: Vec<&str> = Vec::new();
+    for home in &homes {
+        if !names.contains(&home.as_str()) {
+            names.push(home);
+        }
+    }
     let nodes: Vec<Executive> = names
         .iter()
         .map(|name| {
             let mut cfg = ExecutiveConfig::named(name);
-            if name == "mgr" {
+            if *name == homes[0] {
                 cfg.supervision = supervision.clone();
             }
             let exec = Executive::new(cfg);
@@ -398,12 +412,20 @@ fn loop_mesh(
             exec
         })
         .collect();
-    let ids = Arc::new(Mutex::new(HashSet::new()));
-    let flt = (nodes[0].register("flt", Box::new(Collector(ids.clone())), &[])).unwrap();
     let urls: Vec<String> = names.iter().map(|n| format!("loop://{n}")).collect();
-    let peers: Vec<(&str, &Executive)> = urls.iter().map(String::as_str).zip(&nodes).collect();
+    let peers: Vec<(&str, &Executive)> = homes
+        .iter()
+        .map(|home| {
+            let k = names.iter().position(|n| n == home).unwrap();
+            (urls[k].as_str(), &nodes[k])
+        })
+        .collect();
+    let ids = Arc::new(Mutex::new(HashSet::new()));
+    let (_, mgr) = peers[0];
+    mgr.register("flt", Box::new(Collector(ids.clone())), &[])
+        .unwrap();
     let (rus, bus) = peers[1..].split_at(rus);
-    let mesh = Mesh::wrapping(&nodes[0], rus, bus, ("loop://mgr", flt), roles, wrap).unwrap();
+    let mesh = Mesh::wrapping(mgr, rus, bus, (peers[0], "flt"), roles, wrap).unwrap();
     LoopMesh { nodes, mesh, ids }
 }
 
@@ -417,37 +439,80 @@ fn pump_until(nodes: &[Executive], done: impl Fn() -> bool) {
     }
 }
 
-/// Every shape the mesh wires builds every event once: a run of 200
-/// events through 1×1, 2×1, 1×3, 4×2 and 3×3 meshes (readouts ×
-/// builders) over `loop://`, pumped on this thread. Each event is
-/// counted once per fact: the builder nodes' `evb.bu.built` sum, the
-/// manager's `completed` and the filter's distinct ids agree.
+/// Every shape the mesh wires builds every event once, wherever its
+/// devices live: a run of 200 events through 1×1, 2×1, 1×3, 4×2 and
+/// 3×3 meshes (readouts × builders) over `loop://`, pumped on this
+/// thread, in six placements each. Each event is counted once per
+/// fact: the `evb.bu.built` sum over the nodes, the manager's
+/// `completed` and the filter's distinct ids agree. Devices that share
+/// a node exchange frames without a transport, so each placement's
+/// `exec.sent_peer` summed over its nodes stands in a stated relation
+/// to the all-separate placement's.
 #[test]
 fn mesh_of_every_shape_builds_every_event() {
     let _one_at_a_time = IN_PROCESS.lock();
     const EVENTS: u64 = 200;
+    // Holds for (this placement's peer sends, the all-separate one's).
+    type Sends = fn(u64, u64) -> bool;
+    let placements: [(&str, Place, Sends); 6] = [
+        ("all separate", str::to_string, |_, _| true),
+        (
+            "RU i + BU i",
+            |d| d.replace("bu", "ru"),
+            |sent, sep| sent < sep,
+        ),
+        (
+            "EVM + RU 0",
+            |d| if d == "ru0" { "mgr" } else { d }.to_string(),
+            |sent, sep| sent < sep,
+        ),
+        (
+            "EVM + BU 0 + filter",
+            |d| if d == "bu0" { "mgr" } else { d }.to_string(),
+            |sent, sep| sent < sep,
+        ),
+        (
+            "two readouts on one node",
+            |d| if d == "ru1" { "ru0" } else { d }.to_string(),
+            |_, _| true,
+        ),
+        ("one executive", |_| "mgr".to_string(), |sent, _| sent == 0),
+    ];
     for (rus, bus) in [(1, 1), (2, 1), (1, 3), (4, 2), (3, 3)] {
-        let rig = loop_mesh((rus, bus), None, Roles::default(), |_, unit| Box::new(unit));
-        let stats = &rig.mesh.evm_stats;
-        rig.mesh.start_run(EVENTS).unwrap();
-        pump_until(&rig.nodes, || {
-            stats.run_done.load(Ordering::SeqCst) && rig.ids.lock().len() as u64 >= EVENTS
-        });
-        let outcome = (
-            rig.mesh
-                .builders
-                .iter()
-                .map(|bu| bu.built.get())
-                .sum::<u64>(),
-            stats.completed.load(Ordering::SeqCst),
-            stats.lost.load(Ordering::SeqCst),
-            rig.ids.lock().len() as u64,
-        );
-        assert_eq!(
-            outcome,
-            (EVENTS, EVENTS, 0, EVENTS),
-            "{rus}×{bus} mesh: (built, completed, lost, distinct ids at the filter)"
-        );
+        let mut separate = 0;
+        for (placement, place, check) in placements {
+            let rig = loop_mesh((rus, bus), place, None, Roles::default(), |_, unit| {
+                Box::new(unit)
+            });
+            let stats = &rig.mesh.evm_stats;
+            rig.mesh.start_run(EVENTS).unwrap();
+            pump_until(&rig.nodes, || {
+                stats.run_done.load(Ordering::SeqCst) && rig.ids.lock().len() as u64 >= EVENTS
+            });
+            let sum = |key| {
+                let count = |exec: &Executive| exec.core().monitors().registry().counter(key).get();
+                rig.nodes.iter().map(count).sum::<u64>()
+            };
+            let outcome = (
+                sum("evb.bu.built"),
+                stats.completed.load(Ordering::SeqCst),
+                stats.lost.load(Ordering::SeqCst),
+                rig.ids.lock().len() as u64,
+            );
+            assert_eq!(
+                outcome,
+                (EVENTS, EVENTS, 0, EVENTS),
+                "{rus}×{bus} mesh, {placement}: (built, completed, lost, distinct ids at the filter)"
+            );
+            let sent = sum("exec.sent_peer");
+            if placement == "all separate" {
+                separate = sent;
+            }
+            assert!(
+                check(sent, separate),
+                "{rus}×{bus} mesh, {placement}: {sent} peer sends, {separate} all separate"
+            );
+        }
     }
 }
 
@@ -523,7 +588,7 @@ fn slow_builder_queue_is_bounded_by_its_credits() {
         ],
         ..Roles::default()
     };
-    let rig = loop_mesh((SOURCES, 2), None, roles, |j, unit| {
+    let rig = loop_mesh((SOURCES, 2), str::to_string, None, roles, |j, unit| {
         if j > 0 {
             return Box::new(unit);
         }
@@ -619,7 +684,13 @@ fn silent_builder_is_reclaimed_through_its_route() {
         builder: &[("timeout_ms", "600000")],
         ..Roles::default()
     };
-    let rig = loop_mesh((2, 2), Some(supervision), roles, |_, unit| Box::new(unit));
+    let rig = loop_mesh(
+        (2, 2),
+        str::to_string,
+        Some(supervision),
+        roles,
+        |_, unit| Box::new(unit),
+    );
     let stats = &rig.mesh.evm_stats;
     rig.mesh.start_run(TARGET).unwrap();
     pump_until(&rig.nodes, || stats.completed.load(Ordering::SeqCst) >= 100);

@@ -204,6 +204,12 @@ fn killed_supervised_link_goes_down_and_evicts_its_routes() {
         "link never went Down: {:?}",
         a.link_states()
     );
+    // The state turns Down before the executive counts the death and
+    // evicts the routes; the fault event is posted last.
+    assert!(wait_until(
+        || !peer_down.lock().is_empty(),
+        Duration::from_secs(5)
+    ));
     let metrics = a.core().monitors().registry().snapshot();
     assert!(
         metrics["counters"]["link.peer_down"].as_u64().unwrap() >= 1,
@@ -213,10 +219,6 @@ fn killed_supervised_link_goes_down_and_evicts_its_routes() {
     assert!(matches!(
         a.post(data(proxy, 10)),
         Err(ExecError::UnknownTid(t)) if t == proxy
-    ));
-    assert!(wait_until(
-        || !peer_down.lock().is_empty(),
-        Duration::from_secs(5)
     ));
     let event = peer_down.lock()[0].clone();
     assert_eq!(event.get("peer").map(String::as_str), Some("loop://b"));
