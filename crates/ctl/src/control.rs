@@ -16,7 +16,7 @@ use xdaq_core::config::{kv, parse_kv};
 use xdaq_core::{
     Delivery, Dispatcher, ExecError, Executive, ExecutiveConfig, ExecutiveHandle, I2oListener,
 };
-use xdaq_i2o::{DeviceClass, ExecFn, Message, Priority, ReplyStatus, Tid, UtilFn};
+use xdaq_i2o::{DeviceClass, ExecFn, Message, MessageBuilder, Priority, ReplyStatus, Tid, UtilFn};
 
 /// Errors from host operations.
 #[derive(Debug)]
@@ -99,11 +99,10 @@ impl ControlReply {
 #[derive(Default)]
 struct ReplyHub {
     replies: Mutex<HashMap<u32, ControlReply>>,
-    events: Mutex<Vec<(u16, Vec<u8>)>>,
     cv: Condvar,
 }
 
-/// The host agent device: collects replies and asynchronous events.
+/// The host agent device: collects replies.
 struct HostAgent {
     hub: Arc<ReplyHub>,
 }
@@ -114,8 +113,7 @@ impl I2oListener for HostAgent {
     }
 
     fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, msg: Delivery) {
-        // Asynchronous notifications (watchdog, faults) and private
-        // replies land here.
+        // Private replies land here; anything else is dropped.
         if let Some((status, body)) = msg.reply_status() {
             let mut replies = self.hub.replies.lock();
             replies.insert(
@@ -126,11 +124,6 @@ impl I2oListener for HostAgent {
                 },
             );
             self.hub.cv.notify_all();
-        } else if let Some(p) = msg.private {
-            self.hub
-                .events
-                .lock()
-                .push((p.x_function, msg.payload().to_vec()));
         }
     }
 
@@ -174,7 +167,7 @@ impl ControlHost {
 
     /// Builds a host node from a full [`ExecutiveConfig`] — a control
     /// plane wants supervision on the host's own links so managed-node
-    /// deaths surface as faults here.
+    /// deaths show in the host's link states.
     pub fn with_config(config: ExecutiveConfig) -> ControlHost {
         let exec = Executive::new(config);
         let hub = Arc::new(ReplyHub::default());
@@ -189,13 +182,6 @@ impl ControlHost {
             seq: AtomicU32::new(1),
             handle: Mutex::new(None),
         }
-    }
-
-    /// Routes this host's own `XFN_PEER_DOWN` faults (from supervised
-    /// links) to the host agent, where [`ControlHost::take_events`]
-    /// surfaces them. Requires supervision in the host's config.
-    pub fn watch_local_faults(&self) {
-        self.exec.watch_faults(self.agent_tid);
     }
 
     /// The host's own executive (to register PTs / local modules).
@@ -249,15 +235,14 @@ impl ControlHost {
         }
     }
 
-    /// Sends an executive-class request and waits for the reply.
-    pub fn request_exec(
+    /// Sends one request built by `start` and waits for its reply.
+    fn request(
         &self,
-        dest: Tid,
-        f: ExecFn,
+        start: MessageBuilder,
         payload: Vec<u8>,
     ) -> Result<ControlReply, ControlError> {
         let context = self.seq.fetch_add(1, Ordering::Relaxed);
-        let msg = Message::exec(dest, self.agent_tid, f)
+        let msg = start
             .priority(Priority::MAX)
             .control()
             .expect_reply()
@@ -268,6 +253,16 @@ impl ControlHost {
         self.wait_reply(context)
     }
 
+    /// Sends an executive-class request and waits for the reply.
+    pub fn request_exec(
+        &self,
+        dest: Tid,
+        f: ExecFn,
+        payload: Vec<u8>,
+    ) -> Result<ControlReply, ControlError> {
+        self.request(Message::exec(dest, self.agent_tid, f), payload)
+    }
+
     /// Sends a utility-class request and waits for the reply.
     pub fn request_util(
         &self,
@@ -275,16 +270,7 @@ impl ControlHost {
         f: UtilFn,
         payload: Vec<u8>,
     ) -> Result<ControlReply, ControlError> {
-        let context = self.seq.fetch_add(1, Ordering::Relaxed);
-        let msg = Message::util(dest, self.agent_tid, f)
-            .priority(Priority::MAX)
-            .control()
-            .expect_reply()
-            .context(context)
-            .payload(payload)
-            .finish();
-        self.exec.post(msg)?;
-        self.wait_reply(context)
+        self.request(Message::util(dest, self.agent_tid, f), payload)
     }
 
     // ------------------------------------------------------------------
@@ -432,13 +418,6 @@ impl ControlHost {
             .kv()
     }
 
-    /// Registers this host for asynchronous fault events from a node.
-    pub fn watch_events(&self, node: Tid) -> Result<(), ControlError> {
-        self.request_util(node, UtilFn::EventRegister, Vec::new())?
-            .ok()
-            .map(|_| ())
-    }
-
     /// Scrapes the node's monitoring snapshot (`UtilMonSnapshot`): one
     /// JSON document with registry metrics, per-priority queue gauges,
     /// pool accounting, per-transport counters and tracer state.
@@ -466,20 +445,6 @@ impl ControlHost {
             .ok()?;
         serde_json::from_str(&reply.text())
             .map_err(|e| ControlError::BadReply(format!("bad trace JSON: {}", e.message)))
-    }
-
-    /// Dumps the node's trace ring without toggling the tracer.
-    pub fn trace_dump(&self, node: Tid) -> Result<serde_json::Value, ControlError> {
-        let reply = self
-            .request_util(node, UtilFn::MonTraceDump, Vec::new())?
-            .ok()?;
-        serde_json::from_str(&reply.text())
-            .map_err(|e| ControlError::BadReply(format!("bad trace JSON: {}", e.message)))
-    }
-
-    /// Drains collected asynchronous events `(x_function, payload)`.
-    pub fn take_events(&self) -> Vec<(u16, Vec<u8>)> {
-        std::mem::take(&mut self.hub.events.lock())
     }
 }
 

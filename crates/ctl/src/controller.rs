@@ -9,10 +9,10 @@
 //!   host-side link supervision), download the declared module instances
 //!   (`ExecSwDownload`), wire the declared routes
 //!   (`ExecIopConnect`, optionally supervised), and `SysEnable`.
-//! * **poll** — a background tick drains the host's fault feed
-//!   (`XFN_PEER_DOWN` → [`Health::Degraded`]), reaps exited children
-//!   (→ [`Health::Down`] → immediate re-converge), and periodically
-//!   scrapes attached nodes to confirm liveness.
+//! * **poll** — a background tick reaps exited children
+//!   (→ [`Health::Down`] → immediate re-converge), then reads the
+//!   control host's own link supervisor: a node whose link is Down
+//!   turns [`Health::Degraded`].
 //! * **respawn** — a re-converge after an exit bumps the node's
 //!   generation, relaunches it, reroutes every route touching it
 //!   (retrying while peers evict the dead incarnation's aliases), and
@@ -36,14 +36,14 @@ use crate::launch::{read_url, LaunchSpec, Launcher};
 use crate::registry::{Health, ServiceRegistry, Subscription};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::sleep;
 use std::time::{Duration, Instant};
-use xdaq_core::config::{kv, parse_kv};
-use xdaq_core::xfn::XFN_PEER_DOWN;
-use xdaq_core::{ExecutiveConfig, SupervisionConfig};
+use xdaq_core::config::kv;
+use xdaq_core::{ExecutiveConfig, LinkState, SupervisionConfig};
 use xdaq_i2o::{ExecFn, Tid};
 use xdaq_mempool::TablePool;
 use xdaq_pt::XptPt;
@@ -57,16 +57,13 @@ const BOOT_TIMEOUT: Duration = Duration::from_secs(30);
 const ROUTE_RETRY: Duration = Duration::from_secs(10);
 /// How long a drain gate may take to reach zero.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
-/// Scrape attached nodes every this many ticks.
-const SCRAPE_EVERY: u32 = 10;
 
-/// Everything the controller knows about one managed node's current
-/// incarnation.
+/// What the controller holds about one managed node's current
+/// incarnation beyond its registry row (which keeps the generation
+/// and the url).
 #[derive(Default)]
 struct NodeState {
     child: Option<Child>,
-    generation: u64,
-    url: String,
     /// Host-side proxy for the node's executive.
     node_tid: Option<Tid>,
     /// instance → TiD on the remote node (route targets).
@@ -76,6 +73,37 @@ struct NodeState {
     /// Route ids applied ON this node this incarnation.
     routes_applied: HashSet<String>,
     enabled: bool,
+}
+
+/// One pending convergence step. [`Controller::plan`] renders them,
+/// `converge_locked` runs them.
+enum Step<'t> {
+    /// Launch the node as this generation.
+    Spawn(&'t str, u64),
+    /// Wait for the url file, proxy the executive, supervise the link.
+    Attach(&'t str),
+    /// Download one module instance.
+    Load(&'t str, &'t ModuleDecl),
+    /// Wire one route on its `on` node.
+    Route(&'t RouteDecl),
+    /// `SysEnable` the node.
+    Enable(&'t str),
+}
+
+impl fmt::Display for Step<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Step::Spawn(node, gen) => write!(f, "spawn {node} (gen {gen})"),
+            Step::Attach(node) => write!(f, "attach {node}"),
+            Step::Load(node, m) => write!(f, "load {node}/{} ({})", m.instance, m.factory),
+            Step::Route(r) => write!(
+                f,
+                "route {}: {} -> {}/{} as '{}'",
+                r.id, r.on, r.to_node, r.to_instance, r.alias
+            ),
+            Step::Enable(node) => write!(f, "enable {node}"),
+        }
+    }
 }
 
 /// The declarative controller. Create with [`Controller::new`], start
@@ -92,7 +120,6 @@ pub struct Controller {
     /// Serializes apply / drain / poll mutation (poll uses try_lock).
     ops: Mutex<()>,
     stop: AtomicBool,
-    scrape_tick: Mutex<u32>,
 }
 
 impl Controller {
@@ -122,7 +149,6 @@ impl Controller {
             state: Mutex::new(state),
             ops: Mutex::new(()),
             stop: AtomicBool::new(false),
-            scrape_tick: Mutex::new(0),
         }))
     }
 
@@ -141,8 +167,8 @@ impl Controller {
         &self.topo
     }
 
-    /// Starts the background tick (fault feed, child reaping with
-    /// automatic re-convergence, liveness scrapes). The thread holds
+    /// Starts the background tick (child reaping with automatic
+    /// re-convergence, then the host's link states). The thread holds
     /// only a weak reference: dropping the last `Arc<Controller>`
     /// stops it.
     pub fn start(self: &Arc<Self>) {
@@ -184,28 +210,17 @@ impl Controller {
 
     /// Current generation of a managed node.
     pub fn generation(&self, node: &str) -> u64 {
-        self.state
-            .lock()
-            .get(node)
-            .map(|n| n.generation)
-            .unwrap_or(0)
+        self.registry.row(node).map_or(0, |r| r.generation)
     }
 
     // ---- internals ----------------------------------------------------
 
-    fn node_by_url(&self, url: &str) -> Option<String> {
-        self.state
-            .lock()
-            .iter()
-            .find(|(_, ns)| ns.url == url)
-            .map(|(n, _)| n.clone())
+    /// The live url of a managed node ("" until published).
+    fn url(&self, node: &str) -> String {
+        self.registry.row(node).map(|r| r.url).unwrap_or_default()
     }
 
-    fn spawn_node(&self, node: &str) -> Result<(), String> {
-        let generation = {
-            let st = self.state.lock();
-            st.get(node).map(|n| n.generation).unwrap_or(0) + 1
-        };
+    fn spawn_node(&self, node: &str, generation: u64) -> Result<(), String> {
         // Remove a stale url file so a slow-booting child can never be
         // confused with its previous incarnation.
         let _ = std::fs::remove_file(format!("{}/{node}.url", self.rundir));
@@ -220,23 +235,14 @@ impl Controller {
             .spawn(&spec)
             .map_err(|e| format!("spawn {node}: {e}"))?;
         self.registry.spawned(node, generation, child.id());
-        let mut st = self.state.lock();
-        let ns = st.entry(node.to_string()).or_default();
-        ns.child = Some(child);
-        ns.generation = generation;
-        ns.url.clear();
+        self.state.lock().entry(node.to_string()).or_default().child = Some(child);
         Ok(())
     }
 
     /// Waits for the url file, creates the executive proxy and puts
     /// the link under host-side supervision.
     fn attach(&self, node: &str) -> Result<(), String> {
-        let generation = self
-            .state
-            .lock()
-            .get(node)
-            .map(|n| n.generation)
-            .unwrap_or(0);
+        let generation = self.generation(node);
         let deadline = Instant::now() + BOOT_TIMEOUT;
         let url = loop {
             if let Some(url) = read_url(&self.rundir, node, generation) {
@@ -256,19 +262,18 @@ impl Controller {
             .executive()
             .supervise(&url)
             .map_err(|e| format!("supervise {node}: {e}"))?;
-        let mut st = self.state.lock();
-        let ns = st.get_mut(node).expect("state row exists");
-        ns.url = url;
-        ns.node_tid = Some(tid);
+        self.state
+            .lock()
+            .get_mut(node)
+            .expect("state row exists")
+            .node_tid = Some(tid);
         Ok(())
     }
 
     fn load_module(&self, node: &str, m: &ModuleDecl) -> Result<(), String> {
-        let (node_tid, url) = {
-            let st = self.state.lock();
-            let ns = st.get(node).expect("state row exists");
-            (ns.node_tid.expect("attached before load"), ns.url.clone())
-        };
+        let node_tid = self.state.lock()[node]
+            .node_tid
+            .expect("attached before load");
         let refs: Vec<(&str, &str)> = m
             .params
             .iter()
@@ -280,13 +285,12 @@ impl Controller {
             .map_err(|e| format!("load {node}/{}: {e}", m.instance))?;
         let proxy = self
             .host
-            .device_proxy(&url, remote)
+            .device_proxy(&self.url(node), remote)
             .map_err(|e| format!("proxy {node}/{}: {e}", m.instance))?;
         let mut st = self.state.lock();
         let ns = st.get_mut(node).expect("state row exists");
         ns.modules.insert(m.instance.clone(), remote);
         ns.proxies.insert(m.instance.clone(), proxy);
-        ns.enabled = false;
         Ok(())
     }
 
@@ -308,7 +312,7 @@ impl Controller {
                             r.id, r.to_node, r.to_instance
                         )
                     })?;
-                    (to.url.clone(), tid)
+                    (self.url(&r.to_node), tid)
                 }
                 None => {
                     return Err(format!(
@@ -370,68 +374,80 @@ impl Controller {
         Ok(())
     }
 
-    /// Full convergence pass; caller holds `ops`.
-    fn converge_locked(&self) -> Result<String, String> {
-        let mut fresh: HashSet<String> = HashSet::new();
-        let mut respawns: HashSet<String> = HashSet::new();
-        for n in self.topo.managed() {
-            let (running, generation) = {
-                let st = self.state.lock();
-                let ns = st.get(&n.name).expect("state row exists");
-                (ns.child.is_some(), ns.generation)
-            };
-            if !running {
-                self.spawn_node(&n.name)?;
-                fresh.insert(n.name.clone());
-                if generation > 0 {
-                    respawns.insert(n.name.clone());
-                }
+    /// Every step between the declaration and the fleet, in phase
+    /// order (spawn, attach, load, route, enable), from one snapshot;
+    /// caller holds `ops`. A node that is not running owes all of its
+    /// steps: a teardown cleared its bookkeeping.
+    fn pending(&self) -> Vec<Step<'_>> {
+        let st = self.state.lock();
+        let nodes: Vec<_> = self
+            .topo
+            .managed()
+            .map(|n| (n, &st[n.name.as_str()]))
+            .collect();
+        let mut steps = Vec::new();
+        for &(n, ns) in &nodes {
+            if ns.child.is_none() {
+                steps.push(Step::Spawn(&n.name, self.generation(&n.name) + 1));
             }
         }
-        for n in self.topo.managed() {
-            let attached = self.state.lock().get(&n.name).unwrap().node_tid.is_some();
-            if !attached {
-                self.attach(&n.name)?;
+        for &(n, ns) in &nodes {
+            if ns.node_tid.is_none() {
+                steps.push(Step::Attach(&n.name));
             }
         }
-        for n in self.topo.managed() {
+        for &(n, ns) in &nodes {
             for m in &n.modules {
-                let loaded = self
-                    .state
-                    .lock()
-                    .get(&n.name)
-                    .unwrap()
-                    .modules
-                    .contains_key(&m.instance);
-                if !loaded {
-                    self.load_module(&n.name, m)?;
+                if !ns.modules.contains_key(&m.instance) {
+                    steps.push(Step::Load(&n.name, m));
                 }
             }
         }
         for r in &self.topo.routes {
-            let applied = self
-                .state
-                .lock()
+            let applied = st
                 .get(&r.on)
-                .map(|n| n.routes_applied.contains(&r.id))
-                .unwrap_or(false);
+                .is_some_and(|ns| ns.routes_applied.contains(&r.id));
             if !applied {
-                self.apply_route(r)?;
+                steps.push(Step::Route(r));
             }
         }
+        for &(n, ns) in &nodes {
+            if !ns.enabled {
+                steps.push(Step::Enable(&n.name));
+            }
+        }
+        steps
+    }
+
+    /// Full convergence pass; caller holds `ops`.
+    fn converge_locked(&self) -> Result<String, String> {
+        let mut respawns: HashSet<String> = HashSet::new();
         let mut enabled_now = 0;
-        for n in self.topo.managed() {
-            let (tid, enabled) = {
-                let st = self.state.lock();
-                let ns = st.get(&n.name).unwrap();
-                (ns.node_tid, ns.enabled)
-            };
-            if let (Some(tid), false) = (tid, enabled) {
-                self.host
-                    .enable(tid)
-                    .map_err(|e| format!("enable {}: {e}", n.name))?;
-                self.state.lock().get_mut(&n.name).unwrap().enabled = true;
-                enabled_now += 1;
+        for step in self.pending() {
+            match step {
+                Step::Spawn(node, generation) => {
+                    self.spawn_node(node, generation)?;
+                    if generation > 1 {
+                        respawns.insert(node.to_string());
+                    }
+                }
+                Step::Attach(node) => self.attach(node)?,
+                Step::Load(node, m) => self.load_module(node, m)?,
+                Step::Route(r) => self.apply_route(r)?,
+                Step::Enable(node) => {
+                    let tid = self.state.lock()[node]
+                        .node_tid
+                        .expect("attached before enable");
+                    self.host
+                        .enable(tid)
+                        .map_err(|e| format!("enable {node}: {e}"))?;
+                    self.state
+                        .lock()
+                        .get_mut(node)
+                        .expect("state row exists")
+                        .enabled = true;
+                    enabled_now += 1;
+                }
             }
         }
         self.refresh_watchers(&respawns)?;
@@ -454,55 +470,29 @@ impl Controller {
     /// bookkeeping here and un-applies every route *to* the node on
     /// its peers (their supervisors are evicting the stale alias).
     fn teardown_node(&self, node: &str) {
-        let old_url = {
-            let mut st = self.state.lock();
-            let Some(ns) = st.get_mut(node) else { return };
-            ns.child = None;
-            ns.node_tid = None;
-            ns.modules.clear();
-            ns.proxies.clear();
-            ns.routes_applied.clear();
-            ns.enabled = false;
-            std::mem::take(&mut ns.url)
-        };
+        match self.state.lock().get_mut(node) {
+            Some(ns) => *ns = NodeState::default(),
+            None => return,
+        }
+        let old_url = self.url(node);
         if !old_url.is_empty() {
             let _ = self.host.executive().unsupervise(&old_url);
         }
-        let incoming: Vec<(String, String)> = self
-            .topo
-            .routes
-            .iter()
-            .filter(|r| r.to_node == node)
-            .map(|r| (r.on.clone(), r.id.clone()))
-            .collect();
         let mut st = self.state.lock();
-        for (on, id) in incoming {
-            if let Some(ns) = st.get_mut(&on) {
-                ns.routes_applied.remove(&id);
+        for r in self.topo.routes.iter().filter(|r| r.to_node == node) {
+            if let Some(ns) = st.get_mut(&r.on) {
+                ns.routes_applied.remove(&r.id);
             }
         }
     }
 
-    /// One background tick; skipped entirely when an apply/drain is
-    /// in flight.
+    /// One background tick, skipped entirely when an apply/drain is in
+    /// flight: reap exited children and re-converge, or else read the
+    /// host's link states and degrade each node whose link is Down.
     fn poll_once(&self) {
         let Some(_g) = self.ops.try_lock() else {
             return;
         };
-        for (x_fn, payload) in self.host.take_events() {
-            if x_fn != XFN_PEER_DOWN {
-                continue;
-            }
-            let Ok(map) = parse_kv(&payload) else {
-                continue;
-            };
-            let Some(peer) = map.get("peer") else {
-                continue;
-            };
-            if let Some(node) = self.node_by_url(peer) {
-                self.registry.link_down(&node, &format!("peer={peer}"));
-            }
-        }
         let mut exited: Vec<(String, String)> = Vec::new();
         {
             let mut st = self.state.lock();
@@ -527,27 +517,18 @@ impl Controller {
             }
             return;
         }
-        let scrape = {
-            let mut tick = self.scrape_tick.lock();
-            *tick += 1;
-            (*tick).is_multiple_of(SCRAPE_EVERY)
-        };
-        if scrape {
-            let targets: Vec<(String, Tid)> = {
-                let st = self.state.lock();
-                st.iter()
-                    .filter_map(|(n, ns)| ns.node_tid.map(|t| (n.clone(), t)))
-                    .collect()
-            };
-            for (node, tid) in targets {
-                match self.host.scrape(tid) {
-                    Ok(_) => {
-                        if self.registry.row(&node).map(|r| r.health) == Some(Health::Degraded) {
-                            self.registry.up(&node);
-                        }
-                    }
-                    Err(_) => self.registry.mark_degraded(&node),
-                }
+        // Down is the supervisor's verdict; only convergence brings
+        // the row back to Up.
+        let links = self.host.executive().link_states();
+        let down: HashSet<String> = links
+            .into_iter()
+            .filter(|(_, state)| *state == LinkState::Down)
+            .map(|(url, _)| url)
+            .collect();
+        for row in self.registry.rows() {
+            if matches!(row.health, Health::Up | Health::Pending) && down.contains(&row.url) {
+                self.registry
+                    .link_down(&row.node, &format!("peer={}", row.url));
             }
         }
     }
@@ -555,43 +536,10 @@ impl Controller {
     // ---- operator verbs (each holds `ops`) ---------------------------
 
     /// Diffs desired vs actual without changing anything; returns one
-    /// human-readable pending action per line (empty = converged).
+    /// human-readable pending step per line (empty = converged).
     pub fn plan(&self) -> Vec<String> {
         let _g = self.ops.lock();
-        let mut actions = Vec::new();
-        let st = self.state.lock();
-        for n in self.topo.managed() {
-            let ns = st.get(&n.name).expect("state row exists");
-            if ns.child.is_none() {
-                actions.push(format!("spawn {} (gen {})", n.name, ns.generation + 1));
-            } else if ns.node_tid.is_none() {
-                actions.push(format!("attach {}", n.name));
-            }
-            for m in &n.modules {
-                if !ns.modules.contains_key(&m.instance) {
-                    actions.push(format!("load {}/{} ({})", n.name, m.instance, m.factory));
-                }
-            }
-        }
-        for r in &self.topo.routes {
-            let applied = st
-                .get(&r.on)
-                .map(|n| n.routes_applied.contains(&r.id))
-                .unwrap_or(false);
-            if !applied {
-                actions.push(format!(
-                    "route {}: {} -> {}/{} as '{}'",
-                    r.id, r.on, r.to_node, r.to_instance, r.alias
-                ));
-            }
-        }
-        for n in self.topo.managed() {
-            let ns = st.get(&n.name).expect("state row exists");
-            if ns.node_tid.is_some() && !ns.enabled {
-                actions.push(format!("enable {}", n.name));
-            }
-        }
-        actions
+        self.pending().iter().map(Step::to_string).collect()
     }
 
     /// Rolling restart of one node: drain it through the data-plane
@@ -688,10 +636,7 @@ impl Controller {
         }
         self.registry.exited(node, "drained");
         self.teardown_node(node);
-        let gen = {
-            let st = self.state.lock();
-            st.get(node).map(|n| n.generation + 1).unwrap_or(0)
-        };
+        let gen = self.generation(node) + 1;
         self.converge_locked()?;
         Ok(format!("drained and restarted '{node}' (now gen {gen})"))
     }
@@ -718,9 +663,9 @@ impl Drop for Controller {
 }
 
 /// Builds the usual control-plane host: named executive with link
-/// supervision (so managed-node deaths surface as local faults), the
-/// socket peer transport on an ephemeral port, the fault feed routed to
-/// the host agent, dispatch loop running.
+/// supervision (the [`Controller`] reads each managed node's liveness
+/// from these link states), the socket peer transport on an ephemeral
+/// port, dispatch loop running.
 pub fn control_host(name: &str) -> Result<Arc<ControlHost>, String> {
     let mut config = ExecutiveConfig::named(name);
     config.supervision = Some(SupervisionConfig {
@@ -734,7 +679,6 @@ pub fn control_host(name: &str) -> Result<Arc<ControlHost>, String> {
     host.executive()
         .register_pt("xpt", pt)
         .map_err(|e| format!("register host xpt: {e:?}"))?;
-    host.watch_local_faults();
     host.start();
     Ok(Arc::new(host))
 }
@@ -791,14 +735,20 @@ mod tests {
         let path = write_topo("plan");
         let host = control_host("unit-plan-host").unwrap();
         let ctl = Controller::new(&path, host, Box::new(NoLaunch)).unwrap();
-        let plan = ctl.plan();
-        assert!(
-            plan.iter().any(|l| l.contains("spawn a (gen 1)")),
-            "{plan:?}"
+        assert_eq!(
+            ctl.plan(),
+            [
+                "spawn a (gen 1)",
+                "spawn b (gen 1)",
+                "attach a",
+                "attach b",
+                "load a/m (m)",
+                "load b/n (n)",
+                "route a-b: a -> b/n as 'b'",
+                "enable a",
+                "enable b",
+            ]
         );
-        assert!(plan.iter().any(|l| l.contains("spawn b")), "{plan:?}");
-        assert!(plan.iter().any(|l| l.contains("load a/m")), "{plan:?}");
-        assert!(plan.iter().any(|l| l.contains("route a-b")), "{plan:?}");
         let rows = ctl.service_registry().rows();
         assert_eq!(rows.len(), 2);
         assert!(rows

@@ -4,16 +4,17 @@
 //! The registry is the control plane's book of record. Every node of
 //! the declaration gets a row holding its *desired* state (always
 //! `Up` once applied), its observed *actual* health, the incarnation
-//! generation, and the live transport URL. Mutations come from three
-//! feeds:
+//! generation, and the live transport URL; it is the only home of the
+//! last two. Mutations come from the controller, which watches a node
+//! one way per fact:
 //!
-//! * the convergence loop itself (spawned / published / retired),
-//! * link-supervisor faults scraped off the control host's fault
-//!   listener (`XFN_PEER_DOWN` → [`Health::Degraded`]),
+//! * the convergence loop itself (spawned / published / up),
+//! * the control host's own link supervisor (a Down link →
+//!   [`Health::Degraded`]),
 //! * process exit noticed by `try_wait` on the managed child.
 //!
-//! Subscribers get a bounded queue of [`Event`]s so `xcl watch`-style
-//! tooling and tests can follow membership changes without polling.
+//! Subscribers get a bounded queue of [`Event`]s so tooling and tests
+//! can follow membership changes without polling.
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
@@ -26,8 +27,8 @@ pub enum Health {
     Pending,
     /// Serving: URL published, executive answering.
     Up,
-    /// A peer reported the node's link down, or a scrape failed; the
-    /// convergence loop is deciding.
+    /// The control host's link supervisor declared the node's link
+    /// Down (or its respawn failed); only convergence restores `Up`.
     Degraded,
     /// Being drained ahead of a rolling restart.
     Draining,
@@ -238,17 +239,6 @@ impl ServiceRegistry {
                 r.health = Health::Degraded;
             }
         });
-    }
-
-    /// Degrades on a failed scrape (no event — scrape noise is not
-    /// membership news); [`up`](Self::up) restores.
-    pub fn mark_degraded(&self, node: &str) {
-        let mut g = self.inner.lock();
-        if let Some(r) = g.rows.get_mut(node) {
-            if r.health == Health::Up {
-                r.health = Health::Degraded;
-            }
-        }
     }
 
     /// Child process exited.

@@ -49,8 +49,8 @@ use xdaq_i2o::Tid;
 /// Every verb the interpreter knows, for the unknown-command error.
 const VERBS: &[&str] = &[
     "node", "proxy", "claim", "release", "status", "lct", "enable", "quiesce", "reset", "clear",
-    "load", "destroy", "connect", "set", "get", "faults", "rec", "evb", "watch", "mon", "monreset",
-    "trace", "plan", "apply", "registry", "drain", "sleep", "echo",
+    "load", "destroy", "connect", "set", "get", "faults", "rec", "evb", "mon", "monreset", "trace",
+    "plan", "apply", "registry", "drain", "sleep", "echo",
 ];
 
 /// A script failure, located by line.
@@ -392,11 +392,6 @@ impl<'a> XclInterpreter<'a> {
                     ));
                 }
                 Ok(log)
-            }
-            ["watch", node] => {
-                let t = self.resolve(node, line)?;
-                self.host.watch_events(t).map_err(|e| Self::fail(line, e))?;
-                Ok(format!("watching {node}"))
             }
             ["mon", rest @ ..] => {
                 if self.nodes.is_empty() && self.plane.is_none() {

@@ -7,9 +7,9 @@
 //!
 //! The algorithm is the classic power-of-two index ring: indices grow
 //! monotonically and are masked on access, so full/empty are
-//! `tail - head == cap` / `tail == head` with no reserved slot. The
-//! `tests/loom.rs` model checks the same publish/consume protocol
-//! under loom's atomics — keep the two in sync when touching this.
+//! `tail - head == cap` / `tail == head` with no reserved slot.
+//! `tests/loom.rs` drives this ring's own `push` and `pop` under the
+//! loom API.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 

@@ -81,8 +81,8 @@ fn main() {
         serde_json::to_string_pretty(&doc).unwrap()
     );
 
-    // Last 5 frame-lifecycle trace records from ru0.
-    let dump = host.trace_dump(ru0_tid).unwrap();
+    // Last 5 frame-lifecycle trace records from ru0 (the tracer stays on).
+    let dump = host.trace_set(ru0_tid, true).unwrap();
     let records = dump["records"].as_array().unwrap();
     println!("\ntrace ring: {} records, last 5:", records.len());
     for r in records.iter().rev().take(5) {

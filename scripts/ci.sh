@@ -121,6 +121,11 @@ guards=(
     # `Option` that every count must unwrap may grow back.
     'BuilderStats|Option<[A-Za-z]*Metrics>' 'crates/evb/src'
     'BuilderStats or an optional metrics field (listed above) was removed; DESIGN.md §12 "Observability" says why'
+    # One liveness signal: the Controller reads a managed node's health
+    # from the control host's own link supervisor, so neither the host's
+    # fault-event queue nor the Controller's scrape poll may grow back.
+    'take_events|watch_local_faults|watch_events|mark_degraded|SCRAPE_EVERY|scrape_tick' 'crates src tests examples'
+    'the host fault-event queue and the Controller scrape poll (listed above) were removed; DESIGN.md §14 "The convergence loop" says why'
 )
 for ((i = 0; i < ${#guards[@]}; i += 3)); do
     what=${guards[i]} where=${guards[i + 1]} why=${guards[i + 2]}

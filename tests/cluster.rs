@@ -519,7 +519,7 @@ fn host_scrapes_monitoring_from_two_executives() {
         "{snap_a}"
     );
     assert!(snap_a["trace"]["recorded"].as_u64().unwrap() > 0);
-    let dump = host.trace_dump(a).unwrap();
+    let dump = host.trace_set(a, true).unwrap();
     assert!(!dump["records"].as_array().unwrap().is_empty(), "{dump}");
 
     // Every device answers the same functions through its default

@@ -17,6 +17,9 @@
 //!   the event manager stops assigning to the victim, the drain gate
 //!   (`evb.drain_inflight`) reaches zero through the normal data
 //!   path, the node is stopped cleanly and respawned; zero loss.
+//! * `stopped_node_is_degraded_by_the_host_link_supervisor` — SIGSTOP
+//!   a lone node: its row turns Degraded with exactly one link-down
+//!   event while its process lives.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -25,7 +28,7 @@ use std::time::{Duration, Instant};
 use xdaq::core::listener::UtilOutcome;
 use xdaq::core::{Delivery, Dispatcher, I2oListener};
 use xdaq::ctl::{
-    control_host, ControlHost, Controller, EventKind, ManagedEnv, SelfExec, XclInterpreter,
+    control_host, ControlHost, Controller, EventKind, Health, ManagedEnv, SelfExec, XclInterpreter,
 };
 use xdaq::evb::{xfn, BuilderUnit, EventManager, ReadoutUnit, ORG_DAQ};
 use xdaq::i2o::{DeviceClass, Message, Tid, UtilFn};
@@ -158,9 +161,12 @@ struct Cluster {
     base: PathBuf,
 }
 
-/// Boots the whole cluster from its declaration, via xcl.
-fn bring_up(name: &str) -> Cluster {
-    let (topo_path, base) = write_topology(name);
+/// A started controller over the declaration at `topo_path`, whose
+/// launcher re-executes this binary into `child_ctl_node`.
+fn controller(
+    name: &str,
+    topo_path: &str,
+) -> (std::sync::Arc<ControlHost>, std::sync::Arc<Controller>) {
     let host = control_host(&format!("ctl-{name}")).unwrap();
     let launcher = SelfExec::new(&[
         "--ignored",
@@ -170,8 +176,15 @@ fn bring_up(name: &str) -> Cluster {
         "--test-threads",
         "1",
     ]);
-    let ctl = Controller::new(&topo_path, host.clone(), Box::new(launcher)).unwrap();
+    let ctl = Controller::new(topo_path, host.clone(), Box::new(launcher)).unwrap();
     ctl.start();
+    (host, ctl)
+}
+
+/// Boots the whole cluster from its declaration, via xcl.
+fn bring_up(name: &str) -> Cluster {
+    let (topo_path, base) = write_topology(name);
+    let (host, ctl) = controller(name, &topo_path);
     let mut xcl = XclInterpreter::new(&host).with_controller(&ctl);
     let out = xcl.run("apply\nregistry").expect("apply converges");
     assert!(
@@ -355,6 +368,61 @@ fn rolling_drain_restart_loses_no_events() {
         cluster.param(cluster.flt, "col.unique"),
     );
     cluster.teardown();
+}
+
+fn signal(sig: &str, pid: u32) {
+    let status = std::process::Command::new("kill")
+        .args([sig, &pid.to_string()])
+        .status()
+        .unwrap();
+    assert!(status.success(), "kill {sig} {pid}: {status}");
+}
+
+#[test]
+fn stopped_node_is_degraded_by_the_host_link_supervisor() {
+    let started = Instant::now();
+    let base = std::env::temp_dir().join(format!("xdaq-ctl-it-stop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let topo_path = base.join("solo.xtop");
+    std::fs::write(
+        &topo_path,
+        format!(
+            "[cluster]\nname = \"stop\"\nrundir = \"{}\"\n\n[node.solo]\n",
+            base.display()
+        ),
+    )
+    .unwrap();
+    let (_host, ctl) = controller("stop", topo_path.to_str().unwrap());
+    ctl.apply().expect("apply converges");
+    let events = ctl.subscribe();
+    let row = || ctl.service_registry().row("solo").unwrap();
+    let pid = row().pid;
+    assert_eq!(row().health, Health::Up);
+
+    // A stopped process answers no heartbeat: the host's supervisor
+    // declares the link Down, and the row follows, once.
+    signal("-STOP", pid);
+    let degraded = wait_until(|| row().health == Health::Degraded, Duration::from_secs(2));
+    // A few more ticks, so a second link-down would have arrived.
+    std::thread::sleep(Duration::from_millis(300));
+    signal("-CONT", pid);
+    assert!(degraded, "row still {} 2 s after SIGSTOP", row().health);
+    let link_downs = events
+        .drain()
+        .into_iter()
+        .filter(|e| e.node == "solo" && e.kind == EventKind::LinkDown)
+        .count();
+    assert_eq!(link_downs, 1);
+
+    ctl.shutdown();
+    drop(ctl); // kills the child
+    let _ = std::fs::remove_dir_all(&base);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "took {:?}",
+        started.elapsed()
+    );
 }
 
 /// Cheap, always-on: the shipped example declaration stays valid and
