@@ -9,10 +9,10 @@
 //!   host-side link supervision), download the declared module instances
 //!   (`ExecSwDownload`), wire the declared routes
 //!   (`ExecIopConnect`, optionally supervised), and `SysEnable`.
-//! * **poll** — a background tick reaps exited children
-//!   (→ [`Health::Down`] → immediate re-converge), then reads the
-//!   control host's own link supervisor: a node whose link is Down
-//!   turns [`Health::Degraded`].
+//! * **tick** — a background loop: reap exited children, *fence* every
+//!   node whose host link the supervisor reads Down (SIGKILL, reaped
+//!   like any exit), and re-converge while a respawn is owed, so a
+//!   failed one is retried on the next tick.
 //! * **respawn** — a re-converge after an exit bumps the node's
 //!   generation, relaunches it, reroutes every route touching it
 //!   (retrying while peers evict the dead incarnation's aliases), and
@@ -33,7 +33,7 @@
 use crate::control::ControlHost;
 use crate::decl::{ModuleDecl, RouteDecl, Topology};
 use crate::launch::{read_url, LaunchSpec, Launcher};
-use crate::registry::{Health, ServiceRegistry, Subscription};
+use crate::registry::{Health, NodeStatus, ServiceRegistry, Subscription};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -167,8 +167,8 @@ impl Controller {
         &self.topo
     }
 
-    /// Starts the background tick (child reaping with automatic
-    /// re-convergence, then the host's link states). The thread holds
+    /// Starts the background tick (reap exits, fence Down links,
+    /// re-converge what is owed). The thread holds
     /// only a weak reference: dropping the last `Arc<Controller>`
     /// stops it.
     pub fn start(self: &Arc<Self>) {
@@ -356,11 +356,11 @@ impl Controller {
 
     /// After a respawn, raise the `refresh` key on every module
     /// watching one of `fresh`.
-    fn refresh_watchers(&self, fresh: &HashSet<String>) -> Result<(), String> {
+    fn refresh_watchers(&self, fresh: &HashSet<&str>) -> Result<(), String> {
         for n in self.topo.managed() {
             for m in &n.modules {
                 let Some(refresh) = &m.refresh else { continue };
-                if !m.watch.iter().any(|w| fresh.contains(w)) {
+                if !m.watch.iter().any(|w| fresh.contains(w.as_str())) {
                     continue;
                 }
                 let Some(proxy) = self.module_proxy(&n.name, &m.instance) else {
@@ -421,16 +421,10 @@ impl Controller {
 
     /// Full convergence pass; caller holds `ops`.
     fn converge_locked(&self) -> Result<String, String> {
-        let mut respawns: HashSet<String> = HashSet::new();
         let mut enabled_now = 0;
         for step in self.pending() {
             match step {
-                Step::Spawn(node, generation) => {
-                    self.spawn_node(node, generation)?;
-                    if generation > 1 {
-                        respawns.insert(node.to_string());
-                    }
-                }
+                Step::Spawn(node, generation) => self.spawn_node(node, generation)?,
                 Step::Attach(node) => self.attach(node)?,
                 Step::Load(node, m) => self.load_module(node, m)?,
                 Step::Route(r) => self.apply_route(r)?,
@@ -450,12 +444,16 @@ impl Controller {
                 }
             }
         }
+        let rows = self.registry.rows();
+        let stale = || rows.iter().filter(|r| r.health != Health::Up);
+        // Past generation 1 a row not yet Up is a respawn: this pass's,
+        // or one an earlier pass failed to finish.
+        let respawns: HashSet<&str> = stale()
+            .filter(|r| r.generation > 1)
+            .map(|r| r.node.as_str())
+            .collect();
         self.refresh_watchers(&respawns)?;
-        for n in self.topo.managed() {
-            if self.registry.row(&n.name).map(|r| r.health) != Some(Health::Up) {
-                self.registry.up(&n.name);
-            }
-        }
+        stale().for_each(|r| self.registry.up(&r.node));
         Ok(format!(
             "converged: {} nodes ({} brought up, {} respawned), {} routes",
             self.topo.managed().count(),
@@ -465,20 +463,35 @@ impl Controller {
         ))
     }
 
-    /// Forgets a dead incarnation: drops the child handle, stops
-    /// host-side supervision of the stale URL, clears module/route
-    /// bookkeeping here and un-applies every route *to* the node on
-    /// its peers (their supervisors are evicting the stale alias).
-    fn teardown_node(&self, node: &str) {
-        match self.state.lock().get_mut(node) {
-            Some(ns) => *ns = NodeState::default(),
-            None => return,
-        }
-        let old_url = self.url(node);
-        if !old_url.is_empty() {
-            let _ = self.host.executive().unsupervise(&old_url);
-        }
+    /// The one end of an incarnation, whatever ended it. With
+    /// `kill_at`, waits for `node`'s child to exit and SIGKILLs it once
+    /// `kill_at` passes; without, only looks. Once the child has
+    /// exited, records the exit and forgets the incarnation: its
+    /// bookkeeping here, host-side supervision of its stale url, and
+    /// every route *to* it on its peers (their supervisors are evicting
+    /// the stale alias). Caller holds `ops`.
+    fn reap(&self, node: &str, kill_at: Option<Instant>) {
+        let status = loop {
+            let mut st = self.state.lock();
+            let Some(child) = st.get_mut(node).and_then(|ns| ns.child.as_mut()) else {
+                return;
+            };
+            match (child.try_wait(), kill_at) {
+                (Ok(Some(status)), _) => break status.to_string(),
+                (Err(e), _) => break format!("wait failed: {e}"),
+                (Ok(None), None) => return,
+                (Ok(None), Some(at)) if Instant::now() >= at => {
+                    let _ = child.kill();
+                }
+                (Ok(None), Some(_)) => {}
+            }
+            drop(st);
+            sleep(Duration::from_millis(20));
+        };
+        self.registry.exited(node, &status);
+        let _ = self.host.executive().unsupervise(&self.url(node));
         let mut st = self.state.lock();
+        st.insert(node.to_string(), NodeState::default());
         for r in self.topo.routes.iter().filter(|r| r.to_node == node) {
             if let Some(ns) = st.get_mut(&r.on) {
                 ns.routes_applied.remove(&r.id);
@@ -487,38 +500,17 @@ impl Controller {
     }
 
     /// One background tick, skipped entirely when an apply/drain is in
-    /// flight: reap exited children and re-converge, or else read the
-    /// host's link states and degrade each node whose link is Down.
+    /// flight: reap exited children, fence every node whose host link
+    /// is Down, then re-converge if a respawn is owed.
     fn poll_once(&self) {
         let Some(_g) = self.ops.try_lock() else {
             return;
         };
-        let mut exited: Vec<(String, String)> = Vec::new();
-        {
-            let mut st = self.state.lock();
-            for (name, ns) in st.iter_mut() {
-                if let Some(child) = ns.child.as_mut() {
-                    if let Ok(Some(status)) = child.try_wait() {
-                        exited.push((name.clone(), status.to_string()));
-                    }
-                }
-            }
+        for n in self.topo.managed() {
+            self.reap(&n.name, None);
         }
-        for (name, detail) in &exited {
-            self.registry.exited(name, detail);
-            self.teardown_node(name);
-        }
-        if !exited.is_empty() {
-            // Only nodes that were already converged respawn here;
-            // apply() remains the explicit gate for first bring-up.
-            if let Err(e) = self.converge_locked() {
-                self.registry
-                    .link_down(&exited[0].0, &format!("respawn failed (will retry): {e}"));
-            }
-            return;
-        }
-        // Down is the supervisor's verdict; only convergence brings
-        // the row back to Up.
+        // Down is the supervisor's verdict on a live process; `Suspect`
+        // changes nothing.
         let links = self.host.executive().link_states();
         let down: HashSet<String> = links
             .into_iter()
@@ -526,17 +518,32 @@ impl Controller {
             .map(|(url, _)| url)
             .collect();
         for row in self.registry.rows() {
-            if matches!(row.health, Health::Up | Health::Pending) && down.contains(&row.url) {
+            let running = self.state.lock()[row.node.as_str()].child.is_some();
+            if running && down.contains(&row.url) {
                 self.registry
                     .link_down(&row.node, &format!("peer={}", row.url));
+                self.reap(&row.node, Some(Instant::now()));
             }
+        }
+        // A respawn is owed by a row past its first bring-up (that is
+        // `apply`'s job) that an exit, a fence or a failed pass left
+        // Down or Pending; a pass that fails again is retried next tick.
+        let owed = |r: &NodeStatus| matches!(r.health, Health::Down | Health::Pending);
+        if self
+            .registry
+            .rows()
+            .iter()
+            .any(|r| r.generation > 0 && owed(r))
+        {
+            let _ = self.converge_locked();
         }
     }
 
     // ---- operator verbs (each holds `ops`) ---------------------------
 
-    /// Diffs desired vs actual without changing anything; returns one
-    /// human-readable pending step per line (empty = converged).
+    /// Diffs the declaration against the fleet without changing
+    /// anything; returns one human-readable pending step per line
+    /// (empty = converged).
     pub fn plan(&self) -> Vec<String> {
         let _g = self.ops.lock();
         self.pending().iter().map(Step::to_string).collect()
@@ -550,15 +557,13 @@ impl Controller {
         if self.topo.node(node).map(|n| n.external).unwrap_or(true) {
             return Err(format!("'{node}' is not a managed node"));
         }
-        let running = self
+        let node_tid = self
             .state
             .lock()
             .get(node)
-            .map(|n| n.child.is_some())
-            .unwrap_or(false);
-        if !running {
-            return Err(format!("'{node}' is not running"));
-        }
+            .filter(|ns| ns.child.is_some())
+            .and_then(|ns| ns.node_tid)
+            .ok_or_else(|| format!("'{node}' is not running"))?;
         self.registry.draining(node);
         // Walk every module that declared a drain hook for this node
         // and let the data plane empty itself through its own
@@ -607,35 +612,10 @@ impl Controller {
         self.registry.drained(node);
         // Clean stop: the executive acks the ParamsSet, then leaves
         // its dispatch loop and the process exits on its own.
-        let node_tid = self
-            .state
-            .lock()
-            .get(node)
-            .and_then(|n| n.node_tid)
-            .ok_or_else(|| format!("'{node}' not attached"))?;
         self.host
             .params_set(node_tid, &[("exec.stop", "1")])
             .map_err(|e| format!("stop {node}: {e}"))?;
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let done = {
-                let mut st = self.state.lock();
-                let ns = st.get_mut(node).expect("state row exists");
-                match ns.child.as_mut() {
-                    None => true,
-                    Some(child) => matches!(child.try_wait(), Ok(Some(_))),
-                }
-            };
-            if done {
-                break;
-            }
-            if Instant::now() >= deadline {
-                let _ = self.kill_node(node);
-            }
-            sleep(Duration::from_millis(20));
-        }
-        self.registry.exited(node, "drained");
-        self.teardown_node(node);
+        self.reap(node, Some(Instant::now() + Duration::from_secs(10)));
         let gen = self.generation(node) + 1;
         self.converge_locked()?;
         Ok(format!("drained and restarted '{node}' (now gen {gen})"))
@@ -751,9 +731,7 @@ mod tests {
         );
         let rows = ctl.service_registry().rows();
         assert_eq!(rows.len(), 2);
-        assert!(rows
-            .iter()
-            .all(|r| r.health == Health::Pending && r.desired == Health::Up));
+        assert!(rows.iter().all(|r| r.health == Health::Pending));
         assert_eq!(
             ctl.service_registry().status_json()["converged"],
             serde_json::json!(false)

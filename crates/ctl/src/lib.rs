@@ -29,22 +29,22 @@
 //!   classes to load on them, routes between them, node parameters
 //!   (`supervision.*`, `transport`). No address is written down: the
 //!   routes carry the live transport addresses.
-//! * [`registry`] — a live [`ServiceRegistry`]: desired vs actual
-//!   health per node, generation counters, and a streamed event feed
-//!   (spawned, published, up, link-down, exited, draining, drained)
-//!   fed by the convergence loop, by the control host's own link
-//!   supervisor (a Down link degrades the node), and by child-process
-//!   exit.
+//! * [`registry`] — a live [`ServiceRegistry`]: observed health per
+//!   node, generation counters, and a streamed event feed (spawned,
+//!   published, up, link-down, exited, draining, drained) fed by the
+//!   convergence loop, by the control host's own link supervisor (a
+//!   Down link fences the node), and by child-process exit.
 //! * [`launch`] / [`runner`] — the process side: a [`Launcher`]
 //!   spawns each node (the stock [`SelfExec`] re-executes the current
 //!   binary), and [`run_managed_node`] turns the child into the
 //!   declared executive, publishing a generation-stamped url file.
 //! * [`controller`] — the [`Controller`] itself: `apply` converges
 //!   the fleet (spawn → attach → load → route → enable, the same step
-//!   list `plan` prints), a background tick reaps deaths and
-//!   respawns-with-reroute, and `drain` does a
-//!   rolling restart that empties a node through the data plane's own
-//!   recovery paths before stopping it.
+//!   list `plan` prints), a background tick reaps exits, fences nodes
+//!   whose link is Down and respawns-with-reroute until the fleet
+//!   matches the declaration, and `drain` does a rolling restart that
+//!   empties a node through the data plane's own recovery paths before
+//!   stopping it through the same reap.
 //!
 //! An [`XclInterpreter`] with the controller attached drives it from
 //! script — `plan`, `apply`, `registry`, `drain <node>` — and `mon`

@@ -1,16 +1,15 @@
-//! Live service registry: desired vs actual state per node, with a
+//! Live service registry: the observed state of every node, with a
 //! streamed event feed.
 //!
 //! The registry is the control plane's book of record. Every node of
-//! the declaration gets a row holding its *desired* state (always
-//! `Up` once applied), its observed *actual* health, the incarnation
-//! generation, and the live transport URL; it is the only home of the
-//! last two. Mutations come from the controller, which watches a node
-//! one way per fact:
+//! the declaration gets a row holding its observed health, the
+//! incarnation generation, and the live transport URL; it is the only
+//! home of the last two. Mutations come from the controller, which
+//! watches a node one way per fact:
 //!
 //! * the convergence loop itself (spawned / published / up),
-//! * the control host's own link supervisor (a Down link →
-//!   [`Health::Degraded`]),
+//! * the control host's own link supervisor (a Down link fences the
+//!   node: [`ServiceRegistry::link_down`], then its exit),
 //! * process exit noticed by `try_wait` on the managed child.
 //!
 //! Subscribers get a bounded queue of [`Event`]s so tooling and tests
@@ -27,12 +26,9 @@ pub enum Health {
     Pending,
     /// Serving: URL published, executive answering.
     Up,
-    /// The control host's link supervisor declared the node's link
-    /// Down (or its respawn failed); only convergence restores `Up`.
-    Degraded,
     /// Being drained ahead of a rolling restart.
     Draining,
-    /// Process gone; respawn owed.
+    /// Process gone or fenced; respawn owed.
     Down,
 }
 
@@ -42,7 +38,6 @@ impl Health {
         match self {
             Health::Pending => "pending",
             Health::Up => "up",
-            Health::Degraded => "degraded",
             Health::Draining => "draining",
             Health::Down => "down",
         }
@@ -60,8 +55,6 @@ impl std::fmt::Display for Health {
 pub struct NodeStatus {
     /// Node name.
     pub node: String,
-    /// Desired state (`up` once the declaration is applied).
-    pub desired: Health,
     /// Observed state.
     pub health: Health,
     /// Incarnation counter: 1 on first spawn, +1 per respawn.
@@ -154,14 +147,13 @@ impl ServiceRegistry {
         Self::default()
     }
 
-    /// Declares a row (desired `Up`, actual `Pending`). Idempotent.
+    /// Declares a row (`Pending`, generation 0). Idempotent.
     pub fn declare(&self, node: &str) {
         let mut g = self.inner.lock();
         g.rows
             .entry(node.to_string())
             .or_insert_with(|| NodeStatus {
                 node: node.to_string(),
-                desired: Health::Up,
                 health: Health::Pending,
                 generation: 0,
                 url: String::new(),
@@ -231,13 +223,11 @@ impl ServiceRegistry {
         });
     }
 
-    /// A supervised link to the node went down. Only downgrades —
-    /// `Down`/`Draining` are stronger verdicts.
+    /// The control host's link to the node went Down and the node is
+    /// being fenced; its exit follows.
     pub fn link_down(&self, node: &str, detail: &str) {
         self.update(node, EventKind::LinkDown, detail.to_string(), |r| {
-            if matches!(r.health, Health::Up | Health::Pending) {
-                r.health = Health::Degraded;
-            }
+            r.health = Health::Down;
         });
     }
 
@@ -280,7 +270,6 @@ impl ServiceRegistry {
             .map(|r| {
                 serde_json::json!({
                     "node": r.node.clone(),
-                    "desired": r.desired.as_str(),
                     "actual": r.health.as_str(),
                     "generation": r.generation,
                     "url": r.url.clone(),
@@ -322,20 +311,26 @@ mod tests {
     }
 
     #[test]
-    fn link_down_only_downgrades_up() {
+    fn fenced_node_goes_down_then_back_up_as_the_next_generation() {
         let reg = ServiceRegistry::new();
         reg.declare("n");
         reg.spawned("n", 1, 1);
         reg.up("n");
-        reg.link_down("n", "peer=tcp://x");
-        assert_eq!(reg.row("n").unwrap().health, Health::Degraded);
-        reg.exited("n", "signal=9");
-        reg.link_down("n", "late fault");
+        let sub = reg.subscribe();
+        reg.link_down("n", "peer=xpt://x");
+        assert_eq!(reg.row("n").unwrap().health, Health::Down);
         assert_eq!(
-            reg.row("n").unwrap().health,
-            Health::Down,
-            "down is sticky vs faults"
+            sub.drain().iter().map(|e| e.kind).collect::<Vec<_>>(),
+            [EventKind::LinkDown]
         );
+        reg.spawned("n", 2, 2);
+        let row = reg.row("n").unwrap();
+        assert_eq!((row.health, row.generation), (Health::Pending, 2));
+        reg.up("n");
+        assert_eq!(reg.row("n").unwrap().health, Health::Up);
+        let json = reg.status_json();
+        assert!(json["nodes"][0].get("desired").is_none(), "{json}");
+        assert_eq!(json["nodes"][0]["actual"], serde_json::json!("up"));
     }
 
     #[test]

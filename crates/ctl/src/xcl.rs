@@ -465,9 +465,8 @@ impl<'a> XclInterpreter<'a> {
                 let mut log = format!("registry: {} nodes", rows.len());
                 for r in rows {
                     log.push_str(&format!(
-                        "\n  {} desired={} actual={} gen={} url={}",
+                        "\n  {} actual={} gen={} url={}",
                         r.node,
-                        r.desired,
                         r.health,
                         r.generation,
                         if r.url.is_empty() { "-" } else { &r.url },

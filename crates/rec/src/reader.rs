@@ -12,7 +12,7 @@
 //! directory that replays cleanly.
 
 use crate::segment::{
-    decode_header, list_segments, MAX_RECORD_LEN, REC_FRAMING_LEN, SEG_HEADER_LEN,
+    decode_header, decode_record, list_segments, REC_FRAMING_LEN, SEG_HEADER_LEN,
 };
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -138,51 +138,33 @@ impl RecReader {
             }
             let f = self.file.as_mut().expect("opened above");
             let mut framing = [0u8; REC_FRAMING_LEN];
-            match read_full(f, &mut framing) {
+            let got = match read_full(f, &mut framing) {
                 Ok(0) => {
                     // Clean end of this segment.
                     self.file = None;
                     self.current += 1;
                     continue;
                 }
-                Ok(REC_FRAMING_LEN) => {}
-                Ok(n) => {
-                    let at = self.offset;
-                    self.tear(at, format!("record framing truncated ({n} of 8 bytes)"));
+                got => got.map_err(|e| format!("read failed: {e}")),
+            };
+            let record = got.and_then(|got| {
+                decode_record(&framing[..got], |len| {
+                    let mut payload = vec![0u8; len];
+                    match read_full(f, &mut payload) {
+                        Ok(n) if n == len => Ok(payload),
+                        Ok(n) => Err(format!("record body truncated ({n} of {len} bytes)")),
+                        Err(e) => Err(format!("read failed: {e}")),
+                    }
+                })
+            });
+            let payload = match record {
+                Ok(payload) => payload,
+                Err(why) => {
+                    self.tear(self.offset, why);
                     return None;
                 }
-                Err(e) => {
-                    let at = self.offset;
-                    self.tear(at, format!("read failed: {e}"));
-                    return None;
-                }
-            }
-            let len = u32::from_le_bytes(framing[..4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(framing[4..].try_into().unwrap());
-            if len > MAX_RECORD_LEN {
-                let at = self.offset;
-                self.tear(at, format!("record length {len} over sanity cap"));
-                return None;
-            }
-            let mut payload = vec![0u8; len];
-            match read_full(f, &mut payload) {
-                Ok(n) if n == len => {}
-                Ok(n) => {
-                    let at = self.offset;
-                    self.tear(at, format!("record body truncated ({n} of {len} bytes)"));
-                    return None;
-                }
-                Err(e) => {
-                    let at = self.offset;
-                    self.tear(at, format!("read failed: {e}"));
-                    return None;
-                }
-            }
-            if crate::crc::crc32(&payload) != crc {
-                let at = self.offset;
-                self.tear(at, "record CRC mismatch".to_string());
-                return None;
-            }
+            };
+            let len = payload.len();
             self.offset += (REC_FRAMING_LEN + len) as u64;
             self.records += 1;
             self.payload_bytes += len as u64;

@@ -32,6 +32,8 @@
 //! exact byte offset where durable history ends, and everything before
 //! it is intact.
 
+use crate::crc::{crc32, Crc32};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
 /// Segment file magic.
@@ -68,6 +70,46 @@ pub fn decode_header(bytes: &[u8]) -> Result<u64, String> {
         return Err(format!("unsupported segment version {version}"));
     }
     Ok(u64::from_le_bytes(bytes[8..16].try_into().unwrap()))
+}
+
+/// Encodes the framing of one record whose payload is the
+/// concatenation of `parts`: the payload length, then its CRC-32.
+pub fn encode_framing<P: Deref<Target = [u8]>>(parts: &[P]) -> [u8; REC_FRAMING_LEN] {
+    let mut crc = Crc32::new();
+    let mut len = 0;
+    for p in parts {
+        crc.update(p);
+        len += p.len();
+    }
+    let mut framing = [0u8; REC_FRAMING_LEN];
+    framing[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    framing[4..].copy_from_slice(&crc.finish().to_le_bytes());
+    framing
+}
+
+/// Reads back one framed record from `framing`, the bytes where it
+/// starts (a torn tail may leave fewer than 8), and `body`, which
+/// fetches the payload length they declare. Refuses a length over
+/// [`MAX_RECORD_LEN`] and a payload that fails its CRC.
+pub fn decode_record<B: AsRef<[u8]>>(
+    framing: &[u8],
+    body: impl FnOnce(usize) -> Result<B, String>,
+) -> Result<B, String> {
+    let Some(framing) = framing.get(..REC_FRAMING_LEN) else {
+        return Err(format!(
+            "torn record framing ({} of {REC_FRAMING_LEN} bytes)",
+            framing.len()
+        ));
+    };
+    let len = u32::from_le_bytes(framing[..4].try_into().unwrap()) as usize;
+    if len > MAX_RECORD_LEN {
+        return Err(format!("record length {len} over sanity cap"));
+    }
+    let payload = body(len)?;
+    if crc32(payload.as_ref()) != u32::from_le_bytes(framing[4..].try_into().unwrap()) {
+        return Err("record CRC mismatch".to_string());
+    }
+    Ok(payload)
 }
 
 /// File name of segment `seq`.
@@ -120,6 +162,17 @@ mod tests {
         let mut h = encode_header(0);
         h[4] = 0xFF; // version 255
         assert!(decode_header(&h).is_err());
+    }
+
+    #[test]
+    fn framed_record_reads_back_and_an_oversized_length_is_refused() {
+        let framing = encode_framing(&[&b"abc"[..], &b"defg"[..]]);
+        let body = |len: usize| -> Result<&[u8], String> { Ok(&b"abcdefg"[..len]) };
+        assert_eq!(decode_record(&framing, body).unwrap(), b"abcdefg");
+        let mut huge = framing;
+        huge[..4].copy_from_slice(&(MAX_RECORD_LEN as u32 + 1).to_le_bytes());
+        let err = decode_record(&huge, body).unwrap_err();
+        assert!(err.contains("sanity cap"), "{err}");
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! [`RecWriter::maybe_sync`] issues `fdatasync` once the configured
 //! byte budget or time interval is exceeded.
 
-use crate::crc::Crc32;
-use crate::segment::{encode_header, list_segments, segment_path, SEG_HEADER_LEN};
+use crate::segment::{encode_framing, encode_header, list_segments, segment_path, SEG_HEADER_LEN};
 use std::io::IoSlice;
 use std::os::fd::FromRawFd;
 use std::path::{Path, PathBuf};
@@ -103,14 +102,7 @@ impl RecWriter {
     /// offset within the current segment.
     pub fn append(&mut self, parts: &[IoSlice<'_>]) -> std::io::Result<u64> {
         let payload_len: usize = parts.iter().map(|p| p.len()).sum();
-        let mut crc = Crc32::new();
-        for p in parts {
-            crc.update(p);
-        }
-        let mut framing = [0u8; 8];
-        framing[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        framing[4..].copy_from_slice(&crc.finish().to_le_bytes());
-
+        let framing = encode_framing(parts);
         let mut iov = Vec::with_capacity(parts.len() + 1);
         iov.push(IoSlice::new(&framing));
         iov.extend(parts.iter().map(|p| IoSlice::new(p)));

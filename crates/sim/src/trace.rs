@@ -14,8 +14,9 @@
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
-use xdaq_rec::crc32;
-use xdaq_rec::segment::{decode_header, encode_header, REC_FRAMING_LEN, SEG_HEADER_LEN};
+use xdaq_rec::segment::{
+    decode_header, decode_record, encode_framing, encode_header, REC_FRAMING_LEN, SEG_HEADER_LEN,
+};
 
 /// A shared, append-only, virtually-timestamped line log.
 #[derive(Clone, Default)]
@@ -60,38 +61,28 @@ pub fn encode(seed: u64, lines: &[String]) -> Vec<u8> {
         Vec::with_capacity(SEG_HEADER_LEN + lines.iter().map(|l| l.len() + 8).sum::<usize>());
     out.extend_from_slice(&encode_header(seed));
     for line in lines {
-        let payload = line.as_bytes();
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+        out.extend_from_slice(&encode_framing(&[line.as_bytes()]));
+        out.extend_from_slice(line.as_bytes());
     }
     out
 }
 
 /// Decodes an [`encode`]d trace, validating the header and every
-/// record CRC. Returns `(seed, lines)`.
+/// record's framing the way the event store's reader does. Returns
+/// `(seed, lines)`.
 pub fn decode(bytes: &[u8]) -> Result<(u64, Vec<String>), String> {
     let seed = decode_header(bytes)?;
     let mut lines = Vec::new();
     let mut at = SEG_HEADER_LEN;
     while at < bytes.len() {
-        if bytes.len() - at < REC_FRAMING_LEN {
-            return Err(format!("torn record framing at byte {at}"));
-        }
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        at += REC_FRAMING_LEN;
-        if bytes.len() - at < len {
-            return Err(format!(
-                "record length {len} overruns the trace at byte {at}"
-            ));
-        }
-        let payload = &bytes[at..at + len];
-        if crc32(payload) != crc {
-            return Err(format!("record CRC mismatch at byte {at}"));
-        }
+        let rest = &bytes[at..];
+        let payload = decode_record(rest, |len| {
+            rest.get(REC_FRAMING_LEN..REC_FRAMING_LEN + len)
+                .ok_or_else(|| format!("record length {len} overruns the trace"))
+        })
+        .map_err(|e| format!("{e} at byte {at}"))?;
         lines.push(String::from_utf8_lossy(payload).into_owned());
-        at += len;
+        at += REC_FRAMING_LEN + payload.len();
     }
     Ok((seed, lines))
 }

@@ -126,6 +126,13 @@ guards=(
     # fault-event queue nor the Controller's scrape poll may grow back.
     'take_events|watch_local_faults|watch_events|mark_degraded|SCRAPE_EVERY|scrape_tick' 'crates src tests examples'
     'the host fault-event queue and the Controller scrape poll (listed above) were removed; DESIGN.md §14 "The convergence loop" says why'
+    # One way back for a failed node: a node whose link is Down is
+    # fenced and respawned, and a failed respawn is retried by the
+    # tick, so neither a half-alive Degraded row, a retry message that
+    # no tick honours, nor a desired column that is Up on every row may
+    # grow back.
+    'Degraded|will retry|desired:' 'crates src tests examples'
+    'Health::Degraded, the "will retry" respawn message and NodeStatus::desired (listed above) were removed; DESIGN.md §14 "Service registry" says why'
 )
 for ((i = 0; i < ${#guards[@]}; i += 3)); do
     what=${guards[i]} where=${guards[i + 1]} why=${guards[i + 2]}

@@ -17,18 +17,24 @@
 //!   the event manager stops assigning to the victim, the drain gate
 //!   (`evb.drain_inflight`) reaches zero through the normal data
 //!   path, the node is stopped cleanly and respawned; zero loss.
-//! * `stopped_node_is_degraded_by_the_host_link_supervisor` — SIGSTOP
-//!   a lone node: its row turns Degraded with exactly one link-down
-//!   event while its process lives.
+//! * `stopped_node_is_fenced_and_restarted` — SIGSTOP a lone node: the
+//!   host's link supervisor reads its link Down, the controller records
+//!   one link-down, SIGKILLs the hung process and respawns generation 2.
+//! * `failed_respawn_is_retried_by_the_tick` — a launcher refuses the
+//!   respawn after a SIGKILL once: the next tick spawns generation 2
+//!   without another `apply`.
 
 use std::collections::HashSet;
+use std::io;
 use std::path::PathBuf;
+use std::process::Child;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use xdaq::core::listener::UtilOutcome;
 use xdaq::core::{Delivery, Dispatcher, I2oListener};
 use xdaq::ctl::{
-    control_host, ControlHost, Controller, EventKind, Health, ManagedEnv, SelfExec, XclInterpreter,
+    control_host, ControlHost, Controller, EventKind, Health, LaunchSpec, Launcher, ManagedEnv,
+    SelfExec, XclInterpreter,
 };
 use xdaq::evb::{xfn, BuilderUnit, EventManager, ReadoutUnit, ORG_DAQ};
 use xdaq::i2o::{DeviceClass, Message, Tid, UtilFn};
@@ -161,21 +167,25 @@ struct Cluster {
     base: PathBuf,
 }
 
-/// A started controller over the declaration at `topo_path`, whose
-/// launcher re-executes this binary into `child_ctl_node`.
-fn controller(
-    name: &str,
-    topo_path: &str,
-) -> (std::sync::Arc<ControlHost>, std::sync::Arc<Controller>) {
-    let host = control_host(&format!("ctl-{name}")).unwrap();
-    let launcher = SelfExec::new(&[
+/// A launcher that re-executes this binary into `child_ctl_node`.
+fn self_exec() -> SelfExec {
+    SelfExec::new(&[
         "--ignored",
         "--exact",
         "child_ctl_node",
         "--nocapture",
         "--test-threads",
         "1",
-    ]);
+    ])
+}
+
+/// A started controller over the declaration at `topo_path`.
+fn controller(
+    name: &str,
+    topo_path: &str,
+    launcher: impl Launcher + 'static,
+) -> (std::sync::Arc<ControlHost>, std::sync::Arc<Controller>) {
+    let host = control_host(&format!("ctl-{name}")).unwrap();
     let ctl = Controller::new(topo_path, host.clone(), Box::new(launcher)).unwrap();
     ctl.start();
     (host, ctl)
@@ -184,7 +194,7 @@ fn controller(
 /// Boots the whole cluster from its declaration, via xcl.
 fn bring_up(name: &str) -> Cluster {
     let (topo_path, base) = write_topology(name);
-    let (host, ctl) = controller(name, &topo_path);
+    let (host, ctl) = controller(name, &topo_path, self_exec());
     let mut xcl = XclInterpreter::new(&host).with_controller(&ctl);
     let out = xcl.run("apply\nregistry").expect("apply converges");
     assert!(
@@ -295,8 +305,9 @@ fn registry_managed_evb_survives_builder_sigkill() {
         cluster.ctl.generation("bu0")
     );
     // ...and the registry streamed the full story.
+    let events = events.drain();
+    print_link_downs(&events);
     let kinds: Vec<(String, EventKind)> = events
-        .drain()
         .into_iter()
         .filter(|e| e.node == "bu0")
         .map(|e| (e.node, e.kind))
@@ -321,6 +332,7 @@ fn registry_managed_evb_survives_builder_sigkill() {
 fn rolling_drain_restart_loses_no_events() {
     const TARGET: u64 = 2000;
     let cluster = bring_up("drain");
+    let events = cluster.ctl.subscribe();
     cluster.start_run(TARGET);
 
     assert!(
@@ -367,7 +379,17 @@ fn rolling_drain_restart_loses_no_events() {
         "collector saw {} of {TARGET}",
         cluster.param(cluster.flt, "col.unique"),
     );
+    print_link_downs(&events.drain());
     cluster.teardown();
+}
+
+/// Prints how many nodes were fenced for a Down link. Neither evb
+/// scenario hangs a node (the SIGKILLed or drained one is reaped
+/// before its link goes Down), so under load this counts spurious
+/// fences.
+fn print_link_downs(events: &[xdaq::ctl::Event]) {
+    let fenced = events.iter().filter(|e| e.kind == EventKind::LinkDown);
+    eprintln!("link-down events: {}", fenced.count());
 }
 
 fn signal(sig: &str, pid: u32) {
@@ -378,51 +400,133 @@ fn signal(sig: &str, pid: u32) {
     assert!(status.success(), "kill {sig} {pid}: {status}");
 }
 
-#[test]
-fn stopped_node_is_degraded_by_the_host_link_supervisor() {
-    let started = Instant::now();
-    let base = std::env::temp_dir().join(format!("xdaq-ctl-it-stop-{}", std::process::id()));
+/// A one-node declaration (`solo`, no modules) with a per-test rundir.
+fn write_solo(name: &str) -> (String, PathBuf) {
+    let base = std::env::temp_dir().join(format!("xdaq-ctl-it-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
     let topo_path = base.join("solo.xtop");
     std::fs::write(
         &topo_path,
         format!(
-            "[cluster]\nname = \"stop\"\nrundir = \"{}\"\n\n[node.solo]\n",
+            "[cluster]\nname = \"{name}\"\nrundir = \"{}\"\n\n[node.solo]\n",
             base.display()
         ),
     )
     .unwrap();
-    let (_host, ctl) = controller("stop", topo_path.to_str().unwrap());
+    (topo_path.to_str().unwrap().to_string(), base)
+}
+
+/// The kinds of `node`'s events in `events`, in order.
+fn kinds_of(node: &str, events: Vec<xdaq::ctl::Event>) -> Vec<EventKind> {
+    let events = events.into_iter().filter(|e| e.node == node);
+    events.map(|e| e.kind).collect()
+}
+
+#[test]
+fn stopped_node_is_fenced_and_restarted() {
+    let started = Instant::now();
+    let (topo_path, base) = write_solo("stop");
+    let (_host, ctl) = controller("stop", &topo_path, self_exec());
     ctl.apply().expect("apply converges");
     let events = ctl.subscribe();
     let row = || ctl.service_registry().row("solo").unwrap();
     let pid = row().pid;
-    assert_eq!(row().health, Health::Up);
+    assert_eq!((row().health, row().generation), (Health::Up, 1));
 
     // A stopped process answers no heartbeat: the host's supervisor
-    // declares the link Down, and the row follows, once.
+    // declares the link Down, the controller fences the process and
+    // the tick brings up the next generation.
     signal("-STOP", pid);
-    let degraded = wait_until(|| row().health == Health::Degraded, Duration::from_secs(2));
-    // A few more ticks, so a second link-down would have arrived.
-    std::thread::sleep(Duration::from_millis(300));
-    signal("-CONT", pid);
-    assert!(degraded, "row still {} 2 s after SIGSTOP", row().health);
-    let link_downs = events
-        .drain()
-        .into_iter()
-        .filter(|e| e.node == "solo" && e.kind == EventKind::LinkDown)
-        .count();
-    assert_eq!(link_downs, 1);
+    let restarted = wait_until(
+        || row().health == Health::Up && row().generation == 2,
+        Duration::from_secs(5),
+    );
+    assert!(
+        restarted,
+        "row {} at gen {} 5 s after SIGSTOP",
+        row().health,
+        row().generation
+    );
+    assert_ne!(row().pid, pid);
+    assert!(
+        !PathBuf::from(format!("/proc/{pid}")).exists(),
+        "fenced pid {pid} still exists"
+    );
+    assert_eq!(
+        kinds_of("solo", events.drain()),
+        [
+            EventKind::LinkDown,
+            EventKind::Exited,
+            EventKind::Spawned,
+            EventKind::Published,
+            EventKind::Up
+        ]
+    );
 
     ctl.shutdown();
     drop(ctl); // kills the child
     let _ = std::fs::remove_dir_all(&base);
     assert!(
-        started.elapsed() < Duration::from_secs(5),
+        started.elapsed() < Duration::from_secs(8),
         "took {:?}",
         started.elapsed()
     );
+}
+
+/// Launches like `SelfExec`, but refuses the second spawn.
+struct RefuseSecondSpawn {
+    inner: SelfExec,
+    spawns: AtomicU64,
+}
+
+impl Launcher for RefuseSecondSpawn {
+    fn spawn(&self, spec: &LaunchSpec) -> io::Result<Child> {
+        if self.spawns.fetch_add(1, Ordering::Relaxed) == 1 {
+            return Err(io::Error::other("second spawn refused"));
+        }
+        self.inner.spawn(spec)
+    }
+}
+
+#[test]
+fn failed_respawn_is_retried_by_the_tick() {
+    let (topo_path, base) = write_solo("retry");
+    let launcher = RefuseSecondSpawn {
+        inner: self_exec(),
+        spawns: AtomicU64::new(0),
+    };
+    let (_host, ctl) = controller("retry", &topo_path, launcher);
+    ctl.apply().expect("apply converges");
+    let events = ctl.subscribe();
+    let row = || ctl.service_registry().row("solo").unwrap();
+
+    // The first respawn is refused; no apply follows, so only the
+    // tick's retry can bring the node back.
+    ctl.kill_node("solo").unwrap();
+    let restarted = wait_until(
+        || row().health == Health::Up && row().generation == 2,
+        Duration::from_secs(5),
+    );
+    assert!(
+        restarted,
+        "row {} at gen {} 5 s after SIGKILL",
+        row().health,
+        row().generation
+    );
+    assert_eq!(
+        kinds_of("solo", events.drain()),
+        [
+            EventKind::Exited,
+            EventKind::Spawned,
+            EventKind::Published,
+            EventKind::Up
+        ]
+    );
+
+    ctl.shutdown();
+    drop(ctl); // kills the child
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// Cheap, always-on: the shipped example declaration stays valid and
