@@ -20,7 +20,7 @@ use crate::error::{ExecError, PtError};
 use crate::listener::{Delivery, Dispatcher, I2oListener, TimerId};
 use crate::monitor::ExecMonitors;
 use crate::pta::{PeerAddr, PeerTransport, Pta};
-use crate::queue::SchedQueue;
+use crate::queue::{Inbox, SchedQueue};
 use crate::registry::{DeviceMeta, DeviceUnit, LctEntry, Registry};
 use crate::route::{Route, RouteTable};
 use crate::supervisor::{self, LinkState, LinkSupervisor};
@@ -54,6 +54,8 @@ const IDLE_SPINS: u32 = 200;
 pub struct ExecCore {
     pub(crate) node: String,
     pub(crate) alloc: Arc<dyn FrameAllocator>,
+    /// Frames task-mode transports handed over, ingested by the loop.
+    inbox: Arc<Inbox>,
     queue: SchedQueue,
     pub(crate) routes: RouteTable,
     pub(crate) pta: Pta,
@@ -127,9 +129,10 @@ impl ExecCore {
         *self.fault_listener.lock() = Some(tid);
     }
 
-    /// Total pending messages.
+    /// Total pending messages: scheduled, and handed over by task-mode
+    /// transports but not yet ingested.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.inbox.len()
     }
 
     /// Purges a TiD's pending frames from the queue.
@@ -321,6 +324,7 @@ impl Executive {
         let core = Arc::new(ExecCore {
             node: config.node,
             alloc,
+            inbox: Arc::default(),
             queue,
             routes: RouteTable::new(),
             pta: Pta::new(),
@@ -518,17 +522,18 @@ impl Executive {
     }
 
     /// Hands a raw encoded frame to the executive as if it arrived from
-    /// the wire of `src`.
+    /// the wire of `src`, ingesting it on the caller's thread.
     pub fn ingest_from_peer(&self, buf: FrameBuf, src: PeerAddr) {
         self.core.ingest_from_peer(buf, src);
     }
 
-    /// Starts all task-mode PTs, delivering into this executive.
+    /// Starts all task-mode PTs. Their threads only queue each frame in
+    /// the executive's inbox; the dispatch loop ingests it.
     pub fn start_transports(&self) -> Result<(), PtError> {
-        let core = self.core.clone();
-        self.core.pta.start_tasks(Arc::new(move |buf, src| {
-            core.ingest_from_peer(buf, src);
-        }))
+        let inbox = self.core.inbox.clone();
+        self.core
+            .pta
+            .start_tasks(Arc::new(move |buf, src| inbox.push(buf, src)))
     }
 
     /// Destroys a device: unregisters, purges queues/timers/routes and
@@ -575,9 +580,9 @@ impl Executive {
         self.core.registry.lct()
     }
 
-    /// Services the control plane: timer wheel
-    /// (including the `LinkSupervisor` heartbeat tick) and polling-mode
-    /// PTs. Returns the number of work items performed.
+    /// Services the control plane: timer wheel (including the
+    /// `LinkSupervisor` heartbeat tick), the inbox of task-mode PTs and
+    /// polling-mode PTs. Returns the number of work items performed.
     fn service_control(&self) -> usize {
         let core = &self.core;
         let mut work = 0usize;
@@ -606,6 +611,10 @@ impl Executive {
             });
         }
 
+        // Frames task-mode PTs queued since the last pass, in arrival
+        // order. An empty inbox costs one load.
+        work += core.inbox.drain(|buf, src| core.ingest_from_peer(buf, src));
+
         // Polling-mode PTs (paper: executive periodically scans PTs).
         let polled = core
             .pta
@@ -616,9 +625,10 @@ impl Executive {
         work + polled
     }
 
-    /// One scheduler iteration: fire timers, poll polling-mode PTs,
-    /// dispatch up to `DISPATCH_BATCH` messages. Returns the number of
-    /// work items performed (0 ⇒ idle).
+    /// One scheduler iteration: fire timers, ingest what task-mode PTs
+    /// queued, poll polling-mode PTs, dispatch up to `DISPATCH_BATCH`
+    /// messages. Returns the number of work items performed (0 ⇒
+    /// idle).
     pub fn run_once(&self) -> usize {
         let mut work = self.service_control();
         for _ in 0..DISPATCH_BATCH {
@@ -649,6 +659,9 @@ impl Executive {
             }
         }
         self.core.pta.stop_all();
+        // Frames a transport queued after the last pass are dropped;
+        // their blocks return to the pools.
+        self.core.inbox.clear();
     }
 
     /// Requests loop termination.
@@ -894,5 +907,65 @@ impl ExecutiveHandle {
 impl Drop for ExecutiveHandle {
     fn drop(&mut self) {
         self.stop_join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pta::{IngestSink, PtMode, SendFailure};
+
+    /// A task-mode transport that lends the test the sink it was
+    /// started with.
+    #[derive(Default)]
+    struct LentSink(Mutex<Option<IngestSink>>);
+
+    impl PeerTransport for LentSink {
+        fn scheme(&self) -> &'static str {
+            "lent"
+        }
+        fn mode(&self) -> PtMode {
+            PtMode::Task
+        }
+        fn send(&self, _dest: &PeerAddr, frame: FrameBuf) -> Result<(), SendFailure> {
+            Err(SendFailure::with_frame(PtError::Closed, frame))
+        }
+        fn poll(&self) -> Option<(FrameBuf, PeerAddr)> {
+            None
+        }
+        fn start(&self, sink: IngestSink) -> Result<(), PtError> {
+            *self.0.lock() = Some(sink);
+            Ok(())
+        }
+        fn stop(&self) {}
+    }
+
+    #[test]
+    fn a_transport_thread_only_queues_and_the_loop_ingests() {
+        let exec = Executive::new(ExecutiveConfig::named("n"));
+        let pt = Arc::new(LentSink::default());
+        exec.register_pt("pt", pt.clone()).unwrap();
+        exec.start_transports().unwrap();
+        let sink = pt.0.lock().clone().expect("started");
+        let core = exec.core();
+        // A new sender's first frame, to a TiD nothing here answers.
+        let unknown = Tid::new(0x123).unwrap();
+        let msg = Message::build_private(unknown, Tid::new(0x45).unwrap(), ORG_XDAQ, 1).finish();
+        let frame = Delivery::from_message(&msg, core.allocator())
+            .unwrap()
+            .into_buf();
+        let routes = core.routes.len();
+
+        std::thread::scope(|s| {
+            s.spawn(|| sink(frame, "lent://far".parse().unwrap()));
+        });
+        assert_eq!(core.queued(), 1, "the frame waits in the inbox");
+        assert_eq!(core.routes.len(), routes, "no proxy before the loop runs");
+        assert_eq!(core.mon.dropped.get(), 0, "no drop before the loop runs");
+
+        assert_eq!(exec.run_once(), 1, "the drained frame is work");
+        assert_eq!(core.routes.len(), routes + 1, "the sender's proxy");
+        assert_eq!(core.mon.dropped.get(), 1, "the unknown target");
+        assert_eq!(core.queued(), 0);
     }
 }

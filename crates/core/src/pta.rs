@@ -649,9 +649,8 @@ mod tests {
         assert!(pta.is_empty());
     }
 
-    /// A task-mode transport whose `stop` joins a reader thread that,
-    /// like an xpt/shm/GM reader inside the ingest sink, reaches back
-    /// into the agent before it can exit.
+    /// A task-mode transport whose `stop` joins a reader thread that
+    /// reaches back into the agent before it can exit.
     struct ReenteringPt {
         /// Dropped by `stop`, which wakes the reader.
         stop_signal: Mutex<Option<std::sync::mpsc::Sender<()>>>,

@@ -12,13 +12,19 @@
 //! while higher priorities always preempt lower ones at dispatch
 //! granularity. One mutex guards all seven levels, the occupancy mask
 //! and the per-level depths; one thread pops (DESIGN.md §10).
+//!
+//! Ahead of it sits the `Inbox`: the one door through which
+//! task-mode transport threads hand frames to the executive. They only
+//! queue there; the dispatch thread ingests, routes and schedules.
 
 use crate::fastmap::FastMap;
 use crate::listener::Delivery;
+use crate::pta::PeerAddr;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xdaq_i2o::{Tid, NUM_PRIORITIES};
+use xdaq_mempool::FrameBuf;
 use xdaq_mon::Gauge;
 
 #[derive(Default)]
@@ -166,6 +172,78 @@ impl SchedQueue {
             }
         }
         dropped
+    }
+}
+
+/// Frames handed over by task-mode transport threads, waiting for the
+/// dispatch loop (DESIGN.md §10 "Ingest").
+///
+/// A transport thread appends under the inbox's own lock and touches
+/// nothing else of the executive. The loop swaps the whole batch out
+/// with a spare it keeps, once per pass, and ingests it without the
+/// inbox lock, so a sink called from the loop's own thread cannot
+/// deadlock. The length is stored under the lock: an empty inbox costs
+/// the loop one load. Both vectors keep their capacity, so neither
+/// side allocates once warm.
+#[derive(Default)]
+pub(crate) struct Inbox {
+    waiting: Mutex<Vec<(FrameBuf, PeerAddr)>>,
+    /// `waiting.len()`, stored under its lock after every change.
+    len: AtomicUsize,
+    /// The drained batch being ingested; empty between passes.
+    spare: Mutex<Vec<(FrameBuf, PeerAddr)>>,
+}
+
+impl Inbox {
+    /// Queues one frame from `src` (the transport side).
+    pub(crate) fn push(&self, frame: FrameBuf, src: PeerAddr) {
+        let mut waiting = self.waiting.lock();
+        waiting.push((frame, src));
+        self.len.store(waiting.len(), Ordering::Release);
+    }
+
+    /// Frames waiting for the loop.
+    pub(crate) fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// Hands every waiting frame to `ingest`, in arrival order; returns
+    /// how many. A second drainer — a thread racing the loop, or
+    /// `ingest` draining again — finds the spare taken and leaves the
+    /// frames to the next pass.
+    ///
+    /// Only the emptiness check is inlined into the loop: a node whose
+    /// transports all poll pays one load per pass and no code size.
+    #[inline]
+    pub(crate) fn drain(&self, ingest: impl FnMut(FrameBuf, PeerAddr)) -> usize {
+        if self.len() == 0 {
+            return 0;
+        }
+        self.drain_waiting(ingest)
+    }
+
+    #[inline(never)]
+    fn drain_waiting(&self, mut ingest: impl FnMut(FrameBuf, PeerAddr)) -> usize {
+        let Some(mut batch) = self.spare.try_lock() else {
+            return 0;
+        };
+        {
+            let mut waiting = self.waiting.lock();
+            std::mem::swap(&mut *waiting, &mut *batch);
+            self.len.store(0, Ordering::Release);
+        }
+        let n = batch.len();
+        for (frame, src) in batch.drain(..) {
+            ingest(frame, src);
+        }
+        n
+    }
+
+    /// Drops every waiting frame: their blocks return to their pools.
+    pub(crate) fn clear(&self) {
+        let mut waiting = self.waiting.lock();
+        waiting.clear();
+        self.len.store(0, Ordering::Release);
     }
 }
 

@@ -33,7 +33,7 @@
 use crate::control::ControlHost;
 use crate::decl::{ModuleDecl, RouteDecl, Topology};
 use crate::launch::{read_url, LaunchSpec, Launcher};
-use crate::registry::{Health, NodeStatus, ServiceRegistry, Subscription};
+use crate::registry::{Health, ServiceRegistry, Subscription};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -119,6 +119,9 @@ pub struct Controller {
     state: Mutex<HashMap<String, NodeState>>,
     /// Serializes apply / drain / poll mutation (poll uses try_lock).
     ops: Mutex<()>,
+    /// The error of the tick's last failed respawn pass, recorded once;
+    /// cleared when a pass succeeds or nothing is owed.
+    tick_error: Mutex<Option<String>>,
     stop: AtomicBool,
 }
 
@@ -148,6 +151,7 @@ impl Controller {
             registry,
             state: Mutex::new(state),
             ops: Mutex::new(()),
+            tick_error: Mutex::new(None),
             stop: AtomicBool::new(false),
         }))
     }
@@ -528,14 +532,29 @@ impl Controller {
         // A respawn is owed by a row past its first bring-up (that is
         // `apply`'s job) that an exit, a fence or a failed pass left
         // Down or Pending; a pass that fails again is retried next tick.
-        let owed = |r: &NodeStatus| matches!(r.health, Health::Down | Health::Pending);
-        if self
+        let owed: Vec<String> = self
             .registry
             .rows()
-            .iter()
-            .any(|r| r.generation > 0 && owed(r))
-        {
-            let _ = self.converge_locked();
+            .into_iter()
+            .filter(|r| r.generation > 0 && matches!(r.health, Health::Down | Health::Pending))
+            .map(|r| r.node)
+            .collect();
+        // A failing pass is recorded on every node it owed, once per
+        // distinct error, not once per tick.
+        let mut last = self.tick_error.lock();
+        if owed.is_empty() {
+            *last = None;
+            return;
+        }
+        match self.converge_locked() {
+            Ok(_) => *last = None,
+            Err(e) if last.as_deref() != Some(e.as_str()) => {
+                for node in &owed {
+                    self.registry.failed(node, &e);
+                }
+                *last = Some(e);
+            }
+            Err(_) => {}
         }
     }
 

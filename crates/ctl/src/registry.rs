@@ -82,6 +82,9 @@ pub enum EventKind {
     Draining,
     /// Drain gate reached zero.
     Drained,
+    /// A tick's respawn pass failed; the detail is its error. Recorded
+    /// once per distinct error while the tick retries.
+    Failed,
 }
 
 impl EventKind {
@@ -95,6 +98,7 @@ impl EventKind {
             EventKind::Exited => "exited",
             EventKind::Draining => "draining",
             EventKind::Drained => "drained",
+            EventKind::Failed => "failed",
         }
     }
 }
@@ -249,6 +253,12 @@ impl ServiceRegistry {
     /// Drain gate reached zero; node may be stopped.
     pub fn drained(&self, node: &str) {
         self.update(node, EventKind::Drained, String::new(), |_| {});
+    }
+
+    /// A respawn pass owed to the node failed with `error`; the row
+    /// keeps its health (the tick retries).
+    pub fn failed(&self, node: &str, error: &str) {
+        self.update(node, EventKind::Failed, error.to_string(), |_| {});
     }
 
     /// Snapshot of all rows, name order.

@@ -9,12 +9,14 @@
 //! doorbell-coalescing protocol, then (4) services readiness: accepts,
 //! gather-writes, and reads that land large frame bodies directly in
 //! donated pool blocks. On `stop` it (5) drains every ring one last
-//! time and flushes for at most [`STOP_FLUSH`].
+//! time and flushes for at most [`STOP_FLUSH`]. Once warm a wake-up
+//! takes no heap allocation: the token list, the event list and the
+//! gather list are buffers the driver keeps.
 
-use super::wire::{Event, OutQueue, RecvAssembler};
+use super::wire::{Event, OutQueue, RecvAssembler, MAX_BATCH};
 use super::{Conn, Metrics, Shared};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -63,6 +65,8 @@ pub(super) fn run(shared: Arc<Shared>, sink: IngestSink) -> Result<(), String> {
     let mut next_token: u64 = 2;
     let mut scratch = vec![0u8; SCRATCH];
     let mut events = [xdaq_sys::EpollEvent::default(); 64];
+    let mut tokens: Vec<u64> = Vec::new();
+    let mut evq: Vec<Event> = Vec::new();
 
     loop {
         for conn in shared.pending.lock().drain(..) {
@@ -74,8 +78,9 @@ pub(super) fn run(shared: Arc<Shared>, sink: IngestSink) -> Result<(), String> {
         let metrics = shared.metrics.get();
 
         // Move submission rings to the wire.
-        let tokens: Vec<u64> = conns.keys().copied().collect();
-        for token in tokens {
+        tokens.clear();
+        tokens.extend(conns.keys());
+        for &token in &tokens {
             let ec = conns.get_mut(&token).expect("token just listed");
             ec.conn.sub.lock().drain_into(&mut ec.out);
             if !ec.out.is_empty() && flush(ep, token, ec, &shared, metrics).is_err() {
@@ -113,7 +118,7 @@ pub(super) fn run(shared: Arc<Shared>, sink: IngestSink) -> Result<(), String> {
                     if ev.events & (xdaq_sys::EPOLLIN | xdaq_sys::EPOLLERR | xdaq_sys::EPOLLHUP)
                         != 0
                     {
-                        outcome = read_all(ec, &shared, &sink, &mut scratch, metrics);
+                        outcome = read_all(ec, &shared, &sink, &mut scratch, &mut evq, metrics);
                     }
                     let write_dead = matches!(outcome, ReadOutcome::Open)
                         && ev.events & xdaq_sys::EPOLLOUT != 0
@@ -264,22 +269,18 @@ fn flush(
     metrics: Option<&Metrics>,
 ) -> Result<(), ()> {
     loop {
-        let bufs = ec.out.slices();
-        if bufs.is_empty() {
+        let mut iov = [IoSlice::new(&[]); MAX_BATCH];
+        let batch = ec.out.slices(&mut iov);
+        if batch == 0 {
             break;
         }
-        let wrote = (&ec.conn.stream).write_vectored(&bufs);
-        let batch = bufs.len();
-        drop(bufs);
-        match wrote {
+        match (&ec.conn.stream).write_vectored(&iov[..batch]) {
             Ok(0) => return Err(()),
             Ok(n) => {
                 if let Some(m) = metrics {
                     m.batch.record(batch as u64);
                 }
-                for len in ec.out.advance(n) {
-                    shared.counters.on_send(len);
-                }
+                ec.out.advance(n, |len| shared.counters.on_send(len));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -306,14 +307,15 @@ fn flush(
 
 /// Reads until the socket drains, steering large frame bodies into
 /// donated pool blocks and everything else through staging memory.
+/// `evq` is the driver's event list, empty on entry and on return.
 fn read_all(
     ec: &mut EConn,
     shared: &Arc<Shared>,
     sink: &IngestSink,
     scratch: &mut [u8],
+    evq: &mut Vec<Event>,
     metrics: Option<&Metrics>,
 ) -> ReadOutcome {
-    let mut evq = Vec::new();
     let outcome = loop {
         let want = ec.rasm.direct_read_len();
         let res = if want > 0 {
@@ -325,12 +327,12 @@ fn read_all(
             Ok(0) => break ReadOutcome::Eof,
             Ok(n) => {
                 let parsed = if want > 0 {
-                    ec.rasm.direct_advance(n, &mut evq);
+                    ec.rasm.direct_advance(n, evq);
                     Ok(())
                 } else {
-                    ec.rasm.ingest(&scratch[..n], &mut evq)
+                    ec.rasm.ingest(&scratch[..n], evq)
                 };
-                deliver(&mut evq, ec, shared, sink);
+                deliver(evq, ec, shared, sink);
                 if parsed.is_err() {
                     break ReadOutcome::Abnormal;
                 }

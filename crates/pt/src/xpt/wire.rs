@@ -45,7 +45,6 @@ pub const DIRECT_MIN: usize = 1024;
 /// driver's [`OutQueue`] holds unwritten bytes for the link it is
 /// `driven`; otherwise, with the ring empty, a sender holding the lock
 /// may write a frame to the socket itself ([`SubQueue::claim_inline`]).
-#[derive(Default)]
 pub struct SubQueue {
     frames: VecDeque<FrameBuf>,
     bytes: usize,
@@ -61,6 +60,20 @@ pub struct SubQueue {
 /// Submission ring caps: frames and total queued bytes.
 pub const SUB_MAX_FRAMES: usize = 1024;
 pub const SUB_MAX_BYTES: usize = 4 << 20;
+
+/// An empty ring with room for one gather batch, so the first frames a
+/// link queues, however late in its life, allocate nothing.
+impl Default for SubQueue {
+    fn default() -> SubQueue {
+        SubQueue {
+            frames: VecDeque::with_capacity(MAX_BATCH),
+            bytes: 0,
+            head_off: 0,
+            driven: false,
+            inline_nap: None,
+        }
+    }
+}
 
 impl SubQueue {
     pub fn push(&mut self, frame: FrameBuf) -> Result<(), FrameBuf> {
@@ -140,10 +153,19 @@ impl SubQueue {
 ///
 /// The head frame may be partially written (`head_off`); completions
 /// arrive as byte counts via [`OutQueue::advance`].
-#[derive(Default)]
 pub struct OutQueue {
     frames: VecDeque<FrameBuf>,
     head_off: usize,
+}
+
+/// Empty, with room for one gather batch (see [`SubQueue`]'s default).
+impl Default for OutQueue {
+    fn default() -> OutQueue {
+        OutQueue {
+            frames: VecDeque::with_capacity(MAX_BATCH),
+            head_off: 0,
+        }
+    }
 }
 
 impl OutQueue {
@@ -165,40 +187,41 @@ impl OutQueue {
         self.frames.iter().map(|f| f.len()).sum::<usize>() - self.head_off
     }
 
-    /// Builds the gather list for the next `writev`: up to
-    /// [`MAX_BATCH`] frames, the first adjusted for the partial-write
-    /// offset.
-    pub fn slices(&self) -> Vec<IoSlice<'_>> {
-        let mut out = Vec::with_capacity(self.frames.len().min(MAX_BATCH));
-        for (i, f) in self.frames.iter().take(MAX_BATCH).enumerate() {
-            if i == 0 && self.head_off > 0 {
-                out.push(IoSlice::new(&f[self.head_off..]));
+    /// Fills `iov` with the gather list for the next `writev`: up to
+    /// `iov.len()` frames (the driver passes [`MAX_BATCH`] slots), the
+    /// first adjusted for the partial-write offset. Returns how many
+    /// slots it filled; the caller's array keeps the driver off the
+    /// heap.
+    pub fn slices<'a>(&'a self, iov: &mut [IoSlice<'a>]) -> usize {
+        let mut n = 0;
+        for (slot, f) in iov.iter_mut().zip(&self.frames) {
+            *slot = if n == 0 && self.head_off > 0 {
+                IoSlice::new(&f[self.head_off..])
             } else {
-                out.push(f.io_slice());
-            }
+                f.io_slice()
+            };
+            n += 1;
         }
-        out
+        n
     }
 
     /// Applies a completion of `n` written bytes: recycles every frame
     /// the wire fully consumed and tracks the partial offset into the
-    /// new head. Returns the lengths of the completed frames (for
-    /// `on_send` accounting).
-    pub fn advance(&mut self, mut n: usize) -> Vec<usize> {
-        let mut done = Vec::new();
+    /// new head. Calls `done` with the length of each completed frame,
+    /// in order (for `on_send` accounting).
+    pub fn advance(&mut self, mut n: usize, mut done: impl FnMut(usize)) {
         while n > 0 {
             let head_len = self.frames[0].len() - self.head_off;
             if n >= head_len {
                 n -= head_len;
                 let f = self.frames.pop_front().expect("headed by loop guard");
-                done.push(f.len());
+                done(f.len());
                 self.head_off = 0;
             } else {
                 self.head_off += n;
                 n = 0;
             }
         }
-        done
     }
 
     /// Drops all queued frames (teardown); returns how many were lost.
@@ -392,16 +415,20 @@ mod tests {
         out.push(frame(32, 2));
         assert_eq!(out.pending_bytes(), 48);
 
-        let bufs = out.slices();
-        assert_eq!(bufs.len(), 2);
-        assert_eq!(bufs[0].len() + bufs[1].len(), 48);
-        drop(bufs);
+        let mut iov = [IoSlice::new(&[]); MAX_BATCH];
+        assert_eq!(out.slices(&mut iov), 2);
+        assert_eq!(iov[0].len() + iov[1].len(), 48);
 
-        assert_eq!(out.advance(10), Vec::<usize>::new(), "partial head");
+        let mut done = Vec::new();
+        out.advance(10, |len| done.push(len));
+        assert_eq!(done, Vec::<usize>::new(), "partial head");
         assert_eq!(out.pending_bytes(), 38);
-        assert_eq!(out.slices()[0].len(), 6, "head slice honors offset");
+        let mut iov = [IoSlice::new(&[]); MAX_BATCH];
+        out.slices(&mut iov);
+        assert_eq!(iov[0].len(), 6, "head slice honors offset");
 
-        assert_eq!(out.advance(6 + 32), vec![16, 32]);
+        out.advance(6 + 32, |len| done.push(len));
+        assert_eq!(done, vec![16, 32]);
         assert!(out.is_empty());
     }
 

@@ -6,9 +6,11 @@
 //! partial-write pattern.
 
 use proptest::prelude::*;
+use std::io::IoSlice;
 use xdaq_mempool::FrameBuf;
 use xdaq_pt::xpt::wire::{
-    Event, OutQueue, RecvAssembler, SubQueue, HELLO_PREFIX, SUB_MAX_BYTES, SUB_MAX_FRAMES,
+    Event, OutQueue, RecvAssembler, SubQueue, HELLO_PREFIX, MAX_BATCH, SUB_MAX_BYTES,
+    SUB_MAX_FRAMES,
 };
 
 fn frame(words: usize, fill: u8) -> FrameBuf {
@@ -27,6 +29,13 @@ fn stream_of(frames: &[FrameBuf]) -> Vec<u8> {
         s.extend_from_slice(f);
     }
     s
+}
+
+/// The bytes of the egress queue's next gather batch, flattened.
+fn gather(out: &OutQueue) -> Vec<u8> {
+    let mut iov = [IoSlice::new(&[]); MAX_BATCH];
+    let n = out.slices(&mut iov);
+    iov[..n].iter().flat_map(|s| s.iter().copied()).collect()
 }
 
 fn pool() -> xdaq_mempool::DynAllocator {
@@ -140,16 +149,12 @@ proptest! {
         let (mut cursor, mut turn, mut recycled) = (0usize, 0usize, Vec::new());
         while !out.is_empty() {
             // The gather batch must be a prefix of the unsent bytes.
-            let gathered: Vec<u8> = out
-                .slices()
-                .iter()
-                .flat_map(|s| s.iter().copied())
-                .collect();
+            let gathered = gather(&out);
             prop_assert_eq!(&flat[cursor..cursor + gathered.len()], &gathered[..]);
 
             let n = completions[turn % completions.len()].min(out.pending_bytes());
             turn += 1;
-            recycled.extend(out.advance(n));
+            out.advance(n, |len| recycled.push(len));
             cursor += n;
         }
         prop_assert_eq!(cursor, flat.len(), "every byte completed once");
@@ -194,15 +199,11 @@ proptest! {
         let (mut turn, mut recycled) = (0usize, Vec::new());
         while !out.is_empty() {
             // One `writev` of the gather list, completing `n` bytes.
-            let gathered: Vec<u8> = out
-                .slices()
-                .iter()
-                .flat_map(|s| s.iter().copied())
-                .collect();
+            let gathered = gather(&out);
             let n = completions[turn % completions.len()].min(gathered.len());
             turn += 1;
             wire.extend_from_slice(&gathered[..n]);
-            recycled.extend(out.advance(n));
+            out.advance(n, |len| recycled.push(len));
         }
         prop_assert_eq!(&wire, &flat, "same bytes as the ring alone");
         prop_assert_eq!(recycled, lens, "each frame completes once, in order");

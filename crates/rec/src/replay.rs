@@ -2,12 +2,13 @@
 //!
 //! Replay is deliberately modelled as a *peer transport*, not a special
 //! code path: a recorded run enters a fresh node through exactly the
-//! machinery live traffic would use (`ingest_from_peer`, proxy TiDs,
-//! the scheduling queue), so everything downstream — chaos injection,
-//! link supervision, the event builder — composes with it unchanged.
-//! Frames of one record are injected back-to-back and records in their
-//! original order, as fast as ingest takes them, which combined with
-//! per-peer ordered ingest makes a replayed run deterministic.
+//! machinery live traffic would use (the executive's inbox,
+//! `ingest_from_peer`, proxy TiDs, the scheduling queue), so everything
+//! downstream — chaos injection, link supervision, the event builder —
+//! composes with it unchanged. Frames of one record are injected
+//! back-to-back and records in their original order, as fast as the
+//! inbox takes them, which combined with per-peer ordered ingest makes
+//! a replayed run deterministic.
 //!
 //! A replayer is set up when it is built and has no runtime keys: the
 //! recording directory comes with [`ReplayPt::new`], and

@@ -235,6 +235,14 @@ echo "== xpt suite, release: inline writes racing the driver =="
 # stalled sink and checks order, bytes, completions and pool blocks.
 cargo test --release -q -p xdaq-pt xpt
 
+echo "== executive inbox, release: racing transport threads =="
+# Task-mode transport threads only queue in the executive's inbox; the
+# dispatch loop ingests. Four threads hand 200 000 frames each to one
+# running loop: zero loss, per-thread order, an empty inbox and every
+# pool block back after stop (`crates/core/tests/inbox.rs`; tier-1
+# runs it with 2 000 per thread).
+XDAQ_TEST_HEAVY=1 cargo test --release -q -p xdaq-core --test inbox
+
 # The multi-process/chaos tiers below are capability-gated: the heavy
 # tests early-return unless XDAQ_TEST_HEAVY=1, so a plain `cargo test`
 # stays fast while CI opts in to the full fault-injection surface.

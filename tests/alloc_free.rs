@@ -16,7 +16,11 @@
 //!   fragments held until the event completes, id vectors batched in
 //!   reused buffers) performs **zero** heap allocations, listeners
 //!   included — measured one event at a time over 1 000 consecutive
-//!   events.
+//!   events, and
+//! * the dispatch loop's drain of the executive's inbox — frames a
+//!   task-mode transport thread hands over, ingested, scheduled and
+//!   dispatched on the pumping thread — performs **zero** heap
+//!   allocations over 5 000 frames from a second thread.
 //!
 //! The same mesh also pins the event builder's message economy. Per
 //! built event the transports send TRIGGER×4 (each with a finished id
@@ -43,9 +47,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xdaq::core::{Delivery, Dispatcher, Executive, ExecutiveConfig, I2oListener, PeerTransport};
+use xdaq::core::{
+    Delivery, Dispatcher, Executive, ExecutiveConfig, I2oListener, IngestSink, PeerAddr,
+    PeerTransport, PtError, PtMode, SendFailure,
+};
 use xdaq::evb::{EvmStats, FilterStats, FilterUnit, Mesh, Roles};
-use xdaq::i2o::{DeviceClass, Message};
+use xdaq::i2o::{DeviceClass, Message, Tid};
+use xdaq::mempool::{FrameBuf, TablePool};
 use xdaq::pt::{LoopbackHub, LoopbackPt};
 
 thread_local! {
@@ -276,4 +284,93 @@ fn event_builder_4x2_sends_at_most_11_frames_per_event() {
 fn event_builder_4x2_without_batching_sends_15_frames_per_event() {
     let per_event = EvbMesh::new(1).frames_per_event();
     assert_eq!(per_event, 15.0, "transport frames per built event");
+}
+
+/// Counts the private frames it is handed.
+struct Count(Arc<AtomicU64>);
+
+impl I2oListener for Count {
+    fn class(&self) -> DeviceClass {
+        DeviceClass::Application(ORG)
+    }
+    fn on_private(&mut self, _ctx: &mut Dispatcher<'_>, _msg: Delivery) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// A task-mode transport that lends the test the sink it was started
+/// with, so a thread of the test's own can act as its receive thread.
+#[derive(Default)]
+struct LentSink(parking_lot::Mutex<Option<IngestSink>>);
+
+impl PeerTransport for LentSink {
+    fn scheme(&self) -> &'static str {
+        "lent"
+    }
+    fn mode(&self) -> PtMode {
+        PtMode::Task
+    }
+    fn send(&self, _dest: &PeerAddr, frame: FrameBuf) -> Result<(), SendFailure> {
+        Err(SendFailure::with_frame(PtError::Closed, frame))
+    }
+    fn poll(&self) -> Option<(FrameBuf, PeerAddr)> {
+        None
+    }
+    fn start(&self, sink: IngestSink) -> Result<(), PtError> {
+        *self.0.lock() = Some(sink);
+        Ok(())
+    }
+    fn stop(&self) {}
+}
+
+#[test]
+fn inbox_drain_allocates_nothing_once_warm() {
+    const BURST: u64 = 16;
+    const TOTAL: u64 = 7_008; // a whole number of bursts
+    let exec = Executive::new(ExecutiveConfig::named("n"));
+    let seen = Arc::new(AtomicU64::new(0));
+    let target = exec
+        .register("count", Box::new(Count(seen.clone())), &[])
+        .unwrap();
+    let pt = Arc::new(LentSink::default());
+    exec.register_pt("lent", pt.clone()).unwrap();
+    exec.enable_all();
+    exec.start_transports().unwrap();
+    let sink = pt.0.lock().clone().expect("started");
+
+    // The transport thread: bursts of 16 frames from one peer, each
+    // once the loop has dispatched the one before.
+    let feeder = {
+        let seen = seen.clone();
+        std::thread::spawn(move || {
+            let pool = TablePool::with_defaults();
+            let src: PeerAddr = "lent://far".parse().unwrap();
+            let msg = Message::build_private(target, Tid::new(0x45).unwrap(), ORG, X_ECHO)
+                .payload(vec![0x5A; 64])
+                .finish();
+            for sent in (0..TOTAL).step_by(BURST as usize) {
+                while seen.load(Ordering::Acquire) < sent {
+                    std::thread::yield_now();
+                }
+                for _ in 0..BURST {
+                    let frame = Delivery::from_message(&msg, &*pool).unwrap();
+                    sink(frame.into_buf(), src.clone());
+                }
+            }
+        })
+    };
+    // The first burst is drained whole, so the inbox's two vectors and
+    // the device's FIFO reach a burst's size while warming up.
+    while exec.core().queued() < BURST as usize {
+        std::thread::yield_now();
+    }
+    let pump_until = |frames: u64| {
+        while seen.load(Ordering::Acquire) < frames {
+            exec.run_once();
+        }
+    };
+    pump_until(2_008);
+    let allocs = allocations_during(|| pump_until(TOTAL));
+    feeder.join().unwrap();
+    assert_eq!(allocs, 0, "heap allocations over 5 000 frames drained");
 }

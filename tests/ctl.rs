@@ -21,8 +21,9 @@
 //!   host's link supervisor reads its link Down, the controller records
 //!   one link-down, SIGKILLs the hung process and respawns generation 2.
 //! * `failed_respawn_is_retried_by_the_tick` — a launcher refuses the
-//!   respawn after a SIGKILL once: the next tick spawns generation 2
-//!   without another `apply`.
+//!   respawn after a SIGKILL once: the refusal is recorded once as a
+//!   `failed` event and the next tick spawns generation 2 without
+//!   another `apply`.
 
 use std::collections::HashSet;
 use std::io;
@@ -514,10 +515,16 @@ fn failed_respawn_is_retried_by_the_tick() {
         row().health,
         row().generation
     );
+    let events = events.drain();
+    let refusals = events
+        .iter()
+        .filter(|e| e.detail.contains("second spawn refused"));
+    assert_eq!(refusals.count(), 1, "the refusal is recorded once");
     assert_eq!(
-        kinds_of("solo", events.drain()),
+        kinds_of("solo", events),
         [
             EventKind::Exited,
+            EventKind::Failed,
             EventKind::Spawned,
             EventKind::Published,
             EventKind::Up

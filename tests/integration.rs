@@ -8,6 +8,8 @@
 mod core_executive;
 #[path = "../crates/core/tests/failures.rs"]
 mod core_failures;
+#[path = "../crates/core/tests/inbox.rs"]
+mod core_inbox;
 #[path = "../crates/core/tests/proptests.rs"]
 mod core_proptests;
 #[path = "../crates/evb/tests/proptests.rs"]
